@@ -5,7 +5,9 @@ GO ?= go
 # check is the full CI gate: vet, build, the default test suite (unit +
 # determinism + golden, in shuffled order), and the race-detector pass over
 # the concurrent packages (the experiment engine, the bench cells it runs,
-# the simulator they share, and the decision server).
+# the simulator they share, and the decision server), plus a repeated race
+# pass over the online learner, whose recycled Q-table arenas are shared
+# between the learner and the batch worker.
 check: vet build test race
 
 build:
@@ -27,6 +29,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
+	$(GO) test -race -count=10 -run 'Learn' ./internal/serve
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

@@ -252,7 +252,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 	}
 
 	if p.learn.Enabled && p.backend == "hw" {
-		return nil, fmt.Errorf("-learn requires the sw backend: learned tables publish by swapping immutable models, which the modeled accelerator cannot do")
+		return nil, fmt.Errorf("-learn requires the sw backend: learned tables publish by swapping arenas behind an atomic pointer, which the modeled accelerator cannot do")
 	}
 	srv, err := serve.New(model, backend, serve.Config{
 		MaxBatch: p.maxBatch, Linger: p.linger, CheckpointPath: p.checkpoint,

@@ -126,10 +126,14 @@ func DecodeCheckpoint(r io.Reader) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	return decodeCheckpoint(raw)
+	return DecodeCheckpointBytes(raw)
 }
 
-func decodeCheckpoint(raw []byte) (Snapshot, error) {
+// DecodeCheckpointBytes is DecodeCheckpoint over an in-memory image, for
+// callers that already hold the whole file (a sized os.ReadFile) and
+// should not pay io.ReadAll's buffer growth. The returned tables do not
+// alias raw.
+func DecodeCheckpointBytes(raw []byte) (Snapshot, error) {
 	if len(raw) < checkpointHeaderLen+4 {
 		return Snapshot{}, fmt.Errorf("%w: %d bytes is shorter than the minimal checkpoint", ErrCheckpointCorrupt, len(raw))
 	}

@@ -1,6 +1,6 @@
 // Flat Q-table layout for the serving read path. Training mutates tables
 // row by row, so the [][]float64 pointer layout is right there — but a
-// frozen serving model only ever does argmax reads, and the pointer walk
+// served model only ever does argmax reads, and the pointer walk
 // costs two dependent loads (row pointer, then row data) per lookup with
 // rows scattered across the heap. FlatTables packs every cluster's table
 // into one contiguous row-major arena with precomputed row offsets, so a
@@ -10,6 +10,11 @@
 // devices observing the same few hot states, and FlatMemo's epoch-tagged
 // per-row cache collapses those repeats into one scan plus O(1) replays —
 // with no sort and no per-call reset of the cache.
+//
+// The arena is also the unit an online learner publishes: it rewrites a
+// retired arena in place (TDUpdater.MeanInto) instead of building a new
+// table set, the software counterpart of the paper's accelerator updating
+// its one BRAM-resident Q-table through the MAC datapath.
 
 package core
 
@@ -25,14 +30,22 @@ const (
 	flatKeyWidthMask = (1 << flatKeyWidthBits) - 1
 )
 
-// FlatTables is a frozen Q-table set flattened into one contiguous
-// row-major float64 arena shared by all clusters. It is immutable after
-// construction and safe for concurrent readers; batch lookups carry their
-// mutable state in a caller-owned FlatMemo.
+// MaxFlatActions is the widest row (action count) the packed lookup key
+// can carry; NewFlatTables rejects wider tables.
+const MaxFlatActions = flatKeyWidthMask
+
+// FlatTables is a Q-table set flattened into one contiguous row-major
+// float64 arena shared by all clusters. Readers never write it, and an
+// arena that has been published to readers is never written: the only
+// writer is TDUpdater.MeanInto, which an online learner points at an arena
+// it owns — a fresh one, or one it retired whose readers have all
+// finished. Batch lookups carry their mutable state in a caller-owned
+// FlatMemo. The shape (off, width) is immutable and shared by NewLike
+// copies.
 type FlatTables struct {
 	arena []float64
 	off   []int // per-cluster arena offset of row 0
-	width []int // per-cluster row width (action count), 1..255
+	width []int // per-cluster row width (action count), 1..MaxFlatActions
 }
 
 // flatMemoActBits is the action field width in a memo tag; the rest of the
@@ -66,34 +79,67 @@ func (m *FlatMemo) Fits(f *FlatTables) bool {
 	return len(m.tag) >= len(f.arena)
 }
 
-// NewFlatTables flattens tables ([cluster][state][action]) into an arena.
-// It returns nil when the shape cannot be packed into the lookup key
-// encoding (an action count outside 1..255, or an arena too large for
-// the 40-bit row-offset field) — callers fall back to the pointer layout.
-// Rows are copied; the source tables are not retained.
+// NewFlatTables flattens tables ([cluster][state][action]) into an arena,
+// sized once from the validated shape. It returns nil when the shape
+// cannot be packed into the lookup key encoding (an action count outside
+// 1..MaxFlatActions, ragged rows, or an arena too large for the 40-bit
+// row-offset field). Rows are copied; the source tables are not retained.
 func NewFlatTables(tables [][][]float64) *FlatTables {
-	f := &FlatTables{}
-	for _, t := range tables {
+	f := &FlatTables{off: make([]int, len(tables)), width: make([]int, len(tables))}
+	n := 0
+	for c, t := range tables {
 		if len(t) == 0 {
 			return nil
 		}
 		w := len(t[0])
-		if w < 1 || w > flatKeyWidthMask {
+		if w < 1 || w > MaxFlatActions {
 			return nil
 		}
-		f.off = append(f.off, len(f.arena))
-		f.width = append(f.width, w)
 		for _, row := range t {
 			if len(row) != w {
 				return nil
 			}
-			f.arena = append(f.arena, row...)
 		}
+		f.off[c], f.width[c] = n, w
+		n += len(t) * w
 	}
-	if len(f.arena) >= 1<<(64-flatKeyIdxBits-flatKeyWidthBits) {
+	if n >= 1<<(64-flatKeyIdxBits-flatKeyWidthBits) {
 		return nil
 	}
+	f.arena = make([]float64, n)
+	for c, t := range tables {
+		for s, row := range t {
+			copy(f.arena[f.off[c]+s*f.width[c]:], row)
+		}
+	}
 	return f
+}
+
+// NewLike returns a zeroed arena of f's shape, ready for
+// TDUpdater.MeanInto. The shape metadata is shared, not copied.
+func (f *FlatTables) NewLike() *FlatTables {
+	return &FlatTables{arena: make([]float64, len(f.arena)), off: f.off, width: f.width}
+}
+
+// Tables copies the arena back into the [cluster][state][action] pointer
+// layout — a cold path for checkpoints and learner hydration. Each
+// cluster's rows share one fresh backing slice, capacity-capped per row.
+func (f *FlatTables) Tables() [][][]float64 {
+	tables := make([][][]float64, len(f.off))
+	for c, off := range f.off {
+		end := len(f.arena)
+		if c+1 < len(f.off) {
+			end = f.off[c+1]
+		}
+		w := f.width[c]
+		flat := append([]float64(nil), f.arena[off:end]...)
+		t := make([][]float64, len(flat)/w)
+		for s := range t {
+			t[s] = flat[s*w : (s+1)*w : (s+1)*w]
+		}
+		tables[c] = t
+	}
+	return tables
 }
 
 // Clusters returns the number of tables packed into the arena.

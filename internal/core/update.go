@@ -9,8 +9,8 @@
 // exact Double-Q TD step Agent.Step applies, driven by explicit
 // Transitions instead of an observation stream. It is single-goroutine by
 // design (the serve learner is the only writer); publication to readers
-// happens via Snapshot → immutable model swap, never by sharing these
-// tables.
+// happens by writing the mean table into a learner-owned FlatTables arena
+// (MeanInto) and swapping that arena in, never by sharing these tables.
 package core
 
 import (
@@ -137,6 +137,35 @@ func (u *TDUpdater) Apply(t Transition) (float64, error) {
 	upd[t.State][t.Action] += u.alpha * td
 	u.applied++
 	return td, nil
+}
+
+// MeanInto writes the mean of the two tables into f in arena order, with
+// the same floating-point expression as Snapshot, so f holds exactly
+// NewFlatTables(u.Snapshot().Tables) without allocating. f must have the
+// updater's shape (built from the snapshot it was hydrated from, or a
+// NewLike copy of one); a mismatch is a caller bug and panics before any
+// write. The caller must own f: no reader may hold it during the write.
+func (u *TDUpdater) MeanInto(f *FlatTables) {
+	n := 0
+	for c, t := range u.q {
+		if c >= len(f.off) || f.off[c] != n || f.width[c] != u.levels[c] {
+			panic(fmt.Sprintf("core: MeanInto: arena cluster %d does not match the updater's shape", c))
+		}
+		n += len(t) * u.levels[c]
+	}
+	if len(f.off) != len(u.q) || len(f.arena) != n {
+		panic("core: MeanInto: arena size does not match the updater's shape")
+	}
+	i := 0
+	for c, t := range u.q {
+		for s, row := range t {
+			row2 := u.q2[c][s]
+			for j := range row {
+				f.arena[i] = (row[j] + row2[j]) / 2
+				i++
+			}
+		}
+	}
 }
 
 // Snapshot returns the mean of the two tables — the greedy policy the

@@ -234,3 +234,60 @@ func TestValidateObservation(t *testing.T) {
 		}
 	}
 }
+
+// TestTDUpdaterMeanIntoMatchesSnapshot pins in-place publication to the
+// copying path it replaces: MeanInto, rewriting one recycled arena after
+// each round of updates, leaves exactly NewFlatTables(Snapshot().Tables)
+// behind, bit for bit, without allocating; and a mis-shaped arena panics
+// before any write.
+func TestTDUpdaterMeanIntoMatchesSnapshot(t *testing.T) {
+	cfg := DefaultConfig()
+	snap := updaterSnapshot(cfg, 4, 3)
+	u, err := NewTDUpdater(cfg, snap, 5, 0.3, 0.8)
+	if err != nil {
+		t.Fatalf("NewTDUpdater: %v", err)
+	}
+	arena := NewFlatTables(snap.Tables).NewLike()
+	gen := rng.New(7)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 100; i++ {
+			c := gen.Intn(2)
+			actions := []int{4, 3}[c]
+			states := cfg.State.States(actions)
+			tr := Transition{Cluster: c, State: gen.Intn(states), Action: gen.Intn(actions),
+				NextState: gen.Intn(states), Reward: gen.Float64()*2 - 1}
+			if _, err := u.Apply(tr); err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+		}
+		u.MeanInto(arena)
+		want := NewFlatTables(u.Snapshot().Tables)
+		for i := range want.arena {
+			if math.Float64bits(arena.arena[i]) != math.Float64bits(want.arena[i]) {
+				t.Fatalf("round %d: arena slot %d = %v, snapshot path has %v", round, i, arena.arena[i], want.arena[i])
+			}
+		}
+	}
+	if !snapshotsBitEqual(Snapshot{State: cfg.State, Tables: arena.Tables()}, u.Snapshot()) {
+		t.Error("Tables() of the published arena differs from Snapshot()")
+	}
+	if n := testing.AllocsPerRun(20, func() { u.MeanInto(arena) }); n != 0 {
+		t.Errorf("MeanInto allocates %v times per call, want 0", n)
+	}
+
+	other := NewFlatTables(updaterSnapshot(cfg, 4).Tables)
+	before := append([]float64(nil), other.arena...)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("MeanInto accepted an arena of a different shape")
+			}
+		}()
+		u.MeanInto(other)
+	}()
+	for i, v := range other.arena {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("mis-shaped MeanInto wrote slot %d before panicking", i)
+		}
+	}
+}

@@ -29,60 +29,62 @@ type Backend interface {
 	Decide(lookups []Lookup, out []int) error
 }
 
-// SWBackend serves lookups by walking the in-memory float64 tables — the
-// software arm of the HW-vs-SW serving A/B. Batches route through the
-// model's flat arena (core.FlatTables): lookups are packed into offset
-// keys and resolved against the contiguous arena with per-row memoization,
-// so a batch of fleet lookups scans each hot row once instead of
-// pointer-chasing per lookup. keys and memo are backend-owned scratch —
-// Decide runs only on the single batch worker.
+// SWBackend serves lookups from the model's flat arena (core.FlatTables)
+// — the software arm of the HW-vs-SW serving A/B. A batch is packed into
+// offset keys and resolved against the contiguous arena with per-row
+// memoization, so a batch of fleet lookups scans each hot row once;
+// batches of one or two lookups skip the packing and read rows directly.
+// keys and memo are backend-owned scratch — Decide runs only on the single
+// batch worker.
 //
 // The served model is behind an atomic pointer so an online learner can
-// publish a new table set (SetModel) without the decide path ever taking a
-// lock: readers load the pointer once per batch, models are immutable
-// after construction, and the epoch-tagged memo never needs clearing on a
-// swap — same-shape models share an arena length (core.FlatMemo.Fits
-// guards the one way that could break), and the memo's per-call epoch
-// already invalidates every cached row between batches.
+// publish a new table set without the decide path ever taking a lock:
+// Decide loads the pointer once per batch and never writes the arena. A
+// published arena is never written: the learner rewrites only an arena it
+// owns, after retiring it with an atomic swap and waiting out its grace
+// period — once finished reaches the begun count read right after the
+// swap, every Decide that could have loaded it has returned. The
+// epoch-tagged memo never needs clearing on a swap:
+// the learner's models share the construction model's shape, so the memo
+// keeps fitting (core.FlatMemo.Fits guards the one way that could break),
+// and the memo's per-call epoch already invalidates every cached row
+// between batches.
 type SWBackend struct {
-	live atomic.Pointer[Model] // current policy: swapped by SetModel, read by Decide
-	keys []uint64              // scratch: packed lookup keys of one batch
-	memo *core.FlatMemo        // scratch: per-row argmax memo across one batch
+	live atomic.Pointer[Model] // current policy: swapped by the learner, read by Decide
+	// begun and finished count Decide calls. Calls never overlap (one
+	// batch worker), so finished >= n means the first n calls returned.
+	begun, finished atomic.Uint64
+	keys            []uint64       // scratch: packed lookup keys of one batch
+	memo            *core.FlatMemo // scratch: per-row argmax memo across one batch
+	// park, when set, runs while Decide holds its model: the test seam
+	// that keeps a reader inside its grace period. nil in production.
+	park func(*Model)
 }
 
 // NewSWBackend builds the software backend over model.
 func NewSWBackend(m *Model) *SWBackend {
-	b := &SWBackend{}
+	b := &SWBackend{memo: m.flat.NewMemo()}
 	b.live.Store(m)
-	if m.flat != nil {
-		b.memo = m.flat.NewMemo()
-	}
 	return b
 }
 
 // Name implements Backend.
 func (*SWBackend) Name() string { return "sw" }
 
-// Model returns the currently served model.
-func (b *SWBackend) Model() *Model { return b.live.Load() }
-
-// SetModel publishes m as the served policy. The swap is a single atomic
-// store; in-flight Decide calls finish against the model they loaded, and
-// the next batch sees m. m must be shape-compatible with the backend's
-// construction model (the learner republishes snapshots of the same
-// tables, so it always is; Decide degrades to the pointer walk otherwise).
-func (b *SWBackend) SetModel(m *Model) { b.live.Store(m) }
-
 // Decide implements Backend. It cannot fail: the session layer validates
 // cluster/state ranges before queueing.
 func (b *SWBackend) Decide(lookups []Lookup, out []int) error {
+	b.begun.Add(1)
+	defer b.finished.Add(1)
 	m := b.live.Load()
+	if b.park != nil {
+		b.park(m)
+	}
 	ft := m.flat
-	if ft == nil || b.memo == nil || !b.memo.Fits(ft) ||
-		len(lookups) <= 2 || len(lookups) > core.MaxFlatBatch {
-		// No packable arena (or a swapped-in arena the memo wasn't sized
-		// for), a batch too small for memoization to pay off, or one too
-		// large for the packed key's index field: per-lookup walk.
+	if len(lookups) <= 2 || len(lookups) > core.MaxFlatBatch || !b.memo.Fits(ft) {
+		// A batch too small for memoization to pay off, one too large for
+		// the packed key's index field, or an arena the memo was not sized
+		// for: per-lookup row scans.
 		for i, l := range lookups {
 			out[i] = m.Greedy(l.Cluster, l.State)
 		}
@@ -137,7 +139,7 @@ func DefaultHWBackendConfig() HWBackendConfig {
 // costs accuracy of the latency model, never availability.
 type HWBackend struct {
 	cfg     HWBackendConfig
-	sw      *SWBackend // degradation target
+	model   *Model // construction model: uploaded tables, degradation target
 	drivers []*hwpolicy.Driver
 	events  *obs.EventLog // nil until wired into a server
 
@@ -175,9 +177,10 @@ func NewHWBackend(m *Model, cfg HWBackendConfig) (*HWBackend, error) {
 	if cfg.Retries < 0 {
 		return nil, fmt.Errorf("serve: negative retry count %d", cfg.Retries)
 	}
-	b := &HWBackend{cfg: cfg, sw: NewSWBackend(m)}
+	b := &HWBackend{cfg: cfg, model: m}
 	b.drivers = make([]*hwpolicy.Driver, len(m.levels))
 	mc := m.Config()
+	tables := m.Snapshot().Tables
 	for c, levels := range m.levels {
 		p := hwpolicy.Params{
 			NumStates:  mc.State.States(levels),
@@ -203,7 +206,7 @@ func NewHWBackend(m *Model, cfg HWBackendConfig) (*HWBackend, error) {
 			b.degraded.Add(1)
 			continue // serve this cluster from software
 		}
-		if err := b.retrying(d, func() error { return d.UploadTable(m.tables[c]) }); err != nil {
+		if err := b.retrying(d, func() error { return d.UploadTable(tables[c]) }); err != nil {
 			b.degraded.Add(1)
 			continue
 		}
@@ -224,7 +227,7 @@ func (b *HWBackend) Decide(lookups []Lookup, out []int) error {
 			d = b.drivers[l.Cluster]
 		}
 		if d == nil {
-			out[i] = b.sw.Model().Greedy(l.Cluster, l.State)
+			out[i] = b.model.Greedy(l.Cluster, l.State)
 			b.degraded.Add(1)
 			continue
 		}
@@ -238,10 +241,10 @@ func (b *HWBackend) Decide(lookups []Lookup, out []int) error {
 			action, lat = a, l2
 			return nil
 		})
-		if err != nil || action < 0 || action >= b.sw.Model().levels[l.Cluster] {
+		if err != nil || action < 0 || action >= b.model.levels[l.Cluster] {
 			// Transaction failed all retries, or a fault corrupted the
 			// action read: the shared software tables answer instead.
-			out[i] = b.sw.Model().Greedy(l.Cluster, l.State)
+			out[i] = b.model.Greedy(l.Cluster, l.State)
 			b.degraded.Add(1)
 			if b.events != nil {
 				if err != nil {

@@ -10,12 +10,14 @@
 //   - a single consumer drains the ring into batched per-agent Double-Q
 //     updates against a shadow table (core.TDUpdater), off every decide
 //     hot path;
-//   - every SwapEvery updates the shadow tables are frozen into a fresh
-//     immutable Model and published RCU-style: one atomic pointer store
-//     into the software backend plus a version bump. Decide readers load
-//     the pointer once per batch and never take a lock; the epoch-tagged
-//     FlatMemo stays valid because same-shape models share an arena
-//     length;
+//   - every SwapEvery updates the shadow tables' mean is written into a
+//     learner-owned arena and published RCU-style: one atomic pointer swap
+//     in the software backend plus a version bump. Decide readers load the
+//     pointer once per batch and never take a lock. The retired arena is
+//     recycled for a later publication once its grace period has passed
+//     (every Decide that could hold it has returned), so steady-state
+//     publication allocates nothing; the epoch-tagged FlatMemo stays valid
+//     because same-shape arenas share a length;
 //   - the learned state is periodically published through the existing
 //     checkpoint store (and finally at drain), so restarts and new shards
 //     hydrate what was learned;
@@ -39,8 +41,8 @@ import (
 // learning entirely.
 type LearnConfig struct {
 	// Enabled turns the learner on. Requires the software backend —
-	// learned tables are published by swapping immutable models, which the
-	// modeled accelerator cannot do.
+	// learned tables are published by swapping arenas behind an atomic
+	// pointer, which the modeled accelerator cannot do.
 	Enabled bool
 	// Manual suppresses the background drain goroutine; updates apply only
 	// when the caller invokes Server.LearnTick. This is the seeded replay
@@ -104,7 +106,7 @@ const applyChunk = 256
 const learnIdlePoll = 200 * time.Microsecond
 
 // learner drains reward-derived transitions into a shadow TDUpdater and
-// publishes the result as immutable model swaps. Producers are session
+// publishes the result by swapping recycled arenas. Producers are session
 // goroutines (via Server.noteRewardLocked); the consumer is either the
 // background goroutine (async mode) or LearnTick callers (manual mode) —
 // applyMu serializes them, so the ring's single-consumer contract holds in
@@ -118,6 +120,12 @@ type learner struct {
 	applyMu sync.Mutex
 	upd     *core.TDUpdater
 	pending int // updates applied since the last publication
+	// Publication arenas, guarded by applyMu. published is the model this
+	// learner last swapped in (nil before the first publication). spare is
+	// a model it retired, safe to rewrite once the backend's finished count
+	// reaches spareGrace; nil when there is none.
+	published, spare *Model
+	spareGrace       uint64
 
 	version atomic.Uint64
 
@@ -179,6 +187,11 @@ func (l *learner) run() {
 		defer t.Stop()
 		ckpt = t.C
 	}
+	// One idle timer for the goroutine's lifetime. go.mod's go 1.22 keeps
+	// the pre-1.23 timer semantics, where a fired timer's value stays in
+	// its channel across Reset, so every Reset follows Stop and a drain.
+	idle := time.NewTimer(learnIdlePoll)
+	defer idle.Stop()
 	for {
 		n := l.apply(applyChunk)
 		select {
@@ -188,19 +201,34 @@ func (l *learner) run() {
 			l.tick()
 			return
 		case <-ckpt:
-			l.srv.publishCheckpoint(false)
+			l.checkpoint()
 		default:
 		}
 		if n == 0 {
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
+				}
+			}
+			idle.Reset(learnIdlePoll)
 			select {
 			case <-l.quit:
 				l.tick()
 				return
 			case <-ckpt:
-				l.srv.publishCheckpoint(false)
-			case <-time.After(learnIdlePoll):
+				l.checkpoint()
+			case <-idle.C:
 			}
 		}
+	}
+}
+
+// checkpoint is the periodic publication of the learned tables. A failure
+// is recorded in the event log; the next tick tries again.
+func (l *learner) checkpoint() {
+	if err := l.srv.publishCheckpoint(false); err != nil {
+		l.srv.events.Addf("checkpoint", "periodic learner checkpoint to %s failed: %v", l.srv.cfg.CheckpointPath, err)
 	}
 }
 
@@ -256,17 +284,32 @@ func (l *learner) applyOneLocked(t core.Transition) {
 	l.tdAbs.Observe(int64(math.Abs(td) * 1e6))
 }
 
-// publishLocked freezes the shadow tables into an immutable Model and
-// swaps it into the software backend — one atomic store, no reader locks.
+// publishLocked writes the shadow tables' mean into a learner-owned model
+// and swaps it into the software backend — one atomic swap, no reader
+// locks. The model written is the spare once its grace has passed: every
+// Decide begun before the spare was retired has finished, so no reader can
+// still hold it. Otherwise (no spare yet, or the batch worker is still
+// inside such a Decide) it is a fresh arena; publication never waits for
+// readers. The retired model becomes the next spare, together with the
+// backend's begun count read after the swap, unless a spare still in its
+// grace keeps the slot (its holder is about to release it; the retired
+// model is dropped instead) or the retired model is the construction
+// model, which frozen sessions and Server.Model read for the server's
+// lifetime.
 func (l *learner) publishLocked() {
-	m, err := NewModel(l.srv.model.cfg, l.upd.Snapshot())
-	if err != nil {
-		// Unreachable: the snapshot has the construction model's shape.
-		l.rejected.Add(1)
-		l.pending = 0
-		return
+	next := l.spare
+	if next != nil && l.sw.finished.Load() >= l.spareGrace {
+		l.spare = nil
+	} else {
+		base := l.srv.model
+		next = &Model{cfg: base.cfg, levels: base.levels, flat: base.flat.NewLike()}
 	}
-	l.sw.SetModel(m)
+	l.upd.MeanInto(next.flat)
+	retired := l.sw.live.Swap(next)
+	if l.spare == nil && retired == l.published {
+		l.spare, l.spareGrace = retired, l.sw.begun.Load()
+	}
+	l.published = next
 	l.pending = 0
 	l.swaps.Add(1)
 	l.version.Add(1)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -379,4 +381,232 @@ func TestLearnDecideAllocFree(t *testing.T) {
 	}
 	warm()
 	measure("after a mid-stream table swap")
+}
+
+// TestLearnPublishAllocFree pins steady-state publication at zero
+// allocations: once two publications have warmed the learner's spare
+// arena, every reward plus tick rewrites a recycled arena in place instead
+// of building a new table set — and still publishes a new version.
+func TestLearnPublishAllocFree(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := learnServer(t, m)
+	sess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	for _, o := range testObs(m, 3, 2) { // two periods complete the transition pair
+		if _, err := sess.Decide(o); err != nil {
+			t.Fatalf("Decide: %v", err)
+		}
+	}
+	var seq uint64
+	publish := func() {
+		seq++
+		v := srv.PolicyVersion()
+		if _, err := sess.RewardSeq(seq, -0.25); err != nil {
+			t.Fatal(err)
+		}
+		srv.LearnTick()
+		if srv.PolicyVersion() != v+1 {
+			t.Fatalf("publication %d did not advance the policy version past %d", seq, v)
+		}
+	}
+	publish()
+	publish()
+	if n := testing.AllocsPerRun(50, publish); n != 0 {
+		t.Fatalf("RewardSeq+LearnTick allocates %v times per publication, want 0", n)
+	}
+}
+
+// TestLearnRecycleWaitsForGrace pins the grace rule: while the batch
+// worker is parked inside a Decide holding model A, publications never
+// write A's arena (a fresh arena is allocated instead), and once the
+// worker returns the next publication recycles A.
+func TestLearnRecycleWaitsForGrace(t *testing.T) {
+	m := testModel(t, 3, 5)
+	sw := NewSWBackend(m)
+	var armed atomic.Bool // the next Decide parks once armed
+	entered := make(chan *Model, 1)
+	release := make(chan struct{})
+	sw.park = func(held *Model) {
+		if armed.CompareAndSwap(true, false) {
+			entered <- held
+			<-release
+		}
+	}
+	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
+		Enabled: true, Manual: true, Seed: 9, SwapEvery: 1, Alpha: 0.5,
+	}})
+	released := false
+	defer func() {
+		if !released {
+			close(release) // unblock the worker if the test bailed early
+		}
+	}()
+	learnSess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	for _, o := range testObs(m, 3, 2) {
+		if _, err := learnSess.Decide(o); err != nil {
+			t.Fatalf("Decide: %v", err)
+		}
+	}
+	var seq uint64
+	publish := func() *Model {
+		seq++
+		if _, err := learnSess.RewardSeq(seq, -1); err != nil {
+			t.Fatalf("RewardSeq: %v", err)
+		}
+		srv.LearnTick()
+		return sw.live.Load()
+	}
+	publish()
+	publish() // the learner now serves its own arena and holds a spare
+
+	parkedSess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	obs := testObs(m, 4, 1)[0]
+	armed.Store(true)
+	type result struct {
+		levels []int
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		lv, err := parkedSess.Decide(obs)
+		done <- result{lv, err}
+	}()
+	a := <-entered
+	if a != sw.live.Load() || a == m {
+		t.Fatal("parked Decide does not hold the learner's live model")
+	}
+	aSnap := a.Snapshot()
+	aModel, err := NewModel(m.cfg, aSnap)
+	if err != nil {
+		t.Fatalf("NewModel(A): %v", err)
+	}
+	wantLevels := newOracle(aModel, SessionOptions{}).decide(obs)
+
+	seen := map[*Model]bool{m: true, a: true}
+	first := publish()  // retires A into the spare slot
+	second := publish() // A is still held: must not be rewritten
+	if second == a || seen[second] || second == first || second.flat == a.flat {
+		t.Fatal("second publication while A was held did not use a fresh arena")
+	}
+	if !snapshotsEqualBits(a.Snapshot(), aSnap) {
+		t.Fatal("A's arena was rewritten while a Decide still held it")
+	}
+
+	close(release)
+	released = true
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("parked Decide: %v", r.err)
+	}
+	if !equalInts(r.levels, wantLevels) {
+		t.Errorf("parked Decide answered %v, want %v from A's tables", r.levels, wantLevels)
+	}
+	if next := publish(); next != a {
+		t.Fatal("publication after the worker released A did not recycle A")
+	}
+	learned, _ := srv.LearnSnapshot()
+	if !snapshotsEqualBits(a.Snapshot(), learned) {
+		t.Fatal("recycled arena does not hold the learner's tables")
+	}
+}
+
+// TestLearnAsyncStressRecycling runs the background learner with a
+// publication per update while many sessions decide and reward at once,
+// so recycled arenas are rewritten while the batch worker reads live
+// ones. Every served level must be in range; the race detector (make
+// race repeats this test) checks that no arena is written while read.
+func TestLearnAsyncStressRecycling(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
+		Enabled: true, Seed: 4, SwapEvery: 1, Alpha: 0.5, Gamma: 0.9,
+	}})
+	const devices, periods = 8, 150
+	var wg sync.WaitGroup
+	errs := make(chan error, devices)
+	for d := 0; d < devices; d++ {
+		sess, err := srv.CreateSession(SessionOptions{Seed: uint64(d), Epsilon: 0.1})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		obs := testObs(m, uint64(100+d), periods)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seq uint64
+			for i, o := range obs {
+				lv, err := sess.Decide(o)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for c, a := range lv {
+					if a < 0 || a >= m.levels[c] {
+						errs <- fmt.Errorf("period %d cluster %d: level %d out of [0,%d)", i, c, a, m.levels[c])
+						return
+					}
+				}
+				if i > 0 {
+					seq++
+					if _, err := sess.RewardSeq(seq, -float64(i%5)/4); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	srv.Close() // flushes the learner
+	if met := srv.MetricsSnapshot(); met.Learn.Swaps < 2 || met.Learn.Updates == 0 {
+		t.Fatalf("learner published %d swaps from %d updates; recycling was not exercised",
+			met.Learn.Swaps, met.Learn.Updates)
+	}
+}
+
+// TestLearnPeriodicCheckpointFailureLogged pins that a failing periodic
+// learner checkpoint is reported, not dropped: the background learner
+// records a checkpoint event naming the failure.
+func TestLearnPeriodicCheckpointFailureLogged(t *testing.T) {
+	m := testModel(t, 3, 5)
+	path := filepath.Join(t.TempDir(), "learned.ckpt")
+	srv := newTestServer(t, m, nil, Config{
+		CheckpointPath: path,
+		Learn:          LearnConfig{Enabled: true, Seed: 1, CheckpointEvery: time.Millisecond},
+	})
+	real := osHooks()
+	srv.ckptPubMu.Lock() // publishCheckpoint reads fs under this lock
+	srv.fs = fsHooks{
+		syncFile: func(*os.File) error { return errors.New("injected fsync failure") },
+		rename:   real.rename,
+		syncDir:  real.syncDir,
+	}
+	srv.ckptPubMu.Unlock()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, e := range srv.Events().Events() {
+			if e.Kind == "checkpoint" && strings.Contains(e.Msg, "injected fsync failure") {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("failed checkpoint left a file behind: %v", err)
+				}
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint event recorded for the failing periodic learner checkpoint")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

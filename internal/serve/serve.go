@@ -7,9 +7,9 @@
 // reproduction into a client/server inference stack shaped like a
 // production deployment:
 //
-//   - a Model is an immutable Q-table set (one table per DVFS domain)
-//     built from a core.Snapshot — trained in software, loaded from a
-//     checkpoint, or both;
+//   - a Model is a Q-table set (one table per DVFS domain) packed into
+//     one flat arena, built from a core.Snapshot — trained in software,
+//     loaded from a checkpoint, or both — and never written while served;
 //   - each managed device owns a Session with device-local exploration
 //     state (ε schedule, RNG stream, demand-trend history), so serving a
 //     fleet never entangles one device's stochastic behaviour with
@@ -87,23 +87,24 @@ var ErrOverloaded = errors.New("serve: overloaded")
 // its request.
 var ErrBadRequest = errors.New("serve: bad request")
 
-// Model is the shared frozen policy: per-cluster Q-tables plus the state
-// encoding they were trained with. A Model is immutable after construction
-// and safe for concurrent readers.
+// Model is a served policy: per-cluster Q-tables packed into one
+// core.FlatTables arena — the only copy of the tables — plus the state
+// encoding they were trained with. A published Model is never written, so
+// it is safe for concurrent readers. A model built by NewModel stays
+// immutable for its lifetime; the online learner rewrites a model it owns
+// only after retiring it from the backend and letting its grace period
+// pass (see learner.publishLocked).
 type Model struct {
 	cfg    core.Config
-	levels []int         // per-cluster OPP counts
-	tables [][][]float64 // [cluster][state][action], deep-copied
-	// flat is the contiguous row-major arena the serving read path prefers:
-	// one offset computation per lookup instead of a pointer chase, and
-	// batch lookups walk it in sorted order (see core.FlatTables). nil when
-	// the shape cannot be packed — readers fall back to the pointer walk.
-	flat *core.FlatTables
+	levels []int // per-cluster OPP counts
+	flat   *core.FlatTables
 }
 
-// NewModel builds a Model from a snapshot. cfg supplies the state encoding
-// and must match the snapshot's recorded StateConfig; table shapes are
-// validated against it.
+// NewModel builds a Model from a snapshot, copying its tables into one
+// arena. cfg supplies the state encoding and must match the snapshot's
+// recorded StateConfig; table shapes are validated against it, and a
+// shape the arena cannot pack (an action count outside
+// 1..core.MaxFlatActions) is rejected.
 func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,17 +125,17 @@ func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
 			return nil, fmt.Errorf("serve: cluster %d table has %d states, config needs %d for %d actions",
 				c, len(t), cfg.State.States(actions), actions)
 		}
-		cp := make([][]float64, len(t))
 		for i, row := range t {
 			if len(row) != actions {
 				return nil, fmt.Errorf("serve: cluster %d row %d has %d actions, row 0 has %d", c, i, len(row), actions)
 			}
-			cp[i] = append([]float64(nil), row...)
 		}
-		m.tables = append(m.tables, cp)
 		m.levels = append(m.levels, actions)
 	}
-	m.flat = core.NewFlatTables(m.tables)
+	if m.flat = core.NewFlatTables(snap.Tables); m.flat == nil {
+		return nil, fmt.Errorf("serve: cannot pack tables with action counts %v into the flat arena (each must be in 1..%d)",
+			m.levels, core.MaxFlatActions)
+	}
 	return m, nil
 }
 
@@ -156,35 +157,16 @@ func (m *Model) NumLevels() []int { return append([]int(nil), m.levels...) }
 // Config returns the serving configuration (state encoding, reward terms).
 func (m *Model) Config() core.Config { return m.cfg }
 
-// Snapshot exports the model as a deep-copied snapshot, ready for
-// checkpointing.
+// Snapshot rebuilds the model's tables from the arena as a deep-copied
+// snapshot, ready for checkpointing. It copies every table, so it belongs
+// on cold paths (checkpoint save, learner hydration), not per decision.
 func (m *Model) Snapshot() core.Snapshot {
-	s := core.Snapshot{State: m.cfg.State}
-	for _, t := range m.tables {
-		cp := make([][]float64, len(t))
-		for i, row := range t {
-			cp[i] = append([]float64(nil), row...)
-		}
-		s.Tables = append(s.Tables, cp)
-	}
-	return s
+	return core.Snapshot{State: m.cfg.State, Tables: m.flat.Tables()}
 }
 
 // Greedy returns the argmax action for (cluster, state); ties break low,
 // matching core.Agent and the hardware comparator tree.
-func (m *Model) Greedy(cluster, state int) int {
-	if m.flat != nil {
-		return m.flat.Argmax(cluster, state)
-	}
-	row := m.tables[cluster][state]
-	best, idx := row[0], 0
-	for i := 1; i < len(row); i++ {
-		if row[i] > best {
-			best, idx = row[i], i
-		}
-	}
-	return idx
-}
+func (m *Model) Greedy(cluster, state int) int { return m.flat.Argmax(cluster, state) }
 
 // Observation is the wire form of one cluster's telemetry for one control
 // period — the subset of sim.Observation a remote device reports.
@@ -1123,9 +1105,11 @@ func (s *Server) publishCheckpoint(final bool) error {
 	if final {
 		s.ckptFinal = true
 	}
-	snap := s.model.Snapshot()
+	var snap core.Snapshot
 	if s.learner != nil {
 		snap = s.learner.snapshot()
+	} else {
+		snap = s.model.Snapshot()
 	}
 	if _, err := saveCheckpoint(s.cfg.CheckpointPath, snap, s.fs); err != nil {
 		return err

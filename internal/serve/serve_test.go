@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -37,6 +39,13 @@ func testSnapshot(t testing.TB, levels ...int) (core.Config, core.Snapshot) {
 		snap.Tables = append(snap.Tables, table)
 	}
 	return cfg, snap
+}
+
+// snapshotsEqualBits compares two snapshots through their canonical
+// checkpoint encoding, which stores every float64 as its bit pattern.
+func snapshotsEqualBits(a, b core.Snapshot) bool {
+	var ab, bb bytes.Buffer
+	return a.EncodeCheckpoint(&ab) == nil && b.EncodeCheckpoint(&bb) == nil && bytes.Equal(ab.Bytes(), bb.Bytes())
 }
 
 func testModel(t testing.TB, levels ...int) *Model {
@@ -165,12 +174,52 @@ func TestNewModelRejectsMalformedSnapshots(t *testing.T) {
 			tbl[1] = tbl[1][:2]
 			return cfg, core.Snapshot{State: cfg.State, Tables: [][][]float64{tbl}}
 		},
+		"256 actions": func() (core.Config, core.Snapshot) {
+			// One action wider than the flat arena's packed key carries;
+			// single-bin states keep the table small.
+			c := cfg
+			c.State = core.StateConfig{LoadBins: 1, QoSBins: 1, TrendBins: 1}
+			tbl := make([][]float64, c.State.States(256))
+			for i := range tbl {
+				tbl[i] = make([]float64, 256)
+			}
+			return c, core.Snapshot{State: c.State, Tables: [][][]float64{tbl}}
+		},
 	}
 	for name, mk := range cases {
 		c, s := mk()
 		if _, err := NewModel(c, s); err == nil {
 			t.Errorf("%s: NewModel accepted a malformed snapshot", name)
 		}
+	}
+}
+
+// TestModelSnapshotRoundTrip pins the arena as the model's only copy of
+// its tables: Snapshot rebuilds them bit-exactly (signed zeros and NaN
+// payloads included), NewModel over that snapshot rebuilds the same model,
+// and the snapshot is a deep copy the model never shares.
+func TestModelSnapshotRoundTrip(t *testing.T) {
+	cfg, snap := testSnapshot(t, 3, 5)
+	snap.Tables[0][2][1] = math.Copysign(0, -1)
+	snap.Tables[1][7][4] = math.Float64frombits(0x7ff8000000000123)
+	m, err := NewModel(cfg, snap)
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	got := m.Snapshot()
+	if !snapshotsEqualBits(got, snap) {
+		t.Fatal("Model.Snapshot differs from the snapshot the model was built from")
+	}
+	m2, err := NewModel(cfg, got)
+	if err != nil {
+		t.Fatalf("NewModel(Snapshot()): %v", err)
+	}
+	if !snapshotsEqualBits(m2.Snapshot(), snap) {
+		t.Fatal("Snapshot → NewModel → Snapshot is not bit-exact")
+	}
+	got.Tables[0][0][0]++
+	if math.Float64bits(m.Snapshot().Tables[0][0][0]) != math.Float64bits(snap.Tables[0][0][0]) {
+		t.Fatal("writing a snapshot reached the model's arena")
 	}
 }
 

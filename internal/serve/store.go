@@ -85,14 +85,15 @@ func saveCheckpoint(path string, snap core.Snapshot, fs fsHooks) (int64, error) 
 }
 
 // LoadCheckpoint reads and verifies a checkpoint file. Corruption and
-// version mismatches surface as core's typed checkpoint errors.
+// version mismatches surface as core's typed checkpoint errors. The file
+// is read in one read sized by its length, so loading leaves no growth
+// garbage behind in a process that may never collect it.
 func LoadCheckpoint(path string) (core.Snapshot, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return core.Snapshot{}, fmt.Errorf("serve: opening checkpoint: %w", err)
+		return core.Snapshot{}, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
-	defer f.Close()
-	snap, err := core.DecodeCheckpoint(f)
+	snap, err := core.DecodeCheckpointBytes(raw)
 	if err != nil {
 		return core.Snapshot{}, fmt.Errorf("serve: checkpoint %s: %w", path, err)
 	}

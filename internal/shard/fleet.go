@@ -77,7 +77,7 @@ func (f *Fleet) AddShard() (ShardSpec, error) {
 	idx := f.next
 	f.mu.Unlock()
 
-	snap, err := core.DecodeCheckpoint(bytes.NewReader(f.ckpt))
+	snap, err := core.DecodeCheckpointBytes(f.ckpt)
 	if err != nil {
 		return ShardSpec{}, fmt.Errorf("shard: hydrating replica: %w", err)
 	}
