@@ -1,17 +1,21 @@
 GO ?= go
 
-.PHONY: check build vet test race staticcheck fuzz cover bench bench-smoke bench-serve bench-shard serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden
+.PHONY: check build fmt vet test race staticcheck fuzz cover bench bench-smoke bench-serve bench-shard serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden
 
 # check is the full CI gate: vet, build, the default test suite (unit +
 # determinism + golden, in shuffled order), and the race-detector pass over
 # the concurrent packages (the experiment engine, the bench cells it runs,
 # the simulator they share, and the decision server), plus a repeated race
 # pass over the online learner, whose recycled Q-table arenas are shared
-# between the learner and the batch worker.
-check: vet build test race
+# between the learner and the batch worker, and over the allocation pins.
+check: fmt vet build test race
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file is not gofmt-formatted, naming the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -29,7 +33,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn' ./internal/serve
+	$(GO) test -race -count=10 -run 'Learn|AllocFree' ./internal/serve
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

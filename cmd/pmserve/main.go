@@ -62,7 +62,6 @@ func main() {
 		quick      = flag.Bool("quick", true, "train with the ~10x-shrunk quick settings")
 		backendFl  = flag.String("backend", "sw", "serving backend: sw (table walk) or hw (modeled accelerator)")
 		maxBatch   = flag.Int("batch", 256, "max lookups coalesced per backend call")
-		linger     = flag.Duration("linger", 0, "batch linger window (0 = opportunistic coalescing only)")
 		seed       = flag.Uint64("seed", 1, "training seed")
 
 		epoch         = flag.Uint("epoch", 1, "server incarnation number; bump on every restart so clients detect stale sessions and resume")
@@ -86,7 +85,7 @@ func main() {
 
 	srv, err := buildServer(serverParams{
 		checkpoint: *checkpoint, scenario: *scenario, episodes: *episodes,
-		quick: *quick, backend: *backendFl, maxBatch: *maxBatch, linger: *linger,
+		quick: *quick, backend: *backendFl, maxBatch: *maxBatch,
 		seed: *seed, faultReadErr: *faultReadErr, faultWriteErr: *faultWriteErr,
 		faultTimeout: *faultTimeout, faultSeed: *faultSeed,
 		epoch: uint32(*epoch), sessionTTL: *sessionTTL, queueDeadline: *queueDeadline,
@@ -182,7 +181,6 @@ type serverParams struct {
 	checkpoint, scenario, backend             string
 	episodes, maxBatch                        int
 	quick                                     bool
-	linger                                    time.Duration
 	seed, faultSeed                           uint64
 	faultReadErr, faultWriteErr, faultTimeout float64
 	epoch                                     uint32
@@ -255,7 +253,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 		return nil, fmt.Errorf("-learn requires the sw backend: learned tables publish by swapping arenas behind an atomic pointer, which the modeled accelerator cannot do")
 	}
 	srv, err := serve.New(model, backend, serve.Config{
-		MaxBatch: p.maxBatch, Linger: p.linger, CheckpointPath: p.checkpoint,
+		MaxBatch: p.maxBatch, CheckpointPath: p.checkpoint,
 		Epoch: p.epoch, SessionTTL: p.sessionTTL, QueueDeadline: p.queueDeadline,
 		Learn: p.learn,
 	})

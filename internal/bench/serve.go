@@ -31,9 +31,8 @@ type ServeOptions struct {
 	// Proto selects the decision transport: "json" (default) or "bin"
 	// (the internal/wire binary protocol over its own loopback listener).
 	Proto string
-	// MaxBatch and Linger tune the server's lookup coalescing.
+	// MaxBatch caps the server's lookup coalescing.
 	MaxBatch int
-	Linger   time.Duration
 	// Epsilon is the per-session exploration rate devices request.
 	Epsilon float64
 	// Scenario is the workload every device runs (default "gaming").
@@ -135,7 +134,6 @@ func NewServeServer(o ServeOptions) (*serve.Server, error) {
 	}
 	return serve.New(model, backend, serve.Config{
 		MaxBatch:       o.MaxBatch,
-		Linger:         o.Linger,
 		CheckpointPath: o.CheckpointPath,
 	})
 }

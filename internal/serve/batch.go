@@ -8,26 +8,16 @@ import (
 	"rlpm/internal/obs"
 )
 
-// batchReq is one session's exploitation lookups awaiting a shared batch.
-// Instances are pooled: the done channel (capacity 1) is created once and
-// reused across submissions, so Do allocates nothing in steady state.
+// batchReq is one submission's exploitation lookups awaiting a shared
+// batch. Its submitter owns it and reuses it for every Do: a session owns
+// one, a binary connection's decide window another. The done channel
+// (capacity 1) is created by the first Do, so a warmed submitter submits
+// with zero allocations.
 type batchReq struct {
 	lookups  []Lookup
 	out      []int
 	done     chan error
 	enqueued time.Time // submission instant, for the queue-wait histogram
-}
-
-var batchReqPool = sync.Pool{
-	New: func() any { return &batchReq{done: make(chan error, 1)} },
-}
-
-// putBatchReq returns a request to the pool. The done channel must be
-// empty: the worker sends exactly once per popped request, and Do receives
-// that send before releasing.
-func putBatchReq(r *batchReq) {
-	r.lookups, r.out = nil, nil
-	batchReqPool.Put(r)
 }
 
 // batcherObs is the batcher's slice of the server's metrics registry:
@@ -38,7 +28,7 @@ type batcherObs struct {
 	rejected   *obs.Counter   // submits refused with ErrOverloaded
 	stale      *obs.Counter   // queued requests shed past the queue deadline
 	queueWait  *obs.Histogram // submit → joins a dispatching batch
-	assemble   *obs.Histogram // batch opens → dispatch (linger + grabbing)
+	assemble   *obs.Histogram // batch opens → dispatch (opportunistic grab)
 	backendLat *obs.Histogram // backend.Decide wall time
 }
 
@@ -62,7 +52,6 @@ type batcher struct {
 	ring     *mpscRing
 	wake     chan struct{} // capacity 1; producers nudge the parked worker
 	maxBatch int           // max lookups per backend call
-	linger   time.Duration // wait for co-travellers after the first arrival
 	deadline time.Duration // CoDel-style queue-staleness bound; 0 disables
 	quit     chan struct{}
 	wg       sync.WaitGroup
@@ -77,13 +66,12 @@ type batcher struct {
 	ewmaWaitNs atomic.Int64
 }
 
-func newBatcher(backend Backend, maxBatch int, linger, deadline time.Duration, o batcherObs) *batcher {
+func newBatcher(backend Backend, maxBatch int, deadline time.Duration, o batcherObs) *batcher {
 	b := &batcher{
 		backend:  backend,
 		ring:     newMPSCRing(4 * maxBatch),
 		wake:     make(chan struct{}, 1),
 		maxBatch: maxBatch,
-		linger:   linger,
 		deadline: deadline,
 		quit:     make(chan struct{}),
 		o:        o,
@@ -115,11 +103,16 @@ func (b *batcher) observeWait(w time.Duration) {
 	b.ewmaWaitNs.Store(old - old/8 + w.Nanoseconds()/8)
 }
 
-// Do submits lookups and blocks until the worker has resolved them into
-// out. A full ring fails fast with ErrOverloaded — the caller sheds load
-// rather than queueing unboundedly. Safe for concurrent use.
-func (b *batcher) Do(lookups []Lookup, out []int) error {
-	req := batchReqPool.Get().(*batchReq)
+// Do submits lookups through req and blocks until the worker has resolved
+// them into out. A full ring fails fast with ErrOverloaded — the caller
+// sheds load rather than queueing unboundedly. Safe for concurrent use
+// with distinct reqs; one req carries one submission at a time. The done
+// channel is empty again when Do returns: the worker sends exactly once
+// per popped request, and Do receives that send.
+func (b *batcher) Do(req *batchReq, lookups []Lookup, out []int) error {
+	if req.done == nil {
+		req.done = make(chan error, 1)
+	}
 	req.lookups, req.out, req.enqueued = lookups, out, time.Now()
 	// The read lock is held across the push: Close flips closed under the
 	// write lock, so once Close proceeds no producer can be mid-push and
@@ -127,14 +120,12 @@ func (b *batcher) Do(lookups []Lookup, out []int) error {
 	b.closeMu.RLock()
 	if b.closed {
 		b.closeMu.RUnlock()
-		putBatchReq(req)
 		return ErrServerClosed
 	}
 	ok := b.ring.Push(req)
 	b.closeMu.RUnlock()
 	if !ok {
 		b.o.rejected.Add(1)
-		putBatchReq(req)
 		return ErrOverloaded
 	}
 	// Nudge a parked worker. The send happens after the push published, so
@@ -145,9 +136,7 @@ func (b *batcher) Do(lookups []Lookup, out []int) error {
 	case b.wake <- struct{}{}:
 	default:
 	}
-	err := <-req.done
-	putBatchReq(req)
-	return err
+	return <-req.done
 }
 
 // Close stops the worker; queued requests fail with ErrServerClosed.
@@ -226,30 +215,8 @@ func (b *batcher) run() {
 			return true
 		}
 
-		// Linger phase: wait a bounded time for co-travellers so light
-		// load can still amortize a batch. Skipped when linger is 0.
-		if b.linger > 0 && total < b.maxBatch {
-			deadline := time.NewTimer(b.linger)
-		lingering:
-			for total < b.maxBatch {
-				if r := b.ring.Pop(); r != nil {
-					if !accept(r) {
-						break lingering
-					}
-					continue
-				}
-				select {
-				case <-b.wake:
-				case <-deadline.C:
-					break lingering
-				case <-b.quit:
-					break lingering
-				}
-			}
-			deadline.Stop()
-		}
-		// Opportunistic phase: grab whatever is already queued, up to the
-		// cap, without waiting long. A nil Pop does not mean the ring is
+		// Grab whatever is already queued, up to the cap, without waiting
+		// long. A nil Pop does not mean the ring is
 		// empty — a producer may have claimed the oldest slot but not yet
 		// published it (the MPSC ring's claim and publish are two steps) —
 		// so a bounded number of re-polls lets near-simultaneous submitters

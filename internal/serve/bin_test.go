@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -366,5 +367,174 @@ func TestSessionDecideIntoAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("DecideInto allocates %v times per call, want 0", n)
+	}
+}
+
+// TestBinFrozenCohortInWindow pins the frozen cohort on every decide path:
+// a frozen session's frame gathered into a bin window behind a learning
+// session's frame must resolve against the construction model, not the
+// batcher's live policy.
+func TestBinFrozenCohortInWindow(t *testing.T) {
+	cfg, snap := testSnapshot(t, 3, 5)
+	m, err := NewModel(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range snap.Tables {
+		for _, row := range table {
+			for a := range row {
+				row[a] = -row[a] // every argmax becomes an argmin
+			}
+		}
+	}
+	live, err := NewModel(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := learnServer(t, m)
+	srv.backend.(*SWBackend).live.Store(live)
+	learning, err := srv.CreateSession(SessionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fopts := SessionOptions{Seed: 2, Cohort: CohortFrozen}
+	frozen, err := srv.CreateSession(fopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newOracle(m, fopts)
+
+	cli, server := net.Pipe()
+	defer cli.Close()
+	connDone := make(chan struct{})
+	go func() {
+		defer close(connDone)
+		srv.serveBinConn(server)
+	}()
+	cli.SetDeadline(time.Now().Add(10 * time.Second))
+
+	const periods = 40
+	lobs, fobs := testObs(m, 11, periods), testObs(m, 12, periods)
+	var hdr [wire.HeaderSize]byte
+	var payload []byte
+	for i := 0; i < periods; i++ {
+		// One write, so the frozen frame is gathered behind the learning
+		// one. Each frame gets its own buffer: BeginFrame resets it.
+		buf := wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), learning.Handle(), 0, 0, lobs[i]), wire.TDecide, 1)
+		buf = append(buf, wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), frozen.Handle(), 0, 0, fobs[i]), wire.TDecide, 2)...)
+		if _, err := cli.Write(buf); err != nil {
+			t.Fatalf("period %d write: %v", i, err)
+		}
+		var got wire.DecideOK
+		for r := 0; r < 2; r++ {
+			h, p, err := wire.ReadFrame(cli, &hdr, payload)
+			payload = p
+			if err != nil || h.Type != wire.TDecideOK {
+				t.Fatalf("period %d response %d: type %d, %v", i, r, h.Type, err)
+			}
+			if h.ReqID == 2 {
+				if err := wire.ParseDecideOK(p, &got); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !equalInts(got.Levels, want.decide(fobs[i])) {
+			t.Fatalf("period %d: frozen session decided %v in a window, construction model says otherwise", i, got.Levels)
+		}
+	}
+	if got, want := srv.MetricsSnapshot().LookupsServed, uint64(2*periods*m.Clusters()); got != want {
+		t.Fatalf("serve_lookups_total %d, want %d (frozen lookups count too)", got, want)
+	}
+	cli.Close()
+	<-connDone
+}
+
+// TestBinWindowAllocFree pins the bin decide path at zero allocations for
+// every window size, a lone frame's window of one included: a raw client
+// that allocates nothing pipelines rounds of 1, 2, 4 and 8 decide frames
+// for distinct sessions in one write each.
+func TestBinWindowAllocFree(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := newTestServer(t, m, nil, Config{})
+	addr := startBinServer(t, srv)
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(conn)
+
+	obs := []wire.Obs{{Utilization: 0.5, Level: 1}, {DemandRatio: 0.8, Level: 2}}
+	var round []byte
+	var handles []uint64
+	for i := 0; i < 8; i++ {
+		s, err := srv.CreateSession(SessionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, s.Handle())
+	}
+	var hdr [wire.HeaderSize]byte
+	var payload []byte
+	for _, n := range []int{1, 2, 4, 8} {
+		round = round[:0]
+		for i := 0; i < n; i++ {
+			round = append(round, wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), handles[i], 0, 0, obs), wire.TDecide, uint32(i))...)
+		}
+		send := func() {
+			if _, err := conn.Write(round); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			for i := 0; i < n; i++ {
+				h, p, err := wire.ReadFrame(br, &hdr, payload)
+				payload = p
+				if err != nil || h.Type != wire.TDecideOK {
+					t.Fatalf("round of %d, response %d: type %d, %v", n, i, h.Type, err)
+				}
+			}
+		}
+		for i := 0; i < 10; i++ { // warm the window, sessions and batch worker
+			send()
+		}
+		if a := testing.AllocsPerRun(100, send); a != 0 {
+			t.Errorf("a pipelined round of %d decide frames allocates %v times, want 0", n, a)
+		}
+	}
+}
+
+// TestBinClientAllocs pins the client side of a warmed binary session:
+// DecideMany allocates only the slice it returns, Reward nothing. The
+// call scratch is the session's own, so the pin holds under -race too.
+func TestBinClientAllocs(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := newTestServer(t, m, nil, Config{})
+	c := NewBinClient(startBinServer(t, srv))
+	defer c.Close()
+	ctx := context.Background()
+	sess, err := c.OpenSession(ctx, SessionOptions{Epsilon: 0.2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := []Observation{{Utilization: 0.6, Level: 1}, {DemandRatio: 1.1, Level: 3}}
+	decide := func() {
+		if _, err := sess.DecideMany(ctx, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reward := func() {
+		if _, err := sess.Reward(ctx, -0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		decide()
+		reward()
+	}
+	if n := testing.AllocsPerRun(100, decide); n > 1 {
+		t.Errorf("BinSession.DecideMany allocates %v times per call, want at most 1 (its result)", n)
+	}
+	if n := testing.AllocsPerRun(100, reward); n != 0 {
+		t.Errorf("BinSession.Reward allocates %v times per call, want 0", n)
 	}
 }

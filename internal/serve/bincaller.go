@@ -1,14 +1,16 @@
 // BinCaller: single-attempt, caller-owned-scratch calls over a BinClient.
 //
-// BinSession owns a mirror and retries transparently — exactly what a
-// device wants and exactly what a *router* must not do: the router
-// forwards calls on behalf of remote devices whose clients already run the
-// retry/resume machinery, so a middle tier that retried too would double
-// the recovery logic and hide shard failures the device needs to see
-// (an unknown-session answer is the handoff signal). BinCaller is the thin
-// alternative: one frame out, one frame back, typed errors through
-// binCodeErr, no mirror, no retries. All scratch lives in the caller, so a
-// router can pool BinCallers and keep its forward path allocation-free.
+// Every binary-protocol call makes its attempts through a BinCaller: one
+// frame out, one frame back, typed errors through the error table, no
+// mirror, no retries. BinSession owns one and wraps its attempts in the
+// mirror's retry/resume loop — exactly what a device wants and exactly
+// what a *router* must not do: the router forwards calls on behalf of
+// remote devices whose clients already run the retry/resume machinery, so
+// a middle tier that retried too would double the recovery logic and hide
+// shard failures the device needs to see (an unknown-session answer is the
+// handoff signal). All scratch, including the call's rendezvous with the
+// connection's reader, lives in the caller, so a router can pool
+// BinCallers and keep its forward path allocation-free.
 package serve
 
 import (
@@ -25,47 +27,121 @@ type BinSessionInfo struct {
 }
 
 // BinCaller holds the encode/decode scratch for single-attempt calls. Not
-// goroutine-safe — callers pool them (one per in-flight forward).
+// goroutine-safe — callers pool them (one per in-flight forward). The zero
+// value is ready to use.
 type BinCaller struct {
-	wbuf      []byte
-	dok       wire.DecideOK
-	levels    []int
-	numLevels []int
-	wireObs   []wire.Obs
+	wbuf []byte
+	cok  wire.CreateOK
+	dok  wire.DecideOK
+	call muxCall
+}
+
+// send seals the request frame (a payload appended after
+// wire.BeginFrame(b.wbuf)) under a fresh request id, writes it, and waits
+// for the wantType answer. The payload is valid until the caller's next
+// call.
+func (b *BinCaller) send(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) ([]byte, error) {
+	mc, err := c.conn()
+	if err != nil {
+		return nil, err
+	}
+	reqID := mc.reqID.Add(1)
+	b.wbuf = wire.FinishFrame(frame, typ, reqID)
+	return c.call(ctx, mc, &b.call, b.wbuf, reqID, wantType)
 }
 
 // Create opens a session on c with no client-side mirror. One attempt.
 func (b *BinCaller) Create(ctx context.Context, c *BinClient, opts SessionOptions) (BinSessionInfo, error) {
-	mc, err := c.conn()
-	if err != nil {
-		return BinSessionInfo{}, err
-	}
-	reqID := mc.reqID.Add(1)
-	b.wbuf = wire.FinishFrame(
-		wire.AppendCreateReq(wire.BeginFrame(b.wbuf), wire.CreateReq{
-			Epsilon:      opts.Epsilon,
-			EpsilonMin:   opts.EpsilonMin,
-			EpsilonDecay: opts.EpsilonDecay,
-			Seed:         opts.Seed,
-		}),
-		wire.TCreate, reqID)
-	return b.finishOpen(ctx, c, mc, reqID, wire.TCreateOK)
+	return b.open(ctx, c, wire.AppendCreateReq(wire.BeginFrame(b.wbuf), optionsToWire(opts)), wire.TCreate, wire.TCreateOK)
 }
 
 // Resume re-creates a session on c from mirror state. One attempt.
 func (b *BinCaller) Resume(ctx context.Context, c *BinClient, st ResumeState) (BinSessionInfo, error) {
-	mc, err := c.conn()
+	rr := resumeToWire(&st)
+	return b.open(ctx, c, wire.AppendResumeReq(wire.BeginFrame(b.wbuf), &rr), wire.TResume, wire.TResumeOK)
+}
+
+func (b *BinCaller) open(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) (BinSessionInfo, error) {
+	p, err := b.send(ctx, c, frame, typ, wantType)
 	if err != nil {
 		return BinSessionInfo{}, err
 	}
-	reqID := mc.reqID.Add(1)
-	rr := wire.ResumeReq{
-		Opts: wire.CreateReq{
-			Epsilon:      st.Options.Epsilon,
-			EpsilonMin:   st.Options.EpsilonMin,
-			EpsilonDecay: st.Options.EpsilonDecay,
-			Seed:         st.Options.Seed,
-		},
+	if err := wire.ParseCreateOK(p, &b.cok); err != nil {
+		return BinSessionInfo{}, err
+	}
+	return BinSessionInfo{Handle: b.cok.Handle, Epoch: b.cok.Epoch, NumLevels: b.cok.NumLevels}, nil
+}
+
+// DecideSeq forwards one decide frame (possibly multi-period) under the
+// shard-side handle/epoch/seq. The returned slice is scratch, valid until
+// the caller's next DecideSeq.
+func (b *BinCaller) DecideSeq(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation) ([]int, error) {
+	p, err := b.send(ctx, c, wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, obs), wire.TDecide, wire.TDecideOK)
+	if err != nil {
+		return nil, err
+	}
+	if err := wire.ParseDecideOK(p, &b.dok); err != nil {
+		return nil, err
+	}
+	return b.dok.Levels, nil
+}
+
+// Reward forwards a reward report under the shard-side handle/epoch and
+// the device's reward sequence number (0 = untagged legacy); Close
+// forwards a session close. Both return the shard-side ledger.
+func (b *BinCaller) Reward(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
+	return parseStats(b.send(ctx, c, wire.AppendRewardReq(wire.BeginFrame(b.wbuf), wire.RewardReq{
+		Handle: handle, Reward: reward, Epoch: epoch, Seq: seq,
+	}), wire.TReward, wire.TRewardOK))
+}
+
+func (b *BinCaller) Close(ctx context.Context, c *BinClient, handle uint64) (wire.Stats, error) {
+	return parseStats(b.send(ctx, c, wire.AppendCloseReq(wire.BeginFrame(b.wbuf), wire.CloseReq{Handle: handle}), wire.TClose, wire.TCloseOK))
+}
+
+func parseStats(p []byte, err error) (wire.Stats, error) {
+	var st wire.Stats
+	if err == nil {
+		err = wire.ParseStats(p, &st)
+	}
+	if err != nil {
+		return wire.Stats{}, err
+	}
+	return st, nil
+}
+
+// The binary create and resume codecs: the one conversion between the
+// session types and their wire payloads, shared by clients, servers and
+// routers.
+
+// OptionsFromWire is the SessionOptions a create payload carries.
+func OptionsFromWire(r wire.CreateReq) SessionOptions {
+	return SessionOptions{Epsilon: r.Epsilon, EpsilonMin: r.EpsilonMin, EpsilonDecay: r.EpsilonDecay, Seed: r.Seed}
+}
+
+func optionsToWire(o SessionOptions) wire.CreateReq {
+	return wire.CreateReq{Epsilon: o.Epsilon, EpsilonMin: o.EpsilonMin, EpsilonDecay: o.EpsilonDecay, Seed: o.Seed}
+}
+
+// ResumeFromWire is the ResumeState a resume payload carries. Its slices
+// alias r's.
+func ResumeFromWire(r *wire.ResumeReq) ResumeState {
+	return ResumeState{
+		Options:    OptionsFromWire(r.Opts),
+		Epsilon:    r.EpsNow,
+		Rng:        r.Rng,
+		Seq:        r.Seq,
+		LastLevels: r.LastLevels,
+		PrevDemand: r.PrevDemand,
+		Decisions:  r.Decisions,
+		Rewards:    r.Rewards,
+		RewardSum:  r.RewardSum,
+	}
+}
+
+func resumeToWire(st *ResumeState) wire.ResumeReq {
+	return wire.ResumeReq{
+		Opts:       optionsToWire(st.Options),
 		EpsNow:     st.Epsilon,
 		Seq:        st.Seq,
 		Decisions:  st.Decisions,
@@ -75,110 +151,10 @@ func (b *BinCaller) Resume(ctx context.Context, c *BinClient, st ResumeState) (B
 		PrevDemand: st.PrevDemand,
 		LastLevels: st.LastLevels,
 	}
-	b.wbuf = wire.FinishFrame(
-		wire.AppendResumeReq(wire.BeginFrame(b.wbuf), &rr), wire.TResume, reqID)
-	return b.finishOpen(ctx, c, mc, reqID, wire.TResumeOK)
 }
 
-func (b *BinCaller) finishOpen(ctx context.Context, c *BinClient, mc *muxConn, reqID uint32, wantType byte) (BinSessionInfo, error) {
-	call, _, err := c.call(ctx, mc, b.wbuf, reqID, wantType)
-	if err != nil {
-		return BinSessionInfo{}, err
-	}
-	var cok wire.CreateOK
-	if err := wire.ParseCreateOK(call.buf, &cok); err != nil {
-		putMuxCall(call)
-		return BinSessionInfo{}, err
-	}
-	b.numLevels = append(b.numLevels[:0], cok.NumLevels...)
-	putMuxCall(call)
-	return BinSessionInfo{Handle: cok.Handle, Epoch: cok.Epoch, NumLevels: b.numLevels}, nil
+// StatsFromWire is the session ledger a reward or close answer carries,
+// labelled with the session's id.
+func StatsFromWire(id string, st wire.Stats) SessionStats {
+	return SessionStats{ID: id, Decisions: st.Decisions, Rewards: st.Rewards, MeanReward: st.MeanReward, Epsilon: st.Epsilon}
 }
-
-// ObsToWire converts observations into the caller's wire scratch — the
-// bridge for fronts (HTTP) that hold serve.Observation rather than raw
-// wire frames. The result is valid until the next ObsToWire call.
-func (b *BinCaller) ObsToWire(obs []Observation) []wire.Obs {
-	if cap(b.wireObs) < len(obs) {
-		b.wireObs = make([]wire.Obs, len(obs))
-	}
-	wobs := b.wireObs[:len(obs)]
-	for i, o := range obs {
-		wobs[i] = wire.Obs{
-			Utilization: o.Utilization,
-			DemandRatio: o.DemandRatio,
-			QoS:         o.QoS,
-			ClusterQoS:  o.ClusterQoS,
-			Critical:    o.Critical,
-			Level:       o.Level,
-		}
-	}
-	return wobs
-}
-
-// DecideSeq forwards one decide frame (possibly multi-period) under the
-// shard-side handle/epoch/seq. The returned slice is scratch, valid until
-// the caller's next DecideSeq.
-func (b *BinCaller) DecideSeq(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, wobs []wire.Obs) ([]int, error) {
-	mc, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	reqID := mc.reqID.Add(1)
-	b.wbuf = wire.FinishFrame(
-		wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, wobs),
-		wire.TDecide, reqID)
-	call, _, err := c.call(ctx, mc, b.wbuf, reqID, wire.TDecideOK)
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.ParseDecideOK(call.buf, &b.dok); err != nil {
-		putMuxCall(call)
-		return nil, err
-	}
-	b.levels = append(b.levels[:0], b.dok.Levels...)
-	putMuxCall(call)
-	return b.levels, nil
-}
-
-// Reward forwards a reward report under the shard-side handle/epoch and
-// the device's reward sequence number (0 = untagged legacy); Close
-// forwards a session close. Both return the shard-side ledger.
-func (b *BinCaller) Reward(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	return b.statsCall(ctx, c, wire.TReward, wire.TRewardOK, handle, epoch, seq, reward)
-}
-
-func (b *BinCaller) Close(ctx context.Context, c *BinClient, handle uint64) (wire.Stats, error) {
-	return b.statsCall(ctx, c, wire.TClose, wire.TCloseOK, handle, 0, 0, 0)
-}
-
-func (b *BinCaller) statsCall(ctx context.Context, c *BinClient, typ, wantType byte, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	mc, err := c.conn()
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	reqID := mc.reqID.Add(1)
-	buf := wire.BeginFrame(b.wbuf)
-	if typ == wire.TReward {
-		buf = wire.AppendRewardReq(buf, wire.RewardReq{
-			Handle: handle, Reward: reward, Epoch: epoch, Seq: seq,
-		})
-	} else {
-		buf = wire.AppendCloseReq(buf, wire.CloseReq{Handle: handle})
-	}
-	b.wbuf = wire.FinishFrame(buf, typ, reqID)
-	call, _, err := c.call(ctx, mc, b.wbuf, reqID, wantType)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	var st wire.Stats
-	if err := wire.ParseStats(call.buf, &st); err != nil {
-		putMuxCall(call)
-		return wire.Stats{}, err
-	}
-	putMuxCall(call)
-	return st, nil
-}
-
-// Addr reports the client's dial address — used by fronts for error text.
-func (c *BinClient) Addr() string { return c.addr }

@@ -139,9 +139,10 @@ type muxConn struct {
 	err     error // first transport failure; poisons the connection
 }
 
-// muxCall is one in-flight request's rendezvous. Pooled: the response
-// payload is copied into the call's own reusable buffer so the reader can
-// move on to the next frame while the caller decodes.
+// muxCall is one in-flight request's rendezvous, owned by its BinCaller
+// and reused for each of the caller's calls: the response payload is
+// copied into the call's own buffer so the reader can move on to the next
+// frame while the caller decodes.
 type muxCall struct {
 	ch    chan muxResp
 	buf   []byte
@@ -153,13 +154,14 @@ type muxResp struct {
 	err error
 }
 
-var muxCallPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
+// init readies a zero muxCall for its first call.
+func (call *muxCall) init() {
+	if call.ch == nil {
+		call.ch = make(chan muxResp, 1)
+		call.timer = time.NewTimer(time.Hour)
+		stopTimer(call.timer)
 	}
-	return &muxCall{ch: make(chan muxResp, 1), timer: t}
-}}
+}
 
 func (mc *muxConn) broken() bool {
 	mc.pmu.Lock()
@@ -218,18 +220,17 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// call writes the frame in wbuf (its request id must be reqID) and waits
-// for the matching response. On success the payload sits in the returned
-// muxCall's buf; the caller must release it with putMuxCall after decoding.
-func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID uint32, wantType byte) (*muxCall, wire.Header, error) {
-	call := muxCallPool.Get().(*muxCall)
-
+// call writes the frame in wbuf (its request id must be reqID) through
+// the caller's call and waits for the matching response. On success it
+// returns the response payload, which stays in call.buf until the call's
+// next use.
+func (c *BinClient) call(ctx context.Context, mc *muxConn, call *muxCall, wbuf []byte, reqID uint32, wantType byte) ([]byte, error) {
+	call.init()
 	mc.pmu.Lock()
 	if mc.err != nil {
 		err := mc.err
 		mc.pmu.Unlock()
-		muxCallPool.Put(call)
-		return nil, wire.Header{}, err
+		return nil, err
 	}
 	mc.pending[reqID] = call
 	mc.pmu.Unlock()
@@ -248,7 +249,7 @@ func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID ui
 	if err != nil {
 		err = fmt.Errorf("%w: write: %v", ErrConnLost, err)
 		mc.fail(err)
-		return nil, wire.Header{}, c.reap(mc, call, reqID, err)
+		return nil, mc.reap(call, reqID, err)
 	}
 
 	call.timer.Reset(c.timeout)
@@ -257,53 +258,41 @@ func (c *BinClient) call(ctx context.Context, mc *muxConn, wbuf []byte, reqID ui
 	case r = <-call.ch:
 		stopTimer(call.timer)
 	case <-call.timer.C:
-		return nil, wire.Header{}, c.reap(mc, call, reqID, fmt.Errorf("%w: no response after %v", ErrCallTimeout, c.timeout))
+		return nil, mc.reap(call, reqID, fmt.Errorf("%w: no response after %v", ErrCallTimeout, c.timeout))
 	case <-ctx.Done():
 		stopTimer(call.timer)
-		return nil, wire.Header{}, c.reap(mc, call, reqID, ctx.Err())
+		return nil, mc.reap(call, reqID, ctx.Err())
 	}
-	if r.err != nil {
-		muxCallPool.Put(call)
-		return nil, wire.Header{}, r.err
-	}
-	h := r.hdr
-	if h.Type == wire.TError {
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case r.hdr.Type == wantType:
+		return call.buf, nil
+	case r.hdr.Type == wire.TError:
 		var ef wire.ErrorFrame
-		err := wire.ParseError(call.buf, &ef)
-		if err == nil {
-			err = binCodeErr(ef.Code, ef.BackoffMs, string(ef.Msg))
+		if err := wire.ParseError(call.buf, &ef); err != nil {
+			return nil, err
 		}
-		putMuxCall(call)
-		return nil, h, err
+		return nil, binCodeErr(ef.Code, ef.BackoffMs, string(ef.Msg))
+	default:
+		return nil, fmt.Errorf("serve: response type %d, want %d", r.hdr.Type, wantType)
 	}
-	if h.Type != wantType {
-		putMuxCall(call)
-		return nil, h, fmt.Errorf("serve: response type %d, want %d", h.Type, wantType)
-	}
-	return call, h, nil
 }
 
 // reap abandons a call that will get no usable response: its pending entry
-// is removed so a late frame is dropped, and the call is only repooled if
-// the reader has not already claimed it (claimed means a send to call.ch is
-// in flight or delivered — drain it before reuse).
-func (c *BinClient) reap(mc *muxConn, call *muxCall, reqID uint32, err error) error {
+// is removed so a late frame is dropped. If the reader (or fail) already
+// claimed the call, a send to call.ch is in flight or delivered; it is
+// drained so the channel is empty for the call's next use.
+func (mc *muxConn) reap(call *muxCall, reqID uint32, err error) error {
 	mc.pmu.Lock()
 	_, pendingStill := mc.pending[reqID]
 	delete(mc.pending, reqID)
 	mc.pmu.Unlock()
-	if pendingStill {
-		putMuxCall(call)
-		return err
+	if !pendingStill {
+		<-call.ch
 	}
-	// The reader (or fail) already took the call: wait for its send so the
-	// channel is empty, then repool.
-	<-call.ch
-	putMuxCall(call)
 	return err
 }
-
-func putMuxCall(call *muxCall) { muxCallPool.Put(call) }
 
 // stopTimer stops t and drains a concurrent fire, leaving it ready for the
 // next Reset (the pre-Go-1.23 timer idiom; only the owning call goroutine
@@ -317,37 +306,26 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// binCodeErr maps a wire error code back onto the serve-layer sentinels so
-// callers can errors.Is against the same values on both protocols. A
-// backoff hint rides along as a BackoffError wrapper.
+// binCodeErr maps a wire error code back onto the serve sentinel the error
+// table gives it, so callers can errors.Is against the same values on both
+// protocols. A backoff hint rides along as a BackoffError wrapper.
 func binCodeErr(code uint16, backoffMs uint32, msg string) error {
-	var base error
-	switch code {
-	case wire.CodeNoSession:
-		base = ErrNoSession
-	case wire.CodeUnknownSession:
-		base = ErrUnknownSession
-	case wire.CodeSessionClosed:
-		base = ErrSessionClosed
-	case wire.CodeServerClosed:
-		base = ErrServerClosed
-	case wire.CodeOverloaded:
-		base = ErrOverloaded
-	case wire.CodeBadRequest:
-		base = ErrBadRequest
-	default:
-		return fmt.Errorf("serve: remote error %d: %s", code, msg)
+	for i := range errTable {
+		if errTable[i].wire != code {
+			continue
+		}
+		err := fmt.Errorf("%w: %s", errTable[i].err, msg)
+		if backoffMs > 0 {
+			return &BackoffError{Err: err, RetryAfter: time.Duration(backoffMs) * time.Millisecond}
+		}
+		return err
 	}
-	err := fmt.Errorf("%w: %s", base, msg)
-	if backoffMs > 0 {
-		return &BackoffError{Err: err, RetryAfter: time.Duration(backoffMs) * time.Millisecond}
-	}
-	return err
+	return fmt.Errorf("serve: remote error %d: %s", code, msg)
 }
 
 // BinSession is a device session resolved over the binary protocol — the
 // wire counterpart of RemoteSession. Sessions are not individually
-// goroutine-safe (each owns encode/decode scratch), matching RemoteSession's
+// goroutine-safe (each owns its call scratch), matching RemoteSession's
 // one-goroutine-per-device usage; different sessions share the connection
 // freely.
 type BinSession struct {
@@ -357,11 +335,9 @@ type BinSession struct {
 	ID     string // human-readable form of the handle, for reports
 	Levels []int  // per-cluster OPP counts
 
-	mirror  *sessionMirror // nil: no retry dedup or resume (bare sessions)
-	closed  bool
-	wbuf    []byte
-	wireObs []wire.Obs
-	dok     wire.DecideOK
+	mirror *sessionMirror // nil: no retry dedup or resume (bare sessions)
+	closed bool
+	call   BinCaller // every attempt goes out through it
 }
 
 // OpenSession creates a session over the binary protocol. The session
@@ -370,258 +346,84 @@ type BinSession struct {
 func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*BinSession, error) {
 	s := &BinSession{c: c}
 	open := func() error {
-		mc, err := c.conn()
-		if err != nil {
-			return err
+		info, err := s.call.Create(ctx, c, opts)
+		if err == nil {
+			s.adopt(info)
+			s.Levels = append([]int(nil), info.NumLevels...)
 		}
-		reqID := mc.reqID.Add(1)
-		s.wbuf = wire.FinishFrame(
-			wire.AppendCreateReq(wire.BeginFrame(s.wbuf), wire.CreateReq{
-				Epsilon:      opts.Epsilon,
-				EpsilonMin:   opts.EpsilonMin,
-				EpsilonDecay: opts.EpsilonDecay,
-				Seed:         opts.Seed,
-			}),
-			wire.TCreate, reqID)
-		call, _, err := c.call(ctx, mc, s.wbuf, reqID, wire.TCreateOK)
-		if err != nil {
-			return err
-		}
-		var cok wire.CreateOK
-		if err := wire.ParseCreateOK(call.buf, &cok); err != nil {
-			putMuxCall(call)
-			return err
-		}
-		putMuxCall(call)
-		s.Handle, s.Epoch = cok.Handle, cok.Epoch
-		s.ID = fmt.Sprintf("h-%06d", cok.Handle)
-		s.Levels = append([]int(nil), cok.NumLevels...)
-		return nil
+		return err
 	}
-	if err := open(); err != nil {
-		// Retrying a lost create may leave an orphan session on the server;
-		// the TTL reaper exists exactly to collect those.
-		if !retryableErr(err) {
-			return nil, err
-		}
-		if err = runRetries(ctx, c.pol, err, open, nil); err != nil {
-			return nil, err
-		}
+	// Retrying a lost create may leave an orphan session on the server;
+	// the TTL reaper exists exactly to collect those.
+	if err := runCall(ctx, c.pol, false, nil, open, nil); err != nil {
+		return nil, err
 	}
 	s.mirror = newSessionMirror(opts, s.Levels)
 	return s, nil
 }
 
-// runRetries is runWithRetry entered after a first failed attempt: err is
-// classified, then op retried under the policy.
-func runRetries(ctx ctxDone, pol *retryPolicy, err error, op func() error, onLost func() error) error {
-	deadline := time.Now().Add(pol.budget)
-	resumeStreak := 0
-	for attempt := 0; ; attempt++ {
-		var hint time.Duration
-		var be *BackoffError
-		if errors.As(err, &be) {
-			hint = be.RetryAfter
-		}
-		switch {
-		case onLost != nil && errors.Is(err, ErrNoSession):
-			// Unknown or reaped session: re-create it from the mirror,
-			// then retry the call against the fresh identity.
-			resumeStreak++
-			if resumeStreak > maxResumeStreak {
-				return err
-			}
-			if rerr := onLost(); rerr != nil && !retryableErr(rerr) {
-				return rerr
-			}
-		case retryableErr(err):
-			resumeStreak = 0
-		default:
-			return err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if !time.Now().Before(deadline) {
-			return err
-		}
-		pol.retries.Add(1)
-		if serr := pol.sleep(ctx, attempt, hint); serr != nil {
-			return serr
-		}
-		if err = op(); err == nil {
-			return nil
-		}
-	}
+// adopt takes the identity a create or resume minted.
+func (s *BinSession) adopt(info BinSessionInfo) {
+	s.Handle, s.Epoch = info.Handle, info.Epoch
+	s.ID = fmt.Sprintf("h-%06d", info.Handle)
 }
 
 // resume re-creates the session on the current server incarnation from
 // the mirror, then adopts the fresh handle/epoch. The sequence number and
 // RNG stream continue exactly where the lost session stopped.
 func (s *BinSession) resume(ctx context.Context) error {
-	st := s.mirror.resumeState()
-	mc, err := s.c.conn()
+	info, err := s.call.Resume(ctx, s.c, s.mirror.resumeState())
 	if err != nil {
 		return err
 	}
-	reqID := mc.reqID.Add(1)
-	rr := wire.ResumeReq{
-		Opts: wire.CreateReq{
-			Epsilon:      st.Options.Epsilon,
-			EpsilonMin:   st.Options.EpsilonMin,
-			EpsilonDecay: st.Options.EpsilonDecay,
-			Seed:         st.Options.Seed,
-		},
-		EpsNow:     st.Epsilon,
-		Seq:        st.Seq,
-		Decisions:  st.Decisions,
-		Rewards:    st.Rewards,
-		RewardSum:  st.RewardSum,
-		Rng:        st.Rng,
-		PrevDemand: st.PrevDemand,
-		LastLevels: st.LastLevels,
-	}
-	s.wbuf = wire.FinishFrame(
-		wire.AppendResumeReq(wire.BeginFrame(s.wbuf), &rr), wire.TResume, reqID)
-	call, _, err := s.c.call(ctx, mc, s.wbuf, reqID, wire.TResumeOK)
-	if err != nil {
-		return err
-	}
-	var cok wire.CreateOK
-	if err := wire.ParseCreateOK(call.buf, &cok); err != nil {
-		putMuxCall(call)
-		return err
-	}
-	putMuxCall(call)
-	s.Handle, s.Epoch = cok.Handle, cok.Epoch
-	s.ID = fmt.Sprintf("h-%06d", cok.Handle)
+	s.adopt(info)
 	s.c.pol.resumes.Add(1)
 	return nil
-}
-
-// onLost returns the resume hook for the retry loop, or nil for bare
-// sessions (no mirror — nothing to resume from).
-func (s *BinSession) onLost(ctx context.Context) func() error {
-	if s.mirror == nil {
-		return nil
-	}
-	return func() error { return s.resume(ctx) }
 }
 
 // NumClusters returns the served chip's cluster count.
 func (s *BinSession) NumClusters() int { return len(s.Levels) }
 
-// Decide resolves one control period over the wire. The returned slice is
-// freshly allocated; the session's encode/decode scratch is reused.
-//
-// With a mirror, the request carries the session epoch and the next
-// sequence number: retries after a lost connection deduplicate on the
-// server, and a decide that outlives the server itself resumes the
-// session and replays against the new incarnation — by construction both
-// yield the byte-identical decision. The fast path stays closure-free;
-// the retry loop is only entered after a failure.
+// Decide resolves one control period over the wire: DecideMany with a
+// one-period frame.
 func (s *BinSession) Decide(ctx context.Context, obs []Observation) ([]int, error) {
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	var seq uint64
-	if s.mirror != nil {
-		seq = s.mirror.nextSeq()
-	}
-	levels, err := s.decideOnce(ctx, obs, seq)
-	if err != nil {
-		op := func() error {
-			lv, e := s.decideOnce(ctx, obs, seq)
-			if e == nil {
-				levels = lv
-			}
-			return e
-		}
-		err = runRetries(ctx, s.c.pol, err, op, s.onLost(ctx))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.mirror != nil {
-		s.mirror.ackDecide(obs, levels)
-	}
-	return levels, nil
+	return s.DecideMany(ctx, obs)
 }
 
 // DecideMany resolves K consecutive control periods in one frame: obs
 // carries K×clusters observations, period by period, and the returned
-// slice carries K×clusters levels in the same order. The server computes
-// the periods exactly as K sequential Decide calls would — byte-identical
-// decisions — while the frame parse, session lookup, dedup bookkeeping,
-// and syscalls amortize over K. Retry, dedup, and resume semantics match
-// Decide: the frame is acknowledged (and the mirror advanced K periods)
-// atomically, so a retried frame can never half-apply.
+// slice — freshly allocated — carries K×clusters levels in the same order.
+// The server computes the periods exactly as K sequential one-period
+// frames would — byte-identical decisions — while the frame parse, session
+// lookup, dedup bookkeeping, and syscalls amortize over K.
+//
+// With a mirror, the frame carries the session epoch and the next sequence
+// number: retries after a lost connection deduplicate on the server, and a
+// decide that outlives the server itself resumes the session and replays
+// against the new incarnation — by construction both yield the
+// byte-identical decision. The frame is acknowledged (and the mirror
+// advanced K periods) atomically, so a retried frame can never half-apply.
 func (s *BinSession) DecideMany(ctx context.Context, obs []Observation) ([]int, error) {
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
 	if k := len(s.Levels); len(obs) == 0 || len(obs)%k != 0 {
-		return nil, fmt.Errorf("serve: %d observations for %d clusters", len(obs), k)
+		return nil, fmt.Errorf("%w: %d observations for %d clusters", ErrBadRequest, len(obs), k)
 	}
 	var seq uint64
 	if s.mirror != nil {
 		seq = s.mirror.nextSeq()
 	}
-	levels, err := s.decideOnce(ctx, obs, seq)
-	if err != nil {
-		op := func() error {
-			lv, e := s.decideOnce(ctx, obs, seq)
-			if e == nil {
-				levels = lv
-			}
-			return e
-		}
-		err = runRetries(ctx, s.c.pol, err, op, s.onLost(ctx))
-	}
+	var levels []int
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
+		var err error
+		levels, err = s.call.DecideSeq(ctx, s.c, s.Handle, s.Epoch, seq, obs)
+		return err
+	}, s.resume)
 	if err != nil {
 		return nil, err
 	}
+	levels = append([]int(nil), levels...)
 	if s.mirror != nil {
 		s.mirror.ackDecide(obs, levels)
 	}
-	return levels, nil
-}
-
-// decideOnce performs one decide attempt against the current session
-// identity (rebuilt per attempt — handle and epoch change across resume).
-func (s *BinSession) decideOnce(ctx context.Context, obs []Observation, seq uint64) ([]int, error) {
-	mc, err := s.c.conn()
-	if err != nil {
-		return nil, err
-	}
-	if cap(s.wireObs) < len(obs) {
-		s.wireObs = make([]wire.Obs, len(obs))
-	}
-	wobs := s.wireObs[:len(obs)]
-	for i, o := range obs {
-		wobs[i] = wire.Obs{
-			Utilization: o.Utilization,
-			DemandRatio: o.DemandRatio,
-			QoS:         o.QoS,
-			ClusterQoS:  o.ClusterQoS,
-			Critical:    o.Critical,
-			Level:       o.Level,
-		}
-	}
-	reqID := mc.reqID.Add(1)
-	s.wbuf = wire.FinishFrame(
-		wire.AppendDecideReq(wire.BeginFrame(s.wbuf), s.Handle, s.Epoch, seq, wobs),
-		wire.TDecide, reqID)
-	call, _, err := s.c.call(ctx, mc, s.wbuf, reqID, wire.TDecideOK)
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.ParseDecideOK(call.buf, &s.dok); err != nil {
-		putMuxCall(call)
-		return nil, err
-	}
-	levels := append([]int(nil), s.dok.Levels...)
-	putMuxCall(call)
 	return levels, nil
 }
 
@@ -634,71 +436,37 @@ func (s *BinSession) Reward(ctx context.Context, r float64) (SessionStats, error
 	if s.mirror != nil {
 		seq = s.mirror.nextRewardSeq()
 	}
-	st, err := s.statsCall(ctx, wire.TReward, wire.TRewardOK, r, seq)
-	if err == nil && s.mirror != nil {
+	var st wire.Stats
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
+		var epoch uint32
+		if s.mirror != nil {
+			epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
+		}
+		var err error
+		st, err = s.call.Reward(ctx, s.c, s.Handle, epoch, seq, r)
+		return err
+	}, s.resume)
+	if err != nil {
+		return SessionStats{}, err
+	}
+	if s.mirror != nil {
 		s.mirror.ackReward(r)
 	}
-	return st, err
+	return StatsFromWire(s.ID, st), nil
 }
 
 // Close ends the session, returning its final ledger. After a successful
 // close the session is dead client-side: no further call will resume it.
 func (s *BinSession) Close(ctx context.Context) (SessionStats, error) {
-	st, err := s.statsCall(ctx, wire.TClose, wire.TCloseOK, 0, 0)
-	if err == nil {
-		s.closed = true
-		s.mirror = nil
-	}
-	return st, err
-}
-
-func (s *BinSession) statsCall(ctx context.Context, typ, wantType byte, reward float64, rewardSeq uint64) (SessionStats, error) {
-	if s.closed {
-		return SessionStats{}, ErrSessionClosed
-	}
 	var st wire.Stats
-	once := func() error {
-		mc, err := s.c.conn()
-		if err != nil {
-			return err
-		}
-		reqID := mc.reqID.Add(1)
-		buf := wire.BeginFrame(s.wbuf)
-		if typ == wire.TReward {
-			var epoch uint32
-			if s.mirror != nil {
-				epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
-			}
-			buf = wire.AppendRewardReq(buf, wire.RewardReq{
-				Handle: s.Handle, Reward: reward, Epoch: epoch, Seq: rewardSeq,
-			})
-		} else {
-			buf = wire.AppendCloseReq(buf, wire.CloseReq{Handle: s.Handle})
-		}
-		s.wbuf = wire.FinishFrame(buf, typ, reqID)
-		call, _, err := s.c.call(ctx, mc, s.wbuf, reqID, wantType)
-		if err != nil {
-			return err
-		}
-		if err := wire.ParseStats(call.buf, &st); err != nil {
-			putMuxCall(call)
-			return err
-		}
-		putMuxCall(call)
-		return nil
-	}
-	err := once()
-	if err != nil {
-		err = runRetries(ctx, s.c.pol, err, once, s.onLost(ctx))
-	}
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
+		var err error
+		st, err = s.call.Close(ctx, s.c, s.Handle)
+		return err
+	}, s.resume)
 	if err != nil {
 		return SessionStats{}, err
 	}
-	return SessionStats{
-		ID:         s.ID,
-		Decisions:  st.Decisions,
-		Rewards:    st.Rewards,
-		MeanReward: st.MeanReward,
-		Epsilon:    st.Epsilon,
-	}, nil
+	s.closed, s.mirror = true, nil
+	return StatsFromWire(s.ID, st), nil
 }

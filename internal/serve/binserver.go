@@ -2,14 +2,15 @@
 // internal/wire frames against the same sessions the HTTP handlers serve.
 //
 // Each connection is one goroutine owning all of its scratch — read/write
-// buffers, decoded request structs, the wire→serve observation conversion —
-// so a warmed connection serves decide frames with zero allocations: frame
-// read reuses the payload scratch, decode reuses the request's backing
-// arrays, Session.DecideInto works entirely in session-owned scratch, and
-// the response is appended into the reused write buffer. Responses echo the
-// request id, so a client may pipeline requests for many sessions over one
-// connection; writes are flushed only when no further request is already
-// buffered, batching response syscalls under pipelining.
+// buffers, decoded request structs, the decide window — so a warmed
+// connection serves decide frames with zero allocations: frame read reuses
+// the payload scratch, decode reuses the request's backing arrays (whose
+// observations the sessions read directly), the decide transaction works
+// in session-owned scratch, and each response is appended into a reused
+// buffer. Responses echo the request id, so a client may pipeline requests
+// for many sessions over one connection; decide frames pipelined together
+// share one backend batch and one vectored write, and other responses are
+// flushed only when no further request is already buffered.
 
 package serve
 
@@ -92,9 +93,7 @@ type binConnState struct {
 	rreq    wire.RewardReq
 	clreq   wire.CloseReq
 	rsreq   wire.ResumeReq
-	obs     []Observation // wire.Obs → serve.Observation conversion
-	levels  []int         // DecideInto output
-	win     binWindow     // decide-window working set
+	win     binWindow // decide-window working set
 }
 
 func (s *Server) serveBinConn(conn net.Conn) {
@@ -133,9 +132,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 			// and drop the connection rather than misparse what follows.
 			if !errors.Is(err, io.EOF) {
 				s.binErrors.Add(1)
-				st.wbuf = wire.FinishFrame(
-					wire.AppendError(wire.BeginFrame(st.wbuf), wire.CodeBadRequest, 0, err.Error()),
-					wire.TError, h.ReqID)
+				st.wbuf, _ = AppendErrorFrame(st.wbuf, h.ReqID, err, 0)
 				st.bw.Write(st.wbuf)
 				st.bw.Flush()
 				gracefulClose(conn, st.br)
@@ -144,10 +141,6 @@ func (s *Server) serveBinConn(conn net.Conn) {
 		}
 		var keep bool
 		if h.Type == wire.TDecide {
-			// Decide frames route through the window path: pipelined decide
-			// frames already buffered behind this one are gathered into a
-			// single shared backend batch and answered with one vectored
-			// write. A lone frame falls through to the plain path inside.
 			keep = s.serveBinDecideWindow(st, h)
 		} else {
 			keep = s.handleBinFrame(st, h)
@@ -185,23 +178,17 @@ func gracefulClose(conn net.Conn, br *bufio.Reader) {
 	io.Copy(io.Discard, io.LimitReader(br, 1<<20))
 }
 
-// handleBinFrame serves one request frame, appending exactly one response
-// frame to st.bw. It reports whether the connection should stay open.
+// handleBinFrame serves one non-decide request frame, appending exactly
+// one response frame to st.bw. It reports whether the connection should
+// stay open.
 func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 	s.binFrames.Add(1)
 	switch h.Type {
-	case wire.TDecide:
-		return s.handleBinDecide(st, h)
 	case wire.TCreate:
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
-		sess, err := s.CreateSession(SessionOptions{
-			Epsilon:      st.creq.Epsilon,
-			EpsilonMin:   st.creq.EpsilonMin,
-			EpsilonDecay: st.creq.EpsilonDecay,
-			Seed:         st.creq.Seed,
-		})
+		sess, err := s.CreateSession(OptionsFromWire(st.creq))
 		if err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
@@ -212,22 +199,7 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
-		sess, err := s.ResumeSession(ResumeState{
-			Options: SessionOptions{
-				Epsilon:      st.rsreq.Opts.Epsilon,
-				EpsilonMin:   st.rsreq.Opts.EpsilonMin,
-				EpsilonDecay: st.rsreq.Opts.EpsilonDecay,
-				Seed:         st.rsreq.Opts.Seed,
-			},
-			Epsilon:    st.rsreq.EpsNow,
-			Rng:        st.rsreq.Rng,
-			Seq:        st.rsreq.Seq,
-			LastLevels: st.rsreq.LastLevels,
-			PrevDemand: st.rsreq.PrevDemand,
-			Decisions:  st.rsreq.Decisions,
-			Rewards:    st.rsreq.Rewards,
-			RewardSum:  st.rsreq.RewardSum,
-		})
+		sess, err := s.ResumeSession(ResumeFromWire(&st.rsreq))
 		if err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
@@ -270,52 +242,6 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 	return true
 }
 
-// handleBinDecide is the hot path: decode, decide into scratch, encode.
-// Allocation-free once the connection and session scratches are warm.
-func (s *Server) handleBinDecide(st *binConnState, h wire.Header) bool {
-	t0 := time.Now()
-	if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
-		return s.binError(st, h.ReqID, err)
-	}
-	n := len(st.dreq.Obs)
-	if cap(st.obs) < n {
-		st.obs = make([]Observation, n)
-	}
-	if cap(st.levels) < n {
-		st.levels = make([]int, n)
-	}
-	obs, levels := st.obs[:n], st.levels[:n]
-	for i := range obs {
-		w := &st.dreq.Obs[i]
-		obs[i] = Observation{
-			Utilization: w.Utilization,
-			DemandRatio: w.DemandRatio,
-			QoS:         w.QoS,
-			ClusterQoS:  w.ClusterQoS,
-			Critical:    w.Critical,
-			Level:       w.Level,
-		}
-	}
-	sess, err := s.SessionByHandleEpoch(st.dreq.Handle, st.dreq.Epoch)
-	if err != nil {
-		return s.binError(st, h.ReqID, err)
-	}
-	decoded := time.Now()
-	s.histBinDecode.Observe(decoded.Sub(t0).Nanoseconds())
-	if _, err := sess.DecideSeq(st.dreq.Seq, obs, levels); err != nil {
-		return s.binError(st, h.ReqID, err)
-	}
-	encodeStart := time.Now()
-	st.wbuf = wire.FinishFrame(
-		wire.AppendDecideOK(wire.BeginFrame(st.wbuf), levels),
-		wire.TDecideOK, h.ReqID)
-	st.bw.Write(st.wbuf)
-	now := time.Now()
-	s.histBinWrite.Observe(now.Sub(encodeStart).Nanoseconds())
-	s.histBin.Observe(now.Sub(t0).Nanoseconds())
-	return true
-}
-
 // maxWindowFrames bounds the decide frames one window gathers: enough to
 // fill a healthy batch under pipelining, small enough that one slow frame
 // never delays a connection's responses unboundedly.
@@ -331,7 +257,6 @@ type binTxn struct {
 	lookOff int      // this frame's offset into the combined lookups
 	lookLen int
 	ok      bool // answered with TDecideOK (fresh or replayed)
-	keep    bool // connection survives this frame's outcome
 }
 
 // binWindow is a connection's reusable decide-window working set: the
@@ -344,9 +269,11 @@ type binWindow struct {
 	frameLvls  [][]int  // levels scratch per txn, index-aligned, reused
 	lookups    []Lookup // combined exploit lookups of all open txns
 	out        []int    // combined batch results
+	breq       batchReq // the window's batcher submission
 	bufs       net.Buffers
-	obsTotal   int  // observations admitted, for the batch budget
-	closeAfter bool // a frame poisoned the stream: answer, then hang up
+	wv         net.Buffers // what WriteTo consumes, so bufs keeps its capacity
+	obsTotal   int         // observations admitted, for the batch budget
+	closeAfter bool        // a frame poisoned the stream: answer, then hang up
 }
 
 func (w *binWindow) reset() {
@@ -380,57 +307,65 @@ const (
 // serveBinDecideWindow serves the decide frame in hand plus every complete
 // decide frame already buffered behind it (the pipelining window): all
 // their transactions open under their session locks, their exploit lookups
-// resolve through ONE shared batch dispatch — cross-session coalescing the
-// per-frame path structurally cannot reach, because each frame's
-// batch.Do blocks the connection goroutine before the next frame is even
-// parsed — and the responses leave in one vectored net.Buffers flush.
-// It reports whether the connection stays open.
+// resolve through ONE shared batch dispatch — cross-session coalescing
+// that serving frame by frame cannot reach, because each frame's batch.Do
+// blocks the connection goroutine before the next frame is even parsed —
+// and the responses leave in one vectored net.Buffers flush. A frame with
+// nothing buffered behind it is a window of one. It reports whether the
+// connection stays open.
 func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 	s.binFrames.Add(1)
-	if st.br.Buffered() < wire.HeaderSize {
-		// Nothing pipelined behind this frame: the plain path is cheaper.
-		return s.handleBinDecide(st, h)
-	}
 	w := &st.win
-	w.reset()
-	s.beginBinTxn(st, h, true) // first frame locks blockingly: never held
+	for {
+		w.reset()
+		s.beginBinTxn(st, h, true) // first frame locks blockingly: never held
 
-	// Gather phase: consume further decide frames only when the complete
-	// frame is already buffered (never block mid-window) and its count fits
-	// the batch budget. A frame whose session lock is contended is held
-	// back — the stream stays ordered, so it must wait for this window's
-	// responses anyway — and served by the plain blocking path after.
-	var heldH wire.Header
-	held := false
-	for !w.closeAfter && len(w.txns) < maxWindowFrames && st.peekGatherable(s.cfg.MaxBatch, w.obsTotal) {
-		gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
-		st.payload = payload
-		s.binFrames.Add(1)
-		if err != nil {
-			// The peek said a full frame was buffered, so this is corruption,
-			// not truncation: answer in order and poison the stream.
-			s.binErrors.Add(1)
-			i := w.slot()
-			w.wbufs[i] = wire.FinishFrame(
-				wire.AppendError(wire.BeginFrame(w.wbufs[i]), wire.CodeBadRequest, 0, err.Error()),
-				wire.TError, gh.ReqID)
-			w.txns = append(w.txns, binTxn{reqID: gh.ReqID, keep: false})
-			w.closeAfter = true
-			break
+		// Gather phase: consume further decide frames only when the
+		// complete frame is already buffered (never block mid-window) and
+		// its count fits the batch budget. A frame whose session lock is
+		// contended is held back — the stream stays ordered, so it must
+		// wait for this window's responses anyway — and opens the next
+		// window, its payload still in st.payload.
+		held := false
+		for !w.closeAfter && len(w.txns) < maxWindowFrames && st.peekGatherable(s.cfg.MaxBatch, w.obsTotal) {
+			gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
+			st.payload = payload
+			s.binFrames.Add(1)
+			if err != nil {
+				// The peek said a full frame was buffered, so this is
+				// corruption, not truncation: answer in order and poison
+				// the stream.
+				s.windowError(w, w.slot(), gh.ReqID, err)
+				w.txns = append(w.txns, binTxn{reqID: gh.ReqID})
+				w.closeAfter = true
+				break
+			}
+			if s.beginBinTxn(st, gh, false) == txnHeld {
+				h, held = gh, true
+				break
+			}
 		}
-		if s.beginBinTxn(st, gh, false) == txnHeld {
-			heldH, held = gh, true
-			break
+		if !s.finishBinWindow(st) {
+			return false
+		}
+		if !held {
+			return true
 		}
 	}
+}
 
-	// Resolve every open transaction's exploit lookups in one shared batch.
+// finishBinWindow resolves every open transaction of the window through
+// one shared batch, finishes (or, if the batch failed, aborts) them, and
+// writes every response in frame order. It reports whether the connection
+// stays open.
+func (s *Server) finishBinWindow(st *binConnState) bool {
+	w := &st.win
 	var batchErr error
 	if len(w.lookups) > 0 {
 		if cap(w.out) < len(w.lookups) {
 			w.out = make([]int, len(w.lookups))
 		}
-		batchErr = s.batch.Do(w.lookups, w.out[:len(w.lookups)])
+		batchErr = s.batch.Do(&w.breq, w.lookups, w.out[:len(w.lookups)])
 	}
 	for i := range w.txns {
 		tx := &w.txns[i]
@@ -440,15 +375,7 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 		if batchErr != nil {
 			tx.sess.decideAbortLocked()
 			tx.sess.mu.Unlock()
-			s.binErrors.Add(1)
-			var backoffMs uint32
-			if errors.Is(batchErr, ErrOverloaded) {
-				backoffMs = s.batch.backoffHintMs()
-			}
-			w.wbufs[i] = wire.FinishFrame(
-				wire.AppendError(wire.BeginFrame(w.wbufs[i]), binErrCode(batchErr), backoffMs, batchErr.Error()),
-				wire.TError, tx.reqID)
-			tx.keep = binErrCode(batchErr) != wire.CodeBadRequest || !isWireErr(batchErr)
+			s.windowError(w, i, tx.reqID, batchErr)
 			continue
 		}
 		for j := 0; j < tx.lookLen; j++ {
@@ -473,82 +400,49 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 		w.bufs = append(w.bufs, w.wbufs[i])
 	}
 	wstart := time.Now()
-	if _, err := w.bufs.WriteTo(st.conn); err != nil {
+	w.wv = w.bufs
+	if _, err := w.wv.WriteTo(st.conn); err != nil {
 		return false
 	}
 	now := time.Now()
 	span := now.Sub(wstart).Nanoseconds()
-	keep := !w.closeAfter
 	for i := range w.txns {
-		tx := &w.txns[i]
-		if tx.ok {
+		if tx := &w.txns[i]; tx.ok {
 			s.histBinWrite.Observe(span)
 			s.histBin.Observe(now.Sub(tx.t0).Nanoseconds())
 		}
-		if !tx.keep {
-			keep = false
-		}
 	}
-	if !keep {
-		return false
-	}
-	if held {
-		return s.handleBinDecide(st, heldH)
-	}
-	return true
+	return !w.closeAfter
 }
 
 // beginBinTxn decodes the decide frame in st.payload and opens its
-// transaction: parse, convert, session lookup, validation, then
-// decideBeginLocked under the session lock (blocking for the window's
-// first frame, try-lock after — a second frame for a session already in
-// the window must not deadlock the gather). Replays and failures are
-// answered immediately into the frame's window buffer; an open
-// transaction contributes its exploit lookups to the combined batch and
-// keeps the session lock until the window scatters and finishes it.
+// transaction: parse, session lookup, validation, then decideBeginLocked
+// under the session lock (blocking for the window's first frame, try-lock
+// after — a second frame for a session already in the window must not
+// deadlock the gather). Replays and failures are answered immediately
+// into the frame's window buffer; an open transaction contributes its
+// exploit lookups to the combined batch and keeps the session lock until
+// the window scatters and finishes it. The observations are read straight
+// from st.dreq, which the next gathered frame overwrites only after
+// decideBeginLocked has consumed them.
 func (s *Server) beginBinTxn(st *binConnState, h wire.Header, first bool) txnState {
 	w := &st.win
 	slot := w.slot()
-	tx := binTxn{reqID: h.ReqID, t0: time.Now(), keep: true}
+	tx := binTxn{reqID: h.ReqID, t0: time.Now()}
 	fail := func(err error) txnState {
-		s.binErrors.Add(1)
-		var backoffMs uint32
-		if errors.Is(err, ErrOverloaded) {
-			backoffMs = s.batch.backoffHintMs()
-		}
-		w.wbufs[slot] = wire.FinishFrame(
-			wire.AppendError(wire.BeginFrame(w.wbufs[slot]), binErrCode(err), backoffMs, err.Error()),
-			wire.TError, h.ReqID)
-		tx.keep = binErrCode(err) != wire.CodeBadRequest || !isWireErr(err)
-		if !tx.keep {
-			w.closeAfter = true
-		}
+		s.windowError(w, slot, h.ReqID, err)
 		w.txns = append(w.txns, tx)
 		return txnAnswered
 	}
 	if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
 		return fail(err)
 	}
-	n := len(st.dreq.Obs)
-	if cap(st.obs) < n {
-		st.obs = make([]Observation, n)
-	}
-	obs := st.obs[:n]
-	for i := range obs {
-		wo := &st.dreq.Obs[i]
-		obs[i] = Observation{
-			Utilization: wo.Utilization,
-			DemandRatio: wo.DemandRatio,
-			QoS:         wo.QoS,
-			ClusterQoS:  wo.ClusterQoS,
-			Critical:    wo.Critical,
-			Level:       wo.Level,
-		}
-	}
+	obs := st.dreq.Obs
 	sess, err := s.SessionByHandleEpoch(st.dreq.Handle, st.dreq.Epoch)
 	if err != nil {
 		return fail(err)
 	}
+	n := len(obs)
 	if cap(w.frameLvls[slot]) < n {
 		w.frameLvls[slot] = make([]int, n)
 	}
@@ -623,52 +517,55 @@ func (st *binConnState) peekGatherable(maxBatch, obsTotal int) bool {
 	return true
 }
 
-// binError appends a TError frame for err and reports whether the
-// connection survives: session-level failures keep it open, wire decode
-// failures (a malformed but well-framed request) close it. Overload
-// errors carry the batcher's adaptive backoff hint so shed clients space
-// their retries to the queue's actual drain rate.
+// retryHint is the backoff an error answer carries: for an overload shed,
+// the batcher's adaptive hint, which tracks the queue's drain rate so shed
+// clients space their retries to it.
+func (s *Server) retryHint(err error) time.Duration {
+	if errors.Is(err, ErrOverloaded) {
+		return time.Duration(s.batch.backoffHintMs()) * time.Millisecond
+	}
+	return 0
+}
+
+// binError appends the TError answer for err to st.bw and reports whether
+// the connection survives.
 func (s *Server) binError(st *binConnState, reqID uint32, err error) bool {
 	s.binErrors.Add(1)
-	var backoffMs uint32
-	if errors.Is(err, ErrOverloaded) {
-		backoffMs = s.batch.backoffHintMs()
-	}
-	st.wbuf = wire.FinishFrame(
-		wire.AppendError(wire.BeginFrame(st.wbuf), binErrCode(err), backoffMs, err.Error()),
-		wire.TError, reqID)
+	var keep bool
+	st.wbuf, keep = AppendErrorFrame(st.wbuf, reqID, err, s.retryHint(err))
 	st.bw.Write(st.wbuf)
-	return binErrCode(err) != wire.CodeBadRequest || !isWireErr(err)
+	return keep
 }
 
-func isWireErr(err error) bool {
-	return errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrBadPayload) || errors.Is(err, wire.ErrBadType)
-}
-
-// binErrCode maps serve-layer errors onto wire error codes, mirroring the
-// HTTP status mapping in writeError.
-// WireCode maps a serve-layer error onto its binary-protocol error code —
-// exported so front tiers (the shard router) answering on the wire speak
-// the same codes a shard itself would.
-func WireCode(err error) uint16 { return binErrCode(err) }
-
-func binErrCode(err error) uint16 {
-	switch {
-	// ErrUnknownSession wraps ErrNoSession, so it must be checked first:
-	// the codes differ because the recoveries differ (resume vs give up).
-	case errors.Is(err, ErrUnknownSession):
-		return wire.CodeUnknownSession
-	case errors.Is(err, ErrNoSession):
-		return wire.CodeNoSession
-	case errors.Is(err, ErrSessionClosed):
-		return wire.CodeSessionClosed
-	case errors.Is(err, ErrServerClosed):
-		return wire.CodeServerClosed
-	case errors.Is(err, ErrOverloaded):
-		return wire.CodeOverloaded
-	default:
-		return wire.CodeBadRequest
+// windowError encodes the TError answer for err as window slot i's
+// response; a stream-poisoning error closes the connection after the
+// window's write.
+func (s *Server) windowError(w *binWindow, i int, reqID uint32, err error) {
+	s.binErrors.Add(1)
+	var keep bool
+	w.wbufs[i], keep = AppendErrorFrame(w.wbufs[i], reqID, err, s.retryHint(err))
+	if !keep {
+		w.closeAfter = true
 	}
+}
+
+// AppendErrorFrame appends to dst the TError frame answering reqID with
+// err: the error table's wire code (CodeBadRequest for an error the table
+// does not name), the retry hint in milliseconds, and the message. keep
+// reports whether the connection survives: a session-level failure keeps
+// it open, while a wire decode error (a malformed but well-framed request)
+// means the peer's encoder cannot be trusted, so the connection closes.
+// Both binary fronts — a server's and a router's — answer through it.
+func AppendErrorFrame(dst []byte, reqID uint32, err error, retryAfter time.Duration) (frame []byte, keep bool) {
+	code := wire.CodeBadRequest
+	if c := classify(err); c != nil {
+		code = c.wire
+	}
+	frame = wire.FinishFrame(
+		wire.AppendError(wire.BeginFrame(dst), code, uint32(retryAfter/time.Millisecond), err.Error()),
+		wire.TError, reqID)
+	keep = !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrBadPayload) && !errors.Is(err, wire.ErrBadType)
+	return frame, keep
 }
 
 func statsToWire(st SessionStats) wire.Stats {

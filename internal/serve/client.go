@@ -107,41 +107,29 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return nil
 }
 
-// httpErr turns an error response into the matching serve sentinel (via
-// the machine-readable code), carrying any backoff hint as a
+// httpErr turns an error response into the serve sentinel the error
+// table gives its machine-readable code, carrying any backoff hint as a
 // BackoffError. Unknown codes degrade to an untyped formatted error.
 func httpErr(method, path string, resp *http.Response, e errorResponse) error {
 	var base error
-	switch e.Code {
-	case "unknown_session":
-		base = ErrUnknownSession
-	case "no_session":
-		base = ErrNoSession
-	case "session_closed":
-		base = ErrSessionClosed
-	case "server_closed":
-		base = ErrServerClosed
-	case "overloaded":
-		base = ErrOverloaded
-	case "bad_seq":
-		base = ErrBadSeq
+	for i := range errTable {
+		if errTable[i].code == e.Code {
+			base = errTable[i].err
+			break
+		}
 	}
 	// A connection severed mid-response can truncate the error body,
 	// leaving only the status line. Fall back to the status code so a
 	// restart-window 404 still routes to the resume path instead of
-	// surfacing as an untyped (unretryable) failure.
-	if base == nil && e.Code == "" {
-		switch resp.StatusCode {
-		case http.StatusNotFound:
-			base = ErrNoSession
-		case http.StatusGone:
-			base = ErrSessionClosed
-		case http.StatusConflict:
-			base = ErrBadSeq
-		case http.StatusTooManyRequests:
-			base = ErrOverloaded
-		case http.StatusServiceUnavailable:
-			base = ErrServerClosed
+	// surfacing as an untyped (unretryable) failure. The table is read
+	// backwards so a bare status names the least specific sentinel it can
+	// mean: 404 is ErrNoSession, not its resumable refinement.
+	if e.Code == "" {
+		for i := len(errTable) - 1; i >= 0; i-- {
+			if errTable[i].status == resp.StatusCode {
+				base = errTable[i].err
+				break
+			}
 		}
 	}
 	msg := e.Error
@@ -247,13 +235,8 @@ func (c *Client) CreateSession(ctx context.Context, opts SessionOptions) (*Remot
 		s.ID, s.Epoch, s.Clusters, s.NumLevels = resp.ID, resp.Epoch, resp.Clusters, resp.NumLevels
 		return nil
 	}
-	if err := open(); err != nil {
-		if !retryableErr(err) {
-			return nil, err
-		}
-		if err = runRetries(ctx, c.pol, err, open, nil); err != nil {
-			return nil, err
-		}
+	if err := runCall(ctx, c.pol, false, nil, open, nil); err != nil {
+		return nil, err
 	}
 	s.mirror = newSessionMirror(opts, s.NumLevels)
 	return s, nil
@@ -262,36 +245,13 @@ func (c *Client) CreateSession(ctx context.Context, opts SessionOptions) (*Remot
 // resume re-creates the session on the current server incarnation from
 // the mirror, then adopts the fresh id/epoch.
 func (s *RemoteSession) resume(ctx context.Context) error {
-	st := s.mirror.resumeState()
-	req := ResumeSessionRequest{
-		Options:    st.Options,
-		Epsilon:    st.Epsilon,
-		Seq:        st.Seq,
-		LastLevels: st.LastLevels,
-		PrevDemand: st.PrevDemand,
-		Decisions:  st.Decisions,
-		Rewards:    st.Rewards,
-		RewardSum:  st.RewardSum,
-	}
-	for i, v := range st.Rng {
-		req.Rng[i] = strconv.FormatUint(v, 16)
-	}
 	var resp CreateSessionResponse
-	if err := s.c.do(ctx, http.MethodPost, "/v1/sessions/resume", req, &resp); err != nil {
+	if err := s.c.do(ctx, http.MethodPost, "/v1/sessions/resume", resumeRequest(s.mirror.resumeState()), &resp); err != nil {
 		return err
 	}
 	s.ID, s.Epoch = resp.ID, resp.Epoch
 	s.c.pol.resumes.Add(1)
 	return nil
-}
-
-// onLost returns the resume hook for the retry loop, or nil for sessions
-// without a mirror.
-func (s *RemoteSession) onLost(ctx context.Context) func() error {
-	if s.mirror == nil {
-		return nil
-	}
-	return func() error { return s.resume(ctx) }
 }
 
 // NumClusters returns the served chip's cluster count.
@@ -302,28 +262,18 @@ func (s *RemoteSession) NumClusters() int { return s.Clusters }
 // server-side and a decide that straddles a server restart resumes the
 // session and replays byte-identically.
 func (s *RemoteSession) Decide(ctx context.Context, obs []Observation) ([]int, error) {
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
 	var seq uint64
 	if s.mirror != nil {
 		seq = s.mirror.nextSeq()
 	}
 	var levels []int
-	once := func() error {
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		var resp DecideResponse
 		err := s.c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/decide",
 			DecideRequest{Epoch: s.Epoch, Seq: seq, Observations: obs}, &resp)
-		if err != nil {
-			return err
-		}
 		levels = resp.Levels
-		return nil
-	}
-	err := once()
-	if err != nil {
-		err = runRetries(ctx, s.c.pol, err, once, s.onLost(ctx))
-	}
+		return err
+	}, s.resume)
 	if err != nil {
 		return nil, err
 	}
@@ -338,26 +288,19 @@ func (s *RemoteSession) Decide(ctx context.Context, obs []Observation) ([]int, e
 // retry after a lost ack deduplicates server-side — the ledger counts it
 // once and a learning server applies its Q-updates once.
 func (s *RemoteSession) Reward(ctx context.Context, r float64) (SessionStats, error) {
-	if s.closed {
-		return SessionStats{}, ErrSessionClosed
-	}
 	var seq uint64
 	if s.mirror != nil {
 		seq = s.mirror.nextRewardSeq()
 	}
 	var st SessionStats
-	once := func() error {
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		var epoch uint32
 		if s.mirror != nil {
 			epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
 		}
 		return s.c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/reward",
 			RewardRequest{Reward: r, Epoch: epoch, Seq: seq}, &st)
-	}
-	err := once()
-	if err != nil {
-		err = runRetries(ctx, s.c.pol, err, once, s.onLost(ctx))
-	}
+	}, s.resume)
 	if err == nil && s.mirror != nil {
 		s.mirror.ackReward(r)
 	}
@@ -367,17 +310,10 @@ func (s *RemoteSession) Reward(ctx context.Context, r float64) (SessionStats, er
 // Close ends the session and returns its final ledger. After a
 // successful close the session is dead client-side: nothing resumes it.
 func (s *RemoteSession) Close(ctx context.Context) (SessionStats, error) {
-	if s.closed {
-		return SessionStats{}, ErrSessionClosed
-	}
 	var st SessionStats
-	once := func() error {
+	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		return s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID, nil, &st)
-	}
-	err := once()
-	if err != nil {
-		err = runRetries(ctx, s.c.pol, err, once, s.onLost(ctx))
-	}
+	}, s.resume)
 	if err == nil {
 		s.closed = true
 		s.mirror = nil

@@ -50,6 +50,50 @@ type ResumeSessionRequest struct {
 	RewardSum  float64        `json:"reward_sum,omitempty"`
 }
 
+// resumeRequest is the JSON form of st.
+func resumeRequest(st ResumeState) ResumeSessionRequest {
+	req := ResumeSessionRequest{
+		Options:    st.Options,
+		Epsilon:    st.Epsilon,
+		Seq:        st.Seq,
+		LastLevels: st.LastLevels,
+		PrevDemand: st.PrevDemand,
+		Decisions:  st.Decisions,
+		Rewards:    st.Rewards,
+		RewardSum:  st.RewardSum,
+	}
+	for i, v := range st.Rng {
+		req.Rng[i] = strconv.FormatUint(v, 16)
+	}
+	return req
+}
+
+// State converts the request back to a ResumeState. An empty RNG word
+// decodes as zero; a malformed one is a bad request.
+func (r *ResumeSessionRequest) State() (ResumeState, error) {
+	st := ResumeState{
+		Options:    r.Options,
+		Epsilon:    r.Epsilon,
+		Seq:        r.Seq,
+		LastLevels: r.LastLevels,
+		PrevDemand: r.PrevDemand,
+		Decisions:  r.Decisions,
+		Rewards:    r.Rewards,
+		RewardSum:  r.RewardSum,
+	}
+	for i, hx := range r.Rng {
+		if hx == "" {
+			continue
+		}
+		v, err := strconv.ParseUint(hx, 16, 64)
+		if err != nil {
+			return ResumeState{}, fmt.Errorf("%w: rng state word %d: %v", ErrBadRequest, i, err)
+		}
+		st.Rng[i] = v
+	}
+	return st, nil
+}
+
 // DecideResponse carries the chosen OPP level per cluster.
 type DecideResponse struct {
 	Levels []int `json:"levels"`
@@ -88,7 +132,7 @@ type EventsResponse struct {
 }
 
 // errorResponse is the uniform error body. Code is the machine-readable
-// error class (mirroring the serve sentinels) so clients classify without
+// error class (the error table's JSON code) so clients classify without
 // string matching; RetryAfterMs carries the overload backoff hint with
 // millisecond precision, since the Retry-After header only speaks whole
 // seconds.
@@ -125,35 +169,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// WriteError writes err as the uniform JSON error body, with the status
+// and code the error table gives it — 500 and no code for an error the
+// table does not name. A positive retryAfter rides along as the body's
+// retry_after_ms and the Retry-After header. Every HTTP front, a server's
+// or a router's, answers errors through it.
+func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	status, code := http.StatusInternalServerError, ""
-	var retryAfter time.Duration
-	switch {
-	// ErrUnknownSession wraps ErrNoSession, so it must be checked first:
-	// its code tells resilient clients the session is resumable.
-	case errors.Is(err, ErrUnknownSession):
-		status, code = http.StatusNotFound, "unknown_session"
-	case errors.Is(err, ErrNoSession):
-		status, code = http.StatusNotFound, "no_session"
-	case errors.Is(err, ErrSessionClosed):
-		status, code = http.StatusGone, "session_closed"
-	case errors.Is(err, ErrBadSeq):
-		status, code = http.StatusConflict, "bad_seq"
-	case errors.Is(err, ErrBadRequest):
-		status, code = http.StatusBadRequest, "bad_request"
-	case errors.Is(err, ErrServerClosed):
-		status, code = http.StatusServiceUnavailable, "server_closed"
-	case errors.Is(err, ErrOverloaded):
-		status, code = http.StatusTooManyRequests, "overloaded"
-		retryAfter = time.Duration(s.batch.backoffHintMs()) * time.Millisecond
+	if c := classify(err); c != nil {
+		status, code = c.status, c.code
 	}
-	s.httpErrors.Add(1)
 	resp := errorResponse{Error: err.Error(), Code: code}
 	if retryAfter > 0 {
 		resp.RetryAfterMs = retryAfter.Milliseconds()
@@ -162,30 +194,32 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		secs := (retryAfter + time.Second - 1) / time.Second
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 	}
-	s.writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
-func (s *Server) writeBadRequest(w http.ResponseWriter, err error) {
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.httpErrors.Add(1)
-	s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	WriteError(w, err, s.retryHint(err))
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var opts SessionOptions
-	if err := decodeBody(r, &opts); err != nil {
-		s.writeBadRequest(w, err)
+	if err := DecodeBody(r, &opts); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	sess, err := s.CreateSession(opts)
+	s.writeSession(w, sess, err)
+}
+
+// writeSession answers a create or resume with the session's identity and
+// the served chip's shape, or with err.
+func (s *Server) writeSession(w http.ResponseWriter, sess *Session, err error) {
 	if err != nil {
-		if errors.Is(err, ErrServerClosed) {
-			s.writeError(w, err)
-		} else {
-			s.writeBadRequest(w, err)
-		}
+		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, CreateSessionResponse{
+	WriteJSON(w, http.StatusOK, CreateSessionResponse{
 		ID:        sess.ID(),
 		Epoch:     s.cfg.Epoch,
 		Clusters:  s.model.Clusters(),
@@ -197,8 +231,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { s.histHTTP.Observe(time.Since(t0).Nanoseconds()) }()
 	var req DecideRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	sess, err := s.SessionByIDEpoch(r.PathValue("id"), req.Epoch)
@@ -208,16 +242,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	levels := make([]int, s.model.Clusters())
 	if _, err := sess.DecideSeq(req.Seq, req.Observations, levels); err != nil {
-		switch {
-		case errors.Is(err, ErrSessionClosed), errors.Is(err, ErrServerClosed),
-			errors.Is(err, ErrOverloaded), errors.Is(err, ErrBadSeq):
-			s.writeError(w, err)
-		default:
-			s.writeBadRequest(w, err)
-		}
+		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, DecideResponse{Levels: levels})
+	WriteJSON(w, http.StatusOK, DecideResponse{Levels: levels})
 }
 
 // handleResume re-creates a session from client-carried mirror state —
@@ -225,52 +253,23 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // (restart) or forgot them (TTL reaping).
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	var req ResumeSessionRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		s.writeError(w, err)
 		return
 	}
-	st := ResumeState{
-		Options:    req.Options,
-		Epsilon:    req.Epsilon,
-		Seq:        req.Seq,
-		LastLevels: req.LastLevels,
-		PrevDemand: req.PrevDemand,
-		Decisions:  req.Decisions,
-		Rewards:    req.Rewards,
-		RewardSum:  req.RewardSum,
-	}
-	for i, hx := range req.Rng {
-		if hx == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(hx, 16, 64)
-		if err != nil {
-			s.writeBadRequest(w, fmt.Errorf("serve: bad rng state word %d: %w", i, err))
-			return
-		}
-		st.Rng[i] = v
+	st, err := req.State()
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
 	sess, err := s.ResumeSession(st)
-	if err != nil {
-		if errors.Is(err, ErrServerClosed) {
-			s.writeError(w, err)
-		} else {
-			s.writeBadRequest(w, err)
-		}
-		return
-	}
-	s.writeJSON(w, http.StatusOK, CreateSessionResponse{
-		ID:        sess.ID(),
-		Epoch:     s.cfg.Epoch,
-		Clusters:  s.model.Clusters(),
-		NumLevels: s.model.NumLevels(),
-	})
+	s.writeSession(w, sess, err)
 }
 
 func (s *Server) handleReward(w http.ResponseWriter, r *http.Request) {
 	var req RewardRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeBadRequest(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	sess, err := s.SessionByIDEpoch(r.PathValue("id"), req.Epoch)
@@ -283,7 +282,7 @@ func (s *Server) handleReward(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -292,7 +291,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
@@ -323,7 +322,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	s.MarkCheckpoint(now)
 	s.events.Addf("checkpoint", "saved %s (%d bytes)", s.cfg.CheckpointPath, n)
-	s.writeJSON(w, http.StatusOK, CheckpointResponse{
+	WriteJSON(w, http.StatusOK, CheckpointResponse{
 		Path:    s.cfg.CheckpointPath,
 		Bytes:   n,
 		SavedAt: now.UTC().Format(time.RFC3339),
@@ -336,7 +335,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 // generator).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+		WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -346,7 +345,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleObs serves the registry as a process-portable obs.RegistrySnapshot
 // — the scrape endpoint the shard router merges across the fleet.
 func (s *Server) handleObs(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.reg.Snapshot())
+	WriteJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
@@ -354,19 +353,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
 	if resp.Events == nil {
 		resp.Events = []obs.Event{}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", UptimeS: ageSeconds(s.start)})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", UptimeS: ageSeconds(s.start)})
 }
 
-// decodeBody parses a JSON request body into v. An absent body decodes to
-// the zero value (create-session with defaults); malformed JSON errors.
-func decodeBody(r *http.Request, v any) error {
+// DecodeBody parses a JSON request body into v. An absent body decodes to
+// the zero value (create-session with defaults); malformed JSON is a bad
+// request.
+func DecodeBody(r *http.Request, v any) error {
 	err := json.NewDecoder(r.Body).Decode(v)
 	if err == nil || errors.Is(err, io.EOF) {
 		return nil
 	}
-	return fmt.Errorf("serve: bad request body: %w", err)
+	return fmt.Errorf("%w: body: %v", ErrBadRequest, err)
 }

@@ -1,6 +1,7 @@
 // Client-side resilience plumbing shared by the binary and HTTP clients:
-// typed transport errors, the retry/backoff loop, and the session mirror
-// that makes transparent resume possible.
+// typed transport errors, the retry/backoff loop every logical session
+// call runs through, and the session mirror that makes transparent resume
+// possible.
 //
 // The mirror is the heart of crash recovery. A client cannot ask a dead
 // server for its session state, so it shadows that state locally: the
@@ -17,6 +18,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -49,6 +51,15 @@ func (e *BackoffError) Error() string {
 }
 
 func (e *BackoffError) Unwrap() error { return e.Err }
+
+// RetryAfter is the retry hint err carries, 0 when it carries none.
+func RetryAfter(err error) time.Duration {
+	var be *BackoffError
+	if errors.As(err, &be) {
+		return be.RetryAfter
+	}
+	return 0
+}
 
 // retryableErr reports whether a failed call is worth retrying: transport
 // losses and timeouts (fate unknown — dedup makes the retry safe),
@@ -122,6 +133,65 @@ type ctxDone interface {
 // call, so a server that keeps forgetting the session cannot loop a
 // client forever.
 const maxResumeStreak = 5
+
+// runCall runs one logical call of a session: refused once the session is
+// closed, then one attempt, and only after a failure runRetries. A session
+// with a mirror recovers a lost session by resume before retrying; a bare
+// session (nil mirror) only retries. attempt must read the session's
+// identity afresh each time, since a resume replaces it.
+func runCall(ctx context.Context, pol *retryPolicy, closed bool, m *sessionMirror, attempt func() error, resume func(context.Context) error) error {
+	if closed {
+		return ErrSessionClosed
+	}
+	err := attempt()
+	if err == nil {
+		return nil
+	}
+	var onLost func() error
+	if m != nil {
+		onLost = func() error { return resume(ctx) }
+	}
+	return runRetries(ctx, pol, err, attempt, onLost)
+}
+
+// runRetries retries op under the policy after a first failed attempt
+// whose error is err. onLost, when non-nil, re-creates a session the
+// server no longer knows before the next attempt.
+func runRetries(ctx ctxDone, pol *retryPolicy, err error, op func() error, onLost func() error) error {
+	deadline := time.Now().Add(pol.budget)
+	resumeStreak := 0
+	for attempt := 0; ; attempt++ {
+		switch {
+		case onLost != nil && errors.Is(err, ErrNoSession):
+			// Unknown or reaped session: re-create it from the mirror,
+			// then retry the call against the fresh identity.
+			resumeStreak++
+			if resumeStreak > maxResumeStreak {
+				return err
+			}
+			if rerr := onLost(); rerr != nil && !retryableErr(rerr) {
+				return rerr
+			}
+		case retryableErr(err):
+			resumeStreak = 0
+		default:
+			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if !time.Now().Before(deadline) {
+			return err
+		}
+		pol.retries.Add(1)
+		if serr := pol.sleep(ctx, attempt, RetryAfter(err)); serr != nil {
+			return serr
+		}
+		if err = op(); err == nil {
+			return nil
+		}
+	}
+}
 
 // sessionMirror shadows one server session's evolving state on the
 // client. All methods are called from the session's owning goroutine

@@ -153,7 +153,7 @@ func TestBatcherOverloadBackpressure(t *testing.T) {
 	m := testModel(t, 3)
 	gb := &gateBackend{inner: NewSWBackend(m), entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	o := testBatcherObs()
-	b := newBatcher(gb, 1, 0, 0, o) // maxBatch 1 → ring capacity 8
+	b := newBatcher(gb, 1, 0, o) // maxBatch 1 → ring capacity 8
 	released := false
 	defer func() {
 		if !released {
@@ -165,7 +165,7 @@ func TestBatcherOverloadBackpressure(t *testing.T) {
 	errc := make(chan error, 128)
 	do := func() {
 		out := make([]int, 1)
-		errc <- b.Do([]Lookup{{Cluster: 0, State: 0}}, out)
+		errc <- b.Do(new(batchReq), []Lookup{{Cluster: 0, State: 0}}, out)
 	}
 
 	// Park the worker: one request dispatches and blocks inside Decide.
@@ -223,21 +223,22 @@ func TestBatcherOverloadBackpressure(t *testing.T) {
 }
 
 // TestBatcherDoAllocFree extends the PR 3 zero-allocation discipline to the
-// submit→dispatch hop: with pooled requests and the ring, a steady-state
-// Do allocates nothing on either side of the hand-off.
+// submit→dispatch hop: with a caller-owned request and the ring, a
+// steady-state Do allocates nothing on either side of the hand-off.
 func TestBatcherDoAllocFree(t *testing.T) {
 	m := testModel(t, 3, 4)
-	b := newBatcher(NewSWBackend(m), 8, 0, 0, testBatcherObs())
+	b := newBatcher(NewSWBackend(m), 8, 0, testBatcherObs())
 	defer b.Close()
+	var req batchReq
 	lookups := []Lookup{{Cluster: 0, State: 1}, {Cluster: 1, State: 2}}
 	out := make([]int, 2)
-	for i := 0; i < 10; i++ { // warm the pool and the worker's scratch
-		if err := b.Do(lookups, out); err != nil {
+	for i := 0; i < 10; i++ { // warm the request and the worker's scratch
+		if err := b.Do(&req, lookups, out); err != nil {
 			t.Fatalf("warm-up: %v", err)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if err := b.Do(lookups, out); err != nil {
+		if err := b.Do(&req, lookups, out); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -257,14 +258,15 @@ func BenchmarkRingPushPop(b *testing.B) {
 
 func BenchmarkBatcherDo(b *testing.B) {
 	m := testModel(b, 3, 4)
-	bt := newBatcher(NewSWBackend(m), 256, 0, 0, testBatcherObs())
+	bt := newBatcher(NewSWBackend(m), 256, 0, testBatcherObs())
 	defer bt.Close()
+	var req batchReq
 	lookups := []Lookup{{Cluster: 0, State: 1}, {Cluster: 1, State: 2}}
 	out := make([]int, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bt.Do(lookups, out); err != nil {
+		if err := bt.Do(&req, lookups, out); err != nil {
 			b.Fatal(err)
 		}
 	}

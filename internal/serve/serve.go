@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +48,7 @@ import (
 	"rlpm/internal/obs"
 	"rlpm/internal/rng"
 	"rlpm/internal/sim"
+	"rlpm/internal/wire"
 )
 
 // ErrServerClosed is returned by decision paths once the server has shut
@@ -79,13 +81,47 @@ var ErrBadSeq = errors.New("serve: bad request sequence")
 // protocol to CodeOverloaded.
 var ErrOverloaded = errors.New("serve: overloaded")
 
-// ErrBadRequest is the client-side sentinel for a remote CodeBadRequest
-// rejection: the server understood the transport but refused the request
-// itself (malformed frame payload, wrong cluster count). Retrying the same
+// ErrBadRequest marks a client fault: the server understood the transport
+// but refused the request itself (malformed body or frame payload, wrong
+// cluster count, out-of-range option or observation). Retrying the same
 // bytes cannot help, so the retry loop treats it as terminal. The router
 // forwards it unchanged — the device client is the party that must fix
 // its request.
 var ErrBadRequest = errors.New("serve: bad request")
+
+// errClass is one row of the protocol error table: a sentinel and how
+// each transport spells it.
+type errClass struct {
+	err    error
+	wire   uint16 // binary protocol error code
+	status int    // HTTP status
+	code   string // JSON error body code
+}
+
+// errTable is the one mapping between the serve sentinels and the codes
+// both transports carry; servers, routers and clients all read it.
+// ErrUnknownSession wraps ErrNoSession, so it must be matched first: the
+// codes differ because the recoveries differ (resume vs give up).
+var errTable = [...]errClass{
+	{ErrUnknownSession, wire.CodeUnknownSession, http.StatusNotFound, "unknown_session"},
+	{ErrNoSession, wire.CodeNoSession, http.StatusNotFound, "no_session"},
+	{ErrSessionClosed, wire.CodeSessionClosed, http.StatusGone, "session_closed"},
+	{ErrBadSeq, wire.CodeBadSeq, http.StatusConflict, "bad_seq"},
+	{ErrBadRequest, wire.CodeBadRequest, http.StatusBadRequest, "bad_request"},
+	{ErrServerClosed, wire.CodeServerClosed, http.StatusServiceUnavailable, "server_closed"},
+	{ErrOverloaded, wire.CodeOverloaded, http.StatusTooManyRequests, "overloaded"},
+}
+
+// classify returns the table row for the first sentinel err matches, or
+// nil when the table names none of them.
+func classify(err error) *errClass {
+	for i := range errTable {
+		if errors.Is(err, errTable[i].err) {
+			return &errTable[i]
+		}
+	}
+	return nil
+}
 
 // Model is a served policy: per-cluster Q-tables packed into one
 // core.FlatTables arena — the only copy of the tables — plus the state
@@ -168,16 +204,9 @@ func (m *Model) Snapshot() core.Snapshot {
 // matching core.Agent and the hardware comparator tree.
 func (m *Model) Greedy(cluster, state int) int { return m.flat.Argmax(cluster, state) }
 
-// Observation is the wire form of one cluster's telemetry for one control
-// period — the subset of sim.Observation a remote device reports.
-type Observation struct {
-	Utilization float64 `json:"utilization"`
-	DemandRatio float64 `json:"demand_ratio"`
-	QoS         float64 `json:"qos"`
-	ClusterQoS  float64 `json:"cluster_qos"`
-	Critical    bool    `json:"critical"`
-	Level       int     `json:"level"`
-}
+// Observation is one cluster's telemetry for one control period. It is
+// the wire record itself, so neither transport converts it.
+type Observation = wire.Obs
 
 // Cohort names for SessionOptions.Cohort. On a learning server the cohort
 // is the A/B arm: learning sessions read the live (swapped) policy and
@@ -208,16 +237,16 @@ type SessionOptions struct {
 
 func (o SessionOptions) validate() error {
 	if o.Epsilon < 0 || o.Epsilon > 1 {
-		return fmt.Errorf("serve: epsilon %v out of [0,1]", o.Epsilon)
+		return fmt.Errorf("%w: epsilon %v out of [0,1]", ErrBadRequest, o.Epsilon)
 	}
 	if o.EpsilonMin < 0 || o.EpsilonMin > o.Epsilon {
-		return fmt.Errorf("serve: epsilon floor %v out of [0,%v]", o.EpsilonMin, o.Epsilon)
+		return fmt.Errorf("%w: epsilon floor %v out of [0,%v]", ErrBadRequest, o.EpsilonMin, o.Epsilon)
 	}
 	if o.EpsilonDecay < 0 || o.EpsilonDecay > 1 {
-		return fmt.Errorf("serve: epsilon decay %v out of [0,1]", o.EpsilonDecay)
+		return fmt.Errorf("%w: epsilon decay %v out of [0,1]", ErrBadRequest, o.EpsilonDecay)
 	}
 	if o.Cohort != "" && o.Cohort != CohortLearning && o.Cohort != CohortFrozen {
-		return fmt.Errorf("serve: unknown cohort %q", o.Cohort)
+		return fmt.Errorf("%w: unknown cohort %q", ErrBadRequest, o.Cohort)
 	}
 	return nil
 }
@@ -266,8 +295,9 @@ type Session struct {
 	lastRewardSeq uint64
 
 	// frozen pins the session to the construction-time model: its lookups
-	// bypass the batcher (which reads the live, swapped policy) and its
-	// rewards never feed the learner — the control arm of the A/B.
+	// resolve against that model inside the transaction, never through the
+	// batcher (which reads the live, swapped policy), and its rewards never
+	// feed the learner — the control arm of the A/B.
 	frozen bool
 
 	// Transition tracking for the learner: the per-cluster (state, action)
@@ -288,15 +318,16 @@ type Session struct {
 	decisions  uint64
 	rewards    uint64
 	rewardSum  float64
-	simObs     []sim.Observation // scratch: wire → encoder form
-	lookups    []Lookup          // scratch: exploit lookups of one decide
-	lookupsIdx []int             // scratch: levels index of each lookup
-	lookupOut  []int             // scratch: batch results of one decide
-	demandSave []float64         // scratch: prevDemand snapshot for rollback
-	epsSave    float64           // scratch: ε snapshot for rollback
-	rngSave    [4]uint64         // scratch: RNG snapshot for rollback
-	txnSeq     uint64            // open decide transaction: first period's seq
-	txnPeriods int               // open decide transaction: period count
+	lookups    []Lookup  // scratch: batched exploit lookups of one decide
+	lookupsIdx []int     // scratch: levels index of each lookup
+	lookupOut  []int     // scratch: batch results of one decide
+	txnLookups int       // open decide transaction: exploit lookups, batched or frozen
+	breq       *batchReq // batcher submission; allocated by the first DecideSeq
+	demandSave []float64 // scratch: prevDemand snapshot for rollback
+	epsSave    float64   // scratch: ε snapshot for rollback
+	rngSave    [4]uint64 // scratch: RNG snapshot for rollback
+	txnSeq     uint64    // open decide transaction: first period's seq
+	txnPeriods int       // open decide transaction: period count
 }
 
 // ID returns the session identifier.
@@ -360,27 +391,19 @@ func (s *Session) DecideSeq(seq uint64, obs []Observation, levels []int) (replay
 		return replayed, err
 	}
 	if len(s.lookups) > 0 {
-		if s.frozen {
-			// Control arm: resolve inline against the immutable
-			// construction model instead of the batcher's live (possibly
-			// learner-swapped) policy. The model is read-only, so this
-			// takes no lock and cannot fail.
-			m := s.srv.model
-			for j, l := range s.lookups {
-				levels[s.lookupsIdx[j]] = m.Greedy(l.Cluster, l.State)
-			}
-		} else {
-			if cap(s.lookupOut) < len(s.lookups) {
-				s.lookupOut = make([]int, len(s.lookups))
-			}
-			out := s.lookupOut[:len(s.lookups)]
-			if err := s.srv.batch.Do(s.lookups, out); err != nil {
-				s.decideAbortLocked()
-				return false, err
-			}
-			for j, a := range out {
-				levels[s.lookupsIdx[j]] = a
-			}
+		if cap(s.lookupOut) < len(s.lookups) {
+			s.lookupOut = make([]int, len(s.lookups))
+		}
+		if s.breq == nil {
+			s.breq = new(batchReq)
+		}
+		out := s.lookupOut[:len(s.lookups)]
+		if err := s.srv.batch.Do(s.breq, s.lookups, out); err != nil {
+			s.decideAbortLocked()
+			return false, err
+		}
+		for j, a := range out {
+			levels[s.lookupsIdx[j]] = a
 		}
 	}
 	s.decideFinishLocked(levels)
@@ -394,15 +417,15 @@ func (s *Session) DecideSeq(seq uint64, obs []Observation, levels []int) (replay
 func (m *Model) decideValidate(obs []Observation, levels []int) error {
 	k := m.Clusters()
 	if len(obs) == 0 || len(obs)%k != 0 {
-		return fmt.Errorf("serve: %d observations for %d clusters", len(obs), k)
+		return fmt.Errorf("%w: %d observations for %d clusters", ErrBadRequest, len(obs), k)
 	}
 	if len(levels) != len(obs) {
-		return fmt.Errorf("serve: %d level slots for %d observations", len(levels), len(obs))
+		return fmt.Errorf("%w: %d level slots for %d observations", ErrBadRequest, len(levels), len(obs))
 	}
 	for i, o := range obs {
 		c := i % k
 		if o.Level < 0 || o.Level >= m.levels[c] {
-			return fmt.Errorf("serve: cluster %d level %d out of [0,%d)", c, o.Level, m.levels[c])
+			return fmt.Errorf("%w: cluster %d level %d out of [0,%d)", ErrBadRequest, c, o.Level, m.levels[c])
 		}
 		if err := m.cfg.ValidateObservation(sim.Observation{
 			Utilization: o.Utilization,
@@ -426,7 +449,10 @@ func (m *Model) decideValidate(obs []Observation, levels []int) error {
 // lookups awaiting batch resolution (their results scatter through
 // s.lookupsIdx into levels) and the caller must decideFinishLocked or
 // decideAbortLocked before releasing the lock. Exploration decisions are
-// already written into levels.
+// already written into levels, and so are a frozen session's exploit
+// decisions: it resolves them here against the immutable construction
+// model, so no decide path can hand them to the batcher's live policy.
+// obs is fully consumed before this returns.
 func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int) (replayed bool, err error) {
 	if s.closed {
 		return false, ErrSessionClosed
@@ -457,6 +483,7 @@ func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int)
 
 	s.lookups = s.lookups[:0]
 	s.lookupsIdx = s.lookupsIdx[:0]
+	s.txnLookups = 0
 	tracking := s.curStates != nil // learning server, non-frozen session
 	if tracking {
 		s.txnStates = s.txnStates[:0]
@@ -482,6 +509,11 @@ func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int)
 			if s.eps > 0 && s.r.Float64() < s.eps {
 				levels[base+i] = s.r.Intn(m.levels[i])
 				s.srv.explorations.Add(1)
+				continue
+			}
+			s.txnLookups++
+			if s.frozen {
+				levels[base+i] = m.Greedy(i, state)
 				continue
 			}
 			s.lookups = append(s.lookups, Lookup{Cluster: i, State: state})
@@ -543,7 +575,7 @@ func (s *Session) decideFinishLocked(levels []int) {
 	}
 	s.decisions += uint64(periods)
 	s.srv.decisions.Add(uint64(periods))
-	s.srv.lookupsServed.Add(uint64(len(s.lookups)))
+	s.srv.lookupsServed.Add(uint64(s.txnLookups))
 }
 
 // nanotime is the session-activity clock (monotonic enough for TTLs).
@@ -613,11 +645,6 @@ type Config struct {
 	// (default 256). A single request larger than the cap still serves as
 	// its own batch — one session's lookups never split across calls.
 	MaxBatch int
-	// Linger is how long the batcher waits for co-travellers after the
-	// first lookup of a batch before dispatching. 0 (the default) grabs
-	// whatever is already queued and dispatches immediately — no added
-	// latency, opportunistic coalescing under load.
-	Linger time.Duration
 	// CheckpointPath, when non-empty, is where POST /v1/checkpoint
 	// persists the model.
 	CheckpointPath string
@@ -664,9 +691,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("serve: negative MaxBatch %d", c.MaxBatch)
-	}
-	if c.Linger < 0 {
-		return fmt.Errorf("serve: negative Linger %v", c.Linger)
 	}
 	if c.SessionTTL < 0 {
 		return fmt.Errorf("serve: negative SessionTTL %v", c.SessionTTL)
@@ -883,7 +907,7 @@ func New(model *Model, backend Backend, cfg Config) (*Server, error) {
 		reg.NewCounterFunc("serve_hw_retries_total", "accelerator transaction retries", hb.retries.Load)
 		reg.NewCounterFunc("serve_hw_degraded_total", "lookups degraded to the software tables", hb.degraded.Load)
 	}
-	s.batch = newBatcher(backend, cfg.MaxBatch, cfg.Linger, cfg.QueueDeadline, batcherObs{
+	s.batch = newBatcher(backend, cfg.MaxBatch, cfg.QueueDeadline, batcherObs{
 		batches:  reg.NewCounter("serve_batches_total", "backend batch dispatches"),
 		lookups:  reg.NewCounter("serve_batch_lookups_total", "lookups resolved through batch dispatches"),
 		rejected: reg.NewCounter("serve_batch_rejected_total", "decide submits rejected with ErrOverloaded (ring full)"),
@@ -1208,18 +1232,18 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 		return nil, err
 	}
 	if st.Epsilon < 0 || st.Epsilon > 1 {
-		return nil, fmt.Errorf("serve: resume epsilon %v out of [0,1]", st.Epsilon)
+		return nil, fmt.Errorf("%w: resume epsilon %v out of [0,1]", ErrBadRequest, st.Epsilon)
 	}
 	clusters := s.model.Clusters()
 	if len(st.PrevDemand) != clusters {
-		return nil, fmt.Errorf("serve: resume carries %d demand entries for %d clusters", len(st.PrevDemand), clusters)
+		return nil, fmt.Errorf("%w: resume carries %d demand entries for %d clusters", ErrBadRequest, len(st.PrevDemand), clusters)
 	}
-	if st.Seq > 0 && len(st.LastLevels) != clusters {
-		return nil, fmt.Errorf("serve: resume carries %d last levels for %d clusters", len(st.LastLevels), clusters)
+	if (st.Seq > 0 || len(st.LastLevels) > 0) && len(st.LastLevels) != clusters {
+		return nil, fmt.Errorf("%w: resume carries %d last levels for %d clusters", ErrBadRequest, len(st.LastLevels), clusters)
 	}
 	for i, lvl := range st.LastLevels {
 		if lvl < 0 || lvl >= s.model.levels[i] {
-			return nil, fmt.Errorf("serve: resume cluster %d level %d out of [0,%d)", i, lvl, s.model.levels[i])
+			return nil, fmt.Errorf("%w: resume cluster %d level %d out of [0,%d)", ErrBadRequest, i, lvl, s.model.levels[i])
 		}
 	}
 	var r *rng.Rand
@@ -1228,7 +1252,7 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 	} else {
 		var err error
 		if r, err = rng.NewFromState(st.Rng); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
 

@@ -624,3 +624,22 @@ func TestCheckpointMidRunRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPResumeRejectsExtraLastLevels: a resume body carrying more last
+// levels than the chip has clusters is a client fault even at seq 0, where
+// no replay needs them — answered 400, never indexed past the model.
+func TestHTTPResumeRejectsExtraLastLevels(t *testing.T) {
+	m := testModel(t, 3, 5)
+	srv := newTestServer(t, m, nil, Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	body := `{"options":{},"epsilon_now":0,"prev_demand":[0,0],"last_levels":[0,0,0]}`
+	resp, err := http.Post(hs.URL+"/v1/sessions/resume", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("resume with 3 last levels for 2 clusters: %d, want 400", resp.StatusCode)
+	}
+}

@@ -1,11 +1,11 @@
 // Binary front: the router's wire-v2 listener. One goroutine per device
 // connection, one BinCaller per connection as forwarding scratch, frames
 // answered strictly in order (devices pipeline; responses must not
-// reorder past the frames that produced them). Error frames carry the
-// same codes and backoff hints a shard itself would send — including the
-// shard's own overload hint, which BinCaller surfaces as a BackoffError
-// and the front re-encodes unchanged — so a device cannot tell a router
-// from a shard.
+// reorder past the frames that produced them). Error frames are encoded
+// by serve.AppendErrorFrame, so they carry the same codes and backoff
+// hints a shard itself would send — including the shard's own overload
+// hint, which BinCaller surfaces as a BackoffError and the front
+// re-encodes unchanged — and a device cannot tell a router from a shard.
 package shard
 
 import (
@@ -93,9 +93,7 @@ func (r *Router) serveBinConn(conn net.Conn) {
 		st.payload = payload
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				st.wbuf = wire.FinishFrame(
-					wire.AppendError(wire.BeginFrame(st.wbuf), wire.CodeBadRequest, 0, err.Error()),
-					wire.TError, h.ReqID)
+				st.wbuf, _ = serve.AppendErrorFrame(st.wbuf, h.ReqID, err, 0)
 				st.bw.Write(st.wbuf)
 				st.bw.Flush()
 				routerGracefulClose(conn, st.br)
@@ -125,24 +123,14 @@ func routerGracefulClose(conn net.Conn, br *bufio.Reader) {
 	io.Copy(io.Discard, io.LimitReader(br, 1<<20))
 }
 
-// binFrontError appends a TError frame for err, carrying the shard's
+// binFrontError appends the TError frame for err, carrying the shard's
 // backoff hint when the failure was an overload shed, and reports whether
-// the connection survives (wire-level decode failures poison framing).
+// the connection survives.
 func (r *Router) binFrontError(st *routerConnState, reqID uint32, err error) bool {
-	var backoffMs uint32
-	var be *serve.BackoffError
-	if errors.As(err, &be) {
-		backoffMs = uint32(be.RetryAfter / time.Millisecond)
-	}
-	st.wbuf = wire.FinishFrame(
-		wire.AppendError(wire.BeginFrame(st.wbuf), serve.WireCode(err), backoffMs, err.Error()),
-		wire.TError, reqID)
+	var keep bool
+	st.wbuf, keep = serve.AppendErrorFrame(st.wbuf, reqID, err, serve.RetryAfter(err))
 	st.bw.Write(st.wbuf)
-	return serve.WireCode(err) != wire.CodeBadRequest || !isRouterWireErr(err)
-}
-
-func isRouterWireErr(err error) bool {
-	return errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrBadPayload) || errors.Is(err, wire.ErrBadType)
+	return keep
 }
 
 // handleBinFrame forwards one request frame, appending exactly one
@@ -166,12 +154,7 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
-		info, err := r.CreateSession(ctx, &st.caller, serve.SessionOptions{
-			Epsilon:      st.creq.Epsilon,
-			EpsilonMin:   st.creq.EpsilonMin,
-			EpsilonDecay: st.creq.EpsilonDecay,
-			Seed:         st.creq.Seed,
-		})
+		info, err := r.CreateSession(ctx, &st.caller, serve.OptionsFromWire(st.creq))
 		if err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
@@ -182,22 +165,7 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
-		info, err := r.ResumeSession(ctx, &st.caller, serve.ResumeState{
-			Options: serve.SessionOptions{
-				Epsilon:      st.rsreq.Opts.Epsilon,
-				EpsilonMin:   st.rsreq.Opts.EpsilonMin,
-				EpsilonDecay: st.rsreq.Opts.EpsilonDecay,
-				Seed:         st.rsreq.Opts.Seed,
-			},
-			Epsilon:    st.rsreq.EpsNow,
-			Rng:        st.rsreq.Rng,
-			Seq:        st.rsreq.Seq,
-			LastLevels: st.rsreq.LastLevels,
-			PrevDemand: st.rsreq.PrevDemand,
-			Decisions:  st.rsreq.Decisions,
-			Rewards:    st.rsreq.Rewards,
-			RewardSum:  st.rsreq.RewardSum,
-		})
+		info, err := r.ResumeSession(ctx, &st.caller, serve.ResumeFromWire(&st.rsreq))
 		if err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}

@@ -9,17 +9,16 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"rlpm/internal/obs"
 	"rlpm/internal/serve"
+	"rlpm/internal/wire"
 )
 
 // RingResponse answers GET /v1/ring: everything a peer process needs to
@@ -57,14 +56,6 @@ type RouterMetrics struct {
 	PerShard        []ShardStatus `json:"per_shard"`
 }
 
-// errorResponse mirrors serve's uniform error body, code strings included,
-// so resilient clients classify router answers identically.
-type errorResponse struct {
-	Error        string `json:"error"`
-	Code         string `json:"code,omitempty"`
-	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
-}
-
 // Handler returns the router's HTTP API.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -81,52 +72,17 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError maps a core-op failure onto serve's HTTP statuses and code
-// strings, preserving the shard's backoff hint on overload sheds.
+// writeError answers with serve's uniform error body — the error table's
+// status and code — carrying the shard's backoff hint on overload sheds,
+// so resilient clients classify router answers exactly as a shard's.
 func writeError(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, ""
-	switch {
-	case errors.Is(err, serve.ErrUnknownSession):
-		status, code = http.StatusNotFound, "unknown_session"
-	case errors.Is(err, serve.ErrNoSession):
-		status, code = http.StatusNotFound, "no_session"
-	case errors.Is(err, serve.ErrSessionClosed):
-		status, code = http.StatusGone, "session_closed"
-	case errors.Is(err, serve.ErrBadSeq):
-		status, code = http.StatusConflict, "bad_seq"
-	case errors.Is(err, serve.ErrServerClosed):
-		status, code = http.StatusServiceUnavailable, "server_closed"
-	case errors.Is(err, serve.ErrOverloaded):
-		status, code = http.StatusTooManyRequests, "overloaded"
-	case errors.Is(err, serve.ErrBadRequest):
-		status, code = http.StatusBadRequest, ""
-	}
-	resp := errorResponse{Error: err.Error(), Code: code}
-	var be *serve.BackoffError
-	if errors.As(err, &be) && be.RetryAfter > 0 {
-		resp.RetryAfterMs = be.RetryAfter.Milliseconds()
-		secs := (be.RetryAfter + time.Second - 1) / time.Second
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
-	}
-	writeJSON(w, status, resp)
+	serve.WriteError(w, err, serve.RetryAfter(err))
 }
 
+// writeBadRequest answers a failed membership change as a client fault:
+// whatever the cause, it is the admin's request that must change.
 func writeBadRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-func decodeBody(req *http.Request, v any) error {
-	err := json.NewDecoder(req.Body).Decode(v)
-	if err == nil || errors.Is(err, io.EOF) {
-		return nil
-	}
-	return fmt.Errorf("shard: bad request body: %w", err)
+	writeError(w, fmt.Errorf("%w: %v", serve.ErrBadRequest, err))
 }
 
 func (r *Router) reqCtx(req *http.Request) (context.Context, context.CancelFunc) {
@@ -135,8 +91,8 @@ func (r *Router) reqCtx(req *http.Request) (context.Context, context.CancelFunc)
 
 func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var opts serve.SessionOptions
-	if err := decodeBody(req, &opts); err != nil {
-		writeBadRequest(w, err)
+	if err := serve.DecodeBody(req, &opts); err != nil {
+		writeError(w, err)
 		return
 	}
 	ctx, cancel := r.reqCtx(req)
@@ -144,55 +100,36 @@ func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
 	c := r.getCaller()
 	info, err := r.CreateSession(ctx, c, opts)
 	r.putCaller(c)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, serve.CreateSessionResponse{
-		ID:        info.ID,
-		Epoch:     info.Epoch,
-		Clusters:  len(info.NumLevels),
-		NumLevels: info.NumLevels,
-	})
+	writeSession(w, info, err)
 }
 
 func (r *Router) handleResume(w http.ResponseWriter, req *http.Request) {
 	var body serve.ResumeSessionRequest
-	if err := decodeBody(req, &body); err != nil {
-		writeBadRequest(w, err)
+	if err := serve.DecodeBody(req, &body); err != nil {
+		writeError(w, err)
 		return
 	}
-	st := serve.ResumeState{
-		Options:    body.Options,
-		Epsilon:    body.Epsilon,
-		Seq:        body.Seq,
-		LastLevels: body.LastLevels,
-		PrevDemand: body.PrevDemand,
-		Decisions:  body.Decisions,
-		Rewards:    body.Rewards,
-		RewardSum:  body.RewardSum,
-	}
-	for i, hx := range body.Rng {
-		if hx == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(hx, 16, 64)
-		if err != nil {
-			writeBadRequest(w, fmt.Errorf("shard: bad rng state word %d: %w", i, err))
-			return
-		}
-		st.Rng[i] = v
+	st, err := body.State()
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	ctx, cancel := r.reqCtx(req)
 	defer cancel()
 	c := r.getCaller()
 	info, err := r.ResumeSession(ctx, c, st)
 	r.putCaller(c)
+	writeSession(w, info, err)
+}
+
+// writeSession answers a create or resume with the device-visible
+// identity, or with err.
+func writeSession(w http.ResponseWriter, info RouterSessionInfo, err error) {
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, serve.CreateSessionResponse{
+	serve.WriteJSON(w, http.StatusOK, serve.CreateSessionResponse{
 		ID:        info.ID,
 		Epoch:     info.Epoch,
 		Clusters:  len(info.NumLevels),
@@ -202,14 +139,19 @@ func (r *Router) handleResume(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleDecide(w http.ResponseWriter, req *http.Request) {
 	var body serve.DecideRequest
-	if err := decodeBody(req, &body); err != nil {
-		writeBadRequest(w, err)
+	if err := serve.DecodeBody(req, &body); err != nil {
+		writeError(w, err)
+		return
+	}
+	h, err := r.handleByID(req.PathValue("id"), body.Epoch)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	ctx, cancel := r.reqCtx(req)
 	defer cancel()
 	c := r.getCaller()
-	levels, err := r.DecideByID(ctx, c, req.PathValue("id"), body.Epoch, body.Seq, body.Observations)
+	levels, err := r.Decide(ctx, c, h, body.Epoch, body.Seq, body.Observations)
 	if err != nil {
 		r.putCaller(c)
 		writeError(w, err)
@@ -218,50 +160,50 @@ func (r *Router) handleDecide(w http.ResponseWriter, req *http.Request) {
 	// levels is the caller's scratch: copy before releasing it to the pool.
 	out := append([]int(nil), levels...)
 	r.putCaller(c)
-	writeJSON(w, http.StatusOK, serve.DecideResponse{Levels: out})
+	serve.WriteJSON(w, http.StatusOK, serve.DecideResponse{Levels: out})
 }
 
 func (r *Router) handleReward(w http.ResponseWriter, req *http.Request) {
 	var body serve.RewardRequest
-	if err := decodeBody(req, &body); err != nil {
-		writeBadRequest(w, err)
+	if err := serve.DecodeBody(req, &body); err != nil {
+		writeError(w, err)
+		return
+	}
+	h, err := r.handleByID(req.PathValue("id"), body.Epoch)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	ctx, cancel := r.reqCtx(req)
 	defer cancel()
 	c := r.getCaller()
-	st, err := r.RewardByID(ctx, c, req.PathValue("id"), body.Epoch, body.Seq, body.Reward)
+	st, err := r.Reward(ctx, c, h, body.Epoch, body.Seq, body.Reward)
 	r.putCaller(c)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, serve.SessionStats{
-		ID:         req.PathValue("id"),
-		Decisions:  st.Decisions,
-		Rewards:    st.Rewards,
-		MeanReward: st.MeanReward,
-		Epsilon:    st.Epsilon,
-	})
+	writeStats(w, req.PathValue("id"), st, err)
 }
 
 func (r *Router) handleClose(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	st, err := r.CloseSessionByID(ctx, c, req.PathValue("id"))
-	r.putCaller(c)
+	h, err := r.handleByID(req.PathValue("id"), 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, serve.SessionStats{
-		ID:         req.PathValue("id"),
-		Decisions:  st.Decisions,
-		Rewards:    st.Rewards,
-		MeanReward: st.MeanReward,
-		Epsilon:    st.Epsilon,
-	})
+	ctx, cancel := r.reqCtx(req)
+	defer cancel()
+	c := r.getCaller()
+	st, err := r.CloseSession(ctx, c, h)
+	r.putCaller(c)
+	writeStats(w, req.PathValue("id"), st, err)
+}
+
+// writeStats answers a reward or close with the shard's ledger under the
+// device-visible session id, or with err.
+func writeStats(w http.ResponseWriter, id string, st wire.Stats, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, serve.StatsFromWire(id, st))
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
@@ -275,21 +217,21 @@ func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
 		resp.Shards = append(resp.Shards, r.shards[name].spec)
 	}
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAddShard / handleRemoveShard are the admin face of rebalancing.
 func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	var spec ShardSpec
-	if err := decodeBody(req, &spec); err != nil {
-		writeBadRequest(w, err)
+	if err := serve.DecodeBody(req, &spec); err != nil {
+		writeError(w, err)
 		return
 	}
 	if err := r.AddShard(spec); err != nil {
 		writeBadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "added", "shard": spec.Name})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "added", "shard": spec.Name})
 }
 
 func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
@@ -298,7 +240,7 @@ func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "removed", "shard": name})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "removed", "shard": name})
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -306,7 +248,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if up < 0 {
 		up = 0
 	}
-	writeJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok", UptimeS: up})
+	serve.WriteJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok", UptimeS: up})
 }
 
 // shardScrape is one shard's scraped registry snapshot.
@@ -409,7 +351,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		r.mu.Lock()
 		nShards, nSessions := len(r.shards), len(r.sessions)
 		r.mu.Unlock()
-		writeJSON(w, http.StatusOK, RouterMetrics{
+		serve.WriteJSON(w, http.StatusOK, RouterMetrics{
 			UptimeS:         up,
 			Shards:          nShards,
 			Sessions:        nSessions,

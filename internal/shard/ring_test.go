@@ -126,10 +126,10 @@ func TestRingMinimalMovementOnRemove(t *testing.T) {
 // degrades balance trips them.
 func TestRingBalance(t *testing.T) {
 	cases := []struct {
-		keys     int
-		shards   int
-		maxChi2  float64
-		maxDev   float64 // |count/expected - 1| for the worst member
+		keys    int
+		shards  int
+		maxChi2 float64
+		maxDev  float64 // |count/expected - 1| for the worst member
 	}{
 		{1000, 4, 40, 0.25},
 		{100000, 4, 600, 0.10},

@@ -519,24 +519,25 @@ func (r *Router) lookupHandle(handle uint64, epoch uint32) (*routerSession, erro
 	return s, nil
 }
 
-// lookupID is lookupHandle for the HTTP front's string ids.
-func (r *Router) lookupID(id string, epoch uint32) (*routerSession, error) {
+// handleByID resolves the HTTP front's session id to the device-visible
+// handle every core op is addressed by, under the router epoch.
+func (r *Router) handleByID(id string, epoch uint32) (uint64, error) {
 	if epoch != 0 && epoch != r.cfg.Epoch {
-		return nil, serve.ErrUnknownSession
+		return 0, serve.ErrUnknownSession
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, serve.ErrServerClosed
+		return 0, serve.ErrServerClosed
 	}
 	s, ok := r.byID[id]
 	if !ok {
 		if epoch == 0 {
-			return nil, fmt.Errorf("%w: %q", serve.ErrNoSession, id)
+			return 0, fmt.Errorf("%w: %q", serve.ErrNoSession, id)
 		}
-		return nil, serve.ErrUnknownSession
+		return 0, serve.ErrUnknownSession
 	}
-	return s, nil
+	return s.handle, nil
 }
 
 // target snapshots the session's shard-side identity for one forward.
@@ -554,7 +555,7 @@ func (s *routerSession) target() (*shardConn, uint64, uint32, error) {
 
 // Decide forwards one decide frame. The returned slice is the caller's
 // scratch, valid until its next DecideSeq.
-func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, wobs []wire.Obs) ([]int, error) {
+func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) ([]int, error) {
 	s, err := r.lookupHandle(handle, epoch)
 	if err != nil {
 		return nil, err
@@ -563,26 +564,7 @@ func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, 
 	if err != nil {
 		return nil, err
 	}
-	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, wobs)
-	if err != nil {
-		r.forwardErrors.Add(1)
-		return nil, mapForwardErr(err, true)
-	}
-	r.decideFrames.Add(1)
-	return levels, nil
-}
-
-// DecideByID is Decide addressed by the HTTP front's session id.
-func (r *Router) DecideByID(ctx context.Context, c *serve.BinCaller, id string, epoch uint32, seq uint64, obs []serve.Observation) ([]int, error) {
-	s, err := r.lookupID(id, epoch)
-	if err != nil {
-		return nil, err
-	}
-	sc, sh, se, err := s.target()
-	if err != nil {
-		return nil, err
-	}
-	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, c.ObsToWire(obs))
+	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, obs)
 	if err != nil {
 		r.forwardErrors.Add(1)
 		return nil, mapForwardErr(err, true)
@@ -600,19 +582,6 @@ func (r *Router) Reward(ctx context.Context, c *serve.BinCaller, handle uint64, 
 	if err != nil {
 		return wire.Stats{}, err
 	}
-	return r.rewardSession(ctx, c, s, seq, reward)
-}
-
-// RewardByID is Reward addressed by session id.
-func (r *Router) RewardByID(ctx context.Context, c *serve.BinCaller, id string, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	s, err := r.lookupID(id, epoch)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	return r.rewardSession(ctx, c, s, seq, reward)
-}
-
-func (r *Router) rewardSession(ctx context.Context, c *serve.BinCaller, s *routerSession, seq uint64, reward float64) (wire.Stats, error) {
 	sc, sh, se, err := s.target()
 	if err != nil {
 		return wire.Stats{}, err
@@ -632,19 +601,6 @@ func (r *Router) CloseSession(ctx context.Context, c *serve.BinCaller, handle ui
 	if err != nil {
 		return wire.Stats{}, err
 	}
-	return r.closeSession(ctx, c, s)
-}
-
-// CloseSessionByID is CloseSession addressed by session id.
-func (r *Router) CloseSessionByID(ctx context.Context, c *serve.BinCaller, id string) (wire.Stats, error) {
-	s, err := r.lookupID(id, 0)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	return r.closeSession(ctx, c, s)
-}
-
-func (r *Router) closeSession(ctx context.Context, c *serve.BinCaller, s *routerSession) (wire.Stats, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

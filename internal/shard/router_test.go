@@ -433,10 +433,96 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	_, router, _ := testFleetRouter(t, model, 1, 1)
 	c := &serve.BinCaller{}
 	ctx := context.Background()
-	if _, err := router.Decide(ctx, c, 999, router.Epoch(), 1, c.ObsToWire(testObs(model))); !errors.Is(err, serve.ErrUnknownSession) {
+	if _, err := router.Decide(ctx, c, 999, router.Epoch(), 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("unknown handle: %v", err)
 	}
-	if _, err := router.Decide(ctx, c, 1, router.Epoch()+1, 1, c.ObsToWire(testObs(model))); !errors.Is(err, serve.ErrUnknownSession) {
+	if _, err := router.Decide(ctx, c, 1, router.Epoch()+1, 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
+	}
+}
+
+// TestErrorTableAcrossFronts sends single-attempt faulty decides through
+// every front a device can reach — pmserve's JSON and bin listeners and
+// pmrouter's — and checks that each front answers with the same sentinel
+// (bin) or status and code (JSON).
+func TestErrorTableAcrossFronts(t *testing.T) {
+	model := testModel(t, 6, 4)
+	fleet, router, routerBin := testFleetRouter(t, model, 1, 5)
+	routerHTTP := httptest.NewServer(router.Handler())
+	defer routerHTTP.Close()
+	shard := fleet.Specs()[0]
+	fronts := []struct{ name, binAddr, url string }{
+		{"pmserve", shard.BinAddr, "http://" + shard.HTTPAddr},
+		{"pmrouter", routerBin, routerHTTP.URL},
+	}
+	badObs := testObs(model)
+	badObs[0].Utilization = -1
+	rows := []struct {
+		name    string
+		obs     []serve.Observation
+		seq     uint64
+		foreign bool // address the session under a foreign epoch
+		want    error
+		status  int
+		code    string
+	}{
+		{"bad observation", badObs, 1, false, serve.ErrBadRequest, http.StatusBadRequest, "bad_request"},
+		{"bad seq", testObs(model), 99, false, serve.ErrBadSeq, http.StatusConflict, "bad_seq"},
+		{"foreign epoch", testObs(model), 1, true, serve.ErrUnknownSession, http.StatusNotFound, "unknown_session"},
+	}
+	ctx := context.Background()
+	for _, f := range fronts {
+		bc := serve.NewBinClient(f.binAddr)
+		defer bc.Close()
+		hc := serve.NewClient(f.url)
+		defer hc.CloseIdleConnections()
+		for i, row := range rows {
+			seed := uint64(100 + i)
+			t.Run(f.name+"/bin/"+row.name, func(t *testing.T) {
+				var c serve.BinCaller
+				info, err := c.Create(ctx, bc, serve.SessionOptions{Seed: seed})
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				epoch := info.Epoch
+				if row.foreign {
+					epoch++
+				}
+				if _, err := c.DecideSeq(ctx, bc, info.Handle, epoch, row.seq, row.obs); !errors.Is(err, row.want) {
+					t.Fatalf("decide answered %v, want %v", err, row.want)
+				}
+			})
+			t.Run(f.name+"/json/"+row.name, func(t *testing.T) {
+				sess, err := hc.CreateSession(ctx, serve.SessionOptions{Seed: seed})
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				epoch := sess.Epoch
+				if row.foreign {
+					epoch++
+				}
+				raw, err := json.Marshal(serve.DecideRequest{Epoch: epoch, Seq: row.seq, Observations: row.obs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(f.url+"/v1/sessions/"+sess.ID+"/decide", "application/json", strings.NewReader(string(raw)))
+				if err != nil {
+					t.Fatalf("decide: %v", err)
+				}
+				var body struct {
+					Code string `json:"code"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != row.status || body.Code != row.code {
+					t.Fatalf("decide answered %d %q (%v), want %d %q", resp.StatusCode, body.Code, err, row.status, row.code)
+				}
+				if row.want == serve.ErrBadRequest {
+					if _, err := sess.Decide(ctx, row.obs); !errors.Is(err, serve.ErrBadRequest) {
+						t.Fatalf("RemoteSession.Decide returned %v, want ErrBadRequest", err)
+					}
+				}
+			})
+		}
 	}
 }

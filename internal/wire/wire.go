@@ -126,6 +126,10 @@ const (
 	// incarnation does not know (restart or TTL reaping). Retryable after a
 	// resume — the client re-creates the session from its last acked state.
 	CodeUnknownSession uint16 = 7
+	// CodeBadSeq: the decide or reward sequence number is neither the next
+	// one nor a replay of the last; client and server disagree about
+	// history, so a retry cannot help.
+	CodeBadSeq uint16 = 8
 )
 
 // Typed decode errors. Decoders wrap these with context via %w, so callers
@@ -258,16 +262,17 @@ func ReadFrame(r io.Reader, hdr *[HeaderSize]byte, payload []byte) (Header, []by
 	return h, payload, nil
 }
 
-// Obs is the wire form of one cluster's telemetry for one control period —
-// field-for-field the serve layer's Observation, encoded as a fixed
-// 35-byte record.
+// Obs is one cluster's telemetry for one control period — the subset of
+// the simulator's observation a remote device reports. It is the serve
+// layer's Observation on both transports: encoded here as a fixed 35-byte
+// record, and as a JSON object under these tags.
 type Obs struct {
-	Utilization float64
-	DemandRatio float64
-	QoS         float64
-	ClusterQoS  float64
-	Critical    bool
-	Level       int
+	Utilization float64 `json:"utilization"`
+	DemandRatio float64 `json:"demand_ratio"`
+	QoS         float64 `json:"qos"`
+	ClusterQoS  float64 `json:"cluster_qos"`
+	Critical    bool    `json:"critical"`
+	Level       int     `json:"level"`
 }
 
 const obsSize = 4*8 + 1 + 2
