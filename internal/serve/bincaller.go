@@ -9,8 +9,10 @@
 // a middle tier that retried too would double the recovery logic and hide
 // shard failures the device needs to see (an unknown-session answer is the
 // handoff signal). All scratch, including the call's rendezvous with the
-// connection's reader, lives in the caller, so a router can pool
-// BinCallers and keep its forward path allocation-free.
+// connection's reader, lives in the caller, so a router can keep one
+// BinCaller per forward in flight and stay allocation-free; a decide can
+// be started and awaited in two halves, so one goroutine can keep many
+// forwards in flight.
 package serve
 
 import (
@@ -36,18 +38,25 @@ type BinCaller struct {
 	call muxCall
 }
 
-// send seals the request frame (a payload appended after
-// wire.BeginFrame(b.wbuf)) under a fresh request id, writes it, and waits
-// for the wantType answer. The payload is valid until the caller's next
-// call.
-func (b *BinCaller) send(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) ([]byte, error) {
+// start seals the request frame (a payload appended after
+// wire.BeginFrame(b.wbuf)) under a fresh request id and writes it into c's
+// connection buffer, flushing last-writer-out when flush is set.
+func (b *BinCaller) start(c *BinClient, frame []byte, typ byte, flush bool) {
 	mc, err := c.conn()
 	if err != nil {
-		return nil, err
+		b.call.err = err
+		return
 	}
 	reqID := mc.reqID.Add(1)
 	b.wbuf = wire.FinishFrame(frame, typ, reqID)
-	return c.call(ctx, mc, &b.call, b.wbuf, reqID, wantType)
+	c.start(mc, &b.call, b.wbuf, reqID, flush)
+}
+
+// send is one whole call: start, flushed, then await the wantType answer.
+// The payload is valid until the caller's next call.
+func (b *BinCaller) send(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) ([]byte, error) {
+	b.start(c, frame, typ, true)
+	return b.call.await(ctx, wantType)
 }
 
 // Create opens a session on c with no client-side mirror. One attempt.
@@ -73,10 +82,30 @@ func (b *BinCaller) open(ctx context.Context, c *BinClient, frame []byte, typ, w
 }
 
 // DecideSeq forwards one decide frame (possibly multi-period) under the
-// shard-side handle/epoch/seq. The returned slice is scratch, valid until
-// the caller's next DecideSeq.
+// shard-side handle/epoch/seq: StartDecide, flushed, then AwaitDecide.
+// The returned slice is scratch, valid until the caller's next decide.
 func (b *BinCaller) DecideSeq(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation) ([]int, error) {
-	p, err := b.send(ctx, c, wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, obs), wire.TDecide, wire.TDecideOK)
+	b.startDecide(c, handle, epoch, seq, obs, true)
+	return b.AwaitDecide(ctx)
+}
+
+// StartDecide writes a decide frame into c's connection buffer without
+// flushing it, and starts its deadline: a window starts many forwards,
+// flushes each client it touched once (BinClient.Flush), then awaits them
+// in order. Every StartDecide must be followed by its AwaitDecide before
+// the caller's next call.
+func (b *BinCaller) StartDecide(c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation) {
+	b.startDecide(c, handle, epoch, seq, obs, false)
+}
+
+func (b *BinCaller) startDecide(c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation, flush bool) {
+	b.start(c, wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, obs), wire.TDecide, flush)
+}
+
+// AwaitDecide collects the answer to the caller's started decide. The
+// returned slice is scratch, valid until the caller's next decide.
+func (b *BinCaller) AwaitDecide(ctx context.Context) ([]int, error) {
+	p, err := b.call.await(ctx, wire.TDecideOK)
 	if err != nil {
 		return nil, err
 	}

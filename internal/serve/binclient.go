@@ -142,11 +142,19 @@ type muxConn struct {
 // muxCall is one in-flight request's rendezvous, owned by its BinCaller
 // and reused for each of the caller's calls: the response payload is
 // copied into the call's own buffer so the reader can move on to the next
-// frame while the caller decodes.
+// frame while the caller decodes. A call runs in two halves — start writes
+// the frame and arms the deadline, await collects the answer — so a
+// caller can start many calls before it waits on any of them.
 type muxCall struct {
 	ch    chan muxResp
 	buf   []byte
 	timer *time.Timer
+
+	// The call in flight, set by start for await.
+	mc      *muxConn
+	reqID   uint32
+	timeout time.Duration
+	err     error // start failed; await reports it without waiting
 }
 
 type muxResp struct {
@@ -220,48 +228,85 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// call writes the frame in wbuf (its request id must be reqID) through
-// the caller's call and waits for the matching response. On success it
-// returns the response payload, which stays in call.buf until the call's
-// next use.
-func (c *BinClient) call(ctx context.Context, mc *muxConn, call *muxCall, wbuf []byte, reqID uint32, wantType byte) ([]byte, error) {
+// start registers call as the pending rendezvous for reqID, arms its
+// deadline, and writes the frame in wbuf (its request id must be reqID)
+// into the connection buffer. The deadline starts before the write, so the
+// calls a caller starts back to back all expire within one timeout of each
+// other however long it takes to await them. With flush set the last
+// writer out flushes; without it the frame waits in the buffer for the
+// caller's Flush. A failure is kept in call.err for await.
+func (c *BinClient) start(mc *muxConn, call *muxCall, wbuf []byte, reqID uint32, flush bool) {
 	call.init()
+	call.mc, call.reqID, call.timeout, call.err = mc, reqID, c.timeout, nil
 	mc.pmu.Lock()
 	if mc.err != nil {
-		err := mc.err
+		call.err = mc.err
 		mc.pmu.Unlock()
-		return nil, err
+		return
 	}
 	mc.pending[reqID] = call
 	mc.pmu.Unlock()
 
+	call.timer.Reset(c.timeout)
 	// Last writer out flushes: while another writer is queued behind the
 	// lock the buffered bytes ride its (or a later) flush, so back-to-back
-	// requests from many sessions coalesce into one syscall.
-	mc.wwait.Add(1)
+	// requests from many sessions coalesce into one syscall. A start
+	// without flush never counts as queued, so it holds back no one's
+	// flush.
+	if flush {
+		mc.wwait.Add(1)
+	}
 	mc.wmu.Lock()
-	mc.wwait.Add(-1)
+	if flush {
+		mc.wwait.Add(-1)
+	}
 	_, err := mc.bw.Write(wbuf)
-	if err == nil && mc.wwait.Load() == 0 {
+	if err == nil && flush && mc.wwait.Load() == 0 {
 		err = mc.bw.Flush()
 	}
 	mc.wmu.Unlock()
 	if err != nil {
+		stopTimer(call.timer)
 		err = fmt.Errorf("%w: write: %v", ErrConnLost, err)
 		mc.fail(err)
-		return nil, mc.reap(call, reqID, err)
+		call.err = call.reap(err)
 	}
+}
 
-	call.timer.Reset(c.timeout)
+// Flush writes out the frames buffered on the live connection: the calls
+// started without a flush leave only once it (or another writer's flush)
+// runs. A failed flush fails every call pending on the connection.
+func (c *BinClient) Flush() {
+	c.mu.Lock()
+	mc := c.mc
+	c.mu.Unlock()
+	if mc == nil {
+		return
+	}
+	mc.wmu.Lock()
+	err := mc.bw.Flush()
+	mc.wmu.Unlock()
+	if err != nil {
+		mc.fail(fmt.Errorf("%w: write: %v", ErrConnLost, err))
+	}
+}
+
+// await waits for the answer to the call start made. On success it
+// returns the response payload, which stays in call.buf until the call's
+// next use.
+func (call *muxCall) await(ctx context.Context, wantType byte) ([]byte, error) {
+	if call.err != nil {
+		return nil, call.err
+	}
 	var r muxResp
 	select {
 	case r = <-call.ch:
 		stopTimer(call.timer)
 	case <-call.timer.C:
-		return nil, mc.reap(call, reqID, fmt.Errorf("%w: no response after %v", ErrCallTimeout, c.timeout))
+		return nil, call.reap(fmt.Errorf("%w: no response after %v", ErrCallTimeout, call.timeout))
 	case <-ctx.Done():
 		stopTimer(call.timer)
-		return nil, mc.reap(call, reqID, ctx.Err())
+		return nil, call.reap(ctx.Err())
 	}
 	switch {
 	case r.err != nil:
@@ -283,10 +328,11 @@ func (c *BinClient) call(ctx context.Context, mc *muxConn, call *muxCall, wbuf [
 // is removed so a late frame is dropped. If the reader (or fail) already
 // claimed the call, a send to call.ch is in flight or delivered; it is
 // drained so the channel is empty for the call's next use.
-func (mc *muxConn) reap(call *muxCall, reqID uint32, err error) error {
+func (call *muxCall) reap(err error) error {
+	mc := call.mc
 	mc.pmu.Lock()
-	_, pendingStill := mc.pending[reqID]
-	delete(mc.pending, reqID)
+	_, pendingStill := mc.pending[call.reqID]
+	delete(mc.pending, call.reqID)
 	mc.pmu.Unlock()
 	if !pendingStill {
 		<-call.ch

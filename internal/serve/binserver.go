@@ -16,7 +16,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -123,7 +122,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 			// cleanly so in-flight responses land.
 			if s.isDraining() && isTimeout(err) {
 				st.bw.Flush()
-				gracefulClose(conn, st.br)
+				GracefulClose(conn, st.br)
 				return
 			}
 			// A clean EOF between frames is the client hanging up. Anything
@@ -135,7 +134,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 				st.wbuf, _ = AppendErrorFrame(st.wbuf, h.ReqID, err, 0)
 				st.bw.Write(st.wbuf)
 				st.bw.Flush()
-				gracefulClose(conn, st.br)
+				GracefulClose(conn, st.br)
 			}
 			return
 		}
@@ -154,7 +153,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 			}
 		}
 		if !keep {
-			gracefulClose(conn, st.br)
+			GracefulClose(conn, st.br)
 			return
 		}
 	}
@@ -166,11 +165,11 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// gracefulClose half-closes the write side and briefly drains unread input
+// GracefulClose half-closes the write side and briefly drains unread input
 // so the just-written error frame reaches the peer as data + EOF instead
 // of being torn down by a reset (closing a socket with unread bytes sends
 // RST, which can discard in-flight responses).
-func gracefulClose(conn net.Conn, br *bufio.Reader) {
+func GracefulClose(conn net.Conn, br *bufio.Reader) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
@@ -327,7 +326,10 @@ func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 		// wait for this window's responses anyway — and opens the next
 		// window, its payload still in st.payload.
 		held := false
-		for !w.closeAfter && len(w.txns) < maxWindowFrames && st.peekGatherable(s.cfg.MaxBatch, w.obsTotal) {
+		for !w.closeAfter && len(w.txns) < maxWindowFrames {
+			if n, ok := wire.PeekDecide(st.br); !ok || w.obsTotal+n > s.cfg.MaxBatch {
+				break
+			}
 			gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
 			st.payload = payload
 			s.binFrames.Add(1)
@@ -478,43 +480,6 @@ func (s *Server) beginBinTxn(st *binConnState, h wire.Header, first bool) txnSta
 	w.obsTotal += n
 	w.txns = append(w.txns, tx)
 	return txnOpen
-}
-
-// peekGatherable reports whether the connection's next buffered frame is a
-// complete decide frame whose observation count fits the window's batch
-// budget — without consuming a byte or ever blocking. An incomplete frame,
-// a different type, or a count that would overflow the budget closes the
-// gather; the frame stays buffered for the main loop or the next window.
-func (st *binConnState) peekGatherable(maxBatch, obsTotal int) bool {
-	if st.br.Buffered() < wire.HeaderSize {
-		return false
-	}
-	hdr, err := st.br.Peek(wire.HeaderSize)
-	if err != nil {
-		return false
-	}
-	if hdr[1] != wire.TDecide {
-		return false
-	}
-	plen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if plen > wire.MaxPayload {
-		// ReadFrame rejects the oversized prefix from the header alone, so
-		// gathering it cannot block; the window answers and hangs up.
-		return true
-	}
-	if st.br.Buffered() < wire.HeaderSize+plen+wire.TrailerSize {
-		return false
-	}
-	if plen >= 22 { // count u16 sits at payload offset 20
-		pk, err := st.br.Peek(wire.HeaderSize + 22)
-		if err != nil {
-			return false
-		}
-		if n := int(binary.LittleEndian.Uint16(pk[wire.HeaderSize+20:])); obsTotal+n > maxBatch {
-			return false
-		}
-	}
-	return true
 }
 
 // retryHint is the backoff an error answer carries: for an overload shed,

@@ -581,18 +581,21 @@ func TestLearnAsyncStressRecycling(t *testing.T) {
 func TestLearnPeriodicCheckpointFailureLogged(t *testing.T) {
 	m := testModel(t, 3, 5)
 	path := filepath.Join(t.TempDir(), "learned.ckpt")
-	srv := newTestServer(t, m, nil, Config{
+	real := osHooks()
+	// The failing hooks go in at construction: the learner's 1 ms ticker
+	// may publish before any later swap could land.
+	srv, err := newServer(m, nil, Config{
 		CheckpointPath: path,
 		Learn:          LearnConfig{Enabled: true, Seed: 1, CheckpointEvery: time.Millisecond},
-	})
-	real := osHooks()
-	srv.ckptPubMu.Lock() // publishCheckpoint reads fs under this lock
-	srv.fs = fsHooks{
+	}, fsHooks{
 		syncFile: func(*os.File) error { return errors.New("injected fsync failure") },
 		rename:   real.rename,
 		syncDir:  real.syncDir,
+	})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
 	}
-	srv.ckptPubMu.Unlock()
+	t.Cleanup(srv.Close)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

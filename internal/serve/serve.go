@@ -835,6 +835,12 @@ type eventLogSink interface {
 // New builds a server over model and backend. backend defaults to the
 // software table walk when nil.
 func New(model *Model, backend Backend, cfg Config) (*Server, error) {
+	return newServer(model, backend, cfg, osHooks())
+}
+
+// newServer is New over the given checkpoint store hooks, in place before
+// the learner can run its first periodic checkpoint.
+func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
 	}
@@ -857,7 +863,7 @@ func New(model *Model, backend Backend, cfg Config) (*Server, error) {
 		binConns: make(map[net.Conn]struct{}),
 		reg:      reg,
 		events:   obs.NewEventLog(256),
-		fs:       osHooks(),
+		fs:       fs,
 
 		decisions:       reg.NewCounter("serve_decisions_total", "decide calls served"),
 		lookupsServed:   reg.NewCounter("serve_lookups_total", "individual greedy table lookups resolved"),

@@ -107,6 +107,7 @@ type Router struct {
 	sessionsCreated *obs.Counter
 	resumesFwd      *obs.Counter
 	decideFrames    *obs.Counter
+	decideWindows   *obs.Counter
 	rewardsFwd      *obs.Counter
 	forwardErrors   *obs.Counter
 	movedSessions   *obs.Counter
@@ -136,6 +137,7 @@ func NewRouter(cfg RouterConfig, shards []ShardSpec) (*Router, error) {
 		sessionsCreated: reg.NewCounter("router_sessions_created_total", "device sessions placed on shards"),
 		resumesFwd:      reg.NewCounter("router_resumes_total", "resume requests forwarded (handoff completions)"),
 		decideFrames:    reg.NewCounter("router_decide_frames_total", "decide frames forwarded"),
+		decideWindows:   reg.NewCounter("router_decide_windows_total", "decide windows the binary front forwarded"),
 		rewardsFwd:      reg.NewCounter("router_rewards_total", "reward reports forwarded"),
 		forwardErrors:   reg.NewCounter("router_forward_errors_total", "forwarded calls that failed"),
 		movedSessions:   reg.NewCounter("router_sessions_moved_total", "sessions invalidated by membership change (handoff signals sent)"),
@@ -553,9 +555,24 @@ func (s *routerSession) target() (*shardConn, uint64, uint32, error) {
 	return s.shard, s.shardHandle, s.shardEpoch, nil
 }
 
-// Decide forwards one decide frame. The returned slice is the caller's
-// scratch, valid until its next DecideSeq.
+// Decide forwards one decide frame: a window of one, begin and finish
+// back to back. The returned slice is the caller's scratch, valid until
+// its next decide.
 func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) ([]int, error) {
+	bc, err := r.beginDecide(c, handle, epoch, seq, obs)
+	if err != nil {
+		return nil, err
+	}
+	bc.Flush()
+	return r.finishDecide(ctx, c)
+}
+
+// beginDecide is a decide forward's first half: it resolves the
+// device-visible handle to the session's shard target and starts the
+// forward there through c, unflushed. It returns the shard client to
+// flush before finishDecide; an error is the frame's answer, with nothing
+// forwarded.
+func (r *Router) beginDecide(c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) (*serve.BinClient, error) {
 	s, err := r.lookupHandle(handle, epoch)
 	if err != nil {
 		return nil, err
@@ -564,7 +581,15 @@ func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, 
 	if err != nil {
 		return nil, err
 	}
-	levels, err := c.DecideSeq(ctx, sc.bc, sh, se, seq, obs)
+	c.StartDecide(sc.bc, sh, se, seq, obs)
+	return sc.bc, nil
+}
+
+// finishDecide is a decide forward's second half: it awaits the shard's
+// answer to the forward c started and maps a failure onto what the
+// device should see.
+func (r *Router) finishDecide(ctx context.Context, c *serve.BinCaller) ([]int, error) {
+	levels, err := c.AwaitDecide(ctx)
 	if err != nil {
 		r.forwardErrors.Add(1)
 		return nil, mapForwardErr(err, true)

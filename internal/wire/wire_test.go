@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -367,5 +368,41 @@ func TestRewardReqLegacyLayout(t *testing.T) {
 	}
 	if err := ParseRewardReq(append(tagged, 0), &legacy); err == nil {
 		t.Fatal("29-byte payload accepted")
+	}
+}
+
+// TestPeekDecide pins the decide windows' gather test: a complete
+// buffered decide frame reports its observation count, anything a window
+// could block on or must not gather reports false, and nothing is
+// consumed.
+func TestPeekDecide(t *testing.T) {
+	obs := make([]Obs, 3)
+	decide := FinishFrame(AppendDecideReq(BeginFrame(nil), 7, 1, 2, obs), TDecide, 1)
+	closeF := FinishFrame(AppendCloseReq(BeginFrame(nil), CloseReq{Handle: 7}), TClose, 2)
+	oversized := append([]byte(nil), decide[:HeaderSize]...)
+	PutHeader(oversized, TDecide, 3, MaxPayload+1)
+	cases := []struct {
+		name      string
+		stream    []byte
+		wantCount int
+		wantOK    bool
+	}{
+		{"complete decide", decide, 3, true},
+		{"decide missing its trailer", decide[:len(decide)-1], 0, false},
+		{"header only", decide[:HeaderSize], 0, false},
+		{"partial header", decide[:HeaderSize-1], 0, false},
+		{"other type", closeF, 0, false},
+		{"oversized prefix", oversized, 0, true},
+	}
+	for _, tc := range cases {
+		br := bufio.NewReader(bytes.NewReader(tc.stream))
+		br.Peek(len(tc.stream)) // fill the buffer, as a socket read would
+		n, ok := PeekDecide(br)
+		if n != tc.wantCount || ok != tc.wantOK {
+			t.Errorf("%s: PeekDecide = %d, %v; want %d, %v", tc.name, n, ok, tc.wantCount, tc.wantOK)
+		}
+		if br.Buffered() != len(tc.stream) {
+			t.Errorf("%s: PeekDecide consumed input (%d of %d bytes left)", tc.name, br.Buffered(), len(tc.stream))
+		}
 	}
 }
