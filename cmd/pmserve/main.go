@@ -27,8 +27,8 @@
 // 0: the clean-shutdown contract the CI smoke job asserts. Start the next
 // incarnation with a bumped -epoch so clients holding sessions from the
 // old process detect the restart and transparently resume. -session-ttl
-// reaps abandoned sessions; -queue-deadline sheds decide requests that
-// queued too long, answering with a Retry-After hint the clients honor.
+// reaps abandoned sessions. Past 4×-batch decides in flight the server
+// sheds decides, answering with a Retry-After hint the clients honor.
 // SIGUSR1 dumps the full Prometheus metrics exposition to stderr without
 // disturbing serving — the kick-the-tires observability hook when no
 // scraper is attached.
@@ -61,13 +61,12 @@ func main() {
 		episodes   = flag.Int("episodes", 0, "training episodes (0 = quick default)")
 		quick      = flag.Bool("quick", true, "train with the ~10x-shrunk quick settings")
 		backendFl  = flag.String("backend", "sw", "serving backend: sw (table walk) or hw (modeled accelerator)")
-		maxBatch   = flag.Int("batch", 256, "max lookups coalesced per backend call")
+		maxBatch   = flag.Int("batch", 256, "max observations in one binary decide window; 4× this bounds the decides in flight")
 		seed       = flag.Uint64("seed", 1, "training seed")
 
-		epoch         = flag.Uint("epoch", 1, "server incarnation number; bump on every restart so clients detect stale sessions and resume")
-		sessionTTL    = flag.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")
-		queueDeadline = flag.Duration("queue-deadline", 0, "shed decide requests queued longer than this with a retry hint (0 = never)")
-		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
+		epoch        = flag.Uint("epoch", 1, "server incarnation number; bump on every restart so clients detect stale sessions and resume")
+		sessionTTL   = flag.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")
+		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
 
 		learn          = flag.Bool("learn", false, "apply device-reported rewards as live Q-updates (sw backend only)")
 		learnSeed      = flag.Uint64("learn-seed", 1, "learner Double-Q coin seed")
@@ -88,7 +87,7 @@ func main() {
 		quick: *quick, backend: *backendFl, maxBatch: *maxBatch,
 		seed: *seed, faultReadErr: *faultReadErr, faultWriteErr: *faultWriteErr,
 		faultTimeout: *faultTimeout, faultSeed: *faultSeed,
-		epoch: uint32(*epoch), sessionTTL: *sessionTTL, queueDeadline: *queueDeadline,
+		epoch: uint32(*epoch), sessionTTL: *sessionTTL,
 		learn: serve.LearnConfig{
 			Enabled: *learn, Seed: *learnSeed, Alpha: *learnAlpha, Gamma: *learnGamma,
 			SwapEvery: *learnSwapEvery, CheckpointEvery: *learnCkptEvery,
@@ -184,7 +183,7 @@ type serverParams struct {
 	seed, faultSeed                           uint64
 	faultReadErr, faultWriteErr, faultTimeout float64
 	epoch                                     uint32
-	sessionTTL, queueDeadline                 time.Duration
+	sessionTTL                                time.Duration
 	learn                                     serve.LearnConfig
 }
 
@@ -254,7 +253,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 	}
 	srv, err := serve.New(model, backend, serve.Config{
 		MaxBatch: p.maxBatch, CheckpointPath: p.checkpoint,
-		Epoch: p.epoch, SessionTTL: p.sessionTTL, QueueDeadline: p.queueDeadline,
+		Epoch: p.epoch, SessionTTL: p.sessionTTL,
 		Learn: p.learn,
 	})
 	if err != nil {

@@ -117,7 +117,7 @@ type lookupRef struct{ c, s int }
 // both layouts, plus a reproducible batch of lookups over them. The batch
 // has fleet-shaped state duplication: most devices sit in one of a few hot
 // operating points at any instant, with a uniform tail — the distribution
-// the server's batcher actually hands the backend.
+// a fleet's lookups take at one instant.
 func lookupBenchFixture(batch int) ([][][]float64, *core.FlatTables, []lookupRef) {
 	r := rng.New(42)
 	shape := []struct{ states, actions int }{{864, 9}, {100, 5}}

@@ -54,10 +54,9 @@ type ServeResult struct {
 	Proto           string           `json:"proto"`
 	PeriodsPerFrame int              `json:"periods_per_frame,omitempty"`
 	Report          serve.LoadReport `json:"report"`
-	// Batcher coalescing evidence from the server side (self-hosted runs
-	// only): total backend batches, mean lookups per batch, and the
-	// largest batch observed. Batches well below Report.Decisions means
-	// pipelined frames from different sessions shared backend batches.
+	// Shared-policy reads from the server side (self-hosted runs only):
+	// frames that read the shared policy, mean lookups per such frame,
+	// and the most lookups one frame read.
 	Batches            uint64  `json:"batches,omitempty"`
 	MeanBatchOccupancy float64 `json:"mean_batch_occupancy,omitempty"`
 	MaxBatchOccupancy  uint64  `json:"max_batch_occupancy,omitempty"`

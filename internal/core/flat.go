@@ -59,7 +59,7 @@ const flatMemoActBits = 8
 // entry is valid only when its epoch matches the current call's, so
 // "resetting" the cache between calls is one counter increment, not a
 // clear, and a memo hit is a single load. One goroutine at a time may use
-// a given memo (the batch worker owns the backend's).
+// a given memo.
 type FlatMemo struct {
 	tag []uint32 // epoch<<flatMemoActBits | action, indexed by row arena offset
 	cur uint32

@@ -6,8 +6,8 @@
 // process to its baseline goroutine set. This package is the enforcement
 // point — a small goleak-style checker that snapshots the live goroutines
 // when a test starts and fails the test if new ones are still running
-// when it ends. Shutdown is asynchronous (connection pumps, batcher
-// workers, TTL reapers all wind down after Close returns), so the checker
+// when it ends. Shutdown is asynchronous (connection pumps, learner
+// goroutines, TTL reapers all wind down after Close returns), so the checker
 // polls for a grace window before declaring a leak rather than demanding
 // instantaneous quiescence.
 package leaktest

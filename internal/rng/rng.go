@@ -87,18 +87,6 @@ func NewFromState(s [4]uint64) (*Rand, error) {
 	return &Rand{s: s}, nil
 }
 
-// SetState restores a state previously exported with State, in place and
-// without allocating — the serving tier's transactional decide path uses
-// it to roll a generator back when a batched lookup fails, so a retried
-// request replays the exact same draws. Rejects the all-zero state.
-func (r *Rand) SetState(s [4]uint64) error {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return errors.New("rng: all-zero xoshiro state")
-	}
-	r.s = s
-	return nil
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"rlpm/internal/bus"
-	"rlpm/internal/core"
 	"rlpm/internal/fault"
 	"rlpm/internal/hwpolicy"
 	"rlpm/internal/obs"
@@ -18,52 +18,50 @@ type Lookup struct {
 	State   int
 }
 
-// Backend resolves batches of greedy lookups against the frozen policy.
-// Decide is only ever called from the server's single batch worker, so
-// implementations need no internal synchronization on the decision path
-// (metrics counters read by /metrics still use atomics).
+// Backend is the policy a decide frame reads. The frame pins it once with
+// acquire, reads one greedy action per exploit lookup from the pinned
+// policy, and hands it back with release; a frame of a frozen session, or
+// one that explores every cluster, never pins it. Frames run concurrently
+// on the goroutines that received them, so implementations synchronize
+// internally.
 type Backend interface {
 	Name() string
-	// Decide writes the greedy action for lookups[i] into out[i];
-	// len(out) == len(lookups).
-	Decide(lookups []Lookup, out []int) error
+	acquire() policy
+	release(policy)
+}
+
+// policy answers greedy lookups for one pinned frame. Ties break low,
+// matching core.Agent and the hardware comparator tree.
+type policy interface {
+	Greedy(cluster, state int) int
 }
 
 // SWBackend serves lookups from the model's flat arena (core.FlatTables)
-// — the software arm of the HW-vs-SW serving A/B. A batch is packed into
-// offset keys and resolved against the contiguous arena with per-row
-// memoization, so a batch of fleet lookups scans each hot row once;
-// batches of one or two lookups skip the packing and read rows directly.
-// keys and memo are backend-owned scratch — Decide runs only on the single
-// batch worker.
+// — the software arm of the HW-vs-SW serving A/B. Each lookup scans its
+// row with FlatTables.Argmax.
 //
 // The served model is behind an atomic pointer so an online learner can
-// publish a new table set without the decide path ever taking a lock:
-// Decide loads the pointer once per batch and never writes the arena. A
-// published arena is never written: the learner rewrites only an arena it
-// owns, after retiring it with an atomic swap and waiting out its grace
-// period — once finished reaches the begun count read right after the
-// swap, every Decide that could have loaded it has returned. The
-// epoch-tagged memo never needs clearing on a swap:
-// the learner's models share the construction model's shape, so the memo
-// keeps fitting (core.FlatMemo.Fits guards the one way that could break),
-// and the memo's per-call epoch already invalidates every cached row
-// between batches.
+// publish a new table set without the decide path ever taking a lock.
+// Readers follow the N-reader grace rule: acquire loads the live model,
+// raises its reader count, then checks the model is still live (if not,
+// it lowers the count and retries), and release lowers the count. The
+// learner rewrites a model it retired only when the model's count is zero.
+// A reader that loaded a model just before it was retired therefore either
+// raised the count before the learner looked at it — the learner writes a
+// fresh arena instead — or finds on its recheck that the model is no
+// longer live and moves on to the one that is.
 type SWBackend struct {
-	live atomic.Pointer[Model] // current policy: swapped by the learner, read by Decide
-	// begun and finished count Decide calls. Calls never overlap (one
-	// batch worker), so finished >= n means the first n calls returned.
-	begun, finished atomic.Uint64
-	keys            []uint64       // scratch: packed lookup keys of one batch
-	memo            *core.FlatMemo // scratch: per-row argmax memo across one batch
-	// park, when set, runs while Decide holds its model: the test seam
-	// that keeps a reader inside its grace period. nil in production.
-	park func(*Model)
+	live atomic.Pointer[Model] // current policy: swapped by the learner, pinned by acquire
+	// loaded and park are test seams, nil in production: loaded runs
+	// between acquire's load of the live model and its count increment,
+	// park once acquire holds its model.
+	loaded func(*Model)
+	park   func(*Model)
 }
 
 // NewSWBackend builds the software backend over model.
 func NewSWBackend(m *Model) *SWBackend {
-	b := &SWBackend{memo: m.flat.NewMemo()}
+	b := &SWBackend{}
 	b.live.Store(m)
 	return b
 }
@@ -71,33 +69,39 @@ func NewSWBackend(m *Model) *SWBackend {
 // Name implements Backend.
 func (*SWBackend) Name() string { return "sw" }
 
-// Decide implements Backend. It cannot fail: the session layer validates
-// cluster/state ranges before queueing.
-func (b *SWBackend) Decide(lookups []Lookup, out []int) error {
-	b.begun.Add(1)
-	defer b.finished.Add(1)
-	m := b.live.Load()
-	if b.park != nil {
-		b.park(m)
-	}
-	ft := m.flat
-	if len(lookups) <= 2 || len(lookups) > core.MaxFlatBatch || !b.memo.Fits(ft) {
-		// A batch too small for memoization to pay off, one too large for
-		// the packed key's index field, or an arena the memo was not sized
-		// for: per-lookup row scans.
-		for i, l := range lookups {
-			out[i] = m.Greedy(l.Cluster, l.State)
+func (b *SWBackend) acquire() policy {
+	for {
+		m := b.live.Load()
+		if b.loaded != nil {
+			b.loaded(m)
 		}
-		return nil
+		m.readers.Add(1)
+		if b.live.Load() == m {
+			if b.park != nil {
+				b.park(m)
+			}
+			return m
+		}
+		m.readers.Add(-1)
 	}
-	if cap(b.keys) < len(lookups) {
-		b.keys = make([]uint64, len(lookups))
-	}
-	keys := b.keys[:len(lookups)]
+}
+
+func (b *SWBackend) release(p policy) { p.(*Model).readers.Add(-1) }
+
+// Decide writes the greedy action for lookups[i] into out[i] from one
+// pinned model; len(out) == len(lookups). It cannot fail. It is the batch
+// form of the decide loop's reads, the one the backend A/B test compares.
+func (b *SWBackend) Decide(lookups []Lookup, out []int) error {
+	return decideMany(b, lookups, out)
+}
+
+// decideMany resolves lookups against one policy pinned from be.
+func decideMany(be Backend, lookups []Lookup, out []int) error {
+	p := be.acquire()
+	defer be.release(p)
 	for i, l := range lookups {
-		keys[i] = ft.Key(l.Cluster, l.State, i)
+		out[i] = p.Greedy(l.Cluster, l.State)
 	}
-	ft.LookupManyInto(keys, out, b.memo)
 	return nil
 }
 
@@ -133,15 +137,19 @@ func DefaultHWBackendConfig() HWBackendConfig {
 
 // HWBackend serves lookups through the modeled accelerator: one inference-
 // mode channel per cluster behind an MMIO driver, the serving counterpart
-// of hwpolicy/batch.go's multi-channel design. Every transaction is
-// retried with recovery/backoff on failure and degrades to the shared
-// software tables when the hardware stays faulty, so an injected fault
-// costs accuracy of the latency model, never availability.
+// of hwpolicy/batch.go's multi-channel design. The paper's platform has one
+// accelerator, so every lookup is one MMIO transaction serialized on mu.
+// Every transaction is retried with recovery/backoff on failure and
+// degrades to the shared software tables when the hardware stays faulty,
+// so an injected fault costs accuracy of the latency model, never
+// availability.
 type HWBackend struct {
 	cfg     HWBackendConfig
 	model   *Model // construction model: uploaded tables, degradation target
 	drivers []*hwpolicy.Driver
 	events  *obs.EventLog // nil until wired into a server
+
+	mu sync.Mutex // the device: one MMIO transaction at a time
 
 	decisions atomic.Uint64
 	retries   atomic.Uint64
@@ -150,7 +158,7 @@ type HWBackend struct {
 }
 
 // setEventLog wires the server's event log in; called by serve.New before
-// the batch worker starts, so Decide never races it. Clusters whose
+// any decide runs, so no lookup races it. Clusters whose
 // bring-up already degraded are reported immediately.
 func (b *HWBackend) setEventLog(l *obs.EventLog) {
 	b.events = l
@@ -218,48 +226,55 @@ func NewHWBackend(m *Model, cfg HWBackendConfig) (*HWBackend, error) {
 // Name implements Backend.
 func (*HWBackend) Name() string { return "hw" }
 
-// Decide implements Backend: one MMIO decision transaction per lookup,
-// with retry/backoff and software degradation.
+func (b *HWBackend) acquire() policy { return b }
+
+func (b *HWBackend) release(policy) {}
+
+// Decide writes the greedy action for lookups[i] into out[i], one device
+// transaction each; len(out) == len(lookups). It cannot fail.
 func (b *HWBackend) Decide(lookups []Lookup, out []int) error {
-	for i, l := range lookups {
-		var d *hwpolicy.Driver
-		if l.Cluster < len(b.drivers) {
-			d = b.drivers[l.Cluster]
-		}
-		if d == nil {
-			out[i] = b.model.Greedy(l.Cluster, l.State)
-			b.degraded.Add(1)
-			continue
-		}
-		var action int
-		var lat time.Duration
-		err := b.retrying(d, func() error {
-			a, l2, e := d.Step(l.State, 0)
-			if e != nil {
-				return e
-			}
-			action, lat = a, l2
-			return nil
-		})
-		if err != nil || action < 0 || action >= b.model.levels[l.Cluster] {
-			// Transaction failed all retries, or a fault corrupted the
-			// action read: the shared software tables answer instead.
-			out[i] = b.model.Greedy(l.Cluster, l.State)
-			b.degraded.Add(1)
-			if b.events != nil {
-				if err != nil {
-					b.events.Addf("hw", "cluster %d lookup degraded after retries: %v", l.Cluster, err)
-				} else {
-					b.events.Addf("hw", "cluster %d lookup degraded: corrupt action %d", l.Cluster, action)
-				}
-			}
-			continue
-		}
-		out[i] = action
-		b.decisions.Add(1)
-		b.busLatNs.Add(lat.Nanoseconds())
+	return decideMany(b, lookups, out)
+}
+
+// Greedy runs one MMIO decision transaction for (cluster, state) on the
+// device, with retry/backoff and software degradation.
+func (b *HWBackend) Greedy(cluster, state int) int {
+	var d *hwpolicy.Driver
+	if cluster < len(b.drivers) {
+		d = b.drivers[cluster]
 	}
-	return nil
+	if d == nil {
+		b.degraded.Add(1)
+		return b.model.Greedy(cluster, state)
+	}
+	var action int
+	var lat time.Duration
+	b.mu.Lock()
+	err := b.retrying(d, func() error {
+		a, l, e := d.Step(state, 0)
+		if e != nil {
+			return e
+		}
+		action, lat = a, l
+		return nil
+	})
+	b.mu.Unlock()
+	if err != nil || action < 0 || action >= b.model.levels[cluster] {
+		// Transaction failed all retries, or a fault corrupted the action
+		// read: the shared software tables answer instead.
+		b.degraded.Add(1)
+		if b.events != nil {
+			if err != nil {
+				b.events.Addf("hw", "cluster %d lookup degraded after retries: %v", cluster, err)
+			} else {
+				b.events.Addf("hw", "cluster %d lookup degraded: corrupt action %d", cluster, action)
+			}
+		}
+		return b.model.Greedy(cluster, state)
+	}
+	b.decisions.Add(1)
+	b.busLatNs.Add(lat.Nanoseconds())
+	return action
 }
 
 // retrying runs op with the recovery/backoff discipline hwpolicy.Resilient

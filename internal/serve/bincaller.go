@@ -17,6 +17,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 
 	"rlpm/internal/wire"
 )
@@ -143,20 +144,48 @@ func parseStats(p []byte, err error) (wire.Stats, error) {
 // session types and their wire payloads, shared by clients, servers and
 // routers.
 
-// OptionsFromWire is the SessionOptions a create payload carries.
-func OptionsFromWire(r wire.CreateReq) SessionOptions {
-	return SessionOptions{Epsilon: r.Epsilon, EpsilonMin: r.EpsilonMin, EpsilonDecay: r.EpsilonDecay, Seed: r.Seed}
+// cohortCodes spells SessionOptions.Cohort on the wire: the index is the
+// code. Any other code is undefined, and a server refuses it.
+var cohortCodes = [...]string{
+	wire.CohortDefault:  "",
+	wire.CohortLearning: CohortLearning,
+	wire.CohortFrozen:   CohortFrozen,
 }
 
+// OptionsFromWire is the SessionOptions a create payload carries. An
+// undefined cohort code fails with ErrBadRequest, as the JSON front
+// refuses an unknown cohort name.
+func OptionsFromWire(r wire.CreateReq) (SessionOptions, error) {
+	if int(r.Cohort) >= len(cohortCodes) {
+		return SessionOptions{}, fmt.Errorf("%w: undefined cohort code %d", ErrBadRequest, r.Cohort)
+	}
+	return SessionOptions{Epsilon: r.Epsilon, EpsilonMin: r.EpsilonMin, EpsilonDecay: r.EpsilonDecay, Seed: r.Seed,
+		Cohort: cohortCodes[r.Cohort]}, nil
+}
+
+// optionsToWire is the create payload for o. A cohort name the wire cannot
+// spell is sent as an undefined code, so the server refuses it as the JSON
+// front would.
 func optionsToWire(o SessionOptions) wire.CreateReq {
-	return wire.CreateReq{Epsilon: o.Epsilon, EpsilonMin: o.EpsilonMin, EpsilonDecay: o.EpsilonDecay, Seed: o.Seed}
+	r := wire.CreateReq{Epsilon: o.Epsilon, EpsilonMin: o.EpsilonMin, EpsilonDecay: o.EpsilonDecay, Seed: o.Seed,
+		Cohort: uint16(len(cohortCodes))}
+	for code, name := range cohortCodes {
+		if name == o.Cohort {
+			r.Cohort = uint16(code)
+		}
+	}
+	return r
 }
 
 // ResumeFromWire is the ResumeState a resume payload carries. Its slices
 // alias r's.
-func ResumeFromWire(r *wire.ResumeReq) ResumeState {
+func ResumeFromWire(r *wire.ResumeReq) (ResumeState, error) {
+	opts, err := OptionsFromWire(r.Opts)
+	if err != nil {
+		return ResumeState{}, err
+	}
 	return ResumeState{
-		Options:    OptionsFromWire(r.Opts),
+		Options:    opts,
 		Epsilon:    r.EpsNow,
 		Rng:        r.Rng,
 		Seq:        r.Seq,
@@ -165,7 +194,7 @@ func ResumeFromWire(r *wire.ResumeReq) ResumeState {
 		Decisions:  r.Decisions,
 		Rewards:    r.Rewards,
 		RewardSum:  r.RewardSum,
-	}
+	}, nil
 }
 
 func resumeToWire(st *ResumeState) wire.ResumeReq {

@@ -5,11 +5,11 @@
 // buffers, decoded request structs, the decide window — so a warmed
 // connection serves decide frames with zero allocations: frame read reuses
 // the payload scratch, decode reuses the request's backing arrays (whose
-// observations the sessions read directly), the decide transaction works
-// in session-owned scratch, and each response is appended into a reused
-// buffer. Responses echo the request id, so a client may pipeline requests
-// for many sessions over one connection; decide frames pipelined together
-// share one backend batch and one vectored write, and other responses are
+// observations the sessions read directly), each frame is decided inline
+// on the connection goroutine, and each response is appended into a
+// reused buffer. Responses echo the request id, so a client may pipeline
+// requests for many sessions over one connection; decide frames pipelined
+// together are answered in one vectored write, and other responses are
 // flushed only when no further request is already buffered.
 
 package serve
@@ -40,7 +40,7 @@ func (s *Server) ServeBin(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if s.isClosed() || errors.Is(err, net.ErrClosed) {
+			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -54,23 +54,17 @@ func (s *Server) ServeBin(ln net.Listener) error {
 	}
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // trackBinConn registers a live connection for teardown at Close; it
 // reports false when the server already closed (the connection must not be
 // served — Close's sweep may already have run).
 func (s *Server) trackBinConn(c net.Conn) bool {
-	if s.isClosed() {
+	if s.closed.Load() {
 		return false
 	}
 	s.binMu.Lock()
 	s.binConns[c] = struct{}{}
 	s.binMu.Unlock()
-	if s.isClosed() { // raced Close's sweep: tear down ourselves
+	if s.closed.Load() { // raced Close's sweep: tear down ourselves
 		s.binMu.Lock()
 		delete(s.binConns, c)
 		s.binMu.Unlock()
@@ -187,7 +181,11 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
-		sess, err := s.CreateSession(OptionsFromWire(st.creq))
+		opts, err := OptionsFromWire(st.creq)
+		if err != nil {
+			return s.binError(st, h.ReqID, err)
+		}
+		sess, err := s.CreateSession(opts)
 		if err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
@@ -198,7 +196,11 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
-		sess, err := s.ResumeSession(ResumeFromWire(&st.rsreq))
+		rs, err := ResumeFromWire(&st.rsreq)
+		if err != nil {
+			return s.binError(st, h.ReqID, err)
+		}
+		sess, err := s.ResumeSession(rs)
 		if err != nil {
 			return s.binError(st, h.ReqID, err)
 		}
@@ -242,164 +244,84 @@ func (s *Server) handleBinFrame(st *binConnState, h wire.Header) bool {
 }
 
 // maxWindowFrames bounds the decide frames one window gathers: enough to
-// fill a healthy batch under pipelining, small enough that one slow frame
-// never delays a connection's responses unboundedly.
+// answer a pipelining client in one write, small enough that one slow
+// frame never delays a connection's responses unboundedly.
 const maxWindowFrames = 64
 
-// binTxn is one decide frame of a connection window: its identity, its
-// slice of the combined lookup batch, and how it resolved.
-type binTxn struct {
-	reqID   uint32
-	t0      time.Time
-	sess    *Session // non-nil while the decide transaction is open
-	levels  []int    // per-frame decision output (window-owned scratch)
-	lookOff int      // this frame's offset into the combined lookups
-	lookLen int
-	ok      bool // answered with TDecideOK (fresh or replayed)
+// binSlot is one decide frame of a connection window: its answer, the
+// levels it was decided into, and its timing.
+type binSlot struct {
+	wbuf   []byte // response frame, reused
+	levels []int  // decision output, reused
+	t0     time.Time
+	ok     bool // answered with TDecideOK (fresh or replayed)
 }
 
-// binWindow is a connection's reusable decide-window working set: the
-// open transactions, the combined exploit-lookup batch they share, and
-// one response buffer per frame so the answers leave in a single
-// writev-style net.Buffers flush.
+// binWindow is a connection's reusable decide-window working set: one slot
+// per gathered frame, so the answers leave in a single writev-style
+// net.Buffers flush.
 type binWindow struct {
-	txns       []binTxn
-	wbufs      [][]byte // response frame per txn, index-aligned, reused
-	frameLvls  [][]int  // levels scratch per txn, index-aligned, reused
-	lookups    []Lookup // combined exploit lookups of all open txns
-	out        []int    // combined batch results
-	breq       batchReq // the window's batcher submission
+	slots      []binSlot // index-aligned with the window's frames, reused
+	n          int       // frames in the window
 	bufs       net.Buffers
 	wv         net.Buffers // what WriteTo consumes, so bufs keeps its capacity
-	obsTotal   int         // observations admitted, for the batch budget
+	obsTotal   int         // observations gathered, for the MaxBatch budget
 	closeAfter bool        // a frame poisoned the stream: answer, then hang up
 }
 
-func (w *binWindow) reset() {
-	w.txns = w.txns[:0]
-	w.lookups = w.lookups[:0]
-	w.obsTotal = 0
-	w.closeAfter = false
-}
-
-// slot returns the next txn index, growing the index-aligned scratch.
-func (w *binWindow) slot() int {
-	i := len(w.txns)
-	for len(w.wbufs) <= i {
-		w.wbufs = append(w.wbufs, nil)
+// next opens the window's next frame slot.
+func (w *binWindow) next() *binSlot {
+	if w.n == len(w.slots) {
+		w.slots = append(w.slots, binSlot{})
 	}
-	for len(w.frameLvls) <= i {
-		w.frameLvls = append(w.frameLvls, nil)
-	}
-	return i
+	sl := &w.slots[w.n]
+	w.n++
+	sl.t0, sl.ok = time.Now(), false
+	return sl
 }
-
-// txnState is beginBinTxn's outcome for one decide frame.
-type txnState int
-
-const (
-	txnOpen     txnState = iota // transaction open, session lock held
-	txnAnswered                 // response already encoded (replay or error)
-	txnHeld                     // session lock unavailable: frame held back
-)
 
 // serveBinDecideWindow serves the decide frame in hand plus every complete
-// decide frame already buffered behind it (the pipelining window): all
-// their transactions open under their session locks, their exploit lookups
-// resolve through ONE shared batch dispatch — cross-session coalescing
-// that serving frame by frame cannot reach, because each frame's batch.Do
-// blocks the connection goroutine before the next frame is even parsed —
-// and the responses leave in one vectored net.Buffers flush. A frame with
-// nothing buffered behind it is a window of one. It reports whether the
-// connection stays open.
+// decide frame already buffered behind it (the pipelining window), each
+// fully and in order before the next is read, and writes every answer in
+// one vectored net.Buffers flush. No lock is held across frames, so two
+// frames for one session are simply decided one after the other. A frame
+// with nothing buffered behind it is a window of one. It reports whether
+// the connection stays open.
 func (s *Server) serveBinDecideWindow(st *binConnState, h wire.Header) bool {
 	s.binFrames.Add(1)
 	w := &st.win
-	for {
-		w.reset()
-		s.beginBinTxn(st, h, true) // first frame locks blockingly: never held
-
-		// Gather phase: consume further decide frames only when the
-		// complete frame is already buffered (never block mid-window) and
-		// its count fits the batch budget. A frame whose session lock is
-		// contended is held back — the stream stays ordered, so it must
-		// wait for this window's responses anyway — and opens the next
-		// window, its payload still in st.payload.
-		held := false
-		for !w.closeAfter && len(w.txns) < maxWindowFrames {
-			if n, ok := wire.PeekDecide(st.br); !ok || w.obsTotal+n > s.cfg.MaxBatch {
-				break
-			}
-			gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
-			st.payload = payload
-			s.binFrames.Add(1)
-			if err != nil {
-				// The peek said a full frame was buffered, so this is
-				// corruption, not truncation: answer in order and poison
-				// the stream.
-				s.windowError(w, w.slot(), gh.ReqID, err)
-				w.txns = append(w.txns, binTxn{reqID: gh.ReqID})
-				w.closeAfter = true
-				break
-			}
-			if s.beginBinTxn(st, gh, false) == txnHeld {
-				h, held = gh, true
-				break
-			}
+	w.n, w.obsTotal, w.closeAfter = 0, 0, false
+	s.serveBinDecide(st, h)
+	// Gather: take a further frame only when it is a decide frame already
+	// complete in the buffer (never block mid-window) and its
+	// observations fit the MaxBatch budget.
+	for !w.closeAfter && w.n < maxWindowFrames {
+		if n, ok := wire.PeekDecide(st.br); !ok || w.obsTotal+n > s.cfg.MaxBatch {
+			break
 		}
-		if !s.finishBinWindow(st) {
-			return false
+		gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
+		st.payload = payload
+		s.binFrames.Add(1)
+		if err != nil {
+			// The peek said a full frame was buffered, so this is
+			// corruption, not truncation: answer in order and poison the
+			// stream.
+			s.windowError(w, w.next(), gh.ReqID, err)
+			w.closeAfter = true
+			break
 		}
-		if !held {
-			return true
-		}
-	}
-}
-
-// finishBinWindow resolves every open transaction of the window through
-// one shared batch, finishes (or, if the batch failed, aborts) them, and
-// writes every response in frame order. It reports whether the connection
-// stays open.
-func (s *Server) finishBinWindow(st *binConnState) bool {
-	w := &st.win
-	var batchErr error
-	if len(w.lookups) > 0 {
-		if cap(w.out) < len(w.lookups) {
-			w.out = make([]int, len(w.lookups))
-		}
-		batchErr = s.batch.Do(&w.breq, w.lookups, w.out[:len(w.lookups)])
-	}
-	for i := range w.txns {
-		tx := &w.txns[i]
-		if tx.sess == nil {
-			continue // answered at begin (replay or error)
-		}
-		if batchErr != nil {
-			tx.sess.decideAbortLocked()
-			tx.sess.mu.Unlock()
-			s.windowError(w, i, tx.reqID, batchErr)
-			continue
-		}
-		for j := 0; j < tx.lookLen; j++ {
-			tx.levels[tx.sess.lookupsIdx[j]] = w.out[tx.lookOff+j]
-		}
-		tx.sess.decideFinishLocked(tx.levels)
-		tx.sess.mu.Unlock()
-		w.wbufs[i] = wire.FinishFrame(
-			wire.AppendDecideOK(wire.BeginFrame(w.wbufs[i]), tx.levels),
-			wire.TDecideOK, tx.reqID)
-		tx.ok = true
+		s.serveBinDecide(st, gh)
 	}
 
-	// Vectored flush: every response of the window in one writev-style
-	// call, in frame order. Anything older already buffered in bw goes
-	// first so the stream stays ordered.
+	// Vectored flush: every answer of the window in one writev-style call,
+	// in frame order. Anything older already buffered in bw goes first so
+	// the stream stays ordered.
 	if err := st.bw.Flush(); err != nil {
 		return false
 	}
 	w.bufs = w.bufs[:0]
-	for i := range w.txns {
-		w.bufs = append(w.bufs, w.wbufs[i])
+	for i := range w.slots[:w.n] {
+		w.bufs = append(w.bufs, w.slots[i].wbuf)
 	}
 	wstart := time.Now()
 	w.wv = w.bufs
@@ -408,86 +330,52 @@ func (s *Server) finishBinWindow(st *binConnState) bool {
 	}
 	now := time.Now()
 	span := now.Sub(wstart).Nanoseconds()
-	for i := range w.txns {
-		if tx := &w.txns[i]; tx.ok {
+	for i := range w.slots[:w.n] {
+		if sl := &w.slots[i]; sl.ok {
 			s.histBinWrite.Observe(span)
-			s.histBin.Observe(now.Sub(tx.t0).Nanoseconds())
+			s.histBin.Observe(now.Sub(sl.t0).Nanoseconds())
 		}
 	}
 	return !w.closeAfter
 }
 
-// beginBinTxn decodes the decide frame in st.payload and opens its
-// transaction: parse, session lookup, validation, then decideBeginLocked
-// under the session lock (blocking for the window's first frame, try-lock
-// after — a second frame for a session already in the window must not
-// deadlock the gather). Replays and failures are answered immediately
-// into the frame's window buffer; an open transaction contributes its
-// exploit lookups to the combined batch and keeps the session lock until
-// the window scatters and finishes it. The observations are read straight
-// from st.dreq, which the next gathered frame overwrites only after
-// decideBeginLocked has consumed them.
-func (s *Server) beginBinTxn(st *binConnState, h wire.Header, first bool) txnState {
+// serveBinDecide decodes the decide frame in st.payload and serves it —
+// parse, session lookup, then the whole decide — encoding its answer,
+// levels or an error, into the window's next slot. The observations are
+// read straight from st.dreq, which the next gathered frame overwrites
+// only after this decide returned.
+func (s *Server) serveBinDecide(st *binConnState, h wire.Header) {
 	w := &st.win
-	slot := w.slot()
-	tx := binTxn{reqID: h.ReqID, t0: time.Now()}
-	fail := func(err error) txnState {
-		s.windowError(w, slot, h.ReqID, err)
-		w.txns = append(w.txns, tx)
-		return txnAnswered
-	}
+	sl := w.next()
 	if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
-		return fail(err)
+		s.windowError(w, sl, h.ReqID, err)
+		return
 	}
 	obs := st.dreq.Obs
+	w.obsTotal += len(obs)
 	sess, err := s.SessionByHandleEpoch(st.dreq.Handle, st.dreq.Epoch)
 	if err != nil {
-		return fail(err)
+		s.windowError(w, sl, h.ReqID, err)
+		return
 	}
-	n := len(obs)
-	if cap(w.frameLvls[slot]) < n {
-		w.frameLvls[slot] = make([]int, n)
+	s.histBinDecode.Observe(time.Since(sl.t0).Nanoseconds())
+	if cap(sl.levels) < len(obs) {
+		sl.levels = make([]int, len(obs))
 	}
-	lv := w.frameLvls[slot][:n]
-	if err := s.model.decideValidate(obs, lv); err != nil {
-		return fail(err)
+	lv := sl.levels[:len(obs)]
+	if _, err := sess.DecideSeq(st.dreq.Seq, obs, lv); err != nil {
+		s.windowError(w, sl, h.ReqID, err)
+		return
 	}
-	if first {
-		sess.mu.Lock()
-	} else if !sess.mu.TryLock() {
-		return txnHeld
-	}
-	replayed, err := sess.decideBeginLocked(st.dreq.Seq, obs, lv)
-	s.histBinDecode.Observe(time.Since(tx.t0).Nanoseconds())
-	if err != nil {
-		sess.mu.Unlock()
-		return fail(err)
-	}
-	if replayed {
-		sess.mu.Unlock()
-		w.wbufs[slot] = wire.FinishFrame(
-			wire.AppendDecideOK(wire.BeginFrame(w.wbufs[slot]), lv),
-			wire.TDecideOK, h.ReqID)
-		tx.ok = true
-		w.txns = append(w.txns, tx)
-		return txnAnswered
-	}
-	tx.sess = sess
-	tx.levels = lv
-	tx.lookOff = len(w.lookups)
-	tx.lookLen = len(sess.lookups)
-	w.lookups = append(w.lookups, sess.lookups...)
-	w.obsTotal += n
-	w.txns = append(w.txns, tx)
-	return txnOpen
+	sl.wbuf = wire.FinishFrame(wire.AppendDecideOK(wire.BeginFrame(sl.wbuf), lv), wire.TDecideOK, h.ReqID)
+	sl.ok = true
 }
 
 // retryHint is the backoff an error answer carries: for an overload shed,
-// the batcher's adaptive hint, which tracks the queue's drain rate so shed
-// clients space their retries to it.
+// the server's backoff hint.
 func (s *Server) retryHint(err error) time.Duration {
 	if errors.Is(err, ErrOverloaded) {
-		return time.Duration(s.batch.backoffHintMs()) * time.Millisecond
+		return time.Duration(s.backoffHintMs()) * time.Millisecond
 	}
 	return 0
 }
@@ -502,13 +390,12 @@ func (s *Server) binError(st *binConnState, reqID uint32, err error) bool {
 	return keep
 }
 
-// windowError encodes the TError answer for err as window slot i's
-// response; a stream-poisoning error closes the connection after the
-// window's write.
-func (s *Server) windowError(w *binWindow, i int, reqID uint32, err error) {
+// windowError encodes the TError answer for err as slot sl's response; a
+// stream-poisoning error closes the connection after the window's write.
+func (s *Server) windowError(w *binWindow, sl *binSlot, reqID uint32, err error) {
 	s.binErrors.Add(1)
 	var keep bool
-	w.wbufs[i], keep = AppendErrorFrame(w.wbufs[i], reqID, err, s.retryHint(err))
+	sl.wbuf, keep = AppendErrorFrame(sl.wbuf, reqID, err, s.retryHint(err))
 	if !keep {
 		w.closeAfter = true
 	}

@@ -59,9 +59,8 @@ type ChaosConfig struct {
 	// CheckpointPath receives the drain-mode final checkpoint; the
 	// harness verifies it loads. Required when Restart is "drain".
 	CheckpointPath string
-	// SessionTTL and QueueDeadline pass through to the server config.
-	SessionTTL    time.Duration
-	QueueDeadline time.Duration
+	// SessionTTL passes through to the server config.
+	SessionTTL time.Duration
 	// CallTimeout is the client per-attempt deadline (default 2s);
 	// RetryBudget the total retry window per call (default 30s — it must
 	// cover the restart gap).
@@ -179,7 +178,6 @@ func startIncarnation(model *Model, cfg ChaosConfig, addr string, epoch uint32) 
 	srv, err := New(model, nil, Config{
 		Epoch:          epoch,
 		SessionTTL:     cfg.SessionTTL,
-		QueueDeadline:  cfg.QueueDeadline,
 		CheckpointPath: cfg.CheckpointPath,
 	})
 	if err != nil {

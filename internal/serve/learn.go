@@ -4,7 +4,7 @@
 // device-reported rewards drive live Double-Q updates while serving:
 //
 //   - reward reports are paired with the reporting session's last two
-//     committed (state, action) periods into core.Transitions and pushed
+//     decided (state, action) periods into core.Transitions and pushed
 //     onto a bounded lock-free MPSC ring (a full ring drops the sample —
 //     learning is best-effort, the serving path never blocks on it);
 //   - a single consumer drains the ring into batched per-agent Double-Q
@@ -12,12 +12,11 @@
 //     hot path;
 //   - every SwapEvery updates the shadow tables' mean is written into a
 //     learner-owned arena and published RCU-style: one atomic pointer swap
-//     in the software backend plus a version bump. Decide readers load the
-//     pointer once per batch and never take a lock. The retired arena is
-//     recycled for a later publication once its grace period has passed
-//     (every Decide that could hold it has returned), so steady-state
-//     publication allocates nothing; the epoch-tagged FlatMemo stays valid
-//     because same-shape arenas share a length;
+//     in the software backend plus a version bump. Decide frames pin the
+//     live model once each and never take a lock; each pinned model
+//     counts its readers. A retired arena is recycled for a later
+//     publication only once its reader count is zero (the N-reader grace
+//     rule, see SWBackend), so steady-state publication allocates nothing;
 //   - the learned state is periodically published through the existing
 //     checkpoint store (and finally at drain), so restarts and new shards
 //     hydrate what was learned;
@@ -122,10 +121,9 @@ type learner struct {
 	pending int // updates applied since the last publication
 	// Publication arenas, guarded by applyMu. published is the model this
 	// learner last swapped in (nil before the first publication). spare is
-	// a model it retired, safe to rewrite once the backend's finished count
-	// reaches spareGrace; nil when there is none.
+	// a model it retired, safe to rewrite once no reader holds it; nil
+	// when there is none.
 	published, spare *Model
-	spareGrace       uint64
 
 	version atomic.Uint64
 
@@ -286,19 +284,18 @@ func (l *learner) applyOneLocked(t core.Transition) {
 
 // publishLocked writes the shadow tables' mean into a learner-owned model
 // and swaps it into the software backend — one atomic swap, no reader
-// locks. The model written is the spare once its grace has passed: every
-// Decide begun before the spare was retired has finished, so no reader can
-// still hold it. Otherwise (no spare yet, or the batch worker is still
-// inside such a Decide) it is a fresh arena; publication never waits for
-// readers. The retired model becomes the next spare, together with the
-// backend's begun count read after the swap, unless a spare still in its
-// grace keeps the slot (its holder is about to release it; the retired
-// model is dropped instead) or the retired model is the construction
-// model, which frozen sessions and Server.Model read for the server's
-// lifetime.
+// locks. The model written is the spare once its reader count is zero: no
+// decide frame holds it, and any frame that loaded it before it was
+// retired finds on its recheck that it is no longer live. Otherwise (no
+// spare yet, or a frame still holds it) it is a fresh arena; publication
+// never waits for readers. The retired model becomes the next spare,
+// unless a spare still held keeps the slot (its holder is about to
+// release it; the retired model is dropped instead) or the retired model
+// is the construction model, which frozen sessions and Server.Model read
+// for the server's lifetime.
 func (l *learner) publishLocked() {
 	next := l.spare
-	if next != nil && l.sw.finished.Load() >= l.spareGrace {
+	if next != nil && next.readers.Load() == 0 {
 		l.spare = nil
 	} else {
 		base := l.srv.model
@@ -307,7 +304,7 @@ func (l *learner) publishLocked() {
 	l.upd.MeanInto(next.flat)
 	retired := l.sw.live.Swap(next)
 	if l.spare == nil && retired == l.published {
-		l.spare, l.spareGrace = retired, l.sw.begun.Load()
+		l.spare = retired
 	}
 	l.published = next
 	l.pending = 0
@@ -390,11 +387,20 @@ func (s *Server) LearnSnapshot() (snap core.Snapshot, ok bool) {
 	return s.learner.snapshot(), true
 }
 
-// tranRing is the learner's bounded lock-free MPSC transition queue —
-// mpscRing's Vyukov design carrying core.Transition by value so the reward
-// path enqueues without allocating. Producers are session goroutines;
-// consumers serialize on the learner's applyMu, which preserves the
-// single-consumer contract on head.
+// tranRing is the learner's bounded lock-free MPSC transition queue — the
+// Vyukov bounded-MPMC design specialized to many producers and one
+// consumer, carrying core.Transition by value so the reward path enqueues
+// without allocating. Each slot carries a sequence number that encodes its
+// state machine:
+//
+//	seq == pos          free, a producer may claim position pos
+//	seq == pos+1        full, the consumer may take position pos
+//	seq <  pos          still holds the previous lap's item → ring is full
+//
+// Producers are session goroutines; they claim a position by CAS on tail,
+// write the slot, then publish by storing seq = pos+1. Consumers serialize
+// on the learner's applyMu, which preserves the single-consumer contract
+// on head; the consumer recycles a slot by storing seq = pos+len.
 type tranRing struct {
 	mask  uint64
 	slots []tranSlot

@@ -613,3 +613,154 @@ func TestLearnPeriodicCheckpointFailureLogged(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestLearnGraceRecheckSkipsRetiredModel pins the recheck half of the
+// N-reader grace rule with a seam between a reader's load of the live
+// model and its count increment: a reader that loaded A just before the
+// learner retired A must not return A — the learner saw A's count at zero
+// and may rewrite it — but the model that is live once it counts itself.
+func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
+	m := testModel(t, 3, 5)
+	sw := NewSWBackend(m)
+	var armed atomic.Bool // the next acquire stops after its load once armed
+	loaded := make(chan *Model, 1)
+	resume := make(chan struct{})
+	sw.loaded = func(got *Model) {
+		if armed.CompareAndSwap(true, false) {
+			loaded <- got
+			<-resume
+		}
+	}
+	var held atomic.Pointer[Model]
+	sw.park = func(got *Model) { held.Store(got) }
+	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
+		Enabled: true, Manual: true, Seed: 9, SwapEvery: 1, Alpha: 0.5,
+	}})
+	resumed := false
+	defer func() {
+		if !resumed {
+			close(resume)
+		}
+	}()
+	learnSess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	for _, o := range testObs(m, 3, 2) {
+		if _, err := learnSess.Decide(o); err != nil {
+			t.Fatalf("Decide: %v", err)
+		}
+	}
+	var seq uint64
+	publish := func() *Model {
+		seq++
+		if _, err := learnSess.RewardSeq(seq, -1); err != nil {
+			t.Fatalf("RewardSeq: %v", err)
+		}
+		srv.LearnTick()
+		return sw.live.Load()
+	}
+	a := publish()
+
+	reader, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	obs := testObs(m, 4, 1)[0]
+	armed.Store(true)
+	type result struct {
+		levels []int
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		lv, err := reader.Decide(obs)
+		done <- result{lv, err}
+	}()
+	if got := <-loaded; got != a {
+		t.Fatal("the stopped reader did not load the live model A")
+	}
+	b := publish() // retires A while the reader has loaded it but not counted itself
+	if b == a {
+		t.Fatal("publication did not retire A")
+	}
+	if n := a.readers.Load(); n != 0 {
+		t.Fatalf("A has %d readers before the stopped reader counts itself, want 0", n)
+	}
+	bModel, err := NewModel(m.cfg, b.Snapshot())
+	if err != nil {
+		t.Fatalf("NewModel(B): %v", err)
+	}
+	want := newOracle(bModel, SessionOptions{}).decide(obs)
+
+	close(resume)
+	resumed = true
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("reader Decide: %v", r.err)
+	}
+	if got := held.Load(); got != b {
+		t.Fatal("a reader that loaded A before it was retired returned A")
+	}
+	if !equalInts(r.levels, want) {
+		t.Errorf("reader answered %v, want %v from the live model's tables", r.levels, want)
+	}
+	if na, nb := a.readers.Load(), b.readers.Load(); na != 0 || nb != 0 {
+		t.Fatalf("reader counts after the decide: A %d, B %d, want 0 and 0", na, nb)
+	}
+}
+
+// TestLearnMultiPeriodHistoryMatchesSingles pins the learner's history
+// across frame shapes: a session deciding one 4-period frame must leave the
+// learner the same transitions as its twin deciding the same 4 periods one
+// at a time. Each twin rewards once and ticks; the learned tables must be
+// bit-identical, and stay so after a following 1-period frame.
+func TestLearnMultiPeriodHistoryMatchesSingles(t *testing.T) {
+	const k = 4
+	m := testModel(t, 3, 5)
+	opts := SessionOptions{Epsilon: 0.3, EpsilonMin: 0.05, EpsilonDecay: 0.9, Seed: 21}
+	srvA, srvB := learnServer(t, m), learnServer(t, m)
+	sessA, err := srvA.CreateSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessB, err := srvB.CreateSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := testObs(m, 17, k+1)
+	n := m.Clusters()
+	check := func(when string, rewardSeq uint64) {
+		t.Helper()
+		for _, sess := range []*Session{sessA, sessB} {
+			if _, err := sess.RewardSeq(rewardSeq, -0.75); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a, b := srvA.LearnTick(), srvB.LearnTick(); a != n || b != n {
+			t.Fatalf("%s: learners applied %d and %d transitions, want %d each", when, a, b, n)
+		}
+		snapA, _ := srvA.LearnSnapshot()
+		snapB, _ := srvB.LearnSnapshot()
+		if !snapshotsEqualBits(snapA, snapB) {
+			t.Fatalf("%s: the learned tables differ between frame shapes", when)
+		}
+	}
+
+	if _, err := sessA.DecideSeq(1, frameObs(steps, 0, k), make([]int, k*n)); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < k; p++ {
+		if _, err := sessB.DecideSeq(uint64(p+1), steps[p], make([]int, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after a 4-period frame", 1)
+
+	for _, sess := range []*Session{sessA, sessB} {
+		if _, err := sess.DecideSeq(k+1, steps[k], make([]int, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after a following 1-period frame", 2)
+}

@@ -7,7 +7,8 @@
 // server for its session state, so it shadows that state locally: the
 // mirror replays, draw for draw, the server session's exploration RNG and
 // ε-decay on every *acknowledged* decide. Because the server's decide
-// path is transactional (rolled back on shed requests) and deduplicating
+// path changes no state on a refused request (every failure comes before
+// the first draw) and is deduplicating
 // (a retried sequence number replays the cached decision without new
 // draws), "acknowledged exactly once on the client" equals "advanced
 // exactly once on the server" — the two RNG streams stay in lockstep

@@ -3,13 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"net"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
-
-	"rlpm/internal/wire"
 )
 
 // frameObs concatenates steps[i..i+k) into one multi-period observation
@@ -243,163 +237,5 @@ func TestMirrorMultiPeriodAck(t *testing.T) {
 	}
 	if a.Decisions != b.Decisions {
 		t.Fatalf("decision ledgers diverged: %d vs %d", a.Decisions, b.Decisions)
-	}
-}
-
-// TestBinWindowCoalescing pins the cross-session batching fix: pipelined
-// decide frames from different sessions arriving together on one
-// connection must share ONE backend batch, not one batch each. net.Pipe
-// delivers the client's single write as one read, so the server's gather
-// window sees all three frames buffered — deterministically, with no TCP
-// segmentation races.
-func TestBinWindowCoalescing(t *testing.T) {
-	m := testModel(t, 3, 4)
-	srv := newTestServer(t, m, nil, Config{})
-
-	var sess [3]*Session
-	for i := range sess {
-		s, err := srv.CreateSession(SessionOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess[i] = s
-	}
-	cli, server := net.Pipe()
-	defer cli.Close()
-	connDone := make(chan struct{})
-	go func() {
-		defer close(connDone)
-		srv.serveBinConn(server)
-	}()
-
-	batches0, _, _ := srv.batch.stats()
-	obs := []wire.Obs{{Utilization: 0.5, Level: 1}, {DemandRatio: 0.8, Level: 2}}
-	var buf []byte
-	for i, s := range []*Session{sess[0], sess[1], sess[2]} {
-		buf = append(buf, wire.FinishFrame(
-			wire.AppendDecideReq(wire.BeginFrame(nil), s.Handle(), 0, 1, obs), wire.TDecide, uint32(200+i))...)
-	}
-	cli.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := cli.Write(buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	var hdr [wire.HeaderSize]byte
-	var payload []byte
-	for i := 0; i < 3; i++ {
-		h, p, err := wire.ReadFrame(cli, &hdr, payload)
-		payload = p
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if h.Type != wire.TDecideOK || h.ReqID != uint32(200+i) {
-			t.Fatalf("response %d: type %d req %d, want TDecideOK req %d", i, h.Type, h.ReqID, 200+i)
-		}
-		var dok wire.DecideOK
-		if err := wire.ParseDecideOK(p, &dok); err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if len(dok.Levels) != 2 {
-			t.Fatalf("response %d: %d levels, want 2", i, len(dok.Levels))
-		}
-	}
-	batches1, _, maxOcc := srv.batch.stats()
-	if got := batches1 - batches0; got != 1 {
-		t.Fatalf("3 pipelined frames dispatched %d backend batches, want 1", got)
-	}
-	if maxOcc < 6 {
-		t.Fatalf("max batch occupancy %d, want >= 6 (3 frames x 2 clusters coalesced)", maxOcc)
-	}
-	cli.Close()
-	<-connDone
-}
-
-// stallBackend blocks its first Decide until released, so a test can pile
-// requests into the batcher's ring behind a slow backend call.
-type stallBackend struct {
-	entered chan struct{}
-	release chan struct{}
-
-	mu    sync.Mutex
-	sizes []int
-}
-
-func (*stallBackend) Name() string { return "gate" }
-
-func (g *stallBackend) Decide(lookups []Lookup, out []int) error {
-	select {
-	case g.entered <- struct{}{}:
-	default:
-	}
-	<-g.release
-	g.mu.Lock()
-	g.sizes = append(g.sizes, len(lookups))
-	g.mu.Unlock()
-	for i := range out {
-		out[i] = 0
-	}
-	return nil
-}
-
-// TestBatcherCoalescesQueuedRequests pins batch occupancy > 1 under
-// pipelined load at the batcher level: requests that queue while the
-// backend is busy must ride one shared batch (via the bounded
-// opportunistic grab), not dispatch one backend call each.
-func TestBatcherCoalescesQueuedRequests(t *testing.T) {
-	m := testModel(t, 3, 5)
-	gate := &stallBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := newTestServer(t, m, gate, Config{MaxBatch: 32})
-	const waiters = 4
-	var sessions [1 + waiters]*Session
-	for i := range sessions {
-		s, err := srv.CreateSession(SessionOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
-	}
-	obs := []Observation{{Utilization: 0.4, Level: 1}, {DemandRatio: 1.2, Level: 2}}
-
-	var wg sync.WaitGroup
-	decide := func(s *Session) {
-		defer wg.Done()
-		if _, err := s.Decide(obs); err != nil {
-			t.Errorf("decide: %v", err)
-		}
-	}
-	wg.Add(1)
-	go decide(sessions[0])
-	<-gate.entered // first batch is inside the backend, worker is busy
-
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go decide(sessions[1+i])
-	}
-	// Wait until all four waiters' requests are claimed in the ring. head
-	// is quiescent here — the single consumer is parked inside the gate —
-	// and tail is atomic, so this observation is race-free.
-	ring := srv.batch.ring
-	for ring.tail.Load()-ring.head < waiters {
-		runtime.Gosched()
-	}
-	close(gate.release)
-	wg.Wait()
-
-	gate.mu.Lock()
-	sizes := append([]int(nil), gate.sizes...)
-	gate.mu.Unlock()
-	if len(sizes) == 0 || sizes[0] != 2 {
-		t.Fatalf("first batch sizes %v, want the solo 2-lookup request first", sizes)
-	}
-	var coalesced bool
-	for _, n := range sizes[1:] {
-		if n >= 4 {
-			coalesced = true
-		}
-	}
-	if !coalesced {
-		t.Fatalf("queued requests never shared a batch: backend call sizes %v", sizes)
-	}
-	if _, _, maxOcc := srv.batch.stats(); maxOcc < 4 {
-		t.Fatalf("max batch occupancy %d, want >= 4", maxOcc)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -355,20 +357,134 @@ func TestSaveCheckpointCrashRecovery(t *testing.T) {
 // error carries the hint as a BackoffError.
 func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	srv := newTestServer(t, testModel(t, 4, 6), nil, Config{})
-	// Teach the EWMA a long queue wait so the hint is non-trivial.
-	srv.batch.observeWait(100 * time.Millisecond)
-	hint := srv.batch.backoffHintMs()
+	// Teach the EWMA a long decide time so the hint is non-trivial.
+	srv.observeDecide(100 * time.Millisecond)
+	hint := srv.backoffHintMs()
 	if hint < 5 || hint > 1000 {
 		t.Fatalf("backoff hint %dms outside [5ms, 1000ms]", hint)
 	}
-	if srv.batch.backoffHintMs() != hint {
+	if srv.backoffHintMs() != hint {
 		t.Fatal("hint not stable across reads")
 	}
 	// Saturate the EWMA: the hint must clamp, not grow without bound.
 	for i := 0; i < 64; i++ {
-		srv.batch.observeWait(10 * time.Second)
+		srv.observeDecide(10 * time.Second)
 	}
-	if h := srv.batch.backoffHintMs(); h != 1000 {
+	if h := srv.backoffHintMs(); h != 1000 {
 		t.Fatalf("saturated hint %dms, want 1000ms clamp", h)
+	}
+}
+
+// gateBackend parks every frame that pins the shared policy until the gate
+// opens, signalling each arrival, so a test can hold decides in flight.
+type gateBackend struct {
+	*SWBackend
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateBackend) acquire() policy {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.SWBackend.acquire()
+}
+
+// TestOverloadBackpressure pins overload control without a queue: with
+// decides parked inside the policy pin, exactly the in-flight bound
+// (4×MaxBatch) is admitted, and every further decide fails fast with
+// ErrOverloaded, counted by the rejected counter. Releasing the parked
+// decides resolves every admitted one — shedding load loses only the shed
+// decides — and a shed decide changed no session state, so its retry
+// returns the oracle's levels.
+func TestOverloadBackpressure(t *testing.T) {
+	m := testModel(t, 3, 5)
+	const bound, extra = 8, 64
+	gb := &gateBackend{SWBackend: NewSWBackend(m), entered: make(chan struct{}, bound+extra), gate: make(chan struct{})}
+	srv := newTestServer(t, m, gb, Config{MaxBatch: bound / 4})
+	released := false
+	defer func() {
+		if !released {
+			close(gb.gate) // unblock the parked decides if the test bailed early
+		}
+	}()
+
+	obs := testObs(m, 3, 1)[0]
+	errc := make(chan error, bound+extra)
+	var wg sync.WaitGroup
+	for i := 0; i < bound+extra; i++ {
+		sess, err := srv.CreateSession(SessionOptions{Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sess.Decide(obs)
+			errc <- err
+		}()
+	}
+	for i := 0; i < bound; i++ {
+		select {
+		case <-gb.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d admitted decides reached the policy", i, bound)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.batchRejected.Load() < extra {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected counter stuck at %d, want %d", srv.batchRejected.Load(), extra)
+		}
+		runtime.Gosched()
+	}
+	if got := srv.MetricsSnapshot().DecidesInflight; got != bound {
+		t.Fatalf("decides in flight %d while parked, want the bound %d", got, bound)
+	}
+
+	// A shed decide on an exploring session: it must leave no trace.
+	shedOpts := SessionOptions{Epsilon: 0.5, EpsilonDecay: 0.9, EpsilonMin: 0.1, Seed: 11}
+	shed, err := srv.CreateSession(shedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shed.Decide(obs); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("decide past the bound: %v, want ErrOverloaded", err)
+	}
+
+	close(gb.gate)
+	released = true
+	wg.Wait()
+	var ok, rejected int
+	for i := 0; i < bound+extra; i++ {
+		switch err := <-errc; {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrOverloaded):
+			rejected++
+		default:
+			t.Fatalf("unexpected error: %v", err)
+		}
+	}
+	if ok != bound || rejected != extra {
+		t.Fatalf("got %d ok + %d rejected, want %d + %d", ok, rejected, bound, extra)
+	}
+	if got := srv.batchRejected.Load(); got != extra+1 {
+		t.Fatalf("rejected counter %d, want %d", got, extra+1)
+	}
+	got, err := shed.Decide(obs)
+	if err != nil {
+		t.Fatalf("retry of the shed decide: %v", err)
+	}
+	if want := newOracle(m, shedOpts).decide(obs); !equalInts(got, want) {
+		t.Fatalf("retry of the shed decide chose %v, oracle %v: the shed changed session state", got, want)
+	}
+	if st := shed.Stats(); st.Decisions != 1 {
+		t.Fatalf("shed session ledger counts %d decisions, want 1", st.Decisions)
+	}
+	if got := srv.MetricsSnapshot().DecidesInflight; got != 0 {
+		t.Fatalf("decides in flight %d after every decide returned, want 0", got)
 	}
 }

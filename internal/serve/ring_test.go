@@ -1,70 +1,54 @@
 package serve
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"rlpm/internal/obs"
+	"rlpm/internal/core"
 )
 
-func testBatcherObs() batcherObs {
-	reg := obs.NewRegistry()
-	return batcherObs{
-		batches:    reg.NewCounter("batches", "test"),
-		lookups:    reg.NewCounter("lookups", "test"),
-		rejected:   reg.NewCounter("rejected", "test"),
-		queueWait:  reg.NewHistogram("stage_ns", "test", obs.Label{Key: "stage", Value: "queue_wait"}),
-		assemble:   reg.NewHistogram("stage_ns", "test", obs.Label{Key: "stage", Value: "assemble"}),
-		backendLat: reg.NewHistogram("stage_ns", "test", obs.Label{Key: "stage", Value: "backend"}),
-	}
-}
-
 func TestRingFIFO(t *testing.T) {
-	r := newMPSCRing(8)
-	reqs := make([]*batchReq, 6)
-	for i := range reqs {
-		reqs[i] = &batchReq{out: []int{i}}
-		if !r.Push(reqs[i]) {
-			t.Fatalf("push %d rejected with %d free slots", i, r.Cap()-i)
+	r := newTranRing(8)
+	for i := 0; i < 6; i++ {
+		if !r.Push(core.Transition{State: i}) {
+			t.Fatalf("push %d rejected with %d free slots", i, len(r.slots)-i)
 		}
 	}
-	for i := range reqs {
-		if got := r.Pop(); got != reqs[i] {
-			t.Fatalf("pop %d returned %p, want %p", i, got, reqs[i])
+	for i := 0; i < 6; i++ {
+		if got, ok := r.Pop(); !ok || got.State != i {
+			t.Fatalf("pop %d returned %+v (ok %v), want state %d", i, got, ok, i)
 		}
 	}
-	if got := r.Pop(); got != nil {
-		t.Fatalf("pop of empty ring returned %p", got)
+	if got, ok := r.Pop(); ok {
+		t.Fatalf("pop of empty ring returned %+v", got)
 	}
 }
 
 func TestRingFullRejectsThenRecovers(t *testing.T) {
-	r := newMPSCRing(5) // rounds up to 8
-	if r.Cap() != 8 {
-		t.Fatalf("capacity 5 rounded to %d, want 8", r.Cap())
+	r := newTranRing(5) // rounds up to 8
+	if len(r.slots) != 8 {
+		t.Fatalf("capacity 5 rounded to %d, want 8", len(r.slots))
 	}
-	for i := 0; i < r.Cap(); i++ {
-		if !r.Push(&batchReq{}) {
+	for i := 0; i < len(r.slots); i++ {
+		if !r.Push(core.Transition{}) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
-	if r.Push(&batchReq{}) {
+	if r.Push(core.Transition{}) {
 		t.Fatal("push into a full ring succeeded")
 	}
 	// One pop frees exactly one slot; the ring keeps working across the
 	// wraparound boundary.
-	if r.Pop() == nil {
-		t.Fatal("pop of full ring returned nil")
+	if _, ok := r.Pop(); !ok {
+		t.Fatal("pop of full ring found nothing")
 	}
-	if !r.Push(&batchReq{}) {
+	if !r.Push(core.Transition{}) {
 		t.Fatal("push after pop rejected")
 	}
-	for i := 0; i < r.Cap(); i++ {
-		if r.Pop() == nil {
-			t.Fatalf("pop %d of refilled ring returned nil", i)
+	for i := 0; i < len(r.slots); i++ {
+		if _, ok := r.Pop(); !ok {
+			t.Fatalf("pop %d of refilled ring found nothing", i)
 		}
 	}
 }
@@ -75,15 +59,14 @@ func TestRingFullRejectsThenRecovers(t *testing.T) {
 // monotonically, so per-producer FIFO holds even though producers race).
 func TestRingConcurrentProducers(t *testing.T) {
 	const producers, perProducer = 8, 500
-	r := newMPSCRing(16)
+	r := newTranRing(16)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				req := &batchReq{out: []int{p, i}}
-				for !r.Push(req) {
+				for !r.Push(core.Transition{Cluster: p, State: i}) {
 					runtime.Gosched() // full: wait for the consumer
 				}
 			}
@@ -91,12 +74,12 @@ func TestRingConcurrentProducers(t *testing.T) {
 	}
 	next := make([]int, producers)
 	for n := 0; n < producers*perProducer; {
-		req := r.Pop()
-		if req == nil {
+		tr, ok := r.Pop()
+		if !ok {
 			runtime.Gosched()
 			continue
 		}
-		p, i := req.out[0], req.out[1]
+		p, i := tr.Cluster, tr.State
 		if next[p] != i {
 			t.Fatalf("producer %d item %d arrived, want %d (per-producer FIFO broken)", p, i, next[p])
 		}
@@ -104,19 +87,19 @@ func TestRingConcurrentProducers(t *testing.T) {
 		n++
 	}
 	wg.Wait()
-	if req := r.Pop(); req != nil {
-		t.Fatalf("ring still held %v after draining every item", req.out)
+	if tr, ok := r.Pop(); ok {
+		t.Fatalf("ring still held %+v after draining every item", tr)
 	}
 }
 
 func TestRingPushPopAllocFree(t *testing.T) {
-	r := newMPSCRing(8)
-	req := &batchReq{}
+	r := newTranRing(8)
+	tr := core.Transition{Cluster: 1, State: 2, Action: 3, NextState: 4, Reward: -0.5}
 	if n := testing.AllocsPerRun(100, func() {
-		if !r.Push(req) {
+		if !r.Push(tr) {
 			t.Fatal("push rejected")
 		}
-		if r.Pop() != req {
+		if got, ok := r.Pop(); !ok || got != tr {
 			t.Fatal("pop mismatch")
 		}
 	}); n != 0 {
@@ -124,149 +107,36 @@ func TestRingPushPopAllocFree(t *testing.T) {
 	}
 }
 
-// gateBackend blocks every Decide until the gate is released, signalling
-// entry so tests can park the batch worker deterministically.
-type gateBackend struct {
-	inner   Backend
-	entered chan struct{}
-	gate    chan struct{}
-}
-
-func (g *gateBackend) Name() string { return "gate" }
-
-func (g *gateBackend) Decide(lookups []Lookup, out []int) error {
-	select {
-	case g.entered <- struct{}{}:
-	default:
-	}
-	<-g.gate
-	return g.inner.Decide(lookups, out)
-}
-
-// TestBatcherOverloadBackpressure pins the overload contract that replaced
-// the old buffered channel's silent blocking: with the worker parked in the
-// backend, exactly ring-capacity submissions queue and every further one
-// fails fast with ErrOverloaded, counted by the rejected counter. Releasing
-// the backend then resolves every queued request successfully — shedding
-// load loses only the shed requests.
-func TestBatcherOverloadBackpressure(t *testing.T) {
-	m := testModel(t, 3)
-	gb := &gateBackend{inner: NewSWBackend(m), entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	o := testBatcherObs()
-	b := newBatcher(gb, 1, 0, o) // maxBatch 1 → ring capacity 8
-	released := false
-	defer func() {
-		if !released {
-			close(gb.gate) // unblock the worker if the test bailed early
-		}
-		b.Close()
-	}()
-
-	errc := make(chan error, 128)
-	do := func() {
-		out := make([]int, 1)
-		errc <- b.Do(new(batchReq), []Lookup{{Cluster: 0, State: 0}}, out)
-	}
-
-	// Park the worker: one request dispatches and blocks inside Decide.
-	go do()
-	select {
-	case <-gb.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never reached the backend")
-	}
-
-	// With the worker parked, pushes fill the ring and nothing drains:
-	// exactly Cap() of these queue, the rest must reject immediately.
-	const extra = 64
-	var wg sync.WaitGroup
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do()
-		}()
-	}
-	wantRejected := uint64(extra - b.ring.Cap())
-	deadline := time.Now().Add(5 * time.Second)
-	for o.rejected.Load() < wantRejected {
-		if time.Now().After(deadline) {
-			t.Fatalf("rejected counter stuck at %d, want %d", o.rejected.Load(), wantRejected)
-		}
-		runtime.Gosched()
-	}
-
-	// Release the backend; every queued request must now succeed.
-	close(gb.gate)
-	released = true
-	wg.Wait()
-	var ok, rejected int
-	for i := 0; i < extra; i++ {
-		switch err := <-errc; {
-		case err == nil:
-			ok++
-		case errors.Is(err, ErrOverloaded):
-			rejected++
-		default:
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	if err := <-errc; err != nil { // the parked request
-		t.Fatalf("parked request failed: %v", err)
-	}
-	if ok != b.ring.Cap() || rejected != extra-b.ring.Cap() {
-		t.Fatalf("got %d ok + %d rejected, want %d + %d", ok, rejected, b.ring.Cap(), extra-b.ring.Cap())
-	}
-	if got := o.rejected.Load(); got != wantRejected {
-		t.Fatalf("rejected counter %d, want %d", got, wantRejected)
-	}
-}
-
-// TestBatcherDoAllocFree extends the PR 3 zero-allocation discipline to the
-// submit→dispatch hop: with a caller-owned request and the ring, a
-// steady-state Do allocates nothing on either side of the hand-off.
-func TestBatcherDoAllocFree(t *testing.T) {
-	m := testModel(t, 3, 4)
-	b := newBatcher(NewSWBackend(m), 8, 0, testBatcherObs())
-	defer b.Close()
-	var req batchReq
-	lookups := []Lookup{{Cluster: 0, State: 1}, {Cluster: 1, State: 2}}
-	out := make([]int, 2)
-	for i := 0; i < 10; i++ { // warm the request and the worker's scratch
-		if err := b.Do(&req, lookups, out); err != nil {
-			t.Fatalf("warm-up: %v", err)
-		}
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := b.Do(&req, lookups, out); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("batcher.Do allocates %v times per call, want 0", n)
-	}
-}
-
 func BenchmarkRingPushPop(b *testing.B) {
-	r := newMPSCRing(256)
-	req := &batchReq{}
+	r := newTranRing(256)
+	var tr core.Transition
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Push(req)
+		r.Push(tr)
 		r.Pop()
 	}
 }
 
-func BenchmarkBatcherDo(b *testing.B) {
+// BenchmarkSessionDecideInto times one two-cluster greedy decide served
+// inline: validation, admission, the session lock, state encoding and two
+// lookups on the pinned policy.
+func BenchmarkSessionDecideInto(b *testing.B) {
 	m := testModel(b, 3, 4)
-	bt := newBatcher(NewSWBackend(m), 256, 0, testBatcherObs())
-	defer bt.Close()
-	var req batchReq
-	lookups := []Lookup{{Cluster: 0, State: 1}, {Cluster: 1, State: 2}}
-	out := make([]int, 2)
+	srv, err := New(m, nil, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	sess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := []Observation{{Utilization: 0.6, Level: 1}, {DemandRatio: 1.1, Level: 3}}
+	levels := make([]int, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bt.Do(&req, lookups, out); err != nil {
+		if err := sess.DecideInto(obs, levels); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,21 +14,26 @@
 //     state (ε schedule, RNG stream, demand-trend history), so serving a
 //     fleet never entangles one device's stochastic behaviour with
 //     another's;
-//   - concurrent decide requests are coalesced into batched lookups
-//     against the shared model, mirroring internal/hwpolicy/batch.go's
-//     multi-channel design: the expensive resource (the accelerator's MMIO
-//     conversation, or simply cache-warm table walks) is driven by one
-//     consumer at maximal occupancy instead of by every request
-//     individually;
+//   - every decide frame is served in one pass on the goroutine that
+//     received it — a binary connection, an HTTP handler or an in-process
+//     caller: validate, admit, lock the session, dedup, then for each
+//     period and cluster encode the state, draw exploration and read the
+//     greedy action from the policy pinned once for the frame, then
+//     commit. Nothing after the dedup check can fail, so a session holds
+//     device state only: no rollback snapshot, no lookup scratch;
+//   - overload control needs no queue: at most 4×MaxBatch decides are in
+//     flight, and past that bound a decide fails fast with ErrOverloaded
+//     and changes no state;
 //   - the backend is an A/B flag: the software table walk and the modeled
 //     hardware accelerator (optionally wrapped with internal/fault's
 //     injector) serve the same API, so HW-vs-SW serving latency is one
-//     command-line switch apart;
+//     command-line switch apart. The accelerator is one device, so its
+//     MMIO transactions serialize on a device mutex;
 //   - trained tables persist through the versioned, checksummed checkpoint
 //     codec (core.EncodeCheckpoint) with atomic write-rename, so a server
 //     restart resumes the exact frozen policy.
 //
-// Observable state — sessions, decisions served, batch occupancy,
+// Observable state — sessions, decisions served, decides in flight,
 // checkpoint age — is exported via /metrics and /healthz, so load tests
 // assert on counters instead of sleeps.
 package serve
@@ -75,10 +80,11 @@ var ErrUnknownSession = fmt.Errorf("%w (stale handle or epoch; resume required)"
 // client and server disagree about history — retrying cannot help.
 var ErrBadSeq = errors.New("serve: bad request sequence")
 
-// ErrOverloaded is returned when the batcher's submission ring is full:
-// the server is shedding load instead of queueing unboundedly. Callers
-// should back off and retry; the HTTP layer maps it to 429, the binary
-// protocol to CodeOverloaded.
+// ErrOverloaded is returned when a decide arrives with the in-flight bound
+// (4×Config.MaxBatch) reached: the server sheds load instead of queueing
+// it, and the shed decide changes no state. Callers should back off and
+// retry; the HTTP layer maps it to 429, the binary protocol to
+// CodeOverloaded.
 var ErrOverloaded = errors.New("serve: overloaded")
 
 // ErrBadRequest marks a client fault: the server understood the transport
@@ -128,12 +134,13 @@ func classify(err error) *errClass {
 // encoding they were trained with. A published Model is never written, so
 // it is safe for concurrent readers. A model built by NewModel stays
 // immutable for its lifetime; the online learner rewrites a model it owns
-// only after retiring it from the backend and letting its grace period
-// pass (see learner.publishLocked).
+// only after retiring it from the backend and seeing its reader count at
+// zero (see learner.publishLocked).
 type Model struct {
-	cfg    core.Config
-	levels []int // per-cluster OPP counts
-	flat   *core.FlatTables
+	cfg     core.Config
+	levels  []int // per-cluster OPP counts
+	flat    *core.FlatTables
+	readers atomic.Int64 // decide frames holding the model through SWBackend
 }
 
 // NewModel builds a Model from a snapshot, copying its tables into one
@@ -260,21 +267,25 @@ type SessionStats struct {
 	Epsilon    float64 `json:"epsilon"`
 }
 
-// Session is one managed device's serving state. All exploration state is
-// device-local; the Q-tables are shared and frozen. Methods serialize on
-// the session's own mutex, so one device's request stream is totally
-// ordered while different devices proceed concurrently.
+// Session is one managed device's serving state: device state only. All
+// exploration state is device-local; the Q-tables are shared. Methods
+// serialize on the session's own mutex, so one device's request stream is
+// totally ordered while different devices proceed concurrently.
 type Session struct {
 	id     string
 	handle uint64 // numeric identity for the binary protocol
 	srv    *Server
 
-	mu         sync.Mutex
-	closed     bool
+	mu     sync.Mutex
+	closed bool
+	// frozen pins the session to the construction-time model: its lookups
+	// read that model, never the backend's live (swapped) policy, and its
+	// rewards never feed the learner — the control arm of the A/B.
+	frozen     bool
 	eps        float64
 	epsMin     float64
 	epsDecay   float64
-	r          *rng.Rand
+	r          rng.Rand
 	prevDemand []float64
 
 	// Retry dedup: lastSeq is the highest sequence number served,
@@ -294,40 +305,42 @@ type Session struct {
 	// exactly-once story (decides have lastSeq/lastLevels).
 	lastRewardSeq uint64
 
-	// frozen pins the session to the construction-time model: its lookups
-	// resolve against that model inside the transaction, never through the
-	// batcher (which reads the live, swapped policy), and its rewards never
-	// feed the learner — the control arm of the A/B.
-	frozen bool
-
-	// Transition tracking for the learner: the per-cluster (state, action)
-	// of the last two *committed* control periods. Only decideFinishLocked
-	// advances these, so aborted and replayed decides leave the learning
-	// history untouched. Allocated only on a learning server for
-	// non-frozen sessions; nil otherwise.
-	prevStates  []int
-	prevActions []int
-	curStates   []int
-	curActions  []int
-	havePrev    bool
-	haveCur     bool
-	txnStates   []int // scratch: encoded state per (period, cluster) of the open txn
+	// hist is the learner's view of the session: its last two decided
+	// periods. nil unless the session is in the learning arm of a learning
+	// server.
+	hist *learnHistory
 
 	lastActive atomic.Int64 // unix nanos of the last request, for TTL reaping
 
-	decisions  uint64
-	rewards    uint64
-	rewardSum  float64
-	lookups    []Lookup  // scratch: batched exploit lookups of one decide
-	lookupsIdx []int     // scratch: levels index of each lookup
-	lookupOut  []int     // scratch: batch results of one decide
-	txnLookups int       // open decide transaction: exploit lookups, batched or frozen
-	breq       *batchReq // batcher submission; allocated by the first DecideSeq
-	demandSave []float64 // scratch: prevDemand snapshot for rollback
-	epsSave    float64   // scratch: ε snapshot for rollback
-	rngSave    [4]uint64 // scratch: RNG snapshot for rollback
-	txnSeq     uint64    // open decide transaction: first period's seq
-	txnPeriods int       // open decide transaction: period count
+	decisions uint64
+	rewards   uint64
+	rewardSum float64
+}
+
+// learnHistory is the per-cluster (state, action) of a session's last two
+// decided control periods, which the next reward pairs into transitions.
+// The decide loop rolls it forward period by period, so a K-period frame
+// leaves exactly the history K single-period decides would.
+type learnHistory struct {
+	prev, cur         []stateAction
+	havePrev, haveCur bool
+}
+
+type stateAction struct{ state, action int }
+
+func newLearnHistory(clusters int) *learnHistory {
+	sa := make([]stateAction, 2*clusters)
+	return &learnHistory{prev: sa[:clusters:clusters], cur: sa[clusters:]}
+}
+
+// roll opens a new period: the current one becomes the previous one, and
+// the caller fills cur.
+func (h *learnHistory) roll() {
+	if h.haveCur {
+		copy(h.prev, h.cur)
+		h.havePrev = true
+	}
+	h.haveCur = true
 }
 
 // ID returns the session identifier.
@@ -340,12 +353,12 @@ func (s *Session) Handle() uint64 { return s.handle }
 
 // Decide serves one or more control periods: encodes each cluster's
 // observation into the discrete state (using the session-local
-// demand-trend history), explores with the session-local ε/RNG, and
-// resolves all exploitation lookups through the server's shared batch
-// path. obs may carry K consecutive periods (K×clusters entries, period
-// by period); the returned slice is freshly allocated with one level per
-// observation. The binary protocol's hot path uses DecideInto with a
-// caller-owned slice instead.
+// demand-trend history), explores with the session-local ε/RNG, and reads
+// every exploitation lookup from the policy pinned for the frame. obs may
+// carry K consecutive periods (K×clusters entries, period by period); the
+// returned slice is freshly allocated with one level per observation. The
+// binary protocol's hot path uses DecideInto with a caller-owned slice
+// instead.
 func (s *Session) Decide(obs []Observation) ([]int, error) {
 	levels := make([]int, len(obs))
 	if err := s.DecideInto(obs, levels); err != nil {
@@ -355,9 +368,8 @@ func (s *Session) Decide(obs []Observation) ([]int, error) {
 }
 
 // DecideInto is Decide writing the chosen level per observation into
-// levels, which must have length len(obs). All working state is
-// session-owned scratch, so a warmed session decides with zero
-// allocations.
+// levels, which must have length len(obs). A warmed session decides with
+// zero allocations.
 func (s *Session) DecideInto(obs []Observation, levels []int) error {
 	_, err := s.DecideSeq(0, obs, levels)
 	return err
@@ -372,41 +384,50 @@ func (s *Session) DecideInto(obs []Observation, levels []int) error {
 // write, no ledger bump. Any other seq fails with ErrBadSeq. A K-period
 // frame consumes K sequence numbers; lastSeq afterwards is seq+K-1.
 //
-// The compute path is transactional: the exploration RNG, ε, and the
-// demand-trend history are snapshotted before any mutation and rolled
-// back if the batched lookup fails (overload, shutdown), so a client
-// retry after a shed request replays the exact same stochastic draws and
-// can never diverge from a client-side mirror of the session. A K-period
-// frame draws, decays ε, and updates demand history exactly as K
-// sequential single-period decides would — byte-identical decisions —
-// while paying one lock, one batch dispatch, and one dedup check.
+// The frame is served in one pass on the calling goroutine: validate,
+// admit (the in-flight bound), lock the session, dedup, decide every
+// period, commit. Every failure comes before the first state change, so a
+// refused frame leaves the session exactly as it was and a client retry
+// replays the same stochastic draws. A K-period frame draws, decays ε,
+// and updates demand history exactly as K sequential single-period
+// decides would — byte-identical decisions — while paying one lock, one
+// policy pin, and one dedup check.
 func (s *Session) DecideSeq(seq uint64, obs []Observation, levels []int) (replayed bool, err error) {
-	if err := s.srv.model.decideValidate(obs, levels); err != nil {
+	srv := s.srv
+	if err := srv.model.decideValidate(obs, levels); err != nil {
 		return false, err
 	}
+	if err := srv.admit(); err != nil {
+		return false, err
+	}
+	defer srv.inflight.Add(-1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	replayed, err = s.decideBeginLocked(seq, obs, levels)
-	if replayed || err != nil {
-		return replayed, err
+	if s.closed {
+		return false, ErrSessionClosed
 	}
-	if len(s.lookups) > 0 {
-		if cap(s.lookupOut) < len(s.lookups) {
-			s.lookupOut = make([]int, len(s.lookups))
+	s.lastActive.Store(nanotime())
+	periods := len(obs) / srv.model.Clusters()
+	if seq != 0 {
+		replaySeq := s.lastSeq
+		if s.lastPeriods > 0 {
+			replaySeq = s.lastSeq - uint64(s.lastPeriods) + 1
 		}
-		if s.breq == nil {
-			s.breq = new(batchReq)
-		}
-		out := s.lookupOut[:len(s.lookups)]
-		if err := s.srv.batch.Do(s.breq, s.lookups, out); err != nil {
-			s.decideAbortLocked()
-			return false, err
-		}
-		for j, a := range out {
-			levels[s.lookupsIdx[j]] = a
+		switch {
+		case s.lastPeriods > 0 && seq == replaySeq && periods == s.lastPeriods && len(levels) == len(s.lastLevels):
+			copy(levels, s.lastLevels)
+			srv.decidesDeduped.Add(1)
+			return true, nil
+		case seq != s.lastSeq+1:
+			return false, fmt.Errorf("%w: got %d, expected %d or replay of %d", ErrBadSeq, seq, s.lastSeq+1, replaySeq)
 		}
 	}
-	s.decideFinishLocked(levels)
+	s.decideLocked(obs, levels)
+	if seq != 0 {
+		s.lastSeq = seq + uint64(periods) - 1
+		s.lastPeriods = periods
+		s.lastLevels = append(s.lastLevels[:0], levels...)
+	}
 	return false, nil
 }
 
@@ -442,57 +463,29 @@ func (m *Model) decideValidate(obs []Observation, levels []int) error {
 	return nil
 }
 
-// decideBeginLocked opens a decide transaction: dedup check, rollback
-// snapshot, then state encoding and exploration for every period of the
-// frame. Caller holds s.mu and has validated shapes. When it returns
-// (false, nil) the transaction is open — s.lookups holds the exploit
-// lookups awaiting batch resolution (their results scatter through
-// s.lookupsIdx into levels) and the caller must decideFinishLocked or
-// decideAbortLocked before releasing the lock. Exploration decisions are
-// already written into levels, and so are a frozen session's exploit
-// decisions: it resolves them here against the immutable construction
-// model, so no decide path can hand them to the batcher's live policy.
-// obs is fully consumed before this returns.
-func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int) (replayed bool, err error) {
-	if s.closed {
-		return false, ErrSessionClosed
-	}
-	s.lastActive.Store(nanotime())
-	m := s.srv.model
+// decideLocked decides every period of a validated frame and bumps the
+// ledgers; it cannot fail. Caller holds s.mu. For each period and cluster
+// it encodes the state, draws exploration, and otherwise reads the greedy
+// action: a frozen session from the construction model, any other from the
+// backend's policy, pinned at the frame's first such lookup and released
+// at its end. The learner's history rolls forward period by period.
+func (s *Session) decideLocked(obs []Observation, levels []int) {
+	srv := s.srv
+	m := srv.model
 	k := m.Clusters()
-	periods := len(obs) / k
-
-	if seq != 0 {
-		replaySeq := s.lastSeq
-		if s.lastPeriods > 0 {
-			replaySeq = s.lastSeq - uint64(s.lastPeriods) + 1
+	t0 := time.Now()
+	var (
+		p                          policy
+		explored, greedy, fromLive int
+	)
+	h := s.hist
+	for base := 0; base < len(obs); base += k {
+		if h != nil {
+			h.roll()
 		}
-		switch {
-		case s.lastPeriods > 0 && seq == replaySeq && periods == s.lastPeriods && len(levels) == len(s.lastLevels):
-			copy(levels, s.lastLevels)
-			s.srv.decidesDeduped.Add(1)
-			return true, nil
-		case seq != s.lastSeq+1:
-			return false, fmt.Errorf("%w: got %d, expected %d or replay of %d", ErrBadSeq, seq, s.lastSeq+1, replaySeq)
-		}
-	}
-
-	s.rngSave = s.r.State()
-	s.epsSave = s.eps
-	s.demandSave = append(s.demandSave[:0], s.prevDemand...)
-
-	s.lookups = s.lookups[:0]
-	s.lookupsIdx = s.lookupsIdx[:0]
-	s.txnLookups = 0
-	tracking := s.curStates != nil // learning server, non-frozen session
-	if tracking {
-		s.txnStates = s.txnStates[:0]
-	}
-	for p := 0; p < periods; p++ {
-		base := p * k
 		for i := 0; i < k; i++ {
-			o := obs[base+i]
-			so := sim.Observation{
+			o := &obs[base+i]
+			state := m.cfg.EncodeState(sim.Observation{
 				Utilization: o.Utilization,
 				DemandRatio: o.DemandRatio,
 				QoS:         o.QoS,
@@ -500,24 +493,28 @@ func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int)
 				Critical:    o.Critical,
 				Level:       o.Level,
 				NumLevels:   m.levels[i],
-			}
-			state := m.cfg.EncodeState(so, s.prevDemand[i])
+			}, s.prevDemand[i])
 			s.prevDemand[i] = o.DemandRatio
-			if tracking {
-				s.txnStates = append(s.txnStates, state)
+			var a int
+			switch {
+			case s.eps > 0 && s.r.Float64() < s.eps:
+				a = s.r.Intn(m.levels[i])
+				explored++
+			case s.frozen:
+				a = m.Greedy(i, state)
+				greedy++
+			default:
+				if p == nil {
+					p = srv.backend.acquire()
+				}
+				a = p.Greedy(i, state)
+				greedy++
+				fromLive++
 			}
-			if s.eps > 0 && s.r.Float64() < s.eps {
-				levels[base+i] = s.r.Intn(m.levels[i])
-				s.srv.explorations.Add(1)
-				continue
+			levels[base+i] = a
+			if h != nil {
+				h.cur[i] = stateAction{state, a}
 			}
-			s.txnLookups++
-			if s.frozen {
-				levels[base+i] = m.Greedy(i, state)
-				continue
-			}
-			s.lookups = append(s.lookups, Lookup{Cluster: i, State: state})
-			s.lookupsIdx = append(s.lookupsIdx, base+i)
 		}
 		// ε decays once per control period — exactly as K sequential
 		// single-period decides would have decayed it between draws.
@@ -528,54 +525,17 @@ func (s *Session) decideBeginLocked(seq uint64, obs []Observation, levels []int)
 			}
 		}
 	}
-	s.txnSeq = seq
-	s.txnPeriods = periods
-	return false, nil
-}
-
-// decideAbortLocked rolls an open decide transaction back: RNG stream, ε,
-// and demand history return to their pre-transaction snapshots, so the
-// client's retry replays the exact same stochastic draws.
-func (s *Session) decideAbortLocked() {
-	s.r.SetState(s.rngSave)
-	s.eps = s.epsSave
-	copy(s.prevDemand, s.demandSave)
-}
-
-// decideFinishLocked commits an open decide transaction: caches the frame
-// for replay (sequenced decides only), advances the learner's transition
-// history, and bumps the ledgers by the frame's period count.
-func (s *Session) decideFinishLocked(levels []int) {
-	periods := s.txnPeriods
-	if s.txnSeq != 0 {
-		s.lastSeq = s.txnSeq + uint64(periods) - 1
-		s.lastPeriods = periods
-		s.lastLevels = append(s.lastLevels[:0], levels...)
+	if p != nil {
+		srv.backend.release(p)
+		srv.noteFrame(fromLive, time.Since(t0))
 	}
-	if s.curStates != nil {
-		// Roll the committed-period (state, action) window forward: prev
-		// becomes the frame's second-to-last period (or the old cur for a
-		// one-period frame), cur its last. Rewards arriving before the
-		// next decide pair these into Transitions.
-		k := len(s.curStates)
-		if periods >= 2 {
-			base := (periods - 2) * k
-			copy(s.prevStates, s.txnStates[base:base+k])
-			copy(s.prevActions, levels[base:base+k])
-			s.havePrev = true
-		} else if s.haveCur {
-			copy(s.prevStates, s.curStates)
-			copy(s.prevActions, s.curActions)
-			s.havePrev = true
-		}
-		base := (periods - 1) * k
-		copy(s.curStates, s.txnStates[base:base+k])
-		copy(s.curActions, levels[base:base+k])
-		s.haveCur = true
+	periods := uint64(len(obs) / k)
+	s.decisions += periods
+	srv.decisions.Add(periods)
+	srv.lookupsServed.Add(uint64(greedy))
+	if explored > 0 {
+		srv.explorations.Add(uint64(explored))
 	}
-	s.decisions += uint64(periods)
-	s.srv.decisions.Add(uint64(periods))
-	s.srv.lookupsServed.Add(uint64(s.txnLookups))
 }
 
 // nanotime is the session-activity clock (monotonic enough for TTLs).
@@ -641,9 +601,11 @@ func (s *Session) statsLocked() SessionStats {
 
 // Config parameterizes a Server.
 type Config struct {
-	// MaxBatch caps the lookups coalesced into one backend call
-	// (default 256). A single request larger than the cap still serves as
-	// its own batch — one session's lookups never split across calls.
+	// MaxBatch bounds the decide work the server takes on at once
+	// (default 256). A binary connection's decide window gathers frames
+	// while their observations fit in MaxBatch (a single larger frame is
+	// a window of its own), and at most 4×MaxBatch decides are in flight:
+	// past that bound a decide fails fast with ErrOverloaded.
 	MaxBatch int
 	// CheckpointPath, when non-empty, is where POST /v1/checkpoint
 	// persists the model.
@@ -660,12 +622,6 @@ type Config struct {
 	// serve_sessions_reaped_total). 0 disables reaping — no reaper
 	// goroutine runs.
 	SessionTTL time.Duration
-	// QueueDeadline, when positive, is the CoDel-style staleness bound on
-	// batched lookups: a request that waited in the submission ring longer
-	// than this is failed with ErrOverloaded instead of being served —
-	// under overload it is better to shed old work (the client has likely
-	// timed out and retried) than to serve it late. 0 disables.
-	QueueDeadline time.Duration
 	// DrainGrace is how long Drain lets connections finish their buffered
 	// frames before forcing them closed. Defaults to 250ms.
 	DrainGrace time.Duration
@@ -695,9 +651,6 @@ func (c Config) Validate() error {
 	if c.SessionTTL < 0 {
 		return fmt.Errorf("serve: negative SessionTTL %v", c.SessionTTL)
 	}
-	if c.QueueDeadline < 0 {
-		return fmt.Errorf("serve: negative QueueDeadline %v", c.QueueDeadline)
-	}
 	if c.DrainGrace < 0 {
 		return fmt.Errorf("serve: negative DrainGrace %v", c.DrainGrace)
 	}
@@ -708,20 +661,31 @@ func (c Config) Validate() error {
 }
 
 // Server hosts sessions over a shared model and backend. Create one with
-// New, expose it with Handler, and Close it to release the batch worker.
+// New, expose it with Handler, and Close it to stop its goroutines. Every
+// decide runs on the goroutine that received it.
 type Server struct {
 	cfg     Config
 	model   *Model
 	backend Backend
-	batch   *batcher
 	start   time.Time
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	handles  map[uint64]*Session // binary-protocol identity → session
 	nextID   uint64
-	closed   bool
+	closed   atomic.Bool // set once by Close; written under mu
 	draining bool
+
+	// Overload control without a queue: inflight counts decides admitted
+	// and not yet returned, bounded at maxInflight (see admit).
+	inflight    atomic.Int64
+	maxInflight int64
+	// ewmaDecideNs tracks the recent decide-loop time (α=1/8) of frames
+	// that read the shared policy; it sizes the backoff hint handed to
+	// shed clients. Concurrent updates may drop a sample, which only
+	// slows the average.
+	ewmaDecideNs atomic.Int64
+	maxOcc       atomic.Uint64 // largest count of shared-policy lookups in one frame
 
 	reapQuit chan struct{} // nil unless a TTL reaper is running
 	reapWG   sync.WaitGroup
@@ -751,6 +715,10 @@ type Server struct {
 	histBin         *obs.Histogram // full binary decide frame: read → flushed
 	histBinDecode   *obs.Histogram // binary decide frame decode + convert
 	histBinWrite    *obs.Histogram // binary decide response encode + write
+	histBackend     *obs.Histogram // decide loop of a frame that read the shared policy
+	batches         *obs.Counter   // frames that read the shared policy
+	batchLookups    *obs.Counter   // lookups those frames read from it
+	batchRejected   *obs.Counter   // decides shed with ErrOverloaded
 
 	ckptMu   sync.Mutex
 	ckptTime time.Time // zero until a checkpoint is loaded or saved
@@ -809,15 +777,16 @@ func (s *Server) noteRewardLocked(sess *Session, r float64) {
 		return
 	}
 	s.cohortLearn.add(r)
-	if !sess.havePrev || !sess.haveCur {
+	h := sess.hist
+	if !h.havePrev || !h.haveCur {
 		return
 	}
-	for i := range sess.prevStates {
+	for i, prev := range h.prev {
 		t := core.Transition{
 			Cluster:   i,
-			State:     sess.prevStates[i],
-			Action:    sess.prevActions[i],
-			NextState: sess.curStates[i],
+			State:     prev.state,
+			Action:    prev.action,
+			NextState: h.cur[i].state,
 			Reward:    r,
 		}
 		if !s.learner.offer(t) {
@@ -879,6 +848,10 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 		binConnsTotal:   reg.NewCounter("serve_bin_connections_total", "binary-protocol connections accepted"),
 		binFrames:       reg.NewCounter("serve_bin_frames_total", "binary-protocol request frames served"),
 		binErrors:       reg.NewCounter("serve_bin_errors_total", "binary-protocol requests answered with an error frame"),
+		batches:         reg.NewCounter("serve_batches_total", "decide frames that read the shared policy"),
+		batchLookups:    reg.NewCounter("serve_batch_lookups_total", "lookups read from the shared policy"),
+		batchRejected:   reg.NewCounter("serve_batch_rejected_total", "decides shed with ErrOverloaded past the in-flight bound"),
+		maxInflight:     4 * int64(cfg.MaxBatch),
 		histHTTP: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
 			obs.Label{Key: "stage", Value: "http"}),
 		histBin: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
@@ -887,7 +860,12 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 			obs.Label{Key: "stage", Value: "bin_decode"}),
 		histBinWrite: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
 			obs.Label{Key: "stage", Value: "bin_write"}),
+		histBackend: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
+			obs.Label{Key: "stage", Value: "backend"}),
 	}
+	reg.NewGaugeFunc("serve_decides_inflight", "decides admitted and not yet returned (bound: 4×MaxBatch)", func() float64 {
+		return float64(s.inflight.Load())
+	})
 	reg.NewGaugeFunc("serve_sessions", "live device sessions", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -913,20 +891,8 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 		reg.NewCounterFunc("serve_hw_retries_total", "accelerator transaction retries", hb.retries.Load)
 		reg.NewCounterFunc("serve_hw_degraded_total", "lookups degraded to the software tables", hb.degraded.Load)
 	}
-	s.batch = newBatcher(backend, cfg.MaxBatch, cfg.QueueDeadline, batcherObs{
-		batches:  reg.NewCounter("serve_batches_total", "backend batch dispatches"),
-		lookups:  reg.NewCounter("serve_batch_lookups_total", "lookups resolved through batch dispatches"),
-		rejected: reg.NewCounter("serve_batch_rejected_total", "decide submits rejected with ErrOverloaded (ring full)"),
-		stale:    reg.NewCounter("serve_batch_stale_total", "queued lookups shed past the CoDel queue deadline"),
-		queueWait: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "queue_wait"}),
-		assemble: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "assemble"}),
-		backendLat: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "backend"}),
-	})
-	reg.NewGaugeFunc("serve_batch_max_occupancy", "largest batch dispatched", func() float64 {
-		return float64(s.batch.maxOcc.Load())
+	reg.NewGaugeFunc("serve_batch_max_occupancy", "most shared-policy lookups read by one frame", func() float64 {
+		return float64(s.maxOcc.Load())
 	})
 	if cfg.Learn.Enabled {
 		sw, ok := backend.(*SWBackend)
@@ -1028,15 +994,16 @@ func (s *Server) checkpointAgeS() float64 {
 // Model returns the served model.
 func (s *Server) Model() *Model { return s.model }
 
-// Close shuts the batch worker down and tears down every binary-protocol
-// listener and connection; in-flight decides drain with ErrServerClosed.
+// Close stops the learner and the reaper and tears down every
+// binary-protocol listener and connection. Decides already admitted finish;
+// any decide after Close fails with ErrServerClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	s.mu.Unlock()
 	if s.learner != nil {
 		s.learner.close()
@@ -1053,7 +1020,60 @@ func (s *Server) Close() {
 		c.Close()
 	}
 	s.binMu.Unlock()
-	s.batch.Close()
+}
+
+// admit lets one decide in: it fails with ErrServerClosed after Close and
+// with ErrOverloaded when maxInflight decides are already in flight,
+// counting the shed. An admitted decide releases its slot with
+// inflight.Add(-1) when it returns.
+func (s *Server) admit() error {
+	if s.closed.Load() {
+		return ErrServerClosed
+	}
+	for {
+		n := s.inflight.Load()
+		if n >= s.maxInflight {
+			s.batchRejected.Add(1)
+			return ErrOverloaded
+		}
+		if s.inflight.CompareAndSwap(n, n+1) {
+			return nil
+		}
+	}
+}
+
+// noteFrame records one frame that read the shared policy: the batch
+// counters (one entry per frame), the backend stage and the decide-time
+// average behind the backoff hint.
+func (s *Server) noteFrame(lookups int, loop time.Duration) {
+	s.histBackend.Observe(loop.Nanoseconds())
+	s.observeDecide(loop)
+	s.batches.Add(1)
+	occ := uint64(lookups)
+	s.batchLookups.Add(occ)
+	for {
+		cur := s.maxOcc.Load()
+		if occ <= cur || s.maxOcc.CompareAndSwap(cur, occ) {
+			return
+		}
+	}
+}
+
+// observeDecide feeds one frame's decide-loop time to the EWMA.
+func (s *Server) observeDecide(d time.Duration) {
+	old := s.ewmaDecideNs.Load()
+	s.ewmaDecideNs.Store(old - old/8 + d.Nanoseconds()/8)
+}
+
+// backoffHintMs is the retry hint carried on overload answers
+// (Retry-After / the wire error frame's backoff field): ~2× the recent
+// decide time, clamped to [5ms, 1s]. The floor covers a shed before any
+// decide was timed, and in practice every shed: a decide takes
+// microseconds, so the floor spaces retries well past the time the
+// in-flight decides need to return.
+func (s *Server) backoffHintMs() uint32 {
+	ms := 2 * s.ewmaDecideNs.Load() / int64(time.Millisecond)
+	return uint32(min(max(ms, 5), 1000))
 }
 
 // Drain is the graceful half of shutdown, run on SIGTERM before Close:
@@ -1068,7 +1088,7 @@ func (s *Server) Close() {
 // caller does, after its HTTP drain completes.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.closed.Load() || s.draining {
 		s.mu.Unlock()
 		return nil
 	}
@@ -1172,7 +1192,7 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrServerClosed
 	}
 	s.nextID++
@@ -1183,7 +1203,7 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 		eps:        opts.Epsilon,
 		epsMin:     opts.EpsilonMin,
 		epsDecay:   opts.EpsilonDecay,
-		r:          rng.New(opts.Seed),
+		r:          *rng.New(opts.Seed),
 		prevDemand: make([]float64, s.model.Clusters()),
 	}
 	s.initLearnState(sess, opts.Cohort)
@@ -1195,18 +1215,13 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 }
 
 // initLearnState applies the session's cohort and, on a learning server,
-// allocates the transition-tracking scratch for learning-arm sessions.
-// Caller holds s.mu.
+// allocates the learner's history for learning-arm sessions. Caller holds
+// s.mu.
 func (s *Server) initLearnState(sess *Session, cohort string) {
 	sess.frozen = cohort == CohortFrozen
-	if s.learner == nil || sess.frozen {
-		return
+	if s.learner != nil && !sess.frozen {
+		sess.hist = newLearnHistory(s.model.Clusters())
 	}
-	k := s.model.Clusters()
-	sess.prevStates = make([]int, k)
-	sess.prevActions = make([]int, k)
-	sess.curStates = make([]int, k)
-	sess.curActions = make([]int, k)
 }
 
 // ResumeState is everything a client must carry to re-create a session on
@@ -1264,7 +1279,7 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrServerClosed
 	}
 	s.nextID++
@@ -1275,7 +1290,7 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 		eps:        st.Epsilon,
 		epsMin:     st.Options.EpsilonMin,
 		epsDecay:   st.Options.EpsilonDecay,
-		r:          r,
+		r:          *r,
 		prevDemand: append([]float64(nil), st.PrevDemand...),
 		lastSeq:    st.Seq,
 		lastLevels: append([]int(nil), st.LastLevels...),
@@ -1431,7 +1446,7 @@ type Metrics struct {
 	RewardsDeduped     uint64      `json:"rewards_deduped"`
 	Batches            uint64      `json:"batches"`
 	BatchRejected      uint64      `json:"batch_rejected"`
-	BatchStale         uint64      `json:"batch_stale"`
+	DecidesInflight    int64       `json:"decides_inflight"`
 	MeanBatchOccupancy float64     `json:"mean_batch_occupancy"`
 	MaxBatchOccupancy  uint64      `json:"max_batch_occupancy"`
 	HTTPErrors         uint64      `json:"http_errors"`
@@ -1450,7 +1465,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	live := len(s.sessions)
 	s.mu.Unlock()
-	batches, lookups, maxOcc := s.batch.stats()
+	batches, lookups := s.batches.Load(), s.batchLookups.Load()
 	m := Metrics{
 		UptimeS:           ageSeconds(s.start),
 		Backend:           s.backend.Name(),
@@ -1467,9 +1482,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 		Rewards:           s.rewards.Load(),
 		RewardsDeduped:    s.rewardsDeduped.Load(),
 		Batches:           batches,
-		BatchRejected:     s.batch.o.rejected.Load(),
-		BatchStale:        s.batch.o.stale.Load(),
-		MaxBatchOccupancy: maxOcc,
+		BatchRejected:     s.batchRejected.Load(),
+		DecidesInflight:   s.inflight.Load(),
+		MaxBatchOccupancy: s.maxOcc.Load(),
 		HTTPErrors:        s.httpErrors.Load(),
 		BinConnections:    s.binConnsTotal.Load(),
 		BinFrames:         s.binFrames.Load(),

@@ -180,9 +180,9 @@ func (r *Router) serveBinConn(conn net.Conn) {
 // answers in frame order. It reports whether the connection stays open.
 //
 // Frames of one session go out in frame order on the one shard connection
-// that holds it, and the shard's own window holds back a second frame for
-// a session already in its window, so a session's frames are decided in
-// order end to end. No context bounds a forward here: each shard client's
+// that holds it, and the shard's own window serves each frame fully before
+// it reads the next, so a session's frames are decided in order end to
+// end. No context bounds a forward here: each shard client's
 // call timeout is the router's CallTimeout, and every deadline of the
 // window starts when its frame is written.
 func (r *Router) forwardDecideWindow(st *routerConnState, h wire.Header) bool {
@@ -284,7 +284,11 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
-		info, err := r.CreateSession(ctx, &st.caller, serve.OptionsFromWire(st.creq))
+		opts, err := serve.OptionsFromWire(st.creq)
+		if err != nil {
+			return r.binFrontError(st, h.ReqID, err)
+		}
+		info, err := r.CreateSession(ctx, &st.caller, opts)
 		if err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
@@ -295,7 +299,11 @@ func (r *Router) handleBinFrame(st *routerConnState, h wire.Header) bool {
 		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}
-		info, err := r.ResumeSession(ctx, &st.caller, serve.ResumeFromWire(&st.rsreq))
+		rs, err := serve.ResumeFromWire(&st.rsreq)
+		if err != nil {
+			return r.binFrontError(st, h.ReqID, err)
+		}
+		info, err := r.ResumeSession(ctx, &st.caller, rs)
 		if err != nil {
 			return r.binFrontError(st, h.ReqID, err)
 		}

@@ -61,9 +61,8 @@ type RebalanceConfig struct {
 	// Faults is an optional fault schedule injected between devices and
 	// the router. Its Seed defaults to Seed.
 	Faults chaos.Config
-	// SessionTTL / QueueDeadline pass through to every shard's config.
-	SessionTTL    time.Duration
-	QueueDeadline time.Duration
+	// SessionTTL passes through to every shard's config.
+	SessionTTL time.Duration
 	// CallTimeout is the device per-attempt deadline (default 2s);
 	// RetryBudget the total retry window per call (default 30s).
 	CallTimeout time.Duration
@@ -176,10 +175,7 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	start := time.Now()
 
 	// The fleet: N checkpoint-hydrated replicas.
-	fleet, err := NewFleet(model, cfg.Shards, serve.Config{
-		SessionTTL:    cfg.SessionTTL,
-		QueueDeadline: cfg.QueueDeadline,
-	})
+	fleet, err := NewFleet(model, cfg.Shards, serve.Config{SessionTTL: cfg.SessionTTL})
 	if err != nil {
 		return rep, err
 	}

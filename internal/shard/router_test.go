@@ -51,7 +51,13 @@ func testModel(t testing.TB, levels ...int) *serve.Model {
 // front, returning the front address.
 func testFleetRouter(t *testing.T, model *serve.Model, n int, ringSeed uint64) (*Fleet, *Router, string) {
 	t.Helper()
-	fleet, err := NewFleet(model, n, serve.Config{})
+	return testFleetRouterConfig(t, model, n, ringSeed, serve.Config{})
+}
+
+// testFleetRouterConfig is testFleetRouter with cfg for every shard.
+func testFleetRouterConfig(t *testing.T, model *serve.Model, n int, ringSeed uint64, cfg serve.Config) (*Fleet, *Router, string) {
+	t.Helper()
+	fleet, err := NewFleet(model, n, cfg)
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
@@ -438,6 +444,91 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	}
 	if _, err := router.Decide(ctx, c, 1, router.Epoch()+1, 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
+	}
+}
+
+// TestFrozenCohortAcrossFronts pins the cohort on every front that
+// forwards a create over the binary wire: on a learning 2-shard fleet, a
+// frozen session created through pmserve bin, pmrouter JSON and pmrouter
+// bin decides twice and rewards once, and the reward counts in its shard's
+// frozen-arm ledger, never the learning arm's.
+func TestFrozenCohortAcrossFronts(t *testing.T) {
+	model := testModel(t, 6, 4)
+	fleet, router, routerBin := testFleetRouterConfig(t, model, 2, 5, serve.Config{
+		Learn: serve.LearnConfig{Enabled: true, Manual: true, Seed: 1},
+	})
+	routerHTTP := httptest.NewServer(router.Handler())
+	defer routerHTTP.Close()
+	ctx := context.Background()
+	obs := testObs(model)
+	cohortRewards := func() (learning, frozen uint64) {
+		for _, spec := range fleet.Specs() {
+			ls := fleet.Server(spec.Name).MetricsSnapshot().Learn
+			learning += ls.RewardsLearning
+			frozen += ls.RewardsFrozen
+		}
+		return learning, frozen
+	}
+	viaBin := func(addr string) func(t *testing.T, opts serve.SessionOptions) {
+		return func(t *testing.T, opts serve.SessionOptions) {
+			bc := serve.NewBinClient(addr)
+			defer bc.Close()
+			var c serve.BinCaller
+			info, err := c.Create(ctx, bc, opts)
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			for seq := uint64(1); seq <= 2; seq++ {
+				if _, err := c.DecideSeq(ctx, bc, info.Handle, info.Epoch, seq, obs); err != nil {
+					t.Fatalf("decide %d: %v", seq, err)
+				}
+			}
+			if _, err := c.Reward(ctx, bc, info.Handle, info.Epoch, 1, -0.5); err != nil {
+				t.Fatalf("reward: %v", err)
+			}
+		}
+	}
+	viaJSON := func(t *testing.T, opts serve.SessionOptions) {
+		hc := serve.NewClient(routerHTTP.URL)
+		defer hc.CloseIdleConnections()
+		sess, err := hc.CreateSession(ctx, opts)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := sess.Decide(ctx, obs); err != nil {
+				t.Fatalf("decide %d: %v", i, err)
+			}
+		}
+		if _, err := sess.Reward(ctx, -0.5); err != nil {
+			t.Fatalf("reward: %v", err)
+		}
+	}
+	cells := []struct {
+		name string
+		run  func(t *testing.T, opts serve.SessionOptions)
+	}{
+		{"pmserve/bin", viaBin(fleet.Specs()[0].BinAddr)},
+		{"pmrouter/json", viaJSON},
+		{"pmrouter/bin", viaBin(routerBin)},
+	}
+	for i, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			learning0, frozen0 := cohortRewards()
+			cell.run(t, serve.SessionOptions{Seed: uint64(40 + i), Cohort: serve.CohortFrozen})
+			learning1, frozen1 := cohortRewards()
+			if frozen1 != frozen0+1 || learning1 != learning0 {
+				t.Fatalf("reward of a frozen session counted %d frozen, %d learning; want 1 frozen, 0 learning",
+					frozen1-frozen0, learning1-learning0)
+			}
+		})
+	}
+	// A cohort the wire cannot spell is refused on the forwarding path too,
+	// as the JSON front refuses an unknown cohort.
+	hc := serve.NewClient(routerHTTP.URL)
+	defer hc.CloseIdleConnections()
+	if _, err := hc.CreateSession(ctx, serve.SessionOptions{Seed: 50, Cohort: "canary"}); !errors.Is(err, serve.ErrBadRequest) {
+		t.Fatalf("router create with an unknown cohort: %v, want ErrBadRequest", err)
 	}
 }
 

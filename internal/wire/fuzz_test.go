@@ -33,7 +33,13 @@ func reencode(t byte, p []byte) ([]byte, error) {
 		if err := ParseCreateReq(p, &v); err != nil {
 			return nil, err
 		}
-		return AppendCreateReq(nil, v), nil
+		// The legacy layout decodes with CohortDefault; its canonical
+		// re-encode is the current form without the cohort tail.
+		out := AppendCreateReq(nil, v)
+		if len(p) == createBodySize {
+			out = out[:createBodySize]
+		}
+		return out, nil
 	case TCreateOK, TResumeOK:
 		var v CreateOK
 		if err := ParseCreateOK(p, &v); err != nil {
@@ -51,7 +57,11 @@ func reencode(t byte, p []byte) ([]byte, error) {
 		if err := ParseResumeReq(p, &v); err != nil {
 			return nil, err
 		}
-		return AppendResumeReq(nil, &v), nil
+		out := AppendResumeReq(nil, &v)
+		if len(p) == len(out)-2 { // legacy layout: no cohort tail
+			out = out[:len(p)]
+		}
+		return out, nil
 	case TDecideOK:
 		var v DecideOK
 		if err := ParseDecideOK(p, &v); err != nil {
@@ -103,7 +113,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed := func(t byte, payload []byte) {
 		f.Add(FinishFrame(append(BeginFrame(nil), payload...), t, 7))
 	}
-	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11}))
+	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11, Cohort: CohortFrozen}))
+	seed(TCreate, AppendCreateReq(nil, CreateReq{Epsilon: 0.3, EpsilonDecay: 0.99, Seed: 11})[:createBodySize]) // legacy layout
 	seed(TCreateOK, AppendCreateOK(nil, 5, 1, []int{3, 5}))
 	seed(TDecide, AppendDecideReq(nil, 5, 1, 9, []Obs{{Utilization: 0.8, Level: 2}, {Critical: true}}))
 	seed(TDecideOK, AppendDecideOK(nil, []int{1, 4}))
@@ -112,8 +123,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed(TRewardOK, AppendStats(nil, Stats{Decisions: 10, Rewards: 2, MeanReward: -0.5}))
 	seed(TClose, AppendCloseReq(nil, CloseReq{Handle: 5}))
 	seed(TError, AppendError(nil, CodeNoSession, 100, "gone"))
-	seed(TResume, AppendResumeReq(nil, &ResumeReq{
-		Opts:       CreateReq{Epsilon: 0.2, EpsilonDecay: 0.98, Seed: 4},
+	resume := AppendResumeReq(nil, &ResumeReq{
+		Opts:       CreateReq{Epsilon: 0.2, EpsilonDecay: 0.98, Seed: 4, Cohort: CohortFrozen},
 		EpsNow:     0.1,
 		Seq:        12,
 		Decisions:  12,
@@ -122,7 +133,9 @@ func FuzzWireDecode(f *testing.F) {
 		Rng:        [4]uint64{1, 2, 3, 4},
 		PrevDemand: []float64{0.5, 1.25},
 		LastLevels: []int{2, 0},
-	}))
+	})
+	seed(TResume, resume)
+	seed(TResume, resume[:len(resume)-2]) // legacy layout
 	seed(TResumeOK, AppendCreateOK(nil, 6, 2, []int{3, 5}))
 	// Multi-period decide: 2 periods × 2 clusters in one frame, plus the
 	// malformed-count shapes the parser must reject — count=0, count

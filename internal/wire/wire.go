@@ -31,6 +31,7 @@
 //	header    version u8 | type u8 | reserved u16 (=0) | req_id u32 |
 //	          payload_len u32 | crc32(bytes 0..11) u32
 //	create    epsilon f64 | epsilon_min f64 | epsilon_decay f64 | seed u64
+//	          [| cohort u16]
 //	createOK  handle u64 | epoch u32 | clusters u16 | num_levels u16 × clusters
 //	decide    handle u64 | epoch u32 | seq u64 | count u16 |
 //	          obs × count, each:
@@ -41,11 +42,17 @@
 //	rewardOK  decisions u64 | rewards u64 | mean_reward f64 | epsilon f64
 //	close     handle u64
 //	closeOK   same as rewardOK
-//	resume    create | eps_now f64 | seq u64 | decisions u64 | rewards u64 |
-//	          reward_sum f64 | rng u64 × 4 | clusters u16 |
-//	          (prev_demand f64 | last_level u16) × clusters
+//	resume    create without its cohort | eps_now f64 | seq u64 |
+//	          decisions u64 | rewards u64 | reward_sum f64 | rng u64 × 4 |
+//	          clusters u16 | (prev_demand f64 | last_level u16) × clusters
+//	          [| cohort u16]
 //	resumeOK  same as createOK
 //	error     code u16 | backoff_ms u32 | message bytes
+//
+// The bracketed tails are newer than their layouts: a create or resume
+// without the cohort tail still parses, as CohortDefault, and a reward
+// without the epoch/seq tail as Epoch 0, Seq 0, so old clients keep
+// working.
 //
 // The decide epoch identifies the server incarnation that issued the
 // session handle: after a restart every live handle is stale, and the
@@ -307,34 +314,61 @@ type Obs struct {
 
 const obsSize = 4*8 + 1 + 2
 
-// CreateReq asks the server to open a device session.
+// CreateReq asks the server to open a device session. Cohort is the
+// session's A/B arm on a learning server, one of the Cohort codes; the
+// serve layer refuses any other value.
 type CreateReq struct {
 	Epsilon      float64
 	EpsilonMin   float64
 	EpsilonDecay float64
 	Seed         uint64
+	Cohort       uint16
 }
 
-const createReqSize = 4 * 8
+// Cohort codes for CreateReq.Cohort.
+const (
+	CohortDefault  uint16 = 0 // no arm named: the server's default, learning
+	CohortLearning uint16 = 1
+	CohortFrozen   uint16 = 2
+)
+
+const (
+	createBodySize = 4 * 8 // the create layout before its cohort tail
+	createReqSize  = createBodySize + 2
+)
 
 // AppendCreateReq appends r's payload encoding to dst.
 func AppendCreateReq(dst []byte, r CreateReq) []byte {
+	return binary.LittleEndian.AppendUint16(appendCreateBody(dst, r), r.Cohort)
+}
+
+func appendCreateBody(dst []byte, r CreateReq) []byte {
 	dst = appendF64(dst, r.Epsilon)
 	dst = appendF64(dst, r.EpsilonMin)
 	dst = appendF64(dst, r.EpsilonDecay)
 	return binary.LittleEndian.AppendUint64(dst, r.Seed)
 }
 
-// ParseCreateReq decodes p into r.
+// ParseCreateReq decodes p into r. Both the 34-byte layout and the legacy
+// 32-byte layout without the cohort (CohortDefault) are accepted.
 func ParseCreateReq(p []byte, r *CreateReq) error {
-	if err := exactLen(p, createReqSize); err != nil {
-		return err
+	switch len(p) {
+	case createBodySize:
+		r.Cohort = CohortDefault
+	case createReqSize:
+		r.Cohort = binary.LittleEndian.Uint16(p[createBodySize:])
+	default:
+		return exactLen(p, createReqSize)
 	}
+	parseCreateBody(p, r)
+	return nil
+}
+
+func parseCreateBody(p []byte, r *CreateReq) {
 	r.Epsilon = getF64(p[0:])
 	r.EpsilonMin = getF64(p[8:])
 	r.EpsilonDecay = getF64(p[16:])
 	r.Seed = binary.LittleEndian.Uint64(p[24:])
-	return nil
 }
 
 // CreateOK answers a create (and a resume): the session handle, the
@@ -592,7 +626,7 @@ func ParseStats(p []byte, s *Stats) error {
 // ErrorFrame is the typed failure answer. BackoffMs is the server's retry
 // hint (how long the client should wait before retrying, in milliseconds;
 // 0 means no hint) — meaningful for CodeOverloaded, where it tracks the
-// batcher's observed queue sojourn. Msg aliases the payload buffer — copy
+// server's recent decide time. Msg aliases the payload buffer — copy
 // it before the next frame read if it must outlive the buffer.
 type ErrorFrame struct {
 	Code      uint16
@@ -641,14 +675,14 @@ type ResumeReq struct {
 }
 
 const (
-	resumeReqBase    = createReqSize + 8 + 8 + 8 + 8 + 8 + 4*8 + 2
+	resumeReqBase    = createBodySize + 8 + 8 + 8 + 8 + 8 + 4*8 + 2
 	resumeClusterRec = 8 + 2
 )
 
 // AppendResumeReq appends the payload encoding to dst. PrevDemand and
 // LastLevels must have equal length (the cluster count).
 func AppendResumeReq(dst []byte, r *ResumeReq) []byte {
-	dst = AppendCreateReq(dst, r.Opts)
+	dst = appendCreateBody(dst, r.Opts)
 	dst = appendF64(dst, r.EpsNow)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Decisions)
@@ -666,18 +700,18 @@ func AppendResumeReq(dst []byte, r *ResumeReq) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(lvl))
 	}
-	return dst
+	return binary.LittleEndian.AppendUint16(dst, r.Opts.Cohort)
 }
 
 // ParseResumeReq decodes p into r, reusing the slices' backing arrays.
+// Both the layout with the cohort tail and the legacy one without it
+// (CohortDefault) are accepted.
 func ParseResumeReq(p []byte, r *ResumeReq) error {
 	if len(p) < resumeReqBase {
 		return fmt.Errorf("%w: resume needs %d bytes, got %d", ErrTruncated, resumeReqBase, len(p))
 	}
-	if err := ParseCreateReq(p[:createReqSize], &r.Opts); err != nil {
-		return err
-	}
-	off := createReqSize
+	parseCreateBody(p, &r.Opts)
+	off := createBodySize
 	r.EpsNow = getF64(p[off:])
 	r.Seq = binary.LittleEndian.Uint64(p[off+8:])
 	r.Decisions = binary.LittleEndian.Uint64(p[off+16:])
@@ -687,8 +721,13 @@ func ParseResumeReq(p []byte, r *ResumeReq) error {
 		r.Rng[i] = binary.LittleEndian.Uint64(p[off+40+8*i:])
 	}
 	n := int(binary.LittleEndian.Uint16(p[resumeReqBase-2:]))
-	if err := exactLen(p, resumeReqBase+resumeClusterRec*n); err != nil {
-		return err
+	switch legacy := resumeReqBase + resumeClusterRec*n; len(p) {
+	case legacy:
+		r.Opts.Cohort = CohortDefault
+	case legacy + 2:
+		r.Opts.Cohort = binary.LittleEndian.Uint16(p[legacy:])
+	default:
+		return exactLen(p, legacy+2)
 	}
 	r.PrevDemand = fitF64s(r.PrevDemand, n)
 	r.LastLevels = fitInts(r.LastLevels, n)

@@ -234,6 +234,44 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 }
 
+// TestCohortLayouts pins the create and resume cohort tails: the cohort
+// round-trips, and the legacy layouts without it still parse, as
+// CohortDefault, with every other field intact.
+func TestCohortLayouts(t *testing.T) {
+	creq := CreateReq{Epsilon: 0.25, EpsilonMin: 0.05, EpsilonDecay: 0.9, Seed: 7, Cohort: CohortFrozen}
+	p := AppendCreateReq(nil, creq)
+	if len(p) != createReqSize {
+		t.Fatalf("create encodes %d bytes, want %d", len(p), createReqSize)
+	}
+	var got CreateReq
+	if err := ParseCreateReq(p, &got); err != nil || got != creq {
+		t.Fatalf("create round trip %+v (%v), want %+v", got, err, creq)
+	}
+	if err := ParseCreateReq(p[:createBodySize], &got); err != nil {
+		t.Fatalf("legacy create: %v", err)
+	}
+	if want := (CreateReq{Epsilon: 0.25, EpsilonMin: 0.05, EpsilonDecay: 0.9, Seed: 7}); got != want {
+		t.Fatalf("legacy create parsed %+v, want %+v", got, want)
+	}
+
+	rreq := ResumeReq{Opts: creq, EpsNow: 0.2, Seq: 5, Rng: [4]uint64{1, 2, 3, 4},
+		PrevDemand: []float64{0.5, 1.5}, LastLevels: []int{1, 3}}
+	p = AppendResumeReq(nil, &rreq)
+	var rgot ResumeReq
+	if err := ParseResumeReq(p, &rgot); err != nil || rgot.Opts != creq || rgot.Seq != 5 || rgot.LastLevels[1] != 3 {
+		t.Fatalf("resume round trip %+v (%v), want %+v", rgot, err, rreq)
+	}
+	if err := ParseResumeReq(p[:len(p)-2], &rgot); err != nil {
+		t.Fatalf("legacy resume: %v", err)
+	}
+	if rgot.Opts.Cohort != CohortDefault || rgot.Opts.Seed != 7 || rgot.PrevDemand[1] != 1.5 || rgot.LastLevels[1] != 3 {
+		t.Fatalf("legacy resume parsed %+v", rgot)
+	}
+	if err := ParseResumeReq(p[:len(p)-1], &rgot); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("resume with half a cohort tail: %v, want ErrTruncated", err)
+	}
+}
+
 func TestParseTypedErrors(t *testing.T) {
 	// Truncations of every fixed layout.
 	var creq CreateReq
