@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race staticcheck fuzz cover bench bench-smoke bench-serve bench-shard serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden
+.PHONY: check build fmt vet test race staticcheck fuzz cover bench bench-smoke serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden
 
 # check is the full CI gate: vet, build, the default test suite (unit +
 # determinism + golden, in shuffled order), and the race-detector pass over
@@ -64,39 +64,53 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# bench-serve runs the serving experiment: self-host a trained policy on a
-# loopback listener, drive it with a simulated device fleet over both the
-# HTTP/JSON and binary wire transports (single-period and multi-period bin
-# frames), and write throughput + latency quantiles (plus the bin-vs-json
-# and batched-vs-bin speedups) to BENCH_pr8.json.
-SERVE_OUT ?= BENCH_pr8.json
-PERIODS_PER_FRAME ?= 4
-bench-serve:
-	$(GO) run ./cmd/pmload -proto both -devices 50 -duration 2s -periods-per-frame $(PERIODS_PER_FRAME) -out $(SERVE_OUT)
+# The end-to-end smokes build the real binaries into their own directory
+# under SMOKE and run them there, so scrapes and checkpoints land beside
+# them. Each smoke starts from an empty directory: serve-smoke's pmserve
+# must train and save a fresh checkpoint, not load the last run's.
+SMOKE := .smoke
 
 # serve-smoke is the end-to-end binary check: start pmserve (HTTP + binary
-# listeners), load it with pmload over real HTTP and then over the binary
-# protocol, scrape /metrics and require populated decide-path histograms on
-# both transports, then SIGTERM it and require a clean exit.
+# listeners, checkpoint path), drive a fleet at it with pmload over HTTP
+# and then over the binary protocol (pmload polls /healthz first and exits
+# non-zero on any device error or a decision count other than
+# devices×periods), scrape /metrics and require populated decide-path
+# stage histograms on both transports, the JSON metrics snapshot, and the
+# fresh-checkpoint event, then SIGTERM pmserve and require a clean exit
+# and a written checkpoint.
 serve-smoke:
-	$(GO) build -o /tmp/pmserve ./cmd/pmserve
-	$(GO) build -o /tmp/pmload ./cmd/pmload
-	/tmp/pmserve -addr 127.0.0.1:7421 -listen-bin 127.0.0.1:7422 -quick & \
+	rm -rf $(SMOKE)/serve && mkdir -p $(SMOKE)/serve
+	$(GO) build -o $(SMOKE)/serve/pmserve ./cmd/pmserve
+	$(GO) build -o $(SMOKE)/serve/pmload ./cmd/pmload
+	set -e; cd $(SMOKE)/serve; \
+	./pmserve -addr 127.0.0.1:7421 -listen-bin 127.0.0.1:7422 -quick -checkpoint policy.ckpt & \
 	SERVE_PID=$$!; \
-	/tmp/pmload -addr http://127.0.0.1:7421 -devices 50 -duration 2s || { kill $$SERVE_PID; exit 1; }; \
-	/tmp/pmload -addr http://127.0.0.1:7421 -proto bin -bin-addr 127.0.0.1:7422 -devices 50 -duration 2s || { kill $$SERVE_PID; exit 1; }; \
-	curl -fsS -o /tmp/metrics.prom http://127.0.0.1:7421/metrics || { kill $$SERVE_PID; exit 1; }; \
-	grep -q '# TYPE serve_decide_stage_ns histogram' /tmp/metrics.prom || { kill $$SERVE_PID; exit 1; }; \
-	grep -E 'serve_decide_stage_ns_count\{stage="backend"\} [1-9]' /tmp/metrics.prom >/dev/null || { kill $$SERVE_PID; exit 1; }; \
-	grep -E 'serve_decide_stage_ns_count\{stage="bin"\} [1-9]' /tmp/metrics.prom >/dev/null || { kill $$SERVE_PID; exit 1; }; \
-	kill -TERM $$SERVE_PID; \
-	wait $$SERVE_PID
+	trap 'kill $$SERVE_PID 2>/dev/null' EXIT; \
+	./pmload -addr http://127.0.0.1:7421 -devices 50 -periods 200; \
+	./pmload -addr http://127.0.0.1:7421 -proto bin -bin-addr 127.0.0.1:7422 -devices 50 -periods 200; \
+	curl -fsS -o metrics.prom http://127.0.0.1:7421/metrics; \
+	grep -q '# TYPE serve_decide_stage_ns histogram' metrics.prom; \
+	for stage in http backend bin bin_decode bin_write; do \
+		grep -E "serve_decide_stage_ns_count\{stage=\"$$stage\"\} [1-9][0-9]*" metrics.prom >/dev/null \
+			|| { echo "stage $$stage histogram empty"; exit 1; }; \
+	done; \
+	grep -E '^serve_decisions_total [1-9][0-9]*' metrics.prom >/dev/null; \
+	grep -E '^serve_bin_frames_total [1-9][0-9]*' metrics.prom >/dev/null; \
+	curl -fsS -H 'Accept: application/json' http://127.0.0.1:7421/metrics | \
+		python3 -c 'import json,sys; m=json.load(sys.stdin); assert m["decisions"] > 0, m'; \
+	curl -fsS http://127.0.0.1:7421/debug/events | \
+		python3 -c 'import json,sys; e=json.load(sys.stdin); assert e["total"] >= 1 and any(x["kind"]=="checkpoint" for x in e["events"]), e'; \
+	kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
+	trap - EXIT; \
+	test -s policy.ckpt
 
 # chaos-smoke replays seeded fault schedules (drops, partial writes,
 # latency spikes) against a live server under the race detector, including
-# a mid-run crash restart and a graceful drain restart, and fails unless
-# every decision is acked exactly once and byte-identical to a fault-free
-# oracle. The assertions live in pmload -chaos / serve.RunChaos.
+# a mid-run crash restart and a graceful drain restart, then the sharded
+# rebalance (one shard removed, one added mid-run), and fails unless every
+# decision is acked exactly once and byte-identical to a fault-free oracle.
+# The assertions live in the harness verdicts (serve.RunChaos,
+# shard.RunRebalance).
 chaos-smoke:
 	$(GO) run -race ./cmd/pmload -chaos -proto bin -devices 6 -periods 80 -restart crash
 	$(GO) run -race ./cmd/pmload -chaos -proto json -devices 4 -periods 60 -restart drain
@@ -113,39 +127,41 @@ learn-smoke:
 	$(GO) run -race ./cmd/pmload -learn -devices 8 -periods 120
 
 # shard-smoke is the sharded end-to-end binary check: two pmserve shards,
-# a pmrouter fronting them on HTTP + binary, pmload driving the fleet
-# through the router on both transports, then a scrape of the router's
-# merged /metrics requiring a nonzero decide count on EVERY shard.
+# a pmrouter fronting them on HTTP + binary (-wait-shards holds it until
+# both shards answer /healthz), the same pmload fleets serve-smoke runs,
+# aimed at the router, then a scrape of the router's merged /metrics
+# requiring a nonzero decide count on EVERY shard, the merged fleet
+# counters and stage histograms, and the JSON rollup, then clean SIGTERM
+# exits, router first.
 shard-smoke:
-	$(GO) build -o /tmp/pmserve ./cmd/pmserve
-	$(GO) build -o /tmp/pmrouter ./cmd/pmrouter
-	$(GO) build -o /tmp/pmload ./cmd/pmload
-	/tmp/pmserve -addr 127.0.0.1:7441 -listen-bin 127.0.0.1:7442 -quick -epoch 1 & \
+	rm -rf $(SMOKE)/shard && mkdir -p $(SMOKE)/shard
+	$(GO) build -o $(SMOKE)/shard/pmserve ./cmd/pmserve
+	$(GO) build -o $(SMOKE)/shard/pmrouter ./cmd/pmrouter
+	$(GO) build -o $(SMOKE)/shard/pmload ./cmd/pmload
+	set -e; cd $(SMOKE)/shard; \
+	./pmserve -addr 127.0.0.1:7441 -listen-bin 127.0.0.1:7442 -quick -epoch 1 & \
 	S0=$$!; \
-	/tmp/pmserve -addr 127.0.0.1:7443 -listen-bin 127.0.0.1:7444 -quick -epoch 2 & \
+	./pmserve -addr 127.0.0.1:7443 -listen-bin 127.0.0.1:7444 -quick -epoch 2 & \
 	S1=$$!; \
-	/tmp/pmrouter -addr 127.0.0.1:7440 -listen-bin 127.0.0.1:7439 -ring-seed 1 -wait-shards 60s \
+	./pmrouter -addr 127.0.0.1:7440 -listen-bin 127.0.0.1:7439 -ring-seed 1 -wait-shards 60s \
 		-shard s0=127.0.0.1:7442@127.0.0.1:7441 -shard s1=127.0.0.1:7444@127.0.0.1:7443 & \
 	R=$$!; \
-	stop='kill $$R $$S0 $$S1 2>/dev/null'; \
-	/tmp/pmload -addr http://127.0.0.1:7440 -devices 50 -duration 2s || { eval $$stop; exit 1; }; \
-	/tmp/pmload -addr http://127.0.0.1:7440 -proto bin -bin-addr 127.0.0.1:7439 -devices 50 -duration 2s || { eval $$stop; exit 1; }; \
-	curl -fsS -o /tmp/router_metrics.prom http://127.0.0.1:7440/metrics || { eval $$stop; exit 1; }; \
-	grep -E 'router_shard_decisions_total\{shard="s0"\} [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
-	grep -E 'router_shard_decisions_total\{shard="s1"\} [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
-	grep -E '^serve_decisions_total [1-9]' /tmp/router_metrics.prom >/dev/null || { eval $$stop; exit 1; }; \
+	trap 'kill $$R $$S0 $$S1 2>/dev/null' EXIT; \
+	./pmload -addr http://127.0.0.1:7440 -devices 50 -periods 200; \
+	./pmload -addr http://127.0.0.1:7440 -proto bin -bin-addr 127.0.0.1:7439 -devices 50 -periods 200; \
+	curl -fsS -o router_metrics.prom http://127.0.0.1:7440/metrics; \
+	for s in s0 s1; do \
+		grep -E "router_shard_decisions_total\{shard=\"$$s\"\} [1-9][0-9]*" router_metrics.prom >/dev/null \
+			|| { echo "shard $$s served no decisions"; exit 1; }; \
+	done; \
+	grep -E '^serve_decisions_total [1-9][0-9]*' router_metrics.prom >/dev/null; \
+	grep -q '# TYPE serve_decide_stage_ns histogram' router_metrics.prom; \
+	grep -E '^router_sessions_created_total [1-9][0-9]*' router_metrics.prom >/dev/null; \
+	curl -fsS -H 'Accept: application/json' http://127.0.0.1:7440/metrics | \
+		python3 -c 'import json,sys; m=json.load(sys.stdin); assert m["decisions"] > 0, m; assert len(m["per_shard"]) == 2, m'; \
 	kill -TERM $$R; wait $$R; \
-	kill -TERM $$S0 $$S1; wait $$S0 $$S1
-
-# bench-shard records the N-shard scaling curve: per shard count it
-# self-hosts a checkpoint-hydrated fleet plus a router, drives 100k+
-# simulated devices shard-direct by ring placement (bounded workers), and
-# stores throughput, latency quantiles, and the router's merged fleet
-# metrics in BENCH_pr9.json.
-SHARD_OUT ?= BENCH_pr9.json
-SHARD_CURVE ?= 1,2,4
-bench-shard:
-	$(GO) run ./cmd/pmload -shard-curve $(SHARD_CURVE) -devices 100000 -workers 64 -duration 10s -out $(SHARD_OUT)
+	kill -TERM $$S0 $$S1; wait $$S0 $$S1; \
+	trap - EXIT
 
 # experiments regenerates the full evaluation through the testing harness.
 experiments:

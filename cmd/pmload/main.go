@@ -1,636 +1,312 @@
-// Command pmload drives a fleet of simulated devices against a pmserve
-// instance and reports decision throughput and latency quantiles.
+// Command pmload drives simulated device fleets at the serving tier and
+// exits non-zero when a fleet breaks an invariant. Each device simulates
+// its own chip and workload stream and asks its session for every
+// period's OPP decision; the remote and chaos modes run one fleet driver
+// (serve.RunFleet).
 //
-// Two modes:
+// Four modes:
 //
-//   - -addr http://host:port targets a running pmserve (the CI smoke job);
-//     add -proto bin -bin-addr host:port to drive its binary listener;
-//   - without -addr it self-hosts: trains a policy, serves it on a loopback
-//     listener, and load-tests its own server — the one-command form of the
-//     `serve` experiment that produces BENCH_pr6.json.
-//
-// -proto selects the decision transport: json (HTTP), bin (the
-// internal/wire binary protocol), or both — which runs the same fleet over
-// each transport in turn and reports speedup_bin_vs_json.
-//
-// -periods-per-frame K (bin only, K > 1) adds a batched bin run where each
-// decide frame carries K control periods' observations and returns K level
-// vectors; the report then also carries speedup_batched_vs_bin.
+//   - -addr http://host:port drives -devices × -periods against a running
+//     pmserve or pmrouter over HTTP/JSON, or over the binary protocol with
+//     -proto bin -bin-addr host:port (the CI smoke jobs). It fails on any
+//     device error, or when the acked decisions are not devices×periods;
+//   - -chaos serves a quick-trained policy behind a seeded fault-injecting
+//     proxy, optionally restarts the server mid-run, and checks every
+//     decision against a fault-free oracle (serve.RunChaos);
+//   - -shard-chaos does the same through a router in front of -shards
+//     shards, with one seeded shard remove and one add mid-run
+//     (shard.RunRebalance);
+//   - -learn runs the seeded training-while-serving harness twice and
+//     checks the replay (serve.RunLearnReplay).
 //
 // Usage:
 //
-//	pmload -devices 50 -duration 2s -proto both -periods-per-frame 4 -out BENCH_pr8.json
-//	pmload -addr http://127.0.0.1:7421 -devices 1000 -duration 5s
+//	pmload -addr http://127.0.0.1:7421 -devices 50 -periods 200
 //	pmload -addr http://127.0.0.1:7421 -proto bin -bin-addr 127.0.0.1:7422
+//	pmload -chaos -proto bin -devices 6 -periods 80 -restart crash
+//	pmload -learn -devices 8 -periods 120
 //
-// Exit status is non-zero when any device observed an error or when no
-// decisions were served — the acceptance gate the smoke job relies on.
+// Exit status is 0 when every invariant held, 1 when one did not, and 2
+// on a usage error.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"rlpm/internal/bench"
 	"rlpm/internal/chaos"
-	"rlpm/internal/core"
 	"rlpm/internal/serve"
 	"rlpm/internal/shard"
 )
 
-// report is the BENCH_pr6.json document.
-type report struct {
-	GeneratedAt string              `json:"generated_at"`
-	Mode        string              `json:"mode"`
-	Scenario    string              `json:"scenario"`
-	Runs        []bench.ServeResult `json:"runs"`
-	// SpeedupBinVsJSON is bin decisions/sec over json decisions/sec when
-	// the run set contains one of each on the same backend; omitted
-	// otherwise. Only single-period bin runs enter this ratio.
-	SpeedupBinVsJSON float64 `json:"speedup_bin_vs_json,omitempty"`
-	// SpeedupBatchedVsBin is multi-period-bin decisions/sec over
-	// single-period-bin decisions/sec when the run set contains both on
-	// the same backend; omitted otherwise.
-	SpeedupBatchedVsBin float64 `json:"speedup_batched_vs_bin,omitempty"`
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func main() {
-	var (
-		addr     = flag.String("addr", "", "target server URL; empty self-hosts a freshly trained server")
-		binAddr  = flag.String("bin-addr", "", "remote mode: the server's binary listener (host:port), required with -proto bin")
-		proto    = flag.String("proto", "json", "decision transport: json, bin, or both (self-hosted only)")
-		devices  = flag.Int("devices", 50, "simulated device count")
-		duration = flag.Duration("duration", 2*time.Second, "load window")
-		scenario = flag.String("scenario", "gaming", "workload scenario each device runs")
-		seed     = flag.Uint64("seed", 1, "base seed for per-device workload/exploration streams")
-		epsilon  = flag.Float64("epsilon", 0, "per-session exploration rate")
-		backends = flag.String("backends", "sw", "self-hosted mode: 'sw', 'hw', or 'both'")
-		ppf      = flag.Int("periods-per-frame", 1, "bundle this many control periods per bin decide frame; >1 adds a batched bin run next to the single-period one")
-		out      = flag.String("out", "", "write the JSON report here (e.g. BENCH_pr6.json)")
-		quick    = flag.Bool("quick", true, "self-hosted mode: quick training")
+// options is pmload's parsed command line.
+type options struct {
+	addr, binAddr, proto, scenario string
+	devices, periods               int
+	seed                           uint64
+	epsilon                        float64
+	quick                          bool
 
-		workers = flag.Int("workers", 0, "bound the load-generator goroutines; 0 runs one per device (large -devices needs this)")
+	chaosMode, shardChaos, learnMode bool
+	restart                          string
+	faults                           chaos.Config
+	shards                           int
+	kill, shardFaults                bool
+}
 
-		shardCurve  = flag.String("shard-curve", "", "comma-separated shard counts (e.g. '1,2,4'): self-host an N-shard fleet + router per count and record the scaling curve")
-		shardChaos  = flag.Bool("shard-chaos", false, "run the sharded rebalance harness: N shards behind a router, one seeded remove and one add mid-run, differential oracle")
-		shards      = flag.Int("shards", 2, "shard-chaos: initial shard count")
-		kill        = flag.Bool("kill", false, "shard-chaos: kill the victim shard abruptly instead of draining it")
-		shardFaults = flag.Bool("shard-faults", false, "shard-chaos: also inject the -drop/-partial/-corrupt/-latency fault schedule between devices and router")
+// parse reads args into options, reporting usage errors to stderr.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("pmload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "", "remote mode: the target server's URL (pmserve or pmrouter)")
+	fs.StringVar(&o.binAddr, "bin-addr", "", "remote mode: the server's binary listener (host:port), required with -proto bin")
+	fs.StringVar(&o.proto, "proto", "json", "decision transport: json or bin")
+	fs.IntVar(&o.devices, "devices", 50, "simulated device count")
+	fs.IntVar(&o.periods, "periods", 200, "decisions per device")
+	fs.StringVar(&o.scenario, "scenario", "gaming", "workload scenario each device runs")
+	fs.Uint64Var(&o.seed, "seed", 1, "base seed for per-device workload/exploration streams")
+	fs.Float64Var(&o.epsilon, "epsilon", 0.2, "per-session exploration rate; 0 serves greedy sessions")
+	fs.BoolVar(&o.quick, "quick", true, "harness modes: train the served policy quickly")
 
-		learnMode = flag.Bool("learn", false, "run the seeded training-while-serving harness: a frozen-vs-learning device A/B with live Q-updates, then verify determinism and that the learned checkpoint reloads")
-		learnTick = flag.Int("learn-tick-every", 0, "learn mode: drain the learner every this many fleet rounds (0 = default)")
+	fs.BoolVar(&o.chaosMode, "chaos", false, "run the chaos harness: inject faults, optionally restart the server mid-run, and verify zero lost/duplicated/changed decisions")
+	fs.StringVar(&o.restart, "restart", "", "chaos mode: kill the server mid-run: 'crash' (abrupt) or 'drain' (graceful + checkpoint); empty never")
+	fs.Float64Var(&o.faults.DropRate, "drop", 0.02, "chaos modes: per-event connection-drop probability")
+	fs.Float64Var(&o.faults.PartialWriteRate, "partial", 0.05, "chaos modes: per-write partial-write probability")
+	fs.Float64Var(&o.faults.CorruptRate, "corrupt", 0, "chaos modes: per-write frame-corruption probability")
+	fs.Float64Var(&o.faults.LatencyRate, "latency", 0.05, "chaos modes: per-write latency-spike probability")
+	fs.DurationVar(&o.faults.LatencyFor, "latency-for", 2*time.Millisecond, "chaos modes: latency-spike duration")
 
-		chaosMode = flag.Bool("chaos", false, "run the chaos harness instead of a load test: inject faults, optionally restart the server mid-run, and verify zero lost/duplicated/changed decisions")
-		periods   = flag.Int("periods", 200, "chaos mode: decisions per device")
-		restart   = flag.String("restart", "", "chaos mode: kill the server mid-run: 'crash' (abrupt) or 'drain' (graceful + checkpoint); empty never")
-		dropRate  = flag.Float64("drop", 0.02, "chaos mode: per-event connection-drop probability")
-		partRate  = flag.Float64("partial", 0.05, "chaos mode: per-write partial-write probability")
-		corrRate  = flag.Float64("corrupt", 0, "chaos mode: per-write frame-corruption probability")
-		latRate   = flag.Float64("latency", 0.05, "chaos mode: per-write latency-spike probability")
-		latFor    = flag.Duration("latency-for", 2*time.Millisecond, "chaos mode: latency-spike duration")
-	)
-	flag.Parse()
+	fs.BoolVar(&o.shardChaos, "shard-chaos", false, "run the sharded rebalance harness: N shards behind a router, one seeded remove and one add mid-run, differential oracle")
+	fs.IntVar(&o.shards, "shards", 2, "shard-chaos: initial shard count")
+	fs.BoolVar(&o.kill, "kill", false, "shard-chaos: kill the victim shard abruptly instead of draining it")
+	fs.BoolVar(&o.shardFaults, "shard-faults", false, "shard-chaos: also inject the -drop/-partial/-corrupt/-latency fault schedule between devices and router")
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
+	fs.BoolVar(&o.learnMode, "learn", false, "run the seeded training-while-serving harness: a frozen-vs-learning device A/B with live Q-updates, then verify determinism and that the learned checkpoint reloads")
 
-	if *learnMode {
-		os.Exit(runLearnMode(*devices, *periods, *scenario, *seed, *epsilon, *learnTick, *quick, *out))
-	}
-	if *chaosMode {
-		faults := chaos.Config{
-			Seed:             *seed,
-			DropRate:         *dropRate,
-			PartialWriteRate: *partRate,
-			CorruptRate:      *corrRate,
-			LatencyRate:      *latRate,
-			LatencyFor:       *latFor,
-		}
-		os.Exit(runChaosMode(ctx, *proto, *devices, *periods, *scenario, *seed, *epsilon, *restart, *quick, *out, faults))
-	}
-	if *shardChaos {
-		var faults chaos.Config
-		if *shardFaults {
-			faults = chaos.Config{
-				Seed:             *seed,
-				DropRate:         *dropRate,
-				PartialWriteRate: *partRate,
-				CorruptRate:      *corrRate,
-				LatencyRate:      *latRate,
-				LatencyFor:       *latFor,
-			}
-		}
-		os.Exit(runShardChaos(ctx, *proto, *shards, *devices, *periods, *scenario, *seed, *epsilon, *kill, *quick, *out, faults))
-	}
-	if *shardCurve != "" {
-		os.Exit(runShardCurve(ctx, *shardCurve, *devices, *workers, *duration, *scenario, *seed, *epsilon, *quick, *out))
-	}
-
-	rep := report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scenario:    *scenario,
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 	var err error
-	if *addr != "" {
-		rep.Mode = "remote"
-		rep.Runs, err = runRemote(ctx, *addr, *binAddr, *proto, *devices, *workers, *duration, *scenario, *seed, *epsilon, *ppf)
-	} else {
-		rep.Mode = "self-hosted"
-		rep.Runs, err = runSelfHosted(ctx, *backends, *proto, *devices, *duration, *scenario, *seed, *epsilon, *quick, *ppf)
+	switch {
+	case o.proto != "json" && o.proto != "bin":
+		err = fmt.Errorf("unknown -proto %q (want json or bin)", o.proto)
+	case !o.chaosMode && !o.shardChaos && !o.learnMode && o.addr == "":
+		err = errors.New("pick a mode: -addr, -chaos, -shard-chaos or -learn")
+	case o.addr != "" && o.proto == "bin" && o.binAddr == "":
+		err = errors.New("-proto bin needs -bin-addr")
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pmload:", err)
+		fs.Usage()
 	}
-	rep.SpeedupBinVsJSON = speedup(rep.Runs)
-	rep.SpeedupBatchedVsBin = speedupBatched(rep.Runs)
+	return o, err
+}
 
-	var decisions, errs uint64
-	for i := range rep.Runs {
-		rep.Runs[i].WriteText(os.Stdout)
-		decisions += rep.Runs[i].Report.Decisions
-		errs += rep.Runs[i].Report.Errors
+// run executes one pmload invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	if rep.SpeedupBinVsJSON > 0 {
-		fmt.Printf("speedup bin vs json: %.2fx\n", rep.SpeedupBinVsJSON)
+	if err != nil {
+		return 2
 	}
-	if rep.SpeedupBatchedVsBin > 0 {
-		fmt.Printf("speedup batched bin (%d periods/frame) vs bin: %.2fx\n", *ppf, rep.SpeedupBatchedVsBin)
+	if !o.learnMode && !o.chaosMode && !o.shardChaos {
+		return o.remoteFleet(ctx, o.fleet(), stdout, stderr)
 	}
-	if *out != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
+	// The harness modes serve a policy trained here.
+	opt := bench.DefaultOptions()
+	opt.Quick = o.quick
+	opt.Seed = o.seed
+	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: o.scenario})
+	if err != nil {
+		fmt.Fprintln(stderr, "pmload:", err)
+		return 1
 	}
-	if decisions == 0 {
-		fmt.Fprintln(os.Stderr, "pmload: no decisions served")
-		os.Exit(1)
-	}
-	if errs > 0 {
-		fmt.Fprintf(os.Stderr, "pmload: %d device errors\n", errs)
-		os.Exit(1)
+	switch {
+	case o.learnMode:
+		return runLearn(model, o.learnConfig(), stdout, stderr)
+	case o.chaosMode:
+		return runChaos(ctx, model, o.chaosConfig(), stdout, stderr)
+	default:
+		return runShardChaos(ctx, model, o.rebalanceConfig(), stdout, stderr)
 	}
 }
 
-// runLearnMode trains a quick model and hands it to the seeded
-// training-while-serving harness: half the fleet learns (decisions follow
-// the live tables, rewards feed Q-updates), half is frozen on the
-// construction-time model as the control arm. The run is executed twice
-// with the same seed, and the smoke gates are: updates were applied, no
-// samples were dropped or rejected, both runs produced identical decision
-// traces and bit-identical learned checkpoints, and the learned checkpoint
-// loads back as a serving model.
-func runLearnMode(devices, periods int, scenario string, seed uint64, epsilon float64, tickEvery int, quick bool, out string) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	if epsilon == 0 {
-		epsilon = 0.2 // off-greedy samples are what the learner feeds on
-	}
-	cfg := serve.LearnLoadConfig{
-		Devices:   devices,
-		Periods:   periods,
-		Scenario:  scenario,
-		Seed:      seed,
-		Epsilon:   epsilon,
-		TickEvery: tickEvery,
-	}
-	rep, err := serve.RunLearn(model, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	rep2, err := serve.RunLearn(model, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload: replay run:", err)
-		return 1
-	}
+// remoteRewardEvery is the remote fleet's reward cadence, the harnesses'
+// default.
+const remoteRewardEvery = 25
 
-	fmt.Printf("learn: devices=%d periods=%d updates=%d swaps=%d policy_version=%d dropped=%d rejected=%d\n",
-		rep.Devices, rep.Periods, rep.Updates, rep.Swaps, rep.PolicyVersion, rep.Dropped, rep.Rejected)
-	for _, arm := range []struct {
-		name string
-		a    serve.LearnArm
-	}{{"learning", rep.Learning}, {"frozen", rep.Frozen}} {
-		fmt.Printf("learn: arm=%-8s devices=%d rewards=%d mean_reward=%.4f energy=%.4fJ mean_qos=%.4f\n",
-			arm.name, arm.a.Devices, arm.a.Rewards, arm.a.MeanReward, arm.a.EnergyJ, arm.a.MeanQoS)
+func (o *options) fleet() serve.FleetConfig {
+	return serve.FleetConfig{
+		Devices:     o.devices,
+		Periods:     o.periods,
+		Seed:        o.seed,
+		Scenario:    o.scenario,
+		Epsilon:     o.epsilon,
+		RewardEvery: remoteRewardEvery,
 	}
+}
 
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "pmload: learn invariant violated: "+format+"\n", args...)
+func (o *options) chaosConfig() serve.ChaosConfig {
+	return serve.ChaosConfig{
+		Proto:    o.proto,
+		Devices:  o.devices,
+		Periods:  o.periods,
+		Seed:     o.seed,
+		Scenario: o.scenario,
+		Epsilon:  o.epsilon,
+		Faults:   o.faults,
+		Restart:  o.restart,
+	}
+}
+
+func (o *options) rebalanceConfig() shard.RebalanceConfig {
+	cfg := shard.RebalanceConfig{
+		Proto:     o.proto,
+		Shards:    o.shards,
+		Devices:   o.devices,
+		Periods:   o.periods,
+		Seed:      o.seed,
+		Scenario:  o.scenario,
+		Epsilon:   o.epsilon,
+		Rebalance: true,
+		Kill:      o.kill,
+	}
+	if o.shardFaults {
+		cfg.Faults = o.faults
+	}
+	return cfg
+}
+
+func (o *options) learnConfig() serve.LearnLoadConfig {
+	return serve.LearnLoadConfig{
+		Devices:  o.devices,
+		Periods:  o.periods,
+		Scenario: o.scenario,
+		Seed:     o.seed,
+		Epsilon:  o.epsilon,
+	}
+}
+
+// remoteFleet drives the fleet against a running server once it answers
+// /healthz. pmload does not know the served model, so the fleet is held
+// to the device and completeness invariants only.
+func (o *options) remoteFleet(ctx context.Context, cfg serve.FleetConfig, stdout, stderr io.Writer) int {
+	hc := serve.NewClient(o.addr)
+	defer hc.CloseIdleConnections()
+	if err := hc.WaitHealthy(ctx, 10*time.Second); err != nil {
+		fmt.Fprintln(stderr, "pmload:", err)
 		return 1
 	}
-	if rep.Updates == 0 {
-		return fail("no Q-updates applied")
+	open := func(ctx context.Context, so serve.SessionOptions) (serve.FleetSession, error) {
+		return hc.CreateSession(ctx, so)
 	}
-	if rep.Dropped > 0 || rep.Rejected > 0 {
-		return fail("%d samples dropped, %d rejected", rep.Dropped, rep.Rejected)
-	}
-	if !bytes.Equal(rep.Checkpoint, rep2.Checkpoint) {
-		return fail("seeded replay produced different learned tables")
-	}
-	for i := range rep.Traces {
-		if !slices.Equal(rep.Traces[i], rep2.Traces[i]) {
-			return fail("seeded replay diverged on device %d's decisions", i)
+	if o.proto == "bin" {
+		bc := serve.NewBinClient(o.binAddr)
+		defer bc.Close()
+		open = func(ctx context.Context, so serve.SessionOptions) (serve.FleetSession, error) {
+			return bc.OpenSession(ctx, so)
 		}
 	}
-	dir, err := os.MkdirTemp("", "pmload-learn-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	defer os.RemoveAll(dir)
-	ckpt := filepath.Join(dir, "learned.ckpt")
-	if err := os.WriteFile(ckpt, rep.Checkpoint, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	if _, err := serve.LoadModel(ckpt, core.DefaultConfig()); err != nil {
-		return fail("learned checkpoint does not reload: %v", err)
-	}
-
-	if out != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(raw, '\n'), 0o644)
-		}
+	start := time.Now()
+	run := serve.RunFleet(ctx, cfg, open, nil)
+	elapsed := time.Since(start).Seconds()
+	failed := 0
+	for _, err := range run.Errs {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			return 1
+			failed++
 		}
-		fmt.Printf("wrote %s\n", out)
 	}
-	fmt.Println("learn: all invariants held (replay deterministic, checkpoint reloads)")
+	fmt.Fprintf(stdout, "serve: proto=%s devices=%d periods=%d epsilon=%g decisions=%d rewards=%d errors=%d %.0f dec/s in %.2fs\n",
+		o.proto, cfg.Devices, cfg.Periods, cfg.Epsilon, run.Decisions, run.Rewards, failed, float64(run.Decisions)/elapsed, elapsed)
+	if err := serve.FleetVerdict(cfg, run, 0, serve.Hygiene{}); err != nil {
+		fmt.Fprintln(stderr, "pmload: fleet invariant violated:", err)
+		return 1
+	}
 	return 0
 }
 
-// runChaosMode trains a quick model and hands it to the chaos harness.
-// Exit status is non-zero when any resilience invariant is violated —
-// a lost, duplicated, or changed decision, a leaked goroutine, or an
-// unreadable drain checkpoint.
-func runChaosMode(ctx context.Context, proto string, devices, periods int, scenario string, seed uint64, epsilon float64, restart string, quick bool, out string, faults chaos.Config) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
+// runLearn runs the seeded training-while-serving harness twice: half the
+// fleet learns (decisions follow the live tables, rewards feed
+// Q-updates), half is frozen on the construction-time model as the
+// control arm.
+func runLearn(model *serve.Model, cfg serve.LearnLoadConfig, stdout, stderr io.Writer) int {
+	rep, err := serve.RunLearnReplay(model, cfg)
+	if rep != nil {
+		fmt.Fprintf(stdout, "learn: devices=%d periods=%d epsilon=%g updates=%d swaps=%d policy_version=%d dropped=%d rejected=%d\n",
+			rep.Devices, rep.Periods, cfg.Epsilon, rep.Updates, rep.Swaps, rep.PolicyVersion, rep.Dropped, rep.Rejected)
+		for _, arm := range []struct {
+			name string
+			a    serve.LearnArm
+		}{{"learning", rep.Learning}, {"frozen", rep.Frozen}} {
+			fmt.Fprintf(stdout, "learn: arm=%-8s devices=%d rewards=%d mean_reward=%.4f energy=%.4fJ mean_qos=%.4f\n",
+				arm.name, arm.a.Devices, arm.a.Rewards, arm.a.MeanReward, arm.a.EnergyJ, arm.a.MeanQoS)
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
+		fmt.Fprintln(stderr, "pmload: learn invariant violated:", err)
 		return 1
 	}
-	// Chaos decisions must match the fault-free oracle with meaningful
-	// exploration in the loop; default it on unless the user chose.
-	if epsilon == 0 {
-		epsilon = 0.2
-	}
-	cfg := serve.ChaosConfig{
-		Proto:    proto,
-		Devices:  devices,
-		Periods:  periods,
-		Seed:     seed,
-		Scenario: scenario,
-		Epsilon:  epsilon,
-		Faults:   faults,
-		Restart:  restart,
-	}
-	if restart == "drain" {
+	fmt.Fprintln(stdout, "learn: all invariants held (replay deterministic, checkpoint reloads)")
+	return 0
+}
+
+// runChaos serves a trained policy to the chaos harness. A drain restart
+// writes its farewell checkpoint into a temporary directory.
+func runChaos(ctx context.Context, model *serve.Model, cfg serve.ChaosConfig, stdout, stderr io.Writer) int {
+	if cfg.Restart == "drain" {
 		dir, err := os.MkdirTemp("", "pmload-chaos-*")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
+			fmt.Fprintln(stderr, "pmload:", err)
 			return 1
 		}
 		defer os.RemoveAll(dir)
 		cfg.CheckpointPath = filepath.Join(dir, "drain.ckpt")
 	}
-	rep, cerr := serve.RunChaos(ctx, model, cfg)
+	rep, err := serve.RunChaos(ctx, model, cfg)
 	if rep != nil {
-		fmt.Printf("chaos: proto=%s devices=%d periods=%d decisions=%d retries=%d resumes=%d restarts=%d mismatches=%d in %.2fs\n",
-			rep.Proto, rep.Devices, rep.Periods, rep.Decisions, rep.Retries, rep.Resumes, rep.Restarts, rep.Mismatches, rep.DurationS)
-		fmt.Printf("chaos: proxy conns=%d drops=%d stalls=%d partials=%d corrupts=%d delays=%d\n",
+		fmt.Fprintf(stdout, "chaos: proto=%s devices=%d periods=%d epsilon=%g decisions=%d retries=%d resumes=%d restarts=%d mismatches=%d in %.2fs\n",
+			rep.Proto, rep.Devices, rep.Periods, cfg.Epsilon, rep.Decisions, rep.Retries, rep.Resumes, rep.Restarts, rep.Mismatches, rep.DurationS)
+		fmt.Fprintf(stdout, "chaos: proxy conns=%d drops=%d stalls=%d partials=%d corrupts=%d delays=%d\n",
 			rep.ProxyConns, rep.ProxyDrops, rep.ProxyStalls, rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays)
-		if out != "" {
-			raw, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(raw, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmload:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
 	}
-	if cerr != nil {
-		fmt.Fprintln(os.Stderr, "pmload: chaos invariant violated:", cerr)
+	if err != nil {
+		fmt.Fprintln(stderr, "pmload: chaos invariant violated:", err)
 		return 1
 	}
-	fmt.Println("chaos: all invariants held")
+	fmt.Fprintln(stdout, "chaos: all invariants held")
 	return 0
 }
 
-// runShardChaos trains a quick model and hands it to the sharded rebalance
-// harness: N checkpoint-hydrated shards behind a router, one seeded shard
-// remove (graceful or -kill) and one add mid-run, and a single-process
-// differential oracle. Exit status is non-zero when any invariant is
-// violated — a lost, duplicated, or changed decision, an unmoved fleet, or
-// a leaked goroutine.
-func runShardChaos(ctx context.Context, proto string, shards, devices, periods int, scenario string, seed uint64, epsilon float64, kill, quick bool, out string, faults chaos.Config) int {
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	if epsilon == 0 {
-		epsilon = 0.2 // stateful decisions, so any handoff bug diverges
-	}
-	rep, rerr := shard.RunRebalance(ctx, model, shard.RebalanceConfig{
-		Proto:     proto,
-		Shards:    shards,
-		Devices:   devices,
-		Periods:   periods,
-		Seed:      seed,
-		Scenario:  scenario,
-		Epsilon:   epsilon,
-		Rebalance: true,
-		Kill:      kill,
-		Faults:    faults,
-	})
+// runShardChaos serves a trained policy to the sharded rebalance harness.
+func runShardChaos(ctx context.Context, model *serve.Model, cfg shard.RebalanceConfig, stdout, stderr io.Writer) int {
+	rep, err := shard.RunRebalance(ctx, model, cfg)
 	if rep != nil {
-		fmt.Printf("shard-chaos: proto=%s shards=%d devices=%d periods=%d decisions=%d moved=%d resumes=%d removed=%s added=%s mismatches=%d in %.2fs\n",
-			rep.Proto, rep.Shards, rep.Devices, rep.Periods, rep.Decisions, rep.Moved, rep.Resumes, rep.Removed, rep.Added, rep.Mismatches, rep.DurationS)
-		if out != "" {
-			raw, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(raw, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmload:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
+		fmt.Fprintf(stdout, "shard-chaos: proto=%s shards=%d devices=%d periods=%d epsilon=%g decisions=%d moved=%d resumes=%d removed=%s added=%s mismatches=%d in %.2fs\n",
+			rep.Proto, rep.Shards, rep.Devices, rep.Periods, cfg.Epsilon, rep.Decisions, rep.Moved, rep.Resumes, rep.Removed, rep.Added, rep.Mismatches, rep.DurationS)
 	}
-	if rerr != nil {
-		fmt.Fprintln(os.Stderr, "pmload: shard invariant violated:", rerr)
+	if err != nil {
+		fmt.Fprintln(stderr, "pmload: shard invariant violated:", err)
 		return 1
 	}
-	fmt.Println("shard-chaos: all invariants held")
+	fmt.Fprintln(stdout, "shard-chaos: all invariants held")
 	return 0
-}
-
-// shardCurveReport is the BENCH_pr9.json document.
-type shardCurveReport struct {
-	GeneratedAt string `json:"generated_at"`
-	Scenario    string `json:"scenario"`
-	*shard.ScaleResult
-}
-
-// runShardCurve measures decide throughput at each requested shard count:
-// per point it self-hosts an N-shard checkpoint-hydrated fleet plus a
-// router, drives the device fleet shard-direct by ring placement, and
-// scrapes the router's merged fleet metrics.
-func runShardCurve(ctx context.Context, curve string, devices, workers int, duration time.Duration, scenario string, seed uint64, epsilon float64, quick bool, out string) int {
-	var counts []int
-	for _, f := range strings.Split(curve, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "pmload: bad -shard-curve entry %q\n", f)
-			return 1
-		}
-		counts = append(counts, n)
-	}
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: scenario})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", err)
-		return 1
-	}
-	res, serr := shard.RunScale(ctx, model, shard.ScaleConfig{
-		ShardCounts: counts,
-		Devices:     devices,
-		Workers:     workers,
-		Duration:    duration,
-		Scenario:    scenario,
-		Seed:        seed,
-		Epsilon:     epsilon,
-	})
-	for _, pt := range res.Points {
-		fleetDecisions := uint64(0)
-		if pt.Fleet != nil {
-			fleetDecisions = pt.Fleet.Decisions
-		}
-		fmt.Printf("shards=%d decisions=%d rate=%.0f/s p50=%.3fms p99=%.3fms fleet_decisions=%d\n",
-			pt.Shards, pt.Report.Decisions, pt.Report.DecisionsPerSec,
-			pt.Report.LatencyNs.P50/1e6, pt.Report.LatencyNs.P99/1e6, fleetDecisions)
-	}
-	if out != "" && len(res.Points) > 0 {
-		rep := shardCurveReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Scenario:    scenario,
-			ScaleResult: res,
-		}
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(raw, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmload:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, "pmload:", serr)
-		return 1
-	}
-	for _, pt := range res.Points {
-		if pt.Report.Errors > 0 || pt.Report.Decisions == 0 {
-			fmt.Fprintf(os.Stderr, "pmload: shards=%d saw %d errors, %d decisions\n", pt.Shards, pt.Report.Errors, pt.Report.Decisions)
-			return 1
-		}
-	}
-	return 0
-}
-
-// speedup returns bin-over-json decisions/sec when the run set holds one
-// json and one single-period bin run against the same backend; 0
-// otherwise. Multi-period bin runs are excluded so the ratio compares the
-// transports at identical framing; speedupBatched covers the framing gain.
-func speedup(runs []bench.ServeResult) float64 {
-	byProto := map[string]*bench.ServeResult{}
-	for i := range runs {
-		r := &runs[i]
-		if r.PeriodsPerFrame > 1 {
-			continue
-		}
-		if prev, ok := byProto[r.Proto]; ok && prev.Backend != r.Backend {
-			return 0 // mixed backends: no single meaningful ratio
-		}
-		byProto[r.Proto] = r
-	}
-	j, b := byProto["json"], byProto["bin"]
-	if j == nil || b == nil || j.Backend != b.Backend || j.Report.DecisionsPerSec == 0 {
-		return 0
-	}
-	return b.Report.DecisionsPerSec / j.Report.DecisionsPerSec
-}
-
-// speedupBatched returns multi-period-bin over single-period-bin
-// decisions/sec when the run set holds one of each against the same
-// backend; 0 otherwise.
-func speedupBatched(runs []bench.ServeResult) float64 {
-	var single, batched *bench.ServeResult
-	for i := range runs {
-		r := &runs[i]
-		if r.Proto != "bin" {
-			continue
-		}
-		if r.PeriodsPerFrame > 1 {
-			if batched != nil {
-				return 0
-			}
-			batched = r
-		} else {
-			if single != nil {
-				return 0
-			}
-			single = r
-		}
-	}
-	if single == nil || batched == nil || single.Backend != batched.Backend || single.Report.DecisionsPerSec == 0 {
-		return 0
-	}
-	return batched.Report.DecisionsPerSec / single.Report.DecisionsPerSec
-}
-
-// protoList expands -proto into the transports to run.
-func protoList(proto string) ([]string, error) {
-	switch proto {
-	case "", "json":
-		return []string{"json"}, nil
-	case "bin":
-		return []string{"bin"}, nil
-	case "both":
-		return []string{"json", "bin"}, nil
-	default:
-		return nil, fmt.Errorf("unknown -proto %q (want json, bin, or both)", proto)
-	}
-}
-
-// runRemote load-tests an already-running server. A bin transport with
-// ppf > 1 is measured twice — single-period first, then batched — so the
-// report carries the framing speedup alongside the raw transport numbers.
-func runRemote(ctx context.Context, addr, binAddr, proto string, devices, workers int, duration time.Duration, scenario string, seed uint64, epsilon float64, ppf int) ([]bench.ServeResult, error) {
-	protos, err := protoList(proto)
-	if err != nil {
-		return nil, err
-	}
-	var runs []bench.ServeResult
-	for _, p := range protos {
-		periods := []int{1}
-		if p == "bin" && ppf > 1 {
-			periods = append(periods, ppf)
-		}
-		for _, k := range periods {
-			lr, err := serve.RunLoad(ctx, serve.LoadConfig{
-				BaseURL:         addr,
-				Proto:           p,
-				BinAddr:         binAddr,
-				Devices:         devices,
-				Workers:         workers,
-				Duration:        duration,
-				Scenario:        scenario,
-				Seed:            seed,
-				Epsilon:         epsilon,
-				PeriodsPerFrame: k,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("proto %s periods %d: %w", p, k, err)
-			}
-			backend := "remote"
-			if lr.Server != nil && lr.Server.Backend != "" {
-				backend = lr.Server.Backend
-			}
-			runs = append(runs, bench.ServeResult{Backend: backend, Proto: p, PeriodsPerFrame: lr.PeriodsPerFrame, Report: *lr})
-		}
-	}
-	return runs, nil
-}
-
-// runSelfHosted trains, serves, and load-tests each requested backend ×
-// transport in turn — the HW-vs-SW and json-vs-bin A/Bs in one binary.
-func runSelfHosted(ctx context.Context, backends, proto string, devices int, duration time.Duration, scenario string, seed uint64, epsilon float64, quick bool, ppf int) ([]bench.ServeResult, error) {
-	var list []string
-	switch backends {
-	case "", "sw":
-		list = []string{"sw"}
-	case "hw":
-		list = []string{"hw"}
-	case "both":
-		list = []string{"sw", "hw"}
-	default:
-		return nil, fmt.Errorf("unknown -backends %q (want sw, hw, or both)", backends)
-	}
-	protos, err := protoList(proto)
-	if err != nil {
-		return nil, err
-	}
-	opt := bench.DefaultOptions()
-	opt.Quick = quick
-	opt.Seed = seed
-	var runs []bench.ServeResult
-	for _, b := range list {
-		for _, p := range protos {
-			periods := []int{1}
-			if p == "bin" && ppf > 1 {
-				// Measure single-period bin first, then the batched framing,
-				// so the report carries the framing speedup.
-				periods = append(periods, ppf)
-			}
-			for _, k := range periods {
-				r, err := bench.RunServe(ctx, bench.ServeOptions{
-					Options:         opt,
-					Devices:         devices,
-					Duration:        duration,
-					Backend:         b,
-					Proto:           p,
-					Epsilon:         epsilon,
-					Scenario:        scenario,
-					PeriodsPerFrame: k,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("backend %s proto %s periods %d: %w", b, p, k, err)
-				}
-				runs = append(runs, *r)
-			}
-		}
-	}
-	return runs, nil
 }

@@ -18,9 +18,8 @@
 // keyspace moves are invalidated and their devices transparently resume
 // on the new owner.
 //
-// Every process that must agree on placement (other routers, shard-direct
-// load generators) shares -ring-seed and -vnodes; GET /v1/ring publishes
-// the ring so peers can verify.
+// Every router that must agree on placement shares -ring-seed and
+// -vnodes; GET /v1/ring publishes the ring so peers can verify.
 //
 // SIGINT/SIGTERM stop the fronts, wait for in-flight forwards, and exit 0.
 package main

@@ -63,8 +63,7 @@ func BucketUpperBound(i int) float64 { return bucketBounds[i] }
 // Histogram is a fixed-bucket latency histogram over nanosecond samples.
 // Observe is lock-free and allocation-free; concurrent observers only
 // contend on atomic adds. Create one with Registry.NewHistogram (to
-// expose it) or NewHistogram (standalone, e.g. the load generator's
-// client-side latencies).
+// expose it) or NewHistogram (standalone).
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	count  atomic.Uint64

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -438,7 +439,7 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 				}
 			}
 		}
-		if !equalInts(got.Levels, want.decide(fobs[i])) {
+		if !slices.Equal(got.Levels, want.decide(fobs[i])) {
 			t.Fatalf("period %d: frozen session decided %v in a window, construction model says otherwise", i, got.Levels)
 		}
 	}

@@ -1,5 +1,5 @@
 // Chaos harness: the executable proof of the serving tier's resilience
-// story. RunChaos drives a fleet of simulated devices through a
+// story. RunChaos drives the RunFleet device fleet through a
 // fault-injecting TCP proxy (internal/chaos) at a live server, optionally
 // killing and restarting the server mid-run, and then holds the run to
 // the invariants that make "resilient" a checkable claim rather than a
@@ -16,10 +16,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,14 +59,14 @@ type ChaosConfig struct {
 	// CheckpointPath receives the drain-mode final checkpoint; the
 	// harness verifies it loads. Required when Restart is "drain".
 	CheckpointPath string
-	// SessionTTL passes through to the server config.
-	SessionTTL time.Duration
-	// CallTimeout is the client per-attempt deadline (default 2s);
-	// RetryBudget the total retry window per call (default 30s — it must
-	// cover the restart gap).
-	CallTimeout time.Duration
-	RetryBudget time.Duration
 }
+
+// The chaos clients' per-attempt deadline, and their total retry window
+// per call, which must cover the restart gap.
+const (
+	chaosCallTimeout = 2 * time.Second
+	chaosRetryBudget = 30 * time.Second
+)
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Proto == "" {
@@ -86,12 +86,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.RewardEvery == 0 {
 		c.RewardEvery = 25
-	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 30 * time.Second
 	}
 	return c
 }
@@ -115,9 +109,21 @@ func (c ChaosConfig) Validate() error {
 	return nil
 }
 
+// fleet is the device side of the run.
+func (c ChaosConfig) fleet() FleetConfig {
+	return FleetConfig{
+		Devices:     c.Devices,
+		Periods:     c.Periods,
+		Seed:        c.Seed,
+		Scenario:    c.Scenario,
+		Epsilon:     c.Epsilon,
+		RewardEvery: c.RewardEvery,
+	}
+}
+
 // ChaosReport is the outcome of a chaos run. RunChaos also returns a
-// non-nil error when any invariant is violated; the report carries the
-// evidence either way.
+// non-nil error when any invariant is violated (chaosVerdict); the report
+// carries the evidence either way.
 type ChaosReport struct {
 	Proto     string  `json:"proto"`
 	Devices   int     `json:"devices"`
@@ -150,17 +156,10 @@ type ChaosReport struct {
 
 	Mismatches int `json:"mismatches"` // devices whose sequence diverged from the oracle
 
-	GoroutinesStart int    `json:"goroutines_start"`
-	GoroutinesEnd   int    `json:"goroutines_end"`
-	HeapAllocStart  uint64 `json:"heap_alloc_start"`
-	HeapAllocEnd    uint64 `json:"heap_alloc_end"`
+	Hygiene
 
 	Server *Metrics `json:"server,omitempty"` // final incarnation's snapshot
 }
-
-// chaosPeriodS is the simulated control period (matches the load
-// generator's default).
-const chaosPeriodS = 0.05
 
 // incarnation is one server process stand-in: a Server plus its listener
 // and, for the json proto, the HTTP front end.
@@ -175,11 +174,7 @@ type incarnation struct {
 // fixed previous address after a restart — retried briefly while the old
 // socket releases) and serves the chosen protocol.
 func startIncarnation(model *Model, cfg ChaosConfig, addr string, epoch uint32) (*incarnation, error) {
-	srv, err := New(model, nil, Config{
-		Epoch:          epoch,
-		SessionTTL:     cfg.SessionTTL,
-		CheckpointPath: cfg.CheckpointPath,
-	})
+	srv, err := New(model, nil, Config{Epoch: epoch, CheckpointPath: cfg.CheckpointPath})
 	if err != nil {
 		return nil, err
 	}
@@ -250,13 +245,8 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		return nil, err
 	}
 
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rep := &ChaosReport{
-		Proto: cfg.Proto, Devices: cfg.Devices, Periods: cfg.Periods,
-		GoroutinesStart: runtime.NumGoroutine(), HeapAllocStart: ms.HeapAlloc,
-	}
+	rep := &ChaosReport{Proto: cfg.Proto, Devices: cfg.Devices, Periods: cfg.Periods}
+	rep.Hygiene.Start()
 	start := time.Now()
 
 	// Server incarnation 1, fronted by the chaos proxy. Clients only ever
@@ -281,22 +271,21 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	// Clients, pointed at the proxy.
 	var bc *BinClient
 	var hc *Client
-	var open func(context.Context, SessionOptions) (deviceSession, error)
+	var open func(context.Context, SessionOptions) (FleetSession, error)
 	if cfg.Proto == "bin" {
 		bc = NewBinClient(proxy.Addr())
-		bc.SetCallTimeout(cfg.CallTimeout)
-		bc.SetRetryBudget(cfg.RetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (deviceSession, error) { return bc.OpenSession(ctx, o) }
+		bc.SetCallTimeout(chaosCallTimeout)
+		bc.SetRetryBudget(chaosRetryBudget)
+		open = func(ctx context.Context, o SessionOptions) (FleetSession, error) { return bc.OpenSession(ctx, o) }
 	} else {
 		hc = NewClient("http://" + proxy.Addr())
-		hc.SetCallTimeout(cfg.CallTimeout)
-		hc.SetRetryBudget(cfg.RetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (deviceSession, error) { return hc.CreateSession(ctx, o) }
+		hc.SetCallTimeout(chaosCallTimeout)
+		hc.SetRetryBudget(chaosRetryBudget)
+		open = func(ctx context.Context, o SessionOptions) (FleetSession, error) { return hc.CreateSession(ctx, o) }
 	}
 
 	total := uint64(cfg.Devices) * uint64(cfg.Periods)
 	var acked atomic.Uint64
-	var rewardsAcked atomic.Uint64
 
 	// Restart controller: once half the fleet's decisions are acked, kill
 	// the incarnation and start epoch 2 on the same address. Clients ride
@@ -358,54 +347,22 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 			restartDone <- nil
 		}()
 	}
-
-	// The fleet. Each device records its full decision sequence.
-	sequences := make([][]int, cfg.Devices)
-	devErrs := make([]error, cfg.Devices)
-	var wg sync.WaitGroup
-	for d := 0; d < cfg.Devices; d++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			seed := DeviceSeed(cfg.Seed, idx)
-			sess, err := open(ctx, SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d open: %w", idx, err)
-				return
+	// The gate counts its own acks: a device adds exactly one per acked
+	// decide, so the count only grows and the controller's threshold is
+	// always reached.
+	afterAck := func() error {
+		if acked.Add(1) >= total/2 {
+			select {
+			case <-restartGate:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			decide := func(_ int, obs []Observation) ([]int, error) {
-				lv, err := sess.Decide(ctx, obs)
-				if err == nil {
-					if acked.Add(1) >= total/2 {
-						select {
-						case <-restartGate:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-				}
-				return lv, err
-			}
-			reward := func(r float64) error {
-				_, err := sess.Reward(ctx, r)
-				if err == nil {
-					rewardsAcked.Add(1)
-				}
-				return err
-			}
-			sequences[idx], err = chaosDevice(cfg, seed, decide, reward)
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d: %w", idx, err)
-				return
-			}
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := sess.Close(cctx); err != nil {
-				devErrs[idx] = fmt.Errorf("device %d close: %w", idx, err)
-			}
-		}(d)
+		}
+		return nil
 	}
-	wg.Wait()
+
+	fleet := cfg.fleet()
+	run := RunFleet(ctx, fleet, open, afterAck)
 	restartErr := <-restartDone
 
 	// Teardown, collecting the final incarnation's metrics first.
@@ -429,111 +386,36 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	ps := proxy.Stats()
 	rep.ProxyConns, rep.ProxyDrops, rep.ProxyStalls = ps.Conns, ps.Drops, ps.Stalls
 	rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays = ps.Partials, ps.Corrupts, ps.Delays
-	rep.Decisions = acked.Load()
-	rep.RewardsAcked = rewardsAcked.Load()
+	rep.Decisions = run.Decisions
+	rep.RewardsAcked = run.Rewards
 	rep.ServerRewards = m.Rewards
 	rep.RewardsDeduped = m.RewardsDeduped
 	rep.DurationS = time.Since(start).Seconds()
 
-	// Fault-free oracle: the same fleet served by an in-process server.
-	// Every device's sequence must match exactly — faults may cost time,
-	// never correctness.
-	if err := func() error {
-		oracle, err := New(model, nil, Config{})
-		if err != nil {
-			return err
-		}
-		defer oracle.Close()
-		for idx := 0; idx < cfg.Devices; idx++ {
-			if devErrs[idx] != nil {
-				continue
-			}
-			seed := DeviceSeed(cfg.Seed, idx)
-			sess, err := oracle.CreateSession(SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				return err
-			}
-			want, err := chaosDevice(cfg, seed, func(_ int, obs []Observation) ([]int, error) {
-				return sess.Decide(obs)
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("oracle device %d: %w", idx, err)
-			}
-			if !equalInts(sequences[idx], want) {
-				rep.Mismatches++
-			}
-		}
-		return nil
-	}(); err != nil {
+	if rep.Mismatches, err = fleet.OracleMismatches(model, run); err != nil {
 		return rep, err
 	}
-
-	// Hygiene: goroutines must settle back to the baseline and the heap
-	// must not have ballooned.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > rep.GoroutinesStart && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	rep.GoroutinesEnd = runtime.NumGoroutine()
-	rep.HeapAllocEnd = ms.HeapAlloc
-
-	switch {
-	case restartErr != nil:
-		return rep, fmt.Errorf("serve: chaos restart: %w", restartErr)
-	case firstErr(devErrs) != nil:
-		return rep, fmt.Errorf("serve: chaos device failed: %w", firstErr(devErrs))
-	case rep.Decisions != total:
-		return rep, fmt.Errorf("serve: chaos acked %d decisions, want %d", rep.Decisions, total)
-	case rep.Mismatches > 0:
-		return rep, fmt.Errorf("serve: %d device(s) diverged from the fault-free oracle", rep.Mismatches)
-	case cfg.Restart == "" && rep.ServerRewards != rep.RewardsAcked:
-		// Exactly-once: every client-acked reward landed on the ledger once.
-		// A retried frame that double-counted shows up as ServerRewards >
-		// RewardsAcked; a lost ack the dedup path swallowed shows the
-		// reverse. Restart runs skip this — the final incarnation's counters
-		// don't cover rewards applied before the kill.
-		return rep, fmt.Errorf("serve: chaos reward ledger %d != %d client-acked (deduped %d)",
-			rep.ServerRewards, rep.RewardsAcked, rep.RewardsDeduped)
-	case rep.GoroutinesEnd > rep.GoroutinesStart:
-		return rep, fmt.Errorf("serve: chaos leaked goroutines: %d before, %d after", rep.GoroutinesStart, rep.GoroutinesEnd)
-	case rep.HeapAllocEnd > rep.HeapAllocStart+256<<20:
-		return rep, fmt.Errorf("serve: chaos heap grew %d bytes", rep.HeapAllocEnd-rep.HeapAllocStart)
-	}
-	return rep, nil
+	rep.Hygiene.End()
+	return rep, chaosVerdict(cfg, run, rep, restartErr)
 }
 
-// chaosDevice runs one device's full chip-simulation life — the shared
-// RunDeviceSim loop, period-counted so completeness is exact, with the
-// decision sequence recorded for the oracle diff.
-func chaosDevice(cfg ChaosConfig, seed uint64, decide func(int, []Observation) ([]int, error), reward func(float64) error) ([]int, error) {
-	return RunDeviceSim(DeviceSimConfig{
-		Scenario:    cfg.Scenario,
-		Periods:     cfg.Periods,
-		Seed:        seed,
-		PeriodS:     chaosPeriodS,
-		RewardEvery: cfg.RewardEvery,
-	}, decide, reward)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// chaosVerdict judges a chaos run's evidence and reports every violated
+// invariant: the fleet invariants, a failed restart, and — without a
+// restart — a reward ledger that differs from the client-acked count.
+func chaosVerdict(cfg ChaosConfig, run *FleetRun, rep *ChaosReport, restartErr error) error {
+	var errs []error
+	if restartErr != nil {
+		errs = append(errs, fmt.Errorf("serve: chaos restart: %w", restartErr))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	errs = append(errs, FleetVerdict(cfg.fleet(), run, rep.Mismatches, rep.Hygiene))
+	// Exactly-once: every client-acked reward landed on the ledger once. A
+	// retried frame that double-counted shows up as ServerRewards >
+	// RewardsAcked; a lost ack the dedup path swallowed shows the reverse.
+	// Restart runs skip this — the final incarnation's counters don't
+	// cover rewards applied before the kill.
+	if cfg.Restart == "" && rep.ServerRewards != rep.RewardsAcked {
+		errs = append(errs, fmt.Errorf("serve: chaos reward ledger %d != %d client-acked (deduped %d)",
+			rep.ServerRewards, rep.RewardsAcked, rep.RewardsDeduped))
 	}
-	return true
-}
-
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Client is the Go client for a pmserve instance — the library cmd/pmload,
-// the load generator, and the tests drive the server through, so every
+// the harnesses, and the tests drive the server through, so every
 // consumer exercises the same wire path a real device agent would.
 //
 // Like BinClient it is self-healing: error responses map onto the serve

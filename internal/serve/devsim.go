@@ -1,7 +1,7 @@
 // Shared device simulator: one definition of what a simulated device *is*
 // — chip model, workload stream, observation assembly, reward cadence —
-// used by the load generator, the chaos harness, the sharded rebalance
-// harness, and every differential oracle. Splitting this out is what makes
+// used by the fleet driver (RunFleet), the learn harness, and every
+// differential oracle. Splitting this out is what makes
 // "byte-identical to the oracle" a meaningful claim: the endpoint under
 // test (json, bin, router, N shards) is the only variable; the device side
 // is literally the same code and the same RNG stream.
@@ -17,12 +17,12 @@ import (
 
 // DeviceSeed derives device idx's stream seed from the fleet base seed.
 // The derivation depends on the device id ONLY — not on the endpoint, the
-// transport, or how devices are partitioned across shards or worker
-// goroutines — so a json run, a bin run, and an N-shard run over the same
-// fleet replay the same per-device scenario and exploration streams, and
-// one single-process oracle diffs against all of them. (The golden chaos
-// and load fixtures depend on this exact formula; change it and every
-// differential test says so.)
+// transport, or how devices are partitioned across shards — so a json
+// run, a bin run, and an N-shard run over the same fleet replay the same
+// per-device scenario and exploration streams, and one single-process
+// oracle diffs against all of them. (The harness differentials and the
+// fleet benchmark's replayed devices depend on this exact formula; change
+// it and every differential test says so.)
 func DeviceSeed(base uint64, device int) uint64 {
 	return base + uint64(device)*0x9e3779b9
 }
@@ -36,12 +36,13 @@ type DeviceSimConfig struct {
 	Periods int
 	// Seed is the device's stream seed (DeviceSeed(base, idx)).
 	Seed uint64
-	// PeriodS is the simulated control period in seconds (default 0.05).
-	PeriodS float64
 	// RewardEvery posts a device-computed reward every that many periods
 	// (0 or negative disables).
 	RewardEvery int
 }
+
+// devicePeriodS is every simulated device's control period in seconds.
+const devicePeriodS = 0.05
 
 // DeviceStepper is RunDeviceSim unrolled: the same chip, workload stream,
 // and observation assembly, advanced one control period at a time so a
@@ -62,9 +63,6 @@ type DeviceStepper struct {
 // NewDeviceStepper builds one device's simulation in its pre-first-decide
 // state (idle observations, QoS 1).
 func NewDeviceStepper(cfg DeviceSimConfig) (*DeviceStepper, error) {
-	if cfg.PeriodS == 0 {
-		cfg.PeriodS = 0.05
-	}
 	chip, err := soc.NewChip(soc.DefaultChipSpec())
 	if err != nil {
 		return nil, err
@@ -130,8 +128,8 @@ func (d *DeviceStepper) Apply(levels []int) (reward float64, due bool, err error
 	for i, lvl := range levels {
 		d.chip.Cluster(i).SetLevel(lvl)
 	}
-	w := d.scen.Next(d.cfg.PeriodS)
-	if err := d.chip.StepInto(&d.chipRes, w.Demands, d.cfg.PeriodS); err != nil {
+	w := d.scen.Next(devicePeriodS)
+	if err := d.chip.StepInto(&d.chipRes, w.Demands, devicePeriodS); err != nil {
 		return 0, false, err
 	}
 	var demanded, completed float64

@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 )
 
-// TestDeviceSeedDerivation pins the per-device seed formula. Every golden
-// chaos fixture, the load generator, the sharded rebalance harness, and
-// all differential oracles derive their streams through this function —
+// TestDeviceSeedDerivation pins the per-device seed formula. The fleet
+// driver, the learn harness, the fleet benchmark, and all differential
+// oracles derive their streams through this function —
 // from the device id only, never from the endpoint — so a silent change
 // here would skew every byte-identical comparison in the suite.
 func TestDeviceSeedDerivation(t *testing.T) {
@@ -29,7 +30,7 @@ func TestDeviceSeedDerivation(t *testing.T) {
 }
 
 // TestDeviceSimStreamEndpointIndependent is the regression for the
-// loadgen RNG-derivation fix: the same device (same base seed + id) served
+// per-device RNG-derivation fix: the same device (same base seed + id) served
 // by two *independent* server processes — as a sharded fleet would —
 // produces the byte-identical decision sequence. The device stream depends
 // on nothing but the device id and the frozen model.
@@ -75,7 +76,7 @@ func TestDeviceSimStreamEndpointIndependent(t *testing.T) {
 	}
 
 	a, b := run(srvA), run(srvB)
-	if !equalInts(a, b) {
+	if !slices.Equal(a, b) {
 		t.Fatalf("device stream differs across endpoints:\nA: %v\nB: %v", a[:16], b[:16])
 	}
 	if len(a) != 40*model.Clusters() {

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rlpm/internal/core"
 )
 
 // learnServer builds an in-process learning server in manual (seeded
@@ -126,7 +124,7 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frozen decide %d: %v", i, err)
 		}
-		if !equalInts(got, want.decide(fobs[i])) {
+		if !slices.Equal(got, want.decide(fobs[i])) {
 			t.Fatalf("frozen cohort diverged from the construction model at period %d", i)
 		}
 	}
@@ -174,7 +172,7 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("greedy decide %d: %v", i, err)
 		}
-		if !equalInts(got, liveWant.decide(o)) {
+		if !slices.Equal(got, liveWant.decide(o)) {
 			t.Fatalf("live policy diverged from the learner snapshot at period %d", i)
 		}
 	}
@@ -183,34 +181,20 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 // TestRunLearnSeededReplay pins the training-while-serving determinism
 // contract: same config, bit-identical run — every device's decision trace
 // and the learned checkpoint bytes — and the checkpoint builds a servable
-// model.
+// model (RunLearnReplay's verdict), while a different seed learns
+// different tables.
 func TestRunLearnSeededReplay(t *testing.T) {
 	m := chaosTestModel(t) // DeviceStepper simulates soc.DefaultChipSpec
 	cfg := LearnLoadConfig{
 		Devices: 4, Periods: 60, Seed: 5, Epsilon: 0.25,
 		RewardEvery: 5, TickEvery: 5, SwapEvery: 1,
 	}
-	a, err := RunLearn(m, cfg)
+	a, err := RunLearnReplay(m, cfg)
 	if err != nil {
-		t.Fatalf("RunLearn: %v", err)
+		t.Fatalf("RunLearnReplay: %v", err)
 	}
-	if a.Updates == 0 || a.Swaps == 0 {
-		t.Fatalf("run learned nothing: updates=%d swaps=%d", a.Updates, a.Swaps)
-	}
-	if a.Dropped != 0 || a.Rejected != 0 {
-		t.Errorf("lossless single-threaded run dropped=%d rejected=%d, want 0/0", a.Dropped, a.Rejected)
-	}
-	b, err := RunLearn(m, cfg)
-	if err != nil {
-		t.Fatalf("RunLearn replay: %v", err)
-	}
-	for i := range a.Traces {
-		if !slices.Equal(a.Traces[i], b.Traces[i]) {
-			t.Fatalf("device %d decision trace diverged between same-seed runs", i)
-		}
-	}
-	if !bytes.Equal(a.Checkpoint, b.Checkpoint) {
-		t.Fatal("same-seed runs produced different learned checkpoints")
+	if a.Swaps == 0 {
+		t.Fatalf("run published nothing: updates=%d swaps=%d", a.Updates, a.Swaps)
 	}
 
 	other := cfg
@@ -221,14 +205,6 @@ func TestRunLearnSeededReplay(t *testing.T) {
 	}
 	if bytes.Equal(a.Checkpoint, c.Checkpoint) {
 		t.Error("different seeds produced identical checkpoints; determinism test is vacuous")
-	}
-
-	snap, err := core.DecodeCheckpoint(bytes.NewReader(a.Checkpoint))
-	if err != nil {
-		t.Fatalf("DecodeCheckpoint: %v", err)
-	}
-	if _, err := NewModel(m.cfg, snap); err != nil {
-		t.Fatalf("learned checkpoint does not build a model: %v", err)
 	}
 }
 
@@ -506,7 +482,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("parked Decide: %v", r.err)
 	}
-	if !equalInts(r.levels, wantLevels) {
+	if !slices.Equal(r.levels, wantLevels) {
 		t.Errorf("parked Decide answered %v, want %v from A's tables", r.levels, wantLevels)
 	}
 	if next := publish(); next != a {
@@ -702,7 +678,7 @@ func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
 	if got := held.Load(); got != b {
 		t.Fatal("a reader that loaded A before it was retired returned A")
 	}
-	if !equalInts(r.levels, want) {
+	if !slices.Equal(r.levels, want) {
 		t.Errorf("reader answered %v, want %v from the live model's tables", r.levels, want)
 	}
 	if na, nb := a.readers.Load(), b.readers.Load(); na != 0 || nb != 0 {

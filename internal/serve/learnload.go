@@ -11,8 +11,11 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 
+	"rlpm/internal/core"
 	"rlpm/internal/workload"
 )
 
@@ -37,9 +40,8 @@ type LearnLoadConfig struct {
 	// TickEvery drains the learner every that many rounds (default 10).
 	// A round is one period across the whole fleet.
 	TickEvery int
-	// Alpha, Gamma, SwapEvery pass through to LearnConfig.
-	Alpha, Gamma float64
-	SwapEvery    int
+	// SwapEvery passes through to LearnConfig.
+	SwapEvery int
 }
 
 func (c LearnLoadConfig) withDefaults() LearnLoadConfig {
@@ -106,8 +108,6 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 			Enabled:   true,
 			Manual:    true,
 			Seed:      cfg.Seed,
-			Alpha:     cfg.Alpha,
-			Gamma:     cfg.Gamma,
 			SwapEvery: cfg.SwapEvery,
 		},
 	})
@@ -212,4 +212,52 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	}
 	rep.Checkpoint = buf.Bytes()
 	return rep, nil
+}
+
+// RunLearnReplay runs the learn harness twice with the same config and
+// judges the pair (learnVerdict). It returns the first run's report, and
+// an error joining every violated invariant.
+func RunLearnReplay(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
+	a, err := RunLearn(model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	b, err := RunLearn(model, cfg)
+	if err != nil {
+		return a, fmt.Errorf("serve: learn replay run: %w", err)
+	}
+	return a, learnVerdict(model.Config(), a, b)
+}
+
+// learnVerdict judges two same-config learn runs and reports every
+// violated invariant: the learner applied updates, no sample was dropped
+// or rejected, the replay reproduced every device's decisions and the
+// learned checkpoint byte for byte, and that checkpoint decodes and builds
+// a serving model the way LoadModel does.
+func learnVerdict(cfg core.Config, a, b *LearnReport) error {
+	var errs []error
+	if a.Updates == 0 {
+		errs = append(errs, errors.New("serve: learn applied no Q-updates"))
+	}
+	if a.Dropped > 0 || a.Rejected > 0 {
+		errs = append(errs, fmt.Errorf("serve: learn dropped %d samples, rejected %d", a.Dropped, a.Rejected))
+	}
+	for i := range a.Traces {
+		if i >= len(b.Traces) || !slices.Equal(a.Traces[i], b.Traces[i]) {
+			errs = append(errs, fmt.Errorf("serve: learn replay diverged on device %d's decisions", i))
+			break
+		}
+	}
+	if !bytes.Equal(a.Checkpoint, b.Checkpoint) {
+		errs = append(errs, errors.New("serve: learn replay produced different learned tables"))
+	}
+	snap, err := core.DecodeCheckpointBytes(a.Checkpoint)
+	if err == nil {
+		cfg.State = snap.State
+		_, err = NewModel(cfg, snap)
+	}
+	if err != nil {
+		errs = append(errs, fmt.Errorf("serve: learned checkpoint does not reload: %w", err))
+	}
+	return errors.Join(errs...)
 }

@@ -12,74 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rlpm/internal/rng"
-	"rlpm/internal/stats"
 )
-
-// TestQuantilesMatchStatsPercentile is the regression test for the
-// nearest-rank truncation bug: the load generator's quantiles must agree
-// exactly with stats.Percentile on every fixture, and must not reorder the
-// caller's slice.
-func TestQuantilesMatchStatsPercentile(t *testing.T) {
-	fixtures := [][]int64{
-		{},
-		{42},
-		{0, 100}, // old truncation reported p90 = 0 here
-		{100, 0},
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		{5, 5, 5, 5},
-	}
-	r := rng.New(17)
-	for n := 0; n < 4; n++ {
-		f := make([]int64, 3+r.Intn(500))
-		for i := range f {
-			f[i] = int64(r.Intn(10_000_000))
-		}
-		fixtures = append(fixtures, f)
-	}
-	for fi, f := range fixtures {
-		orig := append([]int64(nil), f...)
-		got := quantiles(f)
-		for i := range f {
-			if f[i] != orig[i] {
-				t.Fatalf("fixture %d: quantiles reordered the caller's slice at %d", fi, i)
-			}
-		}
-		if len(f) == 0 {
-			if got != (LatencyQuantiles{}) {
-				t.Fatalf("fixture %d: empty input produced %+v", fi, got)
-			}
-			continue
-		}
-		fs := make([]float64, len(f))
-		var max float64
-		for i, v := range f {
-			fs[i] = float64(v)
-			if fs[i] > max {
-				max = fs[i]
-			}
-		}
-		want := func(p float64) float64 {
-			v, err := stats.Percentile(fs, p)
-			if err != nil {
-				t.Fatalf("fixture %d: stats.Percentile(%v): %v", fi, p, err)
-			}
-			return v
-		}
-		if got.P50 != want(50) || got.P90 != want(90) || got.P99 != want(99) || got.Max != max {
-			t.Fatalf("fixture %d: quantiles %+v disagree with stats.Percentile (p50=%v p90=%v p99=%v max=%v)",
-				fi, got, want(50), want(90), want(99), max)
-		}
-	}
-
-	// Pin the exact interpolated values on the two-sample fixture the old
-	// truncating implementation got wrong (it reported p90 = p99 = 0).
-	got := quantiles([]int64{0, 100})
-	if got.P50 != 50 || got.P90 != 90 || got.P99 != 99 || got.Max != 100 {
-		t.Fatalf("two-sample fixture: %+v, want p50=50 p90=90 p99=99 max=100", got)
-	}
-}
 
 // TestSaveCheckpointDurabilitySequence asserts the write→sync→rename→
 // dir-sync ordering through recording hooks, so the fsync-the-parent-dir

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -478,7 +479,7 @@ func TestOverloadBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry of the shed decide: %v", err)
 	}
-	if want := newOracle(m, shedOpts).decide(obs); !equalInts(got, want) {
+	if want := newOracle(m, shedOpts).decide(obs); !slices.Equal(got, want) {
 		t.Fatalf("retry of the shed decide chose %v, oracle %v: the shed changed session state", got, want)
 	}
 	if st := shed.Stats(); st.Decisions != 1 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -207,7 +208,7 @@ func TestRouterWindowSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle decide %d: %v", i, err)
 		}
-		if !equalSeq(gotA[i], want) {
+		if !slices.Equal(gotA[i], want) {
 			t.Fatalf("A's decide %d through the window: %v, single process: %v", i+1, gotA[i], want)
 		}
 	}

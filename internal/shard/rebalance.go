@@ -1,5 +1,5 @@
 // Rebalance harness: the executable proof of the sharded tier's handoff
-// story. RunRebalance drives a fleet of simulated devices through the
+// story. RunRebalance drives the serve.RunFleet device fleet through the
 // router at an N-shard fleet — optionally through a fault-injecting proxy,
 // optionally removing (or killing) a shard and adding a fresh one mid-run
 // — and holds the run to the single-process invariants:
@@ -14,12 +14,11 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,13 +60,14 @@ type RebalanceConfig struct {
 	// Faults is an optional fault schedule injected between devices and
 	// the router. Its Seed defaults to Seed.
 	Faults chaos.Config
-	// SessionTTL passes through to every shard's config.
-	SessionTTL time.Duration
-	// CallTimeout is the device per-attempt deadline (default 2s);
-	// RetryBudget the total retry window per call (default 30s).
-	CallTimeout time.Duration
-	RetryBudget time.Duration
 }
+
+// The per-attempt deadline of the devices and of the router's forwards,
+// and the devices' total retry window per call.
+const (
+	rebalanceCallTimeout = 2 * time.Second
+	rebalanceRetryBudget = 30 * time.Second
+)
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Proto == "" {
@@ -91,12 +91,6 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Shards == 0 {
 		c.Shards = 2
 	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Second
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 30 * time.Second
-	}
 	return c
 }
 
@@ -117,7 +111,20 @@ func (c RebalanceConfig) Validate() error {
 	return nil
 }
 
-// RebalanceReport is the evidence a run collects.
+// fleet is the device side of the run.
+func (c RebalanceConfig) fleet() serve.FleetConfig {
+	return serve.FleetConfig{
+		Devices:     c.Devices,
+		Periods:     c.Periods,
+		Seed:        c.Seed,
+		Scenario:    c.Scenario,
+		Epsilon:     c.Epsilon,
+		RewardEvery: c.RewardEvery,
+	}
+}
+
+// RebalanceReport is the evidence a run collects; rebalanceVerdict judges
+// it.
 type RebalanceReport struct {
 	Proto     string  `json:"proto"`
 	Shards    int     `json:"shards"`
@@ -139,21 +146,8 @@ type RebalanceReport struct {
 
 	Mismatches int `json:"mismatches"`
 
-	GoroutinesStart int    `json:"goroutines_start"`
-	GoroutinesEnd   int    `json:"goroutines_end"`
-	HeapAllocStart  uint64 `json:"heap_alloc_start"`
-	HeapAllocEnd    uint64 `json:"heap_alloc_end"`
+	serve.Hygiene
 }
-
-// devSession is the device-facing session face both transports share.
-type devSession interface {
-	Decide(ctx context.Context, obs []serve.Observation) ([]int, error)
-	Reward(ctx context.Context, r float64) (serve.SessionStats, error)
-	Close(ctx context.Context) (serve.SessionStats, error)
-}
-
-// rebalancePeriodS matches the chaos harness's simulated control period.
-const rebalancePeriodS = 0.05
 
 // RunRebalance executes one sharded differential run against model.
 func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) (*RebalanceReport, error) {
@@ -165,17 +159,12 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 		return nil, err
 	}
 
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rep := &RebalanceReport{
-		Proto: cfg.Proto, Shards: cfg.Shards, Devices: cfg.Devices, Periods: cfg.Periods,
-		GoroutinesStart: runtime.NumGoroutine(), HeapAllocStart: ms.HeapAlloc,
-	}
+	rep := &RebalanceReport{Proto: cfg.Proto, Shards: cfg.Shards, Devices: cfg.Devices, Periods: cfg.Periods}
+	rep.Hygiene.Start()
 	start := time.Now()
 
 	// The fleet: N checkpoint-hydrated replicas.
-	fleet, err := NewFleet(model, cfg.Shards, serve.Config{SessionTTL: cfg.SessionTTL})
+	fleet, err := NewFleet(model, cfg.Shards, serve.Config{})
 	if err != nil {
 		return rep, err
 	}
@@ -184,7 +173,7 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	// The router, fronting the fleet on the device's chosen protocol.
 	router, err := NewRouter(RouterConfig{
 		RingSeed:    cfg.Seed,
-		CallTimeout: cfg.CallTimeout,
+		CallTimeout: rebalanceCallTimeout,
 	}, fleet.Specs())
 	if err != nil {
 		return rep, err
@@ -231,19 +220,23 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	// Clients.
 	var bc *serve.BinClient
 	var hc *serve.Client
-	var open func(context.Context, serve.SessionOptions) (devSession, error)
+	var open func(context.Context, serve.SessionOptions) (serve.FleetSession, error)
 	if cfg.Proto == "bin" {
 		bc = serve.NewBinClient(deviceAddr)
-		bc.SetCallTimeout(cfg.CallTimeout)
-		bc.SetRetryBudget(cfg.RetryBudget)
+		bc.SetCallTimeout(rebalanceCallTimeout)
+		bc.SetRetryBudget(rebalanceRetryBudget)
 		defer bc.Close()
-		open = func(ctx context.Context, o serve.SessionOptions) (devSession, error) { return bc.OpenSession(ctx, o) }
+		open = func(ctx context.Context, o serve.SessionOptions) (serve.FleetSession, error) {
+			return bc.OpenSession(ctx, o)
+		}
 	} else {
 		hc = serve.NewClient("http://" + deviceAddr)
-		hc.SetCallTimeout(cfg.CallTimeout)
-		hc.SetRetryBudget(cfg.RetryBudget)
+		hc.SetCallTimeout(rebalanceCallTimeout)
+		hc.SetRetryBudget(rebalanceRetryBudget)
 		defer hc.CloseIdleConnections()
-		open = func(ctx context.Context, o serve.SessionOptions) (devSession, error) { return hc.CreateSession(ctx, o) }
+		open = func(ctx context.Context, o serve.SessionOptions) (serve.FleetSession, error) {
+			return hc.CreateSession(ctx, o)
+		}
 	}
 
 	total := uint64(cfg.Devices) * uint64(cfg.Periods)
@@ -346,67 +339,33 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 		}()
 	}
 
-	// The device fleet.
-	sequences := make([][]int, cfg.Devices)
-	devErrs := make([]error, cfg.Devices)
-	var wg sync.WaitGroup
-	for d := 0; d < cfg.Devices; d++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			seed := serve.DeviceSeed(cfg.Seed, idx)
-			sess, err := open(ctx, serve.SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d open: %w", idx, err)
-				return
+	// The gates count their own acks: a device adds exactly one per acked
+	// decide, so the count only grows and each threshold is always
+	// reached.
+	afterAck := func() error {
+		a := acked.Add(1)
+		if a >= gate1At {
+			select {
+			case <-gate1:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			decide := func(_ int, obs []serve.Observation) ([]int, error) {
-				lv, err := sess.Decide(ctx, obs)
-				if err == nil {
-					a := acked.Add(1)
-					if a >= gate1At {
-						select {
-						case <-gate1:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-					if a >= gate2At {
-						select {
-						case <-gate2:
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					}
-				}
-				return lv, err
+		}
+		if a >= gate2At {
+			select {
+			case <-gate2:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			reward := func(r float64) error {
-				_, err := sess.Reward(ctx, r)
-				return err
-			}
-			sequences[idx], err = serve.RunDeviceSim(serve.DeviceSimConfig{
-				Scenario:    cfg.Scenario,
-				Periods:     cfg.Periods,
-				Seed:        seed,
-				PeriodS:     rebalancePeriodS,
-				RewardEvery: cfg.RewardEvery,
-			}, decide, reward)
-			if err != nil {
-				devErrs[idx] = fmt.Errorf("device %d: %w", idx, err)
-				return
-			}
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := sess.Close(cctx); err != nil {
-				devErrs[idx] = fmt.Errorf("device %d close: %w", idx, err)
-			}
-		}(d)
+		}
+		return nil
 	}
-	wg.Wait()
+
+	devices := cfg.fleet()
+	run := serve.RunFleet(ctx, devices, open, afterAck)
 	ctrlErr := <-ctrlDone
 
-	rep.Decisions = acked.Load()
+	rep.Decisions = run.Decisions
 	rep.DurationS = time.Since(start).Seconds()
 	rep.Moved = router.movedSessions.Load()
 	rep.RouterResumes = router.resumesFwd.Load()
@@ -422,39 +381,7 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 
 	// Fault-free single-process oracle over the same model: the sharded
 	// fleet must be byte-identical, device for device.
-	if err := func() error {
-		oracle, err := serve.New(model, nil, serve.Config{})
-		if err != nil {
-			return err
-		}
-		defer oracle.Close()
-		for idx := 0; idx < cfg.Devices; idx++ {
-			if devErrs[idx] != nil {
-				continue
-			}
-			seed := serve.DeviceSeed(cfg.Seed, idx)
-			sess, err := oracle.CreateSession(serve.SessionOptions{Epsilon: cfg.Epsilon, Seed: seed})
-			if err != nil {
-				return err
-			}
-			want, err := serve.RunDeviceSim(serve.DeviceSimConfig{
-				Scenario:    cfg.Scenario,
-				Periods:     cfg.Periods,
-				Seed:        seed,
-				PeriodS:     rebalancePeriodS,
-				RewardEvery: cfg.RewardEvery,
-			}, func(_ int, obs []serve.Observation) ([]int, error) {
-				return sess.Decide(obs)
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("oracle device %d: %w", idx, err)
-			}
-			if !equalSeq(sequences[idx], want) {
-				rep.Mismatches++
-			}
-		}
-		return nil
-	}(); err != nil {
+	if rep.Mismatches, err = devices.OracleMismatches(model, run); err != nil {
 		return rep, err
 	}
 
@@ -477,51 +404,21 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	router.Close()
 	fleet.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > rep.GoroutinesStart && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	rep.GoroutinesEnd = runtime.NumGoroutine()
-	rep.HeapAllocEnd = ms.HeapAlloc
-
-	switch {
-	case ctrlErr != nil:
-		return rep, fmt.Errorf("shard: rebalance controller: %w", ctrlErr)
-	case firstDevErr(devErrs) != nil:
-		return rep, fmt.Errorf("shard: device failed: %w", firstDevErr(devErrs))
-	case rep.Decisions != total:
-		return rep, fmt.Errorf("shard: acked %d decisions, want %d (lost or duplicated)", rep.Decisions, total)
-	case rep.Mismatches > 0:
-		return rep, fmt.Errorf("shard: %d device(s) diverged from the single-process oracle", rep.Mismatches)
-	case cfg.Rebalance && rep.Moved == 0:
-		return rep, fmt.Errorf("shard: rebalance moved no sessions — the handoff path was not exercised")
-	case rep.GoroutinesEnd > rep.GoroutinesStart:
-		return rep, fmt.Errorf("shard: leaked goroutines: %d before, %d after", rep.GoroutinesStart, rep.GoroutinesEnd)
-	case rep.HeapAllocEnd > rep.HeapAllocStart+256<<20:
-		return rep, fmt.Errorf("shard: heap grew %d bytes", rep.HeapAllocEnd-rep.HeapAllocStart)
-	}
-	return rep, nil
+	rep.Hygiene.End()
+	return rep, rebalanceVerdict(cfg, run, rep, ctrlErr)
 }
 
-func equalSeq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// rebalanceVerdict judges a rebalance run's evidence and reports every
+// violated invariant: the fleet invariants, a failed membership change,
+// and a rebalance that moved no session.
+func rebalanceVerdict(cfg RebalanceConfig, run *serve.FleetRun, rep *RebalanceReport, ctrlErr error) error {
+	var errs []error
+	if ctrlErr != nil {
+		errs = append(errs, fmt.Errorf("shard: rebalance controller: %w", ctrlErr))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	errs = append(errs, serve.FleetVerdict(cfg.fleet(), run, rep.Mismatches, rep.Hygiene))
+	if cfg.Rebalance && rep.Moved == 0 {
+		errs = append(errs, errors.New("shard: rebalance moved no sessions — the handoff path was not exercised"))
 	}
-	return true
-}
-
-func firstDevErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"rlpm/internal/chaos"
+	"rlpm/internal/serve"
 )
 
 // TestShardedDifferentialOracleBin is the headline differential: a 4-shard
@@ -154,5 +157,53 @@ func TestRebalanceUnderFaults(t *testing.T) {
 	}
 	if rep.Mismatches != 0 {
 		t.Fatalf("%d devices diverged under faults", rep.Mismatches)
+	}
+}
+
+// TestRebalanceVerdict feeds rebalanceVerdict its own checks on top of a
+// clean fleet; the fleet checks themselves are serve's TestFleetVerdict.
+func TestRebalanceVerdict(t *testing.T) {
+	cases := []struct {
+		name      string
+		rebalance bool
+		ctrlErr   error
+		mutate    func(run *serve.FleetRun, rep *RebalanceReport)
+		want      []string
+	}{
+		{"clean", true, nil, func(*serve.FleetRun, *RebalanceReport) {}, nil},
+		{"nothing moved while rebalancing", true, nil, func(_ *serve.FleetRun, rep *RebalanceReport) {
+			rep.Moved = 0
+		}, []string{"moved no sessions"}},
+		{"nothing moved without a rebalance", false, nil, func(_ *serve.FleetRun, rep *RebalanceReport) {
+			rep.Moved = 0
+		}, nil},
+		{"controller error", true, errors.New("fleet stalled"), func(*serve.FleetRun, *RebalanceReport) {}, []string{"rebalance controller: fleet stalled"}},
+		{"two violations", true, nil, func(run *serve.FleetRun, rep *RebalanceReport) {
+			rep.Moved = 0
+			run.Decisions++
+		}, []string{"moved no sessions", "acked 7 decisions, want 6"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := RebalanceConfig{Devices: 2, Periods: 3, Rebalance: c.rebalance}
+			run := &serve.FleetRun{Traces: make([][]int, 2), Errs: make([]error, 2), Decisions: 6}
+			rep := &RebalanceReport{Moved: 4}
+			c.mutate(run, rep)
+			err := rebalanceVerdict(cfg, run, rep, c.ctrlErr)
+			if len(c.want) == 0 {
+				if err != nil {
+					t.Fatalf("clean evidence failed: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("verdict passed, want violations %q", c.want)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("verdict %q does not report %q", err, w)
+				}
+			}
+		})
 	}
 }

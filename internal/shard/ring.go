@@ -7,9 +7,7 @@
 //
 //   - deterministic: point placement depends only on (seed, member name,
 //     virtual node index) — two processes that agree on the member set and
-//     seed agree on every routing decision, with no coordination. The
-//     load generator and the router exploit this to place devices
-//     identically without talking to each other.
+//     seed agree on every routing decision, with no coordination.
 //   - minimal movement: adding a member moves only the keys that land on
 //     the new member; removing one moves only the keys it owned. Session
 //     handoff cost is proportional to the keyspace that actually moved.

@@ -8,8 +8,8 @@ import (
 // TestRingGoldenDeterminism is the cross-process determinism pin: the
 // owner of every key is a pure function of (seed, vnodes, member set), so
 // this hard-coded fixture must reproduce on any machine, any Go version,
-// any process — the property that lets the load generator and the router
-// agree on placement without coordinating.
+// any process — the property that lets routers agree on placement
+// without coordinating.
 func TestRingGoldenDeterminism(t *testing.T) {
 	r := NewRing(42, 64)
 	for _, n := range []string{"alpha", "beta", "gamma"} {

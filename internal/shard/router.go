@@ -45,8 +45,8 @@ type ShardSpec struct {
 type RouterConfig struct {
 	// Epoch identifies this router incarnation to devices; defaults to 1.
 	Epoch uint32
-	// RingSeed seeds the consistent-hash ring. Every process that should
-	// agree on placement (router, load generator) must share it.
+	// RingSeed seeds the consistent-hash ring. Every router that should
+	// agree on placement must share it.
 	RingSeed uint64
 	// VNodes is the ring's virtual-node count per shard; 0 selects
 	// DefaultVNodes.

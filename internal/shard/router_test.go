@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,7 +175,7 @@ func TestRouterBinSessionLifecycle(t *testing.T) {
 		}
 		wantSeq = append(wantSeq, lv...)
 	}
-	if !equalSeq(gotSeq, wantSeq) {
+	if !slices.Equal(gotSeq, wantSeq) {
 		t.Fatalf("routed decisions diverge from direct session:\n got %v\nwant %v", gotSeq[:8], wantSeq[:8])
 	}
 }
@@ -245,7 +246,7 @@ func TestRouterHandoffOnRemove(t *testing.T) {
 		}
 		want = append(want, lv...)
 	}
-	if !equalSeq(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("handoff changed decisions:\n got %v\nwant %v", got, want)
 	}
 	if _, err := sess.Close(ctx); err != nil {
@@ -616,4 +617,28 @@ func TestErrorTableAcrossFronts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// scrapeRouterMetrics GETs the router's JSON /metrics rollup.
+func scrapeRouterMetrics(ctx context.Context, baseURL string) (*RouterMetrics, error) {
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, baseURL+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("shard: router metrics status %d", resp.StatusCode)
+	}
+	var m RouterMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		return nil, err
+	}
+	return &m, nil
 }

@@ -2,9 +2,9 @@
 // alongside HTTP/JSON — the "short communication interface" the paper's
 // latency claim leans on, applied to the serving tier.
 //
-// BENCH_pr4 showed the modeled hardware backend answering in ~200 ns while
-// the end-to-end HTTP/JSON p50 sat at ~2.3 ms: the communication
-// interface, not the policy, was the bottleneck. This package replaces it
+// The first serving measurements had the modeled hardware backend
+// answering in ~200 ns while the end-to-end HTTP/JSON p50 sat at ~2.3 ms:
+// the communication interface, not the policy, was the bottleneck. This package replaces it
 // with length-prefixed fixed-layout frames over persistent multiplexed TCP
 // connections:
 //
