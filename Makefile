@@ -131,8 +131,10 @@ learn-smoke:
 # both shards answer /healthz), the same pmload fleets serve-smoke runs,
 # aimed at the router, then a scrape of the router's merged /metrics
 # requiring a nonzero decide count on EVERY shard, the merged fleet
-# counters and stage histograms, and the JSON rollup, then clean SIGTERM
-# exits, router first.
+# counters and stage histograms, the router's own front series (frames
+# and the bin and http stages, so a router that stops serving through the
+# shared fronts fails), and the JSON rollup, then clean SIGTERM exits,
+# router first.
 shard-smoke:
 	rm -rf $(SMOKE)/shard && mkdir -p $(SMOKE)/shard
 	$(GO) build -o $(SMOKE)/shard/pmserve ./cmd/pmserve
@@ -157,6 +159,11 @@ shard-smoke:
 	grep -E '^serve_decisions_total [1-9][0-9]*' router_metrics.prom >/dev/null; \
 	grep -q '# TYPE serve_decide_stage_ns histogram' router_metrics.prom; \
 	grep -E '^router_sessions_created_total [1-9][0-9]*' router_metrics.prom >/dev/null; \
+	grep -E '^router_bin_frames_total [1-9][0-9]*' router_metrics.prom >/dev/null; \
+	for stage in bin http; do \
+		grep -E "router_decide_stage_ns_count\{stage=\"$$stage\"\} [1-9][0-9]*" router_metrics.prom >/dev/null \
+			|| { echo "router stage $$stage histogram empty"; exit 1; }; \
+	done; \
 	curl -fsS -H 'Accept: application/json' http://127.0.0.1:7440/metrics | \
 		python3 -c 'import json,sys; m=json.load(sys.stdin); assert m["decisions"] > 0, m; assert len(m["per_shard"]) == 2, m'; \
 	kill -TERM $$R; wait $$R; \

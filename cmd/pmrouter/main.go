@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -66,27 +67,43 @@ func (s *shardFlags) Set(v string) error {
 }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is pmrouter over args until ctx is cancelled. It returns the exit
+// status: 0 after a clean shutdown, 1 when the router cannot start or a
+// listener fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
 	var shards shardFlags
-	var (
-		addr        = flag.String("addr", "127.0.0.1:7430", "HTTP listen address (device API, admin, merged /metrics)")
-		binAddr     = flag.String("listen-bin", "", "binary-protocol listen address; empty disables")
-		epoch       = flag.Uint("epoch", 1, "router incarnation number; bump on every restart")
-		ringSeed    = flag.Uint64("ring-seed", 1, "consistent-hash ring seed; share with every placement peer")
-		vnodes      = flag.Int("vnodes", 0, "virtual nodes per shard (0 = default)")
-		callTimeout = flag.Duration("call-timeout", 5*time.Second, "per-forward deadline to a shard")
-		waitShards  = flag.Duration("wait-shards", 0, "wait up to this long for every shard's /healthz before serving (0 = don't)")
-	)
-	flag.Var(&shards, "shard", "shard as name=BINADDR[@HTTPADDR]; repeatable")
-	flag.Parse()
+	fs := flag.NewFlagSet("pmrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7430", "HTTP listen address (device API, admin, merged /metrics)")
+	binAddr := fs.String("listen-bin", "", "binary-protocol listen address; empty disables")
+	epoch := fs.Uint("epoch", 1, "router incarnation number; bump on every restart")
+	ringSeed := fs.Uint64("ring-seed", 1, "consistent-hash ring seed; share with every placement peer")
+	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard (0 = default)")
+	callTimeout := fs.Duration("call-timeout", 5*time.Second, "per-forward deadline to a shard")
+	waitShards := fs.Duration("wait-shards", 0, "wait up to this long for every shard's /healthz before serving (0 = don't)")
+	fs.Var(&shards, "shard", "shard as name=BINADDR[@HTTPADDR]; repeatable")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pmrouter:", err)
+		return 1
+	}
 
 	if len(shards) == 0 {
-		fmt.Fprintln(os.Stderr, "pmrouter: at least one -shard required")
-		os.Exit(1)
+		return fail(errors.New("at least one -shard required"))
 	}
 	if *waitShards > 0 {
 		if err := waitHealthy(shards, *waitShards); err != nil {
-			fmt.Fprintln(os.Stderr, "pmrouter:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -97,35 +114,30 @@ func main() {
 		CallTimeout: *callTimeout,
 	}, shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer router.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	hs := &http.Server{Handler: router.Handler()}
-	fmt.Fprintf(os.Stderr, "pmrouter: routing %d shards on http://%s (ring seed %d, epoch %d)\n",
+	fmt.Fprintf(stderr, "pmrouter: routing %d shards on http://%s (ring seed %d, epoch %d)\n",
 		len(shards), ln.Addr(), *ringSeed, *epoch)
 
 	binDone := make(chan error, 1)
 	if *binAddr != "" {
 		binLn, err := net.Listen("tcp", *binAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmrouter:", err)
-			os.Exit(1)
+			ln.Close()
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "pmrouter: binary protocol on %s\n", binLn.Addr())
+		fmt.Fprintf(stderr, "pmrouter: binary protocol on %s\n", binLn.Addr())
 		go func() { binDone <- router.ServeBin(binLn) }()
 	} else {
 		binDone <- nil
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
@@ -133,23 +145,24 @@ func main() {
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "pmrouter:", err)
-			os.Exit(1)
+			router.Close()
+			<-binDone
+			return fail(err)
 		}
 	case <-ctx.Done():
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(shCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "pmrouter: shutdown:", err)
+			fmt.Fprintln(stderr, "pmrouter: shutdown:", err)
 		}
 		<-errCh
 	}
 	router.Close() // closes the binary fronts so ServeBin returns
 	if err := <-binDone; err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter: binary listener:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("binary listener: %w", err))
 	}
-	fmt.Fprintln(os.Stderr, "pmrouter: exiting")
+	fmt.Fprintln(stderr, "pmrouter: exiting")
+	return 0
 }
 
 // waitHealthy polls each shard's /healthz (when it has an HTTP address)

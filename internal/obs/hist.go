@@ -196,32 +196,6 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(s.Max)
 }
 
-// Bucket is one non-empty histogram bin, the compact JSON form reports
-// use (the full fixed array is mostly zeros).
-type Bucket struct {
-	// LeNs is the bin's exclusive upper bound in ns (+Inf rendered by
-	// encoding as the exact Max would lose the overflow marker, so the
-	// overflow bin reports LeNs = -1).
-	LeNs  float64 `json:"le_ns"`
-	Count uint64  `json:"count"`
-}
-
-// NonZero returns the populated buckets in ascending bound order.
-func (s *HistogramSnapshot) NonZero() []Bucket {
-	var out []Bucket
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		le := bucketBounds[i]
-		if math.IsInf(le, 1) {
-			le = -1
-		}
-		out = append(out, Bucket{LeNs: le, Count: c})
-	}
-	return out
-}
-
 // utoa / itoa avoid fmt in the exposition inner loop.
 func utoa(v uint64) string { return formatUint(v) }
 func itoa(v int64) string {

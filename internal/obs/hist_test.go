@@ -165,30 +165,6 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
-func TestNonZeroBuckets(t *testing.T) {
-	h := NewHistogram("h", "")
-	h.Observe(10)      // bucket 0
-	h.Observe(10)      //
-	h.Observe(100)     // mid bucket
-	h.Observe(1 << 40) // overflow
-	snap := h.Snapshot()
-	nz := snap.NonZero()
-	if len(nz) != 3 {
-		t.Fatalf("%d populated buckets, want 3: %+v", len(nz), nz)
-	}
-	if nz[0].LeNs != 64 || nz[0].Count != 2 {
-		t.Fatalf("first bucket %+v, want le=64 count=2", nz[0])
-	}
-	if nz[2].LeNs != -1 || nz[2].Count != 1 {
-		t.Fatalf("overflow bucket %+v, want le=-1 count=1", nz[2])
-	}
-	for i := 1; i < len(nz)-1; i++ {
-		if nz[i].LeNs <= nz[i-1].LeNs {
-			t.Fatalf("NonZero not ascending at %d", i)
-		}
-	}
-}
-
 // TestHotPathAllocationFree is the acceptance gate: Counter.Add, Gauge.Set
 // and Histogram.Observe must not allocate — they run on every decision.
 func TestHotPathAllocationFree(t *testing.T) {

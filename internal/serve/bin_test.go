@@ -410,7 +410,7 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 	connDone := make(chan struct{})
 	go func() {
 		defer close(connDone)
-		srv.serveBinConn(server)
+		srv.bin.serveConn(server, srv.openConn())
 	}()
 	cli.SetDeadline(time.Now().Add(10 * time.Second))
 

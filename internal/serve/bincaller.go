@@ -22,11 +22,12 @@ import (
 	"rlpm/internal/wire"
 )
 
-// BinSessionInfo is the shard-side identity a create or resume minted.
+// BinSessionInfo is what a create or resume minted: the session's handle,
+// the epoch it is valid in, and the served chip's shape.
 type BinSessionInfo struct {
 	Handle    uint64
 	Epoch     uint32
-	NumLevels []int // valid until the BinCaller's next Create/Resume
+	NumLevels []int // valid until the caller's or conn's next create or resume
 }
 
 // BinCaller holds the encode/decode scratch for single-attempt calls. Not
@@ -152,10 +153,10 @@ var cohortCodes = [...]string{
 	wire.CohortFrozen:   CohortFrozen,
 }
 
-// OptionsFromWire is the SessionOptions a create payload carries. An
+// optionsFromWire is the SessionOptions a create payload carries. An
 // undefined cohort code fails with ErrBadRequest, as the JSON front
 // refuses an unknown cohort name.
-func OptionsFromWire(r wire.CreateReq) (SessionOptions, error) {
+func optionsFromWire(r wire.CreateReq) (SessionOptions, error) {
 	if int(r.Cohort) >= len(cohortCodes) {
 		return SessionOptions{}, fmt.Errorf("%w: undefined cohort code %d", ErrBadRequest, r.Cohort)
 	}
@@ -177,10 +178,10 @@ func optionsToWire(o SessionOptions) wire.CreateReq {
 	return r
 }
 
-// ResumeFromWire is the ResumeState a resume payload carries. Its slices
+// resumeFromWire is the ResumeState a resume payload carries. Its slices
 // alias r's.
-func ResumeFromWire(r *wire.ResumeReq) (ResumeState, error) {
-	opts, err := OptionsFromWire(r.Opts)
+func resumeFromWire(r *wire.ResumeReq) (ResumeState, error) {
+	opts, err := optionsFromWire(r.Opts)
 	if err != nil {
 		return ResumeState{}, err
 	}
@@ -211,8 +212,12 @@ func resumeToWire(st *ResumeState) wire.ResumeReq {
 	}
 }
 
-// StatsFromWire is the session ledger a reward or close answer carries,
+// statsFromWire is the session ledger a reward or close answer carries,
 // labelled with the session's id.
-func StatsFromWire(id string, st wire.Stats) SessionStats {
+func statsFromWire(id string, st wire.Stats) SessionStats {
 	return SessionStats{ID: id, Decisions: st.Decisions, Rewards: st.Rewards, MeanReward: st.MeanReward, Epsilon: st.Epsilon}
+}
+
+func statsToWire(st SessionStats) wire.Stats {
+	return wire.Stats{Decisions: st.Decisions, Rewards: st.Rewards, MeanReward: st.MeanReward, Epsilon: st.Epsilon}
 }

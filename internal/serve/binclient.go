@@ -122,6 +122,14 @@ func (c *BinClient) conn() (*muxConn, error) {
 	return mc, nil
 }
 
+// Connected reports whether the client holds a live connection, so a call
+// started now would not dial first.
+func (c *BinClient) Connected() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.closed && c.mc != nil && !c.mc.broken()
+}
+
 // muxConn is the shared connection: a writer side coalescing concurrent
 // frames into batched flushes and a reader goroutine dispatching response
 // frames to pending calls by request id.
@@ -303,7 +311,14 @@ func (call *muxCall) await(ctx context.Context, wantType byte) ([]byte, error) {
 	case r = <-call.ch:
 		stopTimer(call.timer)
 	case <-call.timer.C:
-		return nil, call.reap(fmt.Errorf("%w: no response after %v", ErrCallTimeout, call.timeout))
+		// An answer delivered before the deadline was noticed still counts:
+		// a window awaits its calls in order, so a late-awaited call can
+		// find both its answer and its expired timer.
+		select {
+		case r = <-call.ch:
+		default:
+			return nil, call.reap(fmt.Errorf("%w: no response after %v", ErrCallTimeout, call.timeout))
+		}
 	case <-ctx.Done():
 		stopTimer(call.timer)
 		return nil, call.reap(ctx.Err())
@@ -498,7 +513,7 @@ func (s *BinSession) Reward(ctx context.Context, r float64) (SessionStats, error
 	if s.mirror != nil {
 		s.mirror.ackReward(r)
 	}
-	return StatsFromWire(s.ID, st), nil
+	return statsFromWire(s.ID, st), nil
 }
 
 // Close ends the session, returning its final ledger. After a successful
@@ -514,5 +529,5 @@ func (s *BinSession) Close(ctx context.Context) (SessionStats, error) {
 		return SessionStats{}, err
 	}
 	s.closed, s.mirror = true, nil
-	return StatsFromWire(s.ID, st), nil
+	return statsFromWire(s.ID, st), nil
 }

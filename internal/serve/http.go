@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rlpm/internal/obs"
+	"rlpm/internal/wire"
 )
 
 // Wire types shared by the handlers and the Go client.
@@ -142,13 +144,171 @@ type errorResponse struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// Handler returns the server's HTTP API:
+// JSONFront serves the five JSON session routes — create, resume,
+// decide, reward and close — over FrontConns from a pool, for any process
+// that mounts it. A session's id is its handle, printed by sessionID.
+type JSONFront struct {
+	conns    sync.Pool // FrontConn
+	errs     *obs.Counter
+	histHTTP *obs.Histogram // a decide request: body read → answer written
+}
+
+// NewJSONFront builds a front over FrontConns from open, with its series
+// registered in reg under prefix: <prefix>_http_errors_total and
+// <prefix>_decide_stage_ns{stage="http"}.
+func NewJSONFront(reg *obs.Registry, prefix string, open func() FrontConn) *JSONFront {
+	f := &JSONFront{
+		errs: reg.NewCounter(prefix+"_http_errors_total", "HTTP requests answered with an error status"),
+		histHTTP: reg.NewHistogram(prefix+"_decide_stage_ns", stageHelp,
+			obs.Label{Key: "stage", Value: "http"}),
+	}
+	f.conns.New = func() any { return open() }
+	return f
+}
+
+// Mount registers the session routes on mux:
 //
 //	POST   /v1/sessions              create a device session
 //	POST   /v1/sessions/resume       re-create a session from client-carried state
 //	POST   /v1/sessions/{id}/decide  serve one control period's decision
 //	POST   /v1/sessions/{id}/reward  record a device-reported reward
 //	DELETE /v1/sessions/{id}         close the session, return its ledger
+func (f *JSONFront) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("POST /v1/sessions", f.handleCreate)
+	mux.HandleFunc("POST /v1/sessions/resume", f.handleResume)
+	mux.HandleFunc("POST /v1/sessions/{id}/decide", f.handleDecide)
+	mux.HandleFunc("POST /v1/sessions/{id}/reward", f.handleReward)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", f.handleClose)
+}
+
+// WriteError counts err and answers it as the uniform JSON error body,
+// with the status and code the error table gives it — 500 and no code for
+// an error the table does not name. The retry hint err carries rides along
+// as the body's retry_after_ms and the Retry-After header. Every HTTP
+// error a process answers, on the session routes or its own, goes through
+// its front.
+func (f *JSONFront) WriteError(w http.ResponseWriter, err error) {
+	f.errs.Add(1)
+	status, code := http.StatusInternalServerError, ""
+	if c := classify(err); c != nil {
+		status, code = c.status, c.code
+	}
+	resp := errorResponse{Error: err.Error(), Code: code}
+	if retryAfter := RetryAfter(err); retryAfter > 0 {
+		resp.RetryAfterMs = retryAfter.Milliseconds()
+		// The header rounds up to whole seconds (its resolution); the JSON
+		// body carries the precise hint.
+		secs := (retryAfter + time.Second - 1) / time.Second
+		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
+	}
+	WriteJSON(w, status, resp)
+}
+
+func (f *JSONFront) handleCreate(w http.ResponseWriter, r *http.Request) {
+	var opts SessionOptions
+	if err := DecodeBody(r, &opts); err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	info, err := c.Create(r.Context(), opts)
+	f.writeSession(w, info, err)
+}
+
+// handleResume re-creates a session from client-carried mirror state,
+// for clients whose server vanished (restart) or forgot them (TTL
+// reaping, or a router's handoff).
+func (f *JSONFront) handleResume(w http.ResponseWriter, r *http.Request) {
+	var req ResumeSessionRequest
+	if err := DecodeBody(r, &req); err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	st, err := req.State()
+	if err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	info, err := c.Resume(r.Context(), st)
+	f.writeSession(w, info, err)
+}
+
+// writeSession answers a create or resume with the session's id, epoch
+// and the served chip's shape, or with err.
+func (f *JSONFront) writeSession(w http.ResponseWriter, info BinSessionInfo, err error) {
+	if err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, CreateSessionResponse{
+		ID:        sessionID(info.Handle),
+		Epoch:     info.Epoch,
+		Clusters:  len(info.NumLevels),
+		NumLevels: info.NumLevels,
+	})
+}
+
+// handleDecide serves one decide as a window of one.
+func (f *JSONFront) handleDecide(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
+	defer func() { f.histHTTP.Observe(time.Since(t0).Nanoseconds()) }()
+	var req DecideRequest
+	if err := DecodeBody(r, &req); err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	err := c.StartDecide(0, handleOf(r.PathValue("id")), req.Epoch, req.Seq, req.Observations)
+	var levels []int
+	if err == nil {
+		c.Flush()
+		levels, err = c.FinishDecide(r.Context(), 0)
+	}
+	if err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, DecideResponse{Levels: levels})
+}
+
+func (f *JSONFront) handleReward(w http.ResponseWriter, r *http.Request) {
+	var req RewardRequest
+	if err := DecodeBody(r, &req); err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	id := r.PathValue("id")
+	st, err := c.Reward(r.Context(), handleOf(id), req.Epoch, req.Seq, req.Reward)
+	f.writeStats(w, id, st, err)
+}
+
+func (f *JSONFront) handleClose(w http.ResponseWriter, r *http.Request) {
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	id := r.PathValue("id")
+	st, err := c.Close(r.Context(), handleOf(id))
+	f.writeStats(w, id, st, err)
+}
+
+// writeStats answers a reward or close with the session's ledger, or with
+// err. Only a canonical id reaches a session, so id is the session's own.
+func (f *JSONFront) writeStats(w http.ResponseWriter, id string, st wire.Stats, err error) {
+	if err != nil {
+		f.WriteError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, statsFromWire(id, st))
+}
+
+// Handler returns the server's HTTP API: the JSONFront's session routes
+// and
+//
 //	POST   /v1/checkpoint            persist the model to the configured path
 //	GET    /metrics                  Prometheus text exposition (JSON with Accept: application/json)
 //	GET    /debug/events             structured runtime event log (JSON)
@@ -156,11 +316,7 @@ type errorResponse struct {
 //	GET    /healthz                  liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("POST /v1/sessions/resume", s.handleResume)
-	mux.HandleFunc("POST /v1/sessions/{id}/decide", s.handleDecide)
-	mux.HandleFunc("POST /v1/sessions/{id}/reward", s.handleReward)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleClose)
+	s.json.Mount(mux)
 	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
@@ -176,127 +332,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// WriteError writes err as the uniform JSON error body, with the status
-// and code the error table gives it — 500 and no code for an error the
-// table does not name. A positive retryAfter rides along as the body's
-// retry_after_ms and the Retry-After header. Every HTTP front, a server's
-// or a router's, answers errors through it.
-func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
-	status, code := http.StatusInternalServerError, ""
-	if c := classify(err); c != nil {
-		status, code = c.status, c.code
-	}
-	resp := errorResponse{Error: err.Error(), Code: code}
-	if retryAfter > 0 {
-		resp.RetryAfterMs = retryAfter.Milliseconds()
-		// The header rounds up to whole seconds (its resolution); the JSON
-		// body carries the precise hint.
-		secs := (retryAfter + time.Second - 1) / time.Second
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
-	}
-	WriteJSON(w, status, resp)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.httpErrors.Add(1)
-	WriteError(w, err, s.retryHint(err))
-}
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var opts SessionOptions
-	if err := DecodeBody(r, &opts); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sess, err := s.CreateSession(opts)
-	s.writeSession(w, sess, err)
-}
-
-// writeSession answers a create or resume with the session's identity and
-// the served chip's shape, or with err.
-func (s *Server) writeSession(w http.ResponseWriter, sess *Session, err error) {
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, CreateSessionResponse{
-		ID:        sess.ID(),
-		Epoch:     s.cfg.Epoch,
-		Clusters:  s.model.Clusters(),
-		NumLevels: s.model.NumLevels(),
-	})
-}
-
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	defer func() { s.histHTTP.Observe(time.Since(t0).Nanoseconds()) }()
-	var req DecideRequest
-	if err := DecodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sess, err := s.SessionByIDEpoch(r.PathValue("id"), req.Epoch)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	levels := make([]int, s.model.Clusters())
-	if _, err := sess.DecideSeq(req.Seq, req.Observations, levels); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, DecideResponse{Levels: levels})
-}
-
-// handleResume re-creates a session from client-carried mirror state —
-// the HTTP face of ResumeSession, used by clients whose server vanished
-// (restart) or forgot them (TTL reaping).
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	var req ResumeSessionRequest
-	if err := DecodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	st, err := req.State()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sess, err := s.ResumeSession(st)
-	s.writeSession(w, sess, err)
-}
-
-func (s *Server) handleReward(w http.ResponseWriter, r *http.Request) {
-	var req RewardRequest
-	if err := DecodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	sess, err := s.SessionByIDEpoch(r.PathValue("id"), req.Epoch)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	st, err := sess.RewardSeq(req.Seq, req.Reward)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	st, err := s.CloseSession(r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, st)
-}
-
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.CheckpointPath == "" {
-		s.writeError(w, fmt.Errorf("serve: no checkpoint path configured"))
+		s.json.WriteError(w, fmt.Errorf("serve: no checkpoint path configured"))
 		return
 	}
 	// On a learning server the endpoint publishes the *learned* tables, and
@@ -305,7 +343,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	s.ckptPubMu.Lock()
 	if s.ckptFinal {
 		s.ckptPubMu.Unlock()
-		s.writeError(w, fmt.Errorf("serve: final drain checkpoint already published"))
+		s.json.WriteError(w, fmt.Errorf("serve: final drain checkpoint already published"))
 		return
 	}
 	snap := s.model.Snapshot()
@@ -316,7 +354,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	s.ckptPubMu.Unlock()
 	if err != nil {
 		s.events.Addf("checkpoint", "save to %s failed: %v", s.cfg.CheckpointPath, err)
-		s.writeError(w, err)
+		s.json.WriteError(w, err)
 		return
 	}
 	now := time.Now()

@@ -131,7 +131,7 @@ func TestMetricsSnapshotConcurrent(t *testing.T) {
 						return
 					}
 				}
-				srv.CloseSession(sess.ID())
+				srv.CloseSessionByHandle(sess.Handle())
 			}
 		}(uint64(w + 1))
 	}

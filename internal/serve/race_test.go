@@ -57,7 +57,7 @@ func TestConcurrentSessionsMatchSerialOracle(t *testing.T) {
 					}
 				}
 			}
-			results[idx].stats, results[idx].err = srv.CloseSession(sess.ID())
+			results[idx].stats, results[idx].err = srv.CloseSessionByHandle(sess.Handle())
 		}(d)
 	}
 	wg.Wait()

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -150,7 +154,7 @@ func TestSessionTTLReaping(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := srv.CloseSession(sess.ID()); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.CloseSessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close after reap: %v, want ErrNoSession", err)
 	}
 }
@@ -173,7 +177,7 @@ func TestEpochMismatchIsUnknownSession(t *testing.T) {
 	if _, err := srv.SessionByHandleEpoch(sess.Handle(), 2); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("stale epoch by handle: %v, want ErrUnknownSession", err)
 	}
-	if _, err := srv.SessionByIDEpoch(sess.ID(), 2); !errors.Is(err, ErrUnknownSession) {
+	if _, err := srv.SessionByHandleEpoch(handleOf(sess.ID()), 2); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("stale epoch by id: %v, want ErrUnknownSession", err)
 	}
 	if !errors.Is(ErrUnknownSession, ErrNoSession) {
@@ -373,6 +377,63 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	}
 	if h := srv.backoffHintMs(); h != 1000 {
 		t.Fatalf("saturated hint %dms, want 1000ms clamp", h)
+	}
+
+	// A shed decide carries the hint through both fronts: with the
+	// in-flight bound parked in the policy pin, a binary decide fails with
+	// ErrOverloaded and the hint as its backoff, and a JSON decide answers
+	// 429 with the hint in retry_after_ms and, rounded up, Retry-After.
+	m := testModel(t, 4, 6)
+	gb := &gateBackend{SWBackend: NewSWBackend(m), entered: make(chan struct{}, 4), gate: make(chan struct{})}
+	shed := newTestServer(t, m, gb, Config{MaxBatch: 1})
+	shed.observeDecide(100 * time.Millisecond)
+	want := time.Duration(shed.backoffHintMs()) * time.Millisecond
+	obs := testObs(m, 5, 1)[0]
+	var parked sync.WaitGroup
+	defer parked.Wait()
+	defer close(gb.gate)
+	for i := 0; i < 4; i++ {
+		sess, err := shed.CreateSession(SessionOptions{Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			sess.Decide(obs)
+		}()
+		<-gb.entered
+	}
+	sess, err := shed.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bc := NewBinClient(startBinServer(t, shed))
+	defer bc.Close()
+	var c BinCaller
+	if _, err := c.DecideSeq(context.Background(), bc, sess.Handle(), shed.Epoch(), 1, obs); !errors.Is(err, ErrOverloaded) || RetryAfter(err) != want {
+		t.Fatalf("binary shed answered %v, retry after %v; want ErrOverloaded, %v", err, RetryAfter(err), want)
+	}
+
+	hs := httptest.NewServer(shed.Handler())
+	defer hs.Close()
+	raw, err := json.Marshal(DecideRequest{Observations: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/sessions/"+sess.ID()+"/decide", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || body.RetryAfterMs != want.Milliseconds() || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("JSON shed answered %d, retry_after_ms %d, Retry-After %q; want 429, %d, \"1\"",
+			resp.StatusCode, body.RetryAfterMs, resp.Header.Get("Retry-After"), want.Milliseconds())
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -273,7 +272,7 @@ type SessionStats struct {
 // totally ordered while different devices proceed concurrently.
 type Session struct {
 	id     string
-	handle uint64 // numeric identity for the binary protocol
+	handle uint64 // the session's identity on both protocols; id prints it
 	srv    *Server
 
 	mu     sync.Mutex
@@ -343,12 +342,12 @@ func (h *learnHistory) roll() {
 	h.haveCur = true
 }
 
-// ID returns the session identifier.
+// ID returns the session's JSON id: its handle, printed.
 func (s *Session) ID() string { return s.id }
 
 // Handle returns the session's numeric identity — what the binary protocol
-// carries instead of the string id, so the hot path never formats or hashes
-// strings.
+// carries, so the hot path never formats or hashes strings, and what the
+// JSON front parses its id back to.
 func (s *Session) Handle() uint64 { return s.handle }
 
 // Decide serves one or more control periods: encodes each cluster's
@@ -630,9 +629,12 @@ type Config struct {
 	Learn LearnConfig
 }
 
+// DefaultMaxBatch is Config.MaxBatch's default.
+const DefaultMaxBatch = 256
+
 func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 1
@@ -670,8 +672,7 @@ type Server struct {
 	start   time.Time
 
 	mu       sync.Mutex
-	sessions map[string]*Session
-	handles  map[uint64]*Session // binary-protocol identity → session
+	handles  map[uint64]*Session // every live session, by handle
 	nextID   uint64
 	closed   atomic.Bool // set once by Close; written under mu
 	draining bool
@@ -690,9 +691,8 @@ type Server struct {
 	reapQuit chan struct{} // nil unless a TTL reaper is running
 	reapWG   sync.WaitGroup
 
-	binMu    sync.Mutex
-	binLns   map[net.Listener]struct{} // live ServeBin listeners
-	binConns map[net.Conn]struct{}     // live binary-protocol connections
+	bin  *BinFront
+	json *JSONFront
 
 	reg    *obs.Registry
 	events *obs.EventLog
@@ -704,17 +704,9 @@ type Server struct {
 	rewardsDeduped  *obs.Counter // reward retries answered from the dedup ledger
 	sessionsCreated *obs.Counter
 	sessionsClosed  *obs.Counter
-	sessionsReaped  *obs.Counter // sessions closed by the TTL reaper
-	decidesDeduped  *obs.Counter // decide retries answered from the replay cache
-	resumes         *obs.Counter // sessions re-created from client-carried state
-	httpErrors      *obs.Counter
-	binConnsTotal   *obs.Counter   // binary connections accepted
-	binFrames       *obs.Counter   // binary request frames served
-	binErrors       *obs.Counter   // binary requests answered with an error frame
-	histHTTP        *obs.Histogram // full decide-handler wall time
-	histBin         *obs.Histogram // full binary decide frame: read → flushed
-	histBinDecode   *obs.Histogram // binary decide frame decode + convert
-	histBinWrite    *obs.Histogram // binary decide response encode + write
+	sessionsReaped  *obs.Counter   // sessions closed by the TTL reaper
+	decidesDeduped  *obs.Counter   // decide retries answered from the replay cache
+	resumes         *obs.Counter   // sessions re-created from client-carried state
 	histBackend     *obs.Histogram // decide loop of a frame that read the shared policy
 	batches         *obs.Counter   // frames that read the shared policy
 	batchLookups    *obs.Counter   // lookups those frames read from it
@@ -822,17 +814,15 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:      cfg,
-		model:    model,
-		backend:  backend,
-		start:    time.Now(),
-		sessions: make(map[string]*Session),
-		handles:  make(map[uint64]*Session),
-		binLns:   make(map[net.Listener]struct{}),
-		binConns: make(map[net.Conn]struct{}),
-		reg:      reg,
-		events:   obs.NewEventLog(256),
-		fs:       fs,
+		cfg:     cfg,
+		model:   model,
+		backend: backend,
+		start:   time.Now(),
+		handles: make(map[uint64]*Session),
+		bin:     NewBinFront(reg, "serve", cfg.MaxBatch),
+		reg:     reg,
+		events:  obs.NewEventLog(256),
+		fs:      fs,
 
 		decisions:       reg.NewCounter("serve_decisions_total", "decide calls served"),
 		lookupsServed:   reg.NewCounter("serve_lookups_total", "individual greedy table lookups resolved"),
@@ -844,37 +834,21 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 		sessionsReaped:  reg.NewCounter("serve_sessions_reaped_total", "idle device sessions closed by the TTL reaper"),
 		decidesDeduped:  reg.NewCounter("serve_decides_deduped_total", "decide retries answered from the per-session replay cache"),
 		resumes:         reg.NewCounter("serve_resumes_total", "sessions re-created from client-carried resume state"),
-		httpErrors:      reg.NewCounter("serve_http_errors_total", "HTTP requests answered with an error status"),
-		binConnsTotal:   reg.NewCounter("serve_bin_connections_total", "binary-protocol connections accepted"),
-		binFrames:       reg.NewCounter("serve_bin_frames_total", "binary-protocol request frames served"),
-		binErrors:       reg.NewCounter("serve_bin_errors_total", "binary-protocol requests answered with an error frame"),
 		batches:         reg.NewCounter("serve_batches_total", "decide frames that read the shared policy"),
 		batchLookups:    reg.NewCounter("serve_batch_lookups_total", "lookups read from the shared policy"),
 		batchRejected:   reg.NewCounter("serve_batch_rejected_total", "decides shed with ErrOverloaded past the in-flight bound"),
 		maxInflight:     4 * int64(cfg.MaxBatch),
-		histHTTP: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "http"}),
-		histBin: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "bin"}),
-		histBinDecode: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "bin_decode"}),
-		histBinWrite: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
-			obs.Label{Key: "stage", Value: "bin_write"}),
-		histBackend: reg.NewHistogram("serve_decide_stage_ns", "per-stage decide-path latency in nanoseconds",
+		histBackend: reg.NewHistogram("serve_decide_stage_ns", stageHelp,
 			obs.Label{Key: "stage", Value: "backend"}),
 	}
+	s.json = NewJSONFront(reg, "serve", s.openConn)
 	reg.NewGaugeFunc("serve_decides_inflight", "decides admitted and not yet returned (bound: 4×MaxBatch)", func() float64 {
 		return float64(s.inflight.Load())
 	})
 	reg.NewGaugeFunc("serve_sessions", "live device sessions", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(len(s.sessions))
-	})
-	reg.NewGaugeFunc("serve_bin_connections", "live binary-protocol connections", func() float64 {
-		s.binMu.Lock()
-		defer s.binMu.Unlock()
-		return float64(len(s.binConns))
+		return float64(len(s.handles))
 	})
 	reg.NewGaugeFunc("serve_uptime_seconds", "seconds since server start (monotonic, clamped at 0)", func() float64 {
 		return ageSeconds(s.start)
@@ -945,11 +919,10 @@ func (s *Server) reapLoop(ttl time.Duration) {
 		cutoff := nanotime() - ttl.Nanoseconds()
 		var expired []*Session
 		s.mu.Lock()
-		for _, sess := range s.sessions {
+		for h, sess := range s.handles {
 			if sess.lastActive.Load() < cutoff {
 				expired = append(expired, sess)
-				delete(s.sessions, sess.id)
-				delete(s.handles, sess.handle)
+				delete(s.handles, h)
 			}
 		}
 		s.mu.Unlock()
@@ -994,9 +967,10 @@ func (s *Server) checkpointAgeS() float64 {
 // Model returns the served model.
 func (s *Server) Model() *Model { return s.model }
 
-// Close stops the learner and the reaper and tears down every
-// binary-protocol listener and connection. Decides already admitted finish;
-// any decide after Close fails with ErrServerClosed.
+// Close stops the learner and the reaper, tears down every
+// binary-protocol listener and connection, and waits for the connection
+// goroutines. Decides already admitted finish; any decide after Close
+// fails with ErrServerClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -1012,14 +986,7 @@ func (s *Server) Close() {
 		close(s.reapQuit)
 		s.reapWG.Wait()
 	}
-	s.binMu.Lock()
-	for ln := range s.binLns {
-		ln.Close()
-	}
-	for c := range s.binConns {
-		c.Close()
-	}
-	s.binMu.Unlock()
+	s.bin.Close()
 }
 
 // admit lets one decide in: it fails with ErrServerClosed after Close and
@@ -1095,31 +1062,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 
-	s.binMu.Lock()
-	for ln := range s.binLns {
-		ln.Close()
-	}
-	deadline := time.Now().Add(s.cfg.DrainGrace)
-	for c := range s.binConns {
-		c.SetReadDeadline(deadline)
-	}
-	s.binMu.Unlock()
-
-	// Wait for the connection goroutines to flush and exit; they remove
-	// themselves from binConns. The grace deadline bounds this, the ctx
-	// is a harder stop.
-	for {
-		s.binMu.Lock()
-		live := len(s.binConns)
-		s.binMu.Unlock()
-		if live == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	// The grace deadline bounds the wait for the connections to flush and
+	// exit; the ctx is a harder stop.
+	if err := s.bin.Drain(ctx, s.cfg.DrainGrace); err != nil {
+		return err
 	}
 
 	// Stop the learner before the final checkpoint: its goroutine applies
@@ -1168,13 +1114,6 @@ func (s *Server) publishCheckpoint(final bool) error {
 	return nil
 }
 
-// isDraining reports whether Drain has begun.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // MarkCheckpoint records a checkpoint load/save instant for the
 // checkpoint-age metric. Prefer passing a fresh time.Now() — it carries a
 // monotonic reading, so the age survives wall-clock steps; timestamps
@@ -1197,7 +1136,7 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 	}
 	s.nextID++
 	sess := &Session{
-		id:         fmt.Sprintf("s-%06d", s.nextID),
+		id:         sessionID(s.nextID),
 		handle:     s.nextID,
 		srv:        s,
 		eps:        opts.Epsilon,
@@ -1208,7 +1147,6 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 	}
 	s.initLearnState(sess, opts.Cohort)
 	sess.lastActive.Store(nanotime())
-	s.sessions[sess.id] = sess
 	s.handles[sess.handle] = sess
 	s.sessionsCreated.Add(1)
 	return sess, nil
@@ -1284,7 +1222,7 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 	}
 	s.nextID++
 	sess := &Session{
-		id:         fmt.Sprintf("s-%06d", s.nextID),
+		id:         sessionID(s.nextID),
 		handle:     s.nextID,
 		srv:        s,
 		eps:        st.Epsilon,
@@ -1310,21 +1248,9 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 		sess.lastPeriods = 1
 	}
 	sess.lastActive.Store(nanotime())
-	s.sessions[sess.id] = sess
 	s.handles[sess.handle] = sess
 	s.sessionsCreated.Add(1)
 	s.resumes.Add(1)
-	return sess, nil
-}
-
-// Session looks a live session up by id.
-func (s *Server) Session(id string) (*Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSession, id)
-	}
 	return sess, nil
 }
 
@@ -1363,44 +1289,11 @@ func (s *Server) SessionByHandleEpoch(h uint64, epoch uint32) (*Session, error) 
 	return sess, nil
 }
 
-// SessionByIDEpoch is SessionByHandleEpoch for the HTTP path's string ids.
-func (s *Server) SessionByIDEpoch(id string, epoch uint32) (*Session, error) {
-	if epoch == 0 {
-		return s.Session(id)
-	}
-	if epoch != s.cfg.Epoch {
-		return nil, ErrUnknownSession
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return nil, ErrUnknownSession
-	}
-	return sess, nil
-}
-
-// CloseSession ends a session and returns its final ledger.
-func (s *Server) CloseSession(id string) (SessionStats, error) {
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-		delete(s.handles, sess.handle)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return SessionStats{}, fmt.Errorf("%w: %q", ErrNoSession, id)
-	}
-	return s.finishClose(sess), nil
-}
-
 // CloseSessionByHandle ends a session addressed by its binary handle.
 func (s *Server) CloseSessionByHandle(h uint64) (SessionStats, error) {
 	s.mu.Lock()
 	sess, ok := s.handles[h]
 	if ok {
-		delete(s.sessions, sess.id)
 		delete(s.handles, h)
 	}
 	s.mu.Unlock()
@@ -1463,7 +1356,7 @@ type Metrics struct {
 // so a backwards wall-clock step can never produce a negative age.
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
-	live := len(s.sessions)
+	live := len(s.handles)
 	s.mu.Unlock()
 	batches, lookups := s.batches.Load(), s.batchLookups.Load()
 	m := Metrics{
@@ -1485,10 +1378,10 @@ func (s *Server) MetricsSnapshot() Metrics {
 		BatchRejected:     s.batchRejected.Load(),
 		DecidesInflight:   s.inflight.Load(),
 		MaxBatchOccupancy: s.maxOcc.Load(),
-		HTTPErrors:        s.httpErrors.Load(),
-		BinConnections:    s.binConnsTotal.Load(),
-		BinFrames:         s.binFrames.Load(),
-		BinErrors:         s.binErrors.Load(),
+		HTTPErrors:        s.json.errs.Load(),
+		BinConnections:    s.bin.connsTotal.Load(),
+		BinFrames:         s.bin.frames.Load(),
+		BinErrors:         s.bin.errs.Load(),
 		CheckpointAgeS:    s.checkpointAgeS(),
 	}
 	if batches > 0 {

@@ -277,7 +277,7 @@ func TestSessionExplorationIsDeviceLocal(t *testing.T) {
 			}
 			streams = append(streams, lv)
 		}
-		if _, err := srv.CloseSession(sess.ID()); err != nil {
+		if _, err := srv.CloseSessionByHandle(sess.Handle()); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 		return streams
@@ -327,7 +327,7 @@ func TestServerSessionLifecycle(t *testing.T) {
 	if _, err := sess.Reward(-1.5); err != nil {
 		t.Fatalf("reward: %v", err)
 	}
-	st, err := srv.CloseSession(sess.ID())
+	st, err := srv.CloseSessionByHandle(sess.Handle())
 	if err != nil {
 		t.Fatalf("CloseSession: %v", err)
 	}
@@ -337,10 +337,10 @@ func TestServerSessionLifecycle(t *testing.T) {
 	if _, err := sess.Decide(obs); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("decide after close: %v, want ErrSessionClosed", err)
 	}
-	if _, err := srv.Session(sess.ID()); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.SessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("lookup after close: %v, want ErrNoSession", err)
 	}
-	if _, err := srv.CloseSession("nope"); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.CloseSessionByHandle(handleOf("nope")); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close unknown: %v, want ErrNoSession", err)
 	}
 }

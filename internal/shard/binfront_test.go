@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"syscall"
 	"testing"
 	"time"
 
@@ -299,5 +300,116 @@ func TestRouterStalledShardCostsOneTimeoutPerWindow(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*callTimeout {
 		t.Fatalf("8 forwards to a stalled shard took %v, want under %v (one call timeout per window)", took, 2*callTimeout)
+	}
+}
+
+// unreachable rebinds addr to a listener whose accept queue is full — a
+// backlog of 0 plus one connection nobody accepts — so a dial to addr
+// blocks until its timeout instead of being refused.
+func unreachable(t *testing.T, addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	raw, err := ln.(*net.TCPListener).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lerr error
+	if err := raw.Control(func(fd uintptr) { lerr = syscall.Listen(int(fd), 0) }); err != nil || lerr != nil {
+		t.Fatalf("backlog 0: %v %v", err, lerr)
+	}
+	filler, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatalf("fill the accept queue: %v", err)
+	}
+	t.Cleanup(func() { filler.Close() })
+}
+
+// TestRouterRedialDoesNotStallWindow: one write holds decides for shard A,
+// shard B and A again, and B's connection is gone with its address
+// unreachable, so B's forward dials for a whole call timeout. A's forwards
+// must still be answered: the window flushes them before the dial and
+// takes their answers although their deadlines passed meanwhile. B's frame
+// answers with the retryable server-closed code.
+func TestRouterRedialDoesNotStallWindow(t *testing.T) {
+	const callTimeout = 300 * time.Millisecond
+	model := testModel(t, 6, 4)
+	fleet, err := NewFleet(model, 2, serve.Config{})
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	t.Cleanup(fleet.Close)
+	router, err := NewRouter(RouterConfig{RingSeed: 1, CallTimeout: callTimeout}, fleet.Specs())
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	t.Cleanup(router.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- router.ServeBin(ln) }()
+	t.Cleanup(func() {
+		router.Close()
+		<-done
+	})
+
+	// One session on each shard.
+	specA, specB := fleet.Specs()[0], fleet.Specs()[1]
+	bc := serve.NewBinClient(ln.Addr().String())
+	defer bc.Close()
+	var c serve.BinCaller
+	handles := map[string]uint64{}
+	for d := 0; len(handles) < 2; d++ {
+		seed := serve.DeviceSeed(1, d)
+		owner, _ := router.ring.Owner(seed)
+		if _, ok := handles[owner]; ok {
+			continue
+		}
+		info, err := c.Create(context.Background(), bc, serve.SessionOptions{Seed: seed})
+		if err != nil {
+			t.Fatalf("create on %s: %v", owner, err)
+		}
+		handles[owner] = info.Handle
+	}
+
+	// Cut B: its shard dies, the router's client to it notices, and B's
+	// address stops answering dials.
+	clientB := router.shards[specB.Name].bc
+	if err := fleet.KillShard(specB.Name); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); clientB.Connected(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router's client never saw shard B go away")
+		}
+	}
+	unreachable(t, specB.BinAddr)
+
+	obs, ep := testObs(model), router.Epoch()
+	var frames []byte
+	frames = appendDecide(frames, 1, handles[specA.Name], ep, 1, obs)
+	frames = appendDecide(frames, 2, handles[specB.Name], ep, 1, obs)
+	frames = appendDecide(frames, 3, handles[specA.Name], ep, 2, obs)
+	rc := dialRaw(t, ln.Addr().String())
+	rc.write(frames)
+	for want := uint32(1); want <= 3; want++ {
+		h, p := rc.read()
+		if h.ReqID != want {
+			t.Fatalf("answer for request %d arrived in slot %d", h.ReqID, want)
+		}
+		if want == 2 {
+			if code := errorCode(t, h, p); code != wire.CodeServerClosed {
+				t.Fatalf("the unreachable shard's frame answered code %d, want %d", code, wire.CodeServerClosed)
+			}
+			continue
+		}
+		if h.Type != wire.TDecideOK {
+			t.Fatalf("shard A's request %d answered code %d behind a redialing shard, want a decision", want, errorCode(t, h, p))
+		}
 	}
 }

@@ -1,9 +1,9 @@
-// HTTP front: the router's JSON API. Devices get the same routes a shard
-// serves — create/resume/decide/reward/close under /v1, /metrics,
-// /healthz — plus the fleet views only a router can offer: GET /v1/ring
-// (membership + placement contract) and a /metrics exposition that merges
-// every shard's scraped registry snapshot into one fleet-wide view with
-// per-shard rollup series alongside the router's own counters.
+// HTTP front: the router's JSON API. Devices get the session routes a
+// shard serves (serve.JSONFront over a routerConn), /metrics and /healthz,
+// plus the fleet views only a router can offer: GET /v1/ring (membership +
+// placement contract) and a /metrics exposition that merges every shard's
+// scraped registry snapshot into one fleet-wide view with per-shard rollup
+// series alongside the router's own counters.
 package shard
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"rlpm/internal/obs"
 	"rlpm/internal/serve"
-	"rlpm/internal/wire"
 )
 
 // RingResponse answers GET /v1/ring: everything a peer process needs to
@@ -60,11 +59,7 @@ type RouterMetrics struct {
 // Handler returns the router's HTTP API.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", r.handleCreate)
-	mux.HandleFunc("POST /v1/sessions/resume", r.handleResume)
-	mux.HandleFunc("POST /v1/sessions/{id}/decide", r.handleDecide)
-	mux.HandleFunc("POST /v1/sessions/{id}/reward", r.handleReward)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", r.handleClose)
+	r.json.Mount(mux)
 	mux.HandleFunc("GET /v1/ring", r.handleRing)
 	mux.HandleFunc("POST /v1/shards", r.handleAddShard)
 	mux.HandleFunc("DELETE /v1/shards/{name}", r.handleRemoveShard)
@@ -73,138 +68,10 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeError answers with serve's uniform error body — the error table's
-// status and code — carrying the shard's backoff hint on overload sheds,
-// so resilient clients classify router answers exactly as a shard's.
-func writeError(w http.ResponseWriter, err error) {
-	serve.WriteError(w, err, serve.RetryAfter(err))
-}
-
 // writeBadRequest answers a failed membership change as a client fault:
 // whatever the cause, it is the admin's request that must change.
-func writeBadRequest(w http.ResponseWriter, err error) {
-	writeError(w, fmt.Errorf("%w: %v", serve.ErrBadRequest, err))
-}
-
-func (r *Router) reqCtx(req *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(req.Context(), r.cfg.CallTimeout)
-}
-
-func (r *Router) handleCreate(w http.ResponseWriter, req *http.Request) {
-	var opts serve.SessionOptions
-	if err := serve.DecodeBody(req, &opts); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	info, err := r.CreateSession(ctx, c, opts)
-	r.putCaller(c)
-	writeSession(w, info, err)
-}
-
-func (r *Router) handleResume(w http.ResponseWriter, req *http.Request) {
-	var body serve.ResumeSessionRequest
-	if err := serve.DecodeBody(req, &body); err != nil {
-		writeError(w, err)
-		return
-	}
-	st, err := body.State()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	info, err := r.ResumeSession(ctx, c, st)
-	r.putCaller(c)
-	writeSession(w, info, err)
-}
-
-// writeSession answers a create or resume with the device-visible
-// identity, or with err.
-func writeSession(w http.ResponseWriter, info RouterSessionInfo, err error) {
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, serve.CreateSessionResponse{
-		ID:        info.ID,
-		Epoch:     info.Epoch,
-		Clusters:  len(info.NumLevels),
-		NumLevels: info.NumLevels,
-	})
-}
-
-func (r *Router) handleDecide(w http.ResponseWriter, req *http.Request) {
-	var body serve.DecideRequest
-	if err := serve.DecodeBody(req, &body); err != nil {
-		writeError(w, err)
-		return
-	}
-	h, err := r.handleByID(req.PathValue("id"), body.Epoch)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	levels, err := r.Decide(ctx, c, h, body.Epoch, body.Seq, body.Observations)
-	if err != nil {
-		r.putCaller(c)
-		writeError(w, err)
-		return
-	}
-	// levels is the caller's scratch: copy before releasing it to the pool.
-	out := append([]int(nil), levels...)
-	r.putCaller(c)
-	serve.WriteJSON(w, http.StatusOK, serve.DecideResponse{Levels: out})
-}
-
-func (r *Router) handleReward(w http.ResponseWriter, req *http.Request) {
-	var body serve.RewardRequest
-	if err := serve.DecodeBody(req, &body); err != nil {
-		writeError(w, err)
-		return
-	}
-	h, err := r.handleByID(req.PathValue("id"), body.Epoch)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	st, err := r.Reward(ctx, c, h, body.Epoch, body.Seq, body.Reward)
-	r.putCaller(c)
-	writeStats(w, req.PathValue("id"), st, err)
-}
-
-func (r *Router) handleClose(w http.ResponseWriter, req *http.Request) {
-	h, err := r.handleByID(req.PathValue("id"), 0)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	c := r.getCaller()
-	st, err := r.CloseSession(ctx, c, h)
-	r.putCaller(c)
-	writeStats(w, req.PathValue("id"), st, err)
-}
-
-// writeStats answers a reward or close with the shard's ledger under the
-// device-visible session id, or with err.
-func writeStats(w http.ResponseWriter, id string, st wire.Stats, err error) {
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, serve.StatsFromWire(id, st))
+func (r *Router) writeBadRequest(w http.ResponseWriter, err error) {
+	r.json.WriteError(w, fmt.Errorf("%w: %v", serve.ErrBadRequest, err))
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
@@ -225,11 +92,11 @@ func (r *Router) handleRing(w http.ResponseWriter, _ *http.Request) {
 func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	var spec ShardSpec
 	if err := serve.DecodeBody(req, &spec); err != nil {
-		writeError(w, err)
+		r.json.WriteError(w, err)
 		return
 	}
 	if err := r.AddShard(spec); err != nil {
-		writeBadRequest(w, err)
+		r.writeBadRequest(w, err)
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "added", "shard": spec.Name})
@@ -238,7 +105,7 @@ func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("name")
 	if err := r.RemoveShard(name); err != nil {
-		writeBadRequest(w, err)
+		r.writeBadRequest(w, err)
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "removed", "shard": name})
@@ -361,7 +228,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			Moved:           r.movedSessions.Load(),
 			Decisions:       fleetDecisions,
 			DecideFrames:    r.decideFrames.Load(),
-			DecideWindows:   r.decideWindows.Load(),
+			DecideWindows:   r.bin.Windows(),
 			Rewards:         r.rewardsFwd.Load(),
 			ForwardErrors:   r.forwardErrors.Load(),
 			PerShard:        statuses,

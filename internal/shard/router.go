@@ -4,9 +4,11 @@
 // to it exactly as they would to a single pmserve — same HTTP routes, same
 // binary frames, same error codes and backoff hints — and it forwards each
 // call to the shard that owns the device's key on the consistent-hash
-// ring. It mints its own session identities (handle + "r-..." id) in its
-// own epoch, so shard-side handles never leak to devices and a shard
-// restart or a rebalance is invisible to the client's addressing scheme.
+// ring. It mints its own session handles in its own epoch, so shard-side
+// handles never leak to devices and a shard restart or a rebalance is
+// invisible to the client's addressing scheme. Both of its device fronts
+// are serve's own (serve.BinFront, serve.JSONFront), run over a routerConn
+// that forwards each call to the session's shard.
 //
 // The router deliberately does NOT retry or resume: device clients already
 // run the full mirror/resume machinery (BinSession, Client), and they are
@@ -25,8 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/obs"
@@ -73,12 +75,11 @@ type shardConn struct {
 }
 
 // routerSession is the router's record of one device session: which shard
-// holds it and under what shard-side identity. The router's own handle/id
-// are the device-visible names.
+// holds it and under what shard-side identity. The router's own handle is
+// the device-visible name.
 type routerSession struct {
 	mu          sync.Mutex
-	handle      uint64 // router-minted, device-visible
-	id          string
+	handle      uint64     // router-minted, device-visible
 	key         uint64     // routing key: the device's seed
 	shard       *shardConn // nil once moved
 	shardHandle uint64
@@ -87,8 +88,8 @@ type routerSession struct {
 	closed      bool
 }
 
-// Router owns the ring, the shard connections, and the session table. All
-// fronts (binary, HTTP) funnel into the same core ops.
+// Router owns the ring, the shard connections, the session table and the
+// two device fronts.
 type Router struct {
 	cfg RouterConfig
 
@@ -96,28 +97,21 @@ type Router struct {
 	ring       *Ring
 	shards     map[string]*shardConn
 	sessions   map[uint64]*routerSession
-	byID       map[string]*routerSession
 	nextHandle uint64
 	closed     bool
 
-	start   time.Time
-	callers sync.Pool // *serve.BinCaller for the HTTP front and admin ops
+	start time.Time
+	bin   *serve.BinFront
+	json  *serve.JSONFront
 
 	reg             *obs.Registry
 	sessionsCreated *obs.Counter
 	resumesFwd      *obs.Counter
 	decideFrames    *obs.Counter
-	decideWindows   *obs.Counter
 	rewardsFwd      *obs.Counter
 	forwardErrors   *obs.Counter
 	movedSessions   *obs.Counter
 	scrapeErrors    *obs.Counter
-
-	binMu    sync.Mutex
-	binLns   map[net.Listener]struct{}
-	binConns map[net.Conn]struct{}
-	binWG    sync.WaitGroup
-	binDown  atomic.Bool
 }
 
 // NewRouter builds a router over the initial shard set. Shard clients dial
@@ -130,21 +124,22 @@ func NewRouter(cfg RouterConfig, shards []ShardSpec) (*Router, error) {
 		ring:     NewRing(cfg.RingSeed, cfg.VNodes),
 		shards:   make(map[string]*shardConn, len(shards)),
 		sessions: make(map[uint64]*routerSession),
-		byID:     make(map[string]*routerSession),
 		start:    time.Now(),
-		reg:      reg,
+		// A window gathers at most what a default pmserve window would, so
+		// single-period frames of a small chip never reach the budget
+		// before the 64-frame cap.
+		bin: serve.NewBinFront(reg, "router", serve.DefaultMaxBatch),
+		reg: reg,
 
 		sessionsCreated: reg.NewCounter("router_sessions_created_total", "device sessions placed on shards"),
 		resumesFwd:      reg.NewCounter("router_resumes_total", "resume requests forwarded (handoff completions)"),
 		decideFrames:    reg.NewCounter("router_decide_frames_total", "decide frames forwarded"),
-		decideWindows:   reg.NewCounter("router_decide_windows_total", "decide windows the binary front forwarded"),
 		rewardsFwd:      reg.NewCounter("router_rewards_total", "reward reports forwarded"),
 		forwardErrors:   reg.NewCounter("router_forward_errors_total", "forwarded calls that failed"),
 		movedSessions:   reg.NewCounter("router_sessions_moved_total", "sessions invalidated by membership change (handoff signals sent)"),
 		scrapeErrors:    reg.NewCounter("router_scrape_errors_total", "fleet metric scrapes that failed"),
-		binLns:          make(map[net.Listener]struct{}),
-		binConns:        make(map[net.Conn]struct{}),
 	}
+	r.json = serve.NewJSONFront(reg, "router", r.openConn)
 	reg.NewGaugeFunc("router_shards", "shards in the ring", func() float64 {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -177,14 +172,11 @@ func (r *Router) Registry() *obs.Registry { return r.reg }
 // Epoch returns the router incarnation devices see.
 func (r *Router) Epoch() uint32 { return r.cfg.Epoch }
 
-func (r *Router) getCaller() *serve.BinCaller {
-	if c, ok := r.callers.Get().(*serve.BinCaller); ok {
-		return c
-	}
-	return &serve.BinCaller{}
-}
+// ServeBin accepts binary-protocol device connections on ln until the
+// listener fails or the router closes. It blocks; run it in a goroutine.
+func (r *Router) ServeBin(ln net.Listener) error { return r.bin.Serve(ln, r.openConn) }
 
-func (r *Router) putCaller(c *serve.BinCaller) { r.callers.Put(c) }
+func (r *Router) openConn() serve.FrontConn { return &routerConn{r: r} }
 
 // Shards returns the current shard specs in ring (sorted-name) order.
 func (r *Router) Shards() []ShardSpec {
@@ -245,7 +237,6 @@ func (r *Router) markMovedLocked() []movedRef {
 			s.moved = true
 			s.shard = nil
 			delete(r.sessions, h)
-			delete(r.byID, s.id)
 			r.movedSessions.Add(1)
 		}
 		s.mu.Unlock()
@@ -262,8 +253,7 @@ func (r *Router) closeMovedAsync(moved []movedRef) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		c := r.getCaller()
-		defer r.putCaller(c)
+		var c serve.BinCaller
 		for _, m := range moved {
 			_, _ = c.Close(ctx, m.sc.bc, m.handle)
 		}
@@ -314,14 +304,13 @@ func (r *Router) RemoveShard(name string) error {
 	// gracefully (it may be dead — calls fail fast and that is fine), then
 	// drop the client.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	c := r.getCaller()
+	var c serve.BinCaller
 	for _, m := range moved {
 		if m.sc == sc {
 			_, _ = c.Close(ctx, m.sc.bc, m.handle)
 		}
 	}
 	cancel()
-	r.putCaller(c)
 	var rest []movedRef
 	for _, m := range moved {
 		if m.sc != sc {
@@ -346,32 +335,13 @@ func (r *Router) Close() {
 		conns = append(conns, sc)
 	}
 	r.sessions = make(map[uint64]*routerSession)
-	r.byID = make(map[string]*routerSession)
 	r.mu.Unlock()
 
-	r.binDown.Store(true)
-	r.binMu.Lock()
-	for ln := range r.binLns {
-		ln.Close()
-	}
-	for c := range r.binConns {
-		c.Close()
-	}
-	r.binMu.Unlock()
-	r.binWG.Wait()
+	r.bin.Close()
 
 	for _, sc := range conns {
 		sc.bc.Close()
 	}
-}
-
-// RouterSessionInfo is what create/resume hand back to a front: the
-// device-visible identity plus the model shape from the owning shard.
-type RouterSessionInfo struct {
-	ID        string
-	Handle    uint64
-	Epoch     uint32
-	NumLevels []int
 }
 
 // errMoved is the handoff signal: the session's keyspace changed owner
@@ -409,40 +379,46 @@ func mapForwardErr(err error, sessionOp bool) error {
 // generous.
 const maxPlaceAttempts = 4
 
+// routerConn is the FrontConn of a device connection to the router: each
+// call is forwarded to the session's shard. The calls served one at a time
+// share one caller; a decide window keeps one caller per frame, so all of
+// its forwards are in flight together and a warmed connection forwards
+// without allocating.
+type routerConn struct {
+	r       *Router
+	call    serve.BinCaller
+	fwd     []*serve.BinCaller // per window slot
+	touched []*serve.BinClient // shard clients holding unflushed forwards
+}
+
 // place reserves a session entry on the key's current owner and forwards
-// open (a create or resume encoded by the front's caller). If the ring
-// moved mid-flight the shard-side session is closed and placement retries
-// on the new owner.
-func (r *Router) place(ctx context.Context, c *serve.BinCaller, key uint64,
-	open func(*serve.BinClient) (serve.BinSessionInfo, error)) (RouterSessionInfo, error) {
+// open there (a create or resume made through rc.call). If the ring moved
+// mid-flight the shard-side session is closed and placement retries on the
+// new owner. The answer's NumLevels is rc.call's scratch.
+func (rc *routerConn) place(key uint64, open func(*serve.BinClient) (serve.BinSessionInfo, error)) (serve.BinSessionInfo, error) {
+	r := rc.r
 	for attempt := 0; attempt < maxPlaceAttempts; attempt++ {
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
-			return RouterSessionInfo{}, serve.ErrServerClosed
+			return serve.BinSessionInfo{}, serve.ErrServerClosed
 		}
 		owner, ok := r.ring.Owner(key)
 		if !ok {
 			r.mu.Unlock()
-			return RouterSessionInfo{}, fmt.Errorf("%w: no shards in the ring", serve.ErrServerClosed)
+			return serve.BinSessionInfo{}, fmt.Errorf("%w: no shards in the ring", serve.ErrServerClosed)
 		}
 		sc := r.shards[owner]
 		r.nextHandle++
-		s := &routerSession{
-			handle: r.nextHandle,
-			id:     fmt.Sprintf("r-%06d", r.nextHandle),
-			key:    key,
-			shard:  sc,
-		}
+		s := &routerSession{handle: r.nextHandle, key: key, shard: sc}
 		r.sessions[s.handle] = s
-		r.byID[s.id] = s
 		r.mu.Unlock()
 
 		info, err := open(sc.bc)
 		if err != nil {
 			r.dropSession(s)
 			r.forwardErrors.Add(1)
-			return RouterSessionInfo{}, mapForwardErr(err, false)
+			return serve.BinSessionInfo{}, mapForwardErr(err, false)
 		}
 		s.mu.Lock()
 		if s.moved {
@@ -451,52 +427,46 @@ func (r *Router) place(ctx context.Context, c *serve.BinCaller, key uint64,
 			// longer owns the key. Undo the shard-side session and place
 			// again on the current owner.
 			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, _ = c.Close(cctx, sc.bc, info.Handle)
+			_, _ = rc.call.Close(cctx, sc.bc, info.Handle)
 			cancel()
 			continue
 		}
 		s.shardHandle = info.Handle
 		s.shardEpoch = info.Epoch
 		s.mu.Unlock()
-		return RouterSessionInfo{
-			ID:        s.id,
-			Handle:    s.handle,
-			Epoch:     r.cfg.Epoch,
-			NumLevels: append([]int(nil), info.NumLevels...),
-		}, nil
+		return serve.BinSessionInfo{Handle: s.handle, Epoch: r.cfg.Epoch, NumLevels: info.NumLevels}, nil
 	}
-	return RouterSessionInfo{}, fmt.Errorf("%w: placement unstable (ring churn)", serve.ErrServerClosed)
+	return serve.BinSessionInfo{}, fmt.Errorf("%w: placement unstable (ring churn)", serve.ErrServerClosed)
 }
 
 func (r *Router) dropSession(s *routerSession) {
 	r.mu.Lock()
 	delete(r.sessions, s.handle)
-	delete(r.byID, s.id)
 	r.mu.Unlock()
 }
 
-// CreateSession places a new device session on its key's owner. The
-// device's seed is the routing key — the only device-identifying field the
-// wire create carries, and the one thing that survives resumes.
-func (r *Router) CreateSession(ctx context.Context, c *serve.BinCaller, opts serve.SessionOptions) (RouterSessionInfo, error) {
-	info, err := r.place(ctx, c, opts.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
-		return c.Create(ctx, bc, opts)
+// Create places a new device session on its key's owner. The device's
+// seed is the routing key — the only device-identifying field the wire
+// create carries, and the one thing that survives resumes.
+func (rc *routerConn) Create(ctx context.Context, opts serve.SessionOptions) (serve.BinSessionInfo, error) {
+	info, err := rc.place(opts.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
+		return rc.call.Create(ctx, bc, opts)
 	})
 	if err == nil {
-		r.sessionsCreated.Add(1)
+		rc.r.sessionsCreated.Add(1)
 	}
 	return info, err
 }
 
-// ResumeSession places a resumed session on its key's CURRENT owner — the
-// second half of the handoff: the device carries its mirror state here
-// after an ErrUnknownSession answer.
-func (r *Router) ResumeSession(ctx context.Context, c *serve.BinCaller, st serve.ResumeState) (RouterSessionInfo, error) {
-	info, err := r.place(ctx, c, st.Options.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
-		return c.Resume(ctx, bc, st)
+// Resume places a resumed session on its key's CURRENT owner — the second
+// half of the handoff: the device carries its mirror state here after an
+// ErrUnknownSession answer.
+func (rc *routerConn) Resume(ctx context.Context, st serve.ResumeState) (serve.BinSessionInfo, error) {
+	info, err := rc.place(st.Options.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
+		return rc.call.Resume(ctx, bc, st)
 	})
 	if err == nil {
-		r.resumesFwd.Add(1)
+		rc.r.resumesFwd.Add(1)
 	}
 	return info, err
 }
@@ -521,29 +491,13 @@ func (r *Router) lookupHandle(handle uint64, epoch uint32) (*routerSession, erro
 	return s, nil
 }
 
-// handleByID resolves the HTTP front's session id to the device-visible
-// handle every core op is addressed by, under the router epoch.
-func (r *Router) handleByID(id string, epoch uint32) (uint64, error) {
-	if epoch != 0 && epoch != r.cfg.Epoch {
-		return 0, serve.ErrUnknownSession
+// resolve is the shard-side identity of the session a device-visible
+// handle names, for one forward.
+func (r *Router) resolve(handle uint64, epoch uint32) (*shardConn, uint64, uint32, error) {
+	s, err := r.lookupHandle(handle, epoch)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, serve.ErrServerClosed
-	}
-	s, ok := r.byID[id]
-	if !ok {
-		if epoch == 0 {
-			return 0, fmt.Errorf("%w: %q", serve.ErrNoSession, id)
-		}
-		return 0, serve.ErrUnknownSession
-	}
-	return s.handle, nil
-}
-
-// target snapshots the session's shard-side identity for one forward.
-func (s *routerSession) target() (*shardConn, uint64, uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -555,46 +509,50 @@ func (s *routerSession) target() (*shardConn, uint64, uint32, error) {
 	return s.shard, s.shardHandle, s.shardEpoch, nil
 }
 
-// Decide forwards one decide frame: a window of one, begin and finish
-// back to back. The returned slice is the caller's scratch, valid until
-// its next decide.
-func (r *Router) Decide(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) ([]int, error) {
-	bc, err := r.beginDecide(c, handle, epoch, seq, obs)
+// StartDecide starts slot i's forward on its session's shard, unflushed;
+// every deadline of a window starts when its frame is written. Before a
+// forward whose shard client must dial first, the forwards already started
+// are flushed: a dial can take a whole call timeout, and their deadlines
+// are running.
+//
+// Frames of one session go out in frame order on the one shard connection
+// that holds it, and the shard serves each frame fully before it reads the
+// next, so a session's frames are decided in order end to end.
+func (rc *routerConn) StartDecide(i int, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) error {
+	sc, sh, se, err := rc.r.resolve(handle, epoch)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bc.Flush()
-	return r.finishDecide(ctx, c)
+	if !sc.bc.Connected() {
+		rc.Flush()
+	}
+	for len(rc.fwd) <= i {
+		rc.fwd = append(rc.fwd, new(serve.BinCaller))
+	}
+	rc.fwd[i].StartDecide(sc.bc, sh, se, seq, obs)
+	if !slices.Contains(rc.touched, sc.bc) {
+		rc.touched = append(rc.touched, sc.bc)
+	}
+	return nil
 }
 
-// beginDecide is a decide forward's first half: it resolves the
-// device-visible handle to the session's shard target and starts the
-// forward there through c, unflushed. It returns the shard client to
-// flush before finishDecide; an error is the frame's answer, with nothing
-// forwarded.
-func (r *Router) beginDecide(c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) (*serve.BinClient, error) {
-	s, err := r.lookupHandle(handle, epoch)
-	if err != nil {
-		return nil, err
+// Flush writes out the started forwards, each shard client once.
+func (rc *routerConn) Flush() {
+	for _, bc := range rc.touched {
+		bc.Flush()
 	}
-	sc, sh, se, err := s.target()
-	if err != nil {
-		return nil, err
-	}
-	c.StartDecide(sc.bc, sh, se, seq, obs)
-	return sc.bc, nil
+	rc.touched = rc.touched[:0]
 }
 
-// finishDecide is a decide forward's second half: it awaits the shard's
-// answer to the forward c started and maps a failure onto what the
+// FinishDecide awaits slot i's answer and maps a failure onto what the
 // device should see.
-func (r *Router) finishDecide(ctx context.Context, c *serve.BinCaller) ([]int, error) {
-	levels, err := c.AwaitDecide(ctx)
+func (rc *routerConn) FinishDecide(ctx context.Context, i int) ([]int, error) {
+	levels, err := rc.fwd[i].AwaitDecide(ctx)
 	if err != nil {
-		r.forwardErrors.Add(1)
+		rc.r.forwardErrors.Add(1)
 		return nil, mapForwardErr(err, true)
 	}
-	r.decideFrames.Add(1)
+	rc.r.decideFrames.Add(1)
 	return levels, nil
 }
 
@@ -602,26 +560,23 @@ func (r *Router) finishDecide(ctx context.Context, c *serve.BinCaller) ([]int, e
 // incarnation (0 = don't check); seq is the device's reward sequence
 // number, forwarded verbatim so the shard's dedup cursor sees the same
 // stream the device's mirror numbers.
-func (r *Router) Reward(ctx context.Context, c *serve.BinCaller, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	s, err := r.lookupHandle(handle, epoch)
+func (rc *routerConn) Reward(ctx context.Context, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
+	sc, sh, se, err := rc.r.resolve(handle, epoch)
 	if err != nil {
 		return wire.Stats{}, err
 	}
-	sc, sh, se, err := s.target()
+	st, err := rc.call.Reward(ctx, sc.bc, sh, se, seq, reward)
 	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, err := c.Reward(ctx, sc.bc, sh, se, seq, reward)
-	if err != nil {
-		r.forwardErrors.Add(1)
+		rc.r.forwardErrors.Add(1)
 		return wire.Stats{}, mapForwardErr(err, true)
 	}
-	r.rewardsFwd.Add(1)
+	rc.r.rewardsFwd.Add(1)
 	return st, nil
 }
 
-// CloseSession forwards a close and retires the routed session.
-func (r *Router) CloseSession(ctx context.Context, c *serve.BinCaller, handle uint64) (wire.Stats, error) {
+// Close forwards a close and retires the routed session.
+func (rc *routerConn) Close(ctx context.Context, handle uint64) (wire.Stats, error) {
+	r := rc.r
 	s, err := r.lookupHandle(handle, 0)
 	if err != nil {
 		return wire.Stats{}, err
@@ -631,17 +586,14 @@ func (r *Router) CloseSession(ctx context.Context, c *serve.BinCaller, handle ui
 		s.mu.Unlock()
 		return wire.Stats{}, serve.ErrSessionClosed
 	}
-	if s.moved || s.shard == nil {
-		s.closed = true
-		s.mu.Unlock()
-		r.dropSession(s)
-		return wire.Stats{}, errMoved()
-	}
 	s.closed = true
-	sc, sh := s.shard, s.shardHandle
+	sc, sh, moved := s.shard, s.shardHandle, s.moved || s.shard == nil
 	s.mu.Unlock()
 	r.dropSession(s)
-	st, err := c.Close(ctx, sc.bc, sh)
+	if moved {
+		return wire.Stats{}, errMoved()
+	}
+	st, err := rc.call.Close(ctx, sc.bc, sh)
 	if err != nil {
 		r.forwardErrors.Add(1)
 		return wire.Stats{}, mapForwardErr(err, true)

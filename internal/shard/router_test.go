@@ -438,12 +438,11 @@ func TestMapForwardErr(t *testing.T) {
 func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	model := testModel(t, 6, 4)
 	_, router, _ := testFleetRouter(t, model, 1, 1)
-	c := &serve.BinCaller{}
-	ctx := context.Background()
-	if _, err := router.Decide(ctx, c, 999, router.Epoch(), 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
+	c := router.openConn()
+	if err := c.StartDecide(0, 999, router.Epoch(), 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("unknown handle: %v", err)
 	}
-	if _, err := router.Decide(ctx, c, 1, router.Epoch()+1, 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
+	if err := c.StartDecide(0, 1, router.Epoch()+1, 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
 	}
 }
@@ -563,6 +562,27 @@ func TestErrorTableAcrossFronts(t *testing.T) {
 		{"foreign epoch", testObs(model), 1, true, serve.ErrUnknownSession, http.StatusNotFound, "unknown_session"},
 	}
 	ctx := context.Background()
+	// decideJSON posts one decide for session id and returns the answer's
+	// status and error code.
+	decideJSON := func(t *testing.T, url, id string, req serve.DecideRequest) (int, string) {
+		t.Helper()
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/v1/sessions/"+id+"/decide", "application/json", strings.NewReader(string(raw)))
+		if err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Code string `json:"code"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("decide answer: %v", err)
+		}
+		return resp.StatusCode, body.Code
+	}
 	for _, f := range fronts {
 		bc := serve.NewBinClient(f.binAddr)
 		defer bc.Close()
@@ -593,25 +613,37 @@ func TestErrorTableAcrossFronts(t *testing.T) {
 				if row.foreign {
 					epoch++
 				}
-				raw, err := json.Marshal(serve.DecideRequest{Epoch: epoch, Seq: row.seq, Observations: row.obs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.Post(f.url+"/v1/sessions/"+sess.ID+"/decide", "application/json", strings.NewReader(string(raw)))
-				if err != nil {
-					t.Fatalf("decide: %v", err)
-				}
-				var body struct {
-					Code string `json:"code"`
-				}
-				err = json.NewDecoder(resp.Body).Decode(&body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != row.status || body.Code != row.code {
-					t.Fatalf("decide answered %d %q (%v), want %d %q", resp.StatusCode, body.Code, err, row.status, row.code)
+				status, code := decideJSON(t, f.url, sess.ID, serve.DecideRequest{Epoch: epoch, Seq: row.seq, Observations: row.obs})
+				if status != row.status || code != row.code {
+					t.Fatalf("decide answered %d %q, want %d %q", status, code, row.status, row.code)
 				}
 				if row.want == serve.ErrBadRequest {
 					if _, err := sess.Decide(ctx, row.obs); !errors.Is(err, serve.ErrBadRequest) {
 						t.Fatalf("RemoteSession.Decide returned %v, want ErrBadRequest", err)
+					}
+				}
+			})
+		}
+		// Only the canonical id names a session. Each of these ids would
+		// name handle 1 — live on the front by now — under a lenient
+		// parser, and must answer as a handle the front never minted does.
+		for _, id := range []string{"s-1", "s-0000001", "s-00000x", "r-000001"} {
+			t.Run(f.name+"/json/id "+id, func(t *testing.T) {
+				sess, err := hc.CreateSession(ctx, serve.SessionOptions{Seed: 200})
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				if status, code := decideJSON(t, f.url, sess.ID, serve.DecideRequest{Epoch: sess.Epoch, Seq: 1, Observations: testObs(model)}); status != http.StatusOK {
+					t.Fatalf("live session %s answered %d %q", sess.ID, status, code)
+				}
+				for _, epoch := range []uint32{0, sess.Epoch} {
+					want := "no_session"
+					if epoch != 0 {
+						want = "unknown_session"
+					}
+					status, code := decideJSON(t, f.url, id, serve.DecideRequest{Epoch: epoch, Seq: 1, Observations: testObs(model)})
+					if status != http.StatusNotFound || code != want {
+						t.Fatalf("id %q under epoch %d answered %d %q, want %d %q", id, epoch, status, code, http.StatusNotFound, want)
 					}
 				}
 			})
