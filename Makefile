@@ -7,7 +7,9 @@ GO ?= go
 # the concurrent packages (the experiment engine, the bench cells it runs,
 # the simulator they share, and the decision server), plus a repeated race
 # pass over the online learner, whose recycled Q-table arenas concurrent
-# decide frames read, over the overload bound, and over the allocation pins.
+# decide frames read, over the overload bound, over the allocation pins,
+# and over the binary fronts' window pins, since every request frame of a
+# connection shares its window state.
 check: fmt vet build test race
 
 build:
@@ -33,7 +35,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|Overload' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|Overload|Window' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

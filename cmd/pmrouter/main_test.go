@@ -12,6 +12,7 @@ import (
 
 	"rlpm/internal/core"
 	"rlpm/internal/serve"
+	"rlpm/internal/wire"
 )
 
 // syncBuffer is a goroutine-safe stderr for a pmrouter running in the
@@ -135,13 +136,13 @@ func TestServesUntilCancelled(t *testing.T) {
 	hc.CloseIdleConnections()
 	bc := serve.NewBinClient(binAddr)
 	var c serve.BinCaller
-	info, err := c.Create(ctx, bc, serve.SessionOptions{Seed: 2})
+	ans, err := c.Call(ctx, bc, &serve.FrontReq{Type: wire.TCreate, Opts: serve.SessionOptions{Seed: 2}})
 	bc.Close()
 	if err != nil {
 		t.Fatalf("binary create: %v", err)
 	}
-	if info.Handle == 0 || len(info.NumLevels) != 1 {
-		t.Fatalf("binary create answered %+v", info)
+	if ans.Info.Handle == 0 || len(ans.Info.NumLevels) != 1 {
+		t.Fatalf("binary create answered %+v", ans.Info)
 	}
 
 	cancel()

@@ -1,6 +1,8 @@
-// Command pmserve hosts a trained power-management policy as an HTTP/JSON
-// decision server: many per-device sessions, batched lookups against one
-// shared frozen Q-table set, and versioned/checksummed checkpointing.
+// Command pmserve hosts a trained power-management policy as a decision
+// server on HTTP/JSON and, with -listen-bin, on the binary wire protocol:
+// many per-device sessions, each decide served inline against the shared
+// Q-table set (frozen, or learned live under -learn), and
+// versioned/checksummed checkpointing.
 //
 // Startup resolves the model in this order:
 //
@@ -24,11 +26,13 @@
 //
 // SIGINT/SIGTERM run the graceful drain — stop accepting, finish in-flight
 // requests, publish a final checkpoint when -checkpoint is set — then exit
-// 0: the clean-shutdown contract the CI smoke job asserts. Start the next
-// incarnation with a bumped -epoch so clients holding sessions from the
-// old process detect the restart and transparently resume. -session-ttl
-// reaps abandoned sessions. Past 4×-batch decides in flight the server
-// sheds decides, answering with a Retry-After hint the clients honor.
+// 0: the clean-shutdown contract the CI smoke job asserts. pmserve exits 1
+// when it cannot start or a listener or the drain fails, and 2 on a usage
+// error. Start the next incarnation with a bumped -epoch so clients
+// holding sessions from the old process detect the restart and
+// transparently resume. -session-ttl reaps abandoned sessions. Past
+// 4×-batch decides in flight the server sheds decides, answering with a
+// Retry-After hint the clients honor.
 // SIGUSR1 dumps the full Prometheus metrics exposition to stderr without
 // disturbing serving — the kick-the-tires observability hook when no
 // scraper is attached.
@@ -39,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -53,34 +58,54 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is pmserve over args until ctx is cancelled. It returns the exit
+// status: 0 after a clean shutdown, 1 when the server cannot start or a
+// listener or the drain fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7421", "listen address")
-		binAddr    = flag.String("listen-bin", "", "binary-protocol listen address (e.g. 127.0.0.1:7422); empty disables")
-		checkpoint = flag.String("checkpoint", "", "checkpoint path: loaded when present, written by POST /v1/checkpoint (and after training)")
-		scenario   = flag.String("scenario", "gaming", "training scenario when no checkpoint is loaded")
-		episodes   = flag.Int("episodes", 0, "training episodes (0 = quick default)")
-		quick      = flag.Bool("quick", true, "train with the ~10x-shrunk quick settings")
-		backendFl  = flag.String("backend", "sw", "serving backend: sw (table walk) or hw (modeled accelerator)")
-		maxBatch   = flag.Int("batch", 256, "max observations in one binary decide window; 4× this bounds the decides in flight")
-		seed       = flag.Uint64("seed", 1, "training seed")
+		addr       = fs.String("addr", "127.0.0.1:7421", "listen address")
+		binAddr    = fs.String("listen-bin", "", "binary-protocol listen address (e.g. 127.0.0.1:7422); empty disables")
+		checkpoint = fs.String("checkpoint", "", "checkpoint path: loaded when present, written by POST /v1/checkpoint (and after training)")
+		scenario   = fs.String("scenario", "gaming", "training scenario when no checkpoint is loaded")
+		episodes   = fs.Int("episodes", 0, "training episodes (0 = quick default)")
+		quick      = fs.Bool("quick", true, "train with the ~10x-shrunk quick settings")
+		backendFl  = fs.String("backend", "sw", "serving backend: sw (table walk) or hw (modeled accelerator)")
+		maxBatch   = fs.Int("batch", 256, "max observations in one binary decide window; 4× this bounds the decides in flight")
+		seed       = fs.Uint64("seed", 1, "training seed")
 
-		epoch        = flag.Uint("epoch", 1, "server incarnation number; bump on every restart so clients detect stale sessions and resume")
-		sessionTTL   = flag.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
+		epoch        = fs.Uint("epoch", 1, "server incarnation number; bump on every restart so clients detect stale sessions and resume")
+		sessionTTL   = fs.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")
+		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
 
-		learn          = flag.Bool("learn", false, "apply device-reported rewards as live Q-updates (sw backend only)")
-		learnSeed      = flag.Uint64("learn-seed", 1, "learner Double-Q coin seed")
-		learnAlpha     = flag.Float64("learn-alpha", 0, "learning rate override (0 = model config)")
-		learnGamma     = flag.Float64("learn-gamma", 0, "discount override (0 = model config)")
-		learnSwapEvery = flag.Int("learn-swap-every", 0, "applied updates per table publication (0 = default 256)")
-		learnCkptEvery = flag.Duration("learn-checkpoint-every", 0, "periodically publish the learned tables to -checkpoint (0 = only on drain)")
+		learn          = fs.Bool("learn", false, "apply device-reported rewards as live Q-updates (sw backend only)")
+		learnSeed      = fs.Uint64("learn-seed", 1, "learner Double-Q coin seed")
+		learnAlpha     = fs.Float64("learn-alpha", 0, "learning rate override (0 = model config)")
+		learnGamma     = fs.Float64("learn-gamma", 0, "discount override (0 = model config)")
+		learnSwapEvery = fs.Int("learn-swap-every", 0, "applied updates per table publication (0 = default 256)")
+		learnCkptEvery = fs.Duration("learn-checkpoint-every", 0, "periodically publish the learned tables to -checkpoint (0 = only on drain)")
 
-		faultReadErr  = flag.Float64("fault-read-err", 0, "hw backend: injected bus read error rate")
-		faultWriteErr = flag.Float64("fault-write-err", 0, "hw backend: injected bus write error rate")
-		faultTimeout  = flag.Float64("fault-timeout", 0, "hw backend: injected device-wedge rate")
-		faultSeed     = flag.Uint64("fault-seed", 7, "hw backend: fault injection seed")
+		faultReadErr  = fs.Float64("fault-read-err", 0, "hw backend: injected bus read error rate")
+		faultWriteErr = fs.Float64("fault-write-err", 0, "hw backend: injected bus write error rate")
+		faultTimeout  = fs.Float64("fault-timeout", 0, "hw backend: injected device-wedge rate")
+		faultSeed     = fs.Uint64("fault-seed", 7, "hw backend: fault injection seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pmserve:", err)
+		return 1
+	}
 
 	srv, err := buildServer(serverParams{
 		checkpoint: *checkpoint, scenario: *scenario, episodes: *episodes,
@@ -92,20 +117,18 @@ func main() {
 			Enabled: *learn, Seed: *learnSeed, Alpha: *learnAlpha, Gamma: *learnGamma,
 			SwapEvery: *learnSwapEvery, CheckpointEvery: *learnCkptEvery,
 		},
-	})
+	}, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmserve:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmserve:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "pmserve: serving %d clusters on http://%s (backend %s)\n",
+	fmt.Fprintf(stderr, "pmserve: serving %d clusters on http://%s (backend %s)\n",
 		srv.Model().Clusters(), ln.Addr(), *backendFl)
 
 	// The binary listener rides alongside HTTP against the same sessions;
@@ -114,28 +137,28 @@ func main() {
 	if *binAddr != "" {
 		binLn, err := net.Listen("tcp", *binAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmserve:", err)
-			os.Exit(1)
+			ln.Close()
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "pmserve: binary protocol on %s\n", binLn.Addr())
+		fmt.Fprintf(stderr, "pmserve: binary protocol on %s\n", binLn.Addr())
 		go func() { binDone <- srv.ServeBin(binLn) }()
 	} else {
 		binDone <- nil
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	// SIGUSR1: dump the Prometheus exposition to stderr, as many times as
 	// asked — serving is never paused.
 	usr1 := make(chan os.Signal, 1)
 	signal.Notify(usr1, syscall.SIGUSR1)
-	defer signal.Stop(usr1)
+	defer func() {
+		signal.Stop(usr1)
+		close(usr1)
+	}()
 	go func() {
 		for range usr1 {
-			fmt.Fprintln(os.Stderr, "pmserve: SIGUSR1 metrics dump:")
-			if err := srv.Registry().WritePrometheus(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "pmserve: metrics dump:", err)
+			fmt.Fprintln(stderr, "pmserve: SIGUSR1 metrics dump:")
+			if err := srv.Registry().WritePrometheus(stderr); err != nil {
+				fmt.Fprintln(stderr, "pmserve: metrics dump:", err)
 			}
 		}
 	}()
@@ -146,15 +169,13 @@ func main() {
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "pmserve:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	case <-ctx.Done():
 		shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := hs.Shutdown(shCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "pmserve: shutdown:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("shutdown: %w", err))
 		}
 		<-errCh
 		// Graceful half of shutdown: stop the binary listeners, let
@@ -162,18 +183,17 @@ func main() {
 		// next incarnation (started with a bumped -epoch) resumes from the
 		// exact frozen policy.
 		if err := srv.Drain(shCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "pmserve: drain:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("drain: %w", err))
 		}
 	}
 	srv.Close() // idempotent; closes the binary listener so ServeBin returns
 	if err := <-binDone; err != nil {
-		fmt.Fprintln(os.Stderr, "pmserve: binary listener:", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("binary listener: %w", err))
 	}
 	m := srv.MetricsSnapshot()
-	fmt.Fprintf(os.Stderr, "pmserve: served %d decisions (%d lookups, %d batches, mean occupancy %.1f) to %d sessions; exiting\n",
+	fmt.Fprintf(stderr, "pmserve: served %d decisions (%d lookups, %d batches, mean occupancy %.1f) to %d sessions; exiting\n",
 		m.Decisions, m.LookupsServed, m.Batches, m.MeanBatchOccupancy, m.SessionsCreated)
+	return 0
 }
 
 type serverParams struct {
@@ -188,8 +208,9 @@ type serverParams struct {
 }
 
 // buildServer resolves the model (checkpoint or fresh training), wires the
-// chosen backend, and assembles the server with the resilience config.
-func buildServer(p serverParams) (*serve.Server, error) {
+// chosen backend, and assembles the server with the resilience config,
+// reporting what it loaded, trained and saved on stderr.
+func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 	var (
 		model   *serve.Model
 		backend serve.Backend
@@ -203,7 +224,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 				return nil, err
 			}
 			model = m
-			fmt.Fprintf(os.Stderr, "pmserve: loaded checkpoint %s\n", p.checkpoint)
+			fmt.Fprintf(stderr, "pmserve: loaded checkpoint %s\n", p.checkpoint)
 			loadedCheckpoint = true
 		}
 	}
@@ -236,7 +257,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 			opt.TrainEpisodes = p.episodes
 			opt.Quick = false
 		}
-		fmt.Fprintf(os.Stderr, "pmserve: training on %q (%d episodes, quick=%v)...\n", p.scenario, opt.TrainEpisodes, opt.Quick)
+		fmt.Fprintf(stderr, "pmserve: training on %q (%d episodes, quick=%v)...\n", p.scenario, opt.TrainEpisodes, opt.Quick)
 		var err error
 		model, backend, err = bench.TrainedServeModel(bench.ServeOptions{
 			Options: opt, Scenario: p.scenario, Backend: p.backend,
@@ -268,7 +289,7 @@ func buildServer(p serverParams) (*serve.Server, error) {
 		}
 		srv.MarkCheckpoint(time.Now())
 		srv.Events().Addf("checkpoint", "saved fresh checkpoint %s (%d bytes)", p.checkpoint, n)
-		fmt.Fprintf(os.Stderr, "pmserve: saved fresh checkpoint %s (%d bytes)\n", p.checkpoint, n)
+		fmt.Fprintf(stderr, "pmserve: saved fresh checkpoint %s (%d bytes)\n", p.checkpoint, n)
 	case loadedCheckpoint:
 		srv.MarkCheckpoint(time.Now())
 		srv.Events().Addf("checkpoint", "loaded %s", p.checkpoint)

@@ -7,8 +7,11 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -256,7 +259,11 @@ func TestBinCorruptFrameClosesConn(t *testing.T) {
 // TestBinPipelining pins the multiplexing contract: several requests for
 // different sessions written back-to-back on one connection are answered
 // in order with their request ids echoed, so one connection can carry a
-// whole device fleet.
+// whole device fleet. A second write mixes every request type into one
+// window — a create, a decide, a reward, a close, a decide on the closed
+// handle, a close of an unknown handle and a malformed frame — and must be
+// answered in frame order with the codes serving one frame at a time
+// gives, the malformed frame closing the connection.
 func TestBinPipelining(t *testing.T) {
 	m := testModel(t, 3, 4)
 	srv := newTestServer(t, m, nil, Config{})
@@ -308,6 +315,104 @@ func TestBinPipelining(t *testing.T) {
 			t.Fatalf("response %d: %d levels", i, len(dok.Levels))
 		}
 	}
+
+	ep, h2 := srv.Epoch(), s2.Handle()
+	mixed := []struct {
+		typ     byte
+		payload []byte
+		want    byte   // answer type
+		code    uint16 // an error answer's code
+	}{
+		{wire.TCreate, wire.AppendCreateReq(wire.BeginFrame(nil), wire.CreateReq{Seed: 9}), wire.TCreateOK, 0},
+		{wire.TDecide, wire.AppendDecideReq(wire.BeginFrame(nil), h2, ep, 0, obs), wire.TDecideOK, 0},
+		{wire.TReward, wire.AppendRewardReq(wire.BeginFrame(nil), wire.RewardReq{Handle: h2, Epoch: ep, Reward: -1}), wire.TRewardOK, 0},
+		{wire.TClose, wire.AppendCloseReq(wire.BeginFrame(nil), wire.CloseReq{Handle: h2}), wire.TCloseOK, 0},
+		{wire.TDecide, wire.AppendDecideReq(wire.BeginFrame(nil), h2, ep, 0, obs), wire.TError, wire.CodeUnknownSession},
+		{wire.TClose, wire.AppendCloseReq(wire.BeginFrame(nil), wire.CloseReq{Handle: 999}), wire.TError, wire.CodeNoSession},
+		{wire.TReward, append(wire.BeginFrame(nil), 1, 2, 3), wire.TError, wire.CodeBadRequest},
+	}
+	buf = buf[:0]
+	for i, m := range mixed {
+		buf = append(buf, wire.FinishFrame(m.payload, m.typ, uint32(200+i))...)
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var created wire.CreateOK
+	for i, m := range mixed {
+		h, p, err := wire.ReadFrame(conn, &hdr, payload)
+		payload = p
+		if err != nil {
+			t.Fatalf("mixed answer %d: %v", i, err)
+		}
+		if h.ReqID != uint32(200+i) || h.Type != m.want {
+			t.Fatalf("mixed answer %d: type %d for request %d, want type %d for request %d", i, h.Type, h.ReqID, m.want, 200+i)
+		}
+		var stats wire.Stats
+		var ef wire.ErrorFrame
+		switch m.want {
+		case wire.TCreateOK:
+			if err := wire.ParseCreateOK(p, &created); err != nil || created.Epoch != ep || !slices.Equal(created.NumLevels, []int{3, 4}) {
+				t.Fatalf("create answered %+v, %v", created, err)
+			}
+		case wire.TRewardOK, wire.TCloseOK:
+			if err := wire.ParseStats(p, &stats); err != nil || stats.Decisions != 2 || stats.Rewards != 1 {
+				t.Fatalf("mixed answer %d: ledger %+v, %v; want 2 decisions, 1 reward", i, stats, err)
+			}
+		case wire.TError:
+			if err := wire.ParseError(p, &ef); err != nil || ef.Code != m.code {
+				t.Fatalf("mixed answer %d: code %d (%s), want %d", i, ef.Code, ef.Msg, m.code)
+			}
+		}
+	}
+	if _, err := conn.Read(hdr[:1]); err != io.EOF {
+		t.Fatalf("after a malformed frame: read returned %v, want EOF", err)
+	}
+	if _, err := srv.SessionByHandleEpoch(created.Handle, ep); err != nil {
+		t.Fatalf("the session the window created: %v", err)
+	}
+}
+
+// emfileListener fails its first fails Accepts with EMFILE, as a process
+// out of file descriptors does.
+type emfileListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestBinServeRetriesTemporaryAcceptErrors: accept errors from a full
+// descriptor table do not turn the binary listener off. The front backs
+// off and accepts again, so a device's create goes through, and the
+// listener still stops cleanly on close.
+func TestBinServeRetriesTemporaryAcceptErrors(t *testing.T) {
+	srv := newTestServer(t, testModel(t, 3), nil, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	el := &emfileListener{Listener: ln}
+	el.fails.Store(2)
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeBin(el) }()
+
+	bc := NewBinClient(ln.Addr().String())
+	defer bc.Close()
+	bc.SetCallTimeout(5 * time.Second)
+	var c BinCaller
+	if _, err := c.Call(context.Background(), bc, &FrontReq{Type: wire.TCreate}); err != nil {
+		t.Fatalf("create after two EMFILE accepts: %v", err)
+	}
+	srv.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("ServeBin after close: %v", err)
+	}
 }
 
 // TestBinOversizedPrefixRejected sends a header declaring a payload beyond
@@ -357,7 +462,7 @@ func TestSessionDecideIntoAllocFree(t *testing.T) {
 	}
 	obs := []Observation{{Utilization: 0.6, Level: 1}, {DemandRatio: 1.1, Level: 3}}
 	levels := make([]int, 2)
-	for i := 0; i < 10; i++ { // warm scratch, pool, and batch worker
+	for i := 0; i < 10; i++ { // warm the session before counting
 		if err := sess.DecideInto(obs, levels); err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +479,7 @@ func TestSessionDecideIntoAllocFree(t *testing.T) {
 // TestBinFrozenCohortInWindow pins the frozen cohort on every decide path:
 // a frozen session's frame gathered into a bin window behind a learning
 // session's frame must resolve against the construction model, not the
-// batcher's live policy.
+// live policy.
 func TestBinFrozenCohortInWindow(t *testing.T) {
 	cfg, snap := testSnapshot(t, 3, 5)
 	m, err := NewModel(cfg, snap)
@@ -495,7 +600,7 @@ func TestBinWindowAllocFree(t *testing.T) {
 				}
 			}
 		}
-		for i := 0; i < 10; i++ { // warm the window, sessions and batch worker
+		for i := 0; i < 10; i++ { // warm the window and the sessions
 			send()
 		}
 		if a := testing.AllocsPerRun(100, send); a != 0 {

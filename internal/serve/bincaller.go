@@ -10,8 +10,8 @@
 // shard failures the device needs to see (an unknown-session answer is the
 // handoff signal). All scratch, including the call's rendezvous with the
 // connection's reader, lives in the caller, so a router can keep one
-// BinCaller per forward in flight and stay allocation-free; a decide can
-// be started and awaited in two halves, so one goroutine can keep many
+// BinCaller per forward in flight and stay allocation-free; a call can be
+// started and awaited in two halves, so one goroutine can keep many
 // forwards in flight.
 package serve
 
@@ -27,118 +27,84 @@ import (
 type BinSessionInfo struct {
 	Handle    uint64
 	Epoch     uint32
-	NumLevels []int // valid until the caller's or conn's next create or resume
+	NumLevels []int // valid until the caller's next call, or the conn's next window
 }
 
 // BinCaller holds the encode/decode scratch for single-attempt calls. Not
 // goroutine-safe — callers pool them (one per in-flight forward). The zero
 // value is ready to use.
 type BinCaller struct {
+	typ  byte // the request type in flight
 	wbuf []byte
 	cok  wire.CreateOK
 	dok  wire.DecideOK
 	call muxCall
 }
 
-// start seals the request frame (a payload appended after
-// wire.BeginFrame(b.wbuf)) under a fresh request id and writes it into c's
+// Start writes req's frame into c's connection buffer without flushing
+// it, and starts its deadline: a window starts many forwards, flushes each
+// client it touched once (BinClient.Flush), then awaits them in order.
+// Every Start must be followed by its Await before the caller's next call.
+func (b *BinCaller) Start(c *BinClient, req *FrontReq) { b.start(c, req, false) }
+
+// Call is one whole call: req's frame, flushed last-writer-out so
+// concurrent callers on c coalesce their writes, then its answer.
+func (b *BinCaller) Call(ctx context.Context, c *BinClient, req *FrontReq) (FrontAns, error) {
+	b.start(c, req, true)
+	return b.Await(ctx)
+}
+
+// start encodes req under a fresh request id and writes it into c's
 // connection buffer, flushing last-writer-out when flush is set.
-func (b *BinCaller) start(c *BinClient, frame []byte, typ byte, flush bool) {
+func (b *BinCaller) start(c *BinClient, req *FrontReq, flush bool) {
+	b.typ = req.Type
+	p := wire.BeginFrame(b.wbuf)
+	switch req.Type {
+	case wire.TCreate:
+		p = wire.AppendCreateReq(p, optionsToWire(req.Opts))
+	case wire.TResume:
+		rr := resumeToWire(&req.Resume)
+		p = wire.AppendResumeReq(p, &rr)
+	case wire.TDecide:
+		p = wire.AppendDecideReq(p, req.Handle, req.Epoch, req.Seq, req.Obs)
+	case wire.TReward:
+		p = wire.AppendRewardReq(p, wire.RewardReq{Handle: req.Handle, Reward: req.Reward, Epoch: req.Epoch, Seq: req.Seq})
+	case wire.TClose:
+		p = wire.AppendCloseReq(p, wire.CloseReq{Handle: req.Handle})
+	}
 	mc, err := c.conn()
 	if err != nil {
 		b.call.err = err
 		return
 	}
 	reqID := mc.reqID.Add(1)
-	b.wbuf = wire.FinishFrame(frame, typ, reqID)
+	b.wbuf = wire.FinishFrame(p, req.Type, reqID)
 	c.start(mc, &b.call, b.wbuf, reqID, flush)
 }
 
-// send is one whole call: start, flushed, then await the wantType answer.
-// The payload is valid until the caller's next call.
-func (b *BinCaller) send(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) ([]byte, error) {
-	b.start(c, frame, typ, true)
-	return b.call.await(ctx, wantType)
-}
-
-// Create opens a session on c with no client-side mirror. One attempt.
-func (b *BinCaller) Create(ctx context.Context, c *BinClient, opts SessionOptions) (BinSessionInfo, error) {
-	return b.open(ctx, c, wire.AppendCreateReq(wire.BeginFrame(b.wbuf), optionsToWire(opts)), wire.TCreate, wire.TCreateOK)
-}
-
-// Resume re-creates a session on c from mirror state. One attempt.
-func (b *BinCaller) Resume(ctx context.Context, c *BinClient, st ResumeState) (BinSessionInfo, error) {
-	rr := resumeToWire(&st)
-	return b.open(ctx, c, wire.AppendResumeReq(wire.BeginFrame(b.wbuf), &rr), wire.TResume, wire.TResumeOK)
-}
-
-func (b *BinCaller) open(ctx context.Context, c *BinClient, frame []byte, typ, wantType byte) (BinSessionInfo, error) {
-	p, err := b.send(ctx, c, frame, typ, wantType)
+// Await collects the answer to the caller's started call: Info for a
+// create or resume, Levels for a decide, Stats for a reward or close. Its
+// slices are the caller's scratch, valid until its next call.
+func (b *BinCaller) Await(ctx context.Context) (FrontAns, error) {
+	p, err := b.call.await(ctx, okType(b.typ))
 	if err != nil {
-		return BinSessionInfo{}, err
+		return FrontAns{}, err
 	}
-	if err := wire.ParseCreateOK(p, &b.cok); err != nil {
-		return BinSessionInfo{}, err
-	}
-	return BinSessionInfo{Handle: b.cok.Handle, Epoch: b.cok.Epoch, NumLevels: b.cok.NumLevels}, nil
-}
-
-// DecideSeq forwards one decide frame (possibly multi-period) under the
-// shard-side handle/epoch/seq: StartDecide, flushed, then AwaitDecide.
-// The returned slice is scratch, valid until the caller's next decide.
-func (b *BinCaller) DecideSeq(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation) ([]int, error) {
-	b.startDecide(c, handle, epoch, seq, obs, true)
-	return b.AwaitDecide(ctx)
-}
-
-// StartDecide writes a decide frame into c's connection buffer without
-// flushing it, and starts its deadline: a window starts many forwards,
-// flushes each client it touched once (BinClient.Flush), then awaits them
-// in order. Every StartDecide must be followed by its AwaitDecide before
-// the caller's next call.
-func (b *BinCaller) StartDecide(c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation) {
-	b.startDecide(c, handle, epoch, seq, obs, false)
-}
-
-func (b *BinCaller) startDecide(c *BinClient, handle uint64, epoch uint32, seq uint64, obs []Observation, flush bool) {
-	b.start(c, wire.AppendDecideReq(wire.BeginFrame(b.wbuf), handle, epoch, seq, obs), wire.TDecide, flush)
-}
-
-// AwaitDecide collects the answer to the caller's started decide. The
-// returned slice is scratch, valid until the caller's next decide.
-func (b *BinCaller) AwaitDecide(ctx context.Context) ([]int, error) {
-	p, err := b.call.await(ctx, wire.TDecideOK)
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.ParseDecideOK(p, &b.dok); err != nil {
-		return nil, err
-	}
-	return b.dok.Levels, nil
-}
-
-// Reward forwards a reward report under the shard-side handle/epoch and
-// the device's reward sequence number (0 = untagged legacy); Close
-// forwards a session close. Both return the shard-side ledger.
-func (b *BinCaller) Reward(ctx context.Context, c *BinClient, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	return parseStats(b.send(ctx, c, wire.AppendRewardReq(wire.BeginFrame(b.wbuf), wire.RewardReq{
-		Handle: handle, Reward: reward, Epoch: epoch, Seq: seq,
-	}), wire.TReward, wire.TRewardOK))
-}
-
-func (b *BinCaller) Close(ctx context.Context, c *BinClient, handle uint64) (wire.Stats, error) {
-	return parseStats(b.send(ctx, c, wire.AppendCloseReq(wire.BeginFrame(b.wbuf), wire.CloseReq{Handle: handle}), wire.TClose, wire.TCloseOK))
-}
-
-func parseStats(p []byte, err error) (wire.Stats, error) {
-	var st wire.Stats
-	if err == nil {
-		err = wire.ParseStats(p, &st)
+	var ans FrontAns
+	switch b.typ {
+	case wire.TCreate, wire.TResume:
+		err = wire.ParseCreateOK(p, &b.cok)
+		ans.Info = BinSessionInfo{Handle: b.cok.Handle, Epoch: b.cok.Epoch, NumLevels: b.cok.NumLevels}
+	case wire.TDecide:
+		err = wire.ParseDecideOK(p, &b.dok)
+		ans.Levels = b.dok.Levels
+	default: // TReward, TClose
+		err = wire.ParseStats(p, &ans.Stats)
 	}
 	if err != nil {
-		return wire.Stats{}, err
+		return FrontAns{}, err
 	}
-	return st, nil
+	return ans, nil
 }
 
 // The binary create and resume codecs: the one conversion between the

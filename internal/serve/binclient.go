@@ -407,10 +407,10 @@ type BinSession struct {
 func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*BinSession, error) {
 	s := &BinSession{c: c}
 	open := func() error {
-		info, err := s.call.Create(ctx, c, opts)
+		ans, err := s.call.Call(ctx, c, &FrontReq{Type: wire.TCreate, Opts: opts})
 		if err == nil {
-			s.adopt(info)
-			s.Levels = append([]int(nil), info.NumLevels...)
+			s.adopt(ans.Info)
+			s.Levels = append([]int(nil), ans.Info.NumLevels...)
 		}
 		return err
 	}
@@ -433,11 +433,11 @@ func (s *BinSession) adopt(info BinSessionInfo) {
 // the mirror, then adopts the fresh handle/epoch. The sequence number and
 // RNG stream continue exactly where the lost session stopped.
 func (s *BinSession) resume(ctx context.Context) error {
-	info, err := s.call.Resume(ctx, s.c, s.mirror.resumeState())
+	ans, err := s.call.Call(ctx, s.c, &FrontReq{Type: wire.TResume, Resume: s.mirror.resumeState()})
 	if err != nil {
 		return err
 	}
-	s.adopt(info)
+	s.adopt(ans.Info)
 	s.c.pol.resumes.Add(1)
 	return nil
 }
@@ -472,16 +472,16 @@ func (s *BinSession) DecideMany(ctx context.Context, obs []Observation) ([]int, 
 	if s.mirror != nil {
 		seq = s.mirror.nextSeq()
 	}
-	var levels []int
+	var ans FrontAns
 	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		var err error
-		levels, err = s.call.DecideSeq(ctx, s.c, s.Handle, s.Epoch, seq, obs)
+		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TDecide, Handle: s.Handle, Epoch: s.Epoch, Seq: seq, Obs: obs})
 		return err
 	}, s.resume)
 	if err != nil {
 		return nil, err
 	}
-	levels = append([]int(nil), levels...)
+	levels := append([]int(nil), ans.Levels...)
 	if s.mirror != nil {
 		s.mirror.ackDecide(obs, levels)
 	}
@@ -497,14 +497,14 @@ func (s *BinSession) Reward(ctx context.Context, r float64) (SessionStats, error
 	if s.mirror != nil {
 		seq = s.mirror.nextRewardSeq()
 	}
-	var st wire.Stats
+	var ans FrontAns
 	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		var epoch uint32
 		if s.mirror != nil {
 			epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
 		}
 		var err error
-		st, err = s.call.Reward(ctx, s.c, s.Handle, epoch, seq, r)
+		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TReward, Handle: s.Handle, Epoch: epoch, Seq: seq, Reward: r})
 		return err
 	}, s.resume)
 	if err != nil {
@@ -513,21 +513,21 @@ func (s *BinSession) Reward(ctx context.Context, r float64) (SessionStats, error
 	if s.mirror != nil {
 		s.mirror.ackReward(r)
 	}
-	return statsFromWire(s.ID, st), nil
+	return statsFromWire(s.ID, ans.Stats), nil
 }
 
 // Close ends the session, returning its final ledger. After a successful
 // close the session is dead client-side: no further call will resume it.
 func (s *BinSession) Close(ctx context.Context) (SessionStats, error) {
-	var st wire.Stats
+	var ans FrontAns
 	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
 		var err error
-		st, err = s.call.Close(ctx, s.c, s.Handle)
+		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TClose, Handle: s.Handle})
 		return err
 	}, s.resume)
 	if err != nil {
 		return SessionStats{}, err
 	}
 	s.closed, s.mirror = true, nil
-	return statsFromWire(s.ID, st), nil
+	return statsFromWire(s.ID, ans.Stats), nil
 }

@@ -1,20 +1,20 @@
 // Binary front: the one wire-v2 device loop both processes run, pmserve
 // deciding in place and pmrouter forwarding to its shards. What differs
 // between them is a FrontConn; everything else — the accept loop, the
-// connection registry, draining, the decide window, error frames and the
-// front's series — is written once, here.
+// connection registry, draining, the window, error frames and the front's
+// series — is written once, here.
 //
-// Each connection is one goroutine owning all of its scratch — read/write
-// buffers, decoded request structs, the decide window — so a warmed
-// connection serves decide frames with zero allocations: frame read reuses
-// the payload scratch, decode reuses the request's backing arrays, and
-// each answer is appended into a reused buffer. Frames are answered
-// strictly in order (devices pipeline; an answer must not pass the frames
-// before it). A decide frame opens a window: every complete decide frame
-// already buffered behind it joins (never blocking mid-window), each is
-// started on the connection's FrontConn, the FrontConn flushes once, and
-// the answers, finished in frame order, leave in one vectored write.
-// Other answers are flushed only when no further request is buffered.
+// Each connection is one goroutine owning all of its scratch — read
+// buffer, decoded request structs, the window — so a warmed connection
+// serves decide frames with zero allocations: frame read reuses the
+// payload scratch, decode reuses the request's backing arrays, and each
+// answer is appended into a reused buffer. Frames are answered strictly in
+// order (devices pipeline; an answer must not pass the frames before it).
+// Every request frame opens or joins a window: every complete frame
+// already buffered behind the first joins (never blocking mid-window),
+// each is started on the connection's FrontConn, the FrontConn flushes
+// once, and the answers, finished in frame order, leave in one vectored
+// write.
 
 package serve
 
@@ -31,27 +31,48 @@ import (
 	"rlpm/internal/wire"
 )
 
-// FrontConn is one device connection's access to the sessions a front
-// serves. A Server's decides in place; a router's forwards each call to
-// the session's shard. It is used by one goroutine at a time.
-//
-// A decide window calls StartDecide for each of its frames, numbered from
-// 0, then Flush once, then FinishDecide for every frame whose start
-// succeeded, in order. A StartDecide error is that frame's answer. The
-// levels FinishDecide returns, like the NumLevels of a create or resume,
-// are the conn's scratch, valid until its next call of the same kind.
-type FrontConn interface {
-	Create(ctx context.Context, opts SessionOptions) (BinSessionInfo, error)
-	Resume(ctx context.Context, st ResumeState) (BinSessionInfo, error)
-	Reward(ctx context.Context, handle uint64, epoch uint32, seq uint64, r float64) (wire.Stats, error)
-	Close(ctx context.Context, handle uint64) (wire.Stats, error)
-
-	StartDecide(i int, handle uint64, epoch uint32, seq uint64, obs []Observation) error
-	Flush()
-	FinishDecide(ctx context.Context, i int) ([]int, error)
+// FrontReq is one request a front hands its FrontConn. Type is the wire
+// request type (wire.TCreate, TResume, TDecide, TReward or TClose), and
+// only the fields that type uses are meaningful.
+type FrontReq struct {
+	Type   byte
+	Handle uint64         // decide, reward, close
+	Epoch  uint32         // decide, reward
+	Seq    uint64         // decide, reward
+	Obs    []Observation  // decide
+	Reward float64        // reward
+	Opts   SessionOptions // create
+	Resume ResumeState    // resume
 }
 
-// maxWindowFrames bounds the decide frames one window gathers: enough to
+// FrontAns is a request's answer: Info for a create or resume, Levels for
+// a decide, Stats for a reward or close.
+type FrontAns struct {
+	Info   BinSessionInfo
+	Levels []int
+	Stats  wire.Stats
+}
+
+// okType is the type of the answer that serves a request of type typ:
+// every request type's OK answer is numbered right after it.
+func okType(typ byte) byte { return typ + 1 }
+
+// FrontConn is one device connection's access to the sessions a front
+// serves. A Server's serves each request in place; a router's forwards it
+// to the session's shard. It is used by one goroutine at a time.
+//
+// A window calls Start for each of its requests, numbered from 0, then
+// Flush once, then Finish for every request whose start succeeded, in
+// order. A Start error is that request's answer. A request's slices are
+// valid only during its Start; an answer's slices are the conn's scratch,
+// valid until its next window.
+type FrontConn interface {
+	Start(i int, req *FrontReq) error
+	Flush()
+	Finish(ctx context.Context, i int) (FrontAns, error)
+}
+
+// maxWindowFrames bounds the frames one window gathers: enough to
 // answer a pipelining client in one write, small enough that one slow
 // frame never delays a connection's answers unboundedly.
 const maxWindowFrames = 64
@@ -115,13 +136,15 @@ func (f *BinFront) Live() int {
 	return len(f.conns)
 }
 
-// Windows reports the decide windows served.
+// Windows reports the windows served that held a decide frame.
 func (f *BinFront) Windows() uint64 { return f.windows.Load() }
 
 // Serve accepts connections on ln, serving each over a FrontConn from
-// open, until the listener fails or the front drains or closes. It blocks;
-// run it in its own goroutine. A front already closed refuses ln with
-// ErrServerClosed.
+// open, until the listener fails or the front drains or closes. A
+// temporary accept error (a full descriptor table, say) is retried after
+// a backoff of 5 ms doubling to 1 s, as net/http's Server.Serve retries
+// it. It blocks; run it in its own goroutine. A front already closed
+// refuses ln with ErrServerClosed.
 func (f *BinFront) Serve(ln net.Listener, open func() FrontConn) error {
 	f.mu.Lock()
 	if f.down {
@@ -137,6 +160,7 @@ func (f *BinFront) Serve(ln net.Listener, open func() FrontConn) error {
 		f.mu.Unlock()
 		ln.Close()
 	}()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -146,8 +170,14 @@ func (f *BinFront) Serve(ln net.Listener, open func() FrontConn) error {
 			if stopped || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return err
+			if !temporary(err) {
+				return err
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		if !f.track(conn) {
 			conn.Close()
 			return nil
@@ -158,6 +188,13 @@ func (f *BinFront) Serve(ln net.Listener, open func() FrontConn) error {
 			f.serveConn(conn, open())
 		}()
 	}
+}
+
+// temporary reports whether an accept error is one net/http's
+// Server.Serve retries: a net.Error whose Temporary() is true.
+func temporary(err error) bool {
+	var te interface{ Temporary() bool }
+	return errors.As(err, &te) && te.Temporary()
 }
 
 // track registers a live connection for teardown; it reports false once
@@ -226,46 +263,45 @@ type binConn struct {
 	conn    net.Conn
 	fc      FrontConn
 	br      *bufio.Reader
-	bw      *bufio.Writer
 	hdr     [wire.HeaderSize]byte
-	payload []byte // frame payload scratch, regrown by ReadFrame
-	wbuf    []byte // answer scratch for frames served one at a time
-	dreq    wire.DecideReq
-	creq    wire.CreateReq
-	rreq    wire.RewardReq
-	clreq   wire.CloseReq
+	payload []byte         // frame payload scratch, regrown by ReadFrame
+	req     FrontReq       // the request being started
+	dreq    wire.DecideReq // decode scratch whose slices req aliases
 	rsreq   wire.ResumeReq
 	win     binWindow
 }
 
-// binSlot is one decide frame of a window: its answer and its timing.
+// binSlot is one frame of a window: its answer and its timing.
 type binSlot struct {
+	typ     byte
 	reqID   uint32
 	wbuf    []byte // answer frame, reused
 	t0      time.Time
-	started bool // StartDecide succeeded: FinishDecide gives the answer
-	ok      bool // answered with TDecideOK
+	started bool // Start succeeded: Finish gives the answer
+	ok      bool // answered with the request's OK type
 }
 
-// binWindow is a connection's decide-window working set: one slot per
-// gathered frame, so the answers leave in a single writev-style flush.
+// binWindow is a connection's window working set: one slot per gathered
+// frame, so the answers leave in a single writev-style flush.
 type binWindow struct {
 	slots      []binSlot // index-aligned with the window's frames, reused
 	n          int       // frames in the window
-	obsTotal   int       // observations gathered, for the maxObs budget
+	obsTotal   int       // decide observations gathered, for the maxObs budget
+	decides    bool      // a decide frame joined
 	bufs       net.Buffers
 	wv         net.Buffers // what WriteTo consumes, so bufs keeps its capacity
 	closeAfter bool        // a frame poisoned the stream: answer, then hang up
 }
 
 // next opens the window's next frame slot.
-func (w *binWindow) next(reqID uint32) *binSlot {
+func (w *binWindow) next(h wire.Header) *binSlot {
 	if w.n == len(w.slots) {
 		w.slots = append(w.slots, binSlot{})
 	}
 	sl := &w.slots[w.n]
 	w.n++
-	sl.reqID, sl.t0, sl.started, sl.ok = reqID, time.Now(), false, false
+	sl.typ, sl.reqID, sl.t0, sl.started, sl.ok = h.Type, h.ReqID, time.Now(), false, false
+	w.decides = w.decides || h.Type == wire.TDecide
 	return sl
 }
 
@@ -276,22 +312,16 @@ func (f *BinFront) serveConn(conn net.Conn, fc FrontConn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // latency over throughput: decide frames are tiny
 	}
-	st := &binConn{
-		conn: conn,
-		fc:   fc,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}
+	st := &binConn{conn: conn, fc: fc, br: bufio.NewReaderSize(conn, 64<<10)}
 	for {
 		h, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
 		st.payload = payload
 		if err != nil {
 			// A read-deadline timeout during drain is the drain nudge, not
-			// a protocol failure: everything answered has been flushed,
-			// and a partially received frame was never accepted. Close
-			// cleanly so in-flight answers land.
+			// a protocol failure: every window's answers have been
+			// written, and a partially received frame was never accepted.
+			// Close cleanly so in-flight answers land.
 			if f.isDraining() && isTimeout(err) {
-				st.bw.Flush()
 				gracefulClose(conn, st.br)
 				return
 			}
@@ -300,28 +330,13 @@ func (f *BinFront) serveConn(conn net.Conn, fc FrontConn) {
 			// the stream's framing: answer with a best-effort error frame
 			// and drop the connection rather than misparse what follows.
 			if !errors.Is(err, io.EOF) {
-				st.wbuf, _ = f.appendError(st.wbuf, h.ReqID, err)
-				st.bw.Write(st.wbuf)
-				st.bw.Flush()
+				frame, _ := f.appendError(nil, h.ReqID, err)
+				conn.Write(frame)
 				gracefulClose(conn, st.br)
 			}
 			return
 		}
-		var keep bool
-		if h.Type == wire.TDecide {
-			keep = f.window(st, h)
-		} else {
-			keep = f.serveFrame(st, h)
-		}
-		// Flush once the buffered input is exhausted: under pipelining many
-		// answers ride one syscall, while a lone request is answered
-		// immediately.
-		if st.br.Buffered() == 0 || !keep {
-			if err := st.bw.Flush(); err != nil {
-				return
-			}
-		}
-		if !keep {
+		if !f.window(st, h) {
 			gracefulClose(conn, st.br)
 			return
 		}
@@ -352,107 +367,35 @@ func gracefulClose(conn net.Conn, br *bufio.Reader) {
 	io.Copy(io.Discard, io.LimitReader(br, 1<<20))
 }
 
-// serveFrame serves one non-decide request frame, appending exactly one
-// answer to st.bw. It reports whether the connection stays open.
-func (f *BinFront) serveFrame(st *binConn, h wire.Header) bool {
-	f.frames.Add(1)
-	keep := true
-	if err := f.answer(st, h); err != nil {
-		st.wbuf, keep = f.appendError(st.wbuf, h.ReqID, err)
-	}
-	st.bw.Write(st.wbuf)
-	return keep
-}
-
-// answer decodes the non-decide frame in st.payload, makes its call and
-// encodes the answer into st.wbuf, or returns the error to answer with.
-// No context bounds the call: a router's forwards are bounded by their
-// shard clients' call timeout.
-func (f *BinFront) answer(st *binConn, h wire.Header) error {
-	ctx := context.Background()
-	switch h.Type {
-	case wire.TCreate:
-		if err := wire.ParseCreateReq(st.payload, &st.creq); err != nil {
-			return err
-		}
-		opts, err := optionsFromWire(st.creq)
-		if err != nil {
-			return err
-		}
-		info, err := st.fc.Create(ctx, opts)
-		if err != nil {
-			return err
-		}
-		st.wbuf = wire.FinishFrame(
-			wire.AppendCreateOK(wire.BeginFrame(st.wbuf), info.Handle, info.Epoch, info.NumLevels),
-			wire.TCreateOK, h.ReqID)
-	case wire.TResume:
-		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
-			return err
-		}
-		rs, err := resumeFromWire(&st.rsreq)
-		if err != nil {
-			return err
-		}
-		info, err := st.fc.Resume(ctx, rs)
-		if err != nil {
-			return err
-		}
-		st.wbuf = wire.FinishFrame(
-			wire.AppendCreateOK(wire.BeginFrame(st.wbuf), info.Handle, info.Epoch, info.NumLevels),
-			wire.TResumeOK, h.ReqID)
-	case wire.TReward:
-		if err := wire.ParseRewardReq(st.payload, &st.rreq); err != nil {
-			return err
-		}
-		stats, err := st.fc.Reward(ctx, st.rreq.Handle, st.rreq.Epoch, st.rreq.Seq, st.rreq.Reward)
-		if err != nil {
-			return err
-		}
-		st.wbuf = wire.FinishFrame(wire.AppendStats(wire.BeginFrame(st.wbuf), stats), wire.TRewardOK, h.ReqID)
-	case wire.TClose:
-		if err := wire.ParseCloseReq(st.payload, &st.clreq); err != nil {
-			return err
-		}
-		stats, err := st.fc.Close(ctx, st.clreq.Handle)
-		if err != nil {
-			return err
-		}
-		st.wbuf = wire.FinishFrame(wire.AppendStats(wire.BeginFrame(st.wbuf), stats), wire.TCloseOK, h.ReqID)
-	default:
-		// An answer type on the request stream is a protocol violation;
-		// answer and hang up.
-		return wire.ErrBadType
-	}
-	return nil
-}
-
-// window serves the decide frame in hand plus every complete decide frame
-// already buffered behind it whose observations fit the budget, and writes
-// their answers in frame order in one vectored write. It reports whether
-// the connection stays open.
+// window serves the frame in hand plus every complete frame already
+// buffered behind it, up to maxWindowFrames and while the decides'
+// observations fit the budget, and writes their answers in frame order in
+// one vectored write. No context bounds a Finish: a router's forwards are
+// bounded by their shard clients' call timeout. It reports whether the
+// connection stays open.
 func (f *BinFront) window(st *binConn, h wire.Header) bool {
 	w := &st.win
-	w.n, w.obsTotal, w.closeAfter = 0, 0, false
-	f.windows.Add(1)
-	f.frames.Add(1)
-	f.startDecide(st, h)
+	w.n, w.obsTotal, w.decides, w.closeAfter = 0, 0, false, false
+	f.start(st, h)
 	for !w.closeAfter && w.n < maxWindowFrames {
-		if n, ok := wire.PeekDecide(st.br); !ok || w.obsTotal+n > f.maxObs {
+		if _, n, ok := wire.PeekRequest(st.br); !ok || w.obsTotal+n > f.maxObs {
 			break
 		}
 		gh, payload, err := wire.ReadFrame(st.br, &st.hdr, st.payload)
 		st.payload = payload
-		f.frames.Add(1)
 		if err != nil {
 			// The peek said a full frame was buffered, so this is
 			// corruption, not truncation: answer in order and poison the
 			// stream.
-			f.failSlot(w, w.next(gh.ReqID), err)
+			f.frames.Add(1)
+			f.failSlot(w, w.next(gh), err)
 			w.closeAfter = true
 			break
 		}
-		f.startDecide(st, gh)
+		f.start(st, gh)
+	}
+	if w.decides {
+		f.windows.Add(1)
 	}
 	st.fc.Flush()
 	for i := range w.slots[:w.n] {
@@ -460,20 +403,15 @@ func (f *BinFront) window(st *binConn, h wire.Header) bool {
 		if !sl.started {
 			continue
 		}
-		levels, err := st.fc.FinishDecide(context.Background(), i)
+		ans, err := st.fc.Finish(context.Background(), i)
 		if err != nil {
 			f.failSlot(w, sl, err)
 			continue
 		}
-		sl.wbuf = wire.FinishFrame(wire.AppendDecideOK(wire.BeginFrame(sl.wbuf), levels), wire.TDecideOK, sl.reqID)
+		sl.wbuf = appendAnswer(sl.wbuf, sl, &ans)
 		sl.ok = true
 	}
 
-	// Anything older already buffered in bw goes first so the stream stays
-	// ordered, then the window's answers in one vectored write.
-	if err := st.bw.Flush(); err != nil {
-		return false
-	}
 	w.bufs = w.bufs[:0]
 	for i := range w.slots[:w.n] {
 		w.bufs = append(w.bufs, w.slots[i].wbuf)
@@ -486,7 +424,7 @@ func (f *BinFront) window(st *binConn, h wire.Header) bool {
 	now := time.Now()
 	span := now.Sub(wstart).Nanoseconds()
 	for i := range w.slots[:w.n] {
-		if sl := &w.slots[i]; sl.ok {
+		if sl := &w.slots[i]; sl.ok && sl.typ == wire.TDecide {
 			f.histWrite.Observe(span)
 			f.histBin.Observe(now.Sub(sl.t0).Nanoseconds())
 		}
@@ -494,25 +432,86 @@ func (f *BinFront) window(st *binConn, h wire.Header) bool {
 	return !w.closeAfter
 }
 
-// startDecide decodes the decide frame in st.payload into the window's
-// next slot and starts it, or answers it in the slot. The FrontConn has
-// read the observations before the next gathered frame overwrites
-// st.dreq.
-func (f *BinFront) startDecide(st *binConn, h wire.Header) {
+// start decodes the frame in st.payload into st.req and starts it in the
+// window's next slot, or answers it there. The FrontConn has read the
+// request before the next gathered frame overwrites st.req.
+func (f *BinFront) start(st *binConn, h wire.Header) {
 	w := &st.win
 	i := w.n
-	sl := w.next(h.ReqID)
-	if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
-		f.failSlot(w, sl, err)
-		return
+	sl := w.next(h)
+	f.frames.Add(1)
+	err := st.decode(h.Type)
+	if err == nil && h.Type == wire.TDecide {
+		w.obsTotal += len(st.req.Obs)
+		f.histDecode.Observe(time.Since(sl.t0).Nanoseconds())
 	}
-	w.obsTotal += len(st.dreq.Obs)
-	f.histDecode.Observe(time.Since(sl.t0).Nanoseconds())
-	if err := st.fc.StartDecide(i, st.dreq.Handle, st.dreq.Epoch, st.dreq.Seq, st.dreq.Obs); err != nil {
+	if err == nil {
+		err = st.fc.Start(i, &st.req)
+	}
+	if err != nil {
 		f.failSlot(w, sl, err)
 		return
 	}
 	sl.started = true
+}
+
+// decode parses the request frame of type typ in st.payload into st.req.
+// An answer type on the request stream is a protocol violation, answered
+// with ErrBadType.
+func (st *binConn) decode(typ byte) error {
+	req := &st.req
+	req.Type = typ
+	switch typ {
+	case wire.TCreate:
+		var cr wire.CreateReq
+		if err := wire.ParseCreateReq(st.payload, &cr); err != nil {
+			return err
+		}
+		var err error
+		req.Opts, err = optionsFromWire(cr)
+		return err
+	case wire.TResume:
+		if err := wire.ParseResumeReq(st.payload, &st.rsreq); err != nil {
+			return err
+		}
+		var err error
+		req.Resume, err = resumeFromWire(&st.rsreq)
+		return err
+	case wire.TDecide:
+		if err := wire.ParseDecideReq(st.payload, &st.dreq); err != nil {
+			return err
+		}
+		req.Handle, req.Epoch, req.Seq, req.Obs = st.dreq.Handle, st.dreq.Epoch, st.dreq.Seq, st.dreq.Obs
+	case wire.TReward:
+		var rr wire.RewardReq
+		if err := wire.ParseRewardReq(st.payload, &rr); err != nil {
+			return err
+		}
+		req.Handle, req.Epoch, req.Seq, req.Reward = rr.Handle, rr.Epoch, rr.Seq, rr.Reward
+	case wire.TClose:
+		var cr wire.CloseReq
+		if err := wire.ParseCloseReq(st.payload, &cr); err != nil {
+			return err
+		}
+		req.Handle = cr.Handle
+	default:
+		return wire.ErrBadType
+	}
+	return nil
+}
+
+// appendAnswer appends to dst the OK frame answering slot sl with ans.
+func appendAnswer(dst []byte, sl *binSlot, ans *FrontAns) []byte {
+	p := wire.BeginFrame(dst)
+	switch sl.typ {
+	case wire.TCreate, wire.TResume:
+		p = wire.AppendCreateOK(p, ans.Info.Handle, ans.Info.Epoch, ans.Info.NumLevels)
+	case wire.TDecide:
+		p = wire.AppendDecideOK(p, ans.Levels)
+	default: // TReward, TClose
+		p = wire.AppendStats(p, ans.Stats)
+	}
+	return wire.FinishFrame(p, okType(sl.typ), sl.reqID)
 }
 
 // failSlot answers slot sl with err; a stream-poisoning error closes the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,26 +22,64 @@ func (s *Server) ServeBin(ln net.Listener) error { return s.bin.Serve(ln, s.open
 func (s *Server) openConn() FrontConn { return &serverConn{s: s} }
 
 // serverConn is the FrontConn of a device connection to a Server: each
-// call is served in place, a decide in full inside StartDecide.
+// request is served in full inside Start, into its window slot's answer.
 type serverConn struct {
-	s      *Server
-	levels [][]int // per window slot, reused
+	s   *Server
+	ans []FrontAns // per window slot; the decide levels are reused
 }
 
-func (c *serverConn) Create(_ context.Context, opts SessionOptions) (BinSessionInfo, error) {
-	sess, err := c.s.CreateSession(opts)
-	if err != nil {
-		return BinSessionInfo{}, err
+// Start serves req into slot i's answer. An overload shed carries the
+// server's backoff hint, so every front answers it with RetryAfter.
+func (c *serverConn) Start(i int, req *FrontReq) error {
+	for len(c.ans) <= i {
+		c.ans = append(c.ans, FrontAns{})
 	}
-	return c.s.sessionInfo(sess), nil
-}
-
-func (c *serverConn) Resume(_ context.Context, st ResumeState) (BinSessionInfo, error) {
-	sess, err := c.s.ResumeSession(st)
-	if err != nil {
-		return BinSessionInfo{}, err
+	a := &c.ans[i]
+	switch req.Type {
+	case wire.TCreate:
+		sess, err := c.s.CreateSession(req.Opts)
+		if err != nil {
+			return err
+		}
+		a.Info = c.s.sessionInfo(sess)
+	case wire.TResume:
+		sess, err := c.s.ResumeSession(req.Resume)
+		if err != nil {
+			return err
+		}
+		a.Info = c.s.sessionInfo(sess)
+	case wire.TDecide:
+		sess, err := c.s.SessionByHandleEpoch(req.Handle, req.Epoch)
+		if err != nil {
+			return err
+		}
+		a.Levels = slices.Grow(a.Levels[:0], len(req.Obs))[:len(req.Obs)]
+		if _, err := sess.DecideSeq(req.Seq, req.Obs, a.Levels); err != nil {
+			if errors.Is(err, ErrOverloaded) {
+				return &BackoffError{Err: err, RetryAfter: time.Duration(c.s.backoffHintMs()) * time.Millisecond}
+			}
+			return err
+		}
+	case wire.TReward:
+		sess, err := c.s.SessionByHandleEpoch(req.Handle, req.Epoch)
+		if err != nil {
+			return err
+		}
+		st, err := sess.RewardSeq(req.Seq, req.Reward)
+		if err != nil {
+			return err
+		}
+		a.Stats = statsToWire(st)
+	case wire.TClose:
+		st, err := c.s.CloseSessionByHandle(req.Handle)
+		if err != nil {
+			return err
+		}
+		a.Stats = statsToWire(st)
+	default:
+		return wire.ErrBadType
 	}
-	return c.s.sessionInfo(sess), nil
+	return nil
 }
 
 // sessionInfo is what a create or resume of sess answers. NumLevels is the
@@ -49,54 +88,9 @@ func (s *Server) sessionInfo(sess *Session) BinSessionInfo {
 	return BinSessionInfo{Handle: sess.handle, Epoch: s.cfg.Epoch, NumLevels: s.model.levels}
 }
 
-func (c *serverConn) Reward(_ context.Context, handle uint64, epoch uint32, seq uint64, r float64) (wire.Stats, error) {
-	sess, err := c.s.SessionByHandleEpoch(handle, epoch)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, err := sess.RewardSeq(seq, r)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	return statsToWire(st), nil
-}
-
-func (c *serverConn) Close(_ context.Context, handle uint64) (wire.Stats, error) {
-	st, err := c.s.CloseSessionByHandle(handle)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	return statsToWire(st), nil
-}
-
-// StartDecide serves the frame in full into slot i's levels. An overload
-// shed carries the server's backoff hint, so every front answers it with
-// RetryAfter.
-func (c *serverConn) StartDecide(i int, handle uint64, epoch uint32, seq uint64, obs []Observation) error {
-	sess, err := c.s.SessionByHandleEpoch(handle, epoch)
-	if err != nil {
-		return err
-	}
-	for len(c.levels) <= i {
-		c.levels = append(c.levels, nil)
-	}
-	if cap(c.levels[i]) < len(obs) {
-		c.levels[i] = make([]int, len(obs))
-	}
-	lv := c.levels[i][:len(obs)]
-	c.levels[i] = lv
-	if _, err := sess.DecideSeq(seq, obs, lv); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			return &BackoffError{Err: err, RetryAfter: time.Duration(c.s.backoffHintMs()) * time.Millisecond}
-		}
-		return err
-	}
-	return nil
-}
-
 func (c *serverConn) Flush() {}
 
-func (c *serverConn) FinishDecide(_ context.Context, i int) ([]int, error) { return c.levels[i], nil }
+func (c *serverConn) Finish(_ context.Context, i int) (FrontAns, error) { return c.ans[i], nil }
 
 // sessionID is the JSON id of the session with handle h. Both processes
 // print the handle, so an id names exactly one handle and a device cannot

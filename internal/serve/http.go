@@ -205,105 +205,89 @@ func (f *JSONFront) WriteError(w http.ResponseWriter, err error) {
 }
 
 func (f *JSONFront) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var opts SessionOptions
-	if err := DecodeBody(r, &opts); err != nil {
+	req := FrontReq{Type: wire.TCreate}
+	if err := DecodeBody(r, &req.Opts); err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	c := f.conns.Get().(FrontConn)
-	defer f.conns.Put(c)
-	info, err := c.Create(r.Context(), opts)
-	f.writeSession(w, info, err)
+	f.serve(w, r, &req)
 }
 
 // handleResume re-creates a session from client-carried mirror state,
 // for clients whose server vanished (restart) or forgot them (TTL
 // reaping, or a router's handoff).
 func (f *JSONFront) handleResume(w http.ResponseWriter, r *http.Request) {
-	var req ResumeSessionRequest
-	if err := DecodeBody(r, &req); err != nil {
+	var body ResumeSessionRequest
+	if err := DecodeBody(r, &body); err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	st, err := req.State()
-	if err != nil {
+	req := FrontReq{Type: wire.TResume}
+	var err error
+	if req.Resume, err = body.State(); err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	c := f.conns.Get().(FrontConn)
-	defer f.conns.Put(c)
-	info, err := c.Resume(r.Context(), st)
-	f.writeSession(w, info, err)
+	f.serve(w, r, &req)
 }
 
-// writeSession answers a create or resume with the session's id, epoch
-// and the served chip's shape, or with err.
-func (f *JSONFront) writeSession(w http.ResponseWriter, info BinSessionInfo, err error) {
-	if err != nil {
-		f.WriteError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, CreateSessionResponse{
-		ID:        sessionID(info.Handle),
-		Epoch:     info.Epoch,
-		Clusters:  len(info.NumLevels),
-		NumLevels: info.NumLevels,
-	})
-}
-
-// handleDecide serves one decide as a window of one.
 func (f *JSONFront) handleDecide(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { f.histHTTP.Observe(time.Since(t0).Nanoseconds()) }()
-	var req DecideRequest
-	if err := DecodeBody(r, &req); err != nil {
+	var body DecideRequest
+	if err := DecodeBody(r, &body); err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	c := f.conns.Get().(FrontConn)
-	defer f.conns.Put(c)
-	err := c.StartDecide(0, handleOf(r.PathValue("id")), req.Epoch, req.Seq, req.Observations)
-	var levels []int
-	if err == nil {
-		c.Flush()
-		levels, err = c.FinishDecide(r.Context(), 0)
-	}
-	if err != nil {
-		f.WriteError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, DecideResponse{Levels: levels})
+	f.serve(w, r, &FrontReq{Type: wire.TDecide, Handle: handleOf(r.PathValue("id")),
+		Epoch: body.Epoch, Seq: body.Seq, Obs: body.Observations})
 }
 
 func (f *JSONFront) handleReward(w http.ResponseWriter, r *http.Request) {
-	var req RewardRequest
-	if err := DecodeBody(r, &req); err != nil {
+	var body RewardRequest
+	if err := DecodeBody(r, &body); err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	c := f.conns.Get().(FrontConn)
-	defer f.conns.Put(c)
-	id := r.PathValue("id")
-	st, err := c.Reward(r.Context(), handleOf(id), req.Epoch, req.Seq, req.Reward)
-	f.writeStats(w, id, st, err)
+	f.serve(w, r, &FrontReq{Type: wire.TReward, Handle: handleOf(r.PathValue("id")),
+		Epoch: body.Epoch, Seq: body.Seq, Reward: body.Reward})
 }
 
 func (f *JSONFront) handleClose(w http.ResponseWriter, r *http.Request) {
-	c := f.conns.Get().(FrontConn)
-	defer f.conns.Put(c)
-	id := r.PathValue("id")
-	st, err := c.Close(r.Context(), handleOf(id))
-	f.writeStats(w, id, st, err)
+	f.serve(w, r, &FrontReq{Type: wire.TClose, Handle: handleOf(r.PathValue("id"))})
 }
 
-// writeStats answers a reward or close with the session's ledger, or with
-// err. Only a canonical id reaches a session, so id is the session's own.
-func (f *JSONFront) writeStats(w http.ResponseWriter, id string, st wire.Stats, err error) {
+// serve runs req as a window of one on a pooled conn and answers it by its
+// type: a create or resume with the session's id, epoch and the served
+// chip's shape, a decide with its levels, a reward or close with the
+// session's ledger. Only a canonical id reaches a session, so the id in
+// the path is the session's own.
+func (f *JSONFront) serve(w http.ResponseWriter, r *http.Request, req *FrontReq) {
+	c := f.conns.Get().(FrontConn)
+	defer f.conns.Put(c)
+	err := c.Start(0, req)
+	var ans FrontAns
+	if err == nil {
+		c.Flush()
+		ans, err = c.Finish(r.Context(), 0)
+	}
 	if err != nil {
 		f.WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, statsFromWire(id, st))
+	switch req.Type {
+	case wire.TCreate, wire.TResume:
+		WriteJSON(w, http.StatusOK, CreateSessionResponse{
+			ID:        sessionID(ans.Info.Handle),
+			Epoch:     ans.Info.Epoch,
+			Clusters:  len(ans.Info.NumLevels),
+			NumLevels: ans.Info.NumLevels,
+		})
+	case wire.TDecide:
+		WriteJSON(w, http.StatusOK, DecideResponse{Levels: ans.Levels})
+	default: // TReward, TClose
+		WriteJSON(w, http.StatusOK, statsFromWire(r.PathValue("id"), ans.Stats))
+	}
 }
 
 // Handler returns the server's HTTP API: the JSONFront's session routes

@@ -394,10 +394,10 @@ func TestLearnPublishAllocFree(t *testing.T) {
 	}
 }
 
-// TestLearnRecycleWaitsForGrace pins the grace rule: while the batch
-// worker is parked inside a Decide holding model A, publications never
-// write A's arena (a fresh arena is allocated instead), and once the
-// worker returns the next publication recycles A.
+// TestLearnRecycleWaitsForGrace pins the grace rule: while a decide is
+// parked inside the backend holding model A, publications never write A's
+// arena (a fresh arena is allocated instead), and once the decide returns
+// the next publication recycles A.
 func TestLearnRecycleWaitsForGrace(t *testing.T) {
 	m := testModel(t, 3, 5)
 	sw := NewSWBackend(m)
@@ -416,7 +416,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 	released := false
 	defer func() {
 		if !released {
-			close(release) // unblock the worker if the test bailed early
+			close(release) // unblock the parked decide if the test bailed early
 		}
 	}()
 	learnSess, err := srv.CreateSession(SessionOptions{})
@@ -496,7 +496,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 
 // TestLearnAsyncStressRecycling runs the background learner with a
 // publication per update while many sessions decide and reward at once,
-// so recycled arenas are rewritten while the batch worker reads live
+// so recycled arenas are rewritten while concurrent decides read live
 // ones. Every served level must be in range; the race detector (make
 // race repeats this test) checks that no arena is written while read.
 func TestLearnAsyncStressRecycling(t *testing.T) {

@@ -124,7 +124,7 @@ func TestDecideSeqMultiPeriodAllocFree(t *testing.T) {
 	}
 	levels := make([]int, k*n)
 	var seq uint64
-	for i := 0; i < 10; i++ { // warm scratch, pool, and batch worker
+	for i := 0; i < 10; i++ { // warm the session before counting
 		if _, err := sess.DecideSeq(seq+1, obs, levels); err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,11 @@ import (
 
 // TestConcurrentSessionsMatchSerialOracle is the determinism stress test:
 // many goroutines run full create/decide/reward/close lifecycles against
-// one server (so their lookups coalesce into shared batches), and every
-// session's decision stream must be byte-identical to a serial oracle that
-// replays the same device-local logic with no server at all. Run under
-// -race this also shakes the batcher, session registry, and metrics for
-// data races.
+// one server (so their decides run inline side by side against one model),
+// and every session's decision stream must be byte-identical to a serial
+// oracle that replays the same device-local logic with no server at all.
+// Run under -race this also shakes the inline decide path, the session
+// registry and the metrics for data races.
 func TestConcurrentSessionsMatchSerialOracle(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{MaxBatch: 8})

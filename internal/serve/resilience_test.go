@@ -18,6 +18,7 @@ import (
 
 	"rlpm/internal/core"
 	"rlpm/internal/leaktest"
+	"rlpm/internal/wire"
 )
 
 // TestBinPendingCallFailsFastOnMidResponseClose is the regression test for
@@ -412,7 +413,7 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	bc := NewBinClient(startBinServer(t, shed))
 	defer bc.Close()
 	var c BinCaller
-	if _, err := c.DecideSeq(context.Background(), bc, sess.Handle(), shed.Epoch(), 1, obs); !errors.Is(err, ErrOverloaded) || RetryAfter(err) != want {
+	if _, err := c.Call(context.Background(), bc, &FrontReq{Type: wire.TDecide, Handle: sess.Handle(), Epoch: shed.Epoch(), Seq: 1, Obs: obs}); !errors.Is(err, ErrOverloaded) || RetryAfter(err) != want {
 		t.Fatalf("binary shed answered %v, retry after %v; want ErrOverloaded, %v", err, RetryAfter(err), want)
 	}
 

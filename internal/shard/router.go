@@ -255,9 +255,15 @@ func (r *Router) closeMovedAsync(moved []movedRef) {
 		defer cancel()
 		var c serve.BinCaller
 		for _, m := range moved {
-			_, _ = c.Close(ctx, m.sc.bc, m.handle)
+			closeOnShard(ctx, &c, m.sc, m.handle)
 		}
 	}()
+}
+
+// closeOnShard closes a shard-side session best-effort through c: failure
+// is fine (a dead shard's TTL reaper is the backstop).
+func closeOnShard(ctx context.Context, c *serve.BinCaller, sc *shardConn, handle uint64) {
+	_, _ = c.Call(ctx, sc.bc, &serve.FrontReq{Type: wire.TClose, Handle: handle})
 }
 
 // AddShard joins a shard to the ring. Sessions whose keyspace moves to the
@@ -307,7 +313,7 @@ func (r *Router) RemoveShard(name string) error {
 	var c serve.BinCaller
 	for _, m := range moved {
 		if m.sc == sc {
-			_, _ = c.Close(ctx, m.sc.bc, m.handle)
+			closeOnShard(ctx, &c, m.sc, m.handle)
 		}
 	}
 	cancel()
@@ -380,95 +386,32 @@ func mapForwardErr(err error, sessionOp bool) error {
 const maxPlaceAttempts = 4
 
 // routerConn is the FrontConn of a device connection to the router: each
-// call is forwarded to the session's shard. The calls served one at a time
-// share one caller; a decide window keeps one caller per frame, so all of
-// its forwards are in flight together and a warmed connection forwards
-// without allocating.
+// request is forwarded to its session's shard. A window keeps one slot —
+// one caller — per request, so all of its forwards are in flight together
+// and a warmed connection forwards decides without allocating.
 type routerConn struct {
 	r       *Router
-	call    serve.BinCaller
-	fwd     []*serve.BinCaller // per window slot
+	slots   []*routerSlot      // per window slot; in-flight calls pin their address
 	touched []*serve.BinClient // shard clients holding unflushed forwards
 }
 
-// place reserves a session entry on the key's current owner and forwards
-// open there (a create or resume made through rc.call). If the ring moved
-// mid-flight the shard-side session is closed and placement retries on the
-// new owner. The answer's NumLevels is rc.call's scratch.
-func (rc *routerConn) place(key uint64, open func(*serve.BinClient) (serve.BinSessionInfo, error)) (serve.BinSessionInfo, error) {
-	r := rc.r
-	for attempt := 0; attempt < maxPlaceAttempts; attempt++ {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return serve.BinSessionInfo{}, serve.ErrServerClosed
-		}
-		owner, ok := r.ring.Owner(key)
-		if !ok {
-			r.mu.Unlock()
-			return serve.BinSessionInfo{}, fmt.Errorf("%w: no shards in the ring", serve.ErrServerClosed)
-		}
-		sc := r.shards[owner]
-		r.nextHandle++
-		s := &routerSession{handle: r.nextHandle, key: key, shard: sc}
-		r.sessions[s.handle] = s
-		r.mu.Unlock()
-
-		info, err := open(sc.bc)
-		if err != nil {
-			r.dropSession(s)
-			r.forwardErrors.Add(1)
-			return serve.BinSessionInfo{}, mapForwardErr(err, false)
-		}
-		s.mu.Lock()
-		if s.moved {
-			s.mu.Unlock()
-			// The ring changed while the open was in flight: this shard no
-			// longer owns the key. Undo the shard-side session and place
-			// again on the current owner.
-			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, _ = rc.call.Close(cctx, sc.bc, info.Handle)
-			cancel()
-			continue
-		}
-		s.shardHandle = info.Handle
-		s.shardEpoch = info.Epoch
-		s.mu.Unlock()
-		return serve.BinSessionInfo{Handle: s.handle, Epoch: r.cfg.Epoch, NumLevels: info.NumLevels}, nil
-	}
-	return serve.BinSessionInfo{}, fmt.Errorf("%w: placement unstable (ring churn)", serve.ErrServerClosed)
+// routerSlot is one forward of a window.
+type routerSlot struct {
+	call serve.BinCaller
+	req  serve.FrontReq // what went to the shard, shard-side handle and all
+	// For a create or resume: the routed session reserved for it, the
+	// shard it was placed on, and the resume state's own copies of its
+	// slices, for a placement Finish must redo.
+	s          *routerSession
+	sc         *shardConn
+	lastLevels []int
+	prevDemand []float64
 }
 
 func (r *Router) dropSession(s *routerSession) {
 	r.mu.Lock()
 	delete(r.sessions, s.handle)
 	r.mu.Unlock()
-}
-
-// Create places a new device session on its key's owner. The device's
-// seed is the routing key — the only device-identifying field the wire
-// create carries, and the one thing that survives resumes.
-func (rc *routerConn) Create(ctx context.Context, opts serve.SessionOptions) (serve.BinSessionInfo, error) {
-	info, err := rc.place(opts.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
-		return rc.call.Create(ctx, bc, opts)
-	})
-	if err == nil {
-		rc.r.sessionsCreated.Add(1)
-	}
-	return info, err
-}
-
-// Resume places a resumed session on its key's CURRENT owner — the second
-// half of the handoff: the device carries its mirror state here after an
-// ErrUnknownSession answer.
-func (rc *routerConn) Resume(ctx context.Context, st serve.ResumeState) (serve.BinSessionInfo, error) {
-	info, err := rc.place(st.Options.Seed, func(bc *serve.BinClient) (serve.BinSessionInfo, error) {
-		return rc.call.Resume(ctx, bc, st)
-	})
-	if err == nil {
-		rc.r.resumesFwd.Add(1)
-	}
-	return info, err
 }
 
 // lookupHandle resolves a device-visible handle under the router epoch.
@@ -509,31 +452,120 @@ func (r *Router) resolve(handle uint64, epoch uint32) (*shardConn, uint64, uint3
 	return s.shard, s.shardHandle, s.shardEpoch, nil
 }
 
-// StartDecide starts slot i's forward on its session's shard, unflushed;
-// every deadline of a window starts when its frame is written. Before a
-// forward whose shard client must dial first, the forwards already started
-// are flushed: a dial can take a whole call timeout, and their deadlines
-// are running.
+// reserve mints a routed session for key on its current owner: the entry
+// a create or resume fills in once the owner answers.
+func (r *Router) reserve(key uint64) (*routerSession, *shardConn, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, nil, serve.ErrServerClosed
+	}
+	owner, ok := r.ring.Owner(key)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: no shards in the ring", serve.ErrServerClosed)
+	}
+	sc := r.shards[owner]
+	r.nextHandle++
+	s := &routerSession{handle: r.nextHandle, key: key, shard: sc}
+	r.sessions[s.handle] = s
+	return s, sc, nil
+}
+
+// Start starts slot i's forward to the shard that holds req's session,
+// unflushed; every deadline of a window starts when its frame is written.
+//
+//   - A create or resume reserves a routed session on the owner of its
+//     key, the device's seed: the only device-identifying field a create
+//     carries, and the one thing that survives resumes.
+//   - A decide or reward goes to the session's shard under its shard-side
+//     handle and epoch. The device's seq is forwarded verbatim, so the
+//     shard's dedup cursors see the stream the device's mirror numbers.
+//   - A close retires the routed session here, so a later frame for its
+//     handle in the same window answers as it would after the close.
 //
 // Frames of one session go out in frame order on the one shard connection
 // that holds it, and the shard serves each frame fully before it reads the
 // next, so a session's frames are decided in order end to end.
-func (rc *routerConn) StartDecide(i int, handle uint64, epoch uint32, seq uint64, obs []serve.Observation) error {
-	sc, sh, se, err := rc.r.resolve(handle, epoch)
+func (rc *routerConn) Start(i int, req *serve.FrontReq) error {
+	for len(rc.slots) <= i {
+		rc.slots = append(rc.slots, new(routerSlot))
+	}
+	sl := rc.slots[i]
+	sl.req, sl.s = *req, nil
+	switch req.Type {
+	case wire.TCreate:
+		return rc.startOpen(sl, req.Opts.Seed)
+	case wire.TResume:
+		// The resume state's slices are valid only during Start, and a
+		// placement Finish redoes needs them again.
+		sl.lastLevels = append(sl.lastLevels[:0], req.Resume.LastLevels...)
+		sl.prevDemand = append(sl.prevDemand[:0], req.Resume.PrevDemand...)
+		sl.req.Resume.LastLevels, sl.req.Resume.PrevDemand = sl.lastLevels, sl.prevDemand
+		return rc.startOpen(sl, req.Resume.Options.Seed)
+	case wire.TClose:
+		sc, sh, err := rc.r.retire(req.Handle)
+		if err != nil {
+			return err
+		}
+		sl.req.Handle = sh
+		rc.forward(sl, sc)
+		return nil
+	default: // TDecide, TReward
+		sc, sh, se, err := rc.r.resolve(req.Handle, req.Epoch)
+		if err != nil {
+			return err
+		}
+		sl.req.Handle, sl.req.Epoch = sh, se
+		rc.forward(sl, sc)
+		return nil
+	}
+}
+
+// startOpen reserves a routed session for slot sl's open on key's owner
+// and starts the open there.
+func (rc *routerConn) startOpen(sl *routerSlot, key uint64) error {
+	s, sc, err := rc.r.reserve(key)
 	if err != nil {
 		return err
 	}
+	sl.s, sl.sc = s, sc
+	rc.forward(sl, sc)
+	return nil
+}
+
+// forward starts slot sl's request on sc's client. Before a forward whose
+// shard client must dial first, the forwards already started are flushed:
+// a dial can take a whole call timeout, and their deadlines are running.
+func (rc *routerConn) forward(sl *routerSlot, sc *shardConn) {
 	if !sc.bc.Connected() {
 		rc.Flush()
 	}
-	for len(rc.fwd) <= i {
-		rc.fwd = append(rc.fwd, new(serve.BinCaller))
-	}
-	rc.fwd[i].StartDecide(sc.bc, sh, se, seq, obs)
+	sl.call.Start(sc.bc, &sl.req)
 	if !slices.Contains(rc.touched, sc.bc) {
 		rc.touched = append(rc.touched, sc.bc)
 	}
-	return nil
+}
+
+// retire marks the routed session with a device-visible handle closed and
+// drops it, returning the shard-side identity to forward the close to.
+func (r *Router) retire(handle uint64) (*shardConn, uint64, error) {
+	s, err := r.lookupHandle(handle, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, 0, serve.ErrSessionClosed
+	}
+	s.closed = true
+	sc, sh, moved := s.shard, s.shardHandle, s.moved || s.shard == nil
+	s.mu.Unlock()
+	r.dropSession(s)
+	if moved {
+		return nil, 0, errMoved()
+	}
+	return sc, sh, nil
 }
 
 // Flush writes out the started forwards, each shard client once.
@@ -544,59 +576,64 @@ func (rc *routerConn) Flush() {
 	rc.touched = rc.touched[:0]
 }
 
-// FinishDecide awaits slot i's answer and maps a failure onto what the
-// device should see.
-func (rc *routerConn) FinishDecide(ctx context.Context, i int) ([]int, error) {
-	levels, err := rc.fwd[i].AwaitDecide(ctx)
+// Finish awaits slot i's answer and maps a failure onto what the device
+// should see. A create's or resume's answer completes its routed session
+// and is renamed into the router's handle and epoch.
+func (rc *routerConn) Finish(ctx context.Context, i int) (serve.FrontAns, error) {
+	sl := rc.slots[i]
+	ans, err := sl.call.Await(ctx)
+	if sl.s != nil {
+		return rc.finishOpen(ctx, sl, ans, err)
+	}
 	if err != nil {
 		rc.r.forwardErrors.Add(1)
-		return nil, mapForwardErr(err, true)
+		return serve.FrontAns{}, mapForwardErr(err, true)
 	}
-	rc.r.decideFrames.Add(1)
-	return levels, nil
+	switch sl.req.Type {
+	case wire.TDecide:
+		rc.r.decideFrames.Add(1)
+	case wire.TReward:
+		rc.r.rewardsFwd.Add(1)
+	}
+	return ans, nil
 }
 
-// Reward forwards a reward report. epoch addresses the *device-facing*
-// incarnation (0 = don't check); seq is the device's reward sequence
-// number, forwarded verbatim so the shard's dedup cursor sees the same
-// stream the device's mirror numbers.
-func (rc *routerConn) Reward(ctx context.Context, handle uint64, epoch uint32, seq uint64, reward float64) (wire.Stats, error) {
-	sc, sh, se, err := rc.r.resolve(handle, epoch)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, err := rc.call.Reward(ctx, sc.bc, sh, se, seq, reward)
-	if err != nil {
-		rc.r.forwardErrors.Add(1)
-		return wire.Stats{}, mapForwardErr(err, true)
-	}
-	rc.r.rewardsFwd.Add(1)
-	return st, nil
-}
-
-// Close forwards a close and retires the routed session.
-func (rc *routerConn) Close(ctx context.Context, handle uint64) (wire.Stats, error) {
+// finishOpen records where slot sl's open landed. If the ring moved while
+// it was in flight, that shard no longer owns the key: the shard-side
+// session is closed and the open placed again, one attempt at a time, on
+// the current owner.
+func (rc *routerConn) finishOpen(ctx context.Context, sl *routerSlot, ans serve.FrontAns, err error) (serve.FrontAns, error) {
 	r := rc.r
-	s, err := r.lookupHandle(handle, 0)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	s.mu.Lock()
-	if s.closed {
+	for attempt := 1; ; attempt++ {
+		if err != nil {
+			r.dropSession(sl.s)
+			r.forwardErrors.Add(1)
+			return serve.FrontAns{}, mapForwardErr(err, false)
+		}
+		s := sl.s
+		s.mu.Lock()
+		if !s.moved {
+			s.shardHandle, s.shardEpoch = ans.Info.Handle, ans.Info.Epoch
+			s.mu.Unlock()
+			if sl.req.Type == wire.TCreate {
+				r.sessionsCreated.Add(1)
+			} else {
+				r.resumesFwd.Add(1)
+			}
+			ans.Info.Handle, ans.Info.Epoch = s.handle, r.cfg.Epoch
+			return ans, nil
+		}
 		s.mu.Unlock()
-		return wire.Stats{}, serve.ErrSessionClosed
+		cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		closeOnShard(cctx, &sl.call, sl.sc, ans.Info.Handle)
+		cancel()
+		if attempt == maxPlaceAttempts {
+			return serve.FrontAns{}, fmt.Errorf("%w: placement unstable (ring churn)", serve.ErrServerClosed)
+		}
+		if err := rc.startOpen(sl, sl.s.key); err != nil {
+			return serve.FrontAns{}, err
+		}
+		rc.Flush()
+		ans, err = sl.call.Await(ctx)
 	}
-	s.closed = true
-	sc, sh, moved := s.shard, s.shardHandle, s.moved || s.shard == nil
-	s.mu.Unlock()
-	r.dropSession(s)
-	if moved {
-		return wire.Stats{}, errMoved()
-	}
-	st, err := rc.call.Close(ctx, sc.bc, sh)
-	if err != nil {
-		r.forwardErrors.Add(1)
-		return wire.Stats{}, mapForwardErr(err, true)
-	}
-	return st, nil
 }

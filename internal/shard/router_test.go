@@ -16,6 +16,7 @@ import (
 	"rlpm/internal/core"
 	"rlpm/internal/rng"
 	"rlpm/internal/serve"
+	"rlpm/internal/wire"
 )
 
 func testSnapshot(t testing.TB, levels ...int) (core.Config, core.Snapshot) {
@@ -439,10 +440,10 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	model := testModel(t, 6, 4)
 	_, router, _ := testFleetRouter(t, model, 1, 1)
 	c := router.openConn()
-	if err := c.StartDecide(0, 999, router.Epoch(), 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
+	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 999, Epoch: router.Epoch(), Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("unknown handle: %v", err)
 	}
-	if err := c.StartDecide(0, 1, router.Epoch()+1, 1, testObs(model)); !errors.Is(err, serve.ErrUnknownSession) {
+	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 1, Epoch: router.Epoch() + 1, Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
 	}
 }
@@ -474,16 +475,17 @@ func TestFrozenCohortAcrossFronts(t *testing.T) {
 			bc := serve.NewBinClient(addr)
 			defer bc.Close()
 			var c serve.BinCaller
-			info, err := c.Create(ctx, bc, opts)
+			ans, err := c.Call(ctx, bc, createReq(opts))
 			if err != nil {
 				t.Fatalf("create: %v", err)
 			}
+			h, ep := ans.Info.Handle, ans.Info.Epoch
 			for seq := uint64(1); seq <= 2; seq++ {
-				if _, err := c.DecideSeq(ctx, bc, info.Handle, info.Epoch, seq, obs); err != nil {
+				if _, err := c.Call(ctx, bc, &serve.FrontReq{Type: wire.TDecide, Handle: h, Epoch: ep, Seq: seq, Obs: obs}); err != nil {
 					t.Fatalf("decide %d: %v", seq, err)
 				}
 			}
-			if _, err := c.Reward(ctx, bc, info.Handle, info.Epoch, 1, -0.5); err != nil {
+			if _, err := c.Call(ctx, bc, &serve.FrontReq{Type: wire.TReward, Handle: h, Epoch: ep, Seq: 1, Reward: -0.5}); err != nil {
 				t.Fatalf("reward: %v", err)
 			}
 		}
@@ -592,15 +594,16 @@ func TestErrorTableAcrossFronts(t *testing.T) {
 			seed := uint64(100 + i)
 			t.Run(f.name+"/bin/"+row.name, func(t *testing.T) {
 				var c serve.BinCaller
-				info, err := c.Create(ctx, bc, serve.SessionOptions{Seed: seed})
+				ans, err := c.Call(ctx, bc, createReq(serve.SessionOptions{Seed: seed}))
 				if err != nil {
 					t.Fatalf("create: %v", err)
 				}
-				epoch := info.Epoch
+				epoch := ans.Info.Epoch
 				if row.foreign {
 					epoch++
 				}
-				if _, err := c.DecideSeq(ctx, bc, info.Handle, epoch, row.seq, row.obs); !errors.Is(err, row.want) {
+				decide := &serve.FrontReq{Type: wire.TDecide, Handle: ans.Info.Handle, Epoch: epoch, Seq: row.seq, Obs: row.obs}
+				if _, err := c.Call(ctx, bc, decide); !errors.Is(err, row.want) {
 					t.Fatalf("decide answered %v, want %v", err, row.want)
 				}
 			})

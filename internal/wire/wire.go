@@ -270,33 +270,32 @@ func ReadFrame(r io.Reader, hdr *[HeaderSize]byte, payload []byte) (Header, []by
 	return h, payload, nil
 }
 
-// PeekDecide reports whether the next frame buffered in br is a complete
-// decide frame, and its observation count, without consuming a byte or
-// ever blocking: the test a decide window runs before it gathers another
-// frame. A declared length past MaxPayload counts as complete (count 0),
-// since ReadFrame rejects it from the header alone.
-func PeekDecide(br *bufio.Reader) (count int, ok bool) {
+// PeekRequest reports whether the next frame buffered in br is complete,
+// its type and, for a decide, its observation count, without consuming a
+// byte or ever blocking: the test a window runs before it gathers another
+// frame. A declared length past MaxPayload counts as complete, since
+// ReadFrame rejects it from the header alone. typ is 0 until a whole
+// header is buffered; nothing in the header is validated.
+func PeekRequest(br *bufio.Reader) (typ byte, obs int, ok bool) {
 	// Every Peek below stays within Buffered, so it neither fails nor
 	// reads.
 	if br.Buffered() < HeaderSize {
-		return 0, false
+		return 0, 0, false
 	}
 	hdr, _ := br.Peek(HeaderSize)
-	if hdr[1] != TDecide {
-		return 0, false
-	}
+	typ = hdr[1]
 	plen := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	if plen > MaxPayload {
-		return 0, true
+		return typ, 0, true
 	}
 	if br.Buffered() < HeaderSize+plen+TrailerSize {
-		return 0, false
+		return typ, 0, false
 	}
-	if plen >= decideReqBase {
+	if typ == TDecide && plen >= decideReqBase {
 		pk, _ := br.Peek(HeaderSize + decideReqBase)
-		count = int(binary.LittleEndian.Uint16(pk[HeaderSize+decideReqBase-2:]))
+		obs = int(binary.LittleEndian.Uint16(pk[HeaderSize+decideReqBase-2:]))
 	}
-	return count, true
+	return typ, obs, true
 }
 
 // Obs is one cluster's telemetry for one control period — the subset of

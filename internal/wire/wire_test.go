@@ -409,38 +409,43 @@ func TestRewardReqLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestPeekDecide pins the decide windows' gather test: a complete
-// buffered decide frame reports its observation count, anything a window
-// could block on or must not gather reports false, and nothing is
-// consumed.
-func TestPeekDecide(t *testing.T) {
-	obs := make([]Obs, 3)
-	decide := FinishFrame(AppendDecideReq(BeginFrame(nil), 7, 1, 2, obs), TDecide, 1)
-	closeF := FinishFrame(AppendCloseReq(BeginFrame(nil), CloseReq{Handle: 7}), TClose, 2)
+// TestPeekRequest pins the windows' gather test: a complete buffered
+// frame of every request type reports its type and, for a decide, its
+// observation count; anything a window could block on reports false; and
+// nothing is consumed.
+func TestPeekRequest(t *testing.T) {
+	seal := func(typ byte, payload []byte) []byte { return FinishFrame(payload, typ, 1) }
+	decide := seal(TDecide, AppendDecideReq(BeginFrame(nil), 7, 1, 2, make([]Obs, 3)))
 	oversized := append([]byte(nil), decide[:HeaderSize]...)
-	PutHeader(oversized, TDecide, 3, MaxPayload+1)
+	PutHeader(oversized, TCreate, 3, MaxPayload+1)
 	cases := []struct {
-		name      string
-		stream    []byte
-		wantCount int
-		wantOK    bool
+		name    string
+		stream  []byte
+		wantTyp byte
+		wantObs int
+		wantOK  bool
 	}{
-		{"complete decide", decide, 3, true},
-		{"decide missing its trailer", decide[:len(decide)-1], 0, false},
-		{"header only", decide[:HeaderSize], 0, false},
-		{"partial header", decide[:HeaderSize-1], 0, false},
-		{"other type", closeF, 0, false},
-		{"oversized prefix", oversized, 0, true},
+		{"create", seal(TCreate, AppendCreateReq(BeginFrame(nil), CreateReq{Seed: 9})), TCreate, 0, true},
+		{"resume", seal(TResume, AppendResumeReq(BeginFrame(nil), &ResumeReq{PrevDemand: []float64{1, 2}})), TResume, 0, true},
+		{"decide", decide, TDecide, 3, true},
+		{"empty decide", seal(TDecide, AppendDecideReq(BeginFrame(nil), 7, 1, 2, nil)), TDecide, 0, true},
+		{"reward", seal(TReward, AppendRewardReq(BeginFrame(nil), RewardReq{Handle: 7, Reward: -1})), TReward, 0, true},
+		{"close", seal(TClose, AppendCloseReq(BeginFrame(nil), CloseReq{Handle: 7})), TClose, 0, true},
+		{"answer type", seal(TCloseOK, AppendStats(BeginFrame(nil), Stats{})), TCloseOK, 0, true},
+		{"decide missing its trailer", decide[:len(decide)-1], TDecide, 0, false},
+		{"header only", decide[:HeaderSize], TDecide, 0, false},
+		{"partial header", decide[:HeaderSize-1], 0, 0, false},
+		{"oversized prefix", oversized, TCreate, 0, true},
 	}
 	for _, tc := range cases {
 		br := bufio.NewReader(bytes.NewReader(tc.stream))
 		br.Peek(len(tc.stream)) // fill the buffer, as a socket read would
-		n, ok := PeekDecide(br)
-		if n != tc.wantCount || ok != tc.wantOK {
-			t.Errorf("%s: PeekDecide = %d, %v; want %d, %v", tc.name, n, ok, tc.wantCount, tc.wantOK)
+		typ, n, ok := PeekRequest(br)
+		if typ != tc.wantTyp || n != tc.wantObs || ok != tc.wantOK {
+			t.Errorf("%s: PeekRequest = %d, %d, %v; want %d, %d, %v", tc.name, typ, n, ok, tc.wantTyp, tc.wantObs, tc.wantOK)
 		}
 		if br.Buffered() != len(tc.stream) {
-			t.Errorf("%s: PeekDecide consumed input (%d of %d bytes left)", tc.name, br.Buffered(), len(tc.stream))
+			t.Errorf("%s: PeekRequest consumed input (%d of %d bytes left)", tc.name, br.Buffered(), len(tc.stream))
 		}
 	}
 }
