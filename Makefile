@@ -7,9 +7,12 @@ GO ?= go
 # the concurrent packages (the experiment engine, the bench cells it runs,
 # the simulator they share, and the decision server), plus a repeated race
 # pass over the online learner, whose recycled Q-table arenas concurrent
-# decide frames read, over the overload bound, over the allocation pins,
-# and over the binary fronts' window pins, since every request frame of a
-# connection shares its window state.
+# decide frames read, over the overload bound, over the allocation pins
+# (the device session's among them: every attempt of either client passes
+# one request value, which must stay off the heap), over the device
+# session's refusal of malformed answers, and over the binary fronts'
+# window pins, since every request frame of a connection shares its
+# window state.
 check: fmt vet build test race
 
 build:
@@ -35,7 +38,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|Overload|Window' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

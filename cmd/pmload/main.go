@@ -216,15 +216,11 @@ func (o *options) remoteFleet(ctx context.Context, cfg serve.FleetConfig, stdout
 		fmt.Fprintln(stderr, "pmload:", err)
 		return 1
 	}
-	open := func(ctx context.Context, so serve.SessionOptions) (serve.FleetSession, error) {
-		return hc.CreateSession(ctx, so)
-	}
+	open := hc.CreateSession
 	if o.proto == "bin" {
 		bc := serve.NewBinClient(o.binAddr)
 		defer bc.Close()
-		open = func(ctx context.Context, so serve.SessionOptions) (serve.FleetSession, error) {
-			return bc.OpenSession(ctx, so)
-		}
+		open = bc.OpenSession
 	}
 	start := time.Now()
 	run := serve.RunFleet(ctx, cfg, open, nil)

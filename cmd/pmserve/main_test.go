@@ -124,8 +124,8 @@ func TestServesUntilCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("JSON create: %v", err)
 	}
-	if !strings.HasPrefix(sess.ID, "s-") || sess.Clusters != 1 {
-		t.Fatalf("JSON create answered id %q, %d clusters", sess.ID, sess.Clusters)
+	if !strings.HasPrefix(sess.ID, "s-") || sess.NumClusters() != 1 {
+		t.Fatalf("JSON create answered id %q, %d clusters", sess.ID, sess.NumClusters())
 	}
 	hc.CloseIdleConnections()
 	bc := serve.NewBinClient(binAddr)

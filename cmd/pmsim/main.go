@@ -7,48 +7,60 @@
 //	pmsim -scenario video -governor rl-policy -train 60
 //	pmsim -scenario camera -governor rl-policy-hw
 //	pmsim -list
+//
+// Exit status is 0 on success, 1 when the run fails (an unknown scenario
+// or governor included), and 2 on a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"rlpm/internal/bus"
-	"rlpm/internal/core"
-	"rlpm/internal/governor"
+	"rlpm/internal/bench"
 	"rlpm/internal/hwpolicy"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
 	"rlpm/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one pmsim invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenario = flag.String("scenario", "gaming", "workload scenario")
-		govName  = flag.String("governor", "ondemand", "governor: six baselines, schedutil, rl-policy, rl-policy-hw")
-		duration = flag.Float64("duration", 120, "simulated seconds")
-		period   = flag.Float64("period", 0.05, "control period in seconds")
-		seed     = flag.Uint64("seed", 1, "scenario seed")
-		train    = flag.Int("train", 60, "RL training episodes before evaluation")
-		list     = flag.Bool("list", false, "list scenarios and governors")
+		scenario = fs.String("scenario", "gaming", "workload scenario")
+		govName  = fs.String("governor", "ondemand", "governor: six baselines, schedutil, rl-policy, rl-policy-hw")
+		duration = fs.Float64("duration", 120, "simulated seconds")
+		period   = fs.Float64("period", 0.05, "control period in seconds")
+		seed     = fs.Uint64("seed", 1, "scenario seed")
+		train    = fs.Int("train", 60, "RL training episodes before evaluation")
+		list     = fs.Bool("list", false, "list scenarios and governors")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("scenarios:", strings.Join(workload.Names(), ", "))
-		fmt.Println("governors:", strings.Join(append(governor.BaselineNames(), "schedutil", "rl-policy", "rl-policy-hw"), ", "))
-		return
+		fmt.Fprintln(stdout, "scenarios:", strings.Join(workload.Names(), ", "))
+		fmt.Fprintln(stdout, "governors:", strings.Join(bench.GovernorNames(), ", "))
+		return 0
 	}
-
-	if err := run(*scenario, *govName, *duration, *period, *seed, *train); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
+	if err := simulate(stdout, *scenario, *govName, *duration, *period, *seed, *train); err != nil {
+		fmt.Fprintln(stderr, "pmsim:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(scenario, govName string, duration, period float64, seed uint64, train int) error {
+func simulate(w io.Writer, scenario, govName string, duration, period float64, seed uint64, train int) error {
 	chip, err := soc.NewChip(soc.DefaultChipSpec())
 	if err != nil {
 		return err
@@ -63,7 +75,7 @@ func run(scenario, govName string, duration, period float64, seed uint64, train 
 	}
 	cfg := sim.Config{PeriodS: period, DurationS: duration, Seed: seed}
 
-	gov, err := buildGovernor(govName, chip, scen, cfg, train)
+	gov, err := bench.NewGovernor(govName, chip, scen, cfg, train)
 	if err != nil {
 		return err
 	}
@@ -73,47 +85,15 @@ func run(scenario, govName string, duration, period float64, seed uint64, train 
 		return err
 	}
 	s := res.QoS
-	fmt.Printf("scenario=%s governor=%s duration=%.0fs periods=%d\n", res.Scenario, res.Governor, duration, s.Periods)
-	fmt.Printf("  energy          %10.1f J\n", s.TotalEnergyJ)
-	fmt.Printf("  energy per QoS  %10.4f J/served-period\n", s.EnergyPerQoS)
-	fmt.Printf("  mean QoS        %10.4f (raw service %0.4f, min %0.4f)\n", s.MeanQoS, s.MeanService, s.MinQoS)
-	fmt.Printf("  violations      %10d of %d critical periods (%.2f%%)\n",
+	fmt.Fprintf(w, "scenario=%s governor=%s duration=%.0fs periods=%d\n", res.Scenario, res.Governor, duration, s.Periods)
+	fmt.Fprintf(w, "  energy          %10.1f J\n", s.TotalEnergyJ)
+	fmt.Fprintf(w, "  energy per QoS  %10.4f J/served-period\n", s.EnergyPerQoS)
+	fmt.Fprintf(w, "  mean QoS        %10.4f (raw service %0.4f, min %0.4f)\n", s.MeanQoS, s.MeanService, s.MinQoS)
+	fmt.Fprintf(w, "  violations      %10d of %d critical periods (%.2f%%)\n",
 		s.Violations, s.CriticalPeriods, 100*s.ViolationRate)
 	if hg, ok := gov.(*hwpolicy.Governor); ok {
 		n, mean, max := hg.LatencyStats()
-		fmt.Printf("  hw decisions    %10d, mean MMIO latency %v (max %v)\n", n, mean, max)
+		fmt.Fprintf(w, "  hw decisions    %10d, mean MMIO latency %v (max %v)\n", n, mean, max)
 	}
 	return nil
-}
-
-func buildGovernor(name string, chip *soc.Chip, scen workload.Scenario, cfg sim.Config, train int) (sim.Governor, error) {
-	switch name {
-	case "rl-policy":
-		p, err := core.NewPolicy(core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		if train > 0 {
-			if _, err := core.Train(chip, scen, p, cfg, train); err != nil {
-				return nil, err
-			}
-			p.SetLearning(false)
-		}
-		return p, nil
-	case "rl-policy-hw":
-		p, err := core.NewPolicy(core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		if train > 0 {
-			if _, err := core.Train(chip, scen, p, cfg, train); err != nil {
-				return nil, err
-			}
-			p.SetLearning(false)
-			return hwpolicy.FromPolicy(p, core.DefaultConfig(), bus.DefaultConfig(), hwpolicy.DefaultParams().Banks)
-		}
-		return hwpolicy.NewGovernor(core.DefaultConfig(), bus.DefaultConfig(), hwpolicy.DefaultParams().Banks)
-	default:
-		return governor.New(name)
-	}
 }

@@ -6,56 +6,82 @@
 //
 //	pmtrace -scenario gaming -governor rl-policy -o gaming_rl.csv
 //	pmtrace -scenario gaming -governor ondemand            # CSV to stdout
+//
+// Exit status is 0 on success, 1 when the run fails (an unknown scenario
+// or governor included), and 2 on a usage error.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"rlpm/internal/core"
-	"rlpm/internal/governor"
+	"rlpm/internal/bench"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
 	"rlpm/internal/trace"
 	"rlpm/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one pmtrace invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenario = flag.String("scenario", "gaming", "workload scenario")
-		govName  = flag.String("governor", "ondemand", "governor name (see pmsim -list)")
-		duration = flag.Float64("duration", 30, "simulated seconds")
-		period   = flag.Float64("period", 0.05, "control period in seconds")
-		seed     = flag.Uint64("seed", 1, "scenario seed")
-		train    = flag.Int("train", 60, "RL training episodes before the traced run")
-		out      = flag.String("o", "", "output CSV path (default stdout)")
-		every    = flag.Int("every", 1, "keep every k-th sample")
+		scenario = fs.String("scenario", "gaming", "workload scenario")
+		govName  = fs.String("governor", "ondemand", "governor name (see pmsim -list)")
+		duration = fs.Float64("duration", 30, "simulated seconds")
+		period   = fs.Float64("period", 0.05, "control period in seconds")
+		seed     = fs.Uint64("seed", 1, "scenario seed")
+		train    = fs.Int("train", 60, "RL training episodes before the traced run")
+		out      = fs.String("o", "", "output CSV path (default stdout)")
+		every    = fs.Int("every", 1, "keep every k-th sample")
 	)
-	flag.Parse()
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmtrace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		defer bw.Flush()
-		w = bw
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	if err := run(*scenario, *govName, *duration, *period, *seed, *train, *every, w); err != nil {
-		fmt.Fprintln(os.Stderr, "pmtrace:", err)
-		os.Exit(1)
+	write := func(w io.Writer) error {
+		return traceRun(w, *scenario, *govName, *duration, *period, *seed, *train, *every)
 	}
+	var err error
+	if *out == "" {
+		err = write(stdout)
+	} else {
+		err = writeFile(*out, write)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "pmtrace:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(scenario, govName string, duration, period float64, seed uint64, train, every int, w io.Writer) error {
+// writeFile runs write into a buffered file at path.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func traceRun(w io.Writer, scenario, govName string, duration, period float64, seed uint64, train, every int) error {
 	chip, err := soc.NewChip(soc.DefaultChipSpec())
 	if err != nil {
 		return err
@@ -69,25 +95,12 @@ func run(scenario, govName string, duration, period float64, seed uint64, train,
 		return err
 	}
 
-	var gov sim.Governor
-	if govName == "rl-policy" {
-		p, err := core.NewPolicy(core.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if train > 0 {
-			trainCfg := sim.Config{PeriodS: period, DurationS: 120, Seed: seed}
-			if _, err := core.Train(chip, scen, p, trainCfg, train); err != nil {
-				return err
-			}
-			p.SetLearning(false)
-		}
-		gov = p
-	} else {
-		gov, err = governor.New(govName)
-		if err != nil {
-			return err
-		}
+	// The RL governors train on 120 s episodes, whatever the traced run's
+	// duration.
+	trainCfg := sim.Config{PeriodS: period, DurationS: 120, Seed: seed}
+	gov, err := bench.NewGovernor(govName, chip, scen, trainCfg, train)
+	if err != nil {
+		return err
 	}
 
 	rec, err := trace.NewRecorder(sim.RecorderColumns(chip.NumClusters())...)

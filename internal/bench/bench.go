@@ -16,6 +16,7 @@ import (
 	"rlpm/internal/bench/engine"
 	"rlpm/internal/bus"
 	"rlpm/internal/core"
+	"rlpm/internal/governor"
 	"rlpm/internal/hwpolicy"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
@@ -172,6 +173,41 @@ func hwFromPolicy(p *core.Policy) sim.Governor {
 		panic(err) // callers pass trained policies; shapes always match
 	}
 	return g
+}
+
+// GovernorNames lists every governor NewGovernor builds: the six
+// baselines, schedutil, the RL policy, and the RL policy deployed on the
+// modeled accelerator.
+func GovernorNames() []string {
+	return append(governor.BaselineNames(), "schedutil", "rl-policy", "rl-policy-hw")
+}
+
+// NewGovernor builds the governor called name for a run on chip. The RL
+// governors first train a fresh policy for train episodes of scen under
+// trainCfg, and rl-policy-hw then deploys it onto the modeled accelerator;
+// with no training rl-policy-hw starts from a blank accelerator. Any other
+// name is a governor.New baseline.
+func NewGovernor(name string, chip *soc.Chip, scen workload.Scenario, trainCfg sim.Config, train int) (sim.Governor, error) {
+	if name != "rl-policy" && name != "rl-policy-hw" {
+		return governor.New(name)
+	}
+	if name == "rl-policy-hw" && train <= 0 {
+		return hwpolicy.NewGovernor(coreConfig(), bus.DefaultConfig(), hwpolicy.DefaultParams().Banks)
+	}
+	p, err := core.NewPolicy(coreConfig())
+	if err != nil {
+		return nil, err
+	}
+	if train > 0 {
+		if _, err := core.Train(chip, scen, p, trainCfg, train); err != nil {
+			return nil, err
+		}
+		p.SetLearning(false)
+	}
+	if name == "rl-policy-hw" {
+		return hwpolicy.FromPolicy(p, coreConfig(), bus.DefaultConfig(), hwpolicy.DefaultParams().Banks)
+	}
+	return p, nil
 }
 
 // mapCells fans n evaluation cells out over opt.Parallel workers via the

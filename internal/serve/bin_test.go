@@ -54,8 +54,8 @@ func TestBinSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
-	if sess.NumClusters() != 2 || sess.Levels[0] != 3 || sess.Levels[1] != 5 {
-		t.Fatalf("session geometry %d clusters, levels %v", sess.NumClusters(), sess.Levels)
+	if sess.NumClusters() != 2 || sess.NumLevels[0] != 3 || sess.NumLevels[1] != 5 {
+		t.Fatalf("session geometry %d clusters, levels %v", sess.NumClusters(), sess.NumLevels)
 	}
 
 	orc := newOracle(m, opts)
@@ -182,7 +182,9 @@ func TestBinDifferentialOracle(t *testing.T) {
 }
 
 // TestBinErrorMapping checks that server-side failures surface as the same
-// sentinels the HTTP client maps to, via wire error codes.
+// sentinels the HTTP client maps to, via wire error codes. A single
+// attempt on a handle the server never minted shows the table without a
+// retry or resume in the way.
 func TestBinErrorMapping(t *testing.T) {
 	m := testModel(t, 3)
 	srv := newTestServer(t, m, nil, Config{})
@@ -191,15 +193,15 @@ func TestBinErrorMapping(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	ghost := &BinSession{c: c, Handle: 999999, Levels: []int{3}}
-	if _, err := ghost.Decide(ctx, []Observation{{Level: 0}}); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("unknown handle decide: %v, want ErrNoSession", err)
-	}
-	if _, err := ghost.Reward(ctx, 1); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("unknown handle reward: %v, want ErrNoSession", err)
-	}
-	if _, err := ghost.Close(ctx); !errors.Is(err, ErrNoSession) {
-		t.Fatalf("unknown handle close: %v, want ErrNoSession", err)
+	var ghost BinCaller
+	for _, req := range []FrontReq{
+		{Type: wire.TDecide, Handle: 999999, Obs: []Observation{{Level: 0}}},
+		{Type: wire.TReward, Handle: 999999, Reward: 1},
+		{Type: wire.TClose, Handle: 999999},
+	} {
+		if _, err := ghost.Call(ctx, c, &req); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("unknown handle, request type %d: %v, want ErrNoSession", req.Type, err)
+		}
 	}
 	if _, err := c.OpenSession(ctx, SessionOptions{Epsilon: 2}); err == nil {
 		t.Fatal("epsilon 2 accepted over the wire")
@@ -638,9 +640,9 @@ func TestBinClientAllocs(t *testing.T) {
 		reward()
 	}
 	if n := testing.AllocsPerRun(100, decide); n > 1 {
-		t.Errorf("BinSession.DecideMany allocates %v times per call, want at most 1 (its result)", n)
+		t.Errorf("RemoteSession.DecideMany over the binary wire allocates %v times per call, want at most 1 (its result)", n)
 	}
 	if n := testing.AllocsPerRun(100, reward); n != 0 {
-		t.Errorf("BinSession.Reward allocates %v times per call, want 0", n)
+		t.Errorf("RemoteSession.Reward over the binary wire allocates %v times per call, want 0", n)
 	}
 }

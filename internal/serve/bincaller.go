@@ -2,9 +2,9 @@
 //
 // Every binary-protocol call makes its attempts through a BinCaller: one
 // frame out, one frame back, typed errors through the error table, no
-// mirror, no retries. BinSession owns one and wraps its attempts in the
-// mirror's retry/resume loop — exactly what a device wants and exactly
-// what a *router* must not do: the router forwards calls on behalf of
+// mirror, no retries. A binary RemoteSession owns one and wraps its
+// attempts in the mirror's retry/resume loop — exactly what a device
+// wants and exactly what a *router* must not do: the router forwards calls on behalf of
 // remote devices whose clients already run the retry/resume machinery, so
 // a middle tier that retried too would double the recovery logic and hide
 // shard failures the device needs to see (an unknown-session answer is the

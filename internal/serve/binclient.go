@@ -7,11 +7,11 @@
 //
 // The client is self-healing: a transport failure fails every in-flight
 // call fast with ErrConnLost, the next attempt redials, and each session
-// retries with backoff under its sequence number so the server can
-// deduplicate. When the server no longer knows the session — it was
-// restarted, or reaped the session as idle — the session transparently
-// re-creates itself from its mirror (TResume) and the caller never sees
-// the gap.
+// — a RemoteSession, as on the HTTP client — retries with backoff under
+// its sequence number so the server can deduplicate. When the server no
+// longer knows the session — it was restarted, or reaped the session as
+// idle — the session transparently re-creates itself from its mirror
+// (TResume) and the caller never sees the gap.
 
 package serve
 
@@ -384,150 +384,16 @@ func binCodeErr(code uint16, backoffMs uint32, msg string) error {
 	return fmt.Errorf("serve: remote error %d: %s", code, msg)
 }
 
-// BinSession is a device session resolved over the binary protocol — the
-// wire counterpart of RemoteSession. Sessions are not individually
-// goroutine-safe (each owns its call scratch), matching RemoteSession's
-// one-goroutine-per-device usage; different sessions share the connection
-// freely.
-type BinSession struct {
-	c      *BinClient
-	Handle uint64
-	Epoch  uint32 // server incarnation that minted Handle
-	ID     string // human-readable form of the handle, for reports
-	Levels []int  // per-cluster OPP counts
-
-	mirror *sessionMirror // nil: no retry dedup or resume (bare sessions)
-	closed bool
-	call   BinCaller // every attempt goes out through it
-}
-
 // OpenSession creates a session over the binary protocol. The session
 // carries a mirror of the server-side state, so its calls retry safely
 // across connection losses and survive server restarts via resume.
-func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*BinSession, error) {
-	s := &BinSession{c: c}
-	open := func() error {
-		ans, err := s.call.Call(ctx, c, &FrontReq{Type: wire.TCreate, Opts: opts})
-		if err == nil {
-			s.adopt(ans.Info)
-			s.Levels = append([]int(nil), ans.Info.NumLevels...)
-		}
-		return err
-	}
-	// Retrying a lost create may leave an orphan session on the server;
-	// the TTL reaper exists exactly to collect those.
-	if err := runCall(ctx, c.pol, false, nil, open, nil); err != nil {
-		return nil, err
-	}
-	s.mirror = newSessionMirror(opts, s.Levels)
-	return s, nil
+func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*RemoteSession, error) {
+	return openSession(ctx, c, opts)
 }
 
-// adopt takes the identity a create or resume minted.
-func (s *BinSession) adopt(info BinSessionInfo) {
-	s.Handle, s.Epoch = info.Handle, info.Epoch
-	s.ID = fmt.Sprintf("h-%06d", info.Handle)
+// attempt sends req as one frame through the session's BinCaller.
+func (c *BinClient) attempt(ctx context.Context, s *RemoteSession, req FrontReq) (FrontAns, error) {
+	return s.call.Call(ctx, c, &req)
 }
 
-// resume re-creates the session on the current server incarnation from
-// the mirror, then adopts the fresh handle/epoch. The sequence number and
-// RNG stream continue exactly where the lost session stopped.
-func (s *BinSession) resume(ctx context.Context) error {
-	ans, err := s.call.Call(ctx, s.c, &FrontReq{Type: wire.TResume, Resume: s.mirror.resumeState()})
-	if err != nil {
-		return err
-	}
-	s.adopt(ans.Info)
-	s.c.pol.resumes.Add(1)
-	return nil
-}
-
-// NumClusters returns the served chip's cluster count.
-func (s *BinSession) NumClusters() int { return len(s.Levels) }
-
-// Decide resolves one control period over the wire: DecideMany with a
-// one-period frame.
-func (s *BinSession) Decide(ctx context.Context, obs []Observation) ([]int, error) {
-	return s.DecideMany(ctx, obs)
-}
-
-// DecideMany resolves K consecutive control periods in one frame: obs
-// carries K×clusters observations, period by period, and the returned
-// slice — freshly allocated — carries K×clusters levels in the same order.
-// The server computes the periods exactly as K sequential one-period
-// frames would — byte-identical decisions — while the frame parse, session
-// lookup, dedup bookkeeping, and syscalls amortize over K.
-//
-// With a mirror, the frame carries the session epoch and the next sequence
-// number: retries after a lost connection deduplicate on the server, and a
-// decide that outlives the server itself resumes the session and replays
-// against the new incarnation — by construction both yield the
-// byte-identical decision. The frame is acknowledged (and the mirror
-// advanced K periods) atomically, so a retried frame can never half-apply.
-func (s *BinSession) DecideMany(ctx context.Context, obs []Observation) ([]int, error) {
-	if k := len(s.Levels); len(obs) == 0 || len(obs)%k != 0 {
-		return nil, fmt.Errorf("%w: %d observations for %d clusters", ErrBadRequest, len(obs), k)
-	}
-	var seq uint64
-	if s.mirror != nil {
-		seq = s.mirror.nextSeq()
-	}
-	var ans FrontAns
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
-		var err error
-		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TDecide, Handle: s.Handle, Epoch: s.Epoch, Seq: seq, Obs: obs})
-		return err
-	}, s.resume)
-	if err != nil {
-		return nil, err
-	}
-	levels := append([]int(nil), ans.Levels...)
-	if s.mirror != nil {
-		s.mirror.ackDecide(obs, levels)
-	}
-	return levels, nil
-}
-
-// Reward reports a device-computed reward. With a mirror the frame
-// carries the session epoch and the next reward sequence number, so a
-// retry after a lost ack deduplicates server-side — the ledger counts it
-// once and a learning server applies its Q-updates once.
-func (s *BinSession) Reward(ctx context.Context, r float64) (SessionStats, error) {
-	var seq uint64
-	if s.mirror != nil {
-		seq = s.mirror.nextRewardSeq()
-	}
-	var ans FrontAns
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
-		var epoch uint32
-		if s.mirror != nil {
-			epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
-		}
-		var err error
-		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TReward, Handle: s.Handle, Epoch: epoch, Seq: seq, Reward: r})
-		return err
-	}, s.resume)
-	if err != nil {
-		return SessionStats{}, err
-	}
-	if s.mirror != nil {
-		s.mirror.ackReward(r)
-	}
-	return statsFromWire(s.ID, ans.Stats), nil
-}
-
-// Close ends the session, returning its final ledger. After a successful
-// close the session is dead client-side: no further call will resume it.
-func (s *BinSession) Close(ctx context.Context) (SessionStats, error) {
-	var ans FrontAns
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
-		var err error
-		ans, err = s.call.Call(ctx, s.c, &FrontReq{Type: wire.TClose, Handle: s.Handle})
-		return err
-	}, s.resume)
-	if err != nil {
-		return SessionStats{}, err
-	}
-	s.closed, s.mirror = true, nil
-	return statsFromWire(s.ID, ans.Stats), nil
-}
+func (c *BinClient) policy() *retryPolicy { return c.pol }

@@ -271,17 +271,17 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	// Clients, pointed at the proxy.
 	var bc *BinClient
 	var hc *Client
-	var open func(context.Context, SessionOptions) (FleetSession, error)
+	var open func(context.Context, SessionOptions) (*RemoteSession, error)
 	if cfg.Proto == "bin" {
 		bc = NewBinClient(proxy.Addr())
 		bc.SetCallTimeout(chaosCallTimeout)
 		bc.SetRetryBudget(chaosRetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (FleetSession, error) { return bc.OpenSession(ctx, o) }
+		open = bc.OpenSession
 	} else {
 		hc = NewClient("http://" + proxy.Addr())
 		hc.SetCallTimeout(chaosCallTimeout)
 		hc.SetRetryBudget(chaosRetryBudget)
-		open = func(ctx context.Context, o SessionOptions) (FleetSession, error) { return hc.CreateSession(ctx, o) }
+		open = hc.CreateSession
 	}
 
 	total := uint64(cfg.Devices) * uint64(cfg.Periods)

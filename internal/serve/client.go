@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"rlpm/internal/wire"
 )
 
 // Client is the Go client for a pmserve instance — the library cmd/pmload,
@@ -207,116 +209,50 @@ func (c *Client) SaveCheckpoint(ctx context.Context) (CheckpointResponse, error)
 	return cr, err
 }
 
-// RemoteSession is a device session held over the wire.
-type RemoteSession struct {
-	c *Client
-	// ID is the server-assigned session identifier.
-	ID string
-	// Epoch is the server incarnation that minted ID.
-	Epoch uint32
-	// Clusters and NumLevels describe the served chip.
-	Clusters  int
-	NumLevels []int
-
-	mirror *sessionMirror // nil: no retry dedup or resume
-	closed bool
-}
-
-// CreateSession opens a device session. The session carries a mirror of
-// the server-side state, so its calls retry safely and survive server
-// restarts via resume.
+// CreateSession opens a device session over HTTP/JSON. The session
+// carries a mirror of the server-side state, so its calls retry safely and
+// survive server restarts via resume.
 func (c *Client) CreateSession(ctx context.Context, opts SessionOptions) (*RemoteSession, error) {
-	s := &RemoteSession{c: c}
-	open := func() error {
+	return openSession(ctx, c, opts)
+}
+
+// attempt sends req as the route JSONFront serves for its type, and reads
+// the answer back into the front's shape: a create or resume's id becomes
+// the handle it prints, a reward or close's ledger the wire stats.
+func (c *Client) attempt(ctx context.Context, s *RemoteSession, req FrontReq) (FrontAns, error) {
+	var ans FrontAns
+	var st SessionStats
+	var err error
+	switch req.Type {
+	case wire.TCreate, wire.TResume:
 		var resp CreateSessionResponse
-		if err := c.do(ctx, http.MethodPost, "/v1/sessions", opts, &resp); err != nil {
-			return err
+		if req.Type == wire.TCreate {
+			err = c.do(ctx, http.MethodPost, "/v1/sessions", req.Opts, &resp)
+		} else {
+			err = c.do(ctx, http.MethodPost, "/v1/sessions/resume", resumeRequest(req.Resume), &resp)
 		}
-		s.ID, s.Epoch, s.Clusters, s.NumLevels = resp.ID, resp.Epoch, resp.Clusters, resp.NumLevels
-		return nil
-	}
-	if err := runCall(ctx, c.pol, false, nil, open, nil); err != nil {
-		return nil, err
-	}
-	s.mirror = newSessionMirror(opts, s.NumLevels)
-	return s, nil
-}
-
-// resume re-creates the session on the current server incarnation from
-// the mirror, then adopts the fresh id/epoch.
-func (s *RemoteSession) resume(ctx context.Context) error {
-	var resp CreateSessionResponse
-	if err := s.c.do(ctx, http.MethodPost, "/v1/sessions/resume", resumeRequest(s.mirror.resumeState()), &resp); err != nil {
-		return err
-	}
-	s.ID, s.Epoch = resp.ID, resp.Epoch
-	s.c.pol.resumes.Add(1)
-	return nil
-}
-
-// NumClusters returns the served chip's cluster count.
-func (s *RemoteSession) NumClusters() int { return s.Clusters }
-
-// Decide serves one control period. With a mirror the request carries the
-// session epoch and next sequence number, so retries deduplicate
-// server-side and a decide that straddles a server restart resumes the
-// session and replays byte-identically.
-func (s *RemoteSession) Decide(ctx context.Context, obs []Observation) ([]int, error) {
-	var seq uint64
-	if s.mirror != nil {
-		seq = s.mirror.nextSeq()
-	}
-	var levels []int
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
+		if err != nil {
+			return ans, err
+		}
+		h := handleOf(resp.ID)
+		if h == 0 {
+			return ans, fmt.Errorf("%w: session id %q", errMalformedAnswer, resp.ID)
+		}
+		ans.Info = BinSessionInfo{Handle: h, Epoch: resp.Epoch, NumLevels: resp.NumLevels}
+	case wire.TDecide:
 		var resp DecideResponse
-		err := s.c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/decide",
-			DecideRequest{Epoch: s.Epoch, Seq: seq, Observations: obs}, &resp)
-		levels = resp.Levels
-		return err
-	}, s.resume)
-	if err != nil {
-		return nil, err
+		err = c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/decide",
+			DecideRequest{Epoch: req.Epoch, Seq: req.Seq, Observations: req.Obs}, &resp)
+		ans.Levels = resp.Levels
+	case wire.TReward:
+		err = c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/reward",
+			RewardRequest{Reward: req.Reward, Epoch: req.Epoch, Seq: req.Seq}, &st)
+		ans.Stats = statsToWire(st)
+	default: // TClose
+		err = c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID, nil, &st)
+		ans.Stats = statsToWire(st)
 	}
-	if s.mirror != nil {
-		s.mirror.ackDecide(obs, levels)
-	}
-	return levels, nil
+	return ans, err
 }
 
-// Reward reports a device-computed reward. With a mirror the request
-// carries the session epoch and the next reward sequence number, so a
-// retry after a lost ack deduplicates server-side — the ledger counts it
-// once and a learning server applies its Q-updates once.
-func (s *RemoteSession) Reward(ctx context.Context, r float64) (SessionStats, error) {
-	var seq uint64
-	if s.mirror != nil {
-		seq = s.mirror.nextRewardSeq()
-	}
-	var st SessionStats
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
-		var epoch uint32
-		if s.mirror != nil {
-			epoch = s.Epoch // read per attempt: a resume mints a fresh epoch
-		}
-		return s.c.do(ctx, http.MethodPost, "/v1/sessions/"+s.ID+"/reward",
-			RewardRequest{Reward: r, Epoch: epoch, Seq: seq}, &st)
-	}, s.resume)
-	if err == nil && s.mirror != nil {
-		s.mirror.ackReward(r)
-	}
-	return st, err
-}
-
-// Close ends the session and returns its final ledger. After a
-// successful close the session is dead client-side: nothing resumes it.
-func (s *RemoteSession) Close(ctx context.Context) (SessionStats, error) {
-	var st SessionStats
-	err := runCall(ctx, s.c.pol, s.closed, s.mirror, func() error {
-		return s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID, nil, &st)
-	}, s.resume)
-	if err == nil {
-		s.closed = true
-		s.mirror = nil
-	}
-	return st, err
-}
+func (c *Client) policy() *retryPolicy { return c.pol }

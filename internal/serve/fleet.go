@@ -47,14 +47,6 @@ func (c FleetConfig) sim(idx int) DeviceSimConfig {
 	}
 }
 
-// FleetSession is what a fleet device needs from its session; RemoteSession
-// (HTTP/JSON) and BinSession (wire frames) both satisfy it.
-type FleetSession interface {
-	Decide(ctx context.Context, obs []Observation) ([]int, error)
-	Reward(ctx context.Context, r float64) (SessionStats, error)
-	Close(ctx context.Context) (SessionStats, error)
-}
-
 // FleetRun is the evidence a fleet run leaves.
 type FleetRun struct {
 	Traces    [][]int // each device's decision sequence
@@ -68,7 +60,7 @@ type FleetRun struct {
 // device's goroutine after every acked decide, before the device applies
 // the levels; a harness gate that holds devices at a threshold counts acks
 // itself and blocks there. An afterAck error fails the device.
-func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, SessionOptions) (FleetSession, error), afterAck func() error) *FleetRun {
+func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, SessionOptions) (*RemoteSession, error), afterAck func() error) *FleetRun {
 	run := &FleetRun{Traces: make([][]int, cfg.Devices), Errs: make([]error, cfg.Devices)}
 	var decisions, rewards atomic.Uint64
 	var wg sync.WaitGroup

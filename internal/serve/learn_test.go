@@ -499,6 +499,9 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 // so recycled arenas are rewritten while concurrent decides read live
 // ones. Every served level must be in range; the race detector (make
 // race repeats this test) checks that no arena is written while read.
+// Each device pauses once at its mid-run period until the learner has
+// published, so the second half always decides against swapped tables,
+// however the scheduler starved the learner in the first.
 func TestLearnAsyncStressRecycling(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
@@ -518,6 +521,16 @@ func TestLearnAsyncStressRecycling(t *testing.T) {
 			defer wg.Done()
 			var seq uint64
 			for i, o := range obs {
+				if i == periods/2 {
+					deadline := time.Now().Add(5 * time.Second)
+					for srv.MetricsSnapshot().Learn.Swaps < 1 {
+						if time.Now().After(deadline) {
+							errs <- fmt.Errorf("paused at period %d: the learner published nothing in 5s", i)
+							return
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
 				lv, err := sess.Decide(o)
 				if err != nil {
 					errs <- err

@@ -1,7 +1,7 @@
 // Client-side resilience plumbing shared by the binary and HTTP clients:
 // typed transport errors, the retry/backoff loop every logical session
-// call runs through, and the session mirror that makes transparent resume
-// possible.
+// call runs through, the session mirror that makes transparent resume
+// possible, and RemoteSession, the one device session both clients open.
 //
 // The mirror is the heart of crash recovery. A client cannot ask a dead
 // server for its session state, so it shadows that state locally: the
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"rlpm/internal/rng"
+	"rlpm/internal/wire"
 )
 
 // ErrConnLost is wrapped into every call that failed because the shared
@@ -135,26 +136,6 @@ type ctxDone interface {
 // client forever.
 const maxResumeStreak = 5
 
-// runCall runs one logical call of a session: refused once the session is
-// closed, then one attempt, and only after a failure runRetries. A session
-// with a mirror recovers a lost session by resume before retrying; a bare
-// session (nil mirror) only retries. attempt must read the session's
-// identity afresh each time, since a resume replaces it.
-func runCall(ctx context.Context, pol *retryPolicy, closed bool, m *sessionMirror, attempt func() error, resume func(context.Context) error) error {
-	if closed {
-		return ErrSessionClosed
-	}
-	err := attempt()
-	if err == nil {
-		return nil
-	}
-	var onLost func() error
-	if m != nil {
-		onLost = func() error { return resume(ctx) }
-	}
-	return runRetries(ctx, pol, err, attempt, onLost)
-}
-
 // runRetries retries op under the policy after a first failed attempt
 // whose error is err. onLost, when non-nil, re-creates a session the
 // server no longer knows before the next attempt.
@@ -201,10 +182,9 @@ type sessionMirror struct {
 	opts   SessionOptions
 	levels []int // per-cluster OPP counts
 
-	eps        float64
-	r          *rng.Rand // lockstep replica of the server session's RNG
-	seq        uint64    // last acknowledged sequence number
-	lastLevels []int     // decision for seq
+	explorer          // lockstep replica of the server session's exploration
+	seq        uint64 // last acknowledged sequence number
+	lastLevels []int  // decision for seq
 	prevDemand []float64
 
 	decisions, rewards uint64
@@ -215,8 +195,7 @@ func newSessionMirror(opts SessionOptions, levels []int) *sessionMirror {
 	return &sessionMirror{
 		opts:       opts,
 		levels:     append([]int(nil), levels...),
-		eps:        opts.Epsilon,
-		r:          rng.New(opts.Seed),
+		explorer:   newExplorer(opts),
 		prevDemand: make([]float64, len(levels)),
 	}
 }
@@ -228,12 +207,13 @@ func (m *sessionMirror) nextSeq() uint64 { return m.seq + 1 }
 // ackDecide advances the mirror exactly as the server advanced serving
 // the decide: demand history, the per-cluster exploration draws (the
 // draws happen whether or not exploration won — only their *use*
-// differs, and the mirror only needs the stream position), then ε decay.
-// Called once per acknowledged decide frame, never per attempt. A
-// multi-period frame (len(obs) = K×clusters) advances K periods — draws
-// and decay interleave exactly as K sequential single-period decides —
-// and consumes K sequence numbers; lastLevels keeps only the final
-// period's decision, which is all a resumed server can replay.
+// differs, and the mirror only needs the stream position), then ε decay,
+// all by the server's own exploration step. Called once per acknowledged
+// decide frame, never per attempt. A multi-period frame (len(obs) =
+// K×clusters) advances K periods — draws and decay interleave exactly as
+// K sequential single-period decides — and consumes K sequence numbers;
+// lastLevels keeps only the final period's decision, which is all a
+// resumed server can replay.
 func (m *sessionMirror) ackDecide(obs []Observation, levels []int) {
 	k := len(m.levels)
 	periods := len(obs) / k
@@ -241,16 +221,9 @@ func (m *sessionMirror) ackDecide(obs []Observation, levels []int) {
 		base := p * k
 		for i := 0; i < k; i++ {
 			m.prevDemand[i] = obs[base+i].DemandRatio
-			if m.eps > 0 && m.r.Float64() < m.eps {
-				m.r.Intn(m.levels[i])
-			}
+			m.draw(m.levels[i])
 		}
-		if m.eps > 0 && m.opts.EpsilonDecay > 0 {
-			m.eps *= m.opts.EpsilonDecay
-			if m.eps < m.opts.EpsilonMin {
-				m.eps = m.opts.EpsilonMin
-			}
-		}
+		m.decay()
 	}
 	m.seq += uint64(periods)
 	m.lastLevels = append(m.lastLevels[:0], levels[(periods-1)*k:]...)
@@ -283,4 +256,168 @@ func (m *sessionMirror) resumeState() ResumeState {
 		Rewards:    m.rewards,
 		RewardSum:  m.rewardSum,
 	}
+}
+
+// errMalformedAnswer is wrapped into a call whose answer came back in a
+// shape the request cannot have: a session with no clusters, a decide
+// whose level count is not its observation count, a session id that is
+// not a printed handle. Nothing is acknowledged, and the call is not
+// retried.
+var errMalformedAnswer = errors.New("serve: malformed answer")
+
+// sessionClient is what a RemoteSession needs of the client it was opened
+// on: one attempt of a request, and the retry policy its calls run under.
+// BinClient and Client each supply the attempt of their transport.
+type sessionClient interface {
+	attempt(ctx context.Context, s *RemoteSession, req FrontReq) (FrontAns, error)
+	policy() *retryPolicy
+}
+
+// RemoteSession is a device session held over the wire, on either
+// transport: BinClient.OpenSession and Client.CreateSession both return
+// one. Every call runs through one driver: refused once the session is
+// closed, one attempt, and only after a failure retries with backoff. The
+// session carries a mirror of the server-side state, so a retry
+// deduplicates server-side and a session the server no longer knows —
+// restarted, reaped, or handed off by a router — is re-created from the
+// mirror (resume) without the caller seeing the gap.
+//
+// A session is used by one goroutine at a time; different sessions share
+// their client freely.
+type RemoteSession struct {
+	// ID is the printed form of Handle.
+	ID string
+	// Handle names the session in Epoch, the server incarnation that
+	// minted it. A resume replaces both.
+	Handle uint64
+	// NumLevels is the served chip's per-cluster OPP count.
+	NumLevels []int
+	Epoch     uint32
+
+	closed bool // beside Epoch, so a session fits a 256-byte allocation
+	c      sessionClient
+	mirror *sessionMirror
+	call   BinCaller // the binary client's attempts go out through it
+}
+
+// openSession creates a session over c. A create answered with no
+// clusters fails.
+func openSession(ctx context.Context, c sessionClient, opts SessionOptions) (*RemoteSession, error) {
+	s := &RemoteSession{c: c}
+	ans, err := s.do(ctx, FrontReq{Type: wire.TCreate, Opts: opts})
+	if err != nil {
+		return nil, err
+	}
+	if len(ans.Info.NumLevels) == 0 {
+		return nil, fmt.Errorf("%w: session created with no clusters", errMalformedAnswer)
+	}
+	s.adopt(ans.Info)
+	s.NumLevels = append([]int(nil), ans.Info.NumLevels...)
+	s.mirror = newSessionMirror(opts, s.NumLevels)
+	return s, nil
+}
+
+// do runs one logical call of the session: refused once the session is
+// closed, then one attempt, and only after a failure runRetries. Each
+// attempt carries the session's current handle and epoch, since a resume
+// replaces them. A lost session is resumed from the mirror before the
+// next attempt; a create has no session to resume, so a lost create is
+// only retried, and any orphan a retry leaves on the server is collected
+// by its TTL reaper.
+func (s *RemoteSession) do(ctx context.Context, req FrontReq) (FrontAns, error) {
+	if s.closed {
+		return FrontAns{}, ErrSessionClosed
+	}
+	var ans FrontAns
+	attempt := func() (err error) {
+		req.Handle, req.Epoch = s.Handle, s.Epoch
+		ans, err = s.c.attempt(ctx, s, req)
+		return err
+	}
+	err := attempt()
+	if err == nil {
+		return ans, nil
+	}
+	var onLost func() error
+	if req.Type != wire.TCreate {
+		onLost = func() error { return s.resume(ctx) }
+	}
+	err = runRetries(ctx, s.c.policy(), err, attempt, onLost)
+	return ans, err
+}
+
+// adopt takes the identity a create or resume minted.
+func (s *RemoteSession) adopt(info BinSessionInfo) {
+	s.Handle, s.Epoch = info.Handle, info.Epoch
+	s.ID = sessionID(info.Handle)
+}
+
+// resume re-creates the session on the current server incarnation from
+// the mirror, then adopts the fresh handle and epoch. The sequence number
+// and RNG stream continue exactly where the lost session stopped.
+func (s *RemoteSession) resume(ctx context.Context) error {
+	ans, err := s.c.attempt(ctx, s, FrontReq{Type: wire.TResume, Resume: s.mirror.resumeState()})
+	if err != nil {
+		return err
+	}
+	s.adopt(ans.Info)
+	s.c.policy().resumes.Add(1)
+	return nil
+}
+
+// NumClusters returns the served chip's cluster count.
+func (s *RemoteSession) NumClusters() int { return len(s.NumLevels) }
+
+// Decide serves one control period: DecideMany with a one-period frame.
+func (s *RemoteSession) Decide(ctx context.Context, obs []Observation) ([]int, error) {
+	return s.DecideMany(ctx, obs)
+}
+
+// DecideMany resolves K consecutive control periods in one request: obs
+// carries K×clusters observations, period by period, and the returned
+// slice — freshly allocated — carries K×clusters levels in the same order,
+// exactly as K one-period requests would have decided them. The request
+// carries the session epoch and the next sequence number, so a retry
+// deduplicates on the server, and a decide that outlives the server
+// resumes and replays byte-identically. The mirror advances K periods only
+// on an answer with one level per observation; any other answer
+// acknowledges nothing.
+func (s *RemoteSession) DecideMany(ctx context.Context, obs []Observation) ([]int, error) {
+	if k := len(s.NumLevels); len(obs) == 0 || len(obs)%k != 0 {
+		return nil, fmt.Errorf("%w: %d observations for %d clusters", ErrBadRequest, len(obs), k)
+	}
+	ans, err := s.do(ctx, FrontReq{Type: wire.TDecide, Seq: s.mirror.nextSeq(), Obs: obs})
+	if err != nil {
+		return nil, err
+	}
+	if len(ans.Levels) != len(obs) {
+		return nil, fmt.Errorf("%w: %d levels for %d observations", errMalformedAnswer, len(ans.Levels), len(obs))
+	}
+	levels := append([]int(nil), ans.Levels...)
+	s.mirror.ackDecide(obs, levels)
+	return levels, nil
+}
+
+// Reward reports a device-computed reward. The request carries the
+// session epoch and the next reward sequence number, so a retry after a
+// lost answer deduplicates server-side — the ledger counts it once and a
+// learning server applies its Q-updates once.
+func (s *RemoteSession) Reward(ctx context.Context, r float64) (SessionStats, error) {
+	ans, err := s.do(ctx, FrontReq{Type: wire.TReward, Seq: s.mirror.nextRewardSeq(), Reward: r})
+	if err != nil {
+		return SessionStats{}, err
+	}
+	s.mirror.ackReward(r)
+	return statsFromWire(s.ID, ans.Stats), nil
+}
+
+// Close ends the session and returns its final ledger. After a successful
+// close the session is dead client-side: nothing resumes it.
+func (s *RemoteSession) Close(ctx context.Context) (SessionStats, error) {
+	ans, err := s.do(ctx, FrontReq{Type: wire.TClose})
+	if err != nil {
+		return SessionStats{}, err
+	}
+	s.closed = true
+	return statsFromWire(s.ID, ans.Stats), nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -140,59 +141,68 @@ func TestDecideSeqMultiPeriodAllocFree(t *testing.T) {
 	}
 }
 
-// TestBinDecideManyMatchesSingles is the over-the-wire differential oracle:
-// a session shipping K periods per frame must receive exactly the levels a
-// twin session receives across K single-period frames.
+// TestBinDecideManyMatchesSingles is the over-the-wire differential oracle,
+// on both transports: a session shipping K periods per request must
+// receive exactly the levels a twin session receives across K
+// single-period requests.
 func TestBinDecideManyMatchesSingles(t *testing.T) {
 	const k, steps = 4, 80
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{})
-	addr := startBinServer(t, srv)
-	c := NewBinClient(addr)
-	defer c.Close()
+	bc := NewBinClient(startBinServer(t, srv))
+	defer bc.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	hc := NewClient(hs.URL)
+	defer hc.CloseIdleConnections()
 	ctx := context.Background()
 
 	opts := SessionOptions{Epsilon: 0.35, EpsilonMin: 0.02, EpsilonDecay: 0.96, Seed: 4242}
-	many, err := c.OpenSession(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := c.OpenSession(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := testObs(m, 17, steps)
-	n := m.Clusters()
-	for i := 0; i+k <= steps; i += k {
-		multi, err := many.DecideMany(ctx, frameObs(seq, i, k))
+	for _, tr := range []struct {
+		name string
+		open func(context.Context, SessionOptions) (*RemoteSession, error)
+	}{{"bin", bc.OpenSession}, {"json", hc.CreateSession}} {
+		many, err := tr.open(ctx, opts)
 		if err != nil {
-			t.Fatalf("DecideMany at %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if len(multi) != k*n {
-			t.Fatalf("DecideMany returned %d levels, want %d", len(multi), k*n)
+		one, err := tr.open(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for p := 0; p < k; p++ {
-			single, err := one.Decide(ctx, seq[i+p])
+		seq := testObs(m, 17, steps)
+		n := m.Clusters()
+		for i := 0; i+k <= steps; i += k {
+			multi, err := many.DecideMany(ctx, frameObs(seq, i, k))
 			if err != nil {
-				t.Fatalf("single %d: %v", i+p, err)
+				t.Fatalf("%s: DecideMany at %d: %v", tr.name, i, err)
 			}
-			for c := 0; c < n; c++ {
-				if multi[p*n+c] != single[c] {
-					t.Fatalf("period %d cluster %d: frame %d, single %d — framings diverged", i+p, c, multi[p*n+c], single[c])
+			if len(multi) != k*n {
+				t.Fatalf("%s: DecideMany returned %d levels, want %d", tr.name, len(multi), k*n)
+			}
+			for p := 0; p < k; p++ {
+				single, err := one.Decide(ctx, seq[i+p])
+				if err != nil {
+					t.Fatalf("%s: single %d: %v", tr.name, i+p, err)
+				}
+				for c := 0; c < n; c++ {
+					if multi[p*n+c] != single[c] {
+						t.Fatalf("%s: period %d cluster %d: frame %d, single %d — framings diverged", tr.name, i+p, c, multi[p*n+c], single[c])
+					}
 				}
 			}
 		}
-	}
-	stA, err := many.Close(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := one.Close(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA.Decisions != stB.Decisions {
-		t.Fatalf("decision ledgers diverged: frames %d, singles %d", stA.Decisions, stB.Decisions)
+		stA, err := many.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stB, err := one.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stA.Decisions != stB.Decisions {
+			t.Fatalf("%s: decision ledgers diverged: frames %d, singles %d", tr.name, stA.Decisions, stB.Decisions)
+		}
 	}
 }
 

@@ -280,11 +280,8 @@ type Session struct {
 	// frozen pins the session to the construction-time model: its lookups
 	// read that model, never the backend's live (swapped) policy, and its
 	// rewards never feed the learner — the control arm of the A/B.
-	frozen     bool
-	eps        float64
-	epsMin     float64
-	epsDecay   float64
-	r          rng.Rand
+	frozen bool
+	explorer
 	prevDemand []float64
 
 	// Retry dedup: lastSeq is the highest sequence number served,
@@ -326,6 +323,48 @@ type learnHistory struct {
 }
 
 type stateAction struct{ state, action int }
+
+// explorer is a session's ε-greedy exploration state: the rate, its floor
+// and per-period decay, and the RNG its draws come from. The server's
+// Session draws from it and the client's mirror replays it, so both
+// advance the stream by this one code.
+type explorer struct {
+	eps, epsMin, epsDecay float64
+	r                     rng.Rand
+}
+
+// newExplorer is the exploration state a session created with opts
+// starts from.
+func newExplorer(opts SessionOptions) explorer {
+	return explorer{eps: opts.Epsilon, epsMin: opts.EpsilonMin, epsDecay: opts.EpsilonDecay, r: *rng.New(opts.Seed)}
+}
+
+// draw is one cluster's exploration draw over n levels: whether
+// exploration won and, if it did, the level it chose. It inlines, so a
+// greedy session (ε 0) draws nothing and pays no call.
+func (e *explorer) draw(n int) (int, bool) {
+	if e.eps <= 0 {
+		return 0, false
+	}
+	return e.explore(n)
+}
+
+func (e *explorer) explore(n int) (int, bool) {
+	if e.r.Float64() < e.eps {
+		return e.r.Intn(n), true
+	}
+	return 0, false
+}
+
+// decay ends a control period: ε decays once, down to its floor.
+func (e *explorer) decay() {
+	if e.eps > 0 && e.epsDecay > 0 {
+		e.eps *= e.epsDecay
+		if e.eps < e.epsMin {
+			e.eps = e.epsMin
+		}
+	}
+}
 
 func newLearnHistory(clusters int) *learnHistory {
 	sa := make([]stateAction, 2*clusters)
@@ -494,10 +533,9 @@ func (s *Session) decideLocked(obs []Observation, levels []int) {
 				NumLevels:   m.levels[i],
 			}, s.prevDemand[i])
 			s.prevDemand[i] = o.DemandRatio
-			var a int
+			a, explore := s.draw(m.levels[i])
 			switch {
-			case s.eps > 0 && s.r.Float64() < s.eps:
-				a = s.r.Intn(m.levels[i])
+			case explore:
 				explored++
 			case s.frozen:
 				a = m.Greedy(i, state)
@@ -517,12 +555,7 @@ func (s *Session) decideLocked(obs []Observation, levels []int) {
 		}
 		// ε decays once per control period — exactly as K sequential
 		// single-period decides would have decayed it between draws.
-		if s.eps > 0 && s.epsDecay > 0 {
-			s.eps *= s.epsDecay
-			if s.eps < s.epsMin {
-				s.eps = s.epsMin
-			}
-		}
+		s.decay()
 	}
 	if p != nil {
 		srv.backend.release(p)
@@ -1139,10 +1172,7 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 		id:         sessionID(s.nextID),
 		handle:     s.nextID,
 		srv:        s,
-		eps:        opts.Epsilon,
-		epsMin:     opts.EpsilonMin,
-		epsDecay:   opts.EpsilonDecay,
-		r:          *rng.New(opts.Seed),
+		explorer:   newExplorer(opts),
 		prevDemand: make([]float64, s.model.Clusters()),
 	}
 	s.initLearnState(sess, opts.Cohort)
@@ -1225,10 +1255,7 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 		id:         sessionID(s.nextID),
 		handle:     s.nextID,
 		srv:        s,
-		eps:        st.Epsilon,
-		epsMin:     st.Options.EpsilonMin,
-		epsDecay:   st.Options.EpsilonDecay,
-		r:          *r,
+		explorer:   explorer{eps: st.Epsilon, epsMin: st.Options.EpsilonMin, epsDecay: st.Options.EpsilonDecay, r: *r},
 		prevDemand: append([]float64(nil), st.PrevDemand...),
 		lastSeq:    st.Seq,
 		lastLevels: append([]int(nil), st.LastLevels...),

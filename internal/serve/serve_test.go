@@ -381,8 +381,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	if sess.Clusters != 2 || len(sess.NumLevels) != 2 || sess.NumLevels[0] != 3 || sess.NumLevels[1] != 5 {
-		t.Fatalf("session chip description %d clusters %v levels", sess.Clusters, sess.NumLevels)
+	if sess.NumClusters() != 2 || sess.NumLevels[0] != 3 || sess.NumLevels[1] != 5 {
+		t.Fatalf("session chip description %d clusters %v levels", sess.NumClusters(), sess.NumLevels)
 	}
 
 	orc := newOracle(m, SessionOptions{Seed: 3})

@@ -220,23 +220,19 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	// Clients.
 	var bc *serve.BinClient
 	var hc *serve.Client
-	var open func(context.Context, serve.SessionOptions) (serve.FleetSession, error)
+	var open func(context.Context, serve.SessionOptions) (*serve.RemoteSession, error)
 	if cfg.Proto == "bin" {
 		bc = serve.NewBinClient(deviceAddr)
 		bc.SetCallTimeout(rebalanceCallTimeout)
 		bc.SetRetryBudget(rebalanceRetryBudget)
 		defer bc.Close()
-		open = func(ctx context.Context, o serve.SessionOptions) (serve.FleetSession, error) {
-			return bc.OpenSession(ctx, o)
-		}
+		open = bc.OpenSession
 	} else {
 		hc = serve.NewClient("http://" + deviceAddr)
 		hc.SetCallTimeout(rebalanceCallTimeout)
 		hc.SetRetryBudget(rebalanceRetryBudget)
 		defer hc.CloseIdleConnections()
-		open = func(ctx context.Context, o serve.SessionOptions) (serve.FleetSession, error) {
-			return hc.CreateSession(ctx, o)
-		}
+		open = hc.CreateSession
 	}
 
 	total := uint64(cfg.Devices) * uint64(cfg.Periods)

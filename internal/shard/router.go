@@ -11,7 +11,7 @@
 // that forwards each call to the session's shard.
 //
 // The router deliberately does NOT retry or resume: device clients already
-// run the full mirror/resume machinery (BinSession, Client), and they are
+// run the full mirror/resume machinery (serve.RemoteSession), and they are
 // the only party holding the session's resume state. When the keyspace a
 // session lives in moves to another shard — membership change — or the
 // owning shard dies, the router answers ErrUnknownSession. That is the

@@ -136,7 +136,7 @@ func TestRouterBinSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if got := len(sess.Levels); got != model.Clusters() {
+	if got := sess.NumClusters(); got != model.Clusters() {
 		t.Fatalf("session advertises %d clusters, want %d", got, model.Clusters())
 	}
 	var gotSeq []int
