@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race staticcheck fuzz cover bench bench-smoke serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden
+.PHONY: check build fmt vet test race staticcheck fuzz cover bench bench-smoke serve-smoke shard-smoke chaos-smoke learn-smoke experiments golden loc
 
 # check is the full CI gate: vet, build, the default test suite (unit +
 # determinism + golden, in shuffled order), and the race-detector pass over
@@ -182,3 +182,12 @@ experiments:
 # golden re-blesses testdata/*.golden after an intentional model change.
 golden:
 	$(GO) test ./internal/bench -run TestGoldenOutput -update
+
+# loc prints the non-test Go lines of every package in the root module
+# (the lines of its non-_test.go files, as wc -l counts them) and their
+# total: the per-package sizes a change's description quotes before and
+# after.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		awk 'NF > 1 { n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+			printf "%6d  %s\n", n, $$1; total += n } END { printf "%6d  total\n", total }'

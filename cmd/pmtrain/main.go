@@ -8,17 +8,26 @@
 // file, so a training run leaves the same kind of artifact a serving run
 // exposes on /metrics.
 //
+// Both paths evaluate the policy as it is saved: a fresh frozen policy
+// built from the trained snapshot, so -load of a file pmtrain wrote prints
+// the evaluation line its training run printed.
+//
 // Usage:
 //
 //	pmtrain -scenario gaming -episodes 60 -o gaming.policy
 //	pmtrain -load gaming.policy -scenario gaming        # evaluate
 //	pmtrain -load gaming.policy -scenario video         # transfer test
 //	pmtrain -episodes 60 -metrics train.prom            # keep the metrics
+//
+// Exit status is 0 on success, 1 when training, evaluation or a file
+// fails, and 2 on a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rlpm/internal/core"
@@ -28,23 +37,40 @@ import (
 	"rlpm/internal/workload"
 )
 
-func main() {
-	var (
-		scenario = flag.String("scenario", "gaming", "workload scenario")
-		episodes = flag.Int("episodes", 60, "training episodes")
-		duration = flag.Float64("duration", 120, "seconds per episode / evaluation")
-		period   = flag.Float64("period", 0.05, "control period in seconds")
-		seed     = flag.Uint64("seed", 1, "scenario seed")
-		out      = flag.String("o", "", "save the trained policy to this path")
-		load     = flag.String("load", "", "load a saved policy instead of training")
-		metrics  = flag.String("metrics", "", "write the final Prometheus metrics exposition to this path")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*scenario, *episodes, *duration, *period, *seed, *out, *load, *metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "pmtrain:", err)
-		os.Exit(1)
+// options is one pmtrain invocation's flags.
+type options struct {
+	scenario           string
+	episodes           int
+	duration, period   float64
+	seed               uint64
+	out, load, metrics string
+}
+
+// run executes one pmtrain invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmtrain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.scenario, "scenario", "gaming", "workload scenario")
+	fs.IntVar(&o.episodes, "episodes", 60, "training episodes")
+	fs.Float64Var(&o.duration, "duration", 120, "seconds per episode / evaluation")
+	fs.Float64Var(&o.period, "period", 0.05, "control period in seconds")
+	fs.Uint64Var(&o.seed, "seed", 1, "scenario seed")
+	fs.StringVar(&o.out, "o", "", "save the trained policy to this path")
+	fs.StringVar(&o.load, "load", "", "load a saved policy instead of training")
+	fs.StringVar(&o.metrics, "metrics", "", "write the final Prometheus metrics exposition to this path")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
+	if err := o.train(stdout); err != nil {
+		fmt.Fprintln(stderr, "pmtrain:", err)
+		return 1
+	}
+	return 0
 }
 
 // trainGauges is the training-progress slice of the registry: last-value
@@ -81,58 +107,53 @@ func (g *trainGauges) observe(ep int, r sim.Result, p *core.Policy) {
 	g.qDelta.Set(p.MeanTD())
 }
 
-func run(scenario string, episodes int, duration, period float64, seed uint64, out, load, metrics string) error {
+func (o options) train(w io.Writer) error {
 	chip, err := soc.NewChip(soc.DefaultChipSpec())
 	if err != nil {
 		return err
 	}
-	spec, err := workload.ByName(scenario)
+	spec, err := workload.ByName(o.scenario)
 	if err != nil {
 		return err
 	}
-	scen, err := workload.New(spec, chip.NumClusters(), seed)
+	scen, err := workload.New(spec, chip.NumClusters(), o.seed)
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{PeriodS: period, DurationS: duration, Seed: seed}
-
-	policy, err := core.NewPolicy(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
+	cfg := sim.Config{PeriodS: o.period, DurationS: o.duration, Seed: o.seed}
 	gauges := newTrainGauges()
 
-	if load != "" {
-		f, err := os.Open(load)
+	var snap core.Snapshot
+	if o.load != "" {
+		f, err := os.Open(o.load)
 		if err != nil {
 			return err
 		}
-		snap, err := core.ReadSnapshot(f)
+		snap, err = core.ReadSnapshot(f)
 		f.Close()
+		if err == nil {
+			err = fitsChip(snap, chip)
+		}
 		if err != nil {
 			return err
 		}
-		// One decision materializes the agents so the snapshot can land.
-		if _, err := sim.Run(chip, scen, policy, sim.Config{PeriodS: period, DurationS: period, Seed: seed}); err != nil {
-			return err
-		}
-		if err := policy.Restore(snap); err != nil {
-			return err
-		}
-		policy.SetLearning(false)
-		fmt.Printf("loaded policy from %s\n", load)
+		fmt.Fprintf(w, "loaded policy from %s\n", o.load)
 	} else {
-		if episodes <= 0 {
-			return fmt.Errorf("non-positive episode count %d", episodes)
+		if o.episodes <= 0 {
+			return fmt.Errorf("non-positive episode count %d", o.episodes)
 		}
-		fmt.Printf("training on %s for %d episodes of %.0fs...\n", scenario, episodes, duration)
+		policy, err := core.NewPolicy(core.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "training on %s for %d episodes of %.0fs...\n", o.scenario, o.episodes, o.duration)
 		// Episode loop with the same per-episode seed derivation as
 		// sim.RunEpisodes (core.Train's engine), so the trajectory is
 		// byte-identical to a single Train call — the gauges ride along
 		// without touching training.
 		policy.SetLearning(true)
 		var first, last float64
-		for ep := 0; ep < episodes; ep++ {
+		for ep := 0; ep < o.episodes; ep++ {
 			c := cfg
 			c.Seed = cfg.Seed + uint64(ep)*0x9e3779b9
 			r, err := sim.Run(chip, scen, policy, c)
@@ -145,47 +166,63 @@ func run(scenario string, episodes int, duration, period float64, seed uint64, o
 			last = r.QoS.EnergyPerQoS
 			gauges.observe(ep+1, r, policy)
 		}
-		fmt.Printf("energy/QoS: episode 1 = %.4f, episode %d = %.4f\n", first, episodes, last)
-		policy.SetLearning(false)
+		fmt.Fprintf(w, "energy/QoS: episode 1 = %.4f, episode %d = %.4f\n", first, o.episodes, last)
+		if snap, err = policy.Snapshot(); err != nil {
+			return err
+		}
 	}
 
-	res, err := sim.Run(chip, scen, policy, cfg)
+	frozen, err := core.PolicyFromSnapshot(core.DefaultConfig(), snap)
+	if err != nil {
+		return err
+	}
+	res, err := sim.Run(chip, scen, frozen, cfg)
 	if err != nil {
 		return err
 	}
 	s := res.QoS
-	fmt.Printf("evaluation on %s: energy/QoS=%.4f meanQoS=%.4f violations=%.2f%% energy=%.1fJ\n",
-		scenario, s.EnergyPerQoS, s.MeanQoS, 100*s.ViolationRate, s.TotalEnergyJ)
+	fmt.Fprintf(w, "evaluation on %s: energy/QoS=%.4f meanQoS=%.4f violations=%.2f%% energy=%.1fJ\n",
+		o.scenario, s.EnergyPerQoS, s.MeanQoS, 100*s.ViolationRate, s.TotalEnergyJ)
 
-	if metrics != "" {
-		f, err := os.Create(metrics)
-		if err != nil {
+	if o.metrics != "" {
+		if err := writeFile(o.metrics, gauges.reg.WritePrometheus); err != nil {
 			return err
 		}
-		werr := gauges.reg.WritePrometheus(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("wrote metrics to %s\n", metrics)
+		fmt.Fprintf(w, "wrote metrics to %s\n", o.metrics)
 	}
-
-	if out != "" {
-		snap, err := policy.Snapshot()
-		if err != nil {
+	if o.out != "" {
+		if err := writeFile(o.out, snap.Encode); err != nil {
 			return err
 		}
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := snap.Encode(f); err != nil {
-			return err
-		}
-		fmt.Printf("saved policy to %s\n", out)
+		fmt.Fprintf(w, "saved policy to %s\n", o.out)
 	}
 	return nil
+}
+
+// fitsChip checks that snap holds one table per cluster of chip, each with
+// one action per OPP, so a policy built from it can drive chip.
+func fitsChip(snap core.Snapshot, chip *soc.Chip) error {
+	if len(snap.Tables) != chip.NumClusters() {
+		return fmt.Errorf("policy has %d tables for %d clusters", len(snap.Tables), chip.NumClusters())
+	}
+	for i, t := range snap.Tables {
+		if n := chip.Cluster(i).NumLevels(); len(t) == 0 || len(t[0]) != n {
+			return fmt.Errorf("policy table %d does not have %d actions", i, n)
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and writes it with write, reporting a failed
+// close as the failure it is.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

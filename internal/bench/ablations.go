@@ -302,30 +302,9 @@ func quantizePolicy(p *core.Policy, fracBits uint) sim.Governor {
 			}
 		}
 	}
-	q := core.MustPolicy(coreConfig())
-	// Drive once to materialize agents with the right shapes, then load.
-	return &deferredRestore{policy: q, snap: snap}
-}
-
-// deferredRestore loads a snapshot into a policy on its first Decide (the
-// policy's agents only exist after it has seen the cluster shapes).
-type deferredRestore struct {
-	policy *core.Policy
-	snap   core.Snapshot
-	loaded bool
-}
-
-func (d *deferredRestore) Name() string { return "rl-policy-quantized" }
-func (d *deferredRestore) Reset()       { d.policy.Reset() }
-func (d *deferredRestore) Decide(obs []sim.Observation) []int {
-	out := d.policy.Decide(obs)
-	if !d.loaded {
-		if err := d.policy.Restore(d.snap); err != nil {
-			panic(err)
-		}
-		d.policy.SetLearning(false)
-		d.loaded = true
-		out = d.policy.Decide(obs)
+	q, err := core.PolicyFromSnapshot(coreConfig(), snap)
+	if err != nil {
+		panic(err) // the snapshot came from a policy of the same config
 	}
-	return out
+	return q
 }

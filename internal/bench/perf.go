@@ -6,12 +6,10 @@ package bench
 // Benchmark* functions for `go test -bench`.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
 	"rlpm/internal/core"
-	"rlpm/internal/governor"
 	"rlpm/internal/rng"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
@@ -21,24 +19,6 @@ import (
 // cpufreq baselines plus the software RL policy.
 func PerfGovernors() []string {
 	return []string{"ondemand", "conservative", "interactive", "schedutil", "performance", "rl-policy"}
-}
-
-func perfGovernor(name string) (sim.Governor, error) {
-	switch name {
-	case "ondemand":
-		return governor.NewOndemand(), nil
-	case "conservative":
-		return governor.NewConservative(), nil
-	case "interactive":
-		return governor.NewInteractive(), nil
-	case "schedutil":
-		return governor.NewSchedutil(), nil
-	case "performance":
-		return governor.NewPerformance(), nil
-	case "rl-policy":
-		return core.MustPolicy(core.DefaultConfig()), nil
-	}
-	return nil, fmt.Errorf("bench: unknown perf governor %q", name)
 }
 
 // BenchClusterStep measures one cluster's physics step (power, thermal,
@@ -92,11 +72,11 @@ func BenchSimRun(name string) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gov, err := perfGovernor(name)
+		cfg := sim.Config{PeriodS: 0.05, DurationS: 60, Seed: 1}
+		gov, err := NewGovernor(name, chip, scen, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := sim.Config{PeriodS: 0.05, DurationS: 60, Seed: 1}
 		steps := int(cfg.DurationS / cfg.PeriodS)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -104,8 +104,8 @@ func TestCheckpointRoundTripFromPolicy(t *testing.T) {
 	if !snapshotsBitEqual(snap, got) {
 		t.Fatal("trained-policy snapshot did not round-trip bit-exactly")
 	}
-	if err := p.Restore(got); err != nil {
-		t.Fatalf("Restore(decoded): %v", err)
+	if _, err := PolicyFromSnapshot(DefaultConfig(), got); err != nil {
+		t.Fatalf("PolicyFromSnapshot(decoded): %v", err)
 	}
 }
 

@@ -142,7 +142,19 @@ func TestPolicyBoostExploration(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
+func TestSnapshotErrorsBeforeDecide(t *testing.T) {
+	p := MustPolicy(DefaultConfig())
+	if _, err := p.Snapshot(); err == nil {
+		t.Fatal("snapshot of undriven policy accepted")
+	}
+}
+
+// TestPolicyFromSnapshot pins the frozen-policy constructor: the tables
+// round-trip, learning is off on every agent, two policies built from one
+// snapshot run the same episode identically — no state from earlier runs
+// leaks into a fresh deployment — and a snapshot of another state config
+// or with a ragged table is refused.
+func TestPolicyFromSnapshot(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
@@ -151,60 +163,64 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Tables) != 2 {
-		t.Fatalf("tables = %d", len(snap.Tables))
-	}
-
-	q := MustPolicy(DefaultConfig())
-	q.Decide(twoClusterObs(0, 0)) // materialize agents
-	if err := q.Restore(snap); err != nil {
+	q, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	qa := q.Agents()
-	pa := p.Agents()
-	for c := range qa {
-		qt, pt := qa[c].Table(), pa[c].Table()
-		for s := range qt {
-			for x := range qt[s] {
-				if qt[s][x] != pt[s][x] {
-					t.Fatalf("cluster %d Q[%d][%d] differs after restore", c, s, x)
+	got, err := q.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range snap.Tables {
+		if q.Agents()[c].Learning() {
+			t.Fatalf("cluster %d agent is learning", c)
+		}
+		for s := range snap.Tables[c] {
+			for x := range snap.Tables[c][s] {
+				if got.Tables[c][s][x] != snap.Tables[c][s][x] {
+					t.Fatalf("cluster %d Q[%d][%d] differs", c, s, x)
 				}
 			}
 		}
 	}
-}
 
-func TestSnapshotErrorsBeforeDecide(t *testing.T) {
-	p := MustPolicy(DefaultConfig())
-	if _, err := p.Snapshot(); err == nil {
-		t.Fatal("snapshot of undriven policy accepted")
+	run := func(pol *Policy) sim.Result {
+		t.Helper()
+		chip, err := soc.NewChip(soc.DefaultChipSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := workload.ByName("gaming")
+		scen, err := workload.New(spec, chip.NumClusters(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.Run(chip, scen, pol, sim.Config{PeriodS: 0.05, DurationS: 10, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if err := p.Restore(Snapshot{}); err == nil {
-		t.Fatal("restore into undriven policy accepted")
+	first := run(q)
+	fresh, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	if again := run(fresh); again != first {
+		t.Fatalf("fresh policy from one snapshot ran differently:\n%+v\n%+v", first, again)
+	}
 
-func TestRestoreValidatesShape(t *testing.T) {
-	p := MustPolicy(DefaultConfig())
-	p.Decide(twoClusterObs(0, 0))
-	snap, _ := p.Snapshot()
-
-	// Mismatched state config.
 	bad := snap
 	bad.State.LoadBins = 99
-	if err := p.Restore(bad); err == nil {
+	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
 		t.Fatal("mismatched state config accepted")
 	}
-	// Wrong cluster count.
-	bad = snap
-	bad.Tables = snap.Tables[:1]
-	if err := p.Restore(bad); err == nil {
-		t.Fatal("short table list accepted")
+	if _, err := PolicyFromSnapshot(DefaultConfig(), Snapshot{State: snap.State}); err == nil {
+		t.Fatal("snapshot without tables accepted")
 	}
-	// Ragged table.
 	bad = snap
 	bad.Tables = [][][]float64{snap.Tables[0][:3], snap.Tables[1]}
-	if err := p.Restore(bad); err == nil {
+	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
 		t.Fatal("ragged tables accepted")
 	}
 }

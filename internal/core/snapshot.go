@@ -27,24 +27,39 @@ func (p *Policy) Snapshot() (Snapshot, error) {
 	return s, nil
 }
 
-// Restore loads a snapshot into the policy's agents. The policy must have
-// been driven at least once (so agents exist) and shapes must match.
-func (p *Policy) Restore(s Snapshot) error {
-	if len(p.agents) == 0 {
-		return fmt.Errorf("core: policy has no agents yet (run at least one Decide)")
+// PolicyFromSnapshot builds a frozen policy from snap: one agent per table
+// (a table's row length is its cluster's OPP count), the table loaded and
+// learning off. Its agents hold no trend or exploration state from any
+// earlier run, so it decides exactly as a fresh deployment of the
+// snapshotted tables does — the one way to load, evaluate or replay a
+// saved policy.
+func PolicyFromSnapshot(cfg Config, snap Snapshot) (*Policy, error) {
+	p, err := NewPolicy(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if s.State != p.cfg.State {
-		return fmt.Errorf("core: snapshot state config %+v != policy %+v", s.State, p.cfg.State)
+	if snap.State != cfg.State {
+		return nil, fmt.Errorf("core: snapshot state config %+v != policy %+v", snap.State, cfg.State)
 	}
-	if len(s.Tables) != len(p.agents) {
-		return fmt.Errorf("core: snapshot has %d tables, policy has %d agents", len(s.Tables), len(p.agents))
+	if len(snap.Tables) == 0 {
+		return nil, fmt.Errorf("core: snapshot has no tables")
 	}
-	for i, t := range s.Tables {
-		if err := p.agents[i].LoadTable(t); err != nil {
-			return fmt.Errorf("core: cluster %d: %w", i, err)
+	p.agents = make([]*Agent, len(snap.Tables))
+	for i, t := range snap.Tables {
+		if len(t) == 0 {
+			return nil, fmt.Errorf("core: cluster %d: empty table", i)
 		}
+		a, err := NewAgent(cfg, len(t[0]), uint64(i))
+		if err == nil {
+			err = a.LoadTable(t)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: cluster %d: %w", i, err)
+		}
+		a.SetLearning(false)
+		p.agents[i] = a
 	}
-	return nil
+	return p, nil
 }
 
 // Encode serializes the snapshot to w.

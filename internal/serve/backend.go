@@ -12,12 +12,6 @@ import (
 	"rlpm/internal/obs"
 )
 
-// Lookup is one greedy Q-table query: which cluster's table, which state.
-type Lookup struct {
-	Cluster int
-	State   int
-}
-
 // Backend is the policy a decide frame reads. The frame pins it once with
 // acquire, reads one greedy action per exploit lookup from the pinned
 // policy, and hands it back with release; a frame of a frozen session, or
@@ -87,23 +81,6 @@ func (b *SWBackend) acquire() policy {
 }
 
 func (b *SWBackend) release(p policy) { p.(*Model).readers.Add(-1) }
-
-// Decide writes the greedy action for lookups[i] into out[i] from one
-// pinned model; len(out) == len(lookups). It cannot fail. It is the batch
-// form of the decide loop's reads, the one the backend A/B test compares.
-func (b *SWBackend) Decide(lookups []Lookup, out []int) error {
-	return decideMany(b, lookups, out)
-}
-
-// decideMany resolves lookups against one policy pinned from be.
-func decideMany(be Backend, lookups []Lookup, out []int) error {
-	p := be.acquire()
-	defer be.release(p)
-	for i, l := range lookups {
-		out[i] = p.Greedy(l.Cluster, l.State)
-	}
-	return nil
-}
 
 // HWBackendConfig parameterizes the hardware serving backend.
 type HWBackendConfig struct {
@@ -229,12 +206,6 @@ func (*HWBackend) Name() string { return "hw" }
 func (b *HWBackend) acquire() policy { return b }
 
 func (b *HWBackend) release(policy) {}
-
-// Decide writes the greedy action for lookups[i] into out[i], one device
-// transaction each; len(out) == len(lookups). It cannot fail.
-func (b *HWBackend) Decide(lookups []Lookup, out []int) error {
-	return decideMany(b, lookups, out)
-}
 
 // Greedy runs one MMIO decision transaction for (cluster, state) on the
 // device, with retry/backoff and software degradation.

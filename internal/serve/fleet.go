@@ -1,11 +1,13 @@
 // Fleet driver: the one device fleet every remote harness runs. RunFleet
-// gives each simulated device its own session and its own RunDeviceSim
-// life (open, decide every period, reward on cadence, close), so the chaos
-// harness, the sharded rebalance harness and pmload's remote smoke differ
-// only in the endpoint the sessions open against. The same config replays
-// each device against a fault-free in-process oracle (OracleMismatches),
-// Hygiene records goroutines and heap around the run, and FleetVerdict
-// judges the invariants every harness holds a run to.
+// gives each simulated device its own session and its own life (open,
+// decide every period, reward on cadence, close), so the chaos harness,
+// the sharded rebalance harness and pmload's remote smoke differ only in
+// the endpoint the sessions open against. Every device is a sim.Device —
+// the closed loop sim.Run steps — so a served device and an in-process
+// simulation of the same seed step through the same code. The same config
+// replays each device against a fault-free in-process server (Oracle,
+// OracleMismatches), Hygiene records goroutines and heap around the run,
+// and FleetVerdict judges the invariants every harness holds a run to.
 package serve
 
 import (
@@ -17,6 +19,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rlpm/internal/qos"
+	"rlpm/internal/sim"
+	"rlpm/internal/soc"
+	"rlpm/internal/workload"
 )
 
 // FleetConfig is the device side of a fleet run.
@@ -37,22 +44,120 @@ type FleetConfig struct {
 	RewardEvery int
 }
 
-// sim is device idx's simulation config.
-func (c FleetConfig) sim(idx int) DeviceSimConfig {
-	return DeviceSimConfig{
-		Scenario:    c.Scenario,
-		Periods:     c.Periods,
-		Seed:        DeviceSeed(c.Seed, idx),
-		RewardEvery: c.RewardEvery,
+// DeviceSeed derives device idx's stream seed from the fleet base seed.
+// The derivation depends on the device id ONLY — not on the endpoint, the
+// transport, or how devices are partitioned across shards — so a json
+// run, a bin run, and an N-shard run over the same fleet replay the same
+// per-device scenario and exploration streams, and one single-process
+// oracle diffs against all of them. (The harness differentials and the
+// fleet benchmark's replayed devices depend on this exact formula; change
+// it and every differential test says so.)
+func DeviceSeed(base uint64, device int) uint64 {
+	return base + uint64(device)*0x9e3779b9
+}
+
+// devicePeriodS is every simulated device's control period in seconds.
+const devicePeriodS = 0.05
+
+// fleetDevice is one simulated device as the serving harnesses drive it:
+// a sim.Device on the default chip stepping devicePeriodS periods of its
+// scenario from its seed, its observations in wire form, and every level
+// it was served.
+type fleetDevice struct {
+	sim         *sim.Device
+	obs         []Observation // the next decide's input
+	trace       []int         // served levels, period by period
+	rewardEvery int
+}
+
+// newFleetDevice builds a device at the start of its scenario's stream.
+// rewardEvery is its reward cadence in periods (0 or negative: never).
+func newFleetDevice(scenario string, seed uint64, rewardEvery int) (*fleetDevice, error) {
+	chip, err := soc.NewChip(soc.DefaultChipSpec())
+	if err != nil {
+		return nil, err
 	}
+	spec, err := workload.ByName(scenario)
+	if err != nil {
+		return nil, err
+	}
+	scen, err := workload.New(spec, chip.NumClusters(), seed)
+	if err != nil {
+		return nil, err
+	}
+	// The harness counts a served device's periods, so the duration is
+	// only the one period Config.Validate asks for.
+	dev, err := sim.NewDevice(chip, scen, sim.Config{PeriodS: devicePeriodS, DurationS: devicePeriodS, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	d := &fleetDevice{sim: dev, obs: make([]Observation, chip.NumClusters()), rewardEvery: rewardEvery}
+	wireObs(d.obs, dev.Obs())
+	return d, nil
+}
+
+// step is one period of a device's life: decide serves the levels for the
+// current observations, and the device runs the period at them. It
+// returns the device's reward for the period (minus its whole-chip
+// energy) and whether the reward cadence says to post it.
+func (d *fleetDevice) step(decide func([]Observation) ([]int, error)) (reward float64, due bool, err error) {
+	levels, err := decide(d.obs)
+	if err != nil {
+		return 0, false, err
+	}
+	if err := d.sim.Step(levels); err != nil {
+		return 0, false, err
+	}
+	d.trace = append(d.trace, levels...)
+	obs := d.sim.Obs()
+	wireObs(d.obs, obs)
+	periods := len(d.trace) / len(d.obs)
+	return -obs[0].EnergyJ, d.rewardEvery > 0 && periods%d.rewardEvery == 0, nil
+}
+
+// life runs device idx of the fleet through c.Periods periods, deciding
+// through decide and posting each due reward through reward (nil: none).
+// It returns the device, also when a period fails (nil if it could not be
+// built).
+func (c FleetConfig) life(idx int, decide func([]Observation) ([]int, error), reward func(float64) error) (*fleetDevice, error) {
+	d, err := newFleetDevice(c.Scenario, DeviceSeed(c.Seed, idx), c.RewardEvery)
+	if err != nil {
+		return nil, err
+	}
+	for p := 0; p < c.Periods; p++ {
+		r, due, err := d.step(decide)
+		if err != nil {
+			return d, err
+		}
+		if due && reward != nil {
+			if err := reward(r); err != nil {
+				return d, fmt.Errorf("reward at period %d: %w", p, err)
+			}
+		}
+	}
+	return d, nil
 }
 
 // FleetRun is the evidence a fleet run leaves.
 type FleetRun struct {
-	Traces    [][]int // each device's decision sequence
-	Errs      []error // each device's failure; nil when it completed
-	Decisions uint64  // acked decides
-	Rewards   uint64  // acked rewards
+	Traces    [][]int       // each device's decision sequence
+	QoS       []qos.Summary // each device's QoS and energy digest
+	Errs      []error       // each device's failure; nil when it completed
+	Decisions uint64        // acked decides
+	Rewards   uint64        // acked rewards
+}
+
+// newFleetRun is the empty evidence of a fleet of n devices.
+func newFleetRun(n int) *FleetRun {
+	return &FleetRun{Traces: make([][]int, n), QoS: make([]qos.Summary, n), Errs: make([]error, n)}
+}
+
+// record files device idx's trace and digest; d is nil when the device
+// could not be built.
+func (run *FleetRun) record(idx int, d *fleetDevice) {
+	if d != nil {
+		run.Traces[idx], run.QoS[idx] = d.trace, d.sim.Summary()
+	}
 }
 
 // RunFleet runs cfg.Devices devices concurrently, each over a session from
@@ -61,20 +166,19 @@ type FleetRun struct {
 // the levels; a harness gate that holds devices at a threshold counts acks
 // itself and blocks there. An afterAck error fails the device.
 func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, SessionOptions) (*RemoteSession, error), afterAck func() error) *FleetRun {
-	run := &FleetRun{Traces: make([][]int, cfg.Devices), Errs: make([]error, cfg.Devices)}
+	run := newFleetRun(cfg.Devices)
 	var decisions, rewards atomic.Uint64
 	var wg sync.WaitGroup
 	for d := 0; d < cfg.Devices; d++ {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			sim := cfg.sim(idx)
-			sess, err := open(ctx, SessionOptions{Epsilon: cfg.Epsilon, Seed: sim.Seed})
+			sess, err := open(ctx, SessionOptions{Epsilon: cfg.Epsilon, Seed: DeviceSeed(cfg.Seed, idx)})
 			if err != nil {
 				run.Errs[idx] = fmt.Errorf("device %d open: %w", idx, err)
 				return
 			}
-			decide := func(_ int, obs []Observation) ([]int, error) {
+			decide := func(obs []Observation) ([]int, error) {
 				lv, err := sess.Decide(ctx, obs)
 				if err != nil {
 					return nil, err
@@ -94,7 +198,8 @@ func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, S
 				rewards.Add(1)
 				return nil
 			}
-			run.Traces[idx], err = RunDeviceSim(sim, decide, reward)
+			dev, err := cfg.life(idx, decide, reward)
+			run.record(idx, dev)
 			if err != nil {
 				run.Errs[idx] = fmt.Errorf("device %d: %w", idx, err)
 				return
@@ -111,33 +216,44 @@ func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, S
 	return run
 }
 
-// OracleMismatches replays every device of run that completed against a
-// fault-free in-process server over model, and counts the devices whose
-// trace differs. Faults, retries, restarts and handoffs may cost time,
-// never a decision.
+// Oracle runs every device of c, one after another, against a fault-free
+// in-process server over model, through the same device life RunFleet
+// gives each device. It posts no rewards, which a frozen policy ignores.
+// A fleet served over model by any endpoint must reproduce its traces and
+// digests.
+func (c FleetConfig) Oracle(model *Model) (*FleetRun, error) {
+	srv, err := New(model, nil, Config{})
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	run := newFleetRun(c.Devices)
+	for idx := 0; idx < c.Devices; idx++ {
+		sess, err := srv.CreateSession(SessionOptions{Epsilon: c.Epsilon, Seed: DeviceSeed(c.Seed, idx)})
+		if err != nil {
+			return nil, err
+		}
+		dev, err := c.life(idx, sess.Decide, nil)
+		if err != nil {
+			return nil, fmt.Errorf("oracle device %d: %w", idx, err)
+		}
+		run.record(idx, dev)
+		run.Decisions += uint64(c.Periods)
+	}
+	return run, nil
+}
+
+// OracleMismatches counts the devices of run that completed but whose
+// trace differs from c's Oracle over model. Faults, retries, restarts and
+// handoffs may cost time, never a decision.
 func (c FleetConfig) OracleMismatches(model *Model, run *FleetRun) (int, error) {
-	oracle, err := New(model, nil, Config{})
+	want, err := c.Oracle(model)
 	if err != nil {
 		return 0, err
 	}
-	defer oracle.Close()
 	mismatches := 0
 	for idx, got := range run.Traces {
-		if run.Errs[idx] != nil {
-			continue
-		}
-		sim := c.sim(idx)
-		sess, err := oracle.CreateSession(SessionOptions{Epsilon: c.Epsilon, Seed: sim.Seed})
-		if err != nil {
-			return mismatches, err
-		}
-		want, err := RunDeviceSim(sim, func(_ int, obs []Observation) ([]int, error) {
-			return sess.Decide(obs)
-		}, nil)
-		if err != nil {
-			return mismatches, fmt.Errorf("oracle device %d: %w", idx, err)
-		}
-		if !slices.Equal(got, want) {
+		if run.Errs[idx] == nil && !slices.Equal(got, want.Traces[idx]) {
 			mismatches++
 		}
 	}

@@ -72,7 +72,7 @@ type LearnArm struct {
 	Rewards    uint64  `json:"rewards"`
 	MeanReward float64 `json:"mean_reward"`
 	EnergyJ    float64 `json:"energy_j"` // total simulated energy across the arm's devices
-	MeanQoS    float64 `json:"mean_qos"` // mean of the devices' mean per-period QoS
+	MeanQoS    float64 `json:"mean_qos"` // mean of the devices' mean service ratio
 }
 
 // LearnReport is the harness outcome: learner counters, per-arm A/B
@@ -116,16 +116,11 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	}
 	defer srv.Close()
 
-	devs := make([]*DeviceStepper, cfg.Devices)
+	devs := make([]*fleetDevice, cfg.Devices)
 	sessions := make([]*Session, cfg.Devices)
 	rewardSeqs := make([]uint64, cfg.Devices)
 	for i := range devs {
-		devs[i], err = NewDeviceStepper(DeviceSimConfig{
-			Scenario:    cfg.Scenario,
-			Periods:     cfg.Periods,
-			Seed:        DeviceSeed(cfg.Seed, i),
-			RewardEvery: cfg.RewardEvery,
-		})
+		devs[i], err = newFleetDevice(cfg.Scenario, DeviceSeed(cfg.Seed, i), cfg.RewardEvery)
 		if err != nil {
 			return nil, err
 		}
@@ -148,11 +143,7 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	// model version every decide reads a pure function of the config.
 	for p := 0; p < cfg.Periods; p++ {
 		for i, d := range devs {
-			levels, err := sessions[i].Decide(d.Obs())
-			if err != nil {
-				return nil, fmt.Errorf("device %d period %d: %w", i, p, err)
-			}
-			r, due, err := d.Apply(levels)
+			r, due, err := d.step(sessions[i].Decide)
 			if err != nil {
 				return nil, fmt.Errorf("device %d period %d: %w", i, p, err)
 			}
@@ -174,14 +165,15 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 		Traces: make([][]int, cfg.Devices),
 	}
 	for i, d := range devs {
-		rep.Traces[i] = append([]int(nil), d.Trace()...)
+		rep.Traces[i] = d.trace
 		arm := &rep.Learning
 		if i%2 == 1 {
 			arm = &rep.Frozen
 		}
+		sum := d.sim.Summary()
 		arm.Devices++
-		arm.EnergyJ += d.EnergyJ()
-		arm.MeanQoS += d.MeanQoS()
+		arm.EnergyJ += sum.TotalEnergyJ
+		arm.MeanQoS += sum.MeanService
 	}
 	for _, arm := range []*LearnArm{&rep.Learning, &rep.Frozen} {
 		if arm.Devices > 0 {

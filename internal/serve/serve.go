@@ -214,6 +214,35 @@ func (m *Model) Greedy(cluster, state int) int { return m.flat.Argmax(cluster, s
 // the wire record itself, so neither transport converts it.
 type Observation = wire.Obs
 
+// policyObs is o as the policy reads it, for a cluster with numLevels OPPs:
+// the one conversion from a served observation to sim's.
+func policyObs(o *Observation, numLevels int) sim.Observation {
+	return sim.Observation{
+		Utilization: o.Utilization,
+		DemandRatio: o.DemandRatio,
+		QoS:         o.QoS,
+		ClusterQoS:  o.ClusterQoS,
+		Critical:    o.Critical,
+		Level:       o.Level,
+		NumLevels:   numLevels,
+	}
+}
+
+// wireObs writes a simulated device's observations into dst, one per
+// cluster: the one conversion from sim's observation to a served one.
+func wireObs(dst []Observation, obs []sim.Observation) {
+	for i, o := range obs {
+		dst[i] = Observation{
+			Utilization: o.Utilization,
+			DemandRatio: o.DemandRatio,
+			QoS:         o.QoS,
+			ClusterQoS:  o.ClusterQoS,
+			Critical:    o.Critical,
+			Level:       o.Level,
+		}
+	}
+}
+
 // Cohort names for SessionOptions.Cohort. On a learning server the cohort
 // is the A/B arm: learning sessions read the live (swapped) policy and
 // their rewards feed the learner; frozen sessions read the construction
@@ -481,17 +510,12 @@ func (m *Model) decideValidate(obs []Observation, levels []int) error {
 	if len(levels) != len(obs) {
 		return fmt.Errorf("%w: %d level slots for %d observations", ErrBadRequest, len(levels), len(obs))
 	}
-	for i, o := range obs {
-		c := i % k
+	for i := range obs {
+		o, c := &obs[i], i%k
 		if o.Level < 0 || o.Level >= m.levels[c] {
 			return fmt.Errorf("%w: cluster %d level %d out of [0,%d)", ErrBadRequest, c, o.Level, m.levels[c])
 		}
-		if err := m.cfg.ValidateObservation(sim.Observation{
-			Utilization: o.Utilization,
-			DemandRatio: o.DemandRatio,
-			QoS:         o.QoS,
-			ClusterQoS:  o.ClusterQoS,
-		}); err != nil {
+		if err := m.cfg.ValidateObservation(policyObs(o, m.levels[c])); err != nil {
 			// NaN/Inf/negative ratios would discretize onto a valid bin and
 			// silently poison a learning server's Q-table; reject them at
 			// the door as a client error.
@@ -523,15 +547,7 @@ func (s *Session) decideLocked(obs []Observation, levels []int) {
 		}
 		for i := 0; i < k; i++ {
 			o := &obs[base+i]
-			state := m.cfg.EncodeState(sim.Observation{
-				Utilization: o.Utilization,
-				DemandRatio: o.DemandRatio,
-				QoS:         o.QoS,
-				ClusterQoS:  o.ClusterQoS,
-				Critical:    o.Critical,
-				Level:       o.Level,
-				NumLevels:   m.levels[i],
-			}, s.prevDemand[i])
+			state := m.cfg.EncodeState(policyObs(o, m.levels[i]), s.prevDemand[i])
 			s.prevDemand[i] = o.DemandRatio
 			a, explore := s.draw(m.levels[i])
 			switch {

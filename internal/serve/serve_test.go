@@ -499,34 +499,30 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestHWBackendMatchesSW sweeps every (cluster, state) of the model through
+// both backends' pinned policies: the accelerator must answer each greedy
+// lookup as the software table walk does, over MMIO, never degraded.
 func TestHWBackendMatchesSW(t *testing.T) {
 	m := testModel(t, 3, 5)
-	sw := NewSWBackend(m)
 	hw, err := NewHWBackend(m, DefaultHWBackendConfig())
 	if err != nil {
 		t.Fatalf("NewHWBackend: %v", err)
 	}
-	var lookups []Lookup
+	var sw Backend = NewSWBackend(m)
+	swp, hwp := sw.acquire(), hw.acquire()
+	defer sw.release(swp)
+	defer hw.release(hwp)
+	lookups := 0
 	for c, n := range m.levels {
 		for s := 0; s < m.cfg.State.States(n); s++ {
-			lookups = append(lookups, Lookup{Cluster: c, State: s})
+			if want, got := swp.Greedy(c, s), hwp.Greedy(c, s); got != want {
+				t.Fatalf("cluster %d state %d: sw %d, hw %d", c, s, want, got)
+			}
+			lookups++
 		}
 	}
-	swOut := make([]int, len(lookups))
-	hwOut := make([]int, len(lookups))
-	if err := sw.Decide(lookups, swOut); err != nil {
-		t.Fatalf("sw decide: %v", err)
-	}
-	if err := hw.Decide(lookups, hwOut); err != nil {
-		t.Fatalf("hw decide: %v", err)
-	}
-	for i := range lookups {
-		if swOut[i] != hwOut[i] {
-			t.Fatalf("lookup %+v: sw %d, hw %d", lookups[i], swOut[i], hwOut[i])
-		}
-	}
-	if st := hw.statsSnapshot(); st.Decisions != uint64(len(lookups)) || st.Degraded != 0 {
-		t.Fatalf("hw stats %+v after a clean sweep of %d lookups", st, len(lookups))
+	if st := hw.statsSnapshot(); st.Decisions != uint64(lookups) || st.Degraded != 0 {
+		t.Fatalf("hw stats %+v after a clean sweep of %d lookups", st, lookups)
 	}
 }
 

@@ -34,7 +34,8 @@ type Observation struct {
 	// QoS is the chip-wide service ratio of the period, in [0,1].
 	QoS float64
 	// ClusterQoS is this cluster's own service ratio (1 when it had no
-	// demand) — the per-agent credit-assignment signal.
+	// demand) — the per-agent credit-assignment signal. Before the first
+	// period it is 0, not 1; Device.Obs says why.
 	ClusterQoS float64
 	// Critical reports whether the period carried a deadline.
 	Critical bool
@@ -171,14 +172,24 @@ type Result struct {
 	Switches uint64
 }
 
-// runState holds every buffer the control loop reuses across steps — and,
-// for RunEpisodes, across episodes: the per-cluster frequency tables (built
-// once per chip), the observation and level slices, the chip step result,
-// and the recorder's columnar row. A runState belongs to one goroutine.
-type runState struct {
+// Device is one simulated device's closed loop, one control period at a
+// time: the chip, the scenario, the QoS tracker, the observation-noise
+// stream, and every buffer the loop reuses. Run steps a Device with a
+// governor's levels and a serving harness with served levels, so both run
+// this one loop. A Device belongs to one goroutine.
+type Device struct {
+	chip *soc.Chip
+	scen workload.Scenario
+	cfg  Config
+
+	tracker    *qos.Tracker
+	noise      *rng.Rand // nil when cfg.ObsNoiseCV is 0
+	noiseSigma float64
+	periods    int // periods stepped since the last Reset
+
 	freqs   [][]float64
 	obs     []Observation
-	levels  []int
+	levels  []int // Run's in-place decision buffer
 	chipRes soc.ChipStep
 
 	recorder *trace.Recorder
@@ -186,10 +197,12 @@ type runState struct {
 	recRow   []float64 // reusable columnar row, in recorder column order
 }
 
-// newRunState builds the reusable buffers for chip.
-func newRunState(chip *soc.Chip) *runState {
+// NewDevice builds a device's buffers for chip and resets it to the start
+// of an episode of scen under cfg.
+func NewDevice(chip *soc.Chip, scen workload.Scenario, cfg Config) (*Device, error) {
 	n := chip.NumClusters()
-	st := &runState{
+	d := &Device{
+		chip:   chip,
 		freqs:  make([][]float64, n),
 		obs:    make([]Observation, n),
 		levels: make([]int, n),
@@ -200,32 +213,186 @@ func newRunState(chip *soc.Chip) *runState {
 		for l := range f {
 			f[l] = cl.OPPAt(l).FreqHz
 		}
-		st.freqs[i] = f
+		d.freqs[i] = f
 	}
-	return st
+	if err := d.Reset(scen, cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// bindRecorder resolves the schema columns of RecorderColumns(n) against
+// Reset validates cfg and returns the device to the start of an episode of
+// scen: the chip and the scenario (at cfg.Seed) reset, a fresh tracker and
+// noise stream, and the start observations (see Obs). The buffers stay.
+func (d *Device) Reset(scen workload.Scenario, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	threshold := cfg.ViolationThreshold
+	if threshold == 0 {
+		threshold = qos.DefaultViolationThreshold
+	}
+	tracker, err := qos.NewTracker(threshold)
+	if err != nil {
+		return err
+	}
+	if cfg.Recorder != nil {
+		if err := d.bindRecorder(cfg.Recorder); err != nil {
+			return err
+		}
+	}
+	d.chip.Reset()
+	scen.Reset(cfg.Seed)
+	d.scen, d.cfg, d.tracker, d.periods = scen, cfg, tracker, 0
+
+	// Observation-noise stream: deterministic, independent of the
+	// workload's streams so enabling noise never perturbs the demands.
+	d.noise = nil
+	if cfg.ObsNoiseCV > 0 {
+		d.noise = rng.NewStream(cfg.Seed, 0xB055)
+		d.noiseSigma = math.Sqrt(math.Log(1 + cfg.ObsNoiseCV*cfg.ObsNoiseCV))
+	}
+	for i := range d.obs {
+		cl := d.chip.Cluster(i)
+		d.obs[i] = Observation{
+			Level:     cl.Level(),
+			NumLevels: cl.NumLevels(),
+			FreqsHz:   d.freqs[i],
+			QoS:       1,
+			TempC:     cl.TempC(),
+			PeriodS:   cfg.PeriodS,
+		}
+	}
+	return nil
+}
+
+// bindRecorder resolves the schema columns of RecorderColumns against
 // rec's registered columns, erroring on any mismatch — the same strictness
 // the map-based path had, paid once per run instead of once per period.
-func (st *runState) bindRecorder(rec *trace.Recorder, n int) error {
-	if st.recorder == rec && st.recCols != nil {
+func (d *Device) bindRecorder(rec *trace.Recorder) error {
+	if d.recorder == rec && d.recCols != nil {
 		return nil
 	}
-	schema := RecorderColumns(n)
+	schema := RecorderColumns(len(d.obs))
 	if got := len(rec.Columns()); got != len(schema) {
 		return fmt.Errorf("sim: recorder has %d columns, Run records %d", got, len(schema))
 	}
-	st.recCols = make([]int, len(schema))
+	d.recCols = make([]int, len(schema))
 	for j, name := range schema {
 		i, ok := rec.ColumnIndex(name)
 		if !ok {
 			return fmt.Errorf("sim: recorder is missing column %q", name)
 		}
-		st.recCols[j] = i
+		d.recCols[j] = i
 	}
-	st.recorder = rec
-	st.recRow = make([]float64, len(schema))
+	d.recorder = rec
+	d.recRow = make([]float64, len(schema))
+	return nil
+}
+
+// Obs is one observation per cluster of the period that just ended: the
+// input of the next decision. Step overwrites the slice in place.
+//
+// Before the first Step each cluster reports its starting level, chip QoS
+// 1 and ClusterQoS 0. ClusterQoS 0 breaks the field's own rule (1 with no
+// demand) and puts period 0 in core's lowest QoS band. It stays because
+// the T1 goldens and the evaluation digest were recorded from this start,
+// and served devices start here too, so they decide as Run does. ROADMAP
+// keeps the fix with the fleet benchmark's debts, where the goldens move.
+func (d *Device) Obs() []Observation { return d.obs }
+
+// Summary is the QoS and energy digest of the periods stepped since the
+// last Reset.
+func (d *Device) Summary() qos.Summary { return d.tracker.Summary() }
+
+// Step runs one control period: the clusters take levels (one OPP index
+// per cluster, clamped to its table), the scenario emits the period's
+// demands, the chip executes them, the tracker scores the period, and Obs
+// then describes it. A steady-state Step allocates nothing.
+func (d *Device) Step(levels []int) error {
+	n := len(d.obs)
+	if len(levels) != n {
+		return fmt.Errorf("sim: %d levels for %d clusters", len(levels), n)
+	}
+	for i, lvl := range levels {
+		d.chip.Cluster(i).SetLevel(lvl)
+	}
+	cfg := &d.cfg
+	period := d.scen.Next(cfg.PeriodS)
+	if len(period.Demands) != n {
+		return fmt.Errorf("sim: scenario %s emitted %d demands for %d clusters", d.scen.Name(), len(period.Demands), n)
+	}
+	if err := d.chip.StepInto(&d.chipRes, period.Demands, cfg.PeriodS); err != nil {
+		return err
+	}
+	chipRes := &d.chipRes
+
+	var demanded, completed float64
+	for i, dm := range period.Demands {
+		demanded += dm.Cycles
+		completed += chipRes.Clusters[i].CompletedCycles
+	}
+	q := d.tracker.Record(demanded, completed, chipRes.EnergyJ, period.Critical)
+
+	uncoreShare := chipRes.UncorePowerW * cfg.PeriodS / float64(n)
+	noise, sigma := d.noise, d.noiseSigma
+	for i := range d.obs {
+		cr := chipRes.Clusters[i]
+		dr := 0.0
+		if cr.CapacityCycles > 0 {
+			dr = period.Demands[i].Cycles / cr.CapacityCycles
+		}
+		util := cr.Utilization
+		if noise != nil {
+			util *= noise.LogNorm(-sigma*sigma/2, sigma)
+			if util > 1 {
+				util = 1
+			}
+			dr *= noise.LogNorm(-sigma*sigma/2, sigma)
+		}
+		d.obs[i] = Observation{
+			Utilization:    util,
+			DemandRatio:    dr,
+			QoS:            q,
+			ClusterQoS:     qos.PeriodQoS(period.Demands[i].Cycles, cr.CompletedCycles),
+			Critical:       period.Critical,
+			Level:          d.chip.Cluster(i).Level(),
+			NumLevels:      d.chip.Cluster(i).NumLevels(),
+			FreqsHz:        d.freqs[i],
+			EnergyJ:        chipRes.EnergyJ,
+			ClusterEnergyJ: cr.EnergyJ + uncoreShare,
+			TempC:          cr.TempC,
+			Throttled:      cr.Throttled,
+			PeriodS:        cfg.PeriodS,
+		}
+	}
+
+	if cfg.Recorder != nil {
+		// Columnar row in RecorderColumns order: level_i, util_i, power,
+		// qos, critical — routed through the position map that
+		// bindRecorder resolved once.
+		row, cols := d.recRow, d.recCols
+		for i := 0; i < n; i++ {
+			row[cols[i]] = float64(chipRes.Clusters[i].Level)
+			row[cols[n+i]] = chipRes.Clusters[i].Utilization
+		}
+		var power float64
+		for _, cr := range chipRes.Clusters {
+			power += cr.PowerW()
+		}
+		power += chipRes.UncorePowerW
+		row[cols[2*n]] = power
+		row[cols[2*n+1]] = q
+		if period.Critical {
+			row[cols[2*n+2]] = 1
+		} else {
+			row[cols[2*n+2]] = 0
+		}
+		if err := cfg.Recorder.RecordRow(float64(d.periods)*cfg.PeriodS, row); err != nil {
+			return err
+		}
+	}
+	d.periods++
 	return nil
 }
 
@@ -234,155 +401,38 @@ func (st *runState) bindRecorder(rec *trace.Recorder, n int) error {
 // reset, allowing pre-trained policies to be evaluated (call gov.Reset
 // yourself for a cold start).
 func Run(chip *soc.Chip, scen workload.Scenario, gov Governor, cfg Config) (Result, error) {
-	return run(chip, scen, gov, cfg, newRunState(chip))
-}
-
-// run is the control loop proper, over caller-provided reusable state.
-func run(chip *soc.Chip, scen workload.Scenario, gov Governor, cfg Config, st *runState) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	chip.Reset()
-	scen.Reset(cfg.Seed)
-
-	threshold := cfg.ViolationThreshold
-	if threshold == 0 {
-		threshold = qos.DefaultViolationThreshold
-	}
-	tracker, err := qos.NewTracker(threshold)
+	d, err := NewDevice(chip, scen, cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	return d.run(gov)
+}
 
-	n := chip.NumClusters()
-	freqs := st.freqs
-	obs := st.obs
-	for i := 0; i < n; i++ {
-		cl := chip.Cluster(i)
-		obs[i] = Observation{
-			Level:     cl.Level(),
-			NumLevels: cl.NumLevels(),
-			FreqsHz:   freqs[i],
-			QoS:       1,
-			TempC:     cl.TempC(),
-			PeriodS:   cfg.PeriodS,
-		}
-	}
-	if cfg.Recorder != nil {
-		if err := st.bindRecorder(cfg.Recorder, n); err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Observation-noise stream: deterministic, independent of the
-	// workload's streams so enabling noise never perturbs the demands.
-	var noise *rng.Rand
-	var noiseSigma float64
-	if cfg.ObsNoiseCV > 0 {
-		noise = rng.NewStream(cfg.Seed, 0xB055)
-		sigma2 := math.Log(1 + cfg.ObsNoiseCV*cfg.ObsNoiseCV)
-		noiseSigma = math.Sqrt(sigma2)
-	}
-
+// run is the control loop proper: one governor decision and one Step per
+// period of the episode the device was last reset to.
+func (d *Device) run(gov Governor) (Result, error) {
 	// The governor's in-place path is resolved once, not per period.
 	inPlace, fastDecide := gov.(InPlaceGovernor)
 
-	steps := int(cfg.DurationS / cfg.PeriodS)
-	res := Result{Governor: gov.Name(), Scenario: scen.Name()}
+	steps := int(d.cfg.DurationS / d.cfg.PeriodS)
+	res := Result{Governor: gov.Name(), Scenario: d.scen.Name()}
 	for step := 0; step < steps; step++ {
 		// Governor sets levels based on the previous period's observations.
 		var levels []int
 		if fastDecide {
-			levels = inPlace.DecideInto(st.levels, obs)
-			st.levels = levels
+			levels = inPlace.DecideInto(d.levels, d.obs)
+			d.levels = levels
 		} else {
-			levels = gov.Decide(obs)
+			levels = gov.Decide(d.obs)
 		}
-		if len(levels) != n {
-			return Result{}, fmt.Errorf("sim: governor %s returned %d levels for %d clusters", gov.Name(), len(levels), n)
-		}
-		for i, lvl := range levels {
-			chip.Cluster(i).SetLevel(lvl)
-		}
-		res.Decisions++
-
-		period := scen.Next(cfg.PeriodS)
-		if len(period.Demands) != n {
-			return Result{}, fmt.Errorf("sim: scenario %s emitted %d demands for %d clusters", scen.Name(), len(period.Demands), n)
-		}
-		if err := chip.StepInto(&st.chipRes, period.Demands, cfg.PeriodS); err != nil {
+		if err := d.Step(levels); err != nil {
 			return Result{}, err
 		}
-		chipRes := &st.chipRes
-
-		var demanded, completed float64
-		for i, d := range period.Demands {
-			demanded += d.Cycles
-			completed += chipRes.Clusters[i].CompletedCycles
-		}
-		q := tracker.Record(demanded, completed, chipRes.EnergyJ, period.Critical)
-
-		uncoreShare := chipRes.UncorePowerW * cfg.PeriodS / float64(n)
-		for i := range obs {
-			cr := chipRes.Clusters[i]
-			dr := 0.0
-			if cr.CapacityCycles > 0 {
-				dr = period.Demands[i].Cycles / cr.CapacityCycles
-			}
-			util := cr.Utilization
-			if noise != nil {
-				util *= noise.LogNorm(-noiseSigma*noiseSigma/2, noiseSigma)
-				if util > 1 {
-					util = 1
-				}
-				dr *= noise.LogNorm(-noiseSigma*noiseSigma/2, noiseSigma)
-			}
-			obs[i] = Observation{
-				Utilization:    util,
-				DemandRatio:    dr,
-				QoS:            q,
-				ClusterQoS:     qos.PeriodQoS(period.Demands[i].Cycles, cr.CompletedCycles),
-				Critical:       period.Critical,
-				Level:          chip.Cluster(i).Level(),
-				NumLevels:      chip.Cluster(i).NumLevels(),
-				FreqsHz:        freqs[i],
-				EnergyJ:        chipRes.EnergyJ,
-				ClusterEnergyJ: cr.EnergyJ + uncoreShare,
-				TempC:          cr.TempC,
-				Throttled:      cr.Throttled,
-				PeriodS:        cfg.PeriodS,
-			}
-		}
-
-		if cfg.Recorder != nil {
-			// Columnar row in RecorderColumns order: level_i, util_i,
-			// power, qos, critical — routed through the position map that
-			// bindRecorder resolved once.
-			row, cols := st.recRow, st.recCols
-			for i := 0; i < n; i++ {
-				row[cols[i]] = float64(chipRes.Clusters[i].Level)
-				row[cols[n+i]] = chipRes.Clusters[i].Utilization
-			}
-			var power float64
-			for _, cr := range chipRes.Clusters {
-				power += cr.PowerW()
-			}
-			power += chipRes.UncorePowerW
-			row[cols[2*n]] = power
-			row[cols[2*n+1]] = q
-			if period.Critical {
-				row[cols[2*n+2]] = 1
-			} else {
-				row[cols[2*n+2]] = 0
-			}
-			if err := cfg.Recorder.RecordRow(float64(step)*cfg.PeriodS, row); err != nil {
-				return Result{}, err
-			}
-		}
+		res.Decisions++
 	}
-	res.QoS = tracker.Summary()
-	for i := 0; i < n; i++ {
-		res.Switches += chip.Cluster(i).Switches()
+	res.QoS = d.Summary()
+	for i := range d.obs {
+		res.Switches += d.chip.Cluster(i).Switches()
 	}
 	return res, nil
 }
@@ -391,19 +441,24 @@ func run(chip *soc.Chip, scen workload.Scenario, gov Governor, cfg Config, st *r
 // consecutive episodes with per-episode seeds derived from cfg.Seed,
 // returning every episode's result in order. The governor persists across
 // episodes — this is the paper's online-learning setting where the policy
-// keeps adapting across scenario repetitions. The per-cluster frequency
-// tables and the loop buffers are built once for the (chip, cfg) pair and
-// reused across all episodes.
+// keeps adapting across scenario repetitions. One Device serves every
+// episode, so the frequency tables and the loop buffers are built once.
 func RunEpisodes(chip *soc.Chip, scen workload.Scenario, gov Governor, cfg Config, episodes int) ([]Result, error) {
 	if episodes <= 0 {
 		return nil, fmt.Errorf("sim: non-positive episode count %d", episodes)
 	}
-	st := newRunState(chip)
+	d, err := NewDevice(chip, scen, cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Result, 0, episodes)
 	for ep := 0; ep < episodes; ep++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(ep)*0x9e3779b9
-		r, err := run(chip, scen, gov, c, st)
+		if err := d.Reset(scen, c); err != nil {
+			return nil, err
+		}
+		r, err := d.run(gov)
 		if err != nil {
 			return nil, err
 		}
