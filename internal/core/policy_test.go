@@ -149,11 +149,87 @@ func TestSnapshotErrorsBeforeDecide(t *testing.T) {
 	}
 }
 
-// TestPolicyFromSnapshot pins the frozen-policy constructor: the tables
-// round-trip, learning is off on every agent, two policies built from one
-// snapshot run the same episode identically — no state from earlier runs
-// leaks into a fresh deployment — and a snapshot of another state config
-// or with a ragged table is refused.
+// TestSnapshotRestoreRoundTrip loads a trained policy's snapshot through
+// PolicyFromSnapshot and checks every Q-value comes back unchanged.
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	p := MustPolicy(DefaultConfig())
+	for i := 0; i < 1000; i++ {
+		p.Decide(twoClusterObs(i%8, i%9))
+	}
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tables) != 2 {
+		t.Fatalf("tables = %d", len(snap.Tables))
+	}
+
+	q, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qa := q.Agents()
+	pa := p.Agents()
+	if len(qa) != len(pa) {
+		t.Fatalf("restored %d agents, want %d", len(qa), len(pa))
+	}
+	for c := range qa {
+		qt, pt := qa[c].Table(), pa[c].Table()
+		for s := range qt {
+			for x := range qt[s] {
+				if qt[s][x] != pt[s][x] {
+					t.Fatalf("cluster %d Q[%d][%d] differs after restore", c, s, x)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreValidatesShape checks PolicyFromSnapshot refuses a snapshot of
+// another state config, one without tables and one with a ragged table, and
+// that a policy loaded from a short table list refuses observations of a
+// chip with more clusters than it has tables.
+func TestRestoreValidatesShape(t *testing.T) {
+	p := MustPolicy(DefaultConfig())
+	p.Decide(twoClusterObs(0, 0))
+	snap, _ := p.Snapshot()
+
+	// Mismatched state config.
+	bad := snap
+	bad.State.LoadBins = 99
+	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
+		t.Fatal("mismatched state config accepted")
+	}
+	// No tables at all.
+	if _, err := PolicyFromSnapshot(DefaultConfig(), Snapshot{State: snap.State}); err == nil {
+		t.Fatal("snapshot without tables accepted")
+	}
+	// Ragged table.
+	bad = snap
+	bad.Tables = [][][]float64{snap.Tables[0][:3], snap.Tables[1]}
+	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
+		t.Fatal("ragged tables accepted")
+	}
+	// Wrong cluster count: the snapshot fixes the cluster count, so a
+	// short table list loads but cannot drive a two-cluster chip.
+	bad = snap
+	bad.Tables = snap.Tables[:1]
+	short, err := PolicyFromSnapshot(DefaultConfig(), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("short table list drove a two-cluster chip")
+		}
+	}()
+	short.Decide(twoClusterObs(0, 0))
+}
+
+// TestPolicyFromSnapshot pins the frozen-policy constructor: learning is off
+// on every agent, and two policies built from one snapshot run the same
+// episode identically — no state from earlier runs leaks into a fresh
+// deployment.
 func TestPolicyFromSnapshot(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	for i := 0; i < 1000; i++ {
@@ -167,20 +243,9 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range snap.Tables {
-		if q.Agents()[c].Learning() {
+	for c, a := range q.Agents() {
+		if a.Learning() {
 			t.Fatalf("cluster %d agent is learning", c)
-		}
-		for s := range snap.Tables[c] {
-			for x := range snap.Tables[c][s] {
-				if got.Tables[c][s][x] != snap.Tables[c][s][x] {
-					t.Fatalf("cluster %d Q[%d][%d] differs", c, s, x)
-				}
-			}
 		}
 	}
 
@@ -208,20 +273,6 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	}
 	if again := run(fresh); again != first {
 		t.Fatalf("fresh policy from one snapshot ran differently:\n%+v\n%+v", first, again)
-	}
-
-	bad := snap
-	bad.State.LoadBins = 99
-	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
-		t.Fatal("mismatched state config accepted")
-	}
-	if _, err := PolicyFromSnapshot(DefaultConfig(), Snapshot{State: snap.State}); err == nil {
-		t.Fatal("snapshot without tables accepted")
-	}
-	bad = snap
-	bad.Tables = [][][]float64{snap.Tables[0][:3], snap.Tables[1]}
-	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
-		t.Fatal("ragged tables accepted")
 	}
 }
 
