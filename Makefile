@@ -10,9 +10,10 @@ GO ?= go
 # decide frames read, over the overload bound, over the allocation pins
 # (the device session's among them: every attempt of either client passes
 # one request value, which must stay off the heap), over the device
-# session's refusal of malformed answers, and over the binary fronts'
-# window pins, since every request frame of a connection shares its
-# window state.
+# session's refusal of malformed answers, over the binary fronts' window
+# pins, since every request frame of a connection shares its window
+# state, and over the server session's diet: its live heap, its
+# allocations up to the first answer and its byte-wide replay cache.
 check: fmt vet build test race
 
 build:
@@ -38,7 +39,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

@@ -6,7 +6,8 @@
 // reward (negated energy/QoS), mean exploration rate, and mean TD-error
 // magnitude — and -metrics writes the final Prometheus exposition to a
 // file, so a training run leaves the same kind of artifact a serving run
-// exposes on /metrics.
+// exposes on /metrics. A loaded policy is not trained, so -metrics with
+// -load is a usage error rather than an exposition of unset gauges.
 //
 // Both paths evaluate the policy as it is saved: a fresh frozen policy
 // built from the trained snapshot, so -load of a file pmtrain wrote prints
@@ -60,10 +61,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&o.seed, "seed", 1, "scenario seed")
 	fs.StringVar(&o.out, "o", "", "save the trained policy to this path")
 	fs.StringVar(&o.load, "load", "", "load a saved policy instead of training")
-	fs.StringVar(&o.metrics, "metrics", "", "write the final Prometheus metrics exposition to this path")
+	fs.StringVar(&o.metrics, "metrics", "", "write the final training metrics exposition to this path (not with -load)")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+	if o.load != "" && o.metrics != "" {
+		fmt.Fprintln(stderr, "pmtrain: -metrics reports training; a -load run trains nothing")
 		return 2
 	}
 	if err := o.train(stdout); err != nil {

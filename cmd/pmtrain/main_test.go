@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +20,8 @@ func runPmtrain(args ...string) (int, string, string) {
 }
 
 // TestExitCodes pins pmtrain's exit status for each kind of invocation.
+// -metrics with -load is a usage error that writes no file: a loaded
+// policy has no training gauges to report.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	// A policy for a one-cluster chip does not fit the default chip.
@@ -43,10 +47,15 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-load", narrow, "-duration", "1"}, 1},
 		{[]string{"-episodes", "1", "-duration", "1", "-o", filepath.Join(dir, "no", "such", "dir")}, 1},
 		{[]string{"-episodes", "1", "-duration", "1", "-metrics", filepath.Join(dir, "train.prom")}, 0},
+		{[]string{"-episodes", "1", "-duration", "1", "-o", filepath.Join(dir, "fits.policy")}, 0},
+		{[]string{"-load", filepath.Join(dir, "fits.policy"), "-duration", "1", "-metrics", filepath.Join(dir, "load.prom")}, 2},
 	} {
 		if code, _, stderr := runPmtrain(c.args...); code != c.want {
 			t.Errorf("pmtrain %q exited %d, want %d: %s", c.args, code, c.want, stderr)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "load.prom")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("pmtrain -load -metrics left a metrics file (stat: %v)", err)
 	}
 }
 

@@ -78,12 +78,19 @@ func TestZeroConfigByteTransparent(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("zero-rate proxy altered the byte stream")
 	}
+	// The proxy counts a chunk once its write returns, so the client can
+	// read the last chunk before it is counted: wait until both counters
+	// reach the message length, then hold them to it exactly.
+	want := uint64(len(msg))
 	st := p.Stats()
+	for deadline := time.Now().Add(5 * time.Second); (st.BytesUp < want || st.BytesDown < want) && time.Now().Before(deadline); st = p.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Drops+st.Stalls+st.Partials+st.Corrupts+st.Delays != 0 {
 		t.Fatalf("zero-rate proxy injected faults: %+v", st)
 	}
-	if st.BytesUp != uint64(len(msg)) || st.BytesDown != uint64(len(msg)) {
-		t.Fatalf("byte accounting %+v, want %d each way", st, len(msg))
+	if st.BytesUp != want || st.BytesDown != want {
+		t.Fatalf("byte accounting %+v, want %d each way", st, want)
 	}
 }
 

@@ -51,8 +51,15 @@ type Rand struct {
 // New returns a generator seeded from seed via splitmix64, as the xoshiro
 // authors recommend (never seed xoshiro state with correlated words).
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
 	var r Rand
+	r.Seed(seed)
+	return &r
+}
+
+// Seed resets r in place to the stream New(seed) starts, so a generator
+// embedded in a larger value costs no allocation of its own.
+func (r *Rand) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -61,7 +68,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // NewStream returns a generator for (seed, stream) that is statistically

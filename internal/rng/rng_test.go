@@ -31,6 +31,23 @@ func TestNewDeterministic(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNew pins Seed as New in place: a zero value and a
+// generator reseeded mid-stream both draw exactly New's stream.
+func TestSeedMatchesNew(t *testing.T) {
+	var zero Rand
+	zero.Seed(42)
+	used := New(7)
+	used.Uint64()
+	used.Seed(42)
+	want := New(42)
+	for i := 0; i < 1000; i++ {
+		w := want.Uint64()
+		if z, u := zero.Uint64(), used.Uint64(); z != w || u != w {
+			t.Fatalf("draw %d: seeded zero value %#x, reseeded %#x, New %#x", i, z, u, w)
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -557,10 +557,13 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 	<-connDone
 }
 
-// TestBinWindowAllocFree pins the bin decide path at zero allocations for
+// TestBinWindowAllocFree pins the bin window at zero allocations for
 // every window size, a lone frame's window of one included: a raw client
-// that allocates nothing pipelines rounds of 1, 2, 4 and 8 decide frames
-// for distinct sessions in one write each.
+// that allocates nothing pipelines rounds of 1, 2, 4 and 8 request frames
+// for distinct sessions in one write each. Each round is one kind of
+// frame: unsequenced decides, sequenced decides (each writes its
+// session's replay cache) or sequenced rewards (each answers its
+// session's ledger).
 func TestBinWindowAllocFree(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{})
@@ -574,7 +577,6 @@ func TestBinWindowAllocFree(t *testing.T) {
 	br := bufio.NewReader(conn)
 
 	obs := []wire.Obs{{Utilization: 0.5, Level: 1}, {DemandRatio: 0.8, Level: 2}}
-	var round []byte
 	var handles []uint64
 	for i := 0; i < 8; i++ {
 		s, err := srv.CreateSession(SessionOptions{})
@@ -583,30 +585,56 @@ func TestBinWindowAllocFree(t *testing.T) {
 		}
 		handles = append(handles, s.Handle())
 	}
+	// Every frame is rebuilt in place on each send, so a sequenced frame
+	// carries its session's next number; the buffers are warmed with the
+	// window.
+	var decideSeqs, rewardSeqs [8]uint64
+	kinds := []struct {
+		name  string
+		reply byte
+		frame func(dst []byte, i int) []byte
+	}{
+		{"unsequenced decide", wire.TDecideOK, func(dst []byte, i int) []byte {
+			return wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(dst), handles[i], 0, 0, obs), wire.TDecide, uint32(i))
+		}},
+		{"sequenced decide", wire.TDecideOK, func(dst []byte, i int) []byte {
+			decideSeqs[i]++
+			return wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(dst), handles[i], srv.Epoch(), decideSeqs[i], obs), wire.TDecide, uint32(i))
+		}},
+		{"reward", wire.TRewardOK, func(dst []byte, i int) []byte {
+			rewardSeqs[i]++
+			req := wire.RewardReq{Handle: handles[i], Reward: -0.5, Epoch: srv.Epoch(), Seq: rewardSeqs[i]}
+			return wire.FinishFrame(wire.AppendRewardReq(wire.BeginFrame(dst), req), wire.TReward, uint32(i))
+		}},
+	}
+	var round, frame []byte
 	var hdr [wire.HeaderSize]byte
 	var payload []byte
-	for _, n := range []int{1, 2, 4, 8} {
-		round = round[:0]
-		for i := 0; i < n; i++ {
-			round = append(round, wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), handles[i], 0, 0, obs), wire.TDecide, uint32(i))...)
-		}
-		send := func() {
-			if _, err := conn.Write(round); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			for i := 0; i < n; i++ {
-				h, p, err := wire.ReadFrame(br, &hdr, payload)
-				payload = p
-				if err != nil || h.Type != wire.TDecideOK {
-					t.Fatalf("round of %d, response %d: type %d, %v", n, i, h.Type, err)
+	for _, kind := range kinds {
+		for _, n := range []int{1, 2, 4, 8} {
+			send := func() {
+				round = round[:0]
+				for i := 0; i < n; i++ {
+					frame = kind.frame(frame, i)
+					round = append(round, frame...)
+				}
+				if _, err := conn.Write(round); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				for i := 0; i < n; i++ {
+					h, p, err := wire.ReadFrame(br, &hdr, payload)
+					payload = p
+					if err != nil || h.Type != kind.reply {
+						t.Fatalf("round of %d %s frames, response %d: type %d, %v", n, kind.name, i, h.Type, err)
+					}
 				}
 			}
-		}
-		for i := 0; i < 10; i++ { // warm the window and the sessions
-			send()
-		}
-		if a := testing.AllocsPerRun(100, send); a != 0 {
-			t.Errorf("a pipelined round of %d decide frames allocates %v times, want 0", n, a)
+			for i := 0; i < 10; i++ { // warm the window and the sessions
+				send()
+			}
+			if a := testing.AllocsPerRun(100, send); a != 0 {
+				t.Errorf("a pipelined round of %d %s frames allocates %v times, want 0", n, kind.name, a)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -69,13 +68,13 @@ func (c *serverConn) Start(i int, req *FrontReq) error {
 		if err != nil {
 			return err
 		}
-		a.Stats = statsToWire(st)
+		a.Stats = st
 	case wire.TClose:
 		st, err := c.s.CloseSessionByHandle(req.Handle)
 		if err != nil {
 			return err
 		}
-		a.Stats = statsToWire(st)
+		a.Stats = st
 	default:
 		return wire.ErrBadType
 	}
@@ -92,10 +91,22 @@ func (c *serverConn) Flush() {}
 
 func (c *serverConn) Finish(_ context.Context, i int) (FrontAns, error) { return c.ans[i], nil }
 
-// sessionID is the JSON id of the session with handle h. Both processes
-// print the handle, so an id names exactly one handle and a device cannot
-// tell a router from a shard by its ids.
-func sessionID(h uint64) string { return fmt.Sprintf("s-%06d", h) }
+// sessionID is the JSON id of the session with handle h: "s-" and the
+// handle's decimal digits, zero-padded to six. Both processes print the
+// handle, so an id names exactly one handle and a device cannot tell a
+// router from a shard by its ids. It allocates only the string.
+func sessionID(h uint64) string {
+	var b [22]byte // "s-" and up to 20 digits
+	i := len(b)
+	for n := 0; n < 6 || h > 0; n++ {
+		i--
+		b[i] = byte('0' + h%10)
+		h /= 10
+	}
+	i -= 2
+	b[i], b[i+1] = 's', '-'
+	return string(b[i:])
+}
 
 // handleOf is the handle a JSON session id names. Only the canonical form
 // sessionID prints parses; any other id is handle 0, which no session

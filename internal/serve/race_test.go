@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"rlpm/internal/wire"
 )
 
 // TestConcurrentSessionsMatchSerialOracle is the determinism stress test:
@@ -22,7 +24,7 @@ func TestConcurrentSessionsMatchSerialOracle(t *testing.T) {
 	const steps = 120
 	type result struct {
 		levels [][]int
-		stats  SessionStats
+		stats  wire.Stats
 		err    error
 	}
 	results := make([]result, devices)

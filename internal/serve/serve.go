@@ -298,10 +298,12 @@ type SessionStats struct {
 // Session is one managed device's serving state: device state only. All
 // exploration state is device-local; the Q-tables are shared. Methods
 // serialize on the session's own mutex, so one device's request stream is
-// totally ordered while different devices proceed concurrently.
+// totally ordered while different devices proceed concurrently. A greedy
+// session is 144 B plus its demand history and replay cache; an exploring
+// one carries its exploration state in the same allocation (see
+// newSession).
 type Session struct {
-	id     string
-	handle uint64 // the session's identity on both protocols; id prints it
+	handle uint64 // the session's identity on both protocols; ID prints it
 	srv    *Server
 
 	mu     sync.Mutex
@@ -309,8 +311,11 @@ type Session struct {
 	// frozen pins the session to the construction-time model: its lookups
 	// read that model, never the backend's live (swapped) policy, and its
 	// rewards never feed the learner — the control arm of the A/B.
-	frozen bool
-	explorer
+	frozen      bool
+	lastPeriods uint32 // retry dedup (see lastSeq), packed beside the flags
+	// explorer is nil for a greedy session (ε 0): it draws nothing and
+	// decays nothing, so it keeps nothing.
+	*explorer
 	prevDemand []float64
 
 	// Retry dedup: lastSeq is the highest sequence number served,
@@ -319,10 +324,10 @@ type Session struct {
 	// lastSeq-lastPeriods+1). A retry carrying that first seq with the same
 	// period count replays the cached frame without touching the RNG or
 	// demand history, so a response lost to the network can never produce a
-	// divergent second decision.
-	lastSeq     uint64
-	lastLevels  []int
-	lastPeriods int
+	// divergent second decision. A level fits a byte: NewModel refuses more
+	// than core.MaxFlatActions (255) levels per cluster.
+	lastSeq    uint64
+	lastLevels []uint8
 
 	// lastRewardSeq mirrors lastSeq for the reward path: the highest reward
 	// sequence number applied. A retry carrying the same seq replays the
@@ -342,6 +347,21 @@ type Session struct {
 	rewardSum float64
 }
 
+// newSession allocates a session whose exploration starts from e. A
+// greedy session (ε 0) keeps no exploration state; an exploring one gets
+// it in the same allocation as the session, so either costs one object.
+func newSession(e explorer) *Session {
+	if e.eps <= 0 {
+		return new(Session)
+	}
+	x := &struct {
+		Session
+		e explorer
+	}{e: e}
+	x.explorer = &x.e
+	return &x.Session
+}
+
 // learnHistory is the per-cluster (state, action) of a session's last two
 // decided control periods, which the next reward pairs into transitions.
 // The decide loop rolls it forward period by period, so a K-period frame
@@ -356,23 +376,26 @@ type stateAction struct{ state, action int }
 // explorer is a session's ε-greedy exploration state: the rate, its floor
 // and per-period decay, and the RNG its draws come from. The server's
 // Session draws from it and the client's mirror replays it, so both
-// advance the stream by this one code.
+// advance the stream by this one code. A nil *explorer is a greedy
+// session's: it draws and decays nothing.
 type explorer struct {
 	eps, epsMin, epsDecay float64
 	r                     rng.Rand
 }
 
 // newExplorer is the exploration state a session created with opts
-// starts from.
+// starts from, its RNG seeded in place.
 func newExplorer(opts SessionOptions) explorer {
-	return explorer{eps: opts.Epsilon, epsMin: opts.EpsilonMin, epsDecay: opts.EpsilonDecay, r: *rng.New(opts.Seed)}
+	e := explorer{eps: opts.Epsilon, epsMin: opts.EpsilonMin, epsDecay: opts.EpsilonDecay}
+	e.r.Seed(opts.Seed)
+	return e
 }
 
 // draw is one cluster's exploration draw over n levels: whether
 // exploration won and, if it did, the level it chose. It inlines, so a
-// greedy session (ε 0) draws nothing and pays no call.
+// greedy session (nil, or ε 0) draws nothing and pays no call.
 func (e *explorer) draw(n int) (int, bool) {
-	if e.eps <= 0 {
+	if e == nil || e.eps <= 0 {
 		return 0, false
 	}
 	return e.explore(n)
@@ -387,7 +410,7 @@ func (e *explorer) explore(n int) (int, bool) {
 
 // decay ends a control period: ε decays once, down to its floor.
 func (e *explorer) decay() {
-	if e.eps > 0 && e.epsDecay > 0 {
+	if e != nil && e.eps > 0 && e.epsDecay > 0 {
 		e.eps *= e.epsDecay
 		if e.eps < e.epsMin {
 			e.eps = e.epsMin
@@ -410,8 +433,9 @@ func (h *learnHistory) roll() {
 	h.haveCur = true
 }
 
-// ID returns the session's JSON id: its handle, printed.
-func (s *Session) ID() string { return s.id }
+// ID returns the session's JSON id: its handle, printed on demand, so a
+// session stores no string.
+func (s *Session) ID() string { return sessionID(s.handle) }
 
 // Handle returns the session's numeric identity — what the binary protocol
 // carries, so the hot path never formats or hashes strings, and what the
@@ -481,8 +505,10 @@ func (s *Session) DecideSeq(seq uint64, obs []Observation, levels []int) (replay
 			replaySeq = s.lastSeq - uint64(s.lastPeriods) + 1
 		}
 		switch {
-		case s.lastPeriods > 0 && seq == replaySeq && periods == s.lastPeriods && len(levels) == len(s.lastLevels):
-			copy(levels, s.lastLevels)
+		case s.lastPeriods > 0 && seq == replaySeq && periods == int(s.lastPeriods) && len(levels) == len(s.lastLevels):
+			for i, l := range s.lastLevels {
+				levels[i] = int(l)
+			}
 			srv.decidesDeduped.Add(1)
 			return true, nil
 		case seq != s.lastSeq+1:
@@ -492,8 +518,14 @@ func (s *Session) DecideSeq(seq uint64, obs []Observation, levels []int) (replay
 	s.decideLocked(obs, levels)
 	if seq != 0 {
 		s.lastSeq = seq + uint64(periods) - 1
-		s.lastPeriods = periods
-		s.lastLevels = append(s.lastLevels[:0], levels...)
+		s.lastPeriods = uint32(periods)
+		if cap(s.lastLevels) < len(levels) {
+			s.lastLevels = make([]uint8, len(levels))
+		}
+		s.lastLevels = s.lastLevels[:len(levels)]
+		for i, l := range levels {
+			s.lastLevels[i] = uint8(l)
+		}
 	}
 	return false, nil
 }
@@ -591,7 +623,7 @@ func nanotime() int64 { return time.Now().UnixNano() }
 
 // Reward records a device-reported reward without retry deduplication —
 // the legacy unsequenced path, equivalent to RewardSeq(0, r).
-func (s *Session) Reward(r float64) (SessionStats, error) {
+func (s *Session) Reward(r float64) (wire.Stats, error) {
 	return s.RewardSeq(0, r)
 }
 
@@ -603,15 +635,17 @@ func (s *Session) Reward(r float64) (SessionStats, error) {
 // a replay of the last applied one, which returns the current ledger and
 // applies nothing. Any other seq fails with ErrBadSeq. Without this, a
 // client retry after a lost ack double-counts rewardSum and
-// serve_rewards_total, and would double-apply live Q-updates.
-func (s *Session) RewardSeq(seq uint64, r float64) (SessionStats, error) {
+// serve_rewards_total, and would double-apply live Q-updates. The ledger
+// it answers is the wire's, with no id: nothing on the reward path
+// formats one.
+func (s *Session) RewardSeq(seq uint64, r float64) (wire.Stats, error) {
 	if math.IsNaN(r) || math.IsInf(r, 0) {
-		return SessionStats{}, fmt.Errorf("%w: non-finite reward %v", ErrBadRequest, r)
+		return wire.Stats{}, fmt.Errorf("%w: non-finite reward %v", ErrBadRequest, r)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return SessionStats{}, ErrSessionClosed
+		return wire.Stats{}, ErrSessionClosed
 	}
 	s.lastActive.Store(nanotime())
 	if seq != 0 {
@@ -620,7 +654,7 @@ func (s *Session) RewardSeq(seq uint64, r float64) (SessionStats, error) {
 			s.srv.rewardsDeduped.Add(1)
 			return s.statsLocked(), nil
 		case seq != s.lastRewardSeq+1:
-			return SessionStats{}, fmt.Errorf("%w: reward seq %d, expected %d or replay of %d",
+			return wire.Stats{}, fmt.Errorf("%w: reward seq %d, expected %d or replay of %d",
 				ErrBadSeq, seq, s.lastRewardSeq+1, s.lastRewardSeq)
 		}
 		s.lastRewardSeq = seq
@@ -633,14 +667,17 @@ func (s *Session) RewardSeq(seq uint64, r float64) (SessionStats, error) {
 }
 
 // Stats returns the session ledger.
-func (s *Session) Stats() SessionStats {
+func (s *Session) Stats() wire.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.statsLocked()
 }
 
-func (s *Session) statsLocked() SessionStats {
-	st := SessionStats{ID: s.id, Decisions: s.decisions, Rewards: s.rewards, Epsilon: s.eps}
+func (s *Session) statsLocked() wire.Stats {
+	st := wire.Stats{Decisions: s.decisions, Rewards: s.rewards}
+	if s.explorer != nil {
+		st.Epsilon = s.eps
+	}
 	if s.rewards > 0 {
 		st.MeanReward = s.rewardSum / float64(s.rewards)
 	}
@@ -1184,13 +1221,9 @@ func (s *Server) CreateSession(opts SessionOptions) (*Session, error) {
 		return nil, ErrServerClosed
 	}
 	s.nextID++
-	sess := &Session{
-		id:         sessionID(s.nextID),
-		handle:     s.nextID,
-		srv:        s,
-		explorer:   newExplorer(opts),
-		prevDemand: make([]float64, s.model.Clusters()),
-	}
+	sess := newSession(newExplorer(opts))
+	sess.handle, sess.srv = s.nextID, s
+	sess.prevDemand = make([]float64, s.model.Clusters())
 	s.initLearnState(sess, opts.Cohort)
 	sess.lastActive.Store(nanotime())
 	s.handles[sess.handle] = sess
@@ -1251,14 +1284,15 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 			return nil, fmt.Errorf("%w: resume cluster %d level %d out of [0,%d)", ErrBadRequest, i, lvl, s.model.levels[i])
 		}
 	}
-	var r *rng.Rand
+	e := explorer{eps: st.Epsilon, epsMin: st.Options.EpsilonMin, epsDecay: st.Options.EpsilonDecay}
 	if st.Rng == ([4]uint64{}) {
-		r = rng.New(st.Options.Seed)
+		e.r.Seed(st.Options.Seed)
 	} else {
-		var err error
-		if r, err = rng.NewFromState(st.Rng); err != nil {
+		r, err := rng.NewFromState(st.Rng)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
+		e.r = *r
 	}
 
 	s.mu.Lock()
@@ -1267,22 +1301,18 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 		return nil, ErrServerClosed
 	}
 	s.nextID++
-	sess := &Session{
-		id:         sessionID(s.nextID),
-		handle:     s.nextID,
-		srv:        s,
-		explorer:   explorer{eps: st.Epsilon, epsMin: st.Options.EpsilonMin, epsDecay: st.Options.EpsilonDecay, r: *r},
-		prevDemand: append([]float64(nil), st.PrevDemand...),
-		lastSeq:    st.Seq,
-		lastLevels: append([]int(nil), st.LastLevels...),
-		decisions:  st.Decisions,
-		rewards:    st.Rewards,
-		rewardSum:  st.RewardSum,
-		// The client's acked-reward count doubles as its reward sequence
-		// cursor, so an in-flight reward retry still deduplicates across
-		// the restart — same trick as Seq/LastLevels for decides.
-		lastRewardSeq: st.Rewards,
+	sess := newSession(e)
+	sess.handle, sess.srv = s.nextID, s
+	sess.prevDemand = append([]float64(nil), st.PrevDemand...)
+	sess.lastSeq = st.Seq
+	for _, lvl := range st.LastLevels { // each checked against its cluster above
+		sess.lastLevels = append(sess.lastLevels, uint8(lvl))
 	}
+	sess.decisions, sess.rewards, sess.rewardSum = st.Decisions, st.Rewards, st.RewardSum
+	// The client's acked-reward count doubles as its reward sequence
+	// cursor, so an in-flight reward retry still deduplicates across the
+	// restart — same trick as Seq/LastLevels for decides.
+	sess.lastRewardSeq = st.Rewards
 	s.initLearnState(sess, st.Options.Cohort)
 	// Resume state carries only the last period's decision, so the replay
 	// window re-opens as a one-period frame at Seq regardless of how many
@@ -1332,8 +1362,9 @@ func (s *Server) SessionByHandleEpoch(h uint64, epoch uint32) (*Session, error) 
 	return sess, nil
 }
 
-// CloseSessionByHandle ends a session addressed by its binary handle.
-func (s *Server) CloseSessionByHandle(h uint64) (SessionStats, error) {
+// CloseSessionByHandle ends a session addressed by its binary handle and
+// answers its final ledger.
+func (s *Server) CloseSessionByHandle(h uint64) (wire.Stats, error) {
 	s.mu.Lock()
 	sess, ok := s.handles[h]
 	if ok {
@@ -1341,12 +1372,12 @@ func (s *Server) CloseSessionByHandle(h uint64) (SessionStats, error) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		return SessionStats{}, ErrNoSession
+		return wire.Stats{}, ErrNoSession
 	}
 	return s.finishClose(sess), nil
 }
 
-func (s *Server) finishClose(sess *Session) SessionStats {
+func (s *Server) finishClose(sess *Session) wire.Stats {
 	sess.mu.Lock()
 	sess.closed = true
 	st := sess.statsLocked()
