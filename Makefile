@@ -12,8 +12,10 @@ GO ?= go
 # one request value, which must stay off the heap), over the device
 # session's refusal of malformed answers, over the binary fronts' window
 # pins, since every request frame of a connection shares its window
-# state, and over the server session's diet: its live heap, its
-# allocations up to the first answer and its byte-wide replay cache.
+# state, over the server session's diet: its live heap, its
+# allocations up to the first answer and its byte-wide replay cache, and
+# over the binary client's send side: concurrent calls sharing one write,
+# and a warmed open borrowing its call scratch.
 check: fmt vet build test race
 
 build:
@@ -39,7 +41,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel|OpenSessionAllocs|SharesWrite' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

@@ -27,9 +27,14 @@
 // Output is byte-identical at every -parallel setting: evaluation cells
 // fan out over internal/bench/engine but merge in canonical order, and
 // each cell owns its deterministic RNG streams.
+//
+// Exit status is 0 on success (also for -h), 1 when an experiment, a
+// profile or the CSV file fails, and 2 on a usage error: a bad flag or an
+// unknown -exp.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,25 +48,42 @@ import (
 	"rlpm/internal/bench"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment id: "+strings.Join(bench.ExperimentIDs(), ",")+",all")
-		quick    = flag.Bool("quick", false, "shrink runs ~10x for smoke testing")
-		csvPath  = flag.String("csv", "", "write figure series (f2/f4) as CSV to this path")
-		dur      = flag.Float64("duration", 0, "override evaluated seconds per scenario")
-		eps      = flag.Int("episodes", 0, "override RL training episodes")
-		seed     = flag.Uint64("seed", 0, "override scenario/exploration seed")
-		parallel = flag.Int("parallel", 0, "experiment-engine workers (0 = GOMAXPROCS, 1 = serial)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this path at exit")
-		trcPath  = flag.String("trace", "", "write a runtime execution trace to this path")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProfiling, err := startProfiling(*cpuProf, *memProf, *trcPath)
+// run executes one pmbench invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(bench.ExperimentIDs(), ",")+",all")
+		quick    = fs.Bool("quick", false, "shrink runs ~10x for smoke testing")
+		csvPath  = fs.String("csv", "", "write figure series (f2/f4) as CSV to this path")
+		dur      = fs.Float64("duration", 0, "override evaluated seconds per scenario")
+		eps      = fs.Int("episodes", 0, "override RL training episodes")
+		seed     = fs.Uint64("seed", 0, "override scenario/exploration seed")
+		parallel = fs.Int("parallel", 0, "experiment-engine workers (0 = GOMAXPROCS, 1 = serial)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this path at exit")
+		trcPath  = fs.String("trace", "", "write a runtime execution trace to this path")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	ids := bench.ExperimentIDs()
+	if *exp != "all" {
+		if _, err := bench.ExperimentByID(*exp); err != nil {
+			fmt.Fprintln(stderr, "pmbench:", err)
+			return 2
+		}
+		ids = []string{*exp}
+	}
+
+	stopProfiling, err := startProfiling(*cpuProf, *memProf, *trcPath, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pmbench:", err)
+		return 1
 	}
 	defer stopProfiling()
 
@@ -78,16 +100,16 @@ func main() {
 		opt.Seed = *seed
 	}
 
-	if err := run(*exp, opt, *csvPath, os.Stdout); err != nil {
-		stopProfiling()
-		fmt.Fprintln(os.Stderr, "pmbench:", err)
-		os.Exit(1)
+	if err := runExperiments(ids, opt, *csvPath, stdout); err != nil {
+		fmt.Fprintln(stderr, "pmbench:", err)
+		return 1
 	}
+	return 0
 }
 
 // startProfiling wires the requested profilers up and returns an
 // idempotent stop function that flushes them.
-func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
+func startProfiling(cpuPath, memPath, tracePath string, stderr io.Writer) (func(), error) {
 	var stops []func()
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
@@ -121,13 +143,13 @@ func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
 		stops = append(stops, func() {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmbench:", err)
+				fmt.Fprintln(stderr, "pmbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize up-to-date allocation statistics
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "pmbench:", err)
+				fmt.Fprintln(stderr, "pmbench:", err)
 			}
 		})
 	}
@@ -143,11 +165,9 @@ func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
 	}, nil
 }
 
-func run(exp string, opt bench.Options, csvPath string, w io.Writer) error {
-	ids := []string{exp}
-	if exp == "all" {
-		ids = bench.ExperimentIDs()
-	}
+// runExperiments runs the experiments ids in order, writing each one's
+// text and wall time to w.
+func runExperiments(ids []string, opt bench.Options, csvPath string, w io.Writer) error {
 	for _, id := range ids {
 		start := time.Now()
 		if err := runOne(id, opt, csvPath, w); err != nil {
@@ -179,6 +199,9 @@ func runOne(id string, opt bench.Options, csvPath string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	return f.WriteCSV(out)
+	err = f.WriteCSV(out)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,6 +1,7 @@
 // Command pmtrain trains the RL power-management policy on a scenario and
 // saves the learned Q-tables to disk; it can also evaluate a saved policy,
-// on the training scenario or any other.
+// on the training scenario or any other. A saved policy is a checkpoint
+// (core.EncodeCheckpoint), the file pmserve -checkpoint serves.
 //
 // Training progress is tracked through an obs registry — per-episode
 // reward (negated energy/QoS), mean exploration rate, and mean TD-error
@@ -130,13 +131,11 @@ func (o options) train(w io.Writer) error {
 
 	var snap core.Snapshot
 	if o.load != "" {
-		f, err := os.Open(o.load)
+		raw, err := os.ReadFile(o.load)
 		if err != nil {
 			return err
 		}
-		snap, err = core.ReadSnapshot(f)
-		f.Close()
-		if err == nil {
+		if snap, err = core.DecodeCheckpointBytes(raw); err == nil {
 			err = fitsChip(snap, chip)
 		}
 		if err != nil {
@@ -196,7 +195,7 @@ func (o options) train(w io.Writer) error {
 		fmt.Fprintf(w, "wrote metrics to %s\n", o.metrics)
 	}
 	if o.out != "" {
-		if err := writeFile(o.out, snap.Encode); err != nil {
+		if err := writeFile(o.out, snap.EncodeCheckpoint); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "saved policy to %s\n", o.out)

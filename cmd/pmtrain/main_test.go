@@ -6,10 +6,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rlpm/internal/core"
+	"rlpm/internal/serve"
 )
 
 // runPmtrain runs one invocation and returns its exit status and output.
@@ -31,7 +33,7 @@ func TestExitCodes(t *testing.T) {
 	for s := range table {
 		table[s] = make([]float64, 8)
 	}
-	if err := writeFile(narrow, core.Snapshot{State: cfg.State, Tables: [][][]float64{table}}.Encode); err != nil {
+	if err := writeFile(narrow, core.Snapshot{State: cfg.State, Tables: [][][]float64{table}}.EncodeCheckpoint); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -94,5 +96,31 @@ func TestLoadEvaluatesWhatTrainingReported(t *testing.T) {
 				t.Fatalf("-load evaluated the saved policy differently:\nload:  %s\ntrain: %s", got, want)
 			}
 		})
+	}
+}
+
+// TestSavedPolicyServes pins the one policy file format: the policy
+// pmtrain -o saves is a checkpoint that serve.LoadModel, pmserve
+// -checkpoint's loader, accepts, and the model it builds holds the
+// tables pmtrain -load evaluates.
+func TestSavedPolicyServes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.policy")
+	if code, _, stderr := runPmtrain("-episodes", "1", "-duration", "2", "-o", path); code != 0 {
+		t.Fatalf("train exited %d: %s", code, stderr)
+	}
+	m, err := serve.LoadModel(path, core.DefaultConfig())
+	if err != nil {
+		t.Fatalf("serve.LoadModel on pmtrain -o output: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := core.DecodeCheckpointBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Snapshot(), saved) {
+		t.Fatal("the served model's tables differ from the saved policy's")
 	}
 }

@@ -10,15 +10,13 @@ import (
 	"math"
 )
 
-// Checkpoint format: the durable, versioned image of a trained policy that
-// the serving layer (internal/serve, cmd/pmserve) persists and restores.
-// Unlike the gob-based Encode/ReadSnapshot pair — which is convenient for
-// same-binary round trips but has no integrity protection and no version
-// negotiation — the checkpoint codec is a fixed little-endian layout with a
-// magic, an explicit version, and a trailing CRC32, so a serving fleet can
-// reject a truncated upload, a bit-rotted disk block, or a file written by
-// an incompatible release with a typed error instead of serving garbage
-// Q-values.
+// Checkpoint format: the durable, versioned image of a trained policy —
+// the one policy file format: pmtrain saves and loads it, and the serving
+// layer (internal/serve, cmd/pmserve) persists and restores it. It is a
+// fixed little-endian layout with a magic, an explicit version, and a
+// trailing CRC32, so a loader can reject a truncated upload, a bit-rotted
+// disk block, or a file written by an incompatible release with a typed
+// error instead of serving garbage Q-values.
 //
 // Layout (all integers little-endian):
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"rlpm/internal/sim"
@@ -276,6 +277,8 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotEncodeDecode round-trips a trained policy's snapshot
+// through the checkpoint codec, the one policy file format.
 func TestSnapshotEncodeDecode(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	for i := 0; i < 500; i++ {
@@ -283,10 +286,10 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	}
 	snap, _ := p.Snapshot()
 	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
+	if err := snap.EncodeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, err := DecodeCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +307,9 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestReadSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewBufferString("not a gob")); err == nil {
-		t.Fatal("garbage snapshot accepted")
+func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
+	if _, err := DecodeCheckpoint(bytes.NewBufferString("not a checkpoint, but longer than its header")); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("garbage snapshot: %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

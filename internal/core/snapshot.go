@@ -1,14 +1,11 @@
 package core
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Snapshot is a serializable image of a trained policy: one Q-table per
 // cluster plus the state configuration it was trained with, so a loader
-// can reject incompatible shapes.
+// can reject incompatible shapes. Its one file format is the checkpoint
+// codec (EncodeCheckpoint, DecodeCheckpoint).
 type Snapshot struct {
 	State  StateConfig
 	Tables [][][]float64 // [cluster][state][action]
@@ -60,18 +57,4 @@ func PolicyFromSnapshot(cfg Config, snap Snapshot) (*Policy, error) {
 		p.agents[i] = a
 	}
 	return p, nil
-}
-
-// Encode serializes the snapshot to w.
-func (s Snapshot) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// ReadSnapshot deserializes a snapshot written by WriteTo.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	return s, nil
 }

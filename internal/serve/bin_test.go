@@ -674,3 +674,112 @@ func TestBinClientAllocs(t *testing.T) {
 		t.Errorf("RemoteSession.Reward over the binary wire allocates %v times per call, want 0", n)
 	}
 }
+
+// TestBinOpenSessionAllocs pins a warmed binary open, client and server
+// together in one process: the call scratch is borrowed from the client,
+// so an open allocates its session, its mirror, its shape and its id on
+// the client and its session on the server, and no channel, timer or
+// frame buffer.
+func TestBinOpenSessionAllocs(t *testing.T) {
+	srv := newTestServer(t, testModel(t, 3, 5), nil, Config{})
+	c := NewBinClient(startBinServer(t, srv))
+	defer c.Close()
+	ctx := context.Background()
+	open := func() {
+		if _, err := c.OpenSession(ctx, SessionOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		open()
+	}
+	if n := testing.AllocsPerRun(100, open); n > 8 {
+		t.Errorf("a warmed binary OpenSession allocates %v times in process, want at most 8", n)
+	}
+}
+
+// TestBinClientSharesWrite pins the combining send side over net.Pipe,
+// whose writes block until the far end reads them and whose reads each
+// return the bytes of one write. While the first caller's write is
+// blocked, N more callers and a window's Start append their frames, and
+// the window's Flush returns at once; all N+1 frames then leave in
+// exactly one following write.
+func TestBinClientSharesWrite(t *testing.T) {
+	const n = 8
+	end, far := net.Pipe()
+	defer far.Close()
+	far.SetDeadline(time.Now().Add(30 * time.Second))
+	c := NewBinClient("pipe")
+	c.SetCallTimeout(time.Minute)
+	c.mc = newMuxConn(end)
+	defer c.Close()
+	ctx := context.Background()
+	frameLen := len(wire.FinishFrame(wire.AppendCreateReq(wire.BeginFrame(nil), optionsToWire(SessionOptions{})), wire.TCreate, 1))
+	pendingBytes := func(flushing bool, want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.mc.wmu.Lock()
+			got, fl := len(c.mc.out), c.mc.flushing
+			c.mc.wmu.Unlock()
+			if got == want && fl == flushing {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d bytes pending (flushing %v), want %d (flushing %v)", got, fl, want, flushing)
+			}
+		}
+	}
+	errs := make(chan error, n+1)
+	call := func() {
+		var b BinCaller
+		_, err := b.Call(ctx, c, &FrontReq{Type: wire.TCreate})
+		errs <- err
+	}
+
+	go call()
+	pendingBytes(true, 0) // the first caller took its frame into its write
+	for i := 0; i < n; i++ {
+		go call()
+	}
+	var w BinCaller
+	w.Start(c, &FrontReq{Type: wire.TCreate})
+	pendingBytes(true, (n+1)*frameLen)
+	flushed := make(chan struct{})
+	go func() { c.Flush(); close(flushed) }()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush waited for the write in progress")
+	}
+
+	buf := make([]byte, 64<<10)
+	var answers []byte
+	for i, want := range []int{1, n + 1} {
+		k, err := far.Read(buf)
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if k != want*frameLen {
+			t.Fatalf("write %d carried %d bytes, want %d frames of %d", i, k, want, frameLen)
+		}
+		for p := buf[:k]; len(p) > 0; p = p[frameLen:] {
+			h, err := wire.ParseHeader(p)
+			if err != nil || h.Type != wire.TCreate {
+				t.Fatalf("write %d: frame type %d, %v", i, h.Type, err)
+			}
+			ok := wire.AppendCreateOK(wire.BeginFrame(nil), uint64(h.ReqID), 1, []int{3})
+			answers = append(answers, wire.FinishFrame(ok, wire.TCreateOK, h.ReqID)...)
+		}
+	}
+	if _, err := far.Write(answers); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n+1; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
+	}
+	if _, err := w.Await(ctx); err != nil {
+		t.Errorf("window call: %v", err)
+	}
+}

@@ -2,17 +2,17 @@
 //
 // Every binary-protocol call makes its attempts through a BinCaller: one
 // frame out, one frame back, typed errors through the error table, no
-// mirror, no retries. A binary RemoteSession owns one and wraps its
-// attempts in the mirror's retry/resume loop — exactly what a device
-// wants and exactly what a *router* must not do: the router forwards calls on behalf of
-// remote devices whose clients already run the retry/resume machinery, so
-// a middle tier that retried too would double the recovery logic and hide
-// shard failures the device needs to see (an unknown-session answer is the
-// handoff signal). All scratch, including the call's rendezvous with the
-// connection's reader, lives in the caller, so a router can keep one
-// BinCaller per forward in flight and stay allocation-free; a call can be
-// started and awaited in two halves, so one goroutine can keep many
-// forwards in flight.
+// mirror, no retries. A binary RemoteSession borrows one from its client
+// for each attempt and wraps its attempts in the mirror's retry/resume
+// loop — exactly what a device wants and exactly what a *router* must not
+// do: the router forwards calls on behalf of remote devices whose clients
+// already run the retry/resume machinery, so a middle tier that retried
+// too would double the recovery logic and hide shard failures the device
+// needs to see (an unknown-session answer is the handoff signal). All
+// scratch, including the call's rendezvous with the connection's reader,
+// lives in the caller, so a router can keep one BinCaller per forward in
+// flight and stay allocation-free; a call can be started and awaited in
+// two halves, so one goroutine can keep many forwards in flight.
 package serve
 
 import (
@@ -41,21 +41,21 @@ type BinCaller struct {
 	call muxCall
 }
 
-// Start writes req's frame into c's connection buffer without flushing
-// it, and starts its deadline: a window starts many forwards, flushes each
+// Start appends req's frame to c's pending bytes without sending them,
+// and starts its deadline: a window starts many forwards, flushes each
 // client it touched once (BinClient.Flush), then awaits them in order.
 // Every Start must be followed by its Await before the caller's next call.
 func (b *BinCaller) Start(c *BinClient, req *FrontReq) { b.start(c, req, false) }
 
-// Call is one whole call: req's frame, flushed last-writer-out so
-// concurrent callers on c coalesce their writes, then its answer.
+// Call is one whole call: req's frame, sent at once in one write shared
+// with the concurrent callers on c, then its answer.
 func (b *BinCaller) Call(ctx context.Context, c *BinClient, req *FrontReq) (FrontAns, error) {
 	b.start(c, req, true)
 	return b.Await(ctx)
 }
 
-// start encodes req under a fresh request id and writes it into c's
-// connection buffer, flushing last-writer-out when flush is set.
+// start encodes req under a fresh request id and appends it to c's
+// pending bytes, sending them at once when flush is set.
 func (b *BinCaller) start(c *BinClient, req *FrontReq, flush bool) {
 	b.typ = req.Type
 	p := wire.BeginFrame(b.wbuf)

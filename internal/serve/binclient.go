@@ -1,9 +1,11 @@
 // Binary-protocol client: the wire-frame counterpart of Client. All
 // sessions multiplex one persistent TCP connection — requests are tagged
 // with a client-unique id, a single reader goroutine dispatches responses
-// back to the waiting callers, and concurrent writers coalesce their
-// flushes — so a fleet of device sessions shares warm buffers and amortizes
-// syscalls instead of paying dial, handshake, or HTTP framing per decision.
+// back to the waiting callers, and concurrent calls share one write: a
+// call appends its frame to the connection's pending bytes, and the one
+// caller that finds no write in progress sends them all — so a fleet of
+// device sessions amortizes syscalls instead of paying dial, handshake, or
+// HTTP framing per decision.
 //
 // The client is self-healing: a transport failure fails every in-flight
 // call fast with ErrConnLost, the next attempt redials, and each session
@@ -21,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +44,12 @@ type BinClient struct {
 	mu     sync.Mutex
 	mc     *muxConn
 	closed bool
+
+	// The call scratch of sessions' attempts, idle between attempts. Not a
+	// sync.Pool: the race runtime drops pooled entries at random, and a
+	// warmed session must not allocate its scratch again.
+	fmu  sync.Mutex
+	free []*BinCaller
 
 	dials atomic.Uint64 // connections established (first dial + redials)
 }
@@ -111,15 +121,19 @@ func (c *BinClient) conn() (*muxConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	c.mc = newMuxConn(conn)
+	return c.mc, nil
+}
+
+// newMuxConn shares conn among the client's calls and starts its reader.
+func newMuxConn(conn net.Conn) *muxConn {
 	mc := &muxConn{
 		c:       conn,
 		br:      bufio.NewReaderSize(conn, 64<<10),
-		bw:      bufio.NewWriterSize(conn, 64<<10),
 		pending: make(map[uint32]*muxCall),
 	}
 	go mc.readLoop()
-	c.mc = mc
-	return mc, nil
+	return mc
 }
 
 // Connected reports whether the client holds a live connection, so a call
@@ -130,17 +144,18 @@ func (c *BinClient) Connected() bool {
 	return !c.closed && c.mc != nil && !c.mc.broken()
 }
 
-// muxConn is the shared connection: a writer side coalescing concurrent
-// frames into batched flushes and a reader goroutine dispatching response
-// frames to pending calls by request id.
+// muxConn is the shared connection: a send side where concurrent calls
+// share one write and a reader goroutine dispatching response frames to
+// pending calls by request id.
 type muxConn struct {
 	c     net.Conn
 	br    *bufio.Reader
 	reqID atomic.Uint32
 
-	wmu   sync.Mutex // guards bw
-	bw    *bufio.Writer
-	wwait atomic.Int32 // writers queued behind wmu; last one out flushes
+	wmu      sync.Mutex // guards out, spare and flushing
+	out      []byte     // frames appended and not yet handed to a write
+	spare    []byte     // the last write's bytes, reused for the next batch
+	flushing bool       // a flusher owns the write; frames appended now ride it
 
 	pmu     sync.Mutex
 	pending map[uint32]*muxCall
@@ -150,7 +165,7 @@ type muxConn struct {
 // muxCall is one in-flight request's rendezvous, owned by its BinCaller
 // and reused for each of the caller's calls: the response payload is
 // copied into the call's own buffer so the reader can move on to the next
-// frame while the caller decodes. A call runs in two halves — start writes
+// frame while the caller decodes. A call runs in two halves — start sends
 // the frame and arms the deadline, await collects the answer — so a
 // caller can start many calls before it waits on any of them.
 type muxCall struct {
@@ -237,12 +252,14 @@ func (mc *muxConn) readLoop() {
 }
 
 // start registers call as the pending rendezvous for reqID, arms its
-// deadline, and writes the frame in wbuf (its request id must be reqID)
-// into the connection buffer. The deadline starts before the write, so the
-// calls a caller starts back to back all expire within one timeout of each
-// other however long it takes to await them. With flush set the last
-// writer out flushes; without it the frame waits in the buffer for the
-// caller's Flush. A failure is kept in call.err for await.
+// deadline, and appends the frame in wbuf (its request id must be reqID)
+// to the connection's pending bytes. The deadline starts before the frame
+// is sent, so the calls a caller starts back to back all expire within one
+// timeout of each other however long it takes to await them. With flush
+// set the frame is sent now, in this caller's write or in the write in
+// progress; without it the frame waits for the caller's Flush. A failure
+// is kept in call.err for await; a failed write reaches every pending
+// call through the connection's fail.
 func (c *BinClient) start(mc *muxConn, call *muxCall, wbuf []byte, reqID uint32, flush bool) {
 	call.init()
 	call.mc, call.reqID, call.timeout, call.err = mc, reqID, c.timeout, nil
@@ -256,46 +273,59 @@ func (c *BinClient) start(mc *muxConn, call *muxCall, wbuf []byte, reqID uint32,
 	mc.pmu.Unlock()
 
 	call.timer.Reset(c.timeout)
-	// Last writer out flushes: while another writer is queued behind the
-	// lock the buffered bytes ride its (or a later) flush, so back-to-back
-	// requests from many sessions coalesce into one syscall. A start
-	// without flush never counts as queued, so it holds back no one's
-	// flush.
-	if flush {
-		mc.wwait.Add(1)
-	}
-	mc.wmu.Lock()
-	if flush {
-		mc.wwait.Add(-1)
-	}
-	_, err := mc.bw.Write(wbuf)
-	if err == nil && flush && mc.wwait.Load() == 0 {
-		err = mc.bw.Flush()
-	}
-	mc.wmu.Unlock()
-	if err != nil {
-		stopTimer(call.timer)
-		err = fmt.Errorf("%w: write: %v", ErrConnLost, err)
-		mc.fail(err)
-		call.err = call.reap(err)
-	}
+	mc.send(wbuf, flush, true)
 }
 
-// Flush writes out the frames buffered on the live connection: the calls
-// started without a flush leave only once it (or another writer's flush)
-// runs. A failed flush fails every call pending on the connection.
+// send appends frame to the pending bytes. With flush set, a caller that
+// finds a flush in progress leaves at once, since the flusher sends
+// everything pending before it stops; a caller that finds none becomes
+// the flusher. A flusher that may yield does so once first, so the
+// callers woken behind it append their frames to its batch (grpc-go's
+// loopy writer yields the same way before it flushes a small batch).
+// Then it sends all pending bytes in one write, and repeats until nothing
+// is pending. A failed write fails the connection, and every call pending
+// on it.
+func (mc *muxConn) send(frame []byte, flush, yield bool) {
+	mc.wmu.Lock()
+	mc.out = append(mc.out, frame...)
+	if !flush || mc.flushing {
+		mc.wmu.Unlock()
+		return
+	}
+	mc.flushing = true
+	if yield {
+		mc.wmu.Unlock()
+		runtime.Gosched()
+		mc.wmu.Lock()
+	}
+	for len(mc.out) > 0 {
+		batch := mc.out
+		mc.out = mc.spare[:0]
+		mc.wmu.Unlock()
+		_, err := mc.c.Write(batch)
+		if err != nil {
+			mc.fail(fmt.Errorf("%w: write: %v", ErrConnLost, err))
+		}
+		mc.wmu.Lock()
+		mc.spare = batch
+		if err != nil {
+			mc.out = mc.out[:0] // their calls failed with the connection
+		}
+	}
+	mc.flushing = false
+	mc.wmu.Unlock()
+}
+
+// Flush sends the frames pending on the live connection: the calls
+// started without a flush leave only once it (or another caller's flush)
+// runs. It does not yield, because a window's frames are already its
+// batch. A failed write fails every call pending on the connection.
 func (c *BinClient) Flush() {
 	c.mu.Lock()
 	mc := c.mc
 	c.mu.Unlock()
-	if mc == nil {
-		return
-	}
-	mc.wmu.Lock()
-	err := mc.bw.Flush()
-	mc.wmu.Unlock()
-	if err != nil {
-		mc.fail(fmt.Errorf("%w: write: %v", ErrConnLost, err))
+	if mc != nil {
+		mc.send(nil, true, false)
 	}
 }
 
@@ -391,9 +421,25 @@ func (c *BinClient) OpenSession(ctx context.Context, opts SessionOptions) (*Remo
 	return openSession(ctx, c, opts)
 }
 
-// attempt sends req as one frame through the session's BinCaller.
-func (c *BinClient) attempt(ctx context.Context, s *RemoteSession, req FrontReq) (FrontAns, error) {
-	return s.call.Call(ctx, c, &req)
+// attempt sends req as one frame through call scratch borrowed from the
+// client's free list, and copies the answer's slices out before the
+// scratch goes back, so a session owns no channel or timer of its own.
+func (c *BinClient) attempt(ctx context.Context, _ *RemoteSession, req FrontReq) (FrontAns, error) {
+	c.fmu.Lock()
+	var b *BinCaller
+	if n := len(c.free); n > 0 {
+		b, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		b = new(BinCaller)
+	}
+	c.fmu.Unlock()
+	ans, err := b.Call(ctx, c, &req)
+	ans.Info.NumLevels = slices.Clone(ans.Info.NumLevels)
+	ans.Levels = slices.Clone(ans.Levels)
+	c.fmu.Lock()
+	c.free = append(c.free, b)
+	c.fmu.Unlock()
+	return ans, err
 }
 
 func (c *BinClient) policy() *retryPolicy { return c.pol }

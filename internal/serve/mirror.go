@@ -266,8 +266,9 @@ func (m *sessionMirror) resumeState() ResumeState {
 var errMalformedAnswer = errors.New("serve: malformed answer")
 
 // sessionClient is what a RemoteSession needs of the client it was opened
-// on: one attempt of a request, and the retry policy its calls run under.
-// BinClient and Client each supply the attempt of their transport.
+// on: one attempt of a request, whose answer's slices are the caller's own,
+// and the retry policy its calls run under. BinClient and Client each
+// supply the attempt of their transport.
 type sessionClient interface {
 	attempt(ctx context.Context, s *RemoteSession, req FrontReq) (FrontAns, error)
 	policy() *retryPolicy
@@ -294,10 +295,9 @@ type RemoteSession struct {
 	NumLevels []int
 	Epoch     uint32
 
-	closed bool // beside Epoch, so a session fits a 256-byte allocation
+	closed bool
 	c      sessionClient
 	mirror *sessionMirror
-	call   BinCaller // the binary client's attempts go out through it
 }
 
 // openSession creates a session over c. A create answered with no
@@ -312,7 +312,7 @@ func openSession(ctx context.Context, c sessionClient, opts SessionOptions) (*Re
 		return nil, fmt.Errorf("%w: session created with no clusters", errMalformedAnswer)
 	}
 	s.adopt(ans.Info)
-	s.NumLevels = append([]int(nil), ans.Info.NumLevels...)
+	s.NumLevels = ans.Info.NumLevels
 	s.mirror = newSessionMirror(opts, s.NumLevels)
 	return s, nil
 }
@@ -393,9 +393,8 @@ func (s *RemoteSession) DecideMany(ctx context.Context, obs []Observation) ([]in
 	if len(ans.Levels) != len(obs) {
 		return nil, fmt.Errorf("%w: %d levels for %d observations", errMalformedAnswer, len(ans.Levels), len(obs))
 	}
-	levels := append([]int(nil), ans.Levels...)
-	s.mirror.ackDecide(obs, levels)
-	return levels, nil
+	s.mirror.ackDecide(obs, ans.Levels)
+	return ans.Levels, nil
 }
 
 // Reward reports a device-computed reward. The request carries the
