@@ -13,9 +13,10 @@ GO ?= go
 # session's refusal of malformed answers, over the binary fronts' window
 # pins, since every request frame of a connection shares its window
 # state, over the server session's diet: its live heap, its
-# allocations up to the first answer and its byte-wide replay cache, and
-# over the binary client's send side: concurrent calls sharing one write,
-# and a warmed open borrowing its call scratch.
+# allocations up to the first answer and its byte-wide replay cache, over
+# the binary client's send side: concurrent calls sharing one write, and a
+# warmed open borrowing its call scratch, and over the fleet's mid-run
+# event schedule, whose controller and held devices share its gates.
 check: fmt vet build test race
 
 build:
@@ -41,7 +42,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel|OpenSessionAllocs|SharesWrite' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel|OpenSessionAllocs|SharesWrite|FleetEvents' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.
@@ -61,11 +62,10 @@ cover:
 	@$(GO) tool cover -func=coverage.out | tail -1 | \
 		awk -v floor=$(COVER_FLOOR) '{gsub(/%/, "", $$NF); if ($$NF+0 < floor) {printf "coverage %.1f%% below floor %.1f%%\n", $$NF, floor; exit 1}}'
 
-# bench measures the hot-path benchmark suite and writes the results as
-# machine-readable JSON (the numbers cited in README's Performance table).
-BENCH_OUT ?= BENCH_pr3.json
+# bench measures the hot-path benchmark suite (internal/bench/perf.go, the
+# kernels behind README's Performance table) with allocation counts.
 bench:
-	$(GO) run ./cmd/pmperf -out $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/bench
 
 # bench-smoke compiles and runs every benchmark exactly once — a fast CI
 # guard that the benchmark code itself stays green.

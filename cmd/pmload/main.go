@@ -57,11 +57,9 @@ func main() {
 
 // options is pmload's parsed command line.
 type options struct {
-	addr, binAddr, proto, scenario string
-	devices, periods               int
-	seed                           uint64
-	epsilon                        float64
-	quick                          bool
+	addr, binAddr, proto string
+	fleet                serve.FleetConfig // every mode's devices
+	quick                bool
 
 	chaosMode, shardChaos, learnMode bool
 	restart                          string
@@ -78,11 +76,11 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.addr, "addr", "", "remote mode: the target server's URL (pmserve or pmrouter)")
 	fs.StringVar(&o.binAddr, "bin-addr", "", "remote mode: the server's binary listener (host:port), required with -proto bin")
 	fs.StringVar(&o.proto, "proto", "json", "decision transport: json or bin")
-	fs.IntVar(&o.devices, "devices", 50, "simulated device count")
-	fs.IntVar(&o.periods, "periods", 200, "decisions per device")
-	fs.StringVar(&o.scenario, "scenario", "gaming", "workload scenario each device runs")
-	fs.Uint64Var(&o.seed, "seed", 1, "base seed for per-device workload/exploration streams")
-	fs.Float64Var(&o.epsilon, "epsilon", 0.2, "per-session exploration rate; 0 serves greedy sessions")
+	fs.IntVar(&o.fleet.Devices, "devices", 50, "simulated device count")
+	fs.IntVar(&o.fleet.Periods, "periods", 200, "decisions per device")
+	fs.StringVar(&o.fleet.Scenario, "scenario", "gaming", "workload scenario each device runs")
+	fs.Uint64Var(&o.fleet.Seed, "seed", 1, "base seed for per-device workload/exploration streams")
+	fs.Float64Var(&o.fleet.Epsilon, "epsilon", 0.2, "per-session exploration rate; 0 serves greedy sessions")
 	fs.BoolVar(&o.quick, "quick", true, "harness modes: train the served policy quickly")
 
 	fs.BoolVar(&o.chaosMode, "chaos", false, "run the chaos harness: inject faults, optionally restart the server mid-run, and verify zero lost/duplicated/changed decisions")
@@ -111,6 +109,10 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 		err = errors.New("pick a mode: -addr, -chaos, -shard-chaos or -learn")
 	case o.addr != "" && o.proto == "bin" && o.binAddr == "":
 		err = errors.New("-proto bin needs -bin-addr")
+	case o.shardChaos:
+		err = o.rebalanceConfig().Validate()
+	default:
+		err = o.fleet.Validate()
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "pmload:", err)
@@ -129,87 +131,43 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !o.learnMode && !o.chaosMode && !o.shardChaos {
-		return o.remoteFleet(ctx, o.fleet(), stdout, stderr)
+		return o.remoteFleet(ctx, stdout, stderr)
 	}
 	// The harness modes serve a policy trained here.
 	opt := bench.DefaultOptions()
 	opt.Quick = o.quick
-	opt.Seed = o.seed
-	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: o.scenario})
+	opt.Seed = o.fleet.Seed
+	model, _, err := bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: o.fleet.Scenario})
 	if err != nil {
 		fmt.Fprintln(stderr, "pmload:", err)
 		return 1
 	}
 	switch {
 	case o.learnMode:
-		return runLearn(model, o.learnConfig(), stdout, stderr)
+		return runLearn(model, serve.LearnLoadConfig{FleetConfig: o.fleet}, stdout, stderr)
 	case o.chaosMode:
-		return runChaos(ctx, model, o.chaosConfig(), stdout, stderr)
+		cfg := serve.ChaosConfig{FleetConfig: o.fleet, Proto: o.proto, Faults: o.faults, Restart: o.restart}
+		return runChaos(ctx, model, cfg, stdout, stderr)
 	default:
 		return runShardChaos(ctx, model, o.rebalanceConfig(), stdout, stderr)
 	}
 }
 
-// remoteRewardEvery is the remote fleet's reward cadence, the harnesses'
-// default.
-const remoteRewardEvery = 25
-
-func (o *options) fleet() serve.FleetConfig {
-	return serve.FleetConfig{
-		Devices:     o.devices,
-		Periods:     o.periods,
-		Seed:        o.seed,
-		Scenario:    o.scenario,
-		Epsilon:     o.epsilon,
-		RewardEvery: remoteRewardEvery,
-	}
-}
-
-func (o *options) chaosConfig() serve.ChaosConfig {
-	return serve.ChaosConfig{
-		Proto:    o.proto,
-		Devices:  o.devices,
-		Periods:  o.periods,
-		Seed:     o.seed,
-		Scenario: o.scenario,
-		Epsilon:  o.epsilon,
-		Faults:   o.faults,
-		Restart:  o.restart,
-	}
-}
-
+// rebalanceConfig is -shard-chaos's run: one remove and one add.
 func (o *options) rebalanceConfig() shard.RebalanceConfig {
-	cfg := shard.RebalanceConfig{
-		Proto:     o.proto,
-		Shards:    o.shards,
-		Devices:   o.devices,
-		Periods:   o.periods,
-		Seed:      o.seed,
-		Scenario:  o.scenario,
-		Epsilon:   o.epsilon,
-		Rebalance: true,
-		Kill:      o.kill,
-	}
+	cfg := shard.RebalanceConfig{FleetConfig: o.fleet, Proto: o.proto, Shards: o.shards, Rebalance: true, Kill: o.kill}
 	if o.shardFaults {
 		cfg.Faults = o.faults
 	}
 	return cfg
 }
 
-func (o *options) learnConfig() serve.LearnLoadConfig {
-	return serve.LearnLoadConfig{
-		Devices:  o.devices,
-		Periods:  o.periods,
-		Scenario: o.scenario,
-		Seed:     o.seed,
-		Epsilon:  o.epsilon,
-	}
-}
-
-// remoteFleet drives the fleet against a running server once it answers
-// /healthz. pmload does not know the served model, so the fleet is held
-// to the device and completeness invariants only.
-func (o *options) remoteFleet(ctx context.Context, cfg serve.FleetConfig, stdout, stderr io.Writer) int {
+// remoteFleet drives the fleet, on the harnesses' reward cadence, against
+// a running server once it answers /healthz. pmload does not know the
+// served model, so the fleet is held to the device and completeness
+// invariants only.
+func (o *options) remoteFleet(ctx context.Context, stdout, stderr io.Writer) int {
+	cfg := o.fleet.WithDefaults()
 	hc := serve.NewClient(o.addr)
 	defer hc.CloseIdleConnections()
 	if err := hc.WaitHealthy(ctx, 10*time.Second); err != nil {
@@ -223,7 +181,7 @@ func (o *options) remoteFleet(ctx context.Context, cfg serve.FleetConfig, stdout
 		open = bc.OpenSession
 	}
 	start := time.Now()
-	run := serve.RunFleet(ctx, cfg, open, nil)
+	run := serve.RunFleet(ctx, cfg, open)
 	elapsed := time.Since(start).Seconds()
 	failed := 0
 	for _, err := range run.Errs {

@@ -93,6 +93,13 @@ func TestUsageErrors(t *testing.T) {
 		{"-addr", "http://127.0.0.1:1", "-proto", "both"},
 		{"-nope"},
 		{},
+		{"-addr", "http://127.0.0.1:1", "-devices", "0", "-periods", "10"},
+		{"-addr", "http://127.0.0.1:1", "-devices", "2", "-periods", "0"},
+		{"-addr", "http://127.0.0.1:1", "-devices", "-1"},
+		{"-chaos", "-devices", "0"},
+		{"-shard-chaos", "-shards", "0"},
+		{"-shard-chaos", "-shards", "1"},
+		{"-learn", "-devices", "-2"},
 	} {
 		if code, _, _ := runPmload(context.Background(), args...); code != 2 {
 			t.Errorf("pmload %q exited %d, want 2", args, code)

@@ -211,12 +211,8 @@ type serverParams struct {
 // chosen backend, and assembles the server with the resilience config,
 // reporting what it loaded, trained and saved on stderr.
 func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
-	var (
-		model   *serve.Model
-		backend serve.Backend
-	)
+	var model *serve.Model
 	loadedCheckpoint := false
-	freshlyTrained := false
 	if p.checkpoint != "" {
 		if _, err := os.Stat(p.checkpoint); err == nil {
 			m, err := serve.LoadModel(p.checkpoint, core.DefaultConfig())
@@ -228,28 +224,7 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 			loadedCheckpoint = true
 		}
 	}
-	if model != nil {
-		switch p.backend {
-		case "", "sw":
-			backend = serve.NewSWBackend(model)
-		case "hw":
-			hwCfg := serve.DefaultHWBackendConfig()
-			if fc := faultConfig(p); fc != nil {
-				inj, err := fault.NewInjector(*fc)
-				if err != nil {
-					return nil, err
-				}
-				hwCfg.Injector = inj
-			}
-			var err error
-			backend, err = serve.NewHWBackend(model, hwCfg)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown backend %q", p.backend)
-		}
-	} else {
+	if model == nil {
 		opt := bench.DefaultOptions()
 		opt.Quick = p.quick
 		opt.Seed = p.seed
@@ -259,14 +234,31 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 		}
 		fmt.Fprintf(stderr, "pmserve: training on %q (%d episodes, quick=%v)...\n", p.scenario, opt.TrainEpisodes, opt.Quick)
 		var err error
-		model, backend, err = bench.TrainedServeModel(bench.ServeOptions{
-			Options: opt, Scenario: p.scenario, Backend: p.backend,
-			Fault: faultConfig(p),
-		})
+		model, _, err = bench.TrainedServeModel(bench.ServeOptions{Options: opt, Scenario: p.scenario})
 		if err != nil {
 			return nil, err
 		}
-		freshlyTrained = true
+	}
+
+	var backend serve.Backend
+	switch p.backend {
+	case "", "sw":
+		backend = serve.NewSWBackend(model)
+	case "hw":
+		hwCfg := serve.DefaultHWBackendConfig()
+		if fc := faultConfig(p); fc != nil {
+			inj, err := fault.NewInjector(*fc)
+			if err != nil {
+				return nil, err
+			}
+			hwCfg.Injector = inj
+		}
+		var err error
+		if backend, err = serve.NewHWBackend(model, hwCfg); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("unknown backend %q", p.backend)
 	}
 
 	if p.learn.Enabled && p.backend == "hw" {
@@ -281,7 +273,7 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 		return nil, err
 	}
 	switch {
-	case freshlyTrained && p.checkpoint != "":
+	case !loadedCheckpoint && p.checkpoint != "":
 		n, err := serve.SaveCheckpoint(p.checkpoint, srv.Model().Snapshot())
 		if err != nil {
 			srv.Close()

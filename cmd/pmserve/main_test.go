@@ -71,6 +71,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of pmserve"},
 		{"unknown backend", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-backend", "bogus"}, 1, `unknown backend "bogus"`},
+		{"unknown backend without checkpoint", []string{"-addr", "127.0.0.1:0", "-backend", "bogus"}, 1, `unknown backend "bogus"`},
 		{"learn on hw", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn", "-backend", "hw"}, 1, "-learn requires the sw backend"},
 		{"corrupt checkpoint", []string{"-addr", "127.0.0.1:0", "-checkpoint", corrupt}, 1, "corrupt checkpoint"},
 	} {

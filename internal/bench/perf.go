@@ -1,9 +1,9 @@
 package bench
 
-// Hot-path benchmark bodies. They live in a non-test file so cmd/pmperf
-// can drive them through testing.Benchmark and emit machine-readable
-// results (BENCH_pr3.json); perf_test.go wraps the same bodies as ordinary
-// Benchmark* functions for `go test -bench`.
+// Hot-path benchmark bodies, which perf_test.go wraps as Benchmark*
+// functions: `make bench` measures them with allocation counts, and `make
+// bench-smoke` runs each once. BENCH_pr3.json is the recorded run that
+// README's Performance tables cite.
 
 import (
 	"io"

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Hot-path benchmarks (bodies in perf.go, shared with cmd/pmperf).
+// Hot-path benchmarks (bodies in perf.go).
 
 func BenchmarkClusterStep(b *testing.B)  { BenchClusterStep(b) }
 func BenchmarkChipStepInto(b *testing.B) { BenchChipStepInto(b) }

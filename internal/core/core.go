@@ -287,9 +287,8 @@ type Agent struct {
 	lastAction      int
 	hasLast         bool
 
-	// lastReward and lastTD expose learning progress for Fig. 2.
-	lastReward float64
-	lastTD     float64
+	// lastTD exposes learning progress for Fig. 2.
+	lastTD float64
 }
 
 // NewAgent creates an agent for a cluster with numLevels OPPs.
@@ -326,9 +325,6 @@ func (a *Agent) NumActions() int { return a.numLevels }
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.eps }
 
-// LastReward returns the reward computed on the most recent step.
-func (a *Agent) LastReward() float64 { return a.lastReward }
-
 // LastTD returns the magnitude of the most recent temporal-difference
 // error, a convergence signal.
 func (a *Agent) LastTD() float64 { return a.lastTD }
@@ -364,7 +360,6 @@ func (a *Agent) Step(o sim.Observation) int {
 	a.prevDemandRatio = o.DemandRatio
 
 	reward := a.cfg.Reward(o)
-	a.lastReward = reward
 
 	var action int
 	switch a.algo {
@@ -500,5 +495,5 @@ func (a *Agent) Reset() {
 	a.r = rng.NewStream(a.cfg.Seed, a.stream)
 	a.hasLast = false
 	a.prevDemandRatio = 0
-	a.lastReward, a.lastTD = 0, 0
+	a.lastTD = 0
 }

@@ -71,14 +71,6 @@ func (f *FlatTables) NewMemo() *FlatMemo {
 	return &FlatMemo{tag: make([]uint32, len(f.arena))}
 }
 
-// Fits reports whether the memo is large enough to serve lookups against
-// f's arena. Memos are sized by arena length, and the arena length is a
-// pure function of the table shape — so a memo allocated for one model
-// keeps fitting every same-shape model an online learner swaps in.
-func (m *FlatMemo) Fits(f *FlatTables) bool {
-	return len(m.tag) >= len(f.arena)
-}
-
 // NewFlatTables flattens tables ([cluster][state][action]) into an arena,
 // sized once from the validated shape. It returns nil when the shape
 // cannot be packed into the lookup key encoding (an action count outside

@@ -400,9 +400,6 @@ func (a *Accel) EnableParity(on bool) {
 	}
 }
 
-// ParityEnabled reports whether the Q BRAM is parity-protected.
-func (a *Accel) ParityEnabled() bool { return a.parityOn }
-
 // Scrubs returns how many corrupted Q words the parity checker scrubbed
 // since the last reset.
 func (a *Accel) Scrubs() uint64 { return a.scrubs }

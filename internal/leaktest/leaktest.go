@@ -161,20 +161,3 @@ func settle(base map[uint64]bool) error {
 	}
 	return fmt.Errorf("%s", b.String())
 }
-
-// Main wraps testing.M for package-level leak checking:
-//
-//	func TestMain(m *testing.M) { os.Exit(leaktest.Main(m)) }
-//
-// It runs the package's tests and, when they pass, fails the run if the
-// whole package left stray goroutines behind.
-func Main(m *testing.M) int {
-	code := m.Run()
-	if code == 0 {
-		if err := settle(map[uint64]bool{}); err != nil {
-			fmt.Println(err)
-			code = 1
-		}
-	}
-	return code
-}

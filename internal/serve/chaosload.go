@@ -19,9 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/chaos"
@@ -30,24 +27,11 @@ import (
 
 // ChaosConfig parameterizes a chaos run.
 type ChaosConfig struct {
+	// FleetConfig is the device fleet (defaults: FleetConfig.WithDefaults).
+	// Its Seed also derives the fault schedule.
+	FleetConfig
 	// Proto selects the decision transport: "bin" (default) or "json".
 	Proto string
-	// Devices is the concurrent device count (default 8).
-	Devices int
-	// Periods is the decide count per device (default 200) — the run is
-	// work-based, not time-based, so the completeness invariant is exact.
-	Periods int
-	// Seed derives the fault schedule and per-device streams (default 1).
-	Seed uint64
-	// Scenario is the workload every device runs (default "gaming").
-	Scenario string
-	// Epsilon is the per-session exploration rate. Non-zero is the
-	// interesting setting: exploration draws make decisions stateful, so
-	// any dedup or resume bug shows up as a diverged sequence.
-	Epsilon float64
-	// RewardEvery posts a reward every that many periods (default 25;
-	// negative disables).
-	RewardEvery int
 	// Faults is the injected fault schedule. Its Seed defaults to Seed.
 	// The zero value injects nothing — the differential baseline.
 	Faults chaos.Config
@@ -61,42 +45,21 @@ type ChaosConfig struct {
 	CheckpointPath string
 }
 
-// The chaos clients' per-attempt deadline, and their total retry window
-// per call, which must cover the restart gap.
-const (
-	chaosCallTimeout = 2 * time.Second
-	chaosRetryBudget = 30 * time.Second
-)
-
 func (c ChaosConfig) withDefaults() ChaosConfig {
+	c.FleetConfig = c.FleetConfig.WithDefaults()
 	if c.Proto == "" {
 		c.Proto = "bin"
-	}
-	if c.Devices == 0 {
-		c.Devices = 8
-	}
-	if c.Periods == 0 {
-		c.Periods = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Scenario == "" {
-		c.Scenario = "gaming"
-	}
-	if c.RewardEvery == 0 {
-		c.RewardEvery = 25
 	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c ChaosConfig) Validate() error {
-	if c.Proto != "bin" && c.Proto != "json" {
-		return fmt.Errorf("serve: unknown chaos proto %q (want bin or json)", c.Proto)
+	if err := CheckProto(c.Proto); err != nil {
+		return err
 	}
-	if c.Devices < 1 || c.Periods < 1 {
-		return fmt.Errorf("serve: chaos needs at least one device and period, got %d/%d", c.Devices, c.Periods)
+	if err := c.FleetConfig.Validate(); err != nil {
+		return err
 	}
 	switch c.Restart {
 	case "", "crash", "drain":
@@ -107,18 +70,6 @@ func (c ChaosConfig) Validate() error {
 		return fmt.Errorf("serve: restart mode drain needs a checkpoint path")
 	}
 	return nil
-}
-
-// fleet is the device side of the run.
-func (c ChaosConfig) fleet() FleetConfig {
-	return FleetConfig{
-		Devices:     c.Devices,
-		Periods:     c.Periods,
-		Seed:        c.Seed,
-		Scenario:    c.Scenario,
-		Epsilon:     c.Epsilon,
-		RewardEvery: c.RewardEvery,
-	}
 }
 
 // ChaosReport is the outcome of a chaos run. RunChaos also returns a
@@ -161,13 +112,10 @@ type ChaosReport struct {
 	Server *Metrics `json:"server,omitempty"` // final incarnation's snapshot
 }
 
-// incarnation is one server process stand-in: a Server plus its listener
-// and, for the json proto, the HTTP front end.
+// incarnation is one server process stand-in: a Server and its front.
 type incarnation struct {
-	srv  *Server
-	ln   net.Listener
-	hs   *http.Server
-	done chan error
+	srv   *Server
+	front *Front
 }
 
 // startIncarnation listens on addr ("127.0.0.1:0" for the first, the
@@ -191,45 +139,38 @@ func startIncarnation(model *Model, cfg ChaosConfig, addr string, epoch uint32) 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	inc := &incarnation{srv: srv, ln: ln, done: make(chan error, 1)}
-	if cfg.Proto == "bin" {
-		go func() { inc.done <- inc.srv.ServeBin(ln) }()
-	} else {
-		inc.hs = &http.Server{Handler: srv.Handler()}
-		go func() { inc.done <- inc.hs.Serve(ln) }()
+	front, err := ServeFront(srv, cfg.Proto, ln)
+	if err != nil {
+		ln.Close()
+		srv.Close()
+		return nil, err
 	}
-	return inc, nil
+	return &incarnation{srv: srv, front: front}, nil
 }
 
 // crash is the abrupt death: connections reset, nothing flushed, no
 // farewell checkpoint — what SIGKILL or a panic leaves behind.
 func (inc *incarnation) crash() {
-	if inc.hs != nil {
-		inc.hs.Close()
-	}
+	inc.front.Close()
 	inc.srv.Close()
-	inc.ln.Close()
-	<-inc.done
 }
 
 // drain is the graceful death: stop accepting, let in-flight work finish,
 // publish the final checkpoint, then close.
 func (inc *incarnation) drain(ctx context.Context) error {
-	if inc.hs != nil {
+	if hs := inc.front.hs; hs != nil {
 		// Chaos clients keep sending on keep-alive connections, so a
 		// graceful Shutdown rarely goes idle — give it a short window,
 		// then force-close the stragglers (their calls retry).
 		hctx, hcancel := context.WithTimeout(ctx, 500*time.Millisecond)
-		_ = inc.hs.Shutdown(hctx)
+		_ = hs.Shutdown(hctx)
 		hcancel()
-		inc.hs.Close()
 	}
+	inc.front.Close()
 	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	err := inc.srv.Drain(dctx)
 	inc.srv.Close()
-	inc.ln.Close()
-	<-inc.done
 	return err
 }
 
@@ -255,9 +196,7 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	if err != nil {
 		return rep, err
 	}
-	serverAddr := inc.ln.Addr().String()
-	var incMu sync.Mutex // guards inc across the restart controller
-
+	serverAddr := inc.front.ln.Addr().String()
 	faults := cfg.Faults
 	if faults.Seed == 0 {
 		faults.Seed = cfg.Seed
@@ -267,122 +206,51 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 		inc.crash()
 		return rep, err
 	}
-
-	// Clients, pointed at the proxy.
-	var bc *BinClient
-	var hc *Client
-	var open func(context.Context, SessionOptions) (*RemoteSession, error)
-	if cfg.Proto == "bin" {
-		bc = NewBinClient(proxy.Addr())
-		bc.SetCallTimeout(chaosCallTimeout)
-		bc.SetRetryBudget(chaosRetryBudget)
-		open = bc.OpenSession
-	} else {
-		hc = NewClient("http://" + proxy.Addr())
-		hc.SetCallTimeout(chaosCallTimeout)
-		hc.SetRetryBudget(chaosRetryBudget)
-		open = hc.CreateSession
+	client, err := NewFleetClient(cfg.Proto, proxy.Addr())
+	if err != nil {
+		proxy.Close()
+		inc.crash()
+		return rep, err
 	}
 
-	total := uint64(cfg.Devices) * uint64(cfg.Periods)
-	var acked atomic.Uint64
-
-	// Restart controller: once half the fleet's decisions are acked, kill
-	// the incarnation and start epoch 2 on the same address. Clients ride
-	// it out through retry + resume. Devices that have seen the threshold
-	// hold before their next decide until the restart lands (otherwise a
-	// fast fleet can drain the whole run in the controller's poll window
-	// and the restart exercises nothing); devices that haven't observed it
-	// yet keep frames in flight across the kill.
-	restartDone := make(chan error, 1)
-	restartGate := make(chan struct{})
-	if cfg.Restart == "" {
-		close(restartGate)
-		restartDone <- nil
-	} else {
-		go func() {
-			defer close(restartGate)
-			guard := time.Now().Add(60 * time.Second)
-			for acked.Load() < total/2 {
-				if ctx.Err() != nil {
-					restartDone <- ctx.Err()
-					return
-				}
-				if time.Now().After(guard) {
-					restartDone <- fmt.Errorf("serve: chaos fleet stalled before restart point (%d/%d acked)", acked.Load(), total)
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			incMu.Lock()
-			old := inc
-			incMu.Unlock()
-			var derr error
-			if cfg.Restart == "drain" {
-				derr = old.drain(ctx)
-				if derr == nil {
-					// The farewell checkpoint must exist and decode.
-					if _, lerr := LoadCheckpoint(cfg.CheckpointPath); lerr != nil {
-						derr = fmt.Errorf("serve: drain checkpoint unreadable: %w", lerr)
-					} else {
-						rep.DrainCheckpoint = true
-					}
-				}
+	// The restart: once half the fleet's decisions are acked, the
+	// incarnation dies and epoch 2 starts on the same address. Clients
+	// ride it out through retry + resume. The event runs on RunFleet's
+	// controller, which RunFleet waits for, so inc needs no lock.
+	var events []FleetEvent
+	if cfg.Restart != "" {
+		events = append(events, FleetEvent{At: uint64(cfg.Devices) * uint64(cfg.Periods) / 2, Do: func() error {
+			if cfg.Restart == "crash" {
+				inc.crash()
 			} else {
-				old.crash()
+				if err := inc.drain(ctx); err != nil {
+					return fmt.Errorf("serve: chaos drain: %w", err)
+				}
+				// The farewell checkpoint must exist and decode.
+				if _, err := LoadCheckpoint(cfg.CheckpointPath); err != nil {
+					return fmt.Errorf("serve: drain checkpoint unreadable: %w", err)
+				}
+				rep.DrainCheckpoint = true
 			}
-			if derr != nil {
-				restartDone <- derr
-				return
+			next, err := startIncarnation(model, cfg, serverAddr, 2)
+			if err != nil {
+				return err
 			}
-			next, serr := startIncarnation(model, cfg, serverAddr, 2)
-			if serr != nil {
-				restartDone <- serr
-				return
-			}
-			incMu.Lock()
 			inc = next
-			incMu.Unlock()
 			rep.Restarts++
-			restartDone <- nil
-		}()
+			return nil
+		}})
 	}
-	// The gate counts its own acks: a device adds exactly one per acked
-	// decide, so the count only grows and the controller's threshold is
-	// always reached.
-	afterAck := func() error {
-		if acked.Add(1) >= total/2 {
-			select {
-			case <-restartGate:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	}
-
-	fleet := cfg.fleet()
-	run := RunFleet(ctx, fleet, open, afterAck)
-	restartErr := <-restartDone
+	run := RunFleet(ctx, cfg.FleetConfig, client.Open, events...)
 
 	// Teardown, collecting the final incarnation's metrics first.
-	incMu.Lock()
-	final := inc
-	incMu.Unlock()
-	m := final.srv.MetricsSnapshot()
+	m := inc.srv.MetricsSnapshot()
 	rep.Server = &m
-	final.crash()
+	inc.crash()
 	proxy.Close()
-	if bc != nil {
-		st := bc.TransportStats()
-		rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
-		bc.Close()
-	}
-	if hc != nil {
-		st := hc.TransportStats()
-		rep.Retries, rep.Resumes = st.Retries, st.Resumes
-		hc.CloseIdleConnections()
-	}
+	st := client.Stats()
+	rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
+	client.Close()
 	ps := proxy.Stats()
 	rep.ProxyConns, rep.ProxyDrops, rep.ProxyStalls = ps.Conns, ps.Drops, ps.Stalls
 	rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays = ps.Partials, ps.Corrupts, ps.Delays
@@ -392,22 +260,19 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	rep.RewardsDeduped = m.RewardsDeduped
 	rep.DurationS = time.Since(start).Seconds()
 
-	if rep.Mismatches, err = fleet.OracleMismatches(model, run); err != nil {
+	if rep.Mismatches, err = cfg.OracleMismatches(model, run); err != nil {
 		return rep, err
 	}
 	rep.Hygiene.End()
-	return rep, chaosVerdict(cfg, run, rep, restartErr)
+	return rep, chaosVerdict(cfg, run, rep)
 }
 
 // chaosVerdict judges a chaos run's evidence and reports every violated
-// invariant: the fleet invariants, a failed restart, and — without a
-// restart — a reward ledger that differs from the client-acked count.
-func chaosVerdict(cfg ChaosConfig, run *FleetRun, rep *ChaosReport, restartErr error) error {
-	var errs []error
-	if restartErr != nil {
-		errs = append(errs, fmt.Errorf("serve: chaos restart: %w", restartErr))
-	}
-	errs = append(errs, FleetVerdict(cfg.fleet(), run, rep.Mismatches, rep.Hygiene))
+// invariant: the fleet invariants (a failed restart among them) and —
+// without a restart — a reward ledger that differs from the client-acked
+// count.
+func chaosVerdict(cfg ChaosConfig, run *FleetRun, rep *ChaosReport) error {
+	errs := []error{FleetVerdict(cfg.FleetConfig, run, rep.Mismatches, rep.Hygiene)}
 	// Exactly-once: every client-acked reward landed on the ledger once. A
 	// retried frame that double-counted shows up as ServerRewards >
 	// RewardsAcked; a lost ack the dedup path swallowed shows the reverse.

@@ -29,11 +29,8 @@ func TestChaosZeroFaultsDifferential(t *testing.T) {
 	for _, proto := range []string{"bin", "json"} {
 		t.Run(proto, func(t *testing.T) {
 			rep, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
-				Proto:   proto,
-				Devices: 3,
-				Periods: 40,
-				Seed:    7,
-				Epsilon: 0.2,
+				FleetConfig: FleetConfig{Devices: 3, Periods: 40, Seed: 7, Epsilon: 0.2},
+				Proto:       proto,
 			})
 			if err != nil {
 				t.Fatalf("RunChaos: %v", err)
@@ -56,11 +53,8 @@ func TestChaosZeroFaultsDifferential(t *testing.T) {
 func TestChaosFaultsBin(t *testing.T) {
 	defer leaktest.Check(t)()
 	rep, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
-		Proto:   "bin",
-		Devices: 4,
-		Periods: 60,
-		Seed:    11,
-		Epsilon: 0.3,
+		FleetConfig: FleetConfig{Devices: 4, Periods: 60, Seed: 11, Epsilon: 0.3},
+		Proto:       "bin",
 		Faults: chaos.Config{
 			DropRate:         0.02,
 			PartialWriteRate: 0.05,
@@ -94,12 +88,8 @@ func TestChaosRewardRetryDedup(t *testing.T) {
 			deduped := false
 			for seed := uint64(1); seed <= 8 && !deduped; seed++ {
 				rep, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
+					FleetConfig: FleetConfig{Devices: 4, Periods: 40, Seed: seed, Epsilon: 0.2, RewardEvery: 2},
 					Proto:       proto,
-					Devices:     4,
-					Periods:     40,
-					Seed:        seed,
-					Epsilon:     0.2,
-					RewardEvery: 2,
 					Faults: chaos.Config{
 						DropRate:         0.04,
 						PartialWriteRate: 0.04,
@@ -127,12 +117,9 @@ func TestChaosRewardRetryDedup(t *testing.T) {
 func TestChaosCrashRestart(t *testing.T) {
 	defer leaktest.Check(t)()
 	rep, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
-		Proto:   "bin",
-		Devices: 4,
-		Periods: 50,
-		Seed:    13,
-		Epsilon: 0.25,
-		Restart: "crash",
+		FleetConfig: FleetConfig{Devices: 4, Periods: 50, Seed: 13, Epsilon: 0.25},
+		Proto:       "bin",
+		Restart:     "crash",
 	})
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
@@ -150,11 +137,8 @@ func TestChaosCrashRestart(t *testing.T) {
 func TestChaosDrainRestartJSON(t *testing.T) {
 	defer leaktest.Check(t)()
 	rep, err := RunChaos(context.Background(), chaosTestModel(t), ChaosConfig{
+		FleetConfig:    FleetConfig{Devices: 3, Periods: 40, Seed: 17, Epsilon: 0.25},
 		Proto:          "json",
-		Devices:        3,
-		Periods:        40,
-		Seed:           17,
-		Epsilon:        0.25,
 		Restart:        "drain",
 		CheckpointPath: filepath.Join(t.TempDir(), "drain.ckpt"),
 	})
@@ -175,10 +159,10 @@ func TestChaosConfigValidate(t *testing.T) {
 		cfg  ChaosConfig
 		want string
 	}{
-		{ChaosConfig{Proto: "grpc"}.withDefaults(), "unknown chaos proto"},
+		{ChaosConfig{Proto: "grpc"}.withDefaults(), "unknown proto"},
 		{ChaosConfig{Restart: "reboot"}.withDefaults(), "unknown restart mode"},
 		{ChaosConfig{Restart: "drain"}.withDefaults(), "checkpoint path"},
-		{ChaosConfig{Devices: -1}.withDefaults(), "at least one device"},
+		{ChaosConfig{FleetConfig: FleetConfig{Devices: -1}}.withDefaults(), "at least one device"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

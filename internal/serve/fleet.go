@@ -2,18 +2,24 @@
 // gives each simulated device its own session and its own life (open,
 // decide every period, reward on cadence, close), so the chaos harness,
 // the sharded rebalance harness and pmload's remote smoke differ only in
-// the endpoint the sessions open against. Every device is a sim.Device —
-// the closed loop sim.Run steps — so a served device and an in-process
-// simulation of the same seed step through the same code. The same config
-// replays each device against a fault-free in-process server (Oracle,
+// the endpoint the sessions open against and in the mid-run events
+// (FleetEvent) RunFleet runs for them: a server restart, a shard's
+// removal or addition. Every device is a sim.Device — the closed loop
+// sim.Run steps — so a served device and an in-process simulation of the
+// same seed step through the same code. The same config replays each
+// device against a fault-free in-process server (Oracle,
 // OracleMismatches), Hygiene records goroutines and heap around the run,
 // and FleetVerdict judges the invariants every harness holds a run to.
+// FleetClient and ServeFront are the harnesses' device client and device
+// front on either proto.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"runtime"
 	"slices"
 	"sync"
@@ -26,7 +32,9 @@ import (
 	"rlpm/internal/workload"
 )
 
-// FleetConfig is the device side of a fleet run.
+// FleetConfig is the device side of a fleet run. The harness configs
+// (ChaosConfig, LearnLoadConfig, and the shard package's RebalanceConfig)
+// embed it and fill its zero fields through WithDefaults.
 type FleetConfig struct {
 	// Devices is the concurrent device count, one session each.
 	Devices int
@@ -37,11 +45,43 @@ type FleetConfig struct {
 	Seed uint64
 	// Scenario is the workload every device runs.
 	Scenario string
-	// Epsilon is the per-session exploration rate.
+	// Epsilon is the per-session exploration rate. Non-zero is the
+	// interesting setting for a harness: exploration draws make decisions
+	// stateful, so any dedup, resume or handoff bug shows up as a diverged
+	// sequence.
 	Epsilon float64
 	// RewardEvery posts a reward every that many periods (0 or negative
 	// disables).
 	RewardEvery int
+}
+
+// WithDefaults fills c's zero fields: 8 devices × 200 periods of gaming
+// from seed 1, posting a reward every 25 periods.
+func (c FleetConfig) WithDefaults() FleetConfig {
+	if c.Devices == 0 {
+		c.Devices = 8
+	}
+	if c.Periods == 0 {
+		c.Periods = 200
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.Scenario == "" {
+		c.Scenario = "gaming"
+	}
+	if c.RewardEvery == 0 {
+		c.RewardEvery = 25
+	}
+	return c
+}
+
+// Validate refuses a fleet without a device or a period.
+func (c FleetConfig) Validate() error {
+	if c.Devices < 1 || c.Periods < 1 {
+		return fmt.Errorf("serve: a fleet needs at least one device and one period, got %d devices × %d periods", c.Devices, c.Periods)
+	}
+	return nil
 }
 
 // DeviceSeed derives device idx's stream seed from the fleet base seed.
@@ -145,6 +185,7 @@ type FleetRun struct {
 	Errs      []error       // each device's failure; nil when it completed
 	Decisions uint64        // acked decides
 	Rewards   uint64        // acked rewards
+	EventErr  error         // why a mid-run event failed or never ran; nil when all ran
 }
 
 // newFleetRun is the empty evidence of a fleet of n devices.
@@ -160,14 +201,75 @@ func (run *FleetRun) record(idx int, d *fleetDevice) {
 	}
 }
 
+// FleetEvent is a mid-run change a harness makes to the serving side,
+// such as a server restart or a shard's removal. RunFleet runs Do once At
+// decisions are acked fleet-wide. Every device that acked the At-th
+// decision or a later one holds, before it applies the levels, until Do
+// returns: the change lands mid-stream with every session live, while the
+// devices that had not acked yet keep their calls in flight across it.
+type FleetEvent struct {
+	At uint64
+	Do func() error
+}
+
+// fleetEventStall bounds the wait for an event's threshold, from the run's
+// start or the previous event's end: a fleet that has not acked At
+// decisions by then has stalled.
+const fleetEventStall = 60 * time.Second
+
+// runEvents is RunFleet's controller. It runs each event once the device
+// that acks its At-th decision closes reached (an At of 0 runs at once),
+// and then closes ran. The first event that fails, or whose threshold is
+// not reached before ctx ends, fleetDone closes or fleetEventStall passes,
+// stops the schedule: every ran still open closes, releasing every held
+// device, and runEvents returns the event's error.
+func runEvents(ctx context.Context, events []FleetEvent, reached, ran []chan struct{}, acked func() uint64, fleetDone <-chan struct{}) error {
+	next := 0
+	defer func() {
+		for _, ch := range ran[next:] {
+			close(ch)
+		}
+	}()
+	for ; next < len(events); next++ {
+		ev := events[next]
+		if ev.At > 0 {
+			stall := time.NewTimer(fleetEventStall)
+			var err error
+			select {
+			case <-reached[next]:
+			case <-ctx.Done():
+				err = ctx.Err()
+			case <-fleetDone:
+				err = errors.New("the fleet ended")
+			case <-stall.C:
+				err = errors.New("the fleet stalled")
+			}
+			stall.Stop()
+			if err != nil {
+				return fmt.Errorf("event %d: %w at %d of its %d acked decisions", next+1, err, acked(), ev.At)
+			}
+		}
+		if err := ev.Do(); err != nil {
+			return fmt.Errorf("event %d at %d acked decisions: %w", next+1, ev.At, err)
+		}
+		close(ran[next])
+	}
+	return nil
+}
+
 // RunFleet runs cfg.Devices devices concurrently, each over a session from
-// open, and waits for all of them. afterAck (may be nil) runs on the
-// device's goroutine after every acked decide, before the device applies
-// the levels; a harness gate that holds devices at a threshold counts acks
-// itself and blocks there. An afterAck error fails the device.
-func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, SessionOptions) (*RemoteSession, error), afterAck func() error) *FleetRun {
+// open, with events in At order (FleetEvent), and waits for all of them.
+// An event that fails or is never reached runs no later event, releases
+// every held device, and lands in the run's EventErr.
+func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, SessionOptions) (*RemoteSession, error), events ...FleetEvent) *FleetRun {
 	run := newFleetRun(cfg.Devices)
 	var decisions, rewards atomic.Uint64
+	reached, ran := make([]chan struct{}, len(events)), make([]chan struct{}, len(events))
+	for i := range events {
+		reached[i], ran[i] = make(chan struct{}), make(chan struct{})
+	}
+	fleetDone, eventErr := make(chan struct{}), make(chan error, 1)
+	go func() { eventErr <- runEvents(ctx, events, reached, ran, decisions.Load, fleetDone) }()
 	var wg sync.WaitGroup
 	for d := 0; d < cfg.Devices; d++ {
 		wg.Add(1)
@@ -183,10 +285,20 @@ func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, S
 				if err != nil {
 					return nil, err
 				}
-				decisions.Add(1)
-				if afterAck != nil {
-					if err := afterAck(); err != nil {
-						return nil, err
+				// The count grows by one per ack, so exactly one device
+				// reaches each event; it and every later one hold until
+				// the event ran.
+				n := decisions.Add(1)
+				for i, ev := range events {
+					if n == ev.At {
+						close(reached[i])
+					}
+					if n >= ev.At {
+						select {
+						case <-ran[i]:
+						case <-ctx.Done():
+							return nil, ctx.Err()
+						}
 					}
 				}
 				return lv, nil
@@ -212,6 +324,8 @@ func RunFleet(ctx context.Context, cfg FleetConfig, open func(context.Context, S
 		}(d)
 	}
 	wg.Wait()
+	close(fleetDone)
+	run.EventErr = <-eventErr
 	run.Decisions, run.Rewards = decisions.Load(), rewards.Load()
 	return run
 }
@@ -299,16 +413,19 @@ func heapAlloc() uint64 {
 }
 
 // FleetVerdict judges the invariants every fleet harness holds a run to
-// and reports each one violated: no device failed, every device acked
-// exactly cfg.Periods decisions (none lost, none duplicated), no trace
-// diverged from the oracle, no goroutine outlived the run, and the heap
-// did not balloon.
+// and reports each one violated: no device failed, every mid-run event
+// ran, every device acked exactly cfg.Periods decisions (none lost, none
+// duplicated), no trace diverged from the oracle, no goroutine outlived
+// the run, and the heap did not balloon.
 func FleetVerdict(cfg FleetConfig, run *FleetRun, mismatches int, h Hygiene) error {
 	var errs []error
 	for _, err := range run.Errs {
 		if err != nil {
 			errs = append(errs, fmt.Errorf("fleet: %w", err))
 		}
+	}
+	if run.EventErr != nil {
+		errs = append(errs, fmt.Errorf("fleet: mid-run event: %w", run.EventErr))
 	}
 	if want := uint64(cfg.Devices) * uint64(cfg.Periods); run.Decisions != want {
 		errs = append(errs, fmt.Errorf("fleet: acked %d decisions, want %d (lost or duplicated)", run.Decisions, want))
@@ -323,4 +440,90 @@ func FleetVerdict(cfg FleetConfig, run *FleetRun, mismatches int, h Hygiene) err
 		errs = append(errs, fmt.Errorf("fleet: heap grew %d bytes", h.HeapAllocEnd-h.HeapAllocStart))
 	}
 	return errors.Join(errs...)
+}
+
+// CheckProto refuses a device transport other than "bin" (the binary wire
+// protocol) or "json" (HTTP/JSON).
+func CheckProto(proto string) error {
+	if proto != "bin" && proto != "json" {
+		return fmt.Errorf("serve: unknown proto %q (want bin or json)", proto)
+	}
+	return nil
+}
+
+// FleetCallTimeout is a harness device client's per-attempt deadline, so
+// a stalled connection turns into a retry quickly; the rebalance harness's
+// router forwards under it too. fleetRetryBudget is the client's retry
+// window per call, which must cover a server restart or a shard handoff.
+const (
+	FleetCallTimeout = 2 * time.Second
+	fleetRetryBudget = 30 * time.Second
+)
+
+// FleetClient is the device client a harness opens its fleet's sessions
+// on: a BinClient for proto "bin", a Client for "json".
+type FleetClient struct {
+	// Open opens one device's session; RunFleet takes it.
+	Open func(context.Context, SessionOptions) (*RemoteSession, error)
+	// Stats is the transport ledger; an HTTP client counts no dials.
+	Stats func() BinClientStats
+	// Close releases the client's connections.
+	Close func()
+}
+
+// NewFleetClient builds the harness client for proto at addr (host:port),
+// under FleetCallTimeout per attempt and fleetRetryBudget per call.
+func NewFleetClient(proto, addr string) (*FleetClient, error) {
+	if err := CheckProto(proto); err != nil {
+		return nil, err
+	}
+	if proto == "bin" {
+		c := NewBinClient(addr)
+		c.SetCallTimeout(FleetCallTimeout)
+		c.SetRetryBudget(fleetRetryBudget)
+		return &FleetClient{Open: c.OpenSession, Stats: c.TransportStats, Close: c.Close}, nil
+	}
+	c := NewClient("http://" + addr)
+	c.SetCallTimeout(FleetCallTimeout)
+	c.SetRetryBudget(fleetRetryBudget)
+	return &FleetClient{Open: c.CreateSession, Stats: c.TransportStats, Close: c.CloseIdleConnections}, nil
+}
+
+// Front is a device front a harness serves on one listener: a Server's or
+// a Router's binary or HTTP/JSON face.
+type Front struct {
+	ln   net.Listener
+	hs   *http.Server  // the JSON face; nil for bin
+	done chan struct{} // closed once the serve loop returned
+}
+
+// ServeFront serves s's face for proto on ln in the background until
+// Close.
+func ServeFront(s interface {
+	ServeBin(net.Listener) error
+	Handler() http.Handler
+}, proto string, ln net.Listener) (*Front, error) {
+	if err := CheckProto(proto); err != nil {
+		return nil, err
+	}
+	f := &Front{ln: ln, done: make(chan struct{})}
+	// The serve loops' errors are dropped: after Close they report only
+	// the close, and a harness judges its run by what the devices saw.
+	if proto == "bin" {
+		go func() { defer close(f.done); _ = s.ServeBin(ln) }()
+	} else {
+		f.hs = &http.Server{Handler: s.Handler()}
+		go func() { defer close(f.done); _ = f.hs.Serve(ln) }()
+	}
+	return f, nil
+}
+
+// Close closes the front's HTTP connections and its listener and waits
+// for its serve loop to return. It may be called again.
+func (f *Front) Close() {
+	if f.hs != nil {
+		f.hs.Close()
+	}
+	f.ln.Close()
+	<-f.done
 }

@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"net"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"rlpm/internal/leaktest"
 )
 
 // checkVerdict asserts err reports every wanted violation, or is nil when
@@ -51,6 +56,9 @@ func TestFleetVerdict(t *testing.T) {
 		{"device error", func(run *FleetRun, _ *int, _ *Hygiene) {
 			run.Errs[1] = errors.New("device 1 close: boom")
 		}, []string{"device 1 close: boom"}},
+		{"mid-run event error", func(run *FleetRun, _ *int, _ *Hygiene) {
+			run.EventErr = errors.New("event 1: the fleet stalled at 2 of its 3 acked decisions")
+		}, []string{"mid-run event: event 1: the fleet stalled"}},
 		{"lost decide", func(run *FleetRun, _ *int, _ *Hygiene) { run.Decisions-- }, []string{"acked 5 decisions, want 6"}},
 		{"duplicated decide", func(run *FleetRun, _ *int, _ *Hygiene) { run.Decisions++ }, []string{"acked 7 decisions, want 6"}},
 		{"divergent trace", func(_ *FleetRun, mismatches *int, _ *Hygiene) { *mismatches = 1 }, []string{"1 device(s) diverged"}},
@@ -71,26 +79,104 @@ func TestFleetVerdict(t *testing.T) {
 	}
 }
 
+// TestFleetEvents runs a fleet through two mid-run events against a
+// loopback server. Each event lasts long enough for a fleet it did not
+// hold to keep deciding; since every device past its threshold holds, the
+// server decides at most one in-flight decide per other device while it
+// runs, so its decision count stays within [At, At+Devices-1]. A failing
+// event releases every held device and runs no later event, every device
+// still completes, and the verdict reports the event.
+func TestFleetEvents(t *testing.T) {
+	defer leaktest.Check(t)()
+	srv, err := New(chaosTestModel(t), nil, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	front, err := ServeFront(srv, "bin", ln)
+	if err != nil {
+		t.Fatalf("ServeFront: %v", err)
+	}
+	defer front.Close()
+	client, err := NewFleetClient("bin", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("NewFleetClient: %v", err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+	cfg := FleetConfig{Devices: 4, Periods: 40, Seed: 3, Scenario: "gaming", Epsilon: 0.2}
+
+	// The events run on RunFleet's controller, which RunFleet waits for,
+	// so the spans need no lock.
+	type span struct{ at, first, last uint64 }
+	var spans []span
+	event := func(at uint64) FleetEvent {
+		return FleetEvent{At: at, Do: func() error {
+			first := srv.MetricsSnapshot().Decisions
+			time.Sleep(100 * time.Millisecond)
+			spans = append(spans, span{at, first, srv.MetricsSnapshot().Decisions})
+			return nil
+		}}
+	}
+	run := RunFleet(ctx, cfg, client.Open, event(40), event(80))
+	checkVerdict(t, FleetVerdict(cfg, run, 0, Hygiene{}), nil)
+	if len(spans) != 2 || spans[0].at != 40 || spans[1].at != 80 {
+		t.Fatalf("events ran as %+v, want at 40 and then at 80", spans)
+	}
+	for _, s := range spans {
+		t.Logf("event at %d: the server decided %d..%d while it ran", s.at, s.first, s.last)
+		if hi := s.at + uint64(cfg.Devices) - 1; s.first < s.at || s.last > hi {
+			t.Errorf("event at %d: the server decided %d..%d while it ran, want within [%d, %d]", s.at, s.first, s.last, s.at, hi)
+		}
+	}
+
+	boom := errors.New("boom")
+	later := false
+	run = RunFleet(ctx, cfg, client.Open,
+		FleetEvent{At: 40, Do: func() error { time.Sleep(50 * time.Millisecond); return boom }},
+		FleetEvent{At: 80, Do: func() error { later = true; return nil }})
+	if !errors.Is(run.EventErr, boom) {
+		t.Errorf("EventErr = %v, want the failed event's error", run.EventErr)
+	}
+	if later {
+		t.Error("an event after the failed one ran")
+	}
+	for idx, err := range run.Errs {
+		if err != nil {
+			t.Errorf("device %d did not complete after the failed event: %v", idx, err)
+		}
+	}
+	if want := uint64(cfg.Devices * cfg.Periods); run.Decisions != want {
+		t.Errorf("acked %d decisions after the failed event, want %d", run.Decisions, want)
+	}
+	checkVerdict(t, FleetVerdict(cfg, run, 0, Hygiene{}), []string{"mid-run event: event 1 at 40 acked decisions: boom"})
+}
+
 // TestChaosVerdict feeds chaosVerdict its own checks on top of a clean
 // fleet; the fleet checks themselves are TestFleetVerdict's.
 func TestChaosVerdict(t *testing.T) {
 	cases := []struct {
-		name       string
-		restart    string
-		restartErr error
-		mutate     func(run *FleetRun, rep *ChaosReport)
-		want       []string
+		name    string
+		restart string
+		mutate  func(run *FleetRun, rep *ChaosReport)
+		want    []string
 	}{
-		{"clean", "", nil, func(*FleetRun, *ChaosReport) {}, nil},
-		{"ledger mismatch without restart", "", nil, func(_ *FleetRun, rep *ChaosReport) {
+		{"clean", "", func(*FleetRun, *ChaosReport) {}, nil},
+		{"ledger mismatch without restart", "", func(_ *FleetRun, rep *ChaosReport) {
 			rep.ServerRewards++
 		}, []string{"reward ledger 5 != 4 client-acked"}},
-		{"ledger mismatch across a restart", "crash", nil, func(_ *FleetRun, rep *ChaosReport) {
+		{"ledger mismatch across a restart", "crash", func(_ *FleetRun, rep *ChaosReport) {
 			rep.ServerRewards++
 		}, nil},
-		{"restart error", "crash", errors.New("fleet stalled"), func(*FleetRun, *ChaosReport) {}, []string{"chaos restart: fleet stalled"}},
-		{"fleet violation", "", nil, func(run *FleetRun, _ *ChaosReport) { run.Decisions-- }, []string{"acked 5 decisions"}},
-		{"two violations", "", nil, func(_ *FleetRun, rep *ChaosReport) {
+		{"restart error", "crash", func(run *FleetRun, _ *ChaosReport) {
+			run.EventErr = errors.New("event 1: the fleet stalled at 2 of its 3 acked decisions")
+		}, []string{"mid-run event: event 1: the fleet stalled"}},
+		{"fleet violation", "", func(run *FleetRun, _ *ChaosReport) { run.Decisions-- }, []string{"acked 5 decisions"}},
+		{"two violations", "", func(_ *FleetRun, rep *ChaosReport) {
 			rep.ServerRewards--
 			rep.Mismatches = 2
 		}, []string{"reward ledger 3 != 4", "2 device(s) diverged"}},
@@ -98,13 +184,11 @@ func TestChaosVerdict(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fc, run, mismatches, h := cleanFleet()
-			cfg := ChaosConfig{
-				Devices: fc.Devices, Periods: fc.Periods, Restart: c.restart,
-			}
+			cfg := ChaosConfig{FleetConfig: fc, Restart: c.restart}
 			run.Rewards = 4
 			rep := &ChaosReport{Mismatches: mismatches, Hygiene: h, RewardsAcked: run.Rewards, ServerRewards: 4}
 			c.mutate(run, rep)
-			checkVerdict(t, chaosVerdict(cfg, run, rep, c.restartErr), c.want)
+			checkVerdict(t, chaosVerdict(cfg, run, rep), c.want)
 		})
 	}
 }

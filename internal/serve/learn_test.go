@@ -186,8 +186,8 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 func TestRunLearnSeededReplay(t *testing.T) {
 	m := chaosTestModel(t) // DeviceStepper simulates soc.DefaultChipSpec
 	cfg := LearnLoadConfig{
-		Devices: 4, Periods: 60, Seed: 5, Epsilon: 0.25,
-		RewardEvery: 5, TickEvery: 5, SwapEvery: 1,
+		FleetConfig: FleetConfig{Devices: 4, Periods: 60, Seed: 5, Epsilon: 0.25, RewardEvery: 5},
+		TickEvery:   5, SwapEvery: 1,
 	}
 	a, err := RunLearnReplay(m, cfg)
 	if err != nil {

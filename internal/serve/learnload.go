@@ -16,27 +16,16 @@ import (
 	"slices"
 
 	"rlpm/internal/core"
-	"rlpm/internal/workload"
 )
 
 // LearnLoadConfig parameterizes one seeded training-while-serving run.
 type LearnLoadConfig struct {
-	// Devices is the fleet size (default 8). Even indices join the
-	// learning arm, odd indices the frozen control arm, so the two arms
-	// interleave across the seed-derived per-device workload streams.
-	Devices int
-	// Periods is the decide count per device (default 200).
-	Periods int
-	// Scenario is the workload every device runs (default "gaming").
-	Scenario string
-	// Seed derives every stream in the run (default 1).
-	Seed uint64
-	// Epsilon is the per-session exploration rate (both arms, for
-	// parity). Exploration is what feeds the learner off-greedy samples.
-	Epsilon float64
-	// RewardEvery posts a device reward every that many periods
-	// (default 25; negative disables).
-	RewardEvery int
+	// FleetConfig is the device fleet (defaults: FleetConfig.WithDefaults).
+	// Even device indices join the learning arm, odd indices the frozen
+	// control arm, so the two arms interleave across the seed-derived
+	// per-device workload streams. Epsilon applies to both arms, for
+	// parity: exploration is what feeds the learner off-greedy samples.
+	FleetConfig
 	// TickEvery drains the learner every that many rounds (default 10).
 	// A round is one period across the whole fleet.
 	TickEvery int
@@ -45,21 +34,7 @@ type LearnLoadConfig struct {
 }
 
 func (c LearnLoadConfig) withDefaults() LearnLoadConfig {
-	if c.Devices == 0 {
-		c.Devices = 8
-	}
-	if c.Periods == 0 {
-		c.Periods = 200
-	}
-	if c.Scenario == "" {
-		c.Scenario = "gaming"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.RewardEvery == 0 {
-		c.RewardEvery = 25
-	}
+	c.FleetConfig = c.FleetConfig.WithDefaults()
 	if c.TickEvery == 0 {
 		c.TickEvery = 10
 	}
@@ -96,10 +71,7 @@ type LearnReport struct {
 // RunLearn runs the seeded training-while-serving fleet against model.
 func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Devices < 0 || cfg.Periods < 0 {
-		return nil, fmt.Errorf("serve: negative learn-load devices/periods")
-	}
-	if _, err := workload.ByName(cfg.Scenario); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 

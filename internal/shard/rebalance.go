@@ -17,9 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/chaos"
@@ -29,24 +27,13 @@ import (
 
 // RebalanceConfig parameterizes a sharded differential run.
 type RebalanceConfig struct {
+	// FleetConfig is the device fleet (defaults:
+	// serve.FleetConfig.WithDefaults). Its Seed also derives the ring and
+	// the fault schedule.
+	serve.FleetConfig
 	// Proto selects the device transport through the router: "bin"
 	// (default) or "json".
 	Proto string
-	// Devices is the concurrent device count (default 12).
-	Devices int
-	// Periods is the decide count per device (default 200).
-	Periods int
-	// Seed derives the ring, fault schedule, and per-device streams
-	// (default 1).
-	Seed uint64
-	// Scenario is the workload every device runs (default "gaming").
-	Scenario string
-	// Epsilon is the per-session exploration rate — non-zero makes
-	// decisions stateful, so any handoff bug diverges the sequence.
-	Epsilon float64
-	// RewardEvery posts a reward every that many periods (default 25;
-	// negative disables).
-	RewardEvery int
 	// Shards is the initial shard count (default 2).
 	Shards int
 	// Rebalance, when true, removes the most-loaded shard once a third of
@@ -62,31 +49,10 @@ type RebalanceConfig struct {
 	Faults chaos.Config
 }
 
-// The per-attempt deadline of the devices and of the router's forwards,
-// and the devices' total retry window per call.
-const (
-	rebalanceCallTimeout = 2 * time.Second
-	rebalanceRetryBudget = 30 * time.Second
-)
-
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
+	c.FleetConfig = c.FleetConfig.WithDefaults()
 	if c.Proto == "" {
 		c.Proto = "bin"
-	}
-	if c.Devices == 0 {
-		c.Devices = 12
-	}
-	if c.Periods == 0 {
-		c.Periods = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Scenario == "" {
-		c.Scenario = "gaming"
-	}
-	if c.RewardEvery == 0 {
-		c.RewardEvery = 25
 	}
 	if c.Shards == 0 {
 		c.Shards = 2
@@ -96,11 +62,11 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 
 // Validate checks the configuration.
 func (c RebalanceConfig) Validate() error {
-	if c.Proto != "bin" && c.Proto != "json" {
-		return fmt.Errorf("shard: unknown rebalance proto %q (want bin or json)", c.Proto)
+	if err := serve.CheckProto(c.Proto); err != nil {
+		return err
 	}
-	if c.Devices < 1 || c.Periods < 1 {
-		return fmt.Errorf("shard: rebalance needs at least one device and period, got %d/%d", c.Devices, c.Periods)
+	if err := c.FleetConfig.Validate(); err != nil {
+		return err
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: rebalance needs at least one shard, got %d", c.Shards)
@@ -109,18 +75,6 @@ func (c RebalanceConfig) Validate() error {
 		return fmt.Errorf("shard: rebalancing needs at least two shards, got %d", c.Shards)
 	}
 	return nil
-}
-
-// fleet is the device side of the run.
-func (c RebalanceConfig) fleet() serve.FleetConfig {
-	return serve.FleetConfig{
-		Devices:     c.Devices,
-		Periods:     c.Periods,
-		Seed:        c.Seed,
-		Scenario:    c.Scenario,
-		Epsilon:     c.Epsilon,
-		RewardEvery: c.RewardEvery,
-	}
 }
 
 // RebalanceReport is the evidence a run collects; rebalanceVerdict judges
@@ -158,261 +112,151 @@ func RunRebalance(ctx context.Context, model *serve.Model, cfg RebalanceConfig) 
 	if _, err := workload.ByName(cfg.Scenario); err != nil {
 		return nil, err
 	}
-
 	rep := &RebalanceReport{Proto: cfg.Proto, Shards: cfg.Shards, Devices: cfg.Devices, Periods: cfg.Periods}
 	rep.Hygiene.Start()
+	run, err := rebalanceRun(ctx, model, cfg, rep)
+	if err != nil {
+		return rep, err
+	}
+	// Fault-free single-process oracle over the same model: the sharded
+	// fleet must be byte-identical, device for device.
+	if rep.Mismatches, err = cfg.OracleMismatches(model, run); err != nil {
+		return rep, err
+	}
+	rep.Hygiene.End()
+	return rep, rebalanceVerdict(cfg, run, rep)
+}
+
+// rebalanceRun stands up the shards, the router, its front and the
+// optional fault proxy, drives the fleet through them, and tears all of
+// it down before it returns, so hygiene counts their goroutines against
+// the baseline.
+func rebalanceRun(ctx context.Context, model *serve.Model, cfg RebalanceConfig, rep *RebalanceReport) (*serve.FleetRun, error) {
 	start := time.Now()
 
 	// The fleet: N checkpoint-hydrated replicas.
 	fleet, err := NewFleet(model, cfg.Shards, serve.Config{})
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	defer fleet.Close()
 
 	// The router, fronting the fleet on the device's chosen protocol.
 	router, err := NewRouter(RouterConfig{
 		RingSeed:    cfg.Seed,
-		CallTimeout: rebalanceCallTimeout,
+		CallTimeout: serve.FleetCallTimeout,
 	}, fleet.Specs())
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	defer router.Close()
-
-	frontLn, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	frontAddr := frontLn.Addr().String()
-	frontDone := make(chan error, 1)
-	var hs *http.Server
-	if cfg.Proto == "bin" {
-		go func() { frontDone <- router.ServeBin(frontLn) }()
-	} else {
-		hs = &http.Server{Handler: router.Handler()}
-		go func() { frontDone <- hs.Serve(frontLn) }()
+	front, err := serve.ServeFront(router, cfg.Proto, ln)
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
-	defer func() {
-		if hs != nil {
-			hs.Close()
-		}
-		frontLn.Close()
-		<-frontDone
-	}()
+	defer front.Close()
 
 	// Optional fault proxy between devices and the router.
-	deviceAddr := frontAddr
-	var proxy *chaos.Proxy
+	deviceAddr := ln.Addr().String()
 	if cfg.Faults != (chaos.Config{}) {
 		faults := cfg.Faults
 		if faults.Seed == 0 {
 			faults.Seed = cfg.Seed
 		}
-		proxy, err = chaos.NewProxy(frontAddr, faults)
+		proxy, err := chaos.NewProxy(deviceAddr, faults)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		defer proxy.Close()
 		deviceAddr = proxy.Addr()
 	}
 
-	// Clients.
-	var bc *serve.BinClient
-	var hc *serve.Client
-	var open func(context.Context, serve.SessionOptions) (*serve.RemoteSession, error)
-	if cfg.Proto == "bin" {
-		bc = serve.NewBinClient(deviceAddr)
-		bc.SetCallTimeout(rebalanceCallTimeout)
-		bc.SetRetryBudget(rebalanceRetryBudget)
-		defer bc.Close()
-		open = bc.OpenSession
-	} else {
-		hc = serve.NewClient("http://" + deviceAddr)
-		hc.SetCallTimeout(rebalanceCallTimeout)
-		hc.SetRetryBudget(rebalanceRetryBudget)
-		defer hc.CloseIdleConnections()
-		open = hc.CreateSession
+	client, err := serve.NewFleetClient(cfg.Proto, deviceAddr)
+	if err != nil {
+		return nil, err
 	}
+	defer client.Close()
 
-	total := uint64(cfg.Devices) * uint64(cfg.Periods)
-	gate1At, gate2At := total/3, 2*total/3
-	var acked atomic.Uint64
-
-	// Rebalance controller: remove the most-loaded shard at a third of the
-	// run, add a fresh shard at two thirds. Devices that crossed a
-	// threshold hold before their next decide until the membership change
-	// lands, so both changes are guaranteed to happen mid-stream with
+	// The membership changes: remove the most-loaded shard at a third of
+	// the run, add a fresh shard at two thirds. Each lands while the
+	// devices past its threshold hold, so both happen mid-stream with
 	// sessions live on the moving keyspace.
-	gate1, gate2 := make(chan struct{}), make(chan struct{})
-	ctrlDone := make(chan error, 1)
-	if !cfg.Rebalance {
-		close(gate1)
-		close(gate2)
-		ctrlDone <- nil
-	} else {
-		go func() {
-			fail := func(err error) {
-				close(gate1)
-				close(gate2)
-				ctrlDone <- err
-			}
-			waitFor := func(n uint64) error {
-				guard := time.Now().Add(60 * time.Second)
-				for acked.Load() < n {
-					if ctx.Err() != nil {
-						return ctx.Err()
+	var events []serve.FleetEvent
+	if cfg.Rebalance {
+		total := uint64(cfg.Devices) * uint64(cfg.Periods)
+		events = []serve.FleetEvent{
+			{At: total / 3, Do: func() error {
+				rep.Removed = router.busiestShard()
+				if cfg.Kill {
+					// Abrupt: the shard dies with sessions live, then leaves
+					// the ring. Devices see forward failures until the
+					// remove lands.
+					if err := fleet.KillShard(rep.Removed); err != nil {
+						return err
 					}
-					if time.Now().After(guard) {
-						return fmt.Errorf("shard: fleet stalled before rebalance point (%d/%d acked)", acked.Load(), n)
-					}
-					time.Sleep(2 * time.Millisecond)
+					return router.RemoveShard(rep.Removed)
 				}
-				return nil
-			}
-			if err := waitFor(gate1At); err != nil {
-				fail(err)
-				return
-			}
-			// Victim: most live sessions, name-ordered tie-break — fully
-			// deterministic for a given seed and schedule.
-			loads := router.shardLoads()
-			names := make([]string, 0, len(loads))
-			for n := range loads {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			victim := names[0]
-			for _, n := range names {
-				if loads[n] > loads[victim] {
-					victim = n
-				}
-			}
-			rep.Removed = victim
-			if cfg.Kill {
-				// Abrupt: the shard dies with sessions live, then leaves the
-				// ring. Devices see forward failures until the remove lands.
-				if err := fleet.KillShard(victim); err != nil {
-					fail(err)
-					return
-				}
-				if err := router.RemoveShard(victim); err != nil {
-					fail(err)
-					return
-				}
-			} else {
 				// Graceful: leave the ring first (handoff signals fire, no
 				// new forwards), then stop the drained shard.
-				if err := router.RemoveShard(victim); err != nil {
-					fail(err)
-					return
+				if err := router.RemoveShard(rep.Removed); err != nil {
+					return err
 				}
-				if err := fleet.StopShard(victim); err != nil {
-					fail(err)
-					return
+				return fleet.StopShard(rep.Removed)
+			}},
+			{At: 2 * total / 3, Do: func() error {
+				spec, err := fleet.AddShard()
+				if err != nil {
+					return err
 				}
-			}
-			close(gate1)
-			if err := waitFor(gate2At); err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			spec, err := fleet.AddShard()
-			if err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			if err := router.AddShard(spec); err != nil {
-				close(gate2)
-				ctrlDone <- err
-				return
-			}
-			rep.Added = spec.Name
-			close(gate2)
-			ctrlDone <- nil
-		}()
-	}
-
-	// The gates count their own acks: a device adds exactly one per acked
-	// decide, so the count only grows and each threshold is always
-	// reached.
-	afterAck := func() error {
-		a := acked.Add(1)
-		if a >= gate1At {
-			select {
-			case <-gate1:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+				if err := router.AddShard(spec); err != nil {
+					return err
+				}
+				rep.Added = spec.Name
+				return nil
+			}},
 		}
-		if a >= gate2At {
-			select {
-			case <-gate2:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
 	}
-
-	devices := cfg.fleet()
-	run := serve.RunFleet(ctx, devices, open, afterAck)
-	ctrlErr := <-ctrlDone
+	run := serve.RunFleet(ctx, cfg.FleetConfig, client.Open, events...)
 
 	rep.Decisions = run.Decisions
 	rep.DurationS = time.Since(start).Seconds()
 	rep.Moved = router.movedSessions.Load()
 	rep.RouterResumes = router.resumesFwd.Load()
 	rep.ForwardErrors = router.forwardErrors.Load()
-	if bc != nil {
-		st := bc.TransportStats()
-		rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
-	}
-	if hc != nil {
-		st := hc.TransportStats()
-		rep.Retries, rep.Resumes = st.Retries, st.Resumes
-	}
+	st := client.Stats()
+	rep.Dials, rep.Retries, rep.Resumes = st.Dials, st.Retries, st.Resumes
+	return run, nil
+}
 
-	// Fault-free single-process oracle over the same model: the sharded
-	// fleet must be byte-identical, device for device.
-	if rep.Mismatches, err = devices.OracleMismatches(model, run); err != nil {
-		return rep, err
+// busiestShard names the shard with the most live routed sessions,
+// name-ordered on a tie: the rebalance victim, fully deterministic for a
+// given seed and schedule.
+func (r *Router) busiestShard() string {
+	loads := r.shardLoads()
+	names := make([]string, 0, len(loads))
+	for n := range loads {
+		names = append(names, n)
 	}
-
-	// Teardown before hygiene so the front/router/fleet goroutines count
-	// against the baseline.
-	if proxy != nil {
-		proxy.Close()
+	sort.Strings(names)
+	victim := names[0]
+	for _, n := range names {
+		if loads[n] > loads[victim] {
+			victim = n
+		}
 	}
-	if bc != nil {
-		bc.Close()
-	}
-	if hc != nil {
-		hc.CloseIdleConnections()
-	}
-	if hs != nil {
-		hs.Close()
-		hs = nil
-	}
-	frontLn.Close()
-	router.Close()
-	fleet.Close()
-
-	rep.Hygiene.End()
-	return rep, rebalanceVerdict(cfg, run, rep, ctrlErr)
+	return victim
 }
 
 // rebalanceVerdict judges a rebalance run's evidence and reports every
-// violated invariant: the fleet invariants, a failed membership change,
-// and a rebalance that moved no session.
-func rebalanceVerdict(cfg RebalanceConfig, run *serve.FleetRun, rep *RebalanceReport, ctrlErr error) error {
-	var errs []error
-	if ctrlErr != nil {
-		errs = append(errs, fmt.Errorf("shard: rebalance controller: %w", ctrlErr))
-	}
-	errs = append(errs, serve.FleetVerdict(cfg.fleet(), run, rep.Mismatches, rep.Hygiene))
+// violated invariant: the fleet invariants (a failed membership change
+// among them) and a rebalance that moved no session.
+func rebalanceVerdict(cfg RebalanceConfig, run *serve.FleetRun, rep *RebalanceReport) error {
+	errs := []error{serve.FleetVerdict(cfg.FleetConfig, run, rep.Mismatches, rep.Hygiene)}
 	if cfg.Rebalance && rep.Moved == 0 {
 		errs = append(errs, errors.New("shard: rebalance moved no sessions — the handoff path was not exercised"))
 	}

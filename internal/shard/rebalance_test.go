@@ -18,12 +18,9 @@ import (
 func TestShardedDifferentialOracleBin(t *testing.T) {
 	model := testModel(t, 8, 6)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:   "bin",
-		Shards:  4,
-		Devices: 10,
-		Periods: 90,
-		Seed:    7,
-		Epsilon: 0.2,
+		FleetConfig: serve.FleetConfig{Devices: 10, Periods: 90, Seed: 7, Epsilon: 0.2},
+		Proto:       "bin",
+		Shards:      4,
 	})
 	if err != nil {
 		t.Fatalf("differential run: %v (report %+v)", err, rep)
@@ -44,12 +41,9 @@ func TestShardedDifferentialOracleBin(t *testing.T) {
 func TestShardedDifferentialOracleJSON(t *testing.T) {
 	model := testModel(t, 6, 4)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:   "json",
-		Shards:  2,
-		Devices: 6,
-		Periods: 50,
-		Seed:    3,
-		Epsilon: 0.2,
+		FleetConfig: serve.FleetConfig{Devices: 6, Periods: 50, Seed: 3, Epsilon: 0.2},
+		Proto:       "json",
+		Shards:      2,
 	})
 	if err != nil {
 		t.Fatalf("differential run: %v (report %+v)", err, rep)
@@ -65,13 +59,10 @@ func TestShardedDifferentialOracleJSON(t *testing.T) {
 func TestRebalanceGraceful(t *testing.T) {
 	model := testModel(t, 8, 6)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:     "bin",
-		Shards:    3,
-		Devices:   9,
-		Periods:   120,
-		Seed:      5,
-		Epsilon:   0.25,
-		Rebalance: true,
+		FleetConfig: serve.FleetConfig{Devices: 9, Periods: 120, Seed: 5, Epsilon: 0.25},
+		Proto:       "bin",
+		Shards:      3,
+		Rebalance:   true,
 	})
 	if err != nil {
 		t.Fatalf("rebalance run: %v (report %+v)", err, rep)
@@ -93,14 +84,11 @@ func TestRebalanceGraceful(t *testing.T) {
 func TestRebalanceKill(t *testing.T) {
 	model := testModel(t, 8, 6)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:     "bin",
-		Shards:    3,
-		Devices:   9,
-		Periods:   120,
-		Seed:      11,
-		Epsilon:   0.25,
-		Rebalance: true,
-		Kill:      true,
+		FleetConfig: serve.FleetConfig{Devices: 9, Periods: 120, Seed: 11, Epsilon: 0.25},
+		Proto:       "bin",
+		Shards:      3,
+		Rebalance:   true,
+		Kill:        true,
 	})
 	if err != nil {
 		t.Fatalf("kill run: %v (report %+v)", err, rep)
@@ -114,13 +102,10 @@ func TestRebalanceKill(t *testing.T) {
 func TestRebalanceJSONGraceful(t *testing.T) {
 	model := testModel(t, 6, 4)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:     "json",
-		Shards:    2,
-		Devices:   6,
-		Periods:   90,
-		Seed:      9,
-		Epsilon:   0.2,
-		Rebalance: true,
+		FleetConfig: serve.FleetConfig{Devices: 6, Periods: 90, Seed: 9, Epsilon: 0.2},
+		Proto:       "json",
+		Shards:      2,
+		Rebalance:   true,
 	})
 	if err != nil {
 		t.Fatalf("json rebalance run: %v (report %+v)", err, rep)
@@ -139,13 +124,10 @@ func TestRebalanceUnderFaults(t *testing.T) {
 	}
 	model := testModel(t, 6, 4)
 	rep, err := RunRebalance(context.Background(), model, RebalanceConfig{
-		Proto:     "bin",
-		Shards:    2,
-		Devices:   6,
-		Periods:   80,
-		Seed:      13,
-		Epsilon:   0.2,
-		Rebalance: true,
+		FleetConfig: serve.FleetConfig{Devices: 6, Periods: 80, Seed: 13, Epsilon: 0.2},
+		Proto:       "bin",
+		Shards:      2,
+		Rebalance:   true,
 		Faults: chaos.Config{
 			DropRate:    0.002,
 			LatencyRate: 0.02,
@@ -166,30 +148,31 @@ func TestRebalanceVerdict(t *testing.T) {
 	cases := []struct {
 		name      string
 		rebalance bool
-		ctrlErr   error
 		mutate    func(run *serve.FleetRun, rep *RebalanceReport)
 		want      []string
 	}{
-		{"clean", true, nil, func(*serve.FleetRun, *RebalanceReport) {}, nil},
-		{"nothing moved while rebalancing", true, nil, func(_ *serve.FleetRun, rep *RebalanceReport) {
+		{"clean", true, func(*serve.FleetRun, *RebalanceReport) {}, nil},
+		{"nothing moved while rebalancing", true, func(_ *serve.FleetRun, rep *RebalanceReport) {
 			rep.Moved = 0
 		}, []string{"moved no sessions"}},
-		{"nothing moved without a rebalance", false, nil, func(_ *serve.FleetRun, rep *RebalanceReport) {
+		{"nothing moved without a rebalance", false, func(_ *serve.FleetRun, rep *RebalanceReport) {
 			rep.Moved = 0
 		}, nil},
-		{"controller error", true, errors.New("fleet stalled"), func(*serve.FleetRun, *RebalanceReport) {}, []string{"rebalance controller: fleet stalled"}},
-		{"two violations", true, nil, func(run *serve.FleetRun, rep *RebalanceReport) {
+		{"controller error", true, func(run *serve.FleetRun, _ *RebalanceReport) {
+			run.EventErr = errors.New("event 2: the fleet stalled at 3 of its 4 acked decisions")
+		}, []string{"mid-run event: event 2: the fleet stalled"}},
+		{"two violations", true, func(run *serve.FleetRun, rep *RebalanceReport) {
 			rep.Moved = 0
 			run.Decisions++
 		}, []string{"moved no sessions", "acked 7 decisions, want 6"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := RebalanceConfig{Devices: 2, Periods: 3, Rebalance: c.rebalance}
+			cfg := RebalanceConfig{FleetConfig: serve.FleetConfig{Devices: 2, Periods: 3}, Rebalance: c.rebalance}
 			run := &serve.FleetRun{Traces: make([][]int, 2), Errs: make([]error, 2), Decisions: 6}
 			rep := &RebalanceReport{Moved: 4}
 			c.mutate(run, rep)
-			err := rebalanceVerdict(cfg, run, rep, c.ctrlErr)
+			err := rebalanceVerdict(cfg, run, rep)
 			if len(c.want) == 0 {
 				if err != nil {
 					t.Fatalf("clean evidence failed: %v", err)

@@ -117,9 +117,9 @@ func TestServedMatchesSim(t *testing.T) {
 	for _, scenario := range []string{"gaming", "video"} {
 		fc := serve.FleetConfig{Devices: 3, Periods: 400, Seed: 1, Scenario: scenario}
 		runs := map[string]*serve.FleetRun{
-			"json":   serve.RunFleet(ctx, fc, jsonClient.CreateSession, nil),
-			"bin":    serve.RunFleet(ctx, fc, binClient.OpenSession, nil),
-			"router": serve.RunFleet(ctx, fc, routerClient.OpenSession, nil),
+			"json":   serve.RunFleet(ctx, fc, jsonClient.CreateSession),
+			"bin":    serve.RunFleet(ctx, fc, binClient.OpenSession),
+			"router": serve.RunFleet(ctx, fc, routerClient.OpenSession),
 		}
 		if runs["in-process"], err = fc.Oracle(model); err != nil {
 			t.Fatal(err)
