@@ -15,8 +15,10 @@ GO ?= go
 # state, over the server session's diet: its live heap, its
 # allocations up to the first answer and its byte-wide replay cache, over
 # the binary client's send side: concurrent calls sharing one write, and a
-# warmed open borrowing its call scratch, and over the fleet's mid-run
-# event schedule, whose controller and held devices share its gates.
+# warmed open borrowing its call scratch, over the fleet's mid-run
+# event schedule, whose controller and held devices share its gates, and
+# over the session reaper's sweep and background loop, whose test once
+# failed on a loaded host.
 check: fmt vet build test race
 
 build:
@@ -42,7 +44,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/fault/... ./internal/hwpolicy/... ./internal/serve/... ./internal/obs/... ./internal/shard/...
-	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel|OpenSessionAllocs|SharesWrite|FleetEvents' ./internal/serve ./internal/shard
+	$(GO) test -race -count=10 -run 'Learn|AllocFree|ClientAllocs|Malformed|Overload|Window|SessionLiveHeap|SessionCreateAllocs|ReplayCacheTopLevel|OpenSessionAllocs|SharesWrite|FleetEvents|TTLReaping' ./internal/serve ./internal/shard
 
 # fuzz runs the fuzz targets for a short smoke window each; raise FUZZTIME
 # for a longer campaign.

@@ -13,26 +13,25 @@
 //
 // Usage:
 //
-//	pmserve                                  # train quickly, serve on :7421
-//	pmserve -checkpoint policy.ckpt          # load (or train+save) a checkpoint
-//	pmserve -backend hw                      # serve through the modeled accelerator
-//	pmserve -backend hw -fault-read-err 1e-3 # ...with injected bus faults
-//	pmserve -listen-bin 127.0.0.1:7422       # also speak the binary wire protocol
-//	pmserve -learn -checkpoint policy.ckpt   # apply device rewards as live Q-updates
+//	pmserve                                # train quickly, serve on :7421
+//	pmserve -checkpoint policy.ckpt        # load (or train+save) a checkpoint
+//	pmserve -listen-bin 127.0.0.1:7422     # also speak the binary wire protocol
+//	pmserve -learn -checkpoint policy.ckpt # apply device rewards as live Q-updates
 //
-// Endpoints: POST /v1/sessions, POST /v1/sessions/{id}/decide,
-// POST /v1/sessions/{id}/reward, DELETE /v1/sessions/{id},
-// POST /v1/checkpoint, GET /metrics, GET /healthz.
+// Endpoints: POST /v1/sessions, POST /v1/sessions/resume,
+// POST /v1/sessions/{id}/decide, POST /v1/sessions/{id}/reward,
+// DELETE /v1/sessions/{id}, POST /v1/checkpoint, GET /metrics,
+// GET /healthz, GET /debug/events, GET /debug/obs.
 //
 // SIGINT/SIGTERM run the graceful drain — stop accepting, finish in-flight
 // requests, publish a final checkpoint when -checkpoint is set — then exit
 // 0: the clean-shutdown contract the CI smoke job asserts. pmserve exits 1
 // when it cannot start or a listener or the drain fails, and 2 on a usage
-// error. Start the next incarnation with a bumped -epoch so clients
-// holding sessions from the old process detect the restart and
-// transparently resume. -session-ttl reaps abandoned sessions. Past
-// 4×-batch decides in flight the server sheds decides, answering with a
-// Retry-After hint the clients honor.
+// error, a -learn-* flag without -learn among them. Start the next
+// incarnation with a bumped -epoch so clients holding sessions from the
+// old process detect the restart and transparently resume. -session-ttl
+// reaps abandoned sessions. Past 4×-batch decides in flight the server
+// sheds decides, answering with a Retry-After hint the clients honor.
 // SIGUSR1 dumps the full Prometheus metrics exposition to stderr without
 // disturbing serving — the kick-the-tires observability hook when no
 // scraper is attached.
@@ -48,12 +47,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"rlpm/internal/bench"
 	"rlpm/internal/core"
-	"rlpm/internal/fault"
 	"rlpm/internal/serve"
 )
 
@@ -77,7 +76,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		scenario   = fs.String("scenario", "gaming", "training scenario when no checkpoint is loaded")
 		episodes   = fs.Int("episodes", 0, "training episodes (0 = quick default)")
 		quick      = fs.Bool("quick", true, "train with the ~10x-shrunk quick settings")
-		backendFl  = fs.String("backend", "sw", "serving backend: sw (table walk) or hw (modeled accelerator)")
 		maxBatch   = fs.Int("batch", 256, "max observations in one binary decide window; 4× this bounds the decides in flight")
 		seed       = fs.Uint64("seed", 1, "training seed")
 
@@ -85,21 +83,27 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		sessionTTL   = fs.Duration("session-ttl", 0, "reap sessions idle longer than this (0 = never)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
 
-		learn          = fs.Bool("learn", false, "apply device-reported rewards as live Q-updates (sw backend only)")
+		learn          = fs.Bool("learn", false, "apply device-reported rewards as live Q-updates")
 		learnSeed      = fs.Uint64("learn-seed", 1, "learner Double-Q coin seed")
 		learnAlpha     = fs.Float64("learn-alpha", 0, "learning rate override (0 = model config)")
 		learnGamma     = fs.Float64("learn-gamma", 0, "discount override (0 = model config)")
 		learnSwapEvery = fs.Int("learn-swap-every", 0, "applied updates per table publication (0 = default 256)")
 		learnCkptEvery = fs.Duration("learn-checkpoint-every", 0, "periodically publish the learned tables to -checkpoint (0 = only on drain)")
-
-		faultReadErr  = fs.Float64("fault-read-err", 0, "hw backend: injected bus read error rate")
-		faultWriteErr = fs.Float64("fault-write-err", 0, "hw backend: injected bus write error rate")
-		faultTimeout  = fs.Float64("fault-timeout", 0, "hw backend: injected device-wedge rate")
-		faultSeed     = fs.Uint64("fault-seed", 7, "hw backend: fault injection seed")
 	)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+	// A -learn-* setting without -learn would be ignored: refuse it.
+	stray := ""
+	fs.Visit(func(f *flag.Flag) {
+		if !*learn && strings.HasPrefix(f.Name, "learn-") {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		fmt.Fprintf(stderr, "pmserve: -%s needs -learn\n", stray)
 		return 2
 	}
 	fail := func(err error) int {
@@ -109,9 +113,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 	srv, err := buildServer(serverParams{
 		checkpoint: *checkpoint, scenario: *scenario, episodes: *episodes,
-		quick: *quick, backend: *backendFl, maxBatch: *maxBatch,
-		seed: *seed, faultReadErr: *faultReadErr, faultWriteErr: *faultWriteErr,
-		faultTimeout: *faultTimeout, faultSeed: *faultSeed,
+		quick: *quick, maxBatch: *maxBatch, seed: *seed,
 		epoch: uint32(*epoch), sessionTTL: *sessionTTL,
 		learn: serve.LearnConfig{
 			Enabled: *learn, Seed: *learnSeed, Alpha: *learnAlpha, Gamma: *learnGamma,
@@ -128,8 +130,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		return fail(err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stderr, "pmserve: serving %d clusters on http://%s (backend %s)\n",
-		srv.Model().Clusters(), ln.Addr(), *backendFl)
+	fmt.Fprintf(stderr, "pmserve: serving %d clusters on http://%s\n", srv.Model().Clusters(), ln.Addr())
 
 	// The binary listener rides alongside HTTP against the same sessions;
 	// srv.Close (run on shutdown below) tears it and its connections down.
@@ -197,20 +198,28 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 }
 
 type serverParams struct {
-	checkpoint, scenario, backend             string
-	episodes, maxBatch                        int
-	quick                                     bool
-	seed, faultSeed                           uint64
-	faultReadErr, faultWriteErr, faultTimeout float64
-	epoch                                     uint32
-	sessionTTL                                time.Duration
-	learn                                     serve.LearnConfig
+	checkpoint, scenario string
+	episodes, maxBatch   int
+	quick                bool
+	seed                 uint64
+	epoch                uint32
+	sessionTTL           time.Duration
+	learn                serve.LearnConfig
 }
 
-// buildServer resolves the model (checkpoint or fresh training), wires the
-// chosen backend, and assembles the server with the resilience config,
-// reporting what it loaded, trained and saved on stderr.
+// buildServer checks the server config, resolves the model (checkpoint or
+// fresh training), and assembles the server, reporting what it loaded,
+// trained and saved on stderr.
 func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
+	cfg := serve.Config{
+		MaxBatch: p.maxBatch, CheckpointPath: p.checkpoint,
+		Epoch: p.epoch, SessionTTL: p.sessionTTL,
+		Learn: p.learn,
+	}
+	// Refuse a bad config before training, which takes seconds.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var model *serve.Model
 	loadedCheckpoint := false
 	if p.checkpoint != "" {
@@ -239,36 +248,7 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 			return nil, err
 		}
 	}
-
-	var backend serve.Backend
-	switch p.backend {
-	case "", "sw":
-		backend = serve.NewSWBackend(model)
-	case "hw":
-		hwCfg := serve.DefaultHWBackendConfig()
-		if fc := faultConfig(p); fc != nil {
-			inj, err := fault.NewInjector(*fc)
-			if err != nil {
-				return nil, err
-			}
-			hwCfg.Injector = inj
-		}
-		var err error
-		if backend, err = serve.NewHWBackend(model, hwCfg); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown backend %q", p.backend)
-	}
-
-	if p.learn.Enabled && p.backend == "hw" {
-		return nil, fmt.Errorf("-learn requires the sw backend: learned tables publish by swapping arenas behind an atomic pointer, which the modeled accelerator cannot do")
-	}
-	srv, err := serve.New(model, backend, serve.Config{
-		MaxBatch: p.maxBatch, CheckpointPath: p.checkpoint,
-		Epoch: p.epoch, SessionTTL: p.sessionTTL,
-		Learn: p.learn,
-	})
+	srv, err := serve.New(model, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -287,18 +267,4 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 		srv.Events().Addf("checkpoint", "loaded %s", p.checkpoint)
 	}
 	return srv, nil
-}
-
-// faultConfig assembles the injector config from the fault flags; nil when
-// every rate is zero.
-func faultConfig(p serverParams) *fault.Config {
-	if p.faultReadErr == 0 && p.faultWriteErr == 0 && p.faultTimeout == 0 {
-		return nil
-	}
-	return &fault.Config{
-		Seed:           p.faultSeed,
-		ReadErrorRate:  p.faultReadErr,
-		WriteErrorRate: p.faultWriteErr,
-		TimeoutRate:    p.faultTimeout,
-	}
 }

@@ -70,14 +70,24 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of pmserve"},
-		{"unknown backend", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-backend", "bogus"}, 1, `unknown backend "bogus"`},
-		{"unknown backend without checkpoint", []string{"-addr", "127.0.0.1:0", "-backend", "bogus"}, 1, `unknown backend "bogus"`},
-		{"learn on hw", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn", "-backend", "hw"}, 1, "-learn requires the sw backend"},
+		// pmserve has no accelerator backend or fault injection: the
+		// modeled accelerator runs under pmbench and pmsim.
+		{"unknown backend", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-backend", "bogus"}, 2, "flag provided but not defined: -backend"},
+		{"unknown backend without checkpoint", []string{"-addr", "127.0.0.1:0", "-backend", "bogus"}, 2, "flag provided but not defined: -backend"},
+		{"learn on hw", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn", "-backend", "hw"}, 2, "flag provided but not defined: -backend"},
+		{"fault injection", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-fault-read-err", "1e-3"}, 2, "flag provided but not defined: -fault-read-err"},
+		// Learner settings that would be ignored are refused.
+		{"learn setting without learn", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn-alpha", "5", "-learn-swap-every", "-3"}, 2, "needs -learn"},
+		{"periodic learn checkpoint without checkpoint", []string{"-addr", "127.0.0.1:0", "-learn", "-learn-checkpoint-every", "100ms"}, 1, "needs a CheckpointPath"},
 		{"corrupt checkpoint", []string{"-addr", "127.0.0.1:0", "-checkpoint", corrupt}, 1, "corrupt checkpoint"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var stderr bytes.Buffer
-			if got := run(context.Background(), c.args, &stderr); got != c.want || !strings.Contains(stderr.String(), c.wantErr) {
+			// A pmserve that starts serving instead of refusing exits 0
+			// at the deadline, failing the row rather than hanging it.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var stderr syncBuffer
+			if got := run(ctx, c.args, &stderr); got != c.want || !strings.Contains(stderr.String(), c.wantErr) {
 				t.Fatalf("exit %d, want %d with %q in stderr:\n%s", got, c.want, c.wantErr, stderr.String())
 			}
 		})

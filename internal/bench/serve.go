@@ -13,10 +13,10 @@ type ServeOptions struct {
 }
 
 // TrainedServeModel trains a policy on opt's settings and freezes it into
-// a serving model with the software backend, for the binaries and
-// harnesses that manage server lifecycles themselves (pmserve, pmload's
+// a serving model and the SWBackend that holds it live, for the binaries
+// and harnesses that manage server lifecycles themselves (pmserve, pmload's
 // harnesses, the fleet benchmark).
-func TrainedServeModel(o ServeOptions) (*serve.Model, serve.Backend, error) {
+func TrainedServeModel(o ServeOptions) (*serve.Model, *serve.SWBackend, error) {
 	opt := o.Options.normalized()
 	scen := o.Scenario
 	if scen == "" {

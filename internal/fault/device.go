@@ -49,7 +49,6 @@ func (d *Device) ReadReg(addr uint32) (uint32, error) {
 	in := d.inj
 	if hit(in.busR, in.cfg.ReadErrorRate) {
 		in.stats.ReadErrors++
-		in.event("transient read error at %#x", addr)
 		return 0, fmt.Errorf("fault: read %#x: %w", addr, ErrInjected)
 	}
 	v, err := d.dev.ReadReg(addr)
@@ -59,7 +58,6 @@ func (d *Device) ReadReg(addr uint32) (uint32, error) {
 	if hit(in.busR, in.cfg.ReadFlipRate) {
 		v ^= 1 << uint(in.busR.Intn(32))
 		in.stats.ReadFlips++
-		in.event("read-data bit flip at %#x", addr)
 	}
 	return v, nil
 }
@@ -71,7 +69,6 @@ func (d *Device) WriteReg(addr, val uint32) (uint64, error) {
 	in := d.inj
 	if hit(in.busR, in.cfg.WriteErrorRate) {
 		in.stats.WriteErrors++
-		in.event("transient write error at %#x", addr)
 		return 0, fmt.Errorf("fault: write %#x: %w", addr, ErrInjected)
 	}
 	compute, err := d.dev.WriteReg(addr, val)
@@ -83,18 +80,15 @@ func (d *Device) WriteReg(addr, val uint32) (uint64, error) {
 			w, b := in.memR.Intn(n), uint(in.memR.Intn(32))
 			d.cor.CorruptQBit(w, b)
 			in.stats.QFlips++
-			in.event("Q BRAM SEU: word %d bit %d", w, b)
 		}
 	}
 	if hit(in.busR, in.cfg.StallRate) {
 		compute += in.cfg.StallCycles
 		in.stats.Stalls++
-		in.event("latency spike: +%d cycles", in.cfg.StallCycles)
 	}
 	if hit(in.busR, in.cfg.TimeoutRate) {
 		compute += in.cfg.TimeoutCycles
 		in.stats.Timeouts++
-		in.event("device wedge: +%d cycles busy", in.cfg.TimeoutCycles)
 	}
 	return compute, nil
 }

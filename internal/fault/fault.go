@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rlpm/internal/obs"
 	"rlpm/internal/rng"
 )
 
@@ -151,25 +150,11 @@ func (s Stats) Total() uint64 {
 // (one evaluation cell). It is not safe for concurrent use — like every
 // governor/driver stack in the repo, one instance belongs to one cell.
 type Injector struct {
-	cfg    Config
-	busR   *rng.Rand // interconnect site
-	memR   *rng.Rand // BRAM/SEU site
-	obsR   *rng.Rand // telemetry site
-	stats  Stats
-	events *obs.EventLog // nil: injections are counted but not narrated
-}
-
-// SetEventLog attaches a bounded event log; every injected fault is then
-// recorded as a structured event alongside its Stats counter. The hook
-// draws no randomness and never changes injection decisions, so attaching
-// it preserves bit-reproducibility of the fault stream.
-func (in *Injector) SetEventLog(l *obs.EventLog) { in.events = l }
-
-// event records an injected fault when a log is attached.
-func (in *Injector) event(format string, args ...any) {
-	if in.events != nil {
-		in.events.Addf("fault", format, args...)
-	}
+	cfg   Config
+	busR  *rng.Rand // interconnect site
+	memR  *rng.Rand // BRAM/SEU site
+	obsR  *rng.Rand // telemetry site
+	stats Stats
 }
 
 // Stream IDs keep the three sites statistically independent for one seed.

@@ -500,7 +500,7 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := learnServer(t, m)
-	srv.backend.(*SWBackend).live.Store(live)
+	srv.backend.live.Store(live)
 	learning, err := srv.CreateSession(SessionOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@
 //     hot path;
 //   - every SwapEvery updates the shadow tables' mean is written into a
 //     learner-owned arena and published RCU-style: one atomic pointer swap
-//     in the software backend plus a version bump. Decide frames pin the
+//     in the server's SWBackend plus a version bump. Decide frames pin the
 //     live model once each and never take a lock; each pinned model
 //     counts its readers. A retired arena is recycled for a later
 //     publication only once its reader count is zero (the N-reader grace
@@ -39,9 +39,8 @@ import (
 // LearnConfig parameterizes the online learner. The zero value disables
 // learning entirely.
 type LearnConfig struct {
-	// Enabled turns the learner on. Requires the software backend —
-	// learned tables are published by swapping arenas behind an atomic
-	// pointer, which the modeled accelerator cannot do.
+	// Enabled turns the learner on: learned tables are published by
+	// swapping arenas behind the server's live-model pointer.
 	Enabled bool
 	// Manual suppresses the background drain goroutine; updates apply only
 	// when the caller invokes Server.LearnTick. This is the seeded replay
@@ -112,7 +111,6 @@ const learnIdlePoll = 200 * time.Microsecond
 // both modes.
 type learner struct {
 	srv  *Server
-	sw   *SWBackend
 	cfg  LearnConfig
 	ring *tranRing
 
@@ -138,7 +136,7 @@ type learner struct {
 	closeOnce sync.Once
 }
 
-func newLearner(s *Server, sw *SWBackend, cfg LearnConfig) (*learner, error) {
+func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
 	cfg = cfg.withDefaults()
 	upd, err := core.NewTDUpdater(s.model.cfg, s.model.Snapshot(), cfg.Seed, cfg.Alpha, cfg.Gamma)
 	if err != nil {
@@ -146,7 +144,6 @@ func newLearner(s *Server, sw *SWBackend, cfg LearnConfig) (*learner, error) {
 	}
 	l := &learner{
 		srv:  s,
-		sw:   sw,
 		cfg:  cfg,
 		ring: newTranRing(cfg.QueueCap),
 		upd:  upd,
@@ -283,7 +280,7 @@ func (l *learner) applyOneLocked(t core.Transition) {
 }
 
 // publishLocked writes the shadow tables' mean into a learner-owned model
-// and swaps it into the software backend — one atomic swap, no reader
+// and swaps it into the server's SWBackend — one atomic swap, no reader
 // locks. The model written is the spare once its reader count is zero: no
 // decide frame holds it, and any frame that loaded it before it was
 // retired finds on its recheck that it is no longer live. Otherwise (no
@@ -302,7 +299,7 @@ func (l *learner) publishLocked() {
 		next = &Model{cfg: base.cfg, levels: base.levels, flat: base.flat.NewLike()}
 	}
 	l.upd.MeanInto(next.flat)
-	retired := l.sw.live.Swap(next)
+	retired := l.srv.backend.live.Swap(next)
 	if l.spare == nil && retired == l.published {
 		l.spare = retired
 	}

@@ -123,12 +123,15 @@ func TestDecideSeqDedupAndBadSeq(t *testing.T) {
 	}
 }
 
-// TestSessionTTLReaping verifies idle sessions are reaped after the TTL
-// and that touching a session keeps it alive.
+// TestSessionTTLReaping verifies that touching a session keeps it alive
+// and that idle sessions are reaped. The sweep runs with cutoffs read from
+// the session's own last request, so no sleep decides the outcome: swept
+// at that instant the session is kept, one nanosecond past it reaped.
+// Then the background loop must reap an idle session by itself.
 func TestSessionTTLReaping(t *testing.T) {
 	defer leaktest.Check(t)()
 	m := testModel(t, 4, 6)
-	srv, err := New(m, nil, Config{SessionTTL: 50 * time.Millisecond})
+	srv, err := New(m, nil, Config{}) // no TTL: only the test sweeps
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -137,25 +140,42 @@ func TestSessionTTLReaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-
-	// Keep it busy for a few TTLs: must survive.
 	obs := make([]Observation, 2)
 	for i := 0; i < 10; i++ {
 		if _, err := sess.Decide(obs); err != nil {
 			t.Fatalf("decide while active: %v", err)
 		}
-		time.Sleep(15 * time.Millisecond)
+		srv.reapIdle(sess.lastActive.Load())
+		if n := srv.MetricsSnapshot().SessionsReaped; n != 0 {
+			t.Fatalf("a sweep at the session's last request reaped %d sessions", n)
+		}
+	}
+	srv.reapIdle(sess.lastActive.Load() + 1)
+	if n := srv.MetricsSnapshot().SessionsReaped; n != 1 {
+		t.Fatalf("a sweep past the session's last request reaped %d sessions, want 1", n)
+	}
+	if _, err := srv.CloseSessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("close after reap: %v, want ErrNoSession", err)
 	}
 
-	// Go idle: must be reaped.
+	// The background loop reaps an idle session past a 50 ms TTL.
+	loop, err := New(m, nil, Config{SessionTTL: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer loop.Close()
+	idle, err := loop.CreateSession(SessionOptions{})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.MetricsSnapshot().SessionsReaped == 0 {
+	for loop.MetricsSnapshot().SessionsReaped == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle session was never reaped")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := srv.CloseSessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
+	if _, err := loop.CloseSessionByHandle(idle.Handle()); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close after reap: %v, want ErrNoSession", err)
 	}
 }
@@ -385,8 +405,8 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	// ErrOverloaded and the hint as its backoff, and a JSON decide answers
 	// 429 with the hint in retry_after_ms and, rounded up, Retry-After.
 	m := testModel(t, 4, 6)
-	gb := &gateBackend{SWBackend: NewSWBackend(m), entered: make(chan struct{}, 4), gate: make(chan struct{})}
-	shed := newTestServer(t, m, gb, Config{MaxBatch: 1})
+	gb := newGateBackend(m, 4)
+	shed := newTestServer(t, m, gb.SWBackend, Config{MaxBatch: 1})
 	shed.observeDecide(100 * time.Millisecond)
 	want := time.Duration(shed.backoffHintMs()) * time.Millisecond
 	obs := testObs(m, 5, 1)[0]
@@ -438,21 +458,25 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	}
 }
 
-// gateBackend parks every frame that pins the shared policy until the gate
-// opens, signalling each arrival, so a test can hold decides in flight.
+// gateBackend parks every frame that pins the live model until the gate
+// opens, signalling each arrival on entered (room for arrivals of them),
+// so a test can hold decides in flight.
 type gateBackend struct {
 	*SWBackend
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gateBackend) acquire() policy {
-	select {
-	case g.entered <- struct{}{}:
-	default:
+func newGateBackend(m *Model, arrivals int) *gateBackend {
+	g := &gateBackend{SWBackend: NewSWBackend(m), entered: make(chan struct{}, arrivals), gate: make(chan struct{})}
+	g.park = func(*Model) {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.gate
 	}
-	<-g.gate
-	return g.SWBackend.acquire()
+	return g
 }
 
 // TestOverloadBackpressure pins overload control without a queue: with
@@ -465,8 +489,8 @@ func (g *gateBackend) acquire() policy {
 func TestOverloadBackpressure(t *testing.T) {
 	m := testModel(t, 3, 5)
 	const bound, extra = 8, 64
-	gb := &gateBackend{SWBackend: NewSWBackend(m), entered: make(chan struct{}, bound+extra), gate: make(chan struct{})}
-	srv := newTestServer(t, m, gb, Config{MaxBatch: bound / 4})
+	gb := newGateBackend(m, bound+extra)
+	srv := newTestServer(t, m, gb.SWBackend, Config{MaxBatch: bound / 4})
 	released := false
 	defer func() {
 		if !released {

@@ -1,6 +1,7 @@
 // Package serve is the fleet-scale decision-serving subsystem: it hosts a
 // trained power-management policy as a shared, frozen resource and serves
-// OPP decisions to many managed devices over HTTP/JSON.
+// OPP decisions to many managed devices over HTTP/JSON and a binary wire
+// protocol (internal/wire).
 //
 // The journal extension's headline is that the policy's decision latency is
 // what makes it deployable; this package turns the single-process
@@ -24,11 +25,6 @@
 //   - overload control needs no queue: at most 4×MaxBatch decides are in
 //     flight, and past that bound a decide fails fast with ErrOverloaded
 //     and changes no state;
-//   - the backend is an A/B flag: the software table walk and the modeled
-//     hardware accelerator (optionally wrapped with internal/fault's
-//     injector) serve the same API, so HW-vs-SW serving latency is one
-//     command-line switch apart. The accelerator is one device, so its
-//     MMIO transactions serialize on a device mutex;
 //   - trained tables persist through the versioned, checksummed checkpoint
 //     codec (core.EncodeCheckpoint) with atomic write-rename, so a server
 //     restart resumes the exact frozen policy.
@@ -133,8 +129,8 @@ func classify(err error) *errClass {
 // encoding they were trained with. A published Model is never written, so
 // it is safe for concurrent readers. A model built by NewModel stays
 // immutable for its lifetime; the online learner rewrites a model it owns
-// only after retiring it from the backend and seeing its reader count at
-// zero (see learner.publishLocked).
+// only after retiring it from the live pointer and seeing its reader count
+// at zero (see learner.publishLocked).
 type Model struct {
 	cfg     core.Config
 	levels  []int // per-cluster OPP counts
@@ -561,15 +557,15 @@ func (m *Model) decideValidate(obs []Observation, levels []int) error {
 // ledgers; it cannot fail. Caller holds s.mu. For each period and cluster
 // it encodes the state, draws exploration, and otherwise reads the greedy
 // action: a frozen session from the construction model, any other from the
-// backend's policy, pinned at the frame's first such lookup and released
-// at its end. The learner's history rolls forward period by period.
+// live model, pinned at the frame's first such lookup and released at its
+// end. The learner's history rolls forward period by period.
 func (s *Session) decideLocked(obs []Observation, levels []int) {
 	srv := s.srv
 	m := srv.model
 	k := m.Clusters()
 	t0 := time.Now()
 	var (
-		p                          policy
+		p                          *Model
 		explored, greedy, fromLive int
 	)
 	h := s.hist
@@ -745,16 +741,19 @@ func (c Config) Validate() error {
 	if err := c.Learn.validate(); err != nil {
 		return err
 	}
+	if c.Learn.Enabled && c.Learn.CheckpointEvery > 0 && c.CheckpointPath == "" {
+		return fmt.Errorf("serve: learn CheckpointEvery %v needs a CheckpointPath", c.Learn.CheckpointEvery)
+	}
 	return nil
 }
 
-// Server hosts sessions over a shared model and backend. Create one with
-// New, expose it with Handler, and Close it to stop its goroutines. Every
-// decide runs on the goroutine that received it.
+// Server hosts sessions over a shared model. Create one with New, expose
+// it with Handler, and Close it to stop its goroutines. Every decide runs
+// on the goroutine that received it.
 type Server struct {
 	cfg     Config
 	model   *Model
-	backend Backend
+	backend *SWBackend // the live model: the construction model until the learner publishes
 	start   time.Time
 
 	mu       sync.Mutex
@@ -873,21 +872,15 @@ func (s *Server) noteRewardLocked(sess *Session, r float64) {
 	}
 }
 
-// eventLogSinks are backends that report degradations into the server's
-// event log once wired; *HWBackend implements it.
-type eventLogSink interface {
-	setEventLog(*obs.EventLog)
-}
-
-// New builds a server over model and backend. backend defaults to the
-// software table walk when nil.
-func New(model *Model, backend Backend, cfg Config) (*Server, error) {
+// New builds a server over model. backend holds the live model decide
+// frames read; nil builds one over model.
+func New(model *Model, backend *SWBackend, cfg Config) (*Server, error) {
 	return newServer(model, backend, cfg, osHooks())
 }
 
 // newServer is New over the given checkpoint store hooks, in place before
 // the learner can run its first periodic checkpoint.
-func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, error) {
+func newServer(model *Model, backend *SWBackend, cfg Config, fs fsHooks) (*Server, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
 	}
@@ -943,23 +936,11 @@ func newServer(model *Model, backend Backend, cfg Config, fs fsHooks) (*Server, 
 		return s.checkpointAgeS()
 	})
 	reg.NewCounterFunc("serve_events_total", "structured runtime events recorded", s.events.Total)
-	if sink, ok := backend.(eventLogSink); ok {
-		sink.setEventLog(s.events)
-	}
-	if hb, ok := backend.(*HWBackend); ok {
-		reg.NewCounterFunc("serve_hw_decisions_total", "lookups decided by the modeled accelerator", hb.decisions.Load)
-		reg.NewCounterFunc("serve_hw_retries_total", "accelerator transaction retries", hb.retries.Load)
-		reg.NewCounterFunc("serve_hw_degraded_total", "lookups degraded to the software tables", hb.degraded.Load)
-	}
 	reg.NewGaugeFunc("serve_batch_max_occupancy", "most shared-policy lookups read by one frame", func() float64 {
 		return float64(s.maxOcc.Load())
 	})
 	if cfg.Learn.Enabled {
-		sw, ok := backend.(*SWBackend)
-		if !ok {
-			return nil, fmt.Errorf("serve: online learning requires the software backend (swappable tables), not %q", backend.Name())
-		}
-		l, err := newLearner(s, sw, cfg.Learn)
+		l, err := newLearner(s, cfg.Learn)
 		if err != nil {
 			return nil, err
 		}
@@ -1002,20 +983,26 @@ func (s *Server) reapLoop(ttl time.Duration) {
 			return
 		case <-t.C:
 		}
-		cutoff := nanotime() - ttl.Nanoseconds()
-		var expired []*Session
-		s.mu.Lock()
-		for h, sess := range s.handles {
-			if sess.lastActive.Load() < cutoff {
-				expired = append(expired, sess)
-				delete(s.handles, h)
-			}
+		s.reapIdle(nanotime() - ttl.Nanoseconds())
+	}
+}
+
+// reapIdle closes every session whose last request came before cutoff
+// (unix nanos, the clock of Session.lastActive), counting each in
+// serve_sessions_reaped_total.
+func (s *Server) reapIdle(cutoff int64) {
+	var expired []*Session
+	s.mu.Lock()
+	for h, sess := range s.handles {
+		if sess.lastActive.Load() < cutoff {
+			expired = append(expired, sess)
+			delete(s.handles, h)
 		}
-		s.mu.Unlock()
-		for _, sess := range expired {
-			s.finishClose(sess)
-			s.sessionsReaped.Add(1)
-		}
+	}
+	s.mu.Unlock()
+	for _, sess := range expired {
+		s.finishClose(sess)
+		s.sessionsReaped.Add(1)
 	}
 }
 
@@ -1386,19 +1373,9 @@ func (s *Server) finishClose(sess *Session) wire.Stats {
 	return st
 }
 
-// HWStats reports the hardware backend's health ledger in Metrics; nil for
-// the software backend.
-type HWStats struct {
-	Decisions uint64  `json:"decisions"`
-	Retries   uint64  `json:"retries"`
-	Degraded  uint64  `json:"degraded"`
-	MeanLatNs float64 `json:"mean_latency_ns"`
-}
-
 // Metrics is the server's observable state, served at /metrics.
 type Metrics struct {
 	UptimeS            float64     `json:"uptime_s"`
-	Backend            string      `json:"backend"`
 	Clusters           int         `json:"clusters"`
 	Sessions           int         `json:"sessions"`
 	SessionsCreated    uint64      `json:"sessions_created"`
@@ -1421,8 +1398,7 @@ type Metrics struct {
 	BinFrames          uint64      `json:"bin_frames"`
 	BinErrors          uint64      `json:"bin_errors"`
 	CheckpointAgeS     float64     `json:"checkpoint_age_s"` // -1 when no checkpoint exists
-	HW                 *HWStats    `json:"hw,omitempty"`
-	Learn              *LearnStats `json:"learn,omitempty"` // nil unless learning is enabled
+	Learn              *LearnStats `json:"learn,omitempty"`  // nil unless learning is enabled
 }
 
 // MetricsSnapshot assembles the current metrics. Ages are monotonic-safe
@@ -1435,7 +1411,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	batches, lookups := s.batches.Load(), s.batchLookups.Load()
 	m := Metrics{
 		UptimeS:           ageSeconds(s.start),
-		Backend:           s.backend.Name(),
 		Clusters:          s.model.Clusters(),
 		Sessions:          live,
 		SessionsCreated:   s.sessionsCreated.Load(),
@@ -1460,9 +1435,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	if batches > 0 {
 		m.MeanBatchOccupancy = float64(lookups) / float64(batches)
-	}
-	if hb, ok := s.backend.(*HWBackend); ok {
-		m.HW = hb.statsSnapshot()
 	}
 	if s.learner != nil {
 		m.Learn = s.learner.statsSnapshot(s)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rlpm/internal/core"
-	"rlpm/internal/fault"
 	"rlpm/internal/rng"
 	"rlpm/internal/sim"
 )
@@ -124,7 +123,7 @@ func (o *oracle) decide(obs []Observation) []int {
 	return levels
 }
 
-func newTestServer(t *testing.T, m *Model, backend Backend, cfg Config) *Server {
+func newTestServer(t *testing.T, m *Model, backend *SWBackend, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(m, backend, cfg)
 	if err != nil {
@@ -132,6 +131,31 @@ func newTestServer(t *testing.T, m *Model, backend Backend, cfg Config) *Server 
 	}
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// TestConfigValidate pins the refusals of Config.Validate, which New runs
+// before it builds anything.
+func TestConfigValidate(t *testing.T) {
+	learn := func(every time.Duration) LearnConfig {
+		return LearnConfig{Enabled: true, CheckpointEvery: every}
+	}
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" for a valid config
+	}{
+		{"zero", Config{}, ""},
+		{"negative batch", Config{MaxBatch: -1}, "negative MaxBatch"},
+		{"negative ttl", Config{SessionTTL: -time.Second}, "negative SessionTTL"},
+		{"negative learn swap", Config{Learn: LearnConfig{Enabled: true, SwapEvery: -3}}, "negative learn SwapEvery"},
+		{"periodic learn checkpoint", Config{CheckpointPath: "p.ckpt", Learn: learn(time.Second)}, ""},
+		{"periodic learn checkpoint without a path", Config{Learn: learn(time.Second)}, "needs a CheckpointPath"},
+	} {
+		err := c.cfg.Validate()
+		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.wantErr)
+		}
+	}
 }
 
 func TestModelGreedyTiesBreakLow(t *testing.T) {
@@ -417,7 +441,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if met.Backend != "sw" || met.Sessions != 1 || met.Decisions != 25 || met.Rewards != 1 {
+	if met.Sessions != 1 || met.Decisions != 25 || met.Rewards != 1 {
 		t.Fatalf("metrics %+v", met)
 	}
 	if met.LookupsServed != 25*2 {
@@ -496,75 +520,6 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if met.CheckpointAgeS != -1 {
 		t.Errorf("checkpoint age %.2f with no checkpoint, want -1", met.CheckpointAgeS)
-	}
-}
-
-// TestHWBackendMatchesSW sweeps every (cluster, state) of the model through
-// both backends' pinned policies: the accelerator must answer each greedy
-// lookup as the software table walk does, over MMIO, never degraded.
-func TestHWBackendMatchesSW(t *testing.T) {
-	m := testModel(t, 3, 5)
-	hw, err := NewHWBackend(m, DefaultHWBackendConfig())
-	if err != nil {
-		t.Fatalf("NewHWBackend: %v", err)
-	}
-	var sw Backend = NewSWBackend(m)
-	swp, hwp := sw.acquire(), hw.acquire()
-	defer sw.release(swp)
-	defer hw.release(hwp)
-	lookups := 0
-	for c, n := range m.levels {
-		for s := 0; s < m.cfg.State.States(n); s++ {
-			if want, got := swp.Greedy(c, s), hwp.Greedy(c, s); got != want {
-				t.Fatalf("cluster %d state %d: sw %d, hw %d", c, s, want, got)
-			}
-			lookups++
-		}
-	}
-	if st := hw.statsSnapshot(); st.Decisions != uint64(lookups) || st.Degraded != 0 {
-		t.Fatalf("hw stats %+v after a clean sweep of %d lookups", st, lookups)
-	}
-}
-
-func TestHWBackendDegradesUnderFaults(t *testing.T) {
-	m := testModel(t, 3, 5)
-	inj, err := fault.NewInjector(fault.Config{Seed: 5, ReadErrorRate: 0.2, TimeoutRate: 0.05})
-	if err != nil {
-		t.Fatalf("NewInjector: %v", err)
-	}
-	cfg := DefaultHWBackendConfig()
-	cfg.Injector = inj
-	hw, err := NewHWBackend(m, cfg)
-	if err != nil {
-		t.Fatalf("NewHWBackend: %v", err)
-	}
-	srv := newTestServer(t, m, hw, Config{})
-	sess, err := srv.CreateSession(SessionOptions{})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
-	orc := newOracle(m, SessionOptions{})
-	for i, obs := range testObs(m, 13, 150) {
-		got, err := sess.Decide(obs)
-		if err != nil {
-			t.Fatalf("step %d: decide failed under faults: %v", i, err)
-		}
-		// Retried hardware answers and software degradations both resolve
-		// to the same frozen greedy policy — availability and correctness
-		// survive the injector.
-		want := orc.decide(obs)
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("step %d cluster %d: faulty hw served %d, oracle %d", i, c, got[c], want[c])
-			}
-		}
-	}
-	met := srv.MetricsSnapshot()
-	if met.HW == nil {
-		t.Fatal("hw stats missing from metrics")
-	}
-	if met.HW.Retries == 0 && met.HW.Degraded == 0 {
-		t.Fatalf("injector at 20%% read errors exercised neither retries nor degradation: %+v", met.HW)
 	}
 }
 
