@@ -84,9 +84,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
 
 		learn          = fs.Bool("learn", false, "apply device-reported rewards as live Q-updates")
-		learnSeed      = fs.Uint64("learn-seed", 1, "learner Double-Q coin seed")
-		learnAlpha     = fs.Float64("learn-alpha", 0, "learning rate override (0 = model config)")
-		learnGamma     = fs.Float64("learn-gamma", 0, "discount override (0 = model config)")
 		learnSwapEvery = fs.Int("learn-swap-every", 0, "applied updates per table publication (0 = default 256)")
 		learnCkptEvery = fs.Duration("learn-checkpoint-every", 0, "periodically publish the learned tables to -checkpoint (0 = only on drain)")
 	)
@@ -116,8 +113,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		quick: *quick, maxBatch: *maxBatch, seed: *seed,
 		epoch: uint32(*epoch), sessionTTL: *sessionTTL,
 		learn: serve.LearnConfig{
-			Enabled: *learn, Seed: *learnSeed, Alpha: *learnAlpha, Gamma: *learnGamma,
-			SwapEvery: *learnSwapEvery, CheckpointEvery: *learnCkptEvery,
+			Enabled: *learn, SwapEvery: *learnSwapEvery, CheckpointEvery: *learnCkptEvery,
 		},
 	}, stderr)
 	if err != nil {

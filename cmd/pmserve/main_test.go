@@ -77,7 +77,9 @@ func TestExitCodes(t *testing.T) {
 		{"learn on hw", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn", "-backend", "hw"}, 2, "flag provided but not defined: -backend"},
 		{"fault injection", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-fault-read-err", "1e-3"}, 2, "flag provided but not defined: -fault-read-err"},
 		// Learner settings that would be ignored are refused.
-		{"learn setting without learn", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn-alpha", "5", "-learn-swap-every", "-3"}, 2, "needs -learn"},
+		{"learn setting without learn", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn-swap-every", "-3"}, 2, "needs -learn"},
+		// The learner runs the model config's TD rule, rate and discount.
+		{"learn alpha", []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-learn", "-learn-alpha", "0.5"}, 2, "flag provided but not defined: -learn-alpha"},
 		{"periodic learn checkpoint without checkpoint", []string{"-addr", "127.0.0.1:0", "-learn", "-learn-checkpoint-every", "100ms"}, 1, "needs a CheckpointPath"},
 		{"corrupt checkpoint", []string{"-addr", "127.0.0.1:0", "-checkpoint", corrupt}, 1, "corrupt checkpoint"},
 	} {

@@ -97,7 +97,8 @@ func TestDoubleQTablesExistAndAverage(t *testing.T) {
 	tab := a.Table()
 	for s := range tab {
 		for x := range tab[s] {
-			want := (a.q[s][x] + a.q2[s][x]) / 2
+			i := s*a.NumActions() + x
+			want := (a.q[i] + a.q2[i]) / 2
 			if tab[s][x] != want {
 				t.Fatalf("Table[%d][%d] = %v, want mean %v", s, x, tab[s][x], want)
 			}
@@ -112,7 +113,7 @@ func TestDoubleQLoadTableSetsBoth(t *testing.T) {
 	if err := a.LoadTable(tab); err != nil {
 		t.Fatal(err)
 	}
-	if a.q[0][2] != 7.5 || a.q2[0][2] != 7.5 {
+	if a.q[2] != 7.5 || a.q2[2] != 7.5 { // state 0, action 2
 		t.Fatal("LoadTable did not set both tables")
 	}
 }
@@ -123,11 +124,9 @@ func TestDoubleQResetClearsBoth(t *testing.T) {
 		a.Step(obsFor(0.5, 0.9, 0.5, i%4, 4, true, 0.1))
 	}
 	a.Reset()
-	for s := range a.q {
-		for x := range a.q[s] {
-			if a.q[s][x] != 0 || a.q2[s][x] != 0 {
-				t.Fatal("Reset left residue in a table")
-			}
+	for i := range a.q {
+		if a.q[i] != 0 || a.q2[i] != 0 {
+			t.Fatal("Reset left residue in a table")
 		}
 	}
 }

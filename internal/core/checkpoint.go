@@ -113,24 +113,14 @@ func (s Snapshot) validateForCheckpoint() error {
 	return nil
 }
 
-// DecodeCheckpoint parses a checkpoint written by EncodeCheckpoint. Any
-// corruption — wrong magic, truncation, flipped bits (checksum), trailing
-// garbage, or a structurally inconsistent payload — fails with an error
-// wrapping ErrCheckpointCorrupt; a clean file of an unknown version fails
-// with ErrCheckpointVersion. It never panics on arbitrary input, and its
-// allocations are bounded by the input length.
-func DecodeCheckpoint(r io.Reader) (Snapshot, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	return DecodeCheckpointBytes(raw)
-}
-
-// DecodeCheckpointBytes is DecodeCheckpoint over an in-memory image, for
-// callers that already hold the whole file (a sized os.ReadFile) and
-// should not pay io.ReadAll's buffer growth. The returned tables do not
-// alias raw.
+// DecodeCheckpointBytes parses a checkpoint image written by
+// EncodeCheckpoint, for callers that hold the whole file (a sized
+// os.ReadFile). Any corruption — wrong magic, truncation, flipped bits
+// (checksum), trailing garbage, or a structurally inconsistent payload —
+// fails with an error wrapping ErrCheckpointCorrupt; a clean file of an
+// unknown version fails with ErrCheckpointVersion. It never panics on
+// arbitrary input, its allocations are bounded by the input length, and
+// the returned tables do not alias raw.
 func DecodeCheckpointBytes(raw []byte) (Snapshot, error) {
 	if len(raw) < checkpointHeaderLen+4 {
 		return Snapshot{}, fmt.Errorf("%w: %d bytes is shorter than the minimal checkpoint", ErrCheckpointCorrupt, len(raw))

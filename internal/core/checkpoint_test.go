@@ -73,9 +73,9 @@ func snapshotsBitEqual(a, b Snapshot) bool {
 func TestCheckpointRoundTrip(t *testing.T) {
 	want := checkpointSnapshot(t)
 	enc := encodeCheckpoint(t, want)
-	got, err := DecodeCheckpoint(bytes.NewReader(enc))
+	got, err := DecodeCheckpointBytes(enc)
 	if err != nil {
-		t.Fatalf("DecodeCheckpoint: %v", err)
+		t.Fatalf("DecodeCheckpointBytes: %v", err)
 	}
 	if !snapshotsBitEqual(want, got) {
 		t.Fatal("decoded snapshot differs from encoded one")
@@ -97,9 +97,9 @@ func TestCheckpointRoundTripFromPolicy(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	enc := encodeCheckpoint(t, snap)
-	got, err := DecodeCheckpoint(bytes.NewReader(enc))
+	got, err := DecodeCheckpointBytes(enc)
 	if err != nil {
-		t.Fatalf("DecodeCheckpoint: %v", err)
+		t.Fatalf("DecodeCheckpointBytes: %v", err)
 	}
 	if !snapshotsBitEqual(snap, got) {
 		t.Fatal("trained-policy snapshot did not round-trip bit-exactly")
@@ -118,7 +118,7 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x40
-		_, err := DecodeCheckpoint(bytes.NewReader(mut))
+		_, err := DecodeCheckpointBytes(mut)
 		if err == nil {
 			t.Fatalf("decode succeeded with byte %d flipped", i)
 		}
@@ -131,7 +131,7 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 func TestCheckpointTruncationRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
 	for _, n := range []int{0, 1, 7, 8, 11, 12, checkpointHeaderLen, checkpointHeaderLen + 4, len(enc) - 1} {
-		_, err := DecodeCheckpoint(bytes.NewReader(enc[:n]))
+		_, err := DecodeCheckpointBytes(enc[:n])
 		if !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("prefix of %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
 		}
@@ -140,7 +140,7 @@ func TestCheckpointTruncationRejected(t *testing.T) {
 
 func TestCheckpointTrailingGarbageRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
-	_, err := DecodeCheckpoint(bytes.NewReader(append(append([]byte(nil), enc...), 0xAA)))
+	_, err := DecodeCheckpointBytes(append(append([]byte(nil), enc...), 0xAA))
 	if !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCheckpointCorrupt", err)
 	}
@@ -150,7 +150,7 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
 	mut := append([]byte(nil), enc...)
 	mut[8] = 0x7F // version low byte
-	_, err := DecodeCheckpoint(bytes.NewReader(mut))
+	_, err := DecodeCheckpointBytes(mut)
 	if !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("future version: got %v, want ErrCheckpointVersion", err)
 	}
@@ -197,7 +197,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte("RLPMCKPT"))
 	f.Add(bytes.Repeat([]byte{0}, checkpointHeaderLen+4))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeCheckpoint(bytes.NewReader(data))
+		snap, err := DecodeCheckpointBytes(data)
 		if err != nil {
 			if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
 				t.Fatalf("untyped decode error: %v", err)

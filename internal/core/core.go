@@ -269,15 +269,17 @@ func qosBin(q float64, bins int) int {
 	return binOf(q, bins)
 }
 
-// Agent is the per-cluster Q-learning agent.
+// Agent is the per-cluster Q-learning agent. Its tables are row-major
+// states × actions — the layout of a FlatTables cluster window and of a
+// checkpoint table body.
 type Agent struct {
 	cfg       Config
 	numLevels int
 	stream    uint64
 	algo      Algorithm
-	q         [][]float64 // q[state][action]
-	q2        [][]float64 // second table (Double Q-learning only)
-	sumBuf    []float64   // scratch row for Double Q action selection
+	q         []float64 // q[state*numLevels+action]
+	q2        []float64 // second table (Double Q-learning only)
+	sumBuf    []float64 // scratch row for Double Q action selection
 	eps       float64
 	r         *rng.Rand
 	learning  bool
@@ -300,15 +302,9 @@ func NewAgent(cfg Config, numLevels int, stream uint64) (*Agent, error) {
 		return nil, fmt.Errorf("core: agent needs at least one OPP level")
 	}
 	a := &Agent{cfg: cfg, numLevels: numLevels, stream: stream, algo: cfg.Algorithm.normalize(), learning: true}
-	a.q = make([][]float64, cfg.State.States(numLevels))
-	for i := range a.q {
-		a.q[i] = make([]float64, numLevels)
-	}
+	a.q = make([]float64, cfg.State.States(numLevels)*numLevels)
 	if a.algo == DoubleQ {
-		a.q2 = make([][]float64, len(a.q))
-		for i := range a.q2 {
-			a.q2[i] = make([]float64, numLevels)
-		}
+		a.q2 = make([]float64, len(a.q))
 		a.sumBuf = make([]float64, numLevels)
 	}
 	a.eps = cfg.EpsilonStart
@@ -317,7 +313,7 @@ func NewAgent(cfg Config, numLevels int, stream uint64) (*Agent, error) {
 }
 
 // NumStates returns the Q-table's state count.
-func (a *Agent) NumStates() int { return len(a.q) }
+func (a *Agent) NumStates() int { return len(a.q) / a.numLevels }
 
 // NumActions returns the Q-table's action count.
 func (a *Agent) NumActions() int { return a.numLevels }
@@ -362,35 +358,21 @@ func (a *Agent) Step(o sim.Observation) int {
 	reward := a.cfg.Reward(o)
 
 	var action int
-	switch a.algo {
-	case SARSA:
+	if a.algo == SARSA {
 		// On-policy: select the next action first, then bootstrap from
 		// the value of that very action.
-		action = a.selectAction(a.q[state])
-		if a.learning && a.hasLast {
-			target := reward + a.cfg.Gamma*a.q[state][action]
-			a.update(a.q, target)
-		}
+		action = a.selectAction(a.row(a.q, state))
+	}
+	if a.learning && a.hasLast {
+		a.td(a.lastState, a.lastAction, reward, state, action)
+	}
+	// Off-policy rules select after the update, from the updated row.
+	switch a.algo {
+	case SARSA: // selected above
 	case DoubleQ:
-		// Decorrelate selection and evaluation: a fair coin picks which
-		// table to update; the other provides the bootstrap value.
-		if a.learning && a.hasLast {
-			upd, eval := a.q, a.q2
-			if a.r.Bernoulli(0.5) {
-				upd, eval = a.q2, a.q
-			}
-			idx, _ := argmaxF(upd[state])
-			target := reward + a.cfg.Gamma*eval[state][idx]
-			a.update(upd, target)
-		}
 		action = a.selectAction(a.sumRow(state))
 	default: // QLearning
-		_, best := argmaxF(a.q[state])
-		if a.learning && a.hasLast {
-			target := reward + a.cfg.Gamma*best
-			a.update(a.q, target)
-		}
-		action = a.selectAction(a.q[state])
+		action = a.selectAction(a.row(a.q, state))
 	}
 
 	if a.learning {
@@ -404,6 +386,65 @@ func (a *Agent) Step(o sim.Observation) int {
 	return action
 }
 
+// Learn applies one observed transition through the TD step Step runs, and
+// returns the signed TD error. It is how a learner that does not choose
+// the actions — the serving tier, which pairs a device's decided state and
+// action with its later reward — updates the table. t.Cluster is the
+// caller's routing key and is not read here. Learn applies t whether or
+// not learning is on: SetLearning gates only what Step does. SARSA is
+// refused, because its target needs the next action, which a transition
+// does not carry. Every check runs before a table or the random stream
+// moves, so a refused transition leaves the agent bit-identical.
+func (a *Agent) Learn(t Transition) (float64, error) {
+	if a.algo == SARSA {
+		return 0, fmt.Errorf("core: a SARSA agent cannot learn from a transition without its next action")
+	}
+	states := a.NumStates()
+	if t.State < 0 || t.State >= states || t.NextState < 0 || t.NextState >= states {
+		return 0, fmt.Errorf("core: transition states %d->%d out of [0,%d)", t.State, t.NextState, states)
+	}
+	if t.Action < 0 || t.Action >= a.numLevels {
+		return 0, fmt.Errorf("core: transition action %d out of [0,%d)", t.Action, a.numLevels)
+	}
+	if math.IsNaN(t.Reward) || math.IsInf(t.Reward, 0) {
+		return 0, fmt.Errorf("%w: reward %v", ErrBadObservation, t.Reward)
+	}
+	return a.td(t.State, t.Action, t.Reward, t.NextState, 0), nil
+}
+
+// td is the agent's one TD step: it moves Q(s,act) toward r plus the
+// discounted value of next under the configured algorithm, records the
+// TD-error magnitude and returns the signed error. Q-learning bootstraps
+// from max Q(next,·); SARSA from Q(next,nextAct); Double Q-learning flips
+// a fair coin for the table to update and bootstraps from the other
+// table's value of the updated table's argmax at next, decorrelating
+// selection from evaluation. nextAct is read by SARSA only.
+func (a *Agent) td(s, act int, r float64, next, nextAct int) float64 {
+	upd, eval := a.q, a.q
+	switch a.algo {
+	case SARSA: // bootstraps from the nextAct given
+	case DoubleQ:
+		eval = a.q2
+		if a.r.Bernoulli(0.5) {
+			upd, eval = a.q2, a.q
+		}
+		nextAct, _ = argmaxF(a.row(upd, next))
+	default: // QLearning
+		nextAct, _ = argmaxF(a.row(a.q, next))
+	}
+	target := r + a.cfg.Gamma*eval[next*a.numLevels+nextAct]
+	i := s*a.numLevels + act
+	d := target - upd[i]
+	upd[i] += a.cfg.Alpha * d
+	a.lastTD = math.Abs(d)
+	return d
+}
+
+// row returns state's action values in table t.
+func (a *Agent) row(t []float64, state int) []float64 {
+	return t[state*a.numLevels : (state+1)*a.numLevels]
+}
+
 // selectAction is ε-greedy over the given action-value row.
 func (a *Agent) selectAction(row []float64) int {
 	if a.learning && a.r.Float64() < a.eps {
@@ -413,22 +454,14 @@ func (a *Agent) selectAction(row []float64) int {
 	return idx
 }
 
-// update applies the TD step to table[lastState][lastAction] and records
-// the TD-error magnitude.
-func (a *Agent) update(table [][]float64, target float64) {
-	td := target - table[a.lastState][a.lastAction]
-	table[a.lastState][a.lastAction] += a.cfg.Alpha * td
-	a.lastTD = math.Abs(td)
-}
-
 // sumRow returns q[state]+q2[state] for Double Q action selection, written
 // into the agent's scratch row so the decision path stays allocation-free.
 func (a *Agent) sumRow(state int) []float64 {
-	row := a.sumBuf
-	for i := range row {
-		row[i] = a.q[state][i] + a.q2[state][i]
+	q, q2 := a.row(a.q, state), a.row(a.q2, state)
+	for i := range a.sumBuf {
+		a.sumBuf[i] = q[i] + q2[i]
 	}
-	return row
+	return a.sumBuf
 }
 
 // argmaxF returns the index and value of the maximum; ties break low, the
@@ -447,23 +480,32 @@ func argmaxF(vals []float64) (int, float64) {
 // returns the mean of the two tables — the greedy policy the agent
 // actually follows.
 func (a *Agent) Table() [][]float64 {
-	out := make([][]float64, len(a.q))
-	for i, row := range a.q {
-		out[i] = append([]float64(nil), row...)
-		if a.q2 != nil {
-			for j := range out[i] {
-				out[i][j] = (out[i][j] + a.q2[i][j]) / 2
-			}
-		}
+	flat := make([]float64, len(a.q))
+	a.tableInto(flat)
+	n := a.numLevels
+	out := make([][]float64, a.NumStates())
+	for s := range out {
+		out[s] = flat[s*n : (s+1)*n : (s+1)*n]
 	}
 	return out
+}
+
+// tableInto writes the greedy table Table returns into dst, row-major.
+func (a *Agent) tableInto(dst []float64) {
+	if a.q2 == nil {
+		copy(dst, a.q)
+		return
+	}
+	for i, v := range a.q {
+		dst[i] = (v + a.q2[i]) / 2
+	}
 }
 
 // LoadTable replaces the Q-table with t (deep-copied). The shape must
 // match.
 func (a *Agent) LoadTable(t [][]float64) error {
-	if len(t) != len(a.q) {
-		return fmt.Errorf("core: table has %d states, agent needs %d", len(t), len(a.q))
+	if len(t) != a.NumStates() {
+		return fmt.Errorf("core: table has %d states, agent needs %d", len(t), a.NumStates())
 	}
 	for i, row := range t {
 		if len(row) != a.numLevels {
@@ -471,9 +513,9 @@ func (a *Agent) LoadTable(t [][]float64) error {
 		}
 	}
 	for i, row := range t {
-		copy(a.q[i], row)
+		copy(a.row(a.q, i), row)
 		if a.q2 != nil {
-			copy(a.q2[i], row)
+			copy(a.row(a.q2, i), row)
 		}
 	}
 	return nil
@@ -481,16 +523,8 @@ func (a *Agent) LoadTable(t [][]float64) error {
 
 // Reset clears learned state and restarts the exploration schedule.
 func (a *Agent) Reset() {
-	for i := range a.q {
-		for j := range a.q[i] {
-			a.q[i][j] = 0
-		}
-		if a.q2 != nil {
-			for j := range a.q2[i] {
-				a.q2[i][j] = 0
-			}
-		}
-	}
+	clear(a.q)
+	clear(a.q2)
 	a.eps = a.cfg.EpsilonStart
 	a.r = rng.NewStream(a.cfg.Seed, a.stream)
 	a.hasLast = false

@@ -1,18 +1,15 @@
-// Flat Q-table layout for the serving read path. Training mutates tables
-// row by row, so the [][]float64 pointer layout is right there — but a
-// served model only ever does argmax reads, and the pointer walk
-// costs two dependent loads (row pointer, then row data) per lookup with
-// rows scattered across the heap. FlatTables packs every cluster's table
-// into one contiguous row-major arena with precomputed row offsets, so a
-// lookup is one offset computation plus a linear scan of an
-// already-cache-resident row. A *batch* of lookups additionally resolves
+// Flat Q-table layout for the serving read path. A served model only
+// ever does argmax reads. FlatTables packs every cluster's table into one
+// contiguous row-major arena with precomputed row offsets — each cluster
+// window laid out as its Agent keeps its own table — so a lookup is one
+// offset computation plus a linear scan of an already-cache-resident row. A *batch* of lookups additionally resolves
 // each distinct row at most once per call: a fleet batch is dominated by
 // devices observing the same few hot states, and FlatMemo's epoch-tagged
 // per-row cache collapses those repeats into one scan plus O(1) replays —
 // with no sort and no per-call reset of the cache.
 //
 // The arena is also the unit an online learner publishes: it rewrites a
-// retired arena in place (TDUpdater.MeanInto) instead of building a new
+// retired arena in place (Policy.TablesInto) instead of building a new
 // table set, the software counterpart of the paper's accelerator updating
 // its one BRAM-resident Q-table through the MAC datapath.
 
@@ -37,7 +34,7 @@ const MaxFlatActions = flatKeyWidthMask
 // FlatTables is a Q-table set flattened into one contiguous row-major
 // float64 arena shared by all clusters. Readers never write it, and an
 // arena that has been published to readers is never written: the only
-// writer is TDUpdater.MeanInto, which an online learner points at an arena
+// writer is Policy.TablesInto, which an online learner points at an arena
 // it owns — a fresh one, or one it retired whose readers have all
 // finished. Batch lookups carry their mutable state in a caller-owned
 // FlatMemo. The shape (off, width) is immutable and shared by NewLike
@@ -108,7 +105,7 @@ func NewFlatTables(tables [][][]float64) *FlatTables {
 }
 
 // NewLike returns a zeroed arena of f's shape, ready for
-// TDUpdater.MeanInto. The shape metadata is shared, not copied.
+// Policy.TablesInto. The shape metadata is shared, not copied.
 func (f *FlatTables) NewLike() *FlatTables {
 	return &FlatTables{arena: make([]float64, len(f.arena)), off: f.off, width: f.width}
 }

@@ -88,8 +88,36 @@ func (p *Policy) BoostExploration(eps float64) {
 	}
 }
 
-// Agents returns the per-cluster agents (nil before the first Decide).
-func (p *Policy) Agents() []*Agent { return p.agents }
+// Learn routes t to its cluster's agent (Agent.Learn) and returns the
+// signed TD error. A cluster the policy has no agent for is refused before
+// anything moves.
+func (p *Policy) Learn(t Transition) (float64, error) {
+	if t.Cluster < 0 || t.Cluster >= len(p.agents) {
+		return 0, fmt.Errorf("core: transition cluster %d out of [0,%d)", t.Cluster, len(p.agents))
+	}
+	return p.agents[t.Cluster].Learn(t)
+}
+
+// TablesInto writes every agent's greedy table (Agent.Table) into f, so f
+// holds exactly NewFlatTables(p.Snapshot().Tables) without allocating.
+// f must have the policy's shape (an arena built from its snapshot, or a
+// NewLike copy of one); a mismatch is a caller bug and panics before any
+// write. The caller must own f: no reader may hold it during the write.
+func (p *Policy) TablesInto(f *FlatTables) {
+	n := 0
+	for c, a := range p.agents {
+		if c >= len(f.off) || f.off[c] != n || f.width[c] != a.numLevels {
+			panic(fmt.Sprintf("core: TablesInto: arena cluster %d does not match the policy's shape", c))
+		}
+		n += len(a.q)
+	}
+	if len(f.off) != len(p.agents) || len(f.arena) != n {
+		panic("core: TablesInto: arena size does not match the policy's shape")
+	}
+	for c, a := range p.agents {
+		a.tableInto(f.arena[f.off[c] : f.off[c]+len(a.q)])
+	}
+}
 
 // MeanEpsilon returns the average exploration rate across agents, a
 // convergence indicator for Fig. 2.

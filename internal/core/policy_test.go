@@ -47,14 +47,14 @@ func TestMustPolicyPanics(t *testing.T) {
 
 func TestPolicyLazyAgentCreation(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
-	if p.Agents() != nil {
+	if p.agents != nil {
 		t.Fatal("agents exist before first Decide")
 	}
 	levels := p.Decide(twoClusterObs(0, 0))
 	if len(levels) != 2 {
 		t.Fatalf("levels = %v", levels)
 	}
-	agents := p.Agents()
+	agents := p.agents
 	if len(agents) != 2 {
 		t.Fatalf("agents = %d", len(agents))
 	}
@@ -169,8 +169,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa := q.Agents()
-	pa := p.Agents()
+	qa := q.agents
+	pa := p.agents
 	if len(qa) != len(pa) {
 		t.Fatalf("restored %d agents, want %d", len(qa), len(pa))
 	}
@@ -244,7 +244,7 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, a := range q.Agents() {
+	for c, a := range q.agents {
 		if a.Learning() {
 			t.Fatalf("cluster %d agent is learning", c)
 		}
@@ -289,7 +289,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if err := snap.EncodeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCheckpoint(&buf)
+	got, err := DecodeCheckpointBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 }
 
 func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCheckpoint(bytes.NewBufferString("not a checkpoint, but longer than its header")); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := DecodeCheckpointBytes([]byte("not a checkpoint, but longer than its header")); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("garbage snapshot: %v, want ErrCheckpointCorrupt", err)
 	}
 }
@@ -341,20 +341,6 @@ func TestTrainProducesFullCurves(t *testing.T) {
 	for i := 1; i < len(tr.Epsilon); i++ {
 		if tr.Epsilon[i] > tr.Epsilon[i-1] {
 			t.Fatalf("epsilon rose between episodes %d and %d", i, i+1)
-		}
-	}
-}
-
-func TestTrainedPolicyIsFrozen(t *testing.T) {
-	spec, _ := workload.ByName("idle")
-	scen, _ := workload.New(spec, 2, 1)
-	p, err := TrainedPolicy(DefaultConfig(), scen, sim.Config{PeriodS: 0.05, DurationS: 2, Seed: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range p.Agents() {
-		if a.Learning() {
-			t.Fatal("TrainedPolicy returned a learning policy")
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "fmt"
 // Snapshot is a serializable image of a trained policy: one Q-table per
 // cluster plus the state configuration it was trained with, so a loader
 // can reject incompatible shapes. Its one file format is the checkpoint
-// codec (EncodeCheckpoint, DecodeCheckpoint).
+// codec (EncodeCheckpoint, DecodeCheckpointBytes).
 type Snapshot struct {
 	State  StateConfig
 	Tables [][][]float64 // [cluster][state][action]

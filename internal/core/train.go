@@ -39,22 +39,3 @@ func Train(chip *soc.Chip, scen workload.Scenario, p *Policy, cfg sim.Config, ep
 	}
 	return tr, nil
 }
-
-// TrainedPolicy is a convenience that builds a policy with cfg, trains it
-// for episodes of scenario on a fresh default chip, freezes it, and
-// returns it ready for evaluation.
-func TrainedPolicy(cfg Config, scen workload.Scenario, simCfg sim.Config, episodes int) (*Policy, error) {
-	chip, err := soc.NewChip(soc.DefaultChipSpec())
-	if err != nil {
-		return nil, err
-	}
-	p, err := NewPolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Train(chip, scen, p, simCfg, episodes); err != nil {
-		return nil, err
-	}
-	p.SetLearning(false)
-	return p, nil
-}

@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"rlpm/internal/rng"
+	"rlpm/internal/sim"
+	"rlpm/internal/soc"
+	"rlpm/internal/workload"
 )
 
-// updaterSnapshot builds a deterministic snapshot for the given per-cluster
+// learnSnapshot builds a deterministic snapshot for the given per-cluster
 // action counts, with table values from a fixed rng stream.
-func updaterSnapshot(cfg Config, levels ...int) Snapshot {
+func learnSnapshot(cfg Config, levels ...int) Snapshot {
 	snap := Snapshot{State: cfg.State}
 	r := rng.New(42)
 	for _, n := range levels {
@@ -28,17 +31,106 @@ func updaterSnapshot(cfg Config, levels ...int) Snapshot {
 	return snap
 }
 
-// TestTDUpdaterFirstStepHandComputed exploits the q = q2 = mean hydration
+// learnPolicy loads snap under cfg, failing the test on error.
+func learnPolicy(t *testing.T, cfg Config, snap Snapshot) *Policy {
+	t.Helper()
+	p, err := PolicyFromSnapshot(cfg, snap)
+	if err != nil {
+		t.Fatalf("PolicyFromSnapshot: %v", err)
+	}
+	return p
+}
+
+// learnMirror is a governor that decides through stepper, a learning
+// policy, and feeds every transition stepper's agents form to learner
+// through Policy.Learn, checking each TD error against the one Step
+// recorded.
+type learnMirror struct {
+	t                *testing.T
+	cfg              Config
+	stepper, learner *Policy
+	mirrored         int
+}
+
+func (m *learnMirror) Name() string { return "learn-mirror" }
+func (m *learnMirror) Reset()       {}
+
+func (m *learnMirror) Decide(obs []sim.Observation) []int {
+	type last struct {
+		state, action int
+		ok            bool
+	}
+	before := make([]last, len(m.stepper.agents))
+	for c, a := range m.stepper.agents {
+		before[c] = last{a.lastState, a.lastAction, a.hasLast}
+	}
+	levels := m.stepper.Decide(obs)
+	for c, a := range m.stepper.agents {
+		if !before[c].ok {
+			continue
+		}
+		tr := Transition{Cluster: c, State: before[c].state, Action: before[c].action,
+			NextState: a.lastState, Reward: m.cfg.Reward(obs[c])}
+		td, err := m.learner.Learn(tr)
+		if err != nil {
+			m.t.Fatalf("Learn(%+v): %v", tr, err)
+		}
+		if math.Abs(td) != a.LastTD() || m.learner.agents[c].LastTD() != a.LastTD() {
+			m.t.Fatalf("transition %d: Learn's TD error %v, Step's %v", m.mirrored, td, a.LastTD())
+		}
+		m.mirrored++
+	}
+	return levels
+}
+
+// TestLearnMatchesStep pins the one TD step under Q-learning: a policy
+// stepping through a seeded simulation with learning on, and a second
+// policy loaded from the same tables and fed the (s, a, r, s′)
+// transitions the first one formed through Learn, end with bit-equal
+// tables and equal TD errors at every step.
+func TestLearnMatchesStep(t *testing.T) {
+	chip, err := soc.NewChip(soc.DefaultChipSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var levels []int
+	for _, c := range soc.DefaultChipSpec().Clusters {
+		levels = append(levels, len(c.OPPs))
+	}
+	cfg := DefaultConfig()
+	snap := learnSnapshot(cfg, levels...)
+	m := &learnMirror{t: t, cfg: cfg, stepper: learnPolicy(t, cfg, snap), learner: learnPolicy(t, cfg, snap)}
+	m.stepper.SetLearning(true)
+
+	spec, _ := workload.ByName("gaming")
+	scen, err := workload.New(spec, chip.NumClusters(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(chip, scen, m, sim.Config{PeriodS: 0.05, DurationS: 20, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if m.mirrored < 700 {
+		t.Fatalf("mirrored %d transitions, want a full run's worth", m.mirrored)
+	}
+	for c, a := range m.stepper.agents {
+		b := m.learner.agents[c]
+		for i := range a.q {
+			if math.Float64bits(a.q[i]) != math.Float64bits(b.q[i]) {
+				t.Fatalf("cluster %d slot %d: Step left %v, Learn %v", c, i, a.q[i], b.q[i])
+			}
+		}
+	}
+}
+
+// TestLearnDoubleQFirstStepHandComputed exploits the q = q2 hydration
 // convention: on the very first update both tables are identical, so the
 // TD step is computable without knowing the Double-Q coin outcome.
-func TestTDUpdaterFirstStepHandComputed(t *testing.T) {
+func TestLearnDoubleQFirstStepHandComputed(t *testing.T) {
 	cfg := DefaultConfig()
-	snap := updaterSnapshot(cfg, 4)
-	const alpha, gamma = 0.5, 0.9
-	u, err := NewTDUpdater(cfg, snap, 7, alpha, gamma)
-	if err != nil {
-		t.Fatalf("NewTDUpdater: %v", err)
-	}
+	cfg.Algorithm, cfg.Alpha, cfg.Gamma = DoubleQ, 0.5, 0.9
+	snap := learnSnapshot(cfg, 4)
+	p := learnPolicy(t, cfg, snap)
 	tr := Transition{Cluster: 0, State: 3, Action: 1, NextState: 5, Reward: -0.25}
 
 	next := snap.Tables[0][tr.NextState]
@@ -48,37 +140,34 @@ func TestTDUpdaterFirstStepHandComputed(t *testing.T) {
 			best = v
 		}
 	}
-	wantTD := tr.Reward + gamma*best - snap.Tables[0][tr.State][tr.Action]
+	wantTD := tr.Reward + cfg.Gamma*best - snap.Tables[0][tr.State][tr.Action]
 
-	td, err := u.Apply(tr)
+	td, err := p.Learn(tr)
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("Learn: %v", err)
 	}
 	if math.Abs(td-wantTD) > 1e-12 {
 		t.Fatalf("td = %v, want %v", td, wantTD)
 	}
-	if got := u.Applied(); got != 1 {
-		t.Fatalf("Applied = %d, want 1", got)
-	}
 	// Only one of the two tables moved, so the published mean moves by
 	// alpha*td/2.
-	wantMean := snap.Tables[0][tr.State][tr.Action] + alpha*wantTD/2
-	got := u.Snapshot().Tables[0][tr.State][tr.Action]
-	if math.Abs(got-wantMean) > 1e-12 {
-		t.Fatalf("snapshot mean = %v, want %v", got, wantMean)
+	wantMean := snap.Tables[0][tr.State][tr.Action] + cfg.Alpha*wantTD/2
+	got, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got.Tables[0][tr.State][tr.Action]; math.Abs(v-wantMean) > 1e-12 {
+		t.Fatalf("snapshot mean = %v, want %v", v, wantMean)
 	}
 }
 
-func TestTDUpdaterSeededDeterminism(t *testing.T) {
+// TestLearnDoubleQSeededDeterminism pins the Double-Q coin to the config
+// seed's per-cluster streams: two policies loaded from one snapshot under
+// one config learn the same transitions identically.
+func TestLearnDoubleQSeededDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
-	snap := updaterSnapshot(cfg, 4, 3)
-	mk := func(seed uint64) *TDUpdater {
-		u, err := NewTDUpdater(cfg, snap, seed, 0.3, 0.8)
-		if err != nil {
-			t.Fatalf("NewTDUpdater: %v", err)
-		}
-		return u
-	}
+	cfg.Algorithm, cfg.Alpha, cfg.Gamma, cfg.Seed = DoubleQ, 0.3, 0.8, 11
+	snap := learnSnapshot(cfg, 4, 3)
 	gen := rng.New(99)
 	trs := make([]Transition, 200)
 	states := cfg.State.States(4)
@@ -95,36 +184,32 @@ func TestTDUpdaterSeededDeterminism(t *testing.T) {
 			trs[i].NextState %= cfg.State.States(3)
 		}
 	}
-	a, b := mk(11), mk(11)
+	a, b := learnPolicy(t, cfg, snap), learnPolicy(t, cfg, snap)
 	for _, tr := range trs {
-		tda, erra := a.Apply(tr)
-		tdb, errb := b.Apply(tr)
+		tda, erra := a.Learn(tr)
+		tdb, errb := b.Learn(tr)
 		if erra != nil || errb != nil {
-			t.Fatalf("Apply: %v / %v", erra, errb)
+			t.Fatalf("Learn: %v / %v", erra, errb)
 		}
 		if tda != tdb {
 			t.Fatalf("same-seed TD divergence: %v != %v", tda, tdb)
 		}
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	for c := range sa.Tables {
-		for s := range sa.Tables[c] {
-			for i := range sa.Tables[c][s] {
-				if sa.Tables[c][s][i] != sb.Tables[c][s][i] {
-					t.Fatalf("same-seed table divergence at [%d][%d][%d]", c, s, i)
-				}
-			}
-		}
+	sa, _ := a.Snapshot()
+	sb, _ := b.Snapshot()
+	if !snapshotsBitEqual(sa, sb) {
+		t.Fatal("same-seed table divergence")
 	}
 }
 
-// TestTDUpdaterRejectsWithoutSideEffects pins the property the seeded
-// replay mode depends on: a rejected transition must not advance the coin
-// stream, the applied counter, or the tables — an updater that saw (and
-// rejected) garbage stays bit-identical to one that never saw it.
-func TestTDUpdaterRejectsWithoutSideEffects(t *testing.T) {
+// TestLearnRejectsWithoutSideEffects pins the property a seeded replay
+// depends on: a rejected transition must not advance the coin stream or
+// touch the tables — a policy that saw (and rejected) garbage stays
+// bit-identical to one that never saw it.
+func TestLearnRejectsWithoutSideEffects(t *testing.T) {
 	cfg := DefaultConfig()
-	snap := updaterSnapshot(cfg, 4)
+	cfg.Algorithm, cfg.Alpha, cfg.Gamma = DoubleQ, 0.4, 0.7
+	snap := learnSnapshot(cfg, 4)
 	states := cfg.State.States(4)
 	bad := []Transition{
 		{Cluster: -1, State: 0, Action: 0, NextState: 0},
@@ -143,66 +228,50 @@ func TestTDUpdaterRejectsWithoutSideEffects(t *testing.T) {
 		{Cluster: 0, State: 2, Action: 3, NextState: 2, Reward: 0.1},
 	}
 
-	poisoned, _ := NewTDUpdater(cfg, snap, 5, 0.4, 0.7)
-	clean, _ := NewTDUpdater(cfg, snap, 5, 0.4, 0.7)
+	poisoned, clean := learnPolicy(t, cfg, snap), learnPolicy(t, cfg, snap)
 	for i, tr := range good {
 		for _, b := range bad {
-			if _, err := poisoned.Apply(b); err == nil {
-				t.Fatalf("Apply(%+v) accepted", b)
+			if _, err := poisoned.Learn(b); err == nil {
+				t.Fatalf("Learn(%+v) accepted", b)
 			}
 		}
-		tdp, err := poisoned.Apply(tr)
+		tdp, err := poisoned.Learn(tr)
 		if err != nil {
-			t.Fatalf("Apply good %d: %v", i, err)
+			t.Fatalf("Learn good %d: %v", i, err)
 		}
-		tdc, err := clean.Apply(tr)
+		tdc, err := clean.Learn(tr)
 		if err != nil {
-			t.Fatalf("Apply good %d: %v", i, err)
+			t.Fatalf("Learn good %d: %v", i, err)
 		}
 		if tdp != tdc {
-			t.Fatalf("good apply %d diverged after rejected garbage: %v != %v", i, tdp, tdc)
+			t.Fatalf("good transition %d diverged after rejected garbage: %v != %v", i, tdp, tdc)
 		}
 	}
-	if poisoned.Applied() != uint64(len(good)) {
-		t.Fatalf("Applied = %d, want %d", poisoned.Applied(), len(good))
+	sp, _ := poisoned.Snapshot()
+	sc, _ := clean.Snapshot()
+	if !snapshotsBitEqual(sp, sc) {
+		t.Fatal("tables diverged after rejected garbage")
 	}
-	sp, sc := poisoned.Snapshot(), clean.Snapshot()
-	for s := range sp.Tables[0] {
-		for a := range sp.Tables[0][s] {
-			if sp.Tables[0][s][a] != sc.Tables[0][s][a] {
-				t.Fatalf("tables diverged at [%d][%d]", s, a)
-			}
-		}
+	if poisoned.agents[0].r.Float64() != clean.agents[0].r.Float64() {
+		t.Fatal("rejected transitions drew from the coin stream")
 	}
-	if _, err := poisoned.Apply(Transition{Reward: math.NaN()}); !errors.Is(err, ErrBadObservation) {
+	if _, err := poisoned.Learn(Transition{Reward: math.NaN()}); !errors.Is(err, ErrBadObservation) {
 		t.Fatalf("NaN reward error = %v, want ErrBadObservation", err)
 	}
 }
 
-func TestTDUpdaterConfigValidation(t *testing.T) {
+// TestLearnRefusesSARSA: a transition carries no next action, so a SARSA
+// policy refuses it and keeps its tables.
+func TestLearnRefusesSARSA(t *testing.T) {
 	cfg := DefaultConfig()
-	snap := updaterSnapshot(cfg, 4)
-	if _, err := NewTDUpdater(cfg, snap, 1, -0.1, 0.9); err == nil {
-		t.Fatal("negative alpha accepted")
+	cfg.Algorithm = SARSA
+	snap := learnSnapshot(cfg, 4)
+	p := learnPolicy(t, cfg, snap)
+	if _, err := p.Learn(Transition{Cluster: 0, State: 1, Action: 2, NextState: 3, Reward: 0.5}); err == nil {
+		t.Fatal("SARSA policy learned from a transition")
 	}
-	if _, err := NewTDUpdater(cfg, snap, 1, 0.5, 1.0); err == nil {
-		t.Fatal("gamma 1.0 accepted")
-	}
-	if _, err := NewTDUpdater(cfg, Snapshot{State: cfg.State}, 1, 0.5, 0.9); err == nil {
-		t.Fatal("empty snapshot accepted")
-	}
-	other := cfg
-	other.State.LoadBins++
-	if _, err := NewTDUpdater(other, snap, 1, 0.5, 0.9); err == nil {
-		t.Fatal("state-config mismatch accepted")
-	}
-	// alpha/gamma 0 select the config values.
-	u, err := NewTDUpdater(cfg, snap, 1, 0, 0)
-	if err != nil {
-		t.Fatalf("NewTDUpdater with config alpha/gamma: %v", err)
-	}
-	if u.alpha != cfg.Alpha || u.gamma != cfg.Gamma {
-		t.Fatalf("alpha/gamma = %v/%v, want config %v/%v", u.alpha, u.gamma, cfg.Alpha, cfg.Gamma)
+	if got, _ := p.Snapshot(); !snapshotsBitEqual(got, snap) {
+		t.Fatal("refused transition moved the table")
 	}
 }
 
@@ -235,59 +304,59 @@ func TestValidateObservation(t *testing.T) {
 	}
 }
 
-// TestTDUpdaterMeanIntoMatchesSnapshot pins in-place publication to the
-// copying path it replaces: MeanInto, rewriting one recycled arena after
-// each round of updates, leaves exactly NewFlatTables(Snapshot().Tables)
-// behind, bit for bit, without allocating; and a mis-shaped arena panics
-// before any write.
-func TestTDUpdaterMeanIntoMatchesSnapshot(t *testing.T) {
-	cfg := DefaultConfig()
-	snap := updaterSnapshot(cfg, 4, 3)
-	u, err := NewTDUpdater(cfg, snap, 5, 0.3, 0.8)
-	if err != nil {
-		t.Fatalf("NewTDUpdater: %v", err)
-	}
-	arena := NewFlatTables(snap.Tables).NewLike()
-	gen := rng.New(7)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 100; i++ {
-			c := gen.Intn(2)
-			actions := []int{4, 3}[c]
-			states := cfg.State.States(actions)
-			tr := Transition{Cluster: c, State: gen.Intn(states), Action: gen.Intn(actions),
-				NextState: gen.Intn(states), Reward: gen.Float64()*2 - 1}
-			if _, err := u.Apply(tr); err != nil {
-				t.Fatalf("Apply: %v", err)
+// TestTablesIntoMatchesSnapshot pins in-place publication to the copying
+// path: TablesInto, rewriting one recycled arena after each round of
+// updates, leaves exactly NewFlatTables(Snapshot().Tables) behind, bit for
+// bit, without allocating, for the one-table and the two-table (mean)
+// algorithms; and a mis-shaped arena panics before any write.
+func TestTablesIntoMatchesSnapshot(t *testing.T) {
+	for _, algo := range []Algorithm{QLearning, DoubleQ} {
+		t.Run(string(algo), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Algorithm, cfg.Alpha, cfg.Gamma, cfg.Seed = algo, 0.3, 0.8, 5
+			snap := learnSnapshot(cfg, 4, 3)
+			p := learnPolicy(t, cfg, snap)
+			arena := NewFlatTables(snap.Tables).NewLike()
+			gen := rng.New(7)
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 100; i++ {
+					c := gen.Intn(2)
+					actions := []int{4, 3}[c]
+					states := cfg.State.States(actions)
+					tr := Transition{Cluster: c, State: gen.Intn(states), Action: gen.Intn(actions),
+						NextState: gen.Intn(states), Reward: gen.Float64()*2 - 1}
+					if _, err := p.Learn(tr); err != nil {
+						t.Fatalf("Learn: %v", err)
+					}
+				}
+				p.TablesInto(arena)
+				snap, _ := p.Snapshot()
+				want := NewFlatTables(snap.Tables)
+				for i := range want.arena {
+					if math.Float64bits(arena.arena[i]) != math.Float64bits(want.arena[i]) {
+						t.Fatalf("round %d: arena slot %d = %v, snapshot path has %v", round, i, arena.arena[i], want.arena[i])
+					}
+				}
 			}
-		}
-		u.MeanInto(arena)
-		want := NewFlatTables(u.Snapshot().Tables)
-		for i := range want.arena {
-			if math.Float64bits(arena.arena[i]) != math.Float64bits(want.arena[i]) {
-				t.Fatalf("round %d: arena slot %d = %v, snapshot path has %v", round, i, arena.arena[i], want.arena[i])
+			if n := testing.AllocsPerRun(20, func() { p.TablesInto(arena) }); n != 0 {
+				t.Errorf("TablesInto allocates %v times per call, want 0", n)
 			}
-		}
-	}
-	if !snapshotsBitEqual(Snapshot{State: cfg.State, Tables: arena.Tables()}, u.Snapshot()) {
-		t.Error("Tables() of the published arena differs from Snapshot()")
-	}
-	if n := testing.AllocsPerRun(20, func() { u.MeanInto(arena) }); n != 0 {
-		t.Errorf("MeanInto allocates %v times per call, want 0", n)
-	}
 
-	other := NewFlatTables(updaterSnapshot(cfg, 4).Tables)
-	before := append([]float64(nil), other.arena...)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MeanInto accepted an arena of a different shape")
+			other := NewFlatTables(learnSnapshot(cfg, 4).Tables)
+			before := append([]float64(nil), other.arena...)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("TablesInto accepted an arena of a different shape")
+					}
+				}()
+				p.TablesInto(other)
+			}()
+			for i, v := range other.arena {
+				if math.Float64bits(v) != math.Float64bits(before[i]) {
+					t.Fatalf("mis-shaped TablesInto wrote slot %d before panicking", i)
+				}
 			}
-		}()
-		u.MeanInto(other)
-	}()
-	for i, v := range other.arena {
-		if math.Float64bits(v) != math.Float64bits(before[i]) {
-			t.Fatalf("mis-shaped MeanInto wrote slot %d before panicking", i)
-		}
+		})
 	}
 }

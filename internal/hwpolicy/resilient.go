@@ -9,12 +9,8 @@ import (
 	"rlpm/internal/fault"
 	"rlpm/internal/fixed"
 	"rlpm/internal/governor"
-	"rlpm/internal/obs"
 	"rlpm/internal/sim"
 )
-
-// rungNames label the health ladder's decision sources in events.
-var rungNames = [...]string{"hardware", "software policy", "ondemand"}
 
 // Resilient runs the hardware policy behind a fault-tolerant driver and
 // degrades gracefully when the hardware path misbehaves. It is the
@@ -57,8 +53,7 @@ type Resilient struct {
 	cleanProbes    int
 	cleanTelem     int
 
-	stats  ResilientStats
-	events *obs.EventLog // nil: transitions are counted but not narrated
+	stats ResilientStats
 }
 
 var _ sim.Governor = (*Resilient)(nil)
@@ -175,19 +170,6 @@ func NewResilient(p *core.Policy, rc ResilientConfig, inj *fault.Injector) (*Res
 		r.filter = fault.NewObsFilter(inj)
 	}
 	return r, nil
-}
-
-// SetEventLog attaches a bounded event log; health-ladder transitions
-// (demotions, promotions, bring-up failures) are then recorded as
-// structured events. The hook never changes decisions or timing, so a
-// run with and without it attached is byte-identical.
-func (r *Resilient) SetEventLog(l *obs.EventLog) { r.events = l }
-
-// event records a ladder transition when a log is attached.
-func (r *Resilient) event(format string, args ...any) {
-	if r.events != nil {
-		r.events.Addf("hwpolicy", format, args...)
-	}
 }
 
 // Name implements sim.Governor.
@@ -353,13 +335,12 @@ func (r *Resilient) probeHW() bool {
 // policies, which are pure software.
 func (r *Resilient) Decide(obs []sim.Observation) []int {
 	if r.drivers == nil {
-		if err := r.init(obs); err != nil {
+		if r.init(obs) != nil {
 			// Hardware bring-up failed outright (e.g. the injector killed
 			// every upload attempt): run demoted from the start.
 			r.drivers = make([]*Driver, 0) // non-nil: don't re-init every period
 			r.rung = 1
 			r.stats.Demotions++
-			r.event("bring-up failed, starting demoted to %s: %v", rungNames[1], err)
 			r.stats.Decisions++
 			r.stats.PeriodsSW++
 			return r.sw.Decide(obs)
@@ -413,7 +394,7 @@ func (r *Resilient) Decide(obs []sim.Observation) []int {
 		if periodFault {
 			r.consecHWFaults++
 			if r.consecHWFaults >= r.rc.DemoteAfter {
-				r.demote(fmt.Sprintf("%d consecutive faulty periods", r.consecHWFaults))
+				r.demote()
 			}
 		} else {
 			r.consecHWFaults = 0
@@ -424,7 +405,7 @@ func (r *Resilient) Decide(obs []sim.Observation) []int {
 		if r.probeHW() {
 			r.cleanProbes++
 			if r.cleanProbes >= r.rc.PromoteAfter {
-				r.promote(fmt.Sprintf("%d clean hardware probes", r.cleanProbes))
+				r.promote()
 			}
 		} else {
 			r.cleanProbes = 0
@@ -435,7 +416,7 @@ func (r *Resilient) Decide(obs []sim.Observation) []int {
 		if !droppedPeriod {
 			r.cleanTelem++
 			if r.cleanTelem >= r.rc.PromoteAfter {
-				r.promote(fmt.Sprintf("%d clean telemetry periods", r.cleanTelem))
+				r.promote()
 			}
 		} else {
 			r.cleanTelem = 0
@@ -450,7 +431,7 @@ func (r *Resilient) Decide(obs []sim.Observation) []int {
 		if droppedPeriod {
 			r.consecTelem++
 			if r.consecTelem >= r.rc.DemoteAfter {
-				r.demote(fmt.Sprintf("%d consecutive telemetry drops", r.consecTelem))
+				r.demote()
 			}
 		} else {
 			r.consecTelem = 0
@@ -463,24 +444,22 @@ func (r *Resilient) Decide(obs []sim.Observation) []int {
 	return out
 }
 
-func (r *Resilient) demote(reason string) {
+func (r *Resilient) demote() {
 	if r.rung >= 2 {
 		return
 	}
 	r.rung++
 	r.stats.Demotions++
-	r.event("demoted %s -> %s: %s", rungNames[r.rung-1], rungNames[r.rung], reason)
 	r.consecHWFaults, r.consecTelem = 0, 0
 	r.cleanProbes, r.cleanTelem = 0, 0
 }
 
-func (r *Resilient) promote(reason string) {
+func (r *Resilient) promote() {
 	if r.rung <= 0 {
 		return
 	}
 	r.rung--
 	r.stats.Promotions++
-	r.event("promoted %s -> %s: %s", rungNames[r.rung+1], rungNames[r.rung], reason)
 	r.consecHWFaults, r.consecTelem = 0, 0
 	r.cleanProbes, r.cleanTelem = 0, 0
 }

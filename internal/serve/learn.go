@@ -1,22 +1,24 @@
 // Online learning in the serving path. The serving tier hosted a frozen
 // policy: rewards fed a ledger and nothing else. The learner closes the
 // loop the way the paper's companion online-learning line of work does —
-// device-reported rewards drive live Double-Q updates while serving:
+// device-reported rewards drive live TD updates while serving:
 //
 //   - reward reports are paired with the reporting session's last two
 //     decided (state, action) periods into core.Transitions and pushed
 //     onto a bounded lock-free MPSC ring (a full ring drops the sample —
 //     learning is best-effort, the serving path never blocks on it);
-//   - a single consumer drains the ring into batched per-agent Double-Q
-//     updates against a shadow table (core.TDUpdater), off every decide
-//     hot path;
-//   - every SwapEvery updates the shadow tables' mean is written into a
-//     learner-owned arena and published RCU-style: one atomic pointer swap
-//     in the server's SWBackend plus a version bump. Decide frames pin the
-//     live model once each and never take a lock; each pinned model
-//     counts its readers. A retired arena is recycled for a later
-//     publication only once its reader count is zero (the N-reader grace
-//     rule, see SWBackend), so steady-state publication allocates nothing;
+//   - a single consumer drains the ring into a shadow core.Policy loaded
+//     from the served model, off every decide hot path. Policy.Learn runs
+//     the TD step training runs, under the served config's algorithm,
+//     learning rate and discount: Q-learning by default;
+//   - every SwapEvery updates the shadow policy's greedy tables are
+//     written into a learner-owned arena and published RCU-style: one
+//     atomic pointer swap in the server's SWBackend plus a version bump.
+//     Decide frames pin the live model once each and never take a lock;
+//     each pinned model counts its readers. A retired arena is recycled
+//     for a later publication only once its reader count is zero (the
+//     N-reader grace rule, see SWBackend), so steady-state publication
+//     allocates nothing;
 //   - the learned state is periodically published through the existing
 //     checkpoint store (and finally at drain), so restarts and new shards
 //     hydrate what was learned;
@@ -37,7 +39,8 @@ import (
 )
 
 // LearnConfig parameterizes the online learner. The zero value disables
-// learning entirely.
+// learning entirely. The TD rule, learning rate and discount are the
+// served model's config (core.Config Algorithm, Alpha and Gamma).
 type LearnConfig struct {
 	// Enabled turns the learner on: learned tables are published by
 	// swapping arenas behind the server's live-model pointer.
@@ -47,17 +50,9 @@ type LearnConfig struct {
 	// mode: with a fixed tick schedule, a training-while-serving run is
 	// bit-reproducible.
 	Manual bool
-	// Seed drives the learner's Double-Q coin stream.
-	Seed uint64
-	// Alpha/Gamma override the model config's learning rate and discount;
-	// 0 selects the config values.
-	Alpha, Gamma float64
 	// SwapEvery is how many applied updates trigger an RCU table
 	// publication (default 256).
 	SwapEvery int
-	// QueueCap bounds the transition ring (default 4096, rounded up to a
-	// power of two). When full, new samples are dropped and counted.
-	QueueCap int
 	// CheckpointEvery, when positive, periodically publishes the learned
 	// tables through the server's checkpoint store (async mode only; needs
 	// Config.CheckpointPath).
@@ -71,17 +66,8 @@ func (c LearnConfig) validate() error {
 	if c.SwapEvery < 0 {
 		return fmt.Errorf("serve: negative learn SwapEvery %d", c.SwapEvery)
 	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf("serve: negative learn QueueCap %d", c.QueueCap)
-	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("serve: negative learn CheckpointEvery %v", c.CheckpointEvery)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("serve: learn alpha %v out of [0,1]", c.Alpha)
-	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
-		return fmt.Errorf("serve: learn gamma %v out of [0,1)", c.Gamma)
 	}
 	return nil
 }
@@ -90,11 +76,12 @@ func (c LearnConfig) withDefaults() LearnConfig {
 	if c.SwapEvery == 0 {
 		c.SwapEvery = 256
 	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 4096
-	}
 	return c
 }
+
+// learnQueueCap bounds the transition ring. When full, new samples are
+// dropped and counted.
+const learnQueueCap = 4096
 
 // applyChunk bounds how many transitions the async consumer applies
 // between shutdown/checkpoint checks.
@@ -103,7 +90,7 @@ const applyChunk = 256
 // learnIdlePoll is the async consumer's sleep when the ring is empty.
 const learnIdlePoll = 200 * time.Microsecond
 
-// learner drains reward-derived transitions into a shadow TDUpdater and
+// learner drains reward-derived transitions into a shadow core.Policy and
 // publishes the result by swapping recycled arenas. Producers are session
 // goroutines (via Server.noteRewardLocked); the consumer is either the
 // background goroutine (async mode) or LearnTick callers (manual mode) —
@@ -115,8 +102,8 @@ type learner struct {
 	ring *tranRing
 
 	applyMu sync.Mutex
-	upd     *core.TDUpdater
-	pending int // updates applied since the last publication
+	pol     *core.Policy // shadow policy: the served tables plus every applied update
+	pending int          // updates applied since the last publication
 	// Publication arenas, guarded by applyMu. published is the model this
 	// learner last swapped in (nil before the first publication). spare is
 	// a model it retired, safe to rewrite once no reader holds it; nil
@@ -125,9 +112,9 @@ type learner struct {
 
 	version atomic.Uint64
 
-	updates  *obs.Counter   // transitions applied to the shadow tables
+	updates  *obs.Counter   // transitions applied to the shadow policy
 	dropped  *obs.Counter   // transitions dropped on a full ring
-	rejected *obs.Counter   // transitions rejected by the updater
+	rejected *obs.Counter   // transitions rejected by Policy.Learn
 	swaps    *obs.Counter   // RCU table publications
 	tdAbs    *obs.Histogram // |TD error| per update, in 1e-6 units
 
@@ -138,20 +125,20 @@ type learner struct {
 
 func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
 	cfg = cfg.withDefaults()
-	upd, err := core.NewTDUpdater(s.model.cfg, s.model.Snapshot(), cfg.Seed, cfg.Alpha, cfg.Gamma)
+	pol, err := core.PolicyFromSnapshot(s.model.cfg, s.model.Snapshot())
 	if err != nil {
 		return nil, fmt.Errorf("serve: building learner: %w", err)
 	}
 	l := &learner{
 		srv:  s,
 		cfg:  cfg,
-		ring: newTranRing(cfg.QueueCap),
-		upd:  upd,
+		ring: newTranRing(learnQueueCap),
+		pol:  pol,
 		quit: make(chan struct{}),
 
 		updates:  s.reg.NewCounter("learn_updates_total", "Q-table updates applied by the online learner"),
 		dropped:  s.reg.NewCounter("learn_dropped_total", "learning samples dropped on a full transition queue"),
-		rejected: s.reg.NewCounter("learn_rejected_total", "learning samples rejected by the updater"),
+		rejected: s.reg.NewCounter("learn_rejected_total", "learning samples rejected by the shadow policy"),
 		swaps:    s.reg.NewCounter("learn_swaps_total", "RCU table publications by the online learner"),
 		tdAbs:    s.reg.NewHistogram("learn_td_abs", "absolute TD error per applied update, in 1e-6 units"),
 	}
@@ -267,7 +254,7 @@ func (l *learner) tick() int {
 }
 
 func (l *learner) applyOneLocked(t core.Transition) {
-	td, err := l.upd.Apply(t)
+	td, err := l.pol.Learn(t)
 	if err != nil {
 		// Sessions validate states and actions before queueing, so this is
 		// defense in depth: count it, never let one sample stop learning.
@@ -279,13 +266,13 @@ func (l *learner) applyOneLocked(t core.Transition) {
 	l.tdAbs.Observe(int64(math.Abs(td) * 1e6))
 }
 
-// publishLocked writes the shadow tables' mean into a learner-owned model
-// and swaps it into the server's SWBackend — one atomic swap, no reader
-// locks. The model written is the spare once its reader count is zero: no
-// decide frame holds it, and any frame that loaded it before it was
-// retired finds on its recheck that it is no longer live. Otherwise (no
-// spare yet, or a frame still holds it) it is a fresh arena; publication
-// never waits for readers. The retired model becomes the next spare,
+// publishLocked writes the shadow policy's greedy tables into a
+// learner-owned model and swaps it into the server's SWBackend — one
+// atomic swap, no reader locks. The model written is the spare once its
+// reader count is zero: no decide frame holds it, and any frame that
+// loaded it before it was retired finds on its recheck that it is no
+// longer live. Otherwise (no spare yet, or a frame still holds it) it is a
+// fresh arena; publication never waits for readers. The retired model becomes the next spare,
 // unless a spare still held keeps the slot (its holder is about to
 // release it; the retired model is dropped instead) or the retired model
 // is the construction model, which frozen sessions and Server.Model read
@@ -298,7 +285,7 @@ func (l *learner) publishLocked() {
 		base := l.srv.model
 		next = &Model{cfg: base.cfg, levels: base.levels, flat: base.flat.NewLike()}
 	}
-	l.upd.MeanInto(next.flat)
+	l.pol.TablesInto(next.flat)
 	retired := l.srv.backend.live.Swap(next)
 	if l.spare == nil && retired == l.published {
 		l.spare = retired
@@ -313,7 +300,11 @@ func (l *learner) publishLocked() {
 func (l *learner) snapshot() core.Snapshot {
 	l.applyMu.Lock()
 	defer l.applyMu.Unlock()
-	return l.upd.Snapshot()
+	snap, err := l.pol.Snapshot()
+	if err != nil {
+		panic(err) // the shadow policy has its agents from construction
+	}
+	return snap
 }
 
 // close stops the consumer and flushes the queue; idempotent. After close

@@ -22,7 +22,7 @@ import (
 func learnServer(t *testing.T, m *Model) *Server {
 	t.Helper()
 	return newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, Seed: 9, SwapEvery: 1,
+		Enabled: true, Manual: true, SwapEvery: 1,
 	}})
 }
 
@@ -93,7 +93,7 @@ func TestRewardSeqDedupExactlyOnce(t *testing.T) {
 func TestLearnFrozenCohortPinned(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, Seed: 3, SwapEvery: 1, Alpha: 0.5, Gamma: 0.9,
+		Enabled: true, Manual: true, SwapEvery: 1,
 	}})
 	learnSess, err := srv.CreateSession(SessionOptions{Seed: 1})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "learned.ckpt")
 	srv := newTestServer(t, m, nil, Config{
 		CheckpointPath: path,
-		Learn:          LearnConfig{Enabled: true, Manual: true, Seed: 1, SwapEvery: 1},
+		Learn:          LearnConfig{Enabled: true, Manual: true, SwapEvery: 1},
 	})
 	sess, err := srv.CreateSession(SessionOptions{})
 	if err != nil {
@@ -411,7 +411,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 		}
 	}
 	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, Seed: 9, SwapEvery: 1, Alpha: 0.5,
+		Enabled: true, Manual: true, SwapEvery: 1,
 	}})
 	released := false
 	defer func() {
@@ -505,7 +505,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 func TestLearnAsyncStressRecycling(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, Seed: 4, SwapEvery: 1, Alpha: 0.5, Gamma: 0.9,
+		Enabled: true, SwapEvery: 1,
 	}})
 	const devices, periods = 8, 150
 	var wg sync.WaitGroup
@@ -575,7 +575,7 @@ func TestLearnPeriodicCheckpointFailureLogged(t *testing.T) {
 	// may publish before any later swap could land.
 	srv, err := newServer(m, nil, Config{
 		CheckpointPath: path,
-		Learn:          LearnConfig{Enabled: true, Seed: 1, CheckpointEvery: time.Millisecond},
+		Learn:          LearnConfig{Enabled: true, CheckpointEvery: time.Millisecond},
 	}, fsHooks{
 		syncFile: func(*os.File) error { return errors.New("injected fsync failure") },
 		rename:   real.rename,
@@ -623,7 +623,7 @@ func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
 	var held atomic.Pointer[Model]
 	sw.park = func(got *Model) { held.Store(got) }
 	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, Seed: 9, SwapEvery: 1, Alpha: 0.5,
+		Enabled: true, Manual: true, SwapEvery: 1,
 	}})
 	resumed := false
 	defer func() {

@@ -1,12 +1,13 @@
 // Training-while-serving harness: a fleet of simulated devices split into
 // a learning arm and a frozen control arm, driven round-robin against one
 // in-process learning server. Everything that moves — device workload
-// streams, session exploration, the learner's Double-Q coin, the tick
-// schedule — is seeded, and the learner runs in manual mode (updates apply
-// only at LearnTick), so two runs with the same config produce identical
-// decision traces and bit-identical learned tables. That reproducibility
-// is what makes the frozen-vs-learning A/B numbers trustworthy: the
-// control arm differs from the treatment arm in policy only.
+// streams, session exploration, the tick schedule — is seeded (so is a
+// Double-Q model's coin, by its config's Seed), and the learner runs in
+// manual mode (updates apply only at LearnTick), so two runs with the
+// same config produce identical decision traces and bit-identical learned
+// tables. That reproducibility is what makes the frozen-vs-learning A/B
+// numbers trustworthy: the control arm differs from the treatment arm in
+// policy only.
 package serve
 
 import (
@@ -79,7 +80,6 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 		Learn: LearnConfig{
 			Enabled:   true,
 			Manual:    true,
-			Seed:      cfg.Seed,
 			SwapEvery: cfg.SwapEvery,
 		},
 	})

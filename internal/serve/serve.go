@@ -873,7 +873,9 @@ func (s *Server) noteRewardLocked(sess *Session, r float64) {
 }
 
 // New builds a server over model. backend holds the live model decide
-// frames read; nil builds one over model.
+// frames read; nil builds one over model. A learning server runs the
+// model config's TD rule, so it refuses a SARSA model: a reward-paired
+// transition carries no next action.
 func New(model *Model, backend *SWBackend, cfg Config) (*Server, error) {
 	return newServer(model, backend, cfg, osHooks())
 }
@@ -886,6 +888,9 @@ func newServer(model *Model, backend *SWBackend, cfg Config, fs fsHooks) (*Serve
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Learn.Enabled && model.cfg.Algorithm == core.SARSA {
+		return nil, fmt.Errorf("serve: online learning needs a Q-learning or Double-Q model, not SARSA")
 	}
 	cfg = cfg.withDefaults()
 	if backend == nil {

@@ -133,27 +133,42 @@ func newTestServer(t *testing.T, m *Model, backend *SWBackend, cfg Config) *Serv
 	return srv
 }
 
-// TestConfigValidate pins the refusals of Config.Validate, which New runs
-// before it builds anything.
+// TestConfigValidate pins the refusals New makes before it builds
+// anything: Config.Validate's, and a learner over a SARSA model, whose
+// reward-paired transitions carry no next action.
 func TestConfigValidate(t *testing.T) {
 	learn := func(every time.Duration) LearnConfig {
 		return LearnConfig{Enabled: true, CheckpointEvery: every}
 	}
+	ckpt := filepath.Join(t.TempDir(), "p.ckpt")
 	for _, c := range []struct {
 		name    string
+		algo    core.Algorithm // the model's TD rule
 		cfg     Config
 		wantErr string // "" for a valid config
 	}{
-		{"zero", Config{}, ""},
-		{"negative batch", Config{MaxBatch: -1}, "negative MaxBatch"},
-		{"negative ttl", Config{SessionTTL: -time.Second}, "negative SessionTTL"},
-		{"negative learn swap", Config{Learn: LearnConfig{Enabled: true, SwapEvery: -3}}, "negative learn SwapEvery"},
-		{"periodic learn checkpoint", Config{CheckpointPath: "p.ckpt", Learn: learn(time.Second)}, ""},
-		{"periodic learn checkpoint without a path", Config{Learn: learn(time.Second)}, "needs a CheckpointPath"},
+		{"zero", "", Config{}, ""},
+		{"negative batch", "", Config{MaxBatch: -1}, "negative MaxBatch"},
+		{"negative ttl", "", Config{SessionTTL: -time.Second}, "negative SessionTTL"},
+		{"negative learn swap", "", Config{Learn: LearnConfig{Enabled: true, SwapEvery: -3}}, "negative learn SwapEvery"},
+		{"periodic learn checkpoint", "", Config{CheckpointPath: ckpt, Learn: learn(time.Second)}, ""},
+		{"periodic learn checkpoint without a path", "", Config{Learn: learn(time.Second)}, "needs a CheckpointPath"},
+		{"learning over double-q", core.DoubleQ, Config{Learn: LearnConfig{Enabled: true}}, ""},
+		{"frozen sarsa", core.SARSA, Config{}, ""},
+		{"learning over sarsa", core.SARSA, Config{Learn: LearnConfig{Enabled: true}}, "not SARSA"},
 	} {
-		err := c.cfg.Validate()
+		cfg, snap := testSnapshot(t, 3)
+		cfg.Algorithm = c.algo
+		m, err := NewModel(cfg, snap)
+		if err != nil {
+			t.Fatalf("%s: NewModel: %v", c.name, err)
+		}
+		srv, err := New(m, nil, c.cfg)
+		if err == nil {
+			srv.Close()
+		}
 		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.wantErr)
+			t.Errorf("%s: New = %v, want %q", c.name, err, c.wantErr)
 		}
 	}
 }

@@ -456,7 +456,7 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 func TestFrozenCohortAcrossFronts(t *testing.T) {
 	model := testModel(t, 6, 4)
 	fleet, router, routerBin := testFleetRouterConfig(t, model, 2, 5, serve.Config{
-		Learn: serve.LearnConfig{Enabled: true, Manual: true, Seed: 1},
+		Learn: serve.LearnConfig{Enabled: true, Manual: true},
 	})
 	routerHTTP := httptest.NewServer(router.Handler())
 	defer routerHTTP.Close()
