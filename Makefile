@@ -33,6 +33,9 @@ vet:
 
 # staticcheck runs honnef.co/go/tools via `go run`, so it needs module
 # network access (CI has it; offline dev boxes can skip this target).
+# Offline, the root test TestNoUnusedDeclarations (run by `make test`)
+# catches unused declarations: an export under internal/ that no non-test
+# file names, or an unexported one its own package never names.
 STATICCHECK_VERSION ?= 2025.1.1
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -64,8 +67,8 @@ cover:
 	@$(GO) tool cover -func=coverage.out | tail -1 | \
 		awk -v floor=$(COVER_FLOOR) '{gsub(/%/, "", $$NF); if ($$NF+0 < floor) {printf "coverage %.1f%% below floor %.1f%%\n", $$NF, floor; exit 1}}'
 
-# bench measures the hot-path benchmark suite (internal/bench/perf.go, the
-# kernels behind README's Performance table) with allocation counts.
+# bench measures the hot-path benchmark suite (internal/bench/perf_test.go,
+# the kernels behind README's Performance table) with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/bench
 

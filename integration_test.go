@@ -12,8 +12,6 @@ import (
 	"rlpm/internal/core"
 	"rlpm/internal/governor"
 	"rlpm/internal/hwpolicy"
-	"rlpm/internal/replay"
-	"rlpm/internal/sched"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
 	"rlpm/internal/workload"
@@ -172,61 +170,6 @@ func TestHWPolicyAgreesWithSWInClosedLoop(t *testing.T) {
 	rel := math.Abs(hwRes.QoS.EnergyPerQoS-sw.QoS.EnergyPerQoS) / sw.QoS.EnergyPerQoS
 	if rel > 0.05 {
 		t.Fatalf("closed-loop HW deviates %.1f%% from SW", rel*100)
-	}
-}
-
-// TestSchedulerStackComposes: workload → HMP scheduler → chip → RL policy
-// all stacked together still runs and preserves the QoS floor.
-func TestSchedulerStackComposes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	chip := newChip(t)
-	inner := newScenario(t, "browsing", 2, 2)
-	scen, err := sched.NewScenario(inner, sched.NewHMP(), sched.CapsOf(chip))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{PeriodS: 0.05, DurationS: 30, Seed: 2}
-	p := core.MustPolicy(core.DefaultConfig())
-	if _, err := core.Train(chip, scen, p, cfg, 10); err != nil {
-		t.Fatal(err)
-	}
-	p.SetLearning(false)
-	res, err := sim.Run(chip, scen, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QoS.MeanQoS < 0.8 {
-		t.Fatalf("stacked run QoS %v too low", res.QoS.MeanQoS)
-	}
-}
-
-// TestReplayRegressionFixture: a recorded trace replayed through the full
-// pipeline reproduces the recorded scenario's result exactly.
-func TestReplayRegressionFixture(t *testing.T) {
-	live := newScenario(t, "applaunch", 2, 11)
-	tr, err := replay.Record(live, 600, 0.05, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := tr.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{PeriodS: 0.05, DurationS: 30, Seed: 11}
-	g, _ := governor.New("interactive")
-	a, err := sim.Run(newChip(t), live, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Reset()
-	b, err := sim.Run(newChip(t), replayed, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.QoS != b.QoS {
-		t.Fatalf("replay fixture diverged: %+v vs %+v", a.QoS, b.QoS)
 	}
 }
 

@@ -2,10 +2,10 @@
 // simulator's joule counts into the quantity a user experiences: hours of
 // battery life.
 //
-// The model is a coulomb-counting cell with internal resistance: drawing
-// power P at terminal voltage V forces current I = P/V through the cell's
-// internal resistance R, dissipating an extra I²R — so heavy draws drain
-// the battery disproportionately, the effect that makes sustained
+// The model is a cell with internal resistance: drawing power P at
+// terminal voltage V forces current I = P/V through the cell's internal
+// resistance R, dissipating an extra I²R — so heavy draws drain the
+// battery disproportionately, the effect that makes sustained
 // performance-governor gaming so costly on real devices. Terminal voltage
 // sags linearly with depth of discharge between the full and empty knees.
 package battery
@@ -48,13 +48,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Battery is a discharging cell. Create with New.
+// Battery is a cell and its remaining charge. Create with New.
 type Battery struct {
 	spec       Spec
 	capacityJ  float64
 	remainingJ float64
-	lossJ      float64 // cumulative I²R dissipation
-	drawnJ     float64 // cumulative load energy delivered
 }
 
 // New returns a fully charged battery.
@@ -69,52 +67,10 @@ func New(spec Spec) (*Battery, error) {
 // SoC returns the state of charge in [0,1].
 func (b *Battery) SoC() float64 { return b.remainingJ / b.capacityJ }
 
-// RemainingJ returns the remaining stored energy in joules.
-func (b *Battery) RemainingJ() float64 { return b.remainingJ }
-
-// LossJ returns the cumulative internal-resistance dissipation.
-func (b *Battery) LossJ() float64 { return b.lossJ }
-
-// DeliveredJ returns the cumulative energy delivered to the load.
-func (b *Battery) DeliveredJ() float64 { return b.drawnJ }
-
 // Voltage returns the current open-circuit terminal voltage (linear sag
 // with depth of discharge).
 func (b *Battery) Voltage() float64 {
 	return b.spec.EmptyV + (b.spec.FullV-b.spec.EmptyV)*b.SoC()
-}
-
-// Empty reports whether the battery is exhausted.
-func (b *Battery) Empty() bool { return b.remainingJ <= 0 }
-
-// Draw discharges the battery by a load of powerW for dtS seconds,
-// including the internal-resistance loss. It returns the energy actually
-// removed from the cell. Drawing from an empty battery is an error; a
-// draw that crosses empty is truncated at empty.
-func (b *Battery) Draw(powerW, dtS float64) (float64, error) {
-	if powerW < 0 || dtS <= 0 {
-		return 0, fmt.Errorf("battery: invalid draw %v W for %v s", powerW, dtS)
-	}
-	if b.Empty() {
-		return 0, fmt.Errorf("battery: empty")
-	}
-	v := b.Voltage()
-	i := powerW / v
-	loss := i * i * b.spec.InternalOhm
-	total := (powerW + loss) * dtS
-	if total > b.remainingJ {
-		// Truncate the final draw at empty, attributing loss pro rata.
-		frac := b.remainingJ / total
-		b.drawnJ += powerW * dtS * frac
-		b.lossJ += loss * dtS * frac
-		removed := b.remainingJ
-		b.remainingJ = 0
-		return removed, nil
-	}
-	b.remainingJ -= total
-	b.drawnJ += powerW * dtS
-	b.lossJ += loss * dtS
-	return total, nil
 }
 
 // Runtime estimates how long the remaining charge lasts at a constant
@@ -142,11 +98,4 @@ func LifeHours(spec Spec, avgPowerW float64) (float64, error) {
 		return 0, err
 	}
 	return d.Hours(), nil
-}
-
-// Reset restores full charge.
-func (b *Battery) Reset() {
-	b.remainingJ = b.capacityJ
-	b.lossJ = 0
-	b.drawnJ = 0
 }

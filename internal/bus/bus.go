@@ -113,9 +113,6 @@ func New(cfg Config, dev Device) (*Bus, error) {
 // Config returns the interconnect timing configuration.
 func (b *Bus) Config() Config { return b.cfg }
 
-// NowS returns the bus's current absolute time in seconds.
-func (b *Bus) NowS() float64 { return b.nowS }
-
 // Now returns the bus's current absolute time as a duration.
 func (b *Bus) Now() time.Duration { return time.Duration(b.nowS * float64(time.Second)) }
 
@@ -174,9 +171,6 @@ func (b *Bus) Read(addr uint32) (uint32, error) {
 
 // Timeouts reports how many reads the watchdog abandoned.
 func (b *Bus) Timeouts() uint64 { return b.timeouts }
-
-// Recoveries reports how many times the master pulsed the recovery line.
-func (b *Bus) Recoveries() uint64 { return b.recoveries }
 
 // Recover models the master pulsing the device reset/abort line: whatever
 // computation wedged the device is abandoned and result reads no longer

@@ -85,7 +85,7 @@ func TestWatchdogBoundsStalledRead(t *testing.T) {
 	if err := b.Write(0xF, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	afterWrite := b.NowS()
+	afterWrite := b.nowS
 	_, err = b.Read(1)
 	if !errors.Is(err, ErrDeviceTimeout) {
 		t.Fatalf("stalled read error = %v, want ErrDeviceTimeout", err)
@@ -93,8 +93,8 @@ func TestWatchdogBoundsStalledRead(t *testing.T) {
 	// The read charged exactly the watchdog bound plus the round trip —
 	// bounded, not the device's full busy time.
 	want := afterWrite + float64(cfg.WatchdogCycles+cfg.ReadCycles)/cfg.BusClockHz
-	if math.Abs(b.NowS()-want) > 1e-12 {
-		t.Fatalf("time after timed-out read = %v, want %v", b.NowS(), want)
+	if math.Abs(b.nowS-want) > 1e-12 {
+		t.Fatalf("time after timed-out read = %v, want %v", b.nowS, want)
 	}
 	if b.Timeouts() != 1 {
 		t.Fatalf("timeouts = %d, want 1", b.Timeouts())
@@ -105,14 +105,14 @@ func TestWatchdogBoundsStalledRead(t *testing.T) {
 	}
 	// Recover clears the wedge; the next read completes un-stalled.
 	b.Recover()
-	if b.Recoveries() != 1 {
-		t.Fatalf("recoveries = %d, want 1", b.Recoveries())
+	if b.recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", b.recoveries)
 	}
-	before := b.NowS()
+	before := b.nowS
 	if _, err := b.Read(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.NowS() - before; math.Abs(got-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
+	if got := b.nowS - before; math.Abs(got-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
 		t.Fatalf("read after recovery cost %v, want plain read", got)
 	}
 }
@@ -132,8 +132,8 @@ func TestIdleAdvancesClock(t *testing.T) {
 	cfg := DefaultConfig()
 	b.Idle(100)
 	want := 100 / cfg.BusClockHz
-	if math.Abs(b.NowS()-want) > 1e-15 {
-		t.Fatalf("Idle(100) advanced to %v, want %v", b.NowS(), want)
+	if math.Abs(b.nowS-want) > 1e-15 {
+		t.Fatalf("Idle(100) advanced to %v, want %v", b.nowS, want)
 	}
 }
 
@@ -169,13 +169,13 @@ func TestTimingAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	_ = b.Write(0, 1)
 	wantWrite := float64(cfg.WriteCycles) / cfg.BusClockHz
-	if math.Abs(b.NowS()-wantWrite) > 1e-15 {
-		t.Fatalf("time after write = %v, want %v", b.NowS(), wantWrite)
+	if math.Abs(b.nowS-wantWrite) > 1e-15 {
+		t.Fatalf("time after write = %v, want %v", b.nowS, wantWrite)
 	}
 	_, _ = b.Read(0)
 	want := wantWrite + float64(cfg.ReadCycles)/cfg.BusClockHz
-	if math.Abs(b.NowS()-want) > 1e-15 {
-		t.Fatalf("time after read = %v, want %v", b.NowS(), want)
+	if math.Abs(b.nowS-want) > 1e-15 {
+		t.Fatalf("time after read = %v, want %v", b.nowS, want)
 	}
 }
 
@@ -186,15 +186,15 @@ func TestComputeStallsRead(t *testing.T) {
 	if err := b.Write(0xF, computeCycles); err != nil {
 		t.Fatal(err)
 	}
-	afterWrite := b.NowS()
+	afterWrite := b.nowS
 	if _, err := b.Read(1); err != nil {
 		t.Fatal(err)
 	}
 	// The read must have waited for the 50 device cycles then paid the
 	// read cost.
 	want := afterWrite + computeCycles/cfg.DeviceClockHz + float64(cfg.ReadCycles)/cfg.BusClockHz
-	if math.Abs(b.NowS()-want) > 1e-12 {
-		t.Fatalf("time after stalled read = %v, want %v", b.NowS(), want)
+	if math.Abs(b.nowS-want) > 1e-12 {
+		t.Fatalf("time after stalled read = %v, want %v", b.nowS, want)
 	}
 	_, _, stall := b.Stats()
 	if stall == 0 {
@@ -206,10 +206,10 @@ func TestNoStallAfterComputeDrains(t *testing.T) {
 	b, _ := newBus(t)
 	_ = b.Write(0xF, 10)
 	_, _ = b.Read(0) // absorbs the stall
-	before := b.NowS()
+	before := b.nowS
 	_, _ = b.Read(0)
 	cfg := DefaultConfig()
-	if got := b.NowS() - before; math.Abs(got-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
+	if got := b.nowS - before; math.Abs(got-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
 		t.Fatalf("second read cost %v, want plain read", got)
 	}
 }
@@ -237,8 +237,8 @@ func TestResetClock(t *testing.T) {
 	_ = b.Write(0xF, 1000)
 	_, _ = b.Read(0)
 	b.ResetClock()
-	if b.NowS() != 0 {
-		t.Fatalf("clock not reset: %v", b.NowS())
+	if b.nowS != 0 {
+		t.Fatalf("clock not reset: %v", b.nowS)
 	}
 	r, w, s := b.Stats()
 	if r != 0 || w != 0 || s != 0 {
@@ -247,8 +247,8 @@ func TestResetClock(t *testing.T) {
 	// busyUntil cleared: next read is un-stalled.
 	_, _ = b.Read(0)
 	cfg := DefaultConfig()
-	if math.Abs(b.NowS()-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
-		t.Fatalf("read after reset stalled: %v", b.NowS())
+	if math.Abs(b.nowS-float64(cfg.ReadCycles)/cfg.BusClockHz) > 1e-15 {
+		t.Fatalf("read after reset stalled: %v", b.nowS)
 	}
 }
 
@@ -275,10 +275,10 @@ func TestTimeMonotoneProperty(t *testing.T) {
 			} else {
 				_, _ = b.Read(uint32(op % 15))
 			}
-			if b.NowS() < prev {
+			if b.nowS < prev {
 				return false
 			}
-			prev = b.NowS()
+			prev = b.nowS
 		}
 		return true
 	}

@@ -6,9 +6,10 @@
 // servers. A seeded TCP proxy sits between a client and a live server
 // and, per forwarded chunk, may sever the connection, stall, deliver a
 // partial write before severing, flip a payload bit, or inject a latency
-// spike. An HTTP RoundTripper applies the analogous faults to the
-// JSON path — including the nastiest one, "request executed but the
-// response was lost", which is what forces retries to be deduplicated.
+// spike. The chaos harness runs both wires, binary and HTTP/JSON, through
+// the proxy, so one schedule covers both — including the nastiest shape,
+// a response severed after the server executed the request, which is what
+// forces retries to be deduplicated.
 //
 // The package follows internal/fault's discipline: every fault site is
 // driven by its own internal/rng stream derived from Config.Seed, and a
@@ -25,10 +26,8 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,11 +35,7 @@ import (
 	"rlpm/internal/rng"
 )
 
-// ErrInjected is the sentinel wrapped by every failure this package
-// fabricates, so tests can tell injected faults from genuine ones.
-var ErrInjected = errors.New("chaos: injected fault")
-
-// Config sets the per-chunk fault rates for a proxy or round-tripper.
+// Config sets a proxy's per-chunk fault rates.
 // All rates are probabilities in [0,1]; a zero rate disables its site
 // entirely (no RNG draws). The zero value is byte-transparent.
 type Config struct {
@@ -49,9 +44,7 @@ type Config struct {
 	Seed uint64
 
 	// DropRate is the per-chunk probability the connection is severed
-	// before the chunk is forwarded. On the HTTP round-tripper it is
-	// split into a before-send and an after-response site so both
-	// "request lost" and "response lost" shapes occur.
+	// before the chunk is forwarded.
 	DropRate float64
 	// StallRate is the per-chunk probability the pump pauses StallFor
 	// before forwarding — long enough to trip client deadlines.
@@ -82,10 +75,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts the faults a proxy or round-tripper has injected.
+// Stats counts the faults a proxy has injected.
 type Stats struct {
-	Conns     uint64 // connections accepted (proxy) / requests seen (RT)
-	Drops     uint64 // connections severed / requests failed
+	Conns     uint64 // connections accepted
+	Drops     uint64 // connections severed
 	Stalls    uint64
 	Partials  uint64
 	Corrupts  uint64
@@ -292,71 +285,4 @@ func (p *Proxy) forward(dst net.Conn, chunk []byte, r *rng.Rand, bytesFwd *atomi
 	n, err := dst.Write(chunk)
 	bytesFwd.Add(uint64(n))
 	return err == nil
-}
-
-// RoundTripper wraps an http.RoundTripper with seeded fault injection.
-// DropRate is applied at two sites: before the request is sent (request
-// lost — server never saw it) and after the response arrives (response
-// lost — the server executed the request, so a blind retry would
-// duplicate it; this is the case that forces request deduplication).
-type RoundTripper struct {
-	base http.RoundTripper
-	cfg  Config
-	st   stats
-
-	mu sync.Mutex
-	r  *rng.Rand
-}
-
-// NewRoundTripper wraps base (http.DefaultTransport when nil) with cfg's
-// fault schedule.
-func NewRoundTripper(base http.RoundTripper, cfg Config) *RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return &RoundTripper{base: base, cfg: cfg.withDefaults(), r: rng.New(cfg.Seed)}
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (t *RoundTripper) Stats() Stats { return t.st.snapshot() }
-
-// draw runs one rate site under the lock; a zero rate draws nothing.
-func (t *RoundTripper) draw(rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	t.mu.Lock()
-	hit := t.r.Float64() < rate
-	t.mu.Unlock()
-	return hit
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.st.conns.Add(1)
-	if t.draw(t.cfg.DropRate) {
-		t.st.drops.Add(1)
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, fmt.Errorf("%w: request dropped before send", ErrInjected)
-	}
-	if t.draw(t.cfg.LatencyRate) {
-		t.st.delays.Add(1)
-		time.Sleep(t.cfg.LatencyFor)
-	}
-	if t.draw(t.cfg.StallRate) {
-		t.st.stalls.Add(1)
-		time.Sleep(t.cfg.StallFor)
-	}
-	resp, err := t.base.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if t.draw(t.cfg.DropRate) {
-		t.st.drops.Add(1)
-		resp.Body.Close()
-		return nil, fmt.Errorf("%w: response dropped after server execution", ErrInjected)
-	}
-	return resp, nil
 }

@@ -2,11 +2,8 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -202,50 +199,5 @@ func TestProxyCloseSeversActiveConns(t *testing.T) {
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := c.Read(buf); err == nil {
 		t.Fatal("connection survived proxy close")
-	}
-}
-
-// TestRoundTripperDrops proves the HTTP fault sites return typed
-// ErrInjected failures and that the after-response site consumes the
-// server's execution (the dedup-forcing shape).
-func TestRoundTripperDrops(t *testing.T) {
-	defer leaktest.Check(t)()
-	var served int
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served++
-		w.Write([]byte("ok"))
-	}))
-	defer hs.Close()
-
-	rt := NewRoundTripper(hs.Client().Transport, Config{Seed: 4, DropRate: 1})
-	client := &http.Client{Transport: rt}
-	_, err := client.Get(hs.URL)
-	if err == nil {
-		t.Fatal("DropRate=1 round-tripper let a request through")
-	}
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("drop error %v does not chain to ErrInjected", err)
-	}
-	if st := rt.Stats(); st.Drops == 0 {
-		t.Fatalf("no drop counted: %+v", st)
-	}
-
-	// Zero config is transparent: request served, response intact.
-	rt0 := NewRoundTripper(hs.Client().Transport, Config{Seed: 4})
-	client0 := &http.Client{Transport: rt0}
-	resp, err := client0.Get(hs.URL)
-	if err != nil {
-		t.Fatalf("zero-config round trip: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok" {
-		t.Fatalf("zero-config body %q", body)
-	}
-	if st := rt0.Stats(); st.Drops+st.Stalls+st.Delays != 0 {
-		t.Fatalf("zero-config round-tripper injected faults: %+v", st)
-	}
-	if served == 0 {
-		t.Fatal("server never executed a request")
 	}
 }

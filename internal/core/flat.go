@@ -134,9 +134,6 @@ func (f *FlatTables) Tables() [][][]float64 {
 // Clusters returns the number of tables packed into the arena.
 func (f *FlatTables) Clusters() int { return len(f.off) }
 
-// Width returns cluster's action count.
-func (f *FlatTables) Width(cluster int) int { return f.width[cluster] }
-
 // Argmax returns the greedy action for (cluster, state); ties break low,
 // matching argmaxF and the hardware comparator tree.
 func (f *FlatTables) Argmax(cluster, state int) int {

@@ -43,8 +43,8 @@ func TestFlatTablesArgmaxEquivalence(t *testing.T) {
 		t.Fatalf("Clusters() = %d, want %d", ft.Clusters(), len(tables))
 	}
 	for c, tab := range tables {
-		if ft.Width(c) != len(tab[0]) {
-			t.Fatalf("Width(%d) = %d, want %d", c, ft.Width(c), len(tab[0]))
+		if ft.width[c] != len(tab[0]) {
+			t.Fatalf("width[%d] = %d, want %d", c, ft.width[c], len(tab[0]))
 		}
 		for s, row := range tab {
 			want, _ := argmaxF(row)
@@ -105,7 +105,7 @@ func TestFlatMemoEpochWraps(t *testing.T) {
 	// Poison an entry with a wrong action under what will become the
 	// post-wrap epoch: if the wrap fails to clear the memo, this stale
 	// entry reads as fresh and surfaces the wrong action.
-	wrong := uint32(ft.Argmax(0, 3)+1) % uint32(ft.Width(0))
+	wrong := uint32(ft.Argmax(0, 3)+1) % uint32(ft.width[0])
 	memo.tag[keys[0]>>(flatKeyIdxBits+flatKeyWidthBits)] = 1<<flatMemoActBits | wrong
 	memo.cur = 1<<(32-flatMemoActBits) - 1 // next call wraps
 	ft.LookupManyInto(keys, out, memo)

@@ -118,14 +118,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Any reports whether the config injects anything at all.
-func (c Config) Any() bool {
-	return c.ReadErrorRate > 0 || c.WriteErrorRate > 0 || c.ReadFlipRate > 0 ||
-		c.StallRate > 0 || c.TimeoutRate > 0 || c.QFlipRate > 0 ||
-		c.LFSRStuckMask != 0 ||
-		c.ObsStaleRate > 0 || c.ObsDropRate > 0 || c.ObsNoiseCV > 0
-}
-
 // Stats counts what the injector actually did — the ground truth the
 // faults experiment reports next to the system's reaction.
 type Stats struct {

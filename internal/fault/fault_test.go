@@ -41,23 +41,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestConfigAny(t *testing.T) {
-	if (fault.Config{Seed: 7}).Any() {
-		t.Fatal("zero-rate config claims to inject")
-	}
-	some := []fault.Config{
-		{ReadErrorRate: 0.1}, {WriteErrorRate: 0.1}, {ReadFlipRate: 0.1},
-		{StallRate: 0.1}, {TimeoutRate: 0.1}, {QFlipRate: 0.1},
-		{LFSRStuckMask: 1}, {ObsStaleRate: 0.1}, {ObsDropRate: 0.1},
-		{ObsNoiseCV: 0.1},
-	}
-	for i, c := range some {
-		if !c.Any() {
-			t.Errorf("config %d claims not to inject: %+v", i, c)
-		}
-	}
-}
-
 // driveSequence runs a fixed, deterministic decision sequence through a
 // driver and returns the actions, per-decision latencies (as cycles via
 // the bus clock), and the final table.

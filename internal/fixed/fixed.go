@@ -25,8 +25,6 @@ const (
 	One      Q16 = 1 << FracBits
 	Max      Q16 = math.MaxInt32
 	Min      Q16 = math.MinInt32
-	// Eps is the smallest positive representable value (2^-16).
-	Eps Q16 = 1
 )
 
 // FromFloat converts a float64 to Q16.16, rounding to nearest and
@@ -44,17 +42,6 @@ func FromFloat(f float64) Q16 {
 		return Min
 	}
 	return Q16(math.RoundToEven(scaled))
-}
-
-// FromInt converts an integer to Q16.16, saturating.
-func FromInt(i int) Q16 {
-	if i > math.MaxInt16 {
-		return Max
-	}
-	if i < math.MinInt16 {
-		return Min
-	}
-	return Q16(i) << FracBits
 }
 
 // Float returns the float64 value of q.
@@ -110,31 +97,6 @@ func Mul(a, b Q16) Q16 {
 	return sat64(p >> FracBits)
 }
 
-// Div returns a/b with saturation. Division by zero saturates to Max or Min
-// depending on the sign of a (0/0 returns 0), mirroring the hardware's
-// clamped divider rather than trapping.
-func Div(a, b Q16) Q16 {
-	if b == 0 {
-		switch {
-		case a > 0:
-			return Max
-		case a < 0:
-			return Min
-		default:
-			return 0
-		}
-	}
-	num := int64(a) << FracBits
-	// Round to nearest by biasing with half the divisor magnitude.
-	half := int64(b) / 2
-	if (num >= 0) == (b > 0) {
-		num += abs64(half)
-	} else {
-		num -= abs64(half)
-	}
-	return sat64(num / int64(b))
-}
-
 // MulAdd returns sat(acc + a*b) in one fused operation with a single
 // rounding at the end of the multiply — this is the accelerator's MAC.
 func MulAdd(acc, a, b Q16) Q16 {
@@ -145,36 +107,6 @@ func MulAdd(acc, a, b Q16) Q16 {
 // Q' = Q + alpha*(target - Q). t is typically in [0,1].
 func Lerp(a, b, t Q16) Q16 {
 	return Add(a, Mul(t, Sub(b, a)))
-}
-
-// Clamp limits q to [lo, hi]. Requires lo <= hi.
-func Clamp(q, lo, hi Q16) Q16 {
-	if lo > hi {
-		panic("fixed: Clamp with lo > hi")
-	}
-	if q < lo {
-		return lo
-	}
-	if q > hi {
-		return hi
-	}
-	return q
-}
-
-// MaxOf returns the larger of a and b.
-func MaxOf(a, b Q16) Q16 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinOf returns the smaller of a and b.
-func MinOf(a, b Q16) Q16 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ArgMax returns the index of the maximum element and the maximum itself.
@@ -202,11 +134,4 @@ func sat64(v int64) Q16 {
 		return Min
 	}
 	return Q16(v)
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

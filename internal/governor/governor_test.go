@@ -203,20 +203,17 @@ func TestRegistryKnowsAllBaselines(t *testing.T) {
 	}
 }
 
-func TestBaselinesOrder(t *testing.T) {
-	gs := Baselines()
-	names := BaselineNames()
-	for i, g := range gs {
-		if g.Name() != names[i] {
-			t.Fatalf("Baselines()[%d] = %s, want %s", i, g.Name(), names[i])
-		}
-	}
-}
-
 // Property: every governor returns one in-range level per cluster for any
 // plausible observation.
 func TestGovernorsReturnValidLevelsProperty(t *testing.T) {
-	govs := append(Baselines(), NewSchedutil())
+	var govs []sim.Governor
+	for _, n := range append(BaselineNames(), "schedutil") {
+		g, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		govs = append(govs, g)
+	}
 	f := func(utilRaw uint16, levelRaw uint8, which uint8) bool {
 		g := govs[int(which)%len(govs)]
 		util := float64(utilRaw%1001) / 1000

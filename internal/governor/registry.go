@@ -43,19 +43,6 @@ func New(name string) (sim.Governor, error) {
 	}
 }
 
-// Baselines constructs all six baseline governors in table order.
-func Baselines() []sim.Governor {
-	out := make([]sim.Governor, 0, 6)
-	for _, n := range BaselineNames() {
-		g, err := New(n)
-		if err != nil {
-			panic(err) // unreachable: names come from BaselineNames
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
 func mustUserspace(f float64) *Userspace {
 	u, err := NewUserspace(f)
 	if err != nil {

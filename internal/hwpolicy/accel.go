@@ -140,12 +140,6 @@ func New(p Params) (*Accel, error) {
 // Params returns the sizing parameters.
 func (a *Accel) Params() Params { return a.p }
 
-// Steps returns how many decisions the accelerator has run.
-func (a *Accel) Steps() uint64 { return a.steps }
-
-// TotalCycles returns the cumulative device-clock compute cycles.
-func (a *Accel) TotalCycles() uint64 { return a.totalCycles }
-
 // StepCycles returns the device-clock cycles one decision takes:
 // row fetch (banked) + comparator tree + MAC update + write-back +
 // action select.
@@ -279,8 +273,8 @@ func (a *Accel) step() uint64 {
 		idx := int(a.prevState)*a.p.NumActions + int(a.prevAction)
 		a.checkWord(idx)
 		old := a.q[idx]
-		target := fixed.Add(a.rewardReg, fixed.Mul(a.gamma, bestVal))
-		a.setQ(idx, fixed.Add(old, fixed.Mul(a.alpha, fixed.Sub(target, old))))
+		target := fixed.MulAdd(a.rewardReg, a.gamma, bestVal)
+		a.setQ(idx, fixed.Lerp(old, target, a.alpha))
 	}
 
 	action := uint32(bestIdx)

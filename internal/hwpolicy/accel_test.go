@@ -241,11 +241,11 @@ func TestCtrlResetClearsEverything(t *testing.T) {
 	_, _ = a.WriteReg(RegReward, uint32(fixed.FromFloat(-1).Raw()))
 	_, _ = a.WriteReg(RegCtrl, CtrlStep)
 	_, _ = a.WriteReg(RegCtrl, CtrlStep)
-	if a.Steps() == 0 {
+	if a.steps == 0 {
 		t.Fatal("steps not counted")
 	}
 	_, _ = a.WriteReg(RegCtrl, CtrlReset)
-	if a.Steps() != 0 || a.TotalCycles() != 0 {
+	if a.steps != 0 || a.totalCycles != 0 {
 		t.Fatal("counters not reset")
 	}
 	st, _ := a.ReadReg(RegStatus)

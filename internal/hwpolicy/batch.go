@@ -47,12 +47,6 @@ func NewMulti(params []Params) (*MultiAccel, error) {
 	return m, nil
 }
 
-// NumChannels returns the channel count.
-func (m *MultiAccel) NumChannels() int { return len(m.channels) }
-
-// Channel returns channel i's accelerator.
-func (m *MultiAccel) Channel(i int) *Accel { return m.channels[i] }
-
 // decode splits a global address into (channel, offset).
 func (m *MultiAccel) decode(addr uint32) (int, uint32, error) {
 	ch := int(addr / ChannelStride)

@@ -32,8 +32,8 @@ func TestNewMultiValidates(t *testing.T) {
 		t.Fatal("invalid channel params accepted")
 	}
 	m := newMulti(t)
-	if m.NumChannels() != 3 {
-		t.Fatalf("channels = %d", m.NumChannels())
+	if len(m.channels) != 3 {
+		t.Fatalf("channels = %d", len(m.channels))
 	}
 }
 
@@ -91,7 +91,7 @@ func TestGlobalStepRunsAllChannels(t *testing.T) {
 	// Parallel channels: cost is the max channel latency, not the sum.
 	var maxC, sumC uint64
 	for c := 0; c < 3; c++ {
-		sc := m.Channel(c).StepCycles()
+		sc := m.channels[c].StepCycles()
 		sumC += sc
 		if sc > maxC {
 			maxC = sc
@@ -101,7 +101,7 @@ func TestGlobalStepRunsAllChannels(t *testing.T) {
 		t.Fatalf("global step cost %d, want max %d (sum would be %d)", cycles, maxC, sumC)
 	}
 	for c := 0; c < 3; c++ {
-		if m.Channel(c).Steps() != 1 {
+		if m.channels[c].steps != 1 {
 			t.Fatalf("channel %d did not step", c)
 		}
 	}
@@ -124,7 +124,7 @@ func TestMultiDriverStepAll(t *testing.T) {
 		t.Fatalf("actions = %v", actions)
 	}
 	for c, a := range actions {
-		if a < 0 || a >= m.Channel(c).Params().NumActions {
+		if a < 0 || a >= m.channels[c].Params().NumActions {
 			t.Fatalf("channel %d action %d out of range", c, a)
 		}
 	}
@@ -206,7 +206,7 @@ func TestMultiChannelsMatchSingleChannelBitExactly(t *testing.T) {
 		}
 	}
 	t1 := solo.Table()
-	t2 := m.Channel(1).Table()
+	t2 := m.channels[1].Table()
 	for s := range t1 {
 		for x := range t1[s] {
 			if t1[s][x] != t2[s][x] {

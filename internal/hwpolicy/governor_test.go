@@ -120,7 +120,7 @@ func TestHWGovernorReset(t *testing.T) {
 		t.Fatal("latency stats not reset")
 	}
 	for _, drv := range g.Drivers() {
-		if drv.Accel().Steps() != 0 {
+		if drv.Accel().steps != 0 {
 			t.Fatal("accelerator not reset")
 		}
 	}

@@ -175,10 +175,6 @@ func NewResilient(p *core.Policy, rc ResilientConfig, inj *fault.Injector) (*Res
 // Name implements sim.Governor.
 func (*Resilient) Name() string { return "rl-policy-resilient" }
 
-// Rung returns the current decision source: 0 hardware, 1 software
-// policy, 2 ondemand.
-func (r *Resilient) Rung() int { return r.rung }
-
 // Stats returns the health ledger.
 func (r *Resilient) Stats() ResilientStats { return r.stats }
 

@@ -69,8 +69,8 @@ func TestResilientMatchesPlainHWWithoutFaults(t *testing.T) {
 		}
 	}
 	st := res.Stats()
-	if res.Rung() != 0 || st.HWFaults != 0 || st.Demotions != 0 || st.Retries != 0 {
-		t.Fatalf("fault-free run dirtied the ladder: rung=%d stats=%+v", res.Rung(), st)
+	if res.rung != 0 || st.HWFaults != 0 || st.Demotions != 0 || st.Retries != 0 {
+		t.Fatalf("fault-free run dirtied the ladder: rung=%d stats=%+v", res.rung, st)
 	}
 	if st.Decisions != periods || st.PeriodsHW != periods {
 		t.Fatalf("period accounting off: %+v", st)
@@ -104,8 +104,8 @@ func TestLadderDemotesToSoftwareUnderBusFaults(t *testing.T) {
 			}
 		}
 	}
-	if res.Rung() != 1 {
-		t.Fatalf("rung = %d, want 1 (software policy)", res.Rung())
+	if res.rung != 1 {
+		t.Fatalf("rung = %d, want 1 (software policy)", res.rung)
 	}
 	st := res.Stats()
 	if st.Demotions != 1 || st.HWFaults == 0 || st.Retries == 0 {
@@ -137,8 +137,8 @@ func TestLadderDemotesToOndemandOnTelemetryStarvation(t *testing.T) {
 			t.Fatalf("period %d: %d actions", i, len(out))
 		}
 	}
-	if res.Rung() != 2 {
-		t.Fatalf("rung = %d, want 2 (ondemand)", res.Rung())
+	if res.rung != 2 {
+		t.Fatalf("rung = %d, want 2 (ondemand)", res.rung)
 	}
 	st := res.Stats()
 	if st.Demotions != 2 {
@@ -163,11 +163,11 @@ func TestLadderPromotesAfterProbation(t *testing.T) {
 	res.rung = 1          // as if a transient burst had demoted us
 
 	i := 1
-	for ; res.Rung() != 0 && i < rc.PromoteAfter+5; i++ {
+	for ; res.rung != 0 && i < rc.PromoteAfter+5; i++ {
 		res.Decide(resObs(i))
 	}
-	if res.Rung() != 0 {
-		t.Fatalf("never promoted back to hardware (rung %d after %d periods)", res.Rung(), i)
+	if res.rung != 0 {
+		t.Fatalf("never promoted back to hardware (rung %d after %d periods)", res.rung, i)
 	}
 	if got := res.Stats().Promotions; got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
@@ -195,7 +195,7 @@ func TestResilientSurvivesWedgedDevice(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		res.Decide(resObs(i))
 	}
-	if res.Rung() == 0 {
+	if res.rung == 0 {
 		t.Fatalf("still on hardware rung after persistent wedges: %+v", res.Stats())
 	}
 	if inj.Stats().Timeouts == 0 {
@@ -318,12 +318,12 @@ func TestResilientReset(t *testing.T) {
 	for i := 0; i < rc.DemoteAfter+2; i++ {
 		res.Decide(resObs(i))
 	}
-	if res.Rung() == 0 {
+	if res.rung == 0 {
 		t.Fatal("precondition: expected a demotion")
 	}
 	res.Reset()
-	if res.Rung() != 0 || res.Stats() != (ResilientStats{}) {
-		t.Fatalf("reset left state behind: rung=%d stats=%+v", res.Rung(), res.Stats())
+	if res.rung != 0 || res.Stats() != (ResilientStats{}) {
+		t.Fatalf("reset left state behind: rung=%d stats=%+v", res.rung, res.Stats())
 	}
 	out := res.Decide(resObs(0))
 	if len(out) != 2 {
@@ -331,11 +331,11 @@ func TestResilientReset(t *testing.T) {
 	}
 }
 
-// TestResilientEventsNarrateLadder forces a demotion and a promotion: a
+// TestResilientLadderDemotesAndPromotes forces a demotion and a promotion: a
 // stack whose every accelerator read faults steps down to the software
 // rung, and a healthy stack pushed onto the software rung re-promotes to
 // hardware after probation. Each transition is counted in Stats.
-func TestResilientEventsNarrateLadder(t *testing.T) {
+func TestResilientLadderDemotesAndPromotes(t *testing.T) {
 	inj, err := fault.NewInjector(fault.Config{Seed: 5, ReadErrorRate: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +348,8 @@ func TestResilientEventsNarrateLadder(t *testing.T) {
 	for i := 0; i < rc.DemoteAfter+10; i++ {
 		faulty.Decide(resObs(i))
 	}
-	if faulty.Rung() != 1 {
-		t.Fatalf("rung %d, want 1", faulty.Rung())
+	if faulty.rung != 1 {
+		t.Fatalf("rung %d, want 1", faulty.rung)
 	}
 	if st := faulty.Stats(); st.Demotions != 1 || st.Promotions != 0 {
 		t.Fatalf("demotions %d, promotions %d; want 1, 0", st.Demotions, st.Promotions)
@@ -362,10 +362,10 @@ func TestResilientEventsNarrateLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.rung = 1
-	for i := 0; i < 3*DefaultResilientConfig().PromoteAfter+10 && res.Rung() != 0; i++ {
+	for i := 0; i < 3*DefaultResilientConfig().PromoteAfter+10 && res.rung != 0; i++ {
 		res.Decide(resObs(i))
 	}
-	if res.Rung() != 0 {
+	if res.rung != 0 {
 		t.Fatal("never promoted back to hardware")
 	}
 	if st := res.Stats(); st.Promotions != 1 {

@@ -56,10 +56,6 @@ func bucketIdx(v int64) int {
 	return 1 + (oct-histMinExp)*histSub + int(sub)
 }
 
-// BucketUpperBound returns bucket i's exclusive upper bound in ns (+Inf
-// for the overflow bucket).
-func BucketUpperBound(i int) float64 { return bucketBounds[i] }
-
 // Histogram is a fixed-bucket latency histogram over nanosecond samples.
 // Observe is lock-free and allocation-free; concurrent observers only
 // contend on atomic adds. Create one with Registry.NewHistogram (to

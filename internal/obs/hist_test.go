@@ -11,17 +11,17 @@ import (
 // TestBucketBoundsMonotone pins the bucket layout: strictly increasing
 // bounds, the documented first bound, and the +Inf overflow bucket.
 func TestBucketBoundsMonotone(t *testing.T) {
-	if got := BucketUpperBound(0); got != 64 {
+	if got := bucketBounds[0]; got != 64 {
 		t.Fatalf("bucket 0 upper bound %v, want 64", got)
 	}
 	for i := 1; i < NumBuckets; i++ {
-		if BucketUpperBound(i) <= BucketUpperBound(i-1) {
+		if bucketBounds[i] <= bucketBounds[i-1] {
 			t.Fatalf("bounds not strictly increasing at %d: %v <= %v",
-				i, BucketUpperBound(i), BucketUpperBound(i-1))
+				i, bucketBounds[i], bucketBounds[i-1])
 		}
 	}
-	if !math.IsInf(BucketUpperBound(NumBuckets-1), 1) {
-		t.Fatalf("overflow bound %v, want +Inf", BucketUpperBound(NumBuckets-1))
+	if !math.IsInf(bucketBounds[NumBuckets-1], 1) {
+		t.Fatalf("overflow bound %v, want +Inf", bucketBounds[NumBuckets-1])
 	}
 }
 
@@ -33,16 +33,16 @@ func TestBucketIdxProperty(t *testing.T) {
 		if i < 0 || i >= NumBuckets {
 			t.Fatalf("bucketIdx(%d) = %d out of range", v, i)
 		}
-		if float64(v) >= BucketUpperBound(i) {
-			t.Fatalf("value %d at or above its bucket %d bound %v", v, i, BucketUpperBound(i))
+		if float64(v) >= bucketBounds[i] {
+			t.Fatalf("value %d at or above its bucket %d bound %v", v, i, bucketBounds[i])
 		}
-		if i > 0 && float64(v) < BucketUpperBound(i-1) {
-			t.Fatalf("value %d below bucket %d's lower bound %v", v, i, BucketUpperBound(i-1))
+		if i > 0 && float64(v) < bucketBounds[i-1] {
+			t.Fatalf("value %d below bucket %d's lower bound %v", v, i, bucketBounds[i-1])
 		}
 	}
 	// Edges: every bound, one below, one above.
 	for i := 0; i < NumBuckets-1; i++ {
-		b := int64(BucketUpperBound(i))
+		b := int64(bucketBounds[i])
 		check(b - 1)
 		check(b)
 		check(b + 1)
@@ -115,7 +115,7 @@ func TestQuantileWithinResolution(t *testing.T) {
 		if got < truth {
 			t.Fatalf("q=%v: recovered %v below true value %v", q, got, truth)
 		}
-		ub := BucketUpperBound(bucketIdx(int64(truth)))
+		ub := bucketBounds[bucketIdx(int64(truth))]
 		if ub > float64(snap.Max) {
 			ub = float64(snap.Max)
 		}

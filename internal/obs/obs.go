@@ -54,9 +54,6 @@ type Counter struct {
 // Add increments the counter by n. Allocation-free.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 

@@ -27,7 +27,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	up.Set(0.25)
 	a.Add(1)
 	b.Add(2)
-	esc.Inc()
+	esc.Add(1)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -132,7 +132,7 @@ func TestRegistryPanics(t *testing.T) {
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("c_total", "")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Load() != 5 {
 		t.Fatalf("counter %d, want 5", c.Load())

@@ -19,11 +19,6 @@ type SplitMix64 struct {
 	state uint64
 }
 
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
 // Next returns the next 64-bit value in the sequence.
 func (s *SplitMix64) Next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
@@ -131,11 +126,6 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Range returns a uniform float64 in [lo, hi). Requires lo <= hi.
-func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Norm returns a normally distributed float64 with the given mean and
 // standard deviation, via the polar Box–Muller method.
 func (r *Rand) Norm(mean, stddev float64) float64 {
@@ -192,15 +182,4 @@ func (r *Rand) Choice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1 // x landed exactly on total due to rounding
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -38,8 +38,8 @@ func NewClient(base string) *Client {
 	}
 }
 
-// SetTransport swaps the HTTP transport — the chaos tests inject their
-// fault-wrapping round-tripper here.
+// SetTransport swaps the HTTP transport, for example for one with its own
+// per-host connection limits, as the fleet benchmark sets.
 func (c *Client) SetTransport(rt http.RoundTripper) { c.hc.Transport = rt }
 
 // SetCallTimeout adjusts the per-request deadline (default 30s).

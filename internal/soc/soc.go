@@ -412,9 +412,6 @@ func (ch *Chip) StepInto(dst *ChipStep, demands []Demand, dt float64) error {
 // TotalEnergyJ returns the accumulated energy since construction/Reset.
 func (ch *Chip) TotalEnergyJ() float64 { return ch.totalEnergyJ }
 
-// TotalTimeS returns the accumulated simulated time.
-func (ch *Chip) TotalTimeS() float64 { return ch.totalTimeS }
-
 // Reset restores all clusters and clears accumulators.
 func (ch *Chip) Reset() {
 	for _, cl := range ch.clusters {

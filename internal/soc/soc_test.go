@@ -272,8 +272,8 @@ func TestChipStepAggregates(t *testing.T) {
 	if ch.TotalEnergyJ() != res.EnergyJ {
 		t.Fatalf("accumulator %v != step %v", ch.TotalEnergyJ(), res.EnergyJ)
 	}
-	if ch.TotalTimeS() != 0.05 {
-		t.Fatalf("total time %v", ch.TotalTimeS())
+	if ch.totalTimeS != 0.05 {
+		t.Fatalf("total time %v", ch.totalTimeS)
 	}
 }
 
@@ -304,7 +304,7 @@ func TestChipReset(t *testing.T) {
 	ch, _ := NewChip(DefaultChipSpec())
 	_, _ = ch.Step([]Demand{{Cycles: 1e6, Parallelism: 1}, {}}, 0.05)
 	ch.Reset()
-	if ch.TotalEnergyJ() != 0 || ch.TotalTimeS() != 0 {
+	if ch.TotalEnergyJ() != 0 || ch.totalTimeS != 0 {
 		t.Fatal("Reset did not clear accumulators")
 	}
 }

@@ -1,6 +1,5 @@
 // Package stats provides the summary statistics the experiment harness
-// reports: means, geometric means, percentiles, confidence intervals,
-// histograms, and online (Welford) accumulators.
+// reports: means, variances, confidence intervals and histograms.
 //
 // Everything here is deliberately dependency-free and deterministic so that
 // table rows regenerate identically across runs.
@@ -10,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -62,21 +60,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// GeoMean returns the geometric mean. All values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: GeoMean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
 // Min returns the minimum of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -105,46 +88,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks (the "R-7" definition used by
-// numpy). The input is copied and sorted internally; use
-// PercentileSorted to amortize the sort over several percentiles.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
-}
-
-// PercentileSorted is Percentile over an already ascending-sorted sample:
-// no copy, no sort, identical values. Callers extracting several
-// percentiles from one sample sort once and call this for each — the two
-// paths are pinned to agree by the stats tests.
-func PercentileSorted(sorted []float64, p float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // CI95 returns the half-width of the 95% confidence interval of the mean
 // under a normal approximation (1.96 * sem). Requires >= 2 samples.
 func CI95(xs []float64) (float64, error) {
@@ -153,107 +96,6 @@ func CI95(xs []float64) (float64, error) {
 		return 0, err
 	}
 	return 1.96 * sd / math.Sqrt(float64(len(xs))), nil
-}
-
-// Ratio returns a/b, guarding the degenerate denominators that arise when a
-// scenario accrues zero QoS (returns +Inf for positive a, 0 for a==0).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 0
-		}
-		return math.Inf(sign(a))
-	}
-	return a / b
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Improvement returns the relative improvement of "proposed" over
-// "baseline" in percent: 100*(baseline-proposed)/baseline. Positive means
-// proposed is lower (better, for costs like energy-per-QoS).
-func Improvement(baseline, proposed float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return 100 * (baseline - proposed) / baseline
-}
-
-// Online is a Welford accumulator for streaming mean/variance with
-// min/max tracking. The zero value is ready to use.
-type Online struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates x.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of samples seen.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean (0 for no samples).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the unbiased running variance (0 for fewer than two
-// samples).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest sample (0 for no samples).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest sample (0 for no samples).
-func (o *Online) Max() float64 { return o.max }
-
-// Merge folds other into o (parallel Welford merge).
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n, o.mean, o.m2 = n, mean, m2
 }
 
 // Histogram is a fixed-bin histogram over [Lo, Hi). Out-of-range samples
@@ -291,24 +133,6 @@ func (h *Histogram) Add(x float64) {
 
 // Total returns the number of recorded samples.
 func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the center of the most populated bin (lowest index wins
-// ties).
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
 
 // Sparkline renders the histogram as a compact unicode bar string, used in
 // pmbench's figure output.

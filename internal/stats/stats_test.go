@@ -43,19 +43,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 100})
-	if err != nil || !almostEq(g, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v, %v", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("GeoMean with 0 did not error")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Fatalf("GeoMean(nil) err = %v", err)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	mn, _ := Min(xs)
@@ -71,55 +58,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || !almostEq(got, c.want, 1e-12) {
-			t.Errorf("P%v = %v (%v), want %v", c.p, got, err, c.want)
-		}
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatal("empty percentile no error")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Fatal("p=-1 no error")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Fatal("p=101 no error")
-	}
-}
-
-func TestPercentileSingle(t *testing.T) {
-	got, err := Percentile([]float64{42}, 99)
-	if err != nil || got != 42 {
-		t.Fatalf("single-sample percentile = %v, %v", got, err)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	m, _ := Median([]float64{5, 1, 3})
-	if m != 3 {
-		t.Fatalf("Median = %v", m)
-	}
-}
-
 func TestCI95(t *testing.T) {
 	ci, err := CI95([]float64{10, 10, 10, 10})
 	if err != nil || ci != 0 {
@@ -129,142 +67,6 @@ func TestCI95(t *testing.T) {
 	want := 1.96 * math.Sqrt(2) / math.Sqrt(2)
 	if !almostEq(ci, want, 1e-12) {
 		t.Fatalf("CI95 = %v, want %v", ci, want)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(6, 3); got != 2 {
-		t.Fatalf("Ratio = %v", got)
-	}
-	if got := Ratio(0, 0); got != 0 {
-		t.Fatalf("Ratio(0,0) = %v", got)
-	}
-	if got := Ratio(1, 0); !math.IsInf(got, 1) {
-		t.Fatalf("Ratio(1,0) = %v", got)
-	}
-	if got := Ratio(-1, 0); !math.IsInf(got, -1) {
-		t.Fatalf("Ratio(-1,0) = %v", got)
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	if got := Improvement(100, 68.34); !almostEq(got, 31.66, 1e-9) {
-		t.Fatalf("Improvement = %v", got)
-	}
-	if got := Improvement(0, 5); got != 0 {
-		t.Fatalf("Improvement with zero baseline = %v", got)
-	}
-	if got := Improvement(100, 120); got != -20 {
-		t.Fatalf("regression Improvement = %v", got)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{1.5, -2, 3.25, 0, 7, 7, -11}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	bm, _ := Mean(xs)
-	bv, _ := Variance(xs)
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if !almostEq(o.Mean(), bm, 1e-12) {
-		t.Errorf("online mean %v vs %v", o.Mean(), bm)
-	}
-	if !almostEq(o.Variance(), bv, 1e-9) {
-		t.Errorf("online var %v vs %v", o.Variance(), bv)
-	}
-	if o.Min() != mn || o.Max() != mx {
-		t.Errorf("online min/max %v/%v vs %v/%v", o.Min(), o.Max(), mn, mx)
-	}
-	if o.N() != len(xs) {
-		t.Errorf("N = %d", o.N())
-	}
-}
-
-func TestOnlineZeroValue(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.StdDev() != 0 || o.N() != 0 {
-		t.Fatal("zero-value Online not neutral")
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	var a, b, whole Online
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 3 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() || !almostEq(a.Mean(), whole.Mean(), 1e-12) ||
-		!almostEq(a.Variance(), whole.Variance(), 1e-9) ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged %+v vs whole %+v", a, whole)
-	}
-}
-
-func TestOnlineMergeEmptySides(t *testing.T) {
-	var a, empty Online
-	a.Add(5)
-	before := a
-	a.Merge(&empty)
-	if a != before {
-		t.Fatal("merging empty changed accumulator")
-	}
-	var c Online
-	c.Merge(&a)
-	if c != a {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
-// Property: online mean equals batch mean for random samples.
-func TestOnlineMeanProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var o Online
-		for i, v := range raw {
-			xs[i] = float64(v) / 7
-			o.Add(xs[i])
-		}
-		bm, _ := Mean(xs)
-		return almostEq(o.Mean(), bm, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentiles are monotone in p.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []int16, p1, p2 uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		a := float64(p1 % 101)
-		b := float64(p2 % 101)
-		if a > b {
-			a, b = b, a
-		}
-		va, _ := Percentile(xs, a)
-		vb, _ := Percentile(xs, b)
-		return va <= vb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -285,12 +87,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Counts[4] != 2 { // 9.99, 100
 		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-	if got := h.Mode(); got != 1 {
-		t.Fatalf("Mode = %v", got)
 	}
 }
 

@@ -3,7 +3,7 @@ package trace
 import "testing"
 
 func TestRecordRejectsOutOfOrderTimes(t *testing.T) {
-	r := MustRecorder("v")
+	r := mustRecorder(t, "v")
 	if err := r.Record(1.0, map[string]float64{"v": 1}); err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -22,39 +22,8 @@ func TestRecordRejectsOutOfOrderTimes(t *testing.T) {
 	}
 }
 
-func TestWindowSingleSample(t *testing.T) {
-	r := MustRecorder("v")
-	if err := r.Record(2.0, map[string]float64{"v": 7}); err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	in := r.Window(2.0, 3.0)
-	if in.Len() != 1 {
-		t.Fatalf("window [2,3) over a sample at t=2 kept %d rows, want 1", in.Len())
-	}
-	if v, err := in.Last("v"); err != nil || v != 7 {
-		t.Fatalf("windowed value %v (%v), want 7", v, err)
-	}
-	if out := r.Window(2.5, 3.0); out.Len() != 0 {
-		t.Fatalf("window past the sample kept %d rows", out.Len())
-	}
-	if out := r.Window(1.0, 2.0); out.Len() != 0 {
-		t.Fatalf("half-open window ending at the sample kept %d rows", out.Len())
-	}
-}
-
-func TestWindowEmptyRecorder(t *testing.T) {
-	r := MustRecorder("v")
-	w := r.Window(0, 10)
-	if w.Len() != 0 {
-		t.Fatalf("window of an empty recorder has %d rows", w.Len())
-	}
-	if got := w.Columns(); len(got) != 1 || got[0] != "v" {
-		t.Fatalf("window dropped columns: %v", got)
-	}
-}
-
 func TestIntegrateEmptyAndSingle(t *testing.T) {
-	r := MustRecorder("p")
+	r := mustRecorder(t, "p")
 	if got, err := r.Integrate("p"); err != nil || got != 0 {
 		t.Fatalf("empty integral = %v, %v; want 0, nil", got, err)
 	}

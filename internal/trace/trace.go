@@ -11,7 +11,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -43,15 +42,6 @@ func NewRecorder(cols ...string) (*Recorder, error) {
 	return &Recorder{cols: cols, colIdx: idx}, nil
 }
 
-// MustRecorder is NewRecorder but panics on error; for static column lists.
-func MustRecorder(cols ...string) *Recorder {
-	r, err := NewRecorder(cols...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Record appends one row at time t. vals must supply every registered
 // column; missing columns default to NaN-free zero only if allowZero was
 // requested — here we are strict and error instead, because a silently
@@ -80,9 +70,9 @@ func (r *Recorder) Record(t float64, vals map[string]float64) error {
 	return nil
 }
 
-// checkTime rejects out-of-order sample times. Window's binary search and
-// Integrate's step sums assume non-decreasing times; accepting a rewinding
-// clock would silently corrupt both, so it is an error at the source.
+// checkTime rejects out-of-order sample times. Integrate's step sums
+// assume non-decreasing times; accepting a rewinding clock would silently
+// corrupt them, so it is an error at the source.
 func (r *Recorder) checkTime(t float64) error {
 	if n := len(r.times); n > 0 && t < r.times[n-1] {
 		return fmt.Errorf("trace: out-of-order sample time %v after %v", t, r.times[n-1])
@@ -122,11 +112,6 @@ func (r *Recorder) Columns() []string {
 	return append([]string(nil), r.cols...)
 }
 
-// Times returns a copy of the sample times.
-func (r *Recorder) Times() []float64 {
-	return append([]float64(nil), r.times...)
-}
-
 // Series returns a copy of one column's values.
 func (r *Recorder) Series(col string) ([]float64, error) {
 	i, ok := r.colIdx[col]
@@ -138,18 +123,6 @@ func (r *Recorder) Series(col string) ([]float64, error) {
 		out[row] = r.samples[row][i]
 	}
 	return out, nil
-}
-
-// Last returns the most recent value of col.
-func (r *Recorder) Last(col string) (float64, error) {
-	i, ok := r.colIdx[col]
-	if !ok {
-		return 0, fmt.Errorf("trace: unknown column %q", col)
-	}
-	if len(r.samples) == 0 {
-		return 0, fmt.Errorf("trace: no samples recorded")
-	}
-	return r.samples[len(r.samples)-1][i], nil
 }
 
 // WriteCSV writes "time,<col>,..." rows. Floats are formatted with %g so
@@ -195,22 +168,6 @@ func (r *Recorder) Downsample(k int) (*Recorder, error) {
 		out.samples = append(out.samples, append([]float64(nil), r.samples[i]...))
 	}
 	return out, nil
-}
-
-// Window returns the rows with t in [t0, t1).
-func (r *Recorder) Window(t0, t1 float64) *Recorder {
-	out := &Recorder{cols: r.Columns(), colIdx: make(map[string]int, len(r.cols))}
-	for i, c := range out.cols {
-		out.colIdx[c] = i
-	}
-	// Times are appended in order by construction; binary search the edges.
-	lo := sort.SearchFloat64s(r.times, t0)
-	hi := sort.SearchFloat64s(r.times, t1)
-	for i := lo; i < hi; i++ {
-		out.times = append(out.times, r.times[i])
-		out.samples = append(out.samples, append([]float64(nil), r.samples[i]...))
-	}
-	return out
 }
 
 // Integrate returns the time integral of col using the left Riemann sum

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// mustRecorder is NewRecorder for the tests' static column lists.
+func mustRecorder(t *testing.T, cols ...string) *Recorder {
+	t.Helper()
+	r, err := NewRecorder(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestNewRecorderValidation(t *testing.T) {
 	if _, err := NewRecorder(); err == nil {
 		t.Fatal("no columns accepted")
@@ -22,17 +32,8 @@ func TestNewRecorderValidation(t *testing.T) {
 	}
 }
 
-func TestMustRecorderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRecorder with bad columns did not panic")
-		}
-	}()
-	MustRecorder()
-}
-
 func TestRecordAndSeries(t *testing.T) {
-	r := MustRecorder("power", "freq")
+	r := mustRecorder(t, "power", "freq")
 	for i := 0; i < 3; i++ {
 		err := r.Record(float64(i), map[string]float64{
 			"power": float64(i) * 2,
@@ -52,14 +53,13 @@ func TestRecordAndSeries(t *testing.T) {
 	if p[0] != 0 || p[1] != 2 || p[2] != 4 {
 		t.Fatalf("power series = %v", p)
 	}
-	last, err := r.Last("freq")
-	if err != nil || last != 102 {
-		t.Fatalf("Last = %v, %v", last, err)
+	if last := r.samples[2][1]; last != 102 {
+		t.Fatalf("last freq = %v", last)
 	}
 }
 
 func TestRecordRejectsUnknownAndMissing(t *testing.T) {
-	r := MustRecorder("a", "b")
+	r := mustRecorder(t, "a", "b")
 	if err := r.Record(0, map[string]float64{"a": 1, "c": 2}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
@@ -72,20 +72,14 @@ func TestRecordRejectsUnknownAndMissing(t *testing.T) {
 }
 
 func TestSeriesUnknown(t *testing.T) {
-	r := MustRecorder("a")
+	r := mustRecorder(t, "a")
 	if _, err := r.Series("nope"); err == nil {
 		t.Fatal("unknown series accepted")
-	}
-	if _, err := r.Last("nope"); err == nil {
-		t.Fatal("unknown Last accepted")
-	}
-	if _, err := r.Last("a"); err == nil {
-		t.Fatal("Last on empty recorder accepted")
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	r := MustRecorder("x")
+	r := mustRecorder(t, "x")
 	_ = r.Record(0.5, map[string]float64{"x": 1.25})
 	_ = r.Record(1.0, map[string]float64{"x": -3})
 	var b strings.Builder
@@ -99,7 +93,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestColumnsCopy(t *testing.T) {
-	r := MustRecorder("a", "b")
+	r := mustRecorder(t, "a", "b")
 	cols := r.Columns()
 	cols[0] = "mutated"
 	if r.Columns()[0] != "a" {
@@ -108,7 +102,7 @@ func TestColumnsCopy(t *testing.T) {
 }
 
 func TestDownsample(t *testing.T) {
-	r := MustRecorder("v")
+	r := mustRecorder(t, "v")
 	for i := 0; i < 10; i++ {
 		_ = r.Record(float64(i), map[string]float64{"v": float64(i)})
 	}
@@ -116,7 +110,7 @@ func TestDownsample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := d.Times()
+	times := d.times
 	if len(times) != 4 || times[0] != 0 || times[3] != 9 {
 		t.Fatalf("downsampled times = %v", times)
 	}
@@ -125,23 +119,8 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	r := MustRecorder("v")
-	for i := 0; i < 10; i++ {
-		_ = r.Record(float64(i), map[string]float64{"v": float64(i)})
-	}
-	w := r.Window(2.5, 6)
-	times := w.Times()
-	if len(times) != 3 || times[0] != 3 || times[2] != 5 {
-		t.Fatalf("window times = %v", times)
-	}
-	if w.Window(100, 200).Len() != 0 {
-		t.Fatal("out-of-range window not empty")
-	}
-}
-
 func TestIntegrateConstant(t *testing.T) {
-	r := MustRecorder("p")
+	r := mustRecorder(t, "p")
 	for i := 0; i < 5; i++ {
 		_ = r.Record(float64(i)*0.5, map[string]float64{"p": 2})
 	}
@@ -156,7 +135,7 @@ func TestIntegrateConstant(t *testing.T) {
 }
 
 func TestIntegrateEdges(t *testing.T) {
-	r := MustRecorder("p")
+	r := mustRecorder(t, "p")
 	if got, err := r.Integrate("p"); err != nil || got != 0 {
 		t.Fatalf("empty Integrate = %v, %v", got, err)
 	}
@@ -175,7 +154,7 @@ func TestIntegrateConstantProperty(t *testing.T) {
 		c := float64(cRaw) / 16
 		n := int(nRaw%50) + 2
 		dt := float64(dtRaw%20+1) / 10
-		r := MustRecorder("p")
+		r := mustRecorder(t, "p")
 		for i := 0; i < n; i++ {
 			_ = r.Record(float64(i)*dt, map[string]float64{"p": c})
 		}
@@ -194,7 +173,7 @@ func TestIntegrateConstantProperty(t *testing.T) {
 // Property: Downsample(1) is identity over times and values.
 func TestDownsampleIdentityProperty(t *testing.T) {
 	f := func(vals []int16) bool {
-		r := MustRecorder("v")
+		r := mustRecorder(t, "v")
 		for i, v := range vals {
 			_ = r.Record(float64(i), map[string]float64{"v": float64(v)})
 		}

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Segment is one leg of a Sequence: a scenario played for a fixed wall
 // time.
@@ -65,18 +62,6 @@ func DaySession(clusters int, seed uint64) (*Sequence, error) {
 
 // Name implements Scenario.
 func (s *Sequence) Name() string { return s.name }
-
-// Segments lists the segment scenario names in order (for reporting).
-func (s *Sequence) Segments() string {
-	names := make([]string, len(s.segments))
-	for i, seg := range s.segments {
-		names[i] = seg.Spec.Name
-	}
-	return strings.Join(names, "→")
-}
-
-// Current returns the name of the currently playing segment scenario.
-func (s *Sequence) Current() string { return s.segments[s.idx].Spec.Name }
 
 // Reset implements Scenario: restarts from the first segment.
 func (s *Sequence) Reset(seed uint64) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -32,11 +33,15 @@ func TestDaySession(t *testing.T) {
 	if s.Name() != "day" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	if s.Segments() != "idle→browsing→video→gaming→camera→mixed" {
-		t.Fatalf("Segments = %q", s.Segments())
+	var names []string
+	for _, seg := range s.segments {
+		names = append(names, seg.Spec.Name)
 	}
-	if s.Current() != "idle" {
-		t.Fatalf("Current = %q", s.Current())
+	if got := strings.Join(names, "→"); got != "idle→browsing→video→gaming→camera→mixed" {
+		t.Fatalf("segments = %q", got)
+	}
+	if s.idx != 0 {
+		t.Fatalf("starts at segment %d", s.idx)
 	}
 }
 
@@ -49,7 +54,7 @@ func TestSequenceAdvancesThroughSegments(t *testing.T) {
 	// 1 s per segment at 50 ms = 20 periods each; 50 periods covers both
 	// plus the loop back to the first.
 	for i := 0; i < 50; i++ {
-		seen[s.Current()] = true
+		seen[s.segments[s.idx].Spec.Name] = true
 		s.Next(0.05)
 	}
 	if !seen["idle"] || !seen["video"] {
@@ -60,8 +65,8 @@ func TestSequenceAdvancesThroughSegments(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Next(0.05)
 	}
-	if s.Current() != "idle" {
-		t.Fatalf("did not loop: current = %q", s.Current())
+	if s.segments[s.idx].Spec.Name != "idle" {
+		t.Fatalf("did not loop: current = %q", s.segments[s.idx].Spec.Name)
 	}
 }
 
