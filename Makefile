@@ -6,8 +6,9 @@ GO ?= go
 # determinism + golden, in shuffled order), and the race-detector pass over
 # the concurrent packages (the experiment engine, the bench cells it runs,
 # the simulator they share, and the decision server), plus a repeated race
-# pass over the online learner, whose recycled Q-table arenas concurrent
-# decide frames read, over the overload bound, over the allocation pins
+# pass over the online learner, whose concurrent reward callers apply
+# updates and publish recycled Q-table arenas that concurrent decide
+# frames read, over the overload bound, over the allocation pins
 # (the device session's among them: every attempt of either client passes
 # one request value, which must stay off the heap), over the device
 # session's refusal of malformed answers, over the binary fronts' window
@@ -133,9 +134,9 @@ chaos-smoke:
 # learn-smoke runs the training-while-serving harness under the race
 # detector: a seeded fleet split into learning and frozen-control arms
 # against an online-learning server, run twice. pmload -learn exits
-# non-zero unless updates were applied losslessly, both runs produced
-# identical decision traces and bit-identical learned checkpoints, and the
-# learned checkpoint reloads into a servable model.
+# non-zero unless updates were applied and published with none rejected,
+# both runs produced identical decision traces and bit-identical learned
+# checkpoints, and the learned checkpoint reloads into a servable model.
 learn-smoke:
 	$(GO) run -race ./cmd/pmload -learn -devices 8 -periods 120
 

@@ -6,8 +6,8 @@
 // terminal voltage V forces current I = P/V through the cell's internal
 // resistance R, dissipating an extra I²R — so heavy draws drain the
 // battery disproportionately, the effect that makes sustained
-// performance-governor gaming so costly on real devices. Terminal voltage
-// sags linearly with depth of discharge between the full and empty knees.
+// performance-governor gaming so costly on real devices. Life is computed
+// from a full charge at the full-charge voltage.
 package battery
 
 import (
@@ -48,54 +48,17 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Battery is a cell and its remaining charge. Create with New.
-type Battery struct {
-	spec       Spec
-	capacityJ  float64
-	remainingJ float64
-}
-
-// New returns a fully charged battery.
-func New(spec Spec) (*Battery, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	capJ := spec.CapacityWh * 3600
-	return &Battery{spec: spec, capacityJ: capJ, remainingJ: capJ}, nil
-}
-
-// SoC returns the state of charge in [0,1].
-func (b *Battery) SoC() float64 { return b.remainingJ / b.capacityJ }
-
-// Voltage returns the current open-circuit terminal voltage (linear sag
-// with depth of discharge).
-func (b *Battery) Voltage() float64 {
-	return b.spec.EmptyV + (b.spec.FullV-b.spec.EmptyV)*b.SoC()
-}
-
-// Runtime estimates how long the remaining charge lasts at a constant
-// load of powerW (including resistance loss at the current voltage).
-func (b *Battery) Runtime(powerW float64) (time.Duration, error) {
-	if powerW <= 0 {
-		return 0, fmt.Errorf("battery: runtime needs positive power, got %v", powerW)
-	}
-	v := b.Voltage()
-	i := powerW / v
-	total := powerW + i*i*b.spec.InternalOhm
-	seconds := b.remainingJ / total
-	return time.Duration(seconds * float64(time.Second)), nil
-}
-
-// LifeHours is a convenience: full-capacity life at a constant average
-// power for the given cell spec.
+// LifeHours is how long a fully charged cell lasts at a constant average
+// power, including the resistance loss at the full-charge voltage. The
+// life is whole nanoseconds, as a time.Duration holds it.
 func LifeHours(spec Spec, avgPowerW float64) (float64, error) {
-	b, err := New(spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
-	d, err := b.Runtime(avgPowerW)
-	if err != nil {
-		return 0, err
+	if avgPowerW <= 0 {
+		return 0, fmt.Errorf("battery: runtime needs positive power, got %v", avgPowerW)
 	}
-	return d.Hours(), nil
+	i := avgPowerW / spec.FullV
+	seconds := spec.CapacityWh * 3600 / (avgPowerW + i*i*spec.InternalOhm)
+	return time.Duration(seconds * float64(time.Second)).Hours(), nil
 }

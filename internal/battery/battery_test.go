@@ -2,15 +2,6 @@ package battery
 
 import "testing"
 
-func newBattery(t *testing.T) *Battery {
-	t.Helper()
-	b, err := New(DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func TestSpecValidate(t *testing.T) {
 	if err := DefaultSpec().Validate(); err != nil {
 		t.Fatal(err)
@@ -28,41 +19,23 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestFreshBatteryState(t *testing.T) {
-	b := newBattery(t)
-	if b.SoC() != 1 {
-		t.Fatalf("SoC = %v", b.SoC())
-	}
-	if b.Voltage() != DefaultSpec().FullV {
-		t.Fatalf("Voltage = %v", b.Voltage())
-	}
-}
-
 func TestRuntime(t *testing.T) {
-	b := newBattery(t)
-	d, err := b.Runtime(2)
-	if err != nil {
-		t.Fatal(err)
+	life := func(powerW float64) float64 {
+		t.Helper()
+		h, err := LifeHours(DefaultSpec(), powerW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
 	// 15.4 Wh at ~2 W (plus small loss) ≈ 7.5 h.
-	if d.Hours() < 7 || d.Hours() > 7.8 {
-		t.Fatalf("runtime at 2W = %v h", d.Hours())
+	if h := life(2); h < 7 || h > 7.8 {
+		t.Fatalf("runtime at 2W = %v h", h)
 	}
 	// I²R loss grows with the square of the current, so eight times the
 	// load lasts less than an eighth as long.
-	d1, err := b.Runtime(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d8, err := b.Runtime(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d8 >= d1/8 {
-		t.Fatalf("runtime at 8W = %v, want below %v (an eighth of 1W's)", d8, d1/8)
-	}
-	if _, err := b.Runtime(0); err == nil {
-		t.Fatal("zero power accepted")
+	if h1, h8 := life(1), life(8); h8 >= h1/8 {
+		t.Fatalf("runtime at 8W = %v h, want below %v h (an eighth of 1W's)", h8, h1/8)
 	}
 }
 

@@ -203,6 +203,7 @@ func TestLearnVerdict(t *testing.T) {
 	clean := func() *LearnReport {
 		return &LearnReport{
 			Updates:    10,
+			Swaps:      5,
 			Traces:     [][]int{{1, 2, 3}, {4, 5, 6}},
 			Checkpoint: bytes.Clone(ckpt.Bytes()),
 		}
@@ -214,7 +215,7 @@ func TestLearnVerdict(t *testing.T) {
 	}{
 		{"clean", func(a, b *LearnReport) {}, nil},
 		{"no updates", func(a, b *LearnReport) { a.Updates = 0 }, []string{"no Q-updates"}},
-		{"dropped samples", func(a, b *LearnReport) { a.Dropped = 3 }, []string{"dropped 3 samples"}},
+		{"no publication", func(a, b *LearnReport) { a.Swaps = 0 }, []string{"published no tables"}},
 		{"rejected samples", func(a, b *LearnReport) { a.Rejected = 2 }, []string{"rejected 2"}},
 		{"divergent trace", func(a, b *LearnReport) { b.Traces[1][2]++ }, []string{"diverged on device 1"}},
 		{"different checkpoint bytes", func(a, b *LearnReport) {

@@ -3,35 +3,30 @@
 // loop the way the paper's companion online-learning line of work does —
 // device-reported rewards drive live TD updates while serving:
 //
-//   - reward reports are paired with the reporting session's last two
-//     decided (state, action) periods into core.Transitions and pushed
-//     onto a bounded lock-free MPSC ring (a full ring drops the sample —
-//     learning is best-effort, the serving path never blocks on it);
-//   - a single consumer drains the ring into a shadow core.Policy loaded
-//     from the served model, off every decide hot path. Policy.Learn runs
-//     the TD step training runs, under the served config's algorithm,
-//     learning rate and discount: Q-learning by default;
+//   - each reward is paired with the reporting session's last two decided
+//     (state, action) periods into one core.Transition per cluster, and
+//     every transition is applied to a shadow core.Policy loaded from the
+//     served model, on the goroutine serving the reward and before the
+//     reward is acked. Policy.Learn runs the TD step training runs, under
+//     the served config's algorithm, learning rate and discount:
+//     Q-learning by default. Learning is lossless, and exactly-once with
+//     the reward dedup;
 //   - every SwapEvery updates the shadow policy's greedy tables are
 //     written into a learner-owned arena and published RCU-style: one
-//     atomic pointer swap in the server's SWBackend plus a version bump.
-//     Decide frames pin the live model once each and never take a lock;
-//     each pinned model counts its readers. A retired arena is recycled
-//     for a later publication only once its reader count is zero (the
-//     N-reader grace rule, see SWBackend), so steady-state publication
-//     allocates nothing;
+//     atomic pointer swap in the server's SWBackend. Decide frames pin the
+//     live model once each and never take a lock; each pinned model counts
+//     its readers. A retired arena is recycled for a later publication
+//     only once its reader count is zero (the N-reader grace rule, see
+//     SWBackend), so steady-state publication allocates nothing;
 //   - the learned state is periodically published through the existing
 //     checkpoint store (and finally at drain), so restarts and new shards
-//     hydrate what was learned;
-//   - Manual mode runs no goroutine: the caller drives Server.LearnTick
-//     at explicit points, which makes a training-while-serving run
-//     deterministic end to end — the seeded replay mode RunLearn uses.
+//     hydrate what was learned.
 package serve
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlpm/internal/core"
@@ -45,16 +40,12 @@ type LearnConfig struct {
 	// Enabled turns the learner on: learned tables are published by
 	// swapping arenas behind the server's live-model pointer.
 	Enabled bool
-	// Manual suppresses the background drain goroutine; updates apply only
-	// when the caller invokes Server.LearnTick. This is the seeded replay
-	// mode: with a fixed tick schedule, a training-while-serving run is
-	// bit-reproducible.
-	Manual bool
 	// SwapEvery is how many applied updates trigger an RCU table
-	// publication (default 256).
+	// publication, made once the reward that reaches it has applied all
+	// its updates (default 256).
 	SwapEvery int
 	// CheckpointEvery, when positive, periodically publishes the learned
-	// tables through the server's checkpoint store (async mode only; needs
+	// tables through the server's checkpoint store (needs
 	// Config.CheckpointPath).
 	CheckpointEvery time.Duration
 }
@@ -79,48 +70,30 @@ func (c LearnConfig) withDefaults() LearnConfig {
 	return c
 }
 
-// learnQueueCap bounds the transition ring. When full, new samples are
-// dropped and counted.
-const learnQueueCap = 4096
-
-// applyChunk bounds how many transitions the async consumer applies
-// between shutdown/checkpoint checks.
-const applyChunk = 256
-
-// learnIdlePoll is the async consumer's sleep when the ring is empty.
-const learnIdlePoll = 200 * time.Microsecond
-
-// learner drains reward-derived transitions into a shadow core.Policy and
-// publishes the result by swapping recycled arenas. Producers are session
-// goroutines (via Server.noteRewardLocked); the consumer is either the
-// background goroutine (async mode) or LearnTick callers (manual mode) —
-// applyMu serializes them, so the ring's single-consumer contract holds in
-// both modes.
+// learner applies reward-derived transitions to a shadow core.Policy and
+// publishes the result by swapping recycled arenas. Reward callers apply
+// their transitions under mu (Server.noteRewardLocked), so the shadow
+// policy sees every reward's transitions together and in one order.
 type learner struct {
-	srv  *Server
-	cfg  LearnConfig
-	ring *tranRing
+	srv *Server
+	cfg LearnConfig
 
-	applyMu sync.Mutex
+	mu      sync.Mutex
 	pol     *core.Policy // shadow policy: the served tables plus every applied update
 	pending int          // updates applied since the last publication
-	// Publication arenas, guarded by applyMu. published is the model this
+	// Publication arenas, guarded by mu. published is the model this
 	// learner last swapped in (nil before the first publication). spare is
 	// a model it retired, safe to rewrite once no reader holds it; nil
 	// when there is none.
 	published, spare *Model
 
-	version atomic.Uint64
-
 	updates  *obs.Counter   // transitions applied to the shadow policy
-	dropped  *obs.Counter   // transitions dropped on a full ring
 	rejected *obs.Counter   // transitions rejected by Policy.Learn
 	swaps    *obs.Counter   // RCU table publications
 	tdAbs    *obs.Histogram // |TD error| per update, in 1e-6 units
 
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	quit chan struct{} // nil unless the checkpoint ticker runs
+	wg   sync.WaitGroup
 }
 
 func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
@@ -130,134 +103,45 @@ func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
 		return nil, fmt.Errorf("serve: building learner: %w", err)
 	}
 	l := &learner{
-		srv:  s,
-		cfg:  cfg,
-		ring: newTranRing(learnQueueCap),
-		pol:  pol,
-		quit: make(chan struct{}),
+		srv: s,
+		cfg: cfg,
+		pol: pol,
 
 		updates:  s.reg.NewCounter("learn_updates_total", "Q-table updates applied by the online learner"),
-		dropped:  s.reg.NewCounter("learn_dropped_total", "learning samples dropped on a full transition queue"),
 		rejected: s.reg.NewCounter("learn_rejected_total", "learning samples rejected by the shadow policy"),
 		swaps:    s.reg.NewCounter("learn_swaps_total", "RCU table publications by the online learner"),
 		tdAbs:    s.reg.NewHistogram("learn_td_abs", "absolute TD error per applied update, in 1e-6 units"),
 	}
 	s.reg.NewGaugeFunc("serve_policy_version", "served policy version; 0 is the construction-time model", func() float64 {
-		return float64(l.version.Load())
+		return float64(l.swaps.Load())
 	})
 	return l, nil
 }
 
-// start launches the background consumer (async mode only); split from
-// newLearner so the server finishes wiring before the goroutine runs.
-func (l *learner) start() {
-	if l.cfg.Manual {
-		return
-	}
-	l.wg.Add(1)
-	go l.run()
-}
-
-// offer enqueues one transition; false when the ring is full.
-func (l *learner) offer(t core.Transition) bool { return l.ring.Push(t) }
-
-func (l *learner) run() {
+// checkpointLoop publishes the learned tables through the checkpoint
+// store every CheckpointEvery until close. A failure is recorded in the
+// event log; the next tick tries again.
+func (l *learner) checkpointLoop() {
 	defer l.wg.Done()
-	var ckpt <-chan time.Time
-	if l.cfg.CheckpointEvery > 0 {
-		t := time.NewTicker(l.cfg.CheckpointEvery)
-		defer t.Stop()
-		ckpt = t.C
-	}
-	// One idle timer for the goroutine's lifetime. go.mod's go 1.22 keeps
-	// the pre-1.23 timer semantics, where a fired timer's value stays in
-	// its channel across Reset, so every Reset follows Stop and a drain.
-	idle := time.NewTimer(learnIdlePoll)
-	defer idle.Stop()
+	t := time.NewTicker(l.cfg.CheckpointEvery)
+	defer t.Stop()
 	for {
-		n := l.apply(applyChunk)
 		select {
 		case <-l.quit:
-			// Final drain: every acked reward still queued lands in the
-			// tables before the drain-time checkpoint snapshots them.
-			l.tick()
 			return
-		case <-ckpt:
-			l.checkpoint()
-		default:
+		case <-t.C:
 		}
-		if n == 0 {
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(learnIdlePoll)
-			select {
-			case <-l.quit:
-				l.tick()
-				return
-			case <-ckpt:
-				l.checkpoint()
-			case <-idle.C:
-			}
+		if err := l.srv.publishCheckpoint(false); err != nil {
+			l.srv.events.Addf("checkpoint", "periodic learner checkpoint to %s failed: %v", l.srv.cfg.CheckpointPath, err)
 		}
 	}
 }
 
-// checkpoint is the periodic publication of the learned tables. A failure
-// is recorded in the event log; the next tick tries again.
-func (l *learner) checkpoint() {
-	if err := l.srv.publishCheckpoint(false); err != nil {
-		l.srv.events.Addf("checkpoint", "periodic learner checkpoint to %s failed: %v", l.srv.cfg.CheckpointPath, err)
-	}
-}
-
-// apply drains up to max transitions, publishing every SwapEvery updates.
-func (l *learner) apply(max int) int {
-	l.applyMu.Lock()
-	defer l.applyMu.Unlock()
-	n := 0
-	for n < max {
-		t, ok := l.ring.Pop()
-		if !ok {
-			break
-		}
-		l.applyOneLocked(t)
-		n++
-		if l.pending >= l.cfg.SwapEvery {
-			l.publishLocked()
-		}
-	}
-	return n
-}
-
-// tick drains the ring completely and publishes any pending updates —
-// the manual-mode step, also used as the shutdown flush.
-func (l *learner) tick() int {
-	l.applyMu.Lock()
-	defer l.applyMu.Unlock()
-	n := 0
-	for {
-		t, ok := l.ring.Pop()
-		if !ok {
-			break
-		}
-		l.applyOneLocked(t)
-		n++
-	}
-	if l.pending > 0 {
-		l.publishLocked()
-	}
-	return n
-}
-
-func (l *learner) applyOneLocked(t core.Transition) {
+func (l *learner) applyLocked(t core.Transition) {
 	td, err := l.pol.Learn(t)
 	if err != nil {
-		// Sessions validate states and actions before queueing, so this is
-		// defense in depth: count it, never let one sample stop learning.
+		// Sessions validate states and actions before they decide, so this
+		// is defense in depth: count it, never let one sample stop learning.
 		l.rejected.Add(1)
 		return
 	}
@@ -293,13 +177,12 @@ func (l *learner) publishLocked() {
 	l.published = next
 	l.pending = 0
 	l.swaps.Add(1)
-	l.version.Add(1)
 }
 
 // snapshot exports the learned tables for checkpointing.
 func (l *learner) snapshot() core.Snapshot {
-	l.applyMu.Lock()
-	defer l.applyMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	snap, err := l.pol.Snapshot()
 	if err != nil {
 		panic(err) // the shadow policy has its agents from construction
@@ -307,63 +190,13 @@ func (l *learner) snapshot() core.Snapshot {
 	return snap
 }
 
-// close stops the consumer and flushes the queue; idempotent. After close
-// the ring may still accept pushes (sessions can outlive the learner
-// during shutdown) — they are simply never drained.
+// close stops the checkpoint ticker, if one runs. Server.Close calls it
+// once.
 func (l *learner) close() {
-	l.closeOnce.Do(func() {
+	if l.quit != nil {
 		close(l.quit)
 		l.wg.Wait()
-		if l.cfg.Manual {
-			l.tick()
-		}
-	})
-}
-
-// LearnStats is the learner's observable state inside Metrics.
-type LearnStats struct {
-	Updates            uint64  `json:"updates"`
-	Dropped            uint64  `json:"dropped"`
-	Rejected           uint64  `json:"rejected"`
-	Swaps              uint64  `json:"swaps"`
-	PolicyVersion      uint64  `json:"policy_version"`
-	RewardsLearning    uint64  `json:"rewards_learning"`
-	RewardsFrozen      uint64  `json:"rewards_frozen"`
-	MeanRewardLearning float64 `json:"mean_reward_learning"`
-	MeanRewardFrozen   float64 `json:"mean_reward_frozen"`
-}
-
-func (l *learner) statsSnapshot(s *Server) *LearnStats {
-	return &LearnStats{
-		Updates:            l.updates.Load(),
-		Dropped:            l.dropped.Load(),
-		Rejected:           l.rejected.Load(),
-		Swaps:              l.swaps.Load(),
-		PolicyVersion:      l.version.Load(),
-		RewardsLearning:    s.cohortLearn.rewards.Load(),
-		RewardsFrozen:      s.cohortFrozen.rewards.Load(),
-		MeanRewardLearning: s.cohortLearn.mean(),
-		MeanRewardFrozen:   s.cohortFrozen.mean(),
 	}
-}
-
-// LearnTick drains every queued learning sample and publishes the result,
-// synchronously on the caller's goroutine — the manual-mode step. Returns
-// the number of transitions applied; 0 when learning is off or async.
-func (s *Server) LearnTick() int {
-	if s.learner == nil || !s.learner.cfg.Manual {
-		return 0
-	}
-	return s.learner.tick()
-}
-
-// PolicyVersion returns the served policy version: 0 until the learner
-// first publishes, then incremented per RCU swap.
-func (s *Server) PolicyVersion() uint64 {
-	if s.learner == nil {
-		return 0
-	}
-	return s.learner.version.Load()
 }
 
 // LearnSnapshot exports the learner's current tables; ok is false when
@@ -373,75 +206,4 @@ func (s *Server) LearnSnapshot() (snap core.Snapshot, ok bool) {
 		return core.Snapshot{}, false
 	}
 	return s.learner.snapshot(), true
-}
-
-// tranRing is the learner's bounded lock-free MPSC transition queue — the
-// Vyukov bounded-MPMC design specialized to many producers and one
-// consumer, carrying core.Transition by value so the reward path enqueues
-// without allocating. Each slot carries a sequence number that encodes its
-// state machine:
-//
-//	seq == pos          free, a producer may claim position pos
-//	seq == pos+1        full, the consumer may take position pos
-//	seq <  pos          still holds the previous lap's item → ring is full
-//
-// Producers are session goroutines; they claim a position by CAS on tail,
-// write the slot, then publish by storing seq = pos+1. Consumers serialize
-// on the learner's applyMu, which preserves the single-consumer contract
-// on head; the consumer recycles a slot by storing seq = pos+len.
-type tranRing struct {
-	mask  uint64
-	slots []tranSlot
-	tail  atomic.Uint64
-	head  uint64 // guarded by learner.applyMu
-}
-
-type tranSlot struct {
-	seq atomic.Uint64
-	t   core.Transition
-}
-
-func newTranRing(capacity int) *tranRing {
-	n := 8
-	for n < capacity {
-		n <<= 1
-	}
-	r := &tranRing{mask: uint64(n - 1), slots: make([]tranSlot, n)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// Push enqueues t, returning false immediately when the ring is full.
-// Safe for concurrent producers.
-func (r *tranRing) Push(t core.Transition) bool {
-	for {
-		pos := r.tail.Load()
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		if seq == pos {
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				slot.t = t
-				slot.seq.Store(pos + 1)
-				return true
-			}
-			continue
-		}
-		if seq < pos {
-			return false // consumer a full lap behind: ring is full
-		}
-	}
-}
-
-// Pop dequeues the oldest transition. Single consumer only (applyMu).
-func (r *tranRing) Pop() (core.Transition, bool) {
-	slot := &r.slots[r.head&r.mask]
-	if slot.seq.Load() != r.head+1 {
-		return core.Transition{}, false
-	}
-	t := slot.t
-	slot.seq.Store(r.head + uint64(len(r.slots)))
-	r.head++
-	return t, true
 }

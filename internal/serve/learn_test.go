@@ -14,16 +14,28 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rlpm/internal/core"
 )
 
-// learnServer builds an in-process learning server in manual (seeded
-// replay) mode with per-update publication, so tests control exactly when
-// updates apply and tables swap.
+// learnServer builds an in-process learning server with per-update
+// publication: every reward that forms transitions applies them and swaps
+// the tables before RewardSeq returns.
 func learnServer(t *testing.T, m *Model) *Server {
 	t.Helper()
-	return newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, SwapEvery: 1,
-	}})
+	return newTestServer(t, m, nil, Config{Learn: LearnConfig{Enabled: true, SwapEvery: 1}})
+}
+
+// seriesValue reads one series from the server's registry, failing the
+// test when the server does not export it.
+func seriesValue(t *testing.T, srv *Server, name, labels string) uint64 {
+	t.Helper()
+	met := srv.Registry().Snapshot()
+	ss := met.Find(name, labels)
+	if ss == nil {
+		t.Fatalf("no series %s{%s}", name, labels)
+	}
+	return uint64(ss.Value)
 }
 
 // TestRewardSeqDedupExactlyOnce pins the reward-path fix this package's
@@ -58,10 +70,10 @@ func TestRewardSeqDedupExactlyOnce(t *testing.T) {
 	if met.Rewards != 1 || met.RewardsDeduped != 1 {
 		t.Errorf("rewards=%d deduped=%d, want 1/1", met.Rewards, met.RewardsDeduped)
 	}
-	// The replay queued no second batch of transitions: exactly one
-	// Q-update sample per cluster reaches the learner.
-	if n := srv.LearnTick(); n != m.Clusters() {
-		t.Errorf("LearnTick applied %d transitions, want %d", n, m.Clusters())
+	// The replay applied no second batch of transitions: exactly one
+	// Q-update per cluster reached the learner.
+	if n := seriesValue(t, srv, "learn_updates_total", ""); n != uint64(m.Clusters()) {
+		t.Errorf("learner applied %d transitions, want %d", n, m.Clusters())
 	}
 
 	if _, err := sess.RewardSeq(5, 0); !errors.Is(err, ErrBadSeq) {
@@ -86,15 +98,111 @@ func TestRewardSeqDedupExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestLearnInlineMatchesPolicy pins the inline learning step. One session
+// decides and posts sequenced rewards, one of them twice; the learner's
+// tables must then be bit-equal to a copy of the served policy that
+// learned the transitions the session formed, in order, each once. Then 8
+// sessions post rewards at once, and the learner must count every
+// transition they formed: learning is lossless.
+func TestLearnInlineMatchesPolicy(t *testing.T) {
+	m := testModel(t, 3, 5)
+	n := m.Clusters()
+	srv := learnServer(t, m)
+	sess, err := srv.CreateSession(SessionOptions{Seed: 9, Epsilon: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.PolicyFromSnapshot(m.cfg, m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevDemand := make([]float64, n)
+	var prev, cur []stateAction
+	var seq uint64
+	for p, obs := range testObs(m, 31, 40) {
+		levels, err := sess.Decide(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, cur = cur, make([]stateAction, n)
+		for i := range obs {
+			cur[i] = stateAction{m.cfg.EncodeState(policyObs(&obs[i], m.levels[i]), prevDemand[i]), levels[i]}
+			prevDemand[i] = obs[i].DemandRatio
+		}
+		if p%3 != 1 {
+			continue
+		}
+		seq++
+		r := -0.1 * float64(p%7)
+		if _, err := sess.RewardSeq(seq, r); err != nil {
+			t.Fatal(err)
+		}
+		if seq == 4 { // a lost-ack retry applies nothing
+			if _, err := sess.RewardSeq(seq, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range prev {
+			if _, err := ref.Learn(core.Transition{Cluster: i, State: prev[i].state, Action: prev[i].action, NextState: cur[i].state, Reward: r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, _ := srv.LearnSnapshot()
+	want, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapshotsEqualBits(got, want) {
+		t.Fatal("the learner's tables differ from the policy that learned the session's transitions")
+	}
+	if u, want := seriesValue(t, srv, "learn_updates_total", ""), seq*uint64(n); u != want {
+		t.Fatalf("learn_updates_total %d after %d rewards, want %d", u, seq, want)
+	}
+
+	const sessions, periods = 8, 30
+	srv = learnServer(t, m)
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for d := 0; d < sessions; d++ {
+		sess, err := srv.CreateSession(SessionOptions{Seed: uint64(d), Epsilon: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := testObs(m, uint64(50+d), periods)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, o := range obs {
+				if _, err := sess.Decide(o); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := sess.RewardSeq(uint64(i+1), -0.25); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// A session's first reward finds one decided period and forms nothing.
+	if u, want := seriesValue(t, srv, "learn_updates_total", ""), uint64(sessions*(periods-1)*n); u != want {
+		t.Fatalf("learn_updates_total %d, want %d transitions formed", u, want)
+	}
+}
+
 // TestLearnFrozenCohortPinned drives the learning arm hard enough to force
 // RCU swaps and demands the frozen control arm never notices: its decision
 // trace must match an oracle over the construction-time model, period by
 // period, and its rewards must never reach the learner.
 func TestLearnFrozenCohortPinned(t *testing.T) {
 	m := testModel(t, 3, 5)
-	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, SwapEvery: 1,
-	}})
+	srv := learnServer(t, m)
 	learnSess, err := srv.CreateSession(SessionOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("CreateSession learning: %v", err)
@@ -119,7 +227,6 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 				t.Fatalf("learning reward %d: %v", i, err)
 			}
 		}
-		srv.LearnTick()
 		got, err := frozenSess.Decide(fobs[i])
 		if err != nil {
 			t.Fatalf("frozen decide %d: %v", i, err)
@@ -128,28 +235,24 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 			t.Fatalf("frozen cohort diverged from the construction model at period %d", i)
 		}
 	}
-	if srv.PolicyVersion() == 0 {
+	if seriesValue(t, srv, "serve_policy_version", "") == 0 {
 		t.Fatal("learner never published a swap; the frozen pin was not exercised")
 	}
 
 	// Frozen rewards land in the frozen ledger and apply zero updates.
-	met := srv.MetricsSnapshot()
-	updates := met.Learn.Updates
+	updates := seriesValue(t, srv, "learn_updates_total", "")
 	for i, r := range []float64{1.0, 0.5} {
 		if _, err := frozenSess.RewardSeq(uint64(i+1), r); err != nil {
 			t.Fatalf("frozen reward: %v", err)
 		}
 	}
-	if n := srv.LearnTick(); n != 0 {
-		t.Errorf("frozen rewards applied %d updates, want 0", n)
+	if n := seriesValue(t, srv, "learn_updates_total", ""); n != updates {
+		t.Errorf("updates moved %d -> %d on frozen rewards", updates, n)
 	}
-	met = srv.MetricsSnapshot()
-	if met.Learn.Updates != updates {
-		t.Errorf("updates moved %d -> %d on frozen rewards", updates, met.Learn.Updates)
-	}
-	if met.Learn.RewardsFrozen != 2 || met.Learn.RewardsLearning != periods-1 {
-		t.Errorf("cohort ledgers frozen=%d learning=%d, want 2/%d",
-			met.Learn.RewardsFrozen, met.Learn.RewardsLearning, periods-1)
+	frozen := seriesValue(t, srv, "serve_cohort_rewards_total", `cohort="frozen"`)
+	learning := seriesValue(t, srv, "serve_cohort_rewards_total", `cohort="learning"`)
+	if frozen != 2 || learning != periods-1 {
+		t.Errorf("cohort ledgers frozen=%d learning=%d, want 2/%d", frozen, learning, periods-1)
 	}
 
 	// Meanwhile the live policy IS the learned one: a fresh greedy session
@@ -182,12 +285,12 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 // contract: same config, bit-identical run — every device's decision trace
 // and the learned checkpoint bytes — and the checkpoint builds a servable
 // model (RunLearnReplay's verdict), while a different seed learns
-// different tables.
+// different tables. The run keeps the harness's default SwapEvery, so it
+// also pins that a short run publishes.
 func TestRunLearnSeededReplay(t *testing.T) {
 	m := chaosTestModel(t) // DeviceStepper simulates soc.DefaultChipSpec
 	cfg := LearnLoadConfig{
 		FleetConfig: FleetConfig{Devices: 4, Periods: 60, Seed: 5, Epsilon: 0.25, RewardEvery: 5},
-		TickEvery:   5, SwapEvery: 1,
 	}
 	a, err := RunLearnReplay(m, cfg)
 	if err != nil {
@@ -217,7 +320,7 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "learned.ckpt")
 	srv := newTestServer(t, m, nil, Config{
 		CheckpointPath: path,
-		Learn:          LearnConfig{Enabled: true, Manual: true, SwapEvery: 1},
+		Learn:          LearnConfig{Enabled: true, SwapEvery: 1},
 	})
 	sess, err := srv.CreateSession(SessionOptions{})
 	if err != nil {
@@ -260,7 +363,6 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 	if _, err := sess.RewardSeq(1, -1); err != nil {
 		t.Fatalf("RewardSeq: %v", err)
 	}
-	srv.LearnTick()
 	wantSnap, ok := srv.LearnSnapshot()
 	if !ok {
 		t.Fatal("LearnSnapshot: learner missing")
@@ -340,19 +442,18 @@ func TestLearnDecideAllocFree(t *testing.T) {
 		if _, err := sess.RewardSeq(seq, -0.5); err != nil {
 			t.Fatal(err)
 		}
-		srv.LearnTick()
 	}
 
 	warm()
 	swap(1)
-	if srv.PolicyVersion() == 0 {
+	if seriesValue(t, srv, "serve_policy_version", "") == 0 {
 		t.Fatal("no swap published; alloc pin would not cover the swapped path")
 	}
 	warm()
 	measure("after the first table swap")
-	v := srv.PolicyVersion()
+	v := seriesValue(t, srv, "serve_policy_version", "")
 	swap(2)
-	if srv.PolicyVersion() == v {
+	if seriesValue(t, srv, "serve_policy_version", "") == v {
 		t.Fatal("second swap did not publish")
 	}
 	warm()
@@ -361,8 +462,9 @@ func TestLearnDecideAllocFree(t *testing.T) {
 
 // TestLearnPublishAllocFree pins steady-state publication at zero
 // allocations: once two publications have warmed the learner's spare
-// arena, every reward plus tick rewrites a recycled arena in place instead
-// of building a new table set — and still publishes a new version.
+// arena, every reward rewrites a recycled arena in place instead of
+// building a new table set — and still publishes a new version. It reads
+// the version from the counter itself: a registry snapshot allocates.
 func TestLearnPublishAllocFree(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := learnServer(t, m)
@@ -378,19 +480,18 @@ func TestLearnPublishAllocFree(t *testing.T) {
 	var seq uint64
 	publish := func() {
 		seq++
-		v := srv.PolicyVersion()
+		v := srv.learner.swaps.Load()
 		if _, err := sess.RewardSeq(seq, -0.25); err != nil {
 			t.Fatal(err)
 		}
-		srv.LearnTick()
-		if srv.PolicyVersion() != v+1 {
+		if srv.learner.swaps.Load() != v+1 {
 			t.Fatalf("publication %d did not advance the policy version past %d", seq, v)
 		}
 	}
 	publish()
 	publish()
 	if n := testing.AllocsPerRun(50, publish); n != 0 {
-		t.Fatalf("RewardSeq+LearnTick allocates %v times per publication, want 0", n)
+		t.Fatalf("RewardSeq allocates %v times per publication, want 0", n)
 	}
 }
 
@@ -410,9 +511,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 			<-release
 		}
 	}
-	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, SwapEvery: 1,
-	}})
+	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{Enabled: true, SwapEvery: 1}})
 	released := false
 	defer func() {
 		if !released {
@@ -434,7 +533,6 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 		if _, err := learnSess.RewardSeq(seq, -1); err != nil {
 			t.Fatalf("RewardSeq: %v", err)
 		}
-		srv.LearnTick()
 		return sw.live.Load()
 	}
 	publish()
@@ -494,19 +592,16 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 	}
 }
 
-// TestLearnAsyncStressRecycling runs the background learner with a
-// publication per update while many sessions decide and reward at once,
-// so recycled arenas are rewritten while concurrent decides read live
-// ones. Every served level must be in range; the race detector (make
-// race repeats this test) checks that no arena is written while read.
-// Each device pauses once at its mid-run period until the learner has
-// published, so the second half always decides against swapped tables,
-// however the scheduler starved the learner in the first.
+// TestLearnAsyncStressRecycling publishes per update while many sessions
+// decide and reward at once: the reward callers apply and publish
+// concurrently, so recycled arenas are rewritten while concurrent decides
+// read live ones. Every served level must be in range; the race detector
+// (make race repeats this test) checks that no arena is written while
+// read. Each device's own rewards publish from its second period on, so
+// its later decides read swapped tables.
 func TestLearnAsyncStressRecycling(t *testing.T) {
 	m := testModel(t, 3, 5)
-	srv := newTestServer(t, m, nil, Config{Learn: LearnConfig{
-		Enabled: true, SwapEvery: 1,
-	}})
+	srv := learnServer(t, m)
 	const devices, periods = 8, 150
 	var wg sync.WaitGroup
 	errs := make(chan error, devices)
@@ -521,16 +616,6 @@ func TestLearnAsyncStressRecycling(t *testing.T) {
 			defer wg.Done()
 			var seq uint64
 			for i, o := range obs {
-				if i == periods/2 {
-					deadline := time.Now().Add(5 * time.Second)
-					for srv.MetricsSnapshot().Learn.Swaps < 1 {
-						if time.Now().After(deadline) {
-							errs <- fmt.Errorf("paused at period %d: the learner published nothing in 5s", i)
-							return
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}
 				lv, err := sess.Decide(o)
 				if err != nil {
 					errs <- err
@@ -557,15 +642,14 @@ func TestLearnAsyncStressRecycling(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	srv.Close() // flushes the learner
-	if met := srv.MetricsSnapshot(); met.Learn.Swaps < 2 || met.Learn.Updates == 0 {
-		t.Fatalf("learner published %d swaps from %d updates; recycling was not exercised",
-			met.Learn.Swaps, met.Learn.Updates)
+	swaps, updates := seriesValue(t, srv, "learn_swaps_total", ""), seriesValue(t, srv, "learn_updates_total", "")
+	if swaps < 2 || updates == 0 {
+		t.Fatalf("learner published %d swaps from %d updates; recycling was not exercised", swaps, updates)
 	}
 }
 
 // TestLearnPeriodicCheckpointFailureLogged pins that a failing periodic
-// learner checkpoint is reported, not dropped: the background learner
+// learner checkpoint is reported, not dropped: the checkpoint ticker
 // records a checkpoint event naming the failure.
 func TestLearnPeriodicCheckpointFailureLogged(t *testing.T) {
 	m := testModel(t, 3, 5)
@@ -622,9 +706,7 @@ func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
 	}
 	var held atomic.Pointer[Model]
 	sw.park = func(got *Model) { held.Store(got) }
-	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{
-		Enabled: true, Manual: true, SwapEvery: 1,
-	}})
+	srv := newTestServer(t, m, sw, Config{Learn: LearnConfig{Enabled: true, SwapEvery: 1}})
 	resumed := false
 	defer func() {
 		if !resumed {
@@ -646,7 +728,6 @@ func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
 		if _, err := learnSess.RewardSeq(seq, -1); err != nil {
 			t.Fatalf("RewardSeq: %v", err)
 		}
-		srv.LearnTick()
 		return sw.live.Load()
 	}
 	a := publish()
@@ -702,7 +783,7 @@ func TestLearnGraceRecheckSkipsRetiredModel(t *testing.T) {
 // TestLearnMultiPeriodHistoryMatchesSingles pins the learner's history
 // across frame shapes: a session deciding one 4-period frame must leave the
 // learner the same transitions as its twin deciding the same 4 periods one
-// at a time. Each twin rewards once and ticks; the learned tables must be
+// at a time. Each twin rewards once; the learned tables must be
 // bit-identical, and stay so after a following 1-period frame.
 func TestLearnMultiPeriodHistoryMatchesSingles(t *testing.T) {
 	const k = 4
@@ -726,8 +807,10 @@ func TestLearnMultiPeriodHistoryMatchesSingles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if a, b := srvA.LearnTick(), srvB.LearnTick(); a != n || b != n {
-			t.Fatalf("%s: learners applied %d and %d transitions, want %d each", when, a, b, n)
+		want := rewardSeq * uint64(n)
+		a, b := seriesValue(t, srvA, "learn_updates_total", ""), seriesValue(t, srvB, "learn_updates_total", "")
+		if a != want || b != want {
+			t.Fatalf("%s: learners applied %d and %d transitions in all, want %d each", when, a, b, want)
 		}
 		snapA, _ := srvA.LearnSnapshot()
 		snapB, _ := srvB.LearnSnapshot()

@@ -1,13 +1,13 @@
 // Training-while-serving harness: a fleet of simulated devices split into
 // a learning arm and a frozen control arm, driven round-robin against one
 // in-process learning server. Everything that moves — device workload
-// streams, session exploration, the tick schedule — is seeded (so is a
-// Double-Q model's coin, by its config's Seed), and the learner runs in
-// manual mode (updates apply only at LearnTick), so two runs with the
-// same config produce identical decision traces and bit-identical learned
-// tables. That reproducibility is what makes the frozen-vs-learning A/B
-// numbers trustworthy: the control arm differs from the treatment arm in
-// policy only.
+// streams, session exploration — is seeded (so is a Double-Q model's coin,
+// by its config's Seed), and the server applies each reward's updates
+// before it acks the reward, on the one goroutine that drives the fleet,
+// so two runs with the same config produce identical decision traces and
+// bit-identical learned tables. That reproducibility is what makes the
+// frozen-vs-learning A/B numbers trustworthy: the control arm differs from
+// the treatment arm in policy only.
 package serve
 
 import (
@@ -27,17 +27,16 @@ type LearnLoadConfig struct {
 	// per-device workload streams. Epsilon applies to both arms, for
 	// parity: exploration is what feeds the learner off-greedy samples.
 	FleetConfig
-	// TickEvery drains the learner every that many rounds (default 10).
-	// A round is one period across the whole fleet.
-	TickEvery int
-	// SwapEvery passes through to LearnConfig.
+	// SwapEvery passes through to LearnConfig (default 1: a short run
+	// applies fewer updates than the server's default of 256, and its
+	// learning arm would decide from the construction model throughout).
 	SwapEvery int
 }
 
 func (c LearnLoadConfig) withDefaults() LearnLoadConfig {
 	c.FleetConfig = c.FleetConfig.WithDefaults()
-	if c.TickEvery == 0 {
-		c.TickEvery = 10
+	if c.SwapEvery == 0 {
+		c.SwapEvery = 1
 	}
 	return c
 }
@@ -59,7 +58,6 @@ type LearnReport struct {
 	Devices       int      `json:"devices"`
 	Periods       int      `json:"periods"`
 	Updates       uint64   `json:"updates"`
-	Dropped       uint64   `json:"dropped"`
 	Rejected      uint64   `json:"rejected"`
 	Swaps         uint64   `json:"swaps"`
 	PolicyVersion uint64   `json:"policy_version"`
@@ -77,11 +75,7 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	}
 
 	srv, err := New(model, nil, Config{
-		Learn: LearnConfig{
-			Enabled:   true,
-			Manual:    true,
-			SwapEvery: cfg.SwapEvery,
-		},
+		Learn: LearnConfig{Enabled: true, SwapEvery: cfg.SwapEvery},
 	})
 	if err != nil {
 		return nil, err
@@ -111,8 +105,9 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	}
 
 	// One round = one control period across the fleet, device order fixed.
-	// The single-goroutine interleave plus the manual learner make the
-	// model version every decide reads a pure function of the config.
+	// The single-goroutine interleave, with each reward learned before it
+	// is acked, makes the model version every decide reads a pure function
+	// of the config.
 	for p := 0; p < cfg.Periods; p++ {
 		for i, d := range devs {
 			r, due, err := d.step(sessions[i].Decide)
@@ -126,11 +121,7 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 				}
 			}
 		}
-		if cfg.TickEvery > 0 && (p+1)%cfg.TickEvery == 0 {
-			srv.LearnTick()
-		}
 	}
-	srv.LearnTick() // flush the tail so the checkpoint sees every sample
 
 	rep := &LearnReport{
 		Devices: cfg.Devices, Periods: cfg.Periods,
@@ -153,18 +144,22 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 		}
 	}
 
-	m := srv.MetricsSnapshot()
-	if m.Learn != nil {
-		rep.Updates = m.Learn.Updates
-		rep.Dropped = m.Learn.Dropped
-		rep.Rejected = m.Learn.Rejected
-		rep.Swaps = m.Learn.Swaps
-		rep.PolicyVersion = m.Learn.PolicyVersion
-		rep.Learning.Rewards = m.Learn.RewardsLearning
-		rep.Learning.MeanReward = m.Learn.MeanRewardLearning
-		rep.Frozen.Rewards = m.Learn.RewardsFrozen
-		rep.Frozen.MeanReward = m.Learn.MeanRewardFrozen
+	met := srv.Registry().Snapshot()
+	value := func(name, labels string) float64 {
+		if ss := met.Find(name, labels); ss != nil {
+			return ss.Value
+		}
+		return 0
 	}
+	learning, frozen := `cohort="`+CohortLearning+`"`, `cohort="`+CohortFrozen+`"`
+	rep.Updates = uint64(value("learn_updates_total", ""))
+	rep.Rejected = uint64(value("learn_rejected_total", ""))
+	rep.Swaps = uint64(value("learn_swaps_total", ""))
+	rep.PolicyVersion = uint64(value("serve_policy_version", ""))
+	rep.Learning.Rewards = uint64(value("serve_cohort_rewards_total", learning))
+	rep.Learning.MeanReward = value("serve_cohort_mean_reward", learning)
+	rep.Frozen.Rewards = uint64(value("serve_cohort_rewards_total", frozen))
+	rep.Frozen.MeanReward = value("serve_cohort_mean_reward", frozen)
 
 	snap, ok := srv.LearnSnapshot()
 	if !ok {
@@ -194,17 +189,20 @@ func RunLearnReplay(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 }
 
 // learnVerdict judges two same-config learn runs and reports every
-// violated invariant: the learner applied updates, no sample was dropped
-// or rejected, the replay reproduced every device's decisions and the
-// learned checkpoint byte for byte, and that checkpoint decodes and builds
-// a serving model the way LoadModel does.
+// violated invariant: the learner applied updates and published them, no
+// sample was rejected, the replay reproduced every device's decisions and
+// the learned checkpoint byte for byte, and that checkpoint decodes and
+// builds a serving model the way LoadModel does.
 func learnVerdict(cfg core.Config, a, b *LearnReport) error {
 	var errs []error
 	if a.Updates == 0 {
 		errs = append(errs, errors.New("serve: learn applied no Q-updates"))
 	}
-	if a.Dropped > 0 || a.Rejected > 0 {
-		errs = append(errs, fmt.Errorf("serve: learn dropped %d samples, rejected %d", a.Dropped, a.Rejected))
+	if a.Swaps == 0 {
+		errs = append(errs, errors.New("serve: learn published no tables; the learning arm decided from the construction model"))
+	}
+	if a.Rejected > 0 {
+		errs = append(errs, fmt.Errorf("serve: learn rejected %d samples", a.Rejected))
 	}
 	for i := range a.Traces {
 		if i >= len(b.Traces) || !slices.Equal(a.Traces[i], b.Traces[i]) {

@@ -627,7 +627,7 @@ func (s *Session) Reward(r float64) (wire.Stats, error) {
 // mirroring DecideSeq's discipline on the reward path. seq 0 is the legacy
 // unsequenced path. Otherwise seq must be the session's next reward
 // sequence number (lastRewardSeq+1) — the reward is applied exactly once:
-// ledger, fleet counter, and (on a learning server) the Q-update queue — or
+// ledger, fleet counter, and (on a learning server) the learner's tables — or
 // a replay of the last applied one, which returns the current ledger and
 // applies nothing. Any other seq fails with ErrBadSeq. Without this, a
 // client retry after a lost ack double-counts rewardSum and
@@ -842,11 +842,12 @@ func (c *cohortStats) mean() float64 {
 
 // noteRewardLocked routes one freshly applied (non-replayed) reward to the
 // learner: cohort accounting plus, for learning-arm sessions with a
-// complete transition pair, one Q-update sample per cluster. Caller holds
-// sess.mu. A full queue drops the sample and counts it — learning is
-// best-effort, serving is not allowed to block on it.
+// complete transition pair, one Q-update per cluster, applied to the
+// shadow policy before the reward is acked. Caller holds sess.mu; the
+// learner's mutex is taken after it, and decide frames never take it.
 func (s *Server) noteRewardLocked(sess *Session, r float64) {
-	if s.learner == nil {
+	l := s.learner
+	if l == nil {
 		return
 	}
 	if sess.frozen {
@@ -858,17 +859,19 @@ func (s *Server) noteRewardLocked(sess *Session, r float64) {
 	if !h.havePrev || !h.haveCur {
 		return
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for i, prev := range h.prev {
-		t := core.Transition{
+		l.applyLocked(core.Transition{
 			Cluster:   i,
 			State:     prev.state,
 			Action:    prev.action,
 			NextState: h.cur[i].state,
 			Reward:    r,
-		}
-		if !s.learner.offer(t) {
-			s.learner.dropped.Add(1)
-		}
+		})
+	}
+	if l.pending >= l.cfg.SwapEvery {
+		l.publishLocked()
 	}
 }
 
@@ -958,7 +961,11 @@ func newServer(model *Model, backend *SWBackend, cfg Config, fs fsHooks) (*Serve
 			s.cohortLearn.rewards.Load, obs.Label{Key: "cohort", Value: CohortLearning})
 		reg.NewCounterFunc("serve_cohort_rewards_total", "rewards recorded, frozen arm",
 			s.cohortFrozen.rewards.Load, obs.Label{Key: "cohort", Value: CohortFrozen})
-		l.start()
+		if l.cfg.CheckpointEvery > 0 {
+			l.quit = make(chan struct{})
+			l.wg.Add(1)
+			go l.checkpointLoop()
+		}
 	}
 	if cfg.SessionTTL > 0 {
 		s.reapQuit = make(chan struct{})
@@ -1045,10 +1052,10 @@ func (s *Server) checkpointAgeS() float64 {
 // Model returns the served model.
 func (s *Server) Model() *Model { return s.model }
 
-// Close stops the learner and the reaper, tears down every
-// binary-protocol listener and connection, and waits for the connection
-// goroutines. Decides already admitted finish; any decide after Close
-// fails with ErrServerClosed.
+// Close stops the learner's checkpoint ticker and the reaper, tears down
+// every binary-protocol listener and connection, and waits for the
+// connection goroutines. Decides already admitted finish; any decide after
+// Close fails with ErrServerClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -1146,13 +1153,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		return err
 	}
 
-	// Stop the learner before the final checkpoint: its goroutine applies
-	// everything still queued and exits, so the drain snapshot carries every
-	// reward the server acked — and cannot race a periodic checkpoint tick,
-	// whose writes serialize behind publishCheckpoint's mutex anyway.
-	if s.learner != nil {
-		s.learner.close()
-	}
+	// Every acked reward is already in the learner's tables.
 	if s.cfg.CheckpointPath != "" {
 		if err := s.publishCheckpoint(true); err != nil {
 			return fmt.Errorf("serve: drain checkpoint: %w", err)
@@ -1380,30 +1381,29 @@ func (s *Server) finishClose(sess *Session) wire.Stats {
 
 // Metrics is the server's observable state, served at /metrics.
 type Metrics struct {
-	UptimeS            float64     `json:"uptime_s"`
-	Clusters           int         `json:"clusters"`
-	Sessions           int         `json:"sessions"`
-	SessionsCreated    uint64      `json:"sessions_created"`
-	SessionsClosed     uint64      `json:"sessions_closed"`
-	SessionsReaped     uint64      `json:"sessions_reaped"`
-	Resumes            uint64      `json:"resumes"`
-	Decisions          uint64      `json:"decisions"`
-	DecidesDeduped     uint64      `json:"decides_deduped"`
-	LookupsServed      uint64      `json:"lookups_served"`
-	Explorations       uint64      `json:"explorations"`
-	Rewards            uint64      `json:"rewards"`
-	RewardsDeduped     uint64      `json:"rewards_deduped"`
-	Batches            uint64      `json:"batches"`
-	BatchRejected      uint64      `json:"batch_rejected"`
-	DecidesInflight    int64       `json:"decides_inflight"`
-	MeanBatchOccupancy float64     `json:"mean_batch_occupancy"`
-	MaxBatchOccupancy  uint64      `json:"max_batch_occupancy"`
-	HTTPErrors         uint64      `json:"http_errors"`
-	BinConnections     uint64      `json:"bin_connections"`
-	BinFrames          uint64      `json:"bin_frames"`
-	BinErrors          uint64      `json:"bin_errors"`
-	CheckpointAgeS     float64     `json:"checkpoint_age_s"` // -1 when no checkpoint exists
-	Learn              *LearnStats `json:"learn,omitempty"`  // nil unless learning is enabled
+	UptimeS            float64 `json:"uptime_s"`
+	Clusters           int     `json:"clusters"`
+	Sessions           int     `json:"sessions"`
+	SessionsCreated    uint64  `json:"sessions_created"`
+	SessionsClosed     uint64  `json:"sessions_closed"`
+	SessionsReaped     uint64  `json:"sessions_reaped"`
+	Resumes            uint64  `json:"resumes"`
+	Decisions          uint64  `json:"decisions"`
+	DecidesDeduped     uint64  `json:"decides_deduped"`
+	LookupsServed      uint64  `json:"lookups_served"`
+	Explorations       uint64  `json:"explorations"`
+	Rewards            uint64  `json:"rewards"`
+	RewardsDeduped     uint64  `json:"rewards_deduped"`
+	Batches            uint64  `json:"batches"`
+	BatchRejected      uint64  `json:"batch_rejected"`
+	DecidesInflight    int64   `json:"decides_inflight"`
+	MeanBatchOccupancy float64 `json:"mean_batch_occupancy"`
+	MaxBatchOccupancy  uint64  `json:"max_batch_occupancy"`
+	HTTPErrors         uint64  `json:"http_errors"`
+	BinConnections     uint64  `json:"bin_connections"`
+	BinFrames          uint64  `json:"bin_frames"`
+	BinErrors          uint64  `json:"bin_errors"`
+	CheckpointAgeS     float64 `json:"checkpoint_age_s"` // -1 when no checkpoint exists
 }
 
 // MetricsSnapshot assembles the current metrics. Ages are monotonic-safe
@@ -1440,9 +1440,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	if batches > 0 {
 		m.MeanBatchOccupancy = float64(lookups) / float64(batches)
-	}
-	if s.learner != nil {
-		m.Learn = s.learner.statsSnapshot(s)
 	}
 	return m
 }

@@ -143,3 +143,28 @@ func TestSessionIDRoundTrip(t *testing.T) {
 		t.Errorf("handleOf of a padded seven-digit handle = %d, want 0", got)
 	}
 }
+
+// BenchmarkSessionDecideInto times one two-cluster greedy decide served
+// inline: validation, admission, the session lock, state encoding and two
+// lookups on the pinned policy.
+func BenchmarkSessionDecideInto(b *testing.B) {
+	m := testModel(b, 3, 4)
+	srv, err := New(m, nil, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	sess, err := srv.CreateSession(SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := []Observation{{Utilization: 0.6, Level: 1}, {DemandRatio: 1.1, Level: 3}}
+	levels := make([]int, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.DecideInto(obs, levels); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

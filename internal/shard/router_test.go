@@ -456,7 +456,7 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 func TestFrozenCohortAcrossFronts(t *testing.T) {
 	model := testModel(t, 6, 4)
 	fleet, router, routerBin := testFleetRouterConfig(t, model, 2, 5, serve.Config{
-		Learn: serve.LearnConfig{Enabled: true, Manual: true},
+		Learn: serve.LearnConfig{Enabled: true},
 	})
 	routerHTTP := httptest.NewServer(router.Handler())
 	defer routerHTTP.Close()
@@ -464,9 +464,9 @@ func TestFrozenCohortAcrossFronts(t *testing.T) {
 	obs := testObs(model)
 	cohortRewards := func() (learning, frozen uint64) {
 		for _, spec := range fleet.Specs() {
-			ls := fleet.Server(spec.Name).MetricsSnapshot().Learn
-			learning += ls.RewardsLearning
-			frozen += ls.RewardsFrozen
+			met := fleet.Server(spec.Name).Registry().Snapshot()
+			learning += uint64(met.Find("serve_cohort_rewards_total", `cohort="learning"`).Value)
+			frozen += uint64(met.Find("serve_cohort_rewards_total", `cohort="frozen"`).Value)
 		}
 		return learning, frozen
 	}
