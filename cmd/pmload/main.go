@@ -205,8 +205,8 @@ func (o *options) remoteFleet(ctx context.Context, stdout, stderr io.Writer) int
 func runLearn(model *serve.Model, cfg serve.LearnLoadConfig, stdout, stderr io.Writer) int {
 	rep, err := serve.RunLearnReplay(model, cfg)
 	if rep != nil {
-		fmt.Fprintf(stdout, "learn: devices=%d periods=%d epsilon=%g updates=%d swaps=%d policy_version=%d rejected=%d\n",
-			rep.Devices, rep.Periods, cfg.Epsilon, rep.Updates, rep.Swaps, rep.PolicyVersion, rep.Rejected)
+		fmt.Fprintf(stdout, "learn: devices=%d periods=%d epsilon=%g updates=%d swaps=%d rejected=%d\n",
+			rep.Devices, rep.Periods, cfg.Epsilon, rep.Updates, rep.Swaps, rep.Rejected)
 		for _, arm := range []struct {
 			name string
 			a    serve.LearnArm

@@ -187,9 +187,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	if err := <-binDone; err != nil {
 		return fail(fmt.Errorf("binary listener: %w", err))
 	}
-	m := srv.MetricsSnapshot()
-	fmt.Fprintf(stderr, "pmserve: served %d decisions (%d lookups, %d batches, mean occupancy %.1f) to %d sessions; exiting\n",
-		m.Decisions, m.LookupsServed, m.Batches, m.MeanBatchOccupancy, m.SessionsCreated)
+	m := srv.Registry().Snapshot()
+	v := func(name string) float64 { return m.Value(name, "") }
+	fmt.Fprintf(stderr, "pmserve: served %.0f decisions (%.0f lookups, %.0f batches, mean occupancy %.1f) to %.0f sessions; exiting\n",
+		v("serve_decisions_total"), v("serve_lookups_total"), v("serve_batches_total"),
+		v("serve_batch_lookups_total")/max(v("serve_batches_total"), 1), v("serve_sessions_created_total"))
 	return 0
 }
 

@@ -20,18 +20,17 @@ type Spec struct {
 	// CapacityWh is the nominal energy capacity (a 4000 mAh cell at a
 	// 3.85 V nominal is 15.4 Wh).
 	CapacityWh float64
-	// FullV and EmptyV are the open-circuit voltages at 100% and 0%
-	// state of charge.
-	FullV  float64
-	EmptyV float64
+	// FullV is the open-circuit voltage at full charge, where life is
+	// computed.
+	FullV float64
 	// InternalOhm is the cell's internal resistance.
 	InternalOhm float64
 }
 
-// DefaultSpec returns a typical modern phone cell: 4000 mAh, 4.35→3.40 V,
-// 120 mΩ.
+// DefaultSpec returns a typical modern phone cell: 4000 mAh, 4.35 V at
+// full charge, 120 mΩ.
 func DefaultSpec() Spec {
-	return Spec{CapacityWh: 15.4, FullV: 4.35, EmptyV: 3.40, InternalOhm: 0.120}
+	return Spec{CapacityWh: 15.4, FullV: 4.35, InternalOhm: 0.120}
 }
 
 // Validate checks the spec.
@@ -39,8 +38,8 @@ func (s Spec) Validate() error {
 	if s.CapacityWh <= 0 {
 		return fmt.Errorf("battery: capacity must be positive, got %v Wh", s.CapacityWh)
 	}
-	if s.FullV <= s.EmptyV || s.EmptyV <= 0 {
-		return fmt.Errorf("battery: voltage knees must satisfy 0 < empty < full, got %v..%v", s.EmptyV, s.FullV)
+	if s.FullV <= 0 {
+		return fmt.Errorf("battery: full-charge voltage must be positive, got %v V", s.FullV)
 	}
 	if s.InternalOhm < 0 {
 		return fmt.Errorf("battery: negative internal resistance")

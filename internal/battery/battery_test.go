@@ -7,10 +7,10 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Spec{
-		{CapacityWh: 0, FullV: 4.3, EmptyV: 3.4, InternalOhm: 0.1},
-		{CapacityWh: 15, FullV: 3.4, EmptyV: 3.4, InternalOhm: 0.1},
-		{CapacityWh: 15, FullV: 4.3, EmptyV: 0, InternalOhm: 0.1},
-		{CapacityWh: 15, FullV: 4.3, EmptyV: 3.4, InternalOhm: -1},
+		{CapacityWh: 0, FullV: 4.3, InternalOhm: 0.1},
+		{CapacityWh: 15, FullV: 0, InternalOhm: 0.1},
+		{CapacityWh: 15, FullV: -4.3, InternalOhm: 0.1},
+		{CapacityWh: 15, FullV: 4.3, InternalOhm: -1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -80,10 +80,3 @@ func (l *EventLog) Total() uint64 {
 	defer l.mu.Unlock()
 	return l.total
 }
-
-// Len returns how many events are currently retained.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -91,9 +90,6 @@ func (h *Histogram) Observe(ns int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot captures a copy of the histogram state. Snapshots taken while
 // observers are running are per-field atomic (the totals may trail the
 // bucket sums by in-flight observations, never the reverse by more than
@@ -110,24 +106,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// writeProm renders the histogram in Prometheus histogram form:
-// cumulative _bucket series with le labels, then _sum and _count.
-func (h *Histogram) writeProm(w io.Writer) error {
-	s := h.Snapshot()
-	var cum uint64
-	for i := range s.Counts {
-		cum += s.Counts[i]
-		if _, err := io.WriteString(w, seriesLe(h.desc.name, h.desc.labels, formatFloat(bucketBounds[i]))+" "+utoa(cum)+"\n"); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, series(h.desc.name+"_sum", h.desc.labels)+" "+itoa(s.Sum)+"\n"); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, series(h.desc.name+"_count", h.desc.labels)+" "+utoa(s.Count)+"\n")
-	return err
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, mergeable

@@ -18,7 +18,10 @@
 //     snapshots merge across shards and devices;
 //   - Registry renders everything in Prometheus text exposition format
 //     with deterministic metric and label ordering, so scrapes diff
-//     cleanly and the exposition test can pin a golden fixture;
+//     cleanly and the exposition test can pin a golden fixture. It
+//     renders its snapshot (snapshot.go), the form a process also
+//     serializes and a router merges, so one writer renders every
+//     exposition;
 //   - EventLog keeps the last N structured events (health-ladder
 //     transitions, checkpoint outcomes, injected faults) in a bounded
 //     ring, served by GET /debug/events.
@@ -79,10 +82,9 @@ type desc struct {
 
 // metric is the registry's internal view of one registered series.
 type metric struct {
-	desc  desc
-	write func(w io.Writer) error
-	// snap captures the series' current value in process-portable form —
-	// what Registry.Snapshot serializes for cross-process scrape-merge.
+	desc desc
+	// snap captures the series' current value in process-portable form:
+	// what Registry.Snapshot returns and every exposition renders.
 	snap func() SeriesSnapshot
 }
 
@@ -135,10 +137,7 @@ func (r *Registry) register(m metric) {
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	c := &Counter{desc: desc{name: name, help: help, labels: renderLabels(labels), typ: "counter"}}
-	r.register(metric{desc: c.desc, write: func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%s %d\n", series(c.desc.name, c.desc.labels), c.Load())
-		return err
-	}, snap: func() SeriesSnapshot {
+	r.register(metric{desc: c.desc, snap: func() SeriesSnapshot {
 		return scalarSnapshot(c.desc, float64(c.Load()))
 	}})
 	return c
@@ -147,10 +146,7 @@ func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{desc: desc{name: name, help: help, labels: renderLabels(labels), typ: "gauge"}}
-	r.register(metric{desc: g.desc, write: func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%s %s\n", series(g.desc.name, g.desc.labels), formatFloat(g.Load()))
-		return err
-	}, snap: func() SeriesSnapshot {
+	r.register(metric{desc: g.desc, snap: func() SeriesSnapshot {
 		return scalarSnapshot(g.desc, g.Load())
 	}})
 	return g
@@ -160,10 +156,7 @@ func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 // time — the bridge for pre-existing atomic counters owned elsewhere.
 func (r *Registry) NewCounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	d := desc{name: name, help: help, labels: renderLabels(labels), typ: "counter"}
-	r.register(metric{desc: d, write: func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%s %d\n", series(d.name, d.labels), fn())
-		return err
-	}, snap: func() SeriesSnapshot {
+	r.register(metric{desc: d, snap: func() SeriesSnapshot {
 		return scalarSnapshot(d, float64(fn()))
 	}})
 }
@@ -172,10 +165,7 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() uint64, labels ..
 // time (uptime, live-session counts, checkpoint age).
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	d := desc{name: name, help: help, labels: renderLabels(labels), typ: "gauge"}
-	r.register(metric{desc: d, write: func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%s %s\n", series(d.name, d.labels), formatFloat(fn()))
-		return err
-	}, snap: func() SeriesSnapshot {
+	r.register(metric{desc: d, snap: func() SeriesSnapshot {
 		return scalarSnapshot(d, fn())
 	}})
 }
@@ -184,38 +174,18 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...
 // the bucket layout).
 func (r *Registry) NewHistogram(name, help string, labels ...Label) *Histogram {
 	h := &Histogram{desc: desc{name: name, help: help, labels: renderLabels(labels), typ: "histogram"}}
-	r.register(metric{desc: h.desc, write: h.writeProm, snap: func() SeriesSnapshot {
+	r.register(metric{desc: h.desc, snap: func() SeriesSnapshot {
 		hs := h.Snapshot()
 		return SeriesSnapshot{Name: h.desc.name, Labels: h.desc.labels, Help: h.desc.help, Type: "histogram", Hist: &hs}
 	}})
 	return h
 }
 
-// WritePrometheus renders every registered series in Prometheus text
-// exposition format (version 0.0.4). Series are ordered by (name, labels);
-// HELP/TYPE headers are emitted once per metric name.
+// WritePrometheus renders the registry's current snapshot in Prometheus
+// text exposition format (RegistrySnapshot.WritePrometheus).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	ms := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	prev := ""
-	for _, m := range ms {
-		if m.desc.name != prev {
-			if m.desc.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.desc.name, m.desc.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.desc.name, m.desc.typ); err != nil {
-				return err
-			}
-			prev = m.desc.name
-		}
-		if err := m.write(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	s := r.Snapshot()
+	return s.WritePrometheus(w)
 }
 
 // series renders `name` or `name{labels}`.

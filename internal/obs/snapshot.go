@@ -43,9 +43,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Unlock()
 	out := RegistrySnapshot{Series: make([]SeriesSnapshot, 0, len(ms))}
 	for _, m := range ms {
-		if m.snap == nil {
-			continue
-		}
 		out.Series = append(out.Series, m.snap())
 	}
 	return out
@@ -116,9 +113,20 @@ func (s *RegistrySnapshot) Find(name, labels string) *SeriesSnapshot {
 	return nil
 }
 
+// Value returns the value of the counter or gauge series with the given
+// name and labels, 0 when the snapshot has none.
+func (s *RegistrySnapshot) Value(name, labels string) float64 {
+	if ss := s.Find(name, labels); ss != nil {
+		return ss.Value
+	}
+	return 0
+}
+
 // WritePrometheus renders the snapshot in Prometheus text exposition
-// format, identical to what Registry.WritePrometheus would produce for a
-// single process holding the merged values.
+// format: series ordered by (name, labels), HELP and TYPE once per name.
+// It is the one exposition writer: Registry.WritePrometheus renders its
+// own snapshot here, and a merged snapshot reads like one process's
+// /metrics. A counter renders as an integer, exact up to 2^53.
 func (s *RegistrySnapshot) WritePrometheus(w io.Writer) error {
 	s.sortSeries()
 	prev := ""

@@ -107,10 +107,10 @@ func TestSnapshotMergeAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrometheusMatchesRegistry pins that rendering a snapshot
-// produces byte-identical exposition to the live registry it came from —
-// the router's merged view is indistinguishable in shape from a single
-// process's /metrics.
+// TestSnapshotPrometheusMatchesRegistry pins that a snapshot's JSON round
+// trip (what a shard's GET /debug/obs carries to the router) renders the
+// same bytes as the live registry it came from, so the router's merged
+// view is indistinguishable in shape from a single process's /metrics.
 func TestSnapshotPrometheusMatchesRegistry(t *testing.T) {
 	reg := shardRegistry(t, 42, 3, []int64{10, 100, 5000, 1 << 30})
 	reg.NewGaugeFunc("serve_uptime_s", "Uptime.", func() float64 { return 12.5 })

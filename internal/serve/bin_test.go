@@ -176,8 +176,8 @@ func TestBinDifferentialOracle(t *testing.T) {
 			}
 		}
 	}
-	if ms := srv.MetricsSnapshot(); ms.BinFrames == 0 || ms.BinConnections == 0 {
-		t.Fatalf("binary path served nothing: %+v", ms)
+	if frames, conns := seriesValue(t, srv, "serve_bin_frames_total", ""), seriesValue(t, srv, "serve_bin_connections_total", ""); frames == 0 || conns == 0 {
+		t.Fatalf("binary path served nothing: %d frames over %d connections", frames, conns)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestBinPipelining(t *testing.T) {
 
 	// Pipeline: s1 decide, s2 decide, s1 decide — one write, three frames.
 	var buf []byte
-	for i, h := range []uint64{s1.Handle(), s2.Handle(), s1.Handle()} {
+	for i, h := range []uint64{s1.handle, s2.handle, s1.handle} {
 		buf = append(buf, wire.FinishFrame(
 			wire.AppendDecideReq(wire.BeginFrame(nil), h, 0, 0, obs), wire.TDecide, uint32(100+i))...)
 	}
@@ -318,7 +318,7 @@ func TestBinPipelining(t *testing.T) {
 		}
 	}
 
-	ep, h2 := srv.Epoch(), s2.Handle()
+	ep, h2 := srv.cfg.Epoch, s2.handle
 	mixed := []struct {
 		typ     byte
 		payload []byte
@@ -328,7 +328,7 @@ func TestBinPipelining(t *testing.T) {
 		{wire.TCreate, wire.AppendCreateReq(wire.BeginFrame(nil), wire.CreateReq{Seed: 9}), wire.TCreateOK, 0},
 		{wire.TDecide, wire.AppendDecideReq(wire.BeginFrame(nil), h2, ep, 0, obs), wire.TDecideOK, 0},
 		{wire.TReward, wire.AppendRewardReq(wire.BeginFrame(nil), wire.RewardReq{Handle: h2, Epoch: ep, Reward: -1}), wire.TRewardOK, 0},
-		{wire.TClose, wire.AppendCloseReq(wire.BeginFrame(nil), wire.CloseReq{Handle: h2}), wire.TCloseOK, 0},
+		{wire.TClose, wire.AppendCloseReq(wire.BeginFrame(nil), wire.CloseReq{Handle: h2, Epoch: ep}), wire.TCloseOK, 0},
 		{wire.TDecide, wire.AppendDecideReq(wire.BeginFrame(nil), h2, ep, 0, obs), wire.TError, wire.CodeUnknownSession},
 		{wire.TClose, wire.AppendCloseReq(wire.BeginFrame(nil), wire.CloseReq{Handle: 999}), wire.TError, wire.CodeNoSession},
 		{wire.TReward, append(wire.BeginFrame(nil), 1, 2, 3), wire.TError, wire.CodeBadRequest},
@@ -528,8 +528,8 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 	for i := 0; i < periods; i++ {
 		// One write, so the frozen frame is gathered behind the learning
 		// one. Each frame gets its own buffer: BeginFrame resets it.
-		buf := wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), learning.Handle(), 0, 0, lobs[i]), wire.TDecide, 1)
-		buf = append(buf, wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), frozen.Handle(), 0, 0, fobs[i]), wire.TDecide, 2)...)
+		buf := wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), learning.handle, 0, 0, lobs[i]), wire.TDecide, 1)
+		buf = append(buf, wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(nil), frozen.handle, 0, 0, fobs[i]), wire.TDecide, 2)...)
 		if _, err := cli.Write(buf); err != nil {
 			t.Fatalf("period %d write: %v", i, err)
 		}
@@ -550,7 +550,7 @@ func TestBinFrozenCohortInWindow(t *testing.T) {
 			t.Fatalf("period %d: frozen session decided %v in a window, construction model says otherwise", i, got.Levels)
 		}
 	}
-	if got, want := srv.MetricsSnapshot().LookupsServed, uint64(2*periods*m.Clusters()); got != want {
+	if got, want := seriesValue(t, srv, "serve_lookups_total", ""), uint64(2*periods*m.Clusters()); got != want {
 		t.Fatalf("serve_lookups_total %d, want %d (frozen lookups count too)", got, want)
 	}
 	cli.Close()
@@ -583,7 +583,7 @@ func TestBinWindowAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, s.Handle())
+		handles = append(handles, s.handle)
 	}
 	// Every frame is rebuilt in place on each send, so a sequenced frame
 	// carries its session's next number; the buffers are warmed with the
@@ -599,11 +599,11 @@ func TestBinWindowAllocFree(t *testing.T) {
 		}},
 		{"sequenced decide", wire.TDecideOK, func(dst []byte, i int) []byte {
 			decideSeqs[i]++
-			return wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(dst), handles[i], srv.Epoch(), decideSeqs[i], obs), wire.TDecide, uint32(i))
+			return wire.FinishFrame(wire.AppendDecideReq(wire.BeginFrame(dst), handles[i], srv.cfg.Epoch, decideSeqs[i], obs), wire.TDecide, uint32(i))
 		}},
 		{"reward", wire.TRewardOK, func(dst []byte, i int) []byte {
 			rewardSeqs[i]++
-			req := wire.RewardReq{Handle: handles[i], Reward: -0.5, Epoch: srv.Epoch(), Seq: rewardSeqs[i]}
+			req := wire.RewardReq{Handle: handles[i], Reward: -0.5, Epoch: srv.cfg.Epoch, Seq: rewardSeqs[i]}
 			return wire.FinishFrame(wire.AppendRewardReq(wire.BeginFrame(dst), req), wire.TReward, uint32(i))
 		}},
 	}

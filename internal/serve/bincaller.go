@@ -70,7 +70,7 @@ func (b *BinCaller) start(c *BinClient, req *FrontReq, flush bool) {
 	case wire.TReward:
 		p = wire.AppendRewardReq(p, wire.RewardReq{Handle: req.Handle, Reward: req.Reward, Epoch: req.Epoch, Seq: req.Seq})
 	case wire.TClose:
-		p = wire.AppendCloseReq(p, wire.CloseReq{Handle: req.Handle})
+		p = wire.AppendCloseReq(p, wire.CloseReq{Handle: req.Handle, Epoch: req.Epoch})
 	}
 	mc, err := c.conn()
 	if err != nil {

@@ -37,7 +37,7 @@ import (
 type FrontReq struct {
 	Type   byte
 	Handle uint64         // decide, reward, close
-	Epoch  uint32         // decide, reward
+	Epoch  uint32         // decide, reward, close
 	Seq    uint64         // decide, reward
 	Obs    []Observation  // decide
 	Reward float64        // reward
@@ -135,9 +135,6 @@ func (f *BinFront) Live() int {
 	defer f.mu.Unlock()
 	return len(f.conns)
 }
-
-// Windows reports the windows served that held a decide frame.
-func (f *BinFront) Windows() uint64 { return f.windows.Load() }
 
 // Serve accepts connections on ln, serving each over a FrontConn from
 // open, until the listener fails or the front drains or closes. A
@@ -493,7 +490,7 @@ func (st *binConn) decode(typ byte) error {
 		if err := wire.ParseCloseReq(st.payload, &cr); err != nil {
 			return err
 		}
-		req.Handle = cr.Handle
+		req.Handle, req.Epoch = cr.Handle, cr.Epoch
 	default:
 		return wire.ErrBadType
 	}

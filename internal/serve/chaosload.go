@@ -108,8 +108,6 @@ type ChaosReport struct {
 	Mismatches int `json:"mismatches"` // devices whose sequence diverged from the oracle
 
 	Hygiene
-
-	Server *Metrics `json:"server,omitempty"` // final incarnation's snapshot
 }
 
 // incarnation is one server process stand-in: a Server and its front.
@@ -243,9 +241,8 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	}
 	run := RunFleet(ctx, cfg.FleetConfig, client.Open, events...)
 
-	// Teardown, collecting the final incarnation's metrics first.
-	m := inc.srv.MetricsSnapshot()
-	rep.Server = &m
+	// Teardown, reading the final incarnation's reward ledger first.
+	met := inc.srv.Registry().Snapshot()
 	inc.crash()
 	proxy.Close()
 	st := client.Stats()
@@ -256,8 +253,8 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 	rep.ProxyPartials, rep.ProxyCorrupts, rep.ProxyDelays = ps.Partials, ps.Corrupts, ps.Delays
 	rep.Decisions = run.Decisions
 	rep.RewardsAcked = run.Rewards
-	rep.ServerRewards = m.Rewards
-	rep.RewardsDeduped = m.RewardsDeduped
+	rep.ServerRewards = uint64(met.Value("serve_rewards_total", ""))
+	rep.RewardsDeduped = uint64(met.Value("serve_rewards_deduped_total", ""))
 	rep.DurationS = time.Since(start).Seconds()
 
 	if rep.Mismatches, err = cfg.OracleMismatches(model, run); err != nil {

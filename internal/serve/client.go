@@ -84,9 +84,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// The server content-negotiates /metrics (Prometheus text by
-	// default); this client always speaks JSON.
-	req.Header.Set("Accept", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -188,27 +185,6 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 	return fmt.Errorf("serve: server not healthy after %v: %w", timeout, last)
 }
 
-// Metrics fetches the server's observable state.
-func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
-	var m Metrics
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, &m)
-	return m, err
-}
-
-// Events fetches the server's structured runtime event log.
-func (c *Client) Events(ctx context.Context) (EventsResponse, error) {
-	var e EventsResponse
-	err := c.do(ctx, http.MethodGet, "/debug/events", nil, &e)
-	return e, err
-}
-
-// SaveCheckpoint asks the server to persist its model.
-func (c *Client) SaveCheckpoint(ctx context.Context) (CheckpointResponse, error) {
-	var cr CheckpointResponse
-	err := c.do(ctx, http.MethodPost, "/v1/checkpoint", nil, &cr)
-	return cr, err
-}
-
 // CreateSession opens a device session over HTTP/JSON. The session
 // carries a mirror of the server-side state, so its calls retry safely and
 // survive server restarts via resume.
@@ -249,7 +225,7 @@ func (c *Client) attempt(ctx context.Context, s *RemoteSession, req FrontReq) (F
 			RewardRequest{Reward: req.Reward, Epoch: req.Epoch, Seq: req.Seq}, &st)
 		ans.Stats = statsToWire(st)
 	default: // TClose
-		err = c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID, nil, &st)
+		err = c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID+"?epoch="+strconv.FormatUint(uint64(req.Epoch), 10), nil, &st)
 		ans.Stats = statsToWire(st)
 	}
 	return ans, err

@@ -114,11 +114,15 @@ func TestFleetEvents(t *testing.T) {
 	// so the spans need no lock.
 	type span struct{ at, first, last uint64 }
 	var spans []span
+	decisions := func() uint64 {
+		met := srv.Registry().Snapshot()
+		return uint64(met.Value("serve_decisions_total", ""))
+	}
 	event := func(at uint64) FleetEvent {
 		return FleetEvent{At: at, Do: func() error {
-			first := srv.MetricsSnapshot().Decisions
+			first := decisions()
 			time.Sleep(100 * time.Millisecond)
-			spans = append(spans, span{at, first, srv.MetricsSnapshot().Decisions})
+			spans = append(spans, span{at, first, decisions()})
 			return nil
 		}}
 	}
@@ -277,7 +281,7 @@ func TestDeviceSimStreamEndpointIndependent(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		dev, err := fleet.life(3, sess.Decide, func(r float64) error {
-			_, err := sess.Reward(r)
+			_, err := sess.RewardSeq(0, r)
 			return err
 		})
 		if err != nil {

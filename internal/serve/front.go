@@ -70,7 +70,7 @@ func (c *serverConn) Start(i int, req *FrontReq) error {
 		}
 		a.Stats = st
 	case wire.TClose:
-		st, err := c.s.CloseSessionByHandle(req.Handle)
+		st, err := c.s.CloseSessionByHandle(req.Handle, req.Epoch)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -172,7 +171,7 @@ func NewJSONFront(reg *obs.Registry, prefix string, open func() FrontConn) *JSON
 //	POST   /v1/sessions/resume       re-create a session from client-carried state
 //	POST   /v1/sessions/{id}/decide  serve one control period's decision
 //	POST   /v1/sessions/{id}/reward  record a device-reported reward
-//	DELETE /v1/sessions/{id}         close the session, return its ledger
+//	DELETE /v1/sessions/{id}         close the session (?epoch=N checks its incarnation), return its ledger
 func (f *JSONFront) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/sessions", f.handleCreate)
 	mux.HandleFunc("POST /v1/sessions/resume", f.handleResume)
@@ -253,8 +252,18 @@ func (f *JSONFront) handleReward(w http.ResponseWriter, r *http.Request) {
 		Epoch: body.Epoch, Seq: body.Seq, Reward: body.Reward})
 }
 
+// handleClose closes the session. The query's epoch names the incarnation
+// the id came from, as a decide body's does; none is the unchecked path.
 func (f *JSONFront) handleClose(w http.ResponseWriter, r *http.Request) {
-	f.serve(w, r, &FrontReq{Type: wire.TClose, Handle: handleOf(r.PathValue("id"))})
+	var epoch uint64
+	if q := r.URL.Query().Get("epoch"); q != "" {
+		var err error
+		if epoch, err = strconv.ParseUint(q, 10, 32); err != nil {
+			f.WriteError(w, fmt.Errorf("%w: epoch %q", ErrBadRequest, q))
+			return
+		}
+	}
+	f.serve(w, r, &FrontReq{Type: wire.TClose, Handle: handleOf(r.PathValue("id")), Epoch: uint32(epoch)})
 }
 
 // serve runs req as a window of one on a pooled conn and answers it by its
@@ -294,7 +303,7 @@ func (f *JSONFront) serve(w http.ResponseWriter, r *http.Request, req *FrontReq)
 // and
 //
 //	POST   /v1/checkpoint            persist the model to the configured path
-//	GET    /metrics                  Prometheus text exposition (JSON with Accept: application/json)
+//	GET    /metrics                  Prometheus text exposition of the registry
 //	GET    /debug/events             structured runtime event log (JSON)
 //	GET    /debug/obs                registry snapshot for fleet scrape-merge (JSON)
 //	GET    /healthz                  liveness
@@ -317,49 +326,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.CheckpointPath == "" {
-		s.json.WriteError(w, fmt.Errorf("serve: no checkpoint path configured"))
-		return
-	}
-	// On a learning server the endpoint publishes the *learned* tables, and
-	// the write serializes with the periodic/drain publications; after the
-	// drain snapshot has been written nothing may overwrite it.
-	s.ckptPubMu.Lock()
-	if s.ckptFinal {
-		s.ckptPubMu.Unlock()
-		s.json.WriteError(w, fmt.Errorf("serve: final drain checkpoint already published"))
-		return
-	}
-	snap := s.model.Snapshot()
-	if s.learner != nil {
-		snap = s.learner.snapshot()
-	}
-	n, err := saveCheckpoint(s.cfg.CheckpointPath, snap, s.fs)
-	s.ckptPubMu.Unlock()
+	n, err := s.publishCheckpoint(false)
 	if err != nil {
-		s.events.Addf("checkpoint", "save to %s failed: %v", s.cfg.CheckpointPath, err)
 		s.json.WriteError(w, err)
 		return
 	}
-	now := time.Now()
-	s.MarkCheckpoint(now)
-	s.events.Addf("checkpoint", "saved %s (%d bytes)", s.cfg.CheckpointPath, n)
 	WriteJSON(w, http.StatusOK, CheckpointResponse{
 		Path:    s.cfg.CheckpointPath,
 		Bytes:   n,
-		SavedAt: now.UTC().Format(time.RFC3339),
+		SavedAt: time.Now().UTC().Format(time.RFC3339),
 	})
 }
 
-// handleMetrics content-negotiates: Prometheus text exposition by default
-// (what a scraper or curl gets), the JSON Metrics snapshot when the
-// client asks for application/json (the Go client and the load
-// generator).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

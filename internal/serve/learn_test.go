@@ -66,9 +66,9 @@ func TestRewardSeqDedupExactlyOnce(t *testing.T) {
 	if st1 != st2 {
 		t.Errorf("replay stats %+v != original %+v", st2, st1)
 	}
-	met := srv.MetricsSnapshot()
-	if met.Rewards != 1 || met.RewardsDeduped != 1 {
-		t.Errorf("rewards=%d deduped=%d, want 1/1", met.Rewards, met.RewardsDeduped)
+	rewards, deduped := seriesValue(t, srv, "serve_rewards_total", ""), seriesValue(t, srv, "serve_rewards_deduped_total", "")
+	if rewards != 1 || deduped != 1 {
+		t.Errorf("rewards=%d deduped=%d, want 1/1", rewards, deduped)
 	}
 	// The replay applied no second batch of transitions: exactly one
 	// Q-update per cluster reached the learner.
@@ -90,8 +90,8 @@ func TestRewardSeqDedupExactlyOnce(t *testing.T) {
 		t.Fatalf("RewardSeq(2) after rejected attempts: %v", err)
 	}
 	// The legacy unsequenced path still works and leaves the cursor alone.
-	if _, err := sess.Reward(0.5); err != nil {
-		t.Fatalf("legacy Reward: %v", err)
+	if _, err := sess.RewardSeq(0, 0.5); err != nil {
+		t.Fatalf("legacy unsequenced reward: %v", err)
 	}
 	if _, err := sess.RewardSeq(3, 0.1); err != nil {
 		t.Fatalf("RewardSeq(3) after legacy reward: %v", err)
@@ -355,7 +355,10 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 	}
 
 	periodicDone := make(chan error, 1)
-	go func() { periodicDone <- srv.publishCheckpoint(false) }()
+	go func() {
+		_, err := srv.publishCheckpoint(false)
+		periodicDone <- err
+	}()
 	<-entered
 
 	// While the periodic write is stalled inside fsync, a reward lands and
@@ -401,9 +404,10 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 		t.Error("final checkpoint does not carry the drain-time tables")
 	}
 
-	// The final latch: a straggling periodic tick after drain is a no-op.
-	if err := srv.publishCheckpoint(false); err != nil {
-		t.Fatalf("post-drain periodic publish: %v", err)
+	// The final latch: a straggling periodic tick after drain is refused
+	// and writes nothing.
+	if _, err := srv.publishCheckpoint(false); !errors.Is(err, errFinalPublished) {
+		t.Fatalf("post-drain periodic publish: %v, want errFinalPublished", err)
 	}
 	if got := renames.Load(); got != 2 {
 		t.Errorf("straggler wrote the store: renames = %d, want 2", got)

@@ -55,16 +55,15 @@ type LearnArm struct {
 // encoded as checkpoint bytes — the determinism witness two seeded runs
 // are compared on.
 type LearnReport struct {
-	Devices       int      `json:"devices"`
-	Periods       int      `json:"periods"`
-	Updates       uint64   `json:"updates"`
-	Rejected      uint64   `json:"rejected"`
-	Swaps         uint64   `json:"swaps"`
-	PolicyVersion uint64   `json:"policy_version"`
-	Learning      LearnArm `json:"learning"`
-	Frozen        LearnArm `json:"frozen"`
-	Traces        [][]int  `json:"-"`
-	Checkpoint    []byte   `json:"-"`
+	Devices    int      `json:"devices"`
+	Periods    int      `json:"periods"`
+	Updates    uint64   `json:"updates"`
+	Rejected   uint64   `json:"rejected"`
+	Swaps      uint64   `json:"swaps"`
+	Learning   LearnArm `json:"learning"`
+	Frozen     LearnArm `json:"frozen"`
+	Traces     [][]int  `json:"-"`
+	Checkpoint []byte   `json:"-"`
 }
 
 // RunLearn runs the seeded training-while-serving fleet against model.
@@ -145,21 +144,14 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	}
 
 	met := srv.Registry().Snapshot()
-	value := func(name, labels string) float64 {
-		if ss := met.Find(name, labels); ss != nil {
-			return ss.Value
-		}
-		return 0
-	}
 	learning, frozen := `cohort="`+CohortLearning+`"`, `cohort="`+CohortFrozen+`"`
-	rep.Updates = uint64(value("learn_updates_total", ""))
-	rep.Rejected = uint64(value("learn_rejected_total", ""))
-	rep.Swaps = uint64(value("learn_swaps_total", ""))
-	rep.PolicyVersion = uint64(value("serve_policy_version", ""))
-	rep.Learning.Rewards = uint64(value("serve_cohort_rewards_total", learning))
-	rep.Learning.MeanReward = value("serve_cohort_mean_reward", learning)
-	rep.Frozen.Rewards = uint64(value("serve_cohort_rewards_total", frozen))
-	rep.Frozen.MeanReward = value("serve_cohort_mean_reward", frozen)
+	rep.Updates = uint64(met.Value("learn_updates_total", ""))
+	rep.Rejected = uint64(met.Value("learn_rejected_total", ""))
+	rep.Swaps = uint64(met.Value("learn_swaps_total", ""))
+	rep.Learning.Rewards = uint64(met.Value("serve_cohort_rewards_total", learning))
+	rep.Learning.MeanReward = met.Value("serve_cohort_mean_reward", learning)
+	rep.Frozen.Rewards = uint64(met.Value("serve_cohort_rewards_total", frozen))
+	rep.Frozen.MeanReward = met.Value("serve_cohort_mean_reward", frozen)
 
 	snap, ok := srv.LearnSnapshot()
 	if !ok {

@@ -54,7 +54,7 @@ func TestDecideSeqMultiPeriodMatchesSingles(t *testing.T) {
 			}
 		}
 	}
-	stA, stB := sessA.Stats(), sessB.Stats()
+	stA, stB := sessA.stats(), sessB.stats()
 	if stA.Decisions != stB.Decisions {
 		t.Fatalf("decision ledgers diverged: frames %d, singles %d", stA.Decisions, stB.Decisions)
 	}
@@ -103,7 +103,7 @@ func TestDecideSeqMultiPeriodReplay(t *testing.T) {
 	if replayed, err := sess.DecideSeq(k+1, frameObs(seq, k, k), next); err != nil || replayed {
 		t.Fatalf("next frame: replayed=%v err=%v", replayed, err)
 	}
-	if st := sess.Stats(); st.Decisions != 2*k {
+	if st := sess.stats(); st.Decisions != 2*k {
 		t.Fatalf("ledger counts %d decisions, want %d (replay must not double-count)", st.Decisions, 2*k)
 	}
 }

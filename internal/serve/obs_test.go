@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -92,24 +91,25 @@ func TestAgeClampsNeverNegative(t *testing.T) {
 	m := testModel(t, 3)
 	srv := newTestServer(t, m, nil, Config{})
 	srv.MarkCheckpoint(future)
-	met := srv.MetricsSnapshot()
-	if met.CheckpointAgeS != 0 {
-		t.Fatalf("CheckpointAgeS %v with a future checkpoint time, want clamp to 0", met.CheckpointAgeS)
+	met := srv.Registry().Snapshot()
+	if age := met.Value("serve_checkpoint_age_seconds", ""); age != 0 {
+		t.Fatalf("serve_checkpoint_age_seconds %v with a future checkpoint time, want clamp to 0", age)
 	}
-	if met.UptimeS < 0 {
-		t.Fatalf("UptimeS %v went negative", met.UptimeS)
+	if up := met.Find("serve_uptime_seconds", ""); up == nil || up.Value < 0 {
+		t.Fatalf("serve_uptime_seconds %+v went negative", up)
 	}
 
 	// No checkpoint at all stays the -1 sentinel, not 0.
-	srv2 := newTestServer(t, testModel(t, 3), nil, Config{})
-	if got := srv2.MetricsSnapshot().CheckpointAgeS; got != -1 {
-		t.Fatalf("CheckpointAgeS %v with no checkpoint, want -1", got)
+	met = newTestServer(t, testModel(t, 3), nil, Config{}).Registry().Snapshot()
+	if age := met.Value("serve_checkpoint_age_seconds", ""); age != -1 {
+		t.Fatalf("serve_checkpoint_age_seconds %v with no checkpoint, want -1", age)
 	}
 }
 
-// TestMetricsSnapshotConcurrent hammers MetricsSnapshot and the Prometheus
-// exposition while sessions decide and close — run under -race, this is
-// the data-race gate for the observability wiring.
+// TestMetricsSnapshotConcurrent hammers the registry's Snapshot, the
+// Prometheus exposition and the event log while sessions decide and close
+// — run under -race, this is the data-race gate for the observability
+// wiring.
 func TestMetricsSnapshotConcurrent(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{})
@@ -131,7 +131,7 @@ func TestMetricsSnapshotConcurrent(t *testing.T) {
 						return
 					}
 				}
-				srv.CloseSessionByHandle(sess.Handle())
+				srv.CloseSessionByHandle(sess.handle, 0)
 			}
 		}(uint64(w + 1))
 	}
@@ -144,7 +144,7 @@ func TestMetricsSnapshotConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			_ = srv.MetricsSnapshot()
+			_ = srv.Registry().Snapshot()
 			_ = srv.Registry().WritePrometheus(io.Discard)
 			_ = srv.Events().Events()
 		}
@@ -160,9 +160,10 @@ func TestMetricsSnapshotConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMetricsContentNegotiation pins GET /metrics in both shapes: JSON for
-// clients that ask, Prometheus text exposition (with the per-stage decide
-// histograms populated) for everyone else.
+// TestMetricsContentNegotiation pins GET /metrics as Prometheus text
+// exposition with the per-stage decide histograms populated, whatever the
+// client accepts: the registry is the one metrics view, and a client that
+// asks for JSON gets the same text.
 func TestMetricsContentNegotiation(t *testing.T) {
 	m := testModel(t, 3, 5)
 	srv := newTestServer(t, m, nil, Config{})
@@ -181,17 +182,24 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// Default: Prometheus text.
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	scrape := func(accept string) string {
+		t.Helper()
+		req, _ := http.NewRequest("GET", hs.URL+"/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
+			t.Fatalf("content type %q with Accept %q, want text exposition 0.0.4", ct, accept)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("content type %q, want text exposition 0.0.4", ct)
-	}
-	text := string(body)
+	text := scrape("")
 	for _, want := range []string{
 		"# TYPE serve_decide_stage_ns histogram",
 		`serve_decide_stage_ns_count{stage="http"} 10`,
@@ -216,23 +224,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// Accept: application/json keeps the structured snapshot.
-	req, _ := http.NewRequest("GET", hs.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("GET /metrics (json): %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Fatalf("json content type %q", ct)
-	}
-	var met Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
-		t.Fatalf("decoding JSON metrics: %v", err)
-	}
-	if met.Decisions != 10 || met.Sessions != 1 {
-		t.Fatalf("JSON metrics %+v", met)
+	// A client asking for JSON gets the same text exposition.
+	if got := scrape("application/json"); !strings.Contains(got, "\nserve_decisions_total 10\n") {
+		t.Fatalf("exposition with Accept: application/json misses serve_decisions_total 10:\n%s", got)
 	}
 }
 
@@ -258,12 +252,12 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatalf("empty event log rendered null: %s", raw)
 	}
 
-	if _, err := client.SaveCheckpoint(ctx); err != nil {
+	if err := client.do(ctx, http.MethodPost, "/v1/checkpoint", nil, nil); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	ev, err := client.Events(ctx)
-	if err != nil {
-		t.Fatalf("Events: %v", err)
+	var ev EventsResponse
+	if err := client.do(ctx, http.MethodGet, "/debug/events", nil, &ev); err != nil {
+		t.Fatalf("GET /debug/events: %v", err)
 	}
 	if ev.Total == 0 || len(ev.Events) == 0 {
 		t.Fatalf("no events after a checkpoint save: %+v", ev)

@@ -53,13 +53,13 @@ func TestConcurrentSessionsMatchSerialOracle(t *testing.T) {
 				}
 				results[idx].levels = append(results[idx].levels, lv)
 				if i%25 == 24 {
-					if _, err := sess.Reward(float64(-i)); err != nil {
+					if _, err := sess.RewardSeq(0, float64(-i)); err != nil {
 						results[idx].err = fmt.Errorf("reward %d: %w", i, err)
 						return
 					}
 				}
 			}
-			results[idx].stats, results[idx].err = srv.CloseSessionByHandle(sess.Handle())
+			results[idx].stats, results[idx].err = srv.CloseSessionByHandle(sess.handle, 0)
 		}(d)
 	}
 	wg.Wait()
@@ -90,15 +90,15 @@ func TestConcurrentSessionsMatchSerialOracle(t *testing.T) {
 		}
 	}
 
-	met := srv.MetricsSnapshot()
-	if met.Decisions != devices*steps {
-		t.Fatalf("server counted %d decisions, fleet made %d", met.Decisions, devices*steps)
+	if n := seriesValue(t, srv, "serve_decisions_total", ""); n != devices*steps {
+		t.Fatalf("server counted %d decisions, fleet made %d", n, devices*steps)
 	}
-	if met.SessionsCreated != devices || met.SessionsClosed != devices || met.Sessions != 0 {
-		t.Fatalf("session accounting %+v after all devices closed", met)
+	created, closed := seriesValue(t, srv, "serve_sessions_created_total", ""), seriesValue(t, srv, "serve_sessions_closed_total", "")
+	if live := seriesValue(t, srv, "serve_sessions", ""); created != devices || closed != devices || live != 0 {
+		t.Fatalf("session accounting: %d created, %d closed, %d live after all devices closed", created, closed, live)
 	}
-	if met.MaxBatchOccupancy > 8 {
-		t.Fatalf("batch occupancy %d exceeded MaxBatch 8", met.MaxBatchOccupancy)
+	if occ := seriesValue(t, srv, "serve_batch_max_occupancy", ""); occ > 8 {
+		t.Fatalf("batch occupancy %d exceeded MaxBatch 8", occ)
 	}
 }
 

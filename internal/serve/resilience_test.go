@@ -88,8 +88,8 @@ func TestDecideSeqDedupAndBadSeq(t *testing.T) {
 	if replay[0] != first[0] || replay[1] != first[1] {
 		t.Fatalf("replayed decision %v != original %v", replay, first)
 	}
-	if m := srv.MetricsSnapshot(); m.DecidesDeduped != 1 {
-		t.Fatalf("DecidesDeduped = %d, want 1", m.DecidesDeduped)
+	if n := seriesValue(t, srv, "serve_decides_deduped_total", ""); n != 1 {
+		t.Fatalf("serve_decides_deduped_total = %d, want 1", n)
 	}
 
 	// A replay must not have advanced the RNG: seq 2 now and seq 2 on a
@@ -146,15 +146,15 @@ func TestSessionTTLReaping(t *testing.T) {
 			t.Fatalf("decide while active: %v", err)
 		}
 		srv.reapIdle(sess.lastActive.Load())
-		if n := srv.MetricsSnapshot().SessionsReaped; n != 0 {
+		if n := seriesValue(t, srv, "serve_sessions_reaped_total", ""); n != 0 {
 			t.Fatalf("a sweep at the session's last request reaped %d sessions", n)
 		}
 	}
 	srv.reapIdle(sess.lastActive.Load() + 1)
-	if n := srv.MetricsSnapshot().SessionsReaped; n != 1 {
+	if n := seriesValue(t, srv, "serve_sessions_reaped_total", ""); n != 1 {
 		t.Fatalf("a sweep past the session's last request reaped %d sessions, want 1", n)
 	}
-	if _, err := srv.CloseSessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.CloseSessionByHandle(sess.handle, 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close after reap: %v, want ErrNoSession", err)
 	}
 
@@ -169,13 +169,13 @@ func TestSessionTTLReaping(t *testing.T) {
 		t.Fatalf("CreateSession: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for loop.MetricsSnapshot().SessionsReaped == 0 {
+	for seriesValue(t, loop, "serve_sessions_reaped_total", "") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle session was never reaped")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := loop.CloseSessionByHandle(idle.Handle()); !errors.Is(err, ErrNoSession) {
+	if _, err := loop.CloseSessionByHandle(idle.handle, 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close after reap: %v, want ErrNoSession", err)
 	}
 }
@@ -195,21 +195,98 @@ func TestEpochMismatchIsUnknownSession(t *testing.T) {
 		t.Fatalf("CreateSession: %v", err)
 	}
 
-	if _, err := srv.SessionByHandleEpoch(sess.Handle(), 2); !errors.Is(err, ErrUnknownSession) {
+	if _, err := srv.SessionByHandleEpoch(sess.handle, 2); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("stale epoch by handle: %v, want ErrUnknownSession", err)
 	}
-	if _, err := srv.SessionByHandleEpoch(handleOf(sess.ID()), 2); !errors.Is(err, ErrUnknownSession) {
+	if _, err := srv.SessionByHandleEpoch(handleOf(sessionID(sess.handle)), 2); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("stale epoch by id: %v, want ErrUnknownSession", err)
 	}
 	if !errors.Is(ErrUnknownSession, ErrNoSession) {
 		t.Fatal("ErrUnknownSession must wrap ErrNoSession")
 	}
 	// The current epoch and the legacy wildcard 0 both resolve.
-	if _, err := srv.SessionByHandleEpoch(sess.Handle(), 3); err != nil {
+	if _, err := srv.SessionByHandleEpoch(sess.handle, 3); err != nil {
 		t.Fatalf("current epoch: %v", err)
 	}
-	if _, err := srv.SessionByHandleEpoch(sess.Handle(), 0); err != nil {
+	if _, err := srv.SessionByHandleEpoch(sess.handle, 0); err != nil {
 		t.Fatalf("legacy epoch 0: %v", err)
+	}
+	// A close is checked the same way: a stale epoch closes nothing.
+	if _, err := srv.CloseSessionByHandle(sess.handle, 2); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("stale-epoch close: %v, want ErrUnknownSession", err)
+	}
+	if _, err := srv.CloseSessionByHandle(sess.handle, 3); err != nil {
+		t.Fatalf("current-epoch close: %v", err)
+	}
+	if _, err := srv.CloseSessionByHandle(sess.handle, 3); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("second close: %v, want ErrUnknownSession", err)
+	}
+}
+
+// TestCloseNamesItsEpoch: handles restart at 1 in every server
+// incarnation, so a close carries the epoch its handle came from. After a
+// restart, device X's close must not close device Y's session under the
+// same handle: it answers ErrUnknownSession, X resumes and closes its own
+// session with its own ledger, and Y's stays live. On both wires.
+func TestCloseNamesItsEpoch(t *testing.T) {
+	m := testModel(t, 3, 5)
+	obs := testObs(m, 4, 3)
+	for _, proto := range []string{"json", "bin"} {
+		t.Run(proto, func(t *testing.T) {
+			ctx := context.Background()
+			cfg := ChaosConfig{Proto: proto}
+			inc, err := startIncarnation(m, cfg, "127.0.0.1:0", 1)
+			if err != nil {
+				t.Fatalf("incarnation 1: %v", err)
+			}
+			addr := inc.front.ln.Addr().String()
+			client, err := NewFleetClient(proto, addr)
+			if err != nil {
+				inc.crash()
+				t.Fatalf("client: %v", err)
+			}
+			defer client.Close()
+			x, err := client.Open(ctx, SessionOptions{Seed: 1})
+			if err != nil {
+				inc.crash()
+				t.Fatalf("open X: %v", err)
+			}
+			for _, o := range obs {
+				if _, err := x.Decide(ctx, o); err != nil {
+					inc.crash()
+					t.Fatalf("X decide: %v", err)
+				}
+			}
+			inc.crash()
+			if inc, err = startIncarnation(m, cfg, addr, 2); err != nil {
+				t.Fatalf("incarnation 2: %v", err)
+			}
+			defer inc.crash()
+			y, err := client.Open(ctx, SessionOptions{Seed: 2})
+			if err != nil {
+				t.Fatalf("open Y: %v", err)
+			}
+			if y.Handle != x.Handle || y.Epoch == x.Epoch {
+				t.Fatalf("Y holds handle %d in epoch %d, X handle %d in epoch %d: want one handle, two epochs", y.Handle, y.Epoch, x.Handle, x.Epoch)
+			}
+
+			st, err := x.Close(ctx)
+			if err != nil {
+				t.Fatalf("X close: %v", err)
+			}
+			if st.Decisions != uint64(len(obs)) {
+				t.Errorf("X's close answered a ledger of %d decisions, want X's own %d", st.Decisions, len(obs))
+			}
+			if live := seriesValue(t, inc.srv, "serve_sessions", ""); live != 1 {
+				t.Errorf("%d live sessions after X's close, want Y's alone", live)
+			}
+			if _, err := y.Decide(ctx, obs[0]); err != nil {
+				t.Fatalf("Y decide after X's close: %v", err)
+			}
+			if n := seriesValue(t, inc.srv, "serve_resumes_total", ""); n != 1 {
+				t.Fatalf("%d resumes, want X's one: Y's session must not have been lost", n)
+			}
+		})
 	}
 }
 
@@ -264,8 +341,8 @@ func TestResumeSessionContinuesRNGStream(t *testing.T) {
 			t.Fatalf("period %d: resumed session chose %v, original %v", i, got, want)
 		}
 	}
-	if s := srvB.MetricsSnapshot(); s.Resumes != 1 {
-		t.Fatalf("Resumes = %d, want 1", s.Resumes)
+	if n := seriesValue(t, srvB, "serve_resumes_total", ""); n != 1 {
+		t.Fatalf("serve_resumes_total = %d, want 1", n)
 	}
 }
 
@@ -433,7 +510,7 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	bc := NewBinClient(startBinServer(t, shed))
 	defer bc.Close()
 	var c BinCaller
-	if _, err := c.Call(context.Background(), bc, &FrontReq{Type: wire.TDecide, Handle: sess.Handle(), Epoch: shed.Epoch(), Seq: 1, Obs: obs}); !errors.Is(err, ErrOverloaded) || RetryAfter(err) != want {
+	if _, err := c.Call(context.Background(), bc, &FrontReq{Type: wire.TDecide, Handle: sess.handle, Epoch: shed.cfg.Epoch, Seq: 1, Obs: obs}); !errors.Is(err, ErrOverloaded) || RetryAfter(err) != want {
 		t.Fatalf("binary shed answered %v, retry after %v; want ErrOverloaded, %v", err, RetryAfter(err), want)
 	}
 
@@ -443,7 +520,7 @@ func TestOverloadBackoffHintRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(hs.URL+"/v1/sessions/"+sess.ID()+"/decide", "application/json", bytes.NewReader(raw))
+	resp, err := http.Post(hs.URL+"/v1/sessions/"+sessionID(sess.handle)+"/decide", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +604,7 @@ func TestOverloadBackpressure(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if got := srv.MetricsSnapshot().DecidesInflight; got != bound {
+	if got := seriesValue(t, srv, "serve_decides_inflight", ""); got != bound {
 		t.Fatalf("decides in flight %d while parked, want the bound %d", got, bound)
 	}
 
@@ -568,10 +645,10 @@ func TestOverloadBackpressure(t *testing.T) {
 	if want := newOracle(m, shedOpts).decide(obs); !slices.Equal(got, want) {
 		t.Fatalf("retry of the shed decide chose %v, oracle %v: the shed changed session state", got, want)
 	}
-	if st := shed.Stats(); st.Decisions != 1 {
+	if st := shed.stats(); st.Decisions != 1 {
 		t.Fatalf("shed session ledger counts %d decisions, want 1", st.Decisions)
 	}
-	if got := srv.MetricsSnapshot().DecidesInflight; got != 0 {
+	if got := seriesValue(t, srv, "serve_decides_inflight", ""); got != 0 {
 		t.Fatalf("decides in flight %d after every decide returned, want 0", got)
 	}
 }

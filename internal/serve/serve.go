@@ -299,7 +299,7 @@ type SessionStats struct {
 // one carries its exploration state in the same allocation (see
 // newSession).
 type Session struct {
-	handle uint64 // the session's identity on both protocols; ID prints it
+	handle uint64 // the session's identity on both protocols; sessionID prints it
 	srv    *Server
 
 	mu     sync.Mutex
@@ -428,15 +428,6 @@ func (h *learnHistory) roll() {
 	}
 	h.haveCur = true
 }
-
-// ID returns the session's JSON id: its handle, printed on demand, so a
-// session stores no string.
-func (s *Session) ID() string { return sessionID(s.handle) }
-
-// Handle returns the session's numeric identity — what the binary protocol
-// carries, so the hot path never formats or hashes strings, and what the
-// JSON front parses its id back to.
-func (s *Session) Handle() uint64 { return s.handle }
 
 // Decide serves one or more control periods: encodes each cluster's
 // observation into the discrete state (using the session-local
@@ -617,12 +608,6 @@ func (s *Session) decideLocked(obs []Observation, levels []int) {
 // nanotime is the session-activity clock (monotonic enough for TTLs).
 func nanotime() int64 { return time.Now().UnixNano() }
 
-// Reward records a device-reported reward without retry deduplication —
-// the legacy unsequenced path, equivalent to RewardSeq(0, r).
-func (s *Session) Reward(r float64) (wire.Stats, error) {
-	return s.RewardSeq(0, r)
-}
-
 // RewardSeq records a device-reported reward with retry deduplication,
 // mirroring DecideSeq's discipline on the reward path. seq 0 is the legacy
 // unsequenced path. Otherwise seq must be the session's next reward
@@ -660,13 +645,6 @@ func (s *Session) RewardSeq(seq uint64, r float64) (wire.Stats, error) {
 	s.srv.rewards.Add(1)
 	s.srv.noteRewardLocked(s, r)
 	return s.statsLocked(), nil
-}
-
-// Stats returns the session ledger.
-func (s *Session) Stats() wire.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statsLocked()
 }
 
 func (s *Session) statsLocked() wire.Stats {
@@ -975,9 +953,6 @@ func newServer(model *Model, backend *SWBackend, cfg Config, fs fsHooks) (*Serve
 	return s, nil
 }
 
-// Epoch returns this server incarnation's epoch.
-func (s *Server) Epoch() uint32 { return s.cfg.Epoch }
-
 // reapLoop closes sessions idle past the TTL, bounding the session map
 // against clients that vanish without closing. It samples at TTL/4, so a
 // session is reaped between 1× and ~1.25× its TTL after going idle.
@@ -1155,42 +1130,48 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	// Every acked reward is already in the learner's tables.
 	if s.cfg.CheckpointPath != "" {
-		if err := s.publishCheckpoint(true); err != nil {
+		if _, err := s.publishCheckpoint(true); err != nil {
 			return fmt.Errorf("serve: drain checkpoint: %w", err)
 		}
 	}
 	return nil
 }
 
+// errFinalPublished refuses a checkpoint publication after the drain's.
+var errFinalPublished = errors.New("serve: final drain checkpoint already published")
+
 // publishCheckpoint persists the current policy — the learner's live
-// tables when learning, the frozen model otherwise — to cfg.CheckpointPath.
-// Publications serialize on ckptPubMu so the periodic learner tick and the
-// drain-time final write can never interleave on the store; final marks
-// the drain snapshot as the last writer, turning any straggling periodic
-// publication into a no-op.
-func (s *Server) publishCheckpoint(final bool) error {
-	if s.cfg.CheckpointPath == "" {
-		return nil
+// tables when learning, the frozen model otherwise — to cfg.CheckpointPath,
+// records the outcome in the event log, and answers the bytes written.
+// POST /v1/checkpoint, the learner's ticker and Drain all publish here.
+// Publications serialize on ckptPubMu, so they never interleave on the
+// store; final marks the drain's as the last, after which every
+// publication fails with errFinalPublished and writes nothing.
+func (s *Server) publishCheckpoint(final bool) (int64, error) {
+	path := s.cfg.CheckpointPath
+	if path == "" {
+		return 0, errors.New("serve: no checkpoint path configured")
 	}
 	s.ckptPubMu.Lock()
 	defer s.ckptPubMu.Unlock()
 	if s.ckptFinal {
-		return nil
+		return 0, errFinalPublished
 	}
-	if final {
-		s.ckptFinal = true
-	}
+	s.ckptFinal = final
 	var snap core.Snapshot
 	if s.learner != nil {
 		snap = s.learner.snapshot()
 	} else {
 		snap = s.model.Snapshot()
 	}
-	if _, err := saveCheckpoint(s.cfg.CheckpointPath, snap, s.fs); err != nil {
-		return err
+	n, err := saveCheckpoint(path, snap, s.fs)
+	if err != nil {
+		s.events.Addf("checkpoint", "save to %s failed: %v", path, err)
+		return 0, err
 	}
 	s.MarkCheckpoint(time.Now())
-	return nil
+	s.events.Addf("checkpoint", "saved %s (%d bytes)", path, n)
+	return n, nil
 }
 
 // MarkCheckpoint records a checkpoint load/save instant for the
@@ -1320,52 +1301,51 @@ func (s *Server) ResumeSession(st ResumeState) (*Session, error) {
 	return sess, nil
 }
 
-// SessionByHandle looks a live session up by its binary-protocol handle.
-// The error is the bare sentinel — no formatting — so the binary hot path
-// stays allocation-free even when a stale handle arrives.
-func (s *Server) SessionByHandle(h uint64) (*Session, error) {
+// SessionByHandleEpoch looks a live session up by its binary-protocol
+// handle, checking the epoch the request names. epoch 0 is the legacy
+// unchecked path. A non-zero epoch that does not match this incarnation —
+// or a handle this incarnation never minted — fails with
+// ErrUnknownSession: the session is resumable, and the handle must not be
+// served even if it happens to collide with a live one, because it was
+// minted by a different process. The error is the bare sentinel — no
+// formatting — so the binary hot path stays allocation-free even when a
+// stale handle arrives.
+func (s *Server) SessionByHandleEpoch(h uint64, epoch uint32) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.handles[h]
-	if !ok {
-		return nil, ErrNoSession
-	}
-	return sess, nil
+	return s.lookupLocked(h, epoch)
 }
 
-// SessionByHandleEpoch is the epoch-checked lookup for resilient clients.
-// epoch 0 is the legacy unchecked path. A non-zero epoch that does not
-// match this incarnation — or a handle this incarnation never minted —
-// fails with ErrUnknownSession: the session is resumable, and the handle
-// must not be served even if it happens to collide with a live one,
-// because it was minted by a different process.
-func (s *Server) SessionByHandleEpoch(h uint64, epoch uint32) (*Session, error) {
-	if epoch == 0 {
-		return s.SessionByHandle(h)
-	}
-	if epoch != s.cfg.Epoch {
+// lookupLocked is SessionByHandleEpoch's lookup. Caller holds s.mu.
+func (s *Server) lookupLocked(h uint64, epoch uint32) (*Session, error) {
+	if epoch != 0 && epoch != s.cfg.Epoch {
 		return nil, ErrUnknownSession
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sess, ok := s.handles[h]
-	if !ok {
+	switch {
+	case ok:
+		return sess, nil
+	case epoch == 0:
+		return nil, ErrNoSession
+	default:
 		return nil, ErrUnknownSession
 	}
-	return sess, nil
 }
 
 // CloseSessionByHandle ends a session addressed by its binary handle and
-// answers its final ledger.
-func (s *Server) CloseSessionByHandle(h uint64) (wire.Stats, error) {
+// answers its final ledger. The epoch is checked as SessionByHandleEpoch
+// checks it: handles restart at 1 in every incarnation, so a close that
+// names another incarnation must not close the session holding its handle
+// in this one.
+func (s *Server) CloseSessionByHandle(h uint64, epoch uint32) (wire.Stats, error) {
 	s.mu.Lock()
-	sess, ok := s.handles[h]
-	if ok {
+	sess, err := s.lookupLocked(h, epoch)
+	if err == nil {
 		delete(s.handles, h)
 	}
 	s.mu.Unlock()
-	if !ok {
-		return wire.Stats{}, ErrNoSession
+	if err != nil {
+		return wire.Stats{}, err
 	}
 	return s.finishClose(sess), nil
 }
@@ -1377,69 +1357,4 @@ func (s *Server) finishClose(sess *Session) wire.Stats {
 	sess.mu.Unlock()
 	s.sessionsClosed.Add(1)
 	return st
-}
-
-// Metrics is the server's observable state, served at /metrics.
-type Metrics struct {
-	UptimeS            float64 `json:"uptime_s"`
-	Clusters           int     `json:"clusters"`
-	Sessions           int     `json:"sessions"`
-	SessionsCreated    uint64  `json:"sessions_created"`
-	SessionsClosed     uint64  `json:"sessions_closed"`
-	SessionsReaped     uint64  `json:"sessions_reaped"`
-	Resumes            uint64  `json:"resumes"`
-	Decisions          uint64  `json:"decisions"`
-	DecidesDeduped     uint64  `json:"decides_deduped"`
-	LookupsServed      uint64  `json:"lookups_served"`
-	Explorations       uint64  `json:"explorations"`
-	Rewards            uint64  `json:"rewards"`
-	RewardsDeduped     uint64  `json:"rewards_deduped"`
-	Batches            uint64  `json:"batches"`
-	BatchRejected      uint64  `json:"batch_rejected"`
-	DecidesInflight    int64   `json:"decides_inflight"`
-	MeanBatchOccupancy float64 `json:"mean_batch_occupancy"`
-	MaxBatchOccupancy  uint64  `json:"max_batch_occupancy"`
-	HTTPErrors         uint64  `json:"http_errors"`
-	BinConnections     uint64  `json:"bin_connections"`
-	BinFrames          uint64  `json:"bin_frames"`
-	BinErrors          uint64  `json:"bin_errors"`
-	CheckpointAgeS     float64 `json:"checkpoint_age_s"` // -1 when no checkpoint exists
-}
-
-// MetricsSnapshot assembles the current metrics. Ages are monotonic-safe
-// and clamped at 0 (CheckpointAgeS stays -1 when no checkpoint exists),
-// so a backwards wall-clock step can never produce a negative age.
-func (s *Server) MetricsSnapshot() Metrics {
-	s.mu.Lock()
-	live := len(s.handles)
-	s.mu.Unlock()
-	batches, lookups := s.batches.Load(), s.batchLookups.Load()
-	m := Metrics{
-		UptimeS:           ageSeconds(s.start),
-		Clusters:          s.model.Clusters(),
-		Sessions:          live,
-		SessionsCreated:   s.sessionsCreated.Load(),
-		SessionsClosed:    s.sessionsClosed.Load(),
-		SessionsReaped:    s.sessionsReaped.Load(),
-		Resumes:           s.resumes.Load(),
-		Decisions:         s.decisions.Load(),
-		DecidesDeduped:    s.decidesDeduped.Load(),
-		LookupsServed:     s.lookupsServed.Load(),
-		Explorations:      s.explorations.Load(),
-		Rewards:           s.rewards.Load(),
-		RewardsDeduped:    s.rewardsDeduped.Load(),
-		Batches:           batches,
-		BatchRejected:     s.batchRejected.Load(),
-		DecidesInflight:   s.inflight.Load(),
-		MaxBatchOccupancy: s.maxOcc.Load(),
-		HTTPErrors:        s.json.errs.Load(),
-		BinConnections:    s.bin.connsTotal.Load(),
-		BinFrames:         s.bin.frames.Load(),
-		BinErrors:         s.bin.errs.Load(),
-		CheckpointAgeS:    s.checkpointAgeS(),
-	}
-	if batches > 0 {
-		m.MeanBatchOccupancy = float64(lookups) / float64(batches)
-	}
-	return m
 }

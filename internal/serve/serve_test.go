@@ -316,7 +316,7 @@ func TestSessionExplorationIsDeviceLocal(t *testing.T) {
 			}
 			streams = append(streams, lv)
 		}
-		if _, err := srv.CloseSessionByHandle(sess.Handle()); err != nil {
+		if _, err := srv.CloseSessionByHandle(sess.handle, 0); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 		return streams
@@ -363,10 +363,10 @@ func TestServerSessionLifecycle(t *testing.T) {
 	if _, err := sess.Decide(obs); err != nil {
 		t.Fatalf("decide: %v", err)
 	}
-	if _, err := sess.Reward(-1.5); err != nil {
+	if _, err := sess.RewardSeq(0, -1.5); err != nil {
 		t.Fatalf("reward: %v", err)
 	}
-	st, err := srv.CloseSessionByHandle(sess.Handle())
+	st, err := srv.CloseSessionByHandle(sess.handle, 0)
 	if err != nil {
 		t.Fatalf("CloseSession: %v", err)
 	}
@@ -376,10 +376,10 @@ func TestServerSessionLifecycle(t *testing.T) {
 	if _, err := sess.Decide(obs); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("decide after close: %v, want ErrSessionClosed", err)
 	}
-	if _, err := srv.SessionByHandle(sess.Handle()); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.SessionByHandleEpoch(sess.handle, 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("lookup after close: %v, want ErrNoSession", err)
 	}
-	if _, err := srv.CloseSessionByHandle(handleOf("nope")); !errors.Is(err, ErrNoSession) {
+	if _, err := srv.CloseSessionByHandle(handleOf("nope"), 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("close unknown: %v, want ErrNoSession", err)
 	}
 }
@@ -441,8 +441,8 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("reward: %v", err)
 	}
 
-	cr, err := client.SaveCheckpoint(ctx)
-	if err != nil {
+	var cr CheckpointResponse
+	if err := client.do(ctx, http.MethodPost, "/v1/checkpoint", nil, &cr); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if cr.Bytes <= 0 {
@@ -452,21 +452,20 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("reloading the checkpoint the server wrote: %v", err)
 	}
 
-	met, err := client.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
+	met := srv.Registry().Snapshot()
+	live, decisions, rewards := met.Value("serve_sessions", ""), met.Value("serve_decisions_total", ""), met.Value("serve_rewards_total", "")
+	if live != 1 || decisions != 25 || rewards != 1 {
+		t.Fatalf("%v live sessions, %v decisions, %v rewards; want 1, 25, 1", live, decisions, rewards)
 	}
-	if met.Sessions != 1 || met.Decisions != 25 || met.Rewards != 1 {
-		t.Fatalf("metrics %+v", met)
+	if n := met.Value("serve_lookups_total", ""); n != 25*2 {
+		t.Fatalf("serve_lookups_total %v, want 50 (greedy over 2 clusters)", n)
 	}
-	if met.LookupsServed != 25*2 {
-		t.Fatalf("lookups_served %d, want 50 (greedy over 2 clusters)", met.LookupsServed)
+	batches, lookups := met.Value("serve_batches_total", ""), met.Value("serve_batch_lookups_total", "")
+	if batches == 0 || lookups < batches {
+		t.Fatalf("batch counters: %v lookups over %v batches", lookups, batches)
 	}
-	if met.Batches == 0 || met.MeanBatchOccupancy < 1 {
-		t.Fatalf("batch counters %d/%.2f", met.Batches, met.MeanBatchOccupancy)
-	}
-	if met.CheckpointAgeS < 0 {
-		t.Fatalf("checkpoint age %.2f after a save", met.CheckpointAgeS)
+	if age := met.Value("serve_checkpoint_age_seconds", ""); age < 0 {
+		t.Fatalf("checkpoint age %.2f after a save", age)
 	}
 
 	st, err := sess.Close(ctx)
@@ -509,6 +508,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if got := status("DELETE", "/v1/sessions/s-999999", ""); got != http.StatusNotFound {
 		t.Errorf("unknown session delete: %d, want 404", got)
 	}
+	if got := status("DELETE", "/v1/sessions/s-999999?epoch=x", ""); got != http.StatusBadRequest {
+		t.Errorf("malformed close epoch: %d, want 400", got)
+	}
 	if got := status("POST", "/v1/sessions", `{"epsilon": 7}`); got != http.StatusBadRequest {
 		t.Errorf("bad epsilon: %d, want 400", got)
 	}
@@ -529,12 +531,12 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("wrong observation count: %d, want 400", got)
 	}
 
-	met := srv.MetricsSnapshot()
-	if met.HTTPErrors == 0 {
-		t.Error("http_errors stayed zero through an error storm")
+	met := srv.Registry().Snapshot()
+	if met.Value("serve_http_errors_total", "") == 0 {
+		t.Error("serve_http_errors_total stayed zero through an error storm")
 	}
-	if met.CheckpointAgeS != -1 {
-		t.Errorf("checkpoint age %.2f with no checkpoint, want -1", met.CheckpointAgeS)
+	if age := met.Value("serve_checkpoint_age_seconds", ""); age != -1 {
+		t.Errorf("checkpoint age %.2f with no checkpoint, want -1", age)
 	}
 }
 

@@ -8,7 +8,15 @@ import (
 	"testing"
 
 	"rlpm/internal/core"
+	"rlpm/internal/wire"
 )
+
+// stats is the session's ledger, read under its lock.
+func (s *Session) stats() wire.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statsLocked()
+}
 
 // sessionDietFrame is one sequenced 4-period decide frame for the default
 // chip's shape (LITTLE 8 OPPs, big 9), the frame a bin-k4 device sends.

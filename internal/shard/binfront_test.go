@@ -114,7 +114,7 @@ func TestRouterWindowAllocFree(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		round = round[:0]
 		for i := 0; i < n; i++ {
-			round = appendDecide(round, uint32(i), handles[i], router.Epoch(), 0, obs)
+			round = appendDecide(round, uint32(i), handles[i], router.cfg.Epoch, 0, obs)
 		}
 		send := func() {
 			rc.write(round)
@@ -168,7 +168,7 @@ func TestRouterWindowSemantics(t *testing.T) {
 	}
 
 	var frames []byte
-	ep := router.Epoch()
+	ep := router.cfg.Epoch
 	frames = appendDecide(frames, 1, infoA.Handle, ep, 1, obs1)
 	frames = appendDecide(frames, 2, infoB.Handle, ep, 1, obs1)
 	frames = appendDecide(frames, 3, 999, ep, 1, obs1)
@@ -522,8 +522,9 @@ func TestRouterReplacesOpenWhenRingMoves(t *testing.T) {
 	if _, err := c.Call(context.Background(), bc, decide); err != nil {
 		t.Fatalf("decide on the re-placed session: %v", err)
 	}
-	if got := fleet.Server(live.Name).MetricsSnapshot().SessionsCreated; got != 1 {
-		t.Fatalf("the new owner created %d sessions, want 1", got)
+	met := fleet.Server(live.Name).Registry().Snapshot()
+	if got := met.Value("serve_sessions_created_total", ""); got != 1 {
+		t.Fatalf("the new owner created %v sessions, want 1", got)
 	}
 	if got := router.sessionsCreated.Load(); got != 1 {
 		t.Fatalf("router_sessions_created_total %d, want 1", got)
@@ -617,7 +618,7 @@ func TestRouterRedialDoesNotStallWindow(t *testing.T) {
 	}
 	unreachable(t, specB.BinAddr)
 
-	obs, ep := testObs(model), router.Epoch()
+	obs, ep := testObs(model), router.cfg.Epoch
 	var frames []byte
 	frames = appendDecide(frames, 1, handles[specA.Name], ep, 1, obs)
 	frames = appendDecide(frames, 2, handles[specB.Name], ep, 1, obs)

@@ -1,19 +1,16 @@
 // HTTP front: the router's JSON API. Devices get the session routes a
 // shard serves (serve.JSONFront over a routerConn), /metrics and /healthz,
 // plus the fleet views only a router can offer: GET /v1/ring (membership +
-// placement contract) and a /metrics exposition that merges every shard's
-// scraped registry snapshot into one fleet-wide view with per-shard rollup
-// series alongside the router's own counters.
+// placement contract) and a /metrics exposition of one fleet snapshot: the
+// router's own series, a per-shard rollup, and every shard's scraped
+// registry merged into one fleet-wide view.
 package shard
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"rlpm/internal/obs"
@@ -27,33 +24,6 @@ type RingResponse struct {
 	VNodes int         `json:"vnodes"`
 	Epoch  uint32      `json:"epoch"`
 	Shards []ShardSpec `json:"shards"`
-}
-
-// ShardStatus is one shard's slice of the fleet rollup.
-type ShardStatus struct {
-	Name      string `json:"name"`
-	Up        bool   `json:"up"`
-	Sessions  int    `json:"sessions"`
-	Decisions uint64 `json:"decisions"`
-}
-
-// RouterMetrics is the JSON /metrics body. Decisions aggregates the
-// fleet's decide-period counters from the live scrape, so the load
-// generator's JSON scrape reads fleet truth, not just router-local
-// forwarding counts.
-type RouterMetrics struct {
-	UptimeS         float64       `json:"uptime_s"`
-	Shards          int           `json:"shards"`
-	Sessions        int           `json:"sessions"`
-	SessionsCreated uint64        `json:"sessions_created"`
-	Resumes         uint64        `json:"resumes"`
-	Moved           uint64        `json:"moved"`
-	Decisions       uint64        `json:"decisions"`
-	DecideFrames    uint64        `json:"decide_frames"`
-	DecideWindows   uint64        `json:"decide_windows"`
-	Rewards         uint64        `json:"rewards"`
-	ForwardErrors   uint64        `json:"forward_errors"`
-	PerShard        []ShardStatus `json:"per_shard"`
 }
 
 // Handler returns the router's HTTP API.
@@ -166,100 +136,45 @@ func (r *Router) scrapeFleet(ctx context.Context) []shardScrape {
 	return out
 }
 
-// fleetSeriesValue sums a counter/gauge series (across all label sets)
-// from a snapshot.
-func fleetSeriesValue(snap *obs.RegistrySnapshot, name string) float64 {
-	total := 0.0
-	for i := range snap.Series {
-		if snap.Series[i].Name == name && snap.Series[i].Hist == nil {
-			total += snap.Series[i].Value
+// fleetSnapshot scrapes the fleet live and builds the router's one
+// metrics snapshot: its own registry, the per-shard rollup
+// (router_shard_up, router_shard_sessions, router_shard_decisions_total,
+// one series each per shard), and every answering shard's registry merged
+// — counters summed and histograms bucket-merged, one series set for
+// dashboards that want the fleet as if it were one process.
+func (r *Router) fleetSnapshot(ctx context.Context) obs.RegistrySnapshot {
+	scrapes := r.scrapeFleet(ctx)
+	rollup := obs.NewRegistry()
+	for i := range scrapes {
+		sc := &scrapes[i]
+		shard := obs.Label{Key: "shard", Value: sc.spec.Name}
+		up := rollup.NewGauge("router_shard_up", "whether the shard answered the last scrape", shard)
+		sessions := rollup.NewGauge("router_shard_sessions", "live sessions per shard at the last scrape", shard)
+		decisions := rollup.NewCounter("router_shard_decisions_total", "decide periods served per shard at the last scrape", shard)
+		if sc.err != nil {
+			r.scrapeErrors.Add(1)
+			continue
+		}
+		up.Set(1)
+		sessions.Set(sc.snap.Value("serve_sessions", ""))
+		decisions.Add(uint64(sc.snap.Value("serve_decisions_total", "")))
+	}
+	fleet := rollup.Snapshot()
+	for i := range scrapes {
+		if scrapes[i].err == nil && fleet.Merge(&scrapes[i].snap) != nil {
+			r.scrapeErrors.Add(1)
 		}
 	}
-	return total
+	snap := r.reg.Snapshot() // after the scrape errors are counted
+	_ = snap.Merge(&fleet)   // disjoint names: shards register no router_ series
+	return snap
 }
 
-// handleMetrics content-negotiates like a shard: JSON rollup for
-// application/json, Prometheus text otherwise. Both views scrape the
-// fleet live: the text exposition is the router's own registry, a
-// per-shard rollup (router_shard_up, router_shard_sessions,
-// router_shard_decisions_total), and then the merged fleet registry —
-// every shard's counters summed and histograms bucket-merged, one series
-// set for dashboards that want the fleet as if it were one process.
+// handleMetrics renders the fleet snapshot, scraped within 2 s.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithTimeout(req.Context(), 2*time.Second)
 	defer cancel()
-	scrapes := r.scrapeFleet(ctx)
-
-	merged := &obs.RegistrySnapshot{}
-	statuses := make([]ShardStatus, 0, len(scrapes))
-	var fleetDecisions uint64
-	for i := range scrapes {
-		sc := &scrapes[i]
-		st := ShardStatus{Name: sc.spec.Name}
-		if sc.err != nil {
-			r.scrapeErrors.Add(1)
-			statuses = append(statuses, st)
-			continue
-		}
-		st.Up = true
-		st.Sessions = int(fleetSeriesValue(&sc.snap, "serve_sessions"))
-		st.Decisions = uint64(fleetSeriesValue(&sc.snap, "serve_decisions_total"))
-		fleetDecisions += st.Decisions
-		statuses = append(statuses, st)
-		if err := merged.Merge(&sc.snap); err != nil {
-			r.scrapeErrors.Add(1)
-		}
-	}
-
-	if strings.Contains(req.Header.Get("Accept"), "application/json") {
-		up := time.Since(r.start).Seconds()
-		if up < 0 {
-			up = 0
-		}
-		r.mu.Lock()
-		nShards, nSessions := len(r.shards), len(r.sessions)
-		r.mu.Unlock()
-		serve.WriteJSON(w, http.StatusOK, RouterMetrics{
-			UptimeS:         up,
-			Shards:          nShards,
-			Sessions:        nSessions,
-			SessionsCreated: r.sessionsCreated.Load(),
-			Resumes:         r.resumesFwd.Load(),
-			Moved:           r.movedSessions.Load(),
-			Decisions:       fleetDecisions,
-			DecideFrames:    r.decideFrames.Load(),
-			DecideWindows:   r.bin.Windows(),
-			Rewards:         r.rewardsFwd.Load(),
-			ForwardErrors:   r.forwardErrors.Load(),
-			PerShard:        statuses,
-		})
-		return
-	}
-
+	snap := r.fleetSnapshot(ctx)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = r.reg.WritePrometheus(w)
-	writeShardRollup(w, statuses)
-	_ = merged.WritePrometheus(w)
-}
-
-// writeShardRollup emits the per-shard gauge/counter series the shard
-// smoke test asserts on: one line per shard, labeled by name.
-func writeShardRollup(w io.Writer, statuses []ShardStatus) {
-	sort.Slice(statuses, func(i, j int) bool { return statuses[i].Name < statuses[j].Name })
-	fmt.Fprintf(w, "# HELP router_shard_up whether the shard answered the last scrape\n# TYPE router_shard_up gauge\n")
-	for _, st := range statuses {
-		up := 0
-		if st.Up {
-			up = 1
-		}
-		fmt.Fprintf(w, "router_shard_up{shard=%q} %d\n", st.Name, up)
-	}
-	fmt.Fprintf(w, "# HELP router_shard_sessions live sessions per shard at the last scrape\n# TYPE router_shard_sessions gauge\n")
-	for _, st := range statuses {
-		fmt.Fprintf(w, "router_shard_sessions{shard=%q} %d\n", st.Name, st.Sessions)
-	}
-	fmt.Fprintf(w, "# HELP router_shard_decisions_total decide periods served per shard at the last scrape\n# TYPE router_shard_decisions_total counter\n")
-	for _, st := range statuses {
-		fmt.Fprintf(w, "router_shard_decisions_total{shard=%q} %d\n", st.Name, st.Decisions)
-	}
+	_ = snap.WritePrometheus(w)
 }

@@ -128,15 +128,6 @@ func (r *Ring) Members() []string {
 	return append([]string(nil), r.names...)
 }
 
-// Size returns the member count.
-func (r *Ring) Size() int { return len(r.names) }
-
-// Contains reports whether name is a member.
-func (r *Ring) Contains(name string) bool {
-	i := sort.SearchStrings(r.names, name)
-	return i < len(r.names) && r.names[i] == name
-}
-
 // OwnerIndex maps a key to its owning member's index in Members() order.
 // ok is false on an empty ring.
 func (r *Ring) OwnerIndex(key uint64) (int, bool) {

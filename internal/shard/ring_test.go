@@ -190,7 +190,7 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 	if _, ok := r.Owner(5); ok {
 		t.Fatal("emptied ring claimed an owner")
 	}
-	if r.Contains("a") {
-		t.Fatal("removed member still reported present")
+	if len(r.Members()) != 0 {
+		t.Fatalf("removed member still reported present: %v", r.Members())
 	}
 }

@@ -166,12 +166,6 @@ func NewRouter(cfg RouterConfig, shards []ShardSpec) (*Router, error) {
 	return r, nil
 }
 
-// Registry exposes the router's own metrics registry.
-func (r *Router) Registry() *obs.Registry { return r.reg }
-
-// Epoch returns the router incarnation devices see.
-func (r *Router) Epoch() uint32 { return r.cfg.Epoch }
-
 // ServeBin accepts binary-protocol device connections on ln until the
 // listener fails or the router closes. It blocks; run it in a goroutine.
 func (r *Router) ServeBin(ln net.Listener) error { return r.bin.Serve(ln, r.openConn) }
@@ -213,6 +207,7 @@ func (r *Router) shardLoads() map[string]int {
 type movedRef struct {
 	sc     *shardConn
 	handle uint64
+	epoch  uint32
 }
 
 // markMovedLocked invalidates every session whose ring owner is no longer
@@ -232,7 +227,7 @@ func (r *Router) markMovedLocked() []movedRef {
 		owner, ok := r.ring.Owner(s.key)
 		if s.shard == nil || !ok || owner != cur {
 			if s.shard != nil && s.shardHandle != 0 {
-				moved = append(moved, movedRef{sc: s.shard, handle: s.shardHandle})
+				moved = append(moved, movedRef{sc: s.shard, handle: s.shardHandle, epoch: s.shardEpoch})
 			}
 			s.moved = true
 			s.shard = nil
@@ -255,15 +250,16 @@ func (r *Router) closeMovedAsync(moved []movedRef) {
 		defer cancel()
 		var c serve.BinCaller
 		for _, m := range moved {
-			closeOnShard(ctx, &c, m.sc, m.handle)
+			closeOnShard(ctx, &c, m)
 		}
 	}()
 }
 
-// closeOnShard closes a shard-side session best-effort through c: failure
-// is fine (a dead shard's TTL reaper is the backstop).
-func closeOnShard(ctx context.Context, c *serve.BinCaller, sc *shardConn, handle uint64) {
-	_, _ = c.Call(ctx, sc.bc, &serve.FrontReq{Type: wire.TClose, Handle: handle})
+// closeOnShard closes the shard-side session m names best-effort through
+// c, under the shard epoch that minted its handle: failure is fine (a dead
+// shard's TTL reaper is the backstop).
+func closeOnShard(ctx context.Context, c *serve.BinCaller, m movedRef) {
+	_, _ = c.Call(ctx, m.sc.bc, &serve.FrontReq{Type: wire.TClose, Handle: m.handle, Epoch: m.epoch})
 }
 
 // AddShard joins a shard to the ring. Sessions whose keyspace moves to the
@@ -313,7 +309,7 @@ func (r *Router) RemoveShard(name string) error {
 	var c serve.BinCaller
 	for _, m := range moved {
 		if m.sc == sc {
-			closeOnShard(ctx, &c, m.sc, m.handle)
+			closeOnShard(ctx, &c, m)
 		}
 	}
 	cancel()
@@ -481,7 +477,9 @@ func (r *Router) reserve(key uint64) (*routerSession, *shardConn, error) {
 //     handle and epoch. The device's seq is forwarded verbatim, so the
 //     shard's dedup cursors see the stream the device's mirror numbers.
 //   - A close retires the routed session here, so a later frame for its
-//     handle in the same window answers as it would after the close.
+//     handle in the same window answers as it would after the close. It is
+//     checked against the router epoch and forwarded under the shard's, as
+//     a decide is.
 //
 // Frames of one session go out in frame order on the one shard connection
 // that holds it, and the shard serves each frame fully before it reads the
@@ -503,11 +501,11 @@ func (rc *routerConn) Start(i int, req *serve.FrontReq) error {
 		sl.req.Resume.LastLevels, sl.req.Resume.PrevDemand = sl.lastLevels, sl.prevDemand
 		return rc.startOpen(sl, req.Resume.Options.Seed)
 	case wire.TClose:
-		sc, sh, err := rc.r.retire(req.Handle)
+		sc, sh, se, err := rc.r.retire(req.Handle, req.Epoch)
 		if err != nil {
 			return err
 		}
-		sl.req.Handle = sh
+		sl.req.Handle, sl.req.Epoch = sh, se
 		rc.forward(sl, sc)
 		return nil
 	default: // TDecide, TReward
@@ -546,26 +544,27 @@ func (rc *routerConn) forward(sl *routerSlot, sc *shardConn) {
 	}
 }
 
-// retire marks the routed session with a device-visible handle closed and
-// drops it, returning the shard-side identity to forward the close to.
-func (r *Router) retire(handle uint64) (*shardConn, uint64, error) {
-	s, err := r.lookupHandle(handle, 0)
+// retire marks the routed session a device-visible handle and router epoch
+// name closed and drops it, returning the shard-side identity to forward
+// the close to.
+func (r *Router) retire(handle uint64, epoch uint32) (*shardConn, uint64, uint32, error) {
+	s, err := r.lookupHandle(handle, epoch)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, 0, serve.ErrSessionClosed
+		return nil, 0, 0, serve.ErrSessionClosed
 	}
 	s.closed = true
-	sc, sh, moved := s.shard, s.shardHandle, s.moved || s.shard == nil
+	sc, sh, se, moved := s.shard, s.shardHandle, s.shardEpoch, s.moved || s.shard == nil
 	s.mu.Unlock()
 	r.dropSession(s)
 	if moved {
-		return nil, 0, errMoved()
+		return nil, 0, 0, errMoved()
 	}
-	return sc, sh, nil
+	return sc, sh, se, nil
 }
 
 // Flush writes out the started forwards, each shard client once.
@@ -625,7 +624,7 @@ func (rc *routerConn) finishOpen(ctx context.Context, sl *routerSlot, ans serve.
 		}
 		s.mu.Unlock()
 		cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		closeOnShard(cctx, &sl.call, sl.sc, ans.Info.Handle)
+		closeOnShard(cctx, &sl.call, movedRef{sc: sl.sc, handle: ans.Info.Handle, epoch: ans.Info.Epoch})
 		cancel()
 		if attempt == maxPlaceAttempts {
 			return serve.FrontAns{}, fmt.Errorf("%w: placement unstable (ring churn)", serve.ErrServerClosed)

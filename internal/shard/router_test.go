@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -312,7 +313,8 @@ func TestRouterHTTPFrontLifecycle(t *testing.T) {
 
 // TestRouterScrapeMerge: the router's /metrics merges every shard's
 // scraped registry and emits per-shard rollup series with nonzero decide
-// counts on every shard that carried traffic.
+// counts on every shard that carried traffic; the fleet snapshot it
+// renders agrees.
 func TestRouterScrapeMerge(t *testing.T) {
 	model := testModel(t, 6, 4)
 	_, router, addr := testFleetRouter(t, model, 2, 7)
@@ -377,20 +379,91 @@ func TestRouterScrapeMerge(t *testing.T) {
 		t.Errorf("router's own gauge missing from exposition")
 	}
 
-	// JSON rollup agrees.
-	fm, err := scrapeRouterMetrics(ctx, front.URL)
+	// The fleet snapshot agrees.
+	snap := router.fleetSnapshot(ctx)
+	if got := snap.Value("serve_decisions_total", ""); got != float64(fleetTotal) {
+		t.Fatalf("fleet snapshot serve_decisions_total %v, want %d", got, fleetTotal)
+	}
+	for name, want := range perShard {
+		shard := fmt.Sprintf("shard=%q", name)
+		if up, got := snap.Value("router_shard_up", shard), snap.Value("router_shard_decisions_total", shard); up != 1 || got != float64(want) {
+			t.Fatalf("shard %s: up %v with %v decisions, want up with %d", name, up, got, want)
+		}
+	}
+}
+
+// TestRouterExpositionOneBlock pins the router's /metrics as one sorted
+// exposition: with both shards up, all three rollup series appear for
+// each shard, and every family's HELP and TYPE lines appear once, ahead
+// of its series.
+func TestRouterExpositionOneBlock(t *testing.T) {
+	model := testModel(t, 6, 4)
+	_, router, addr := testFleetRouter(t, model, 2, 7)
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
+	bc := serve.NewBinClient(addr)
+	defer bc.Close()
+	ctx := context.Background()
+	for d := 0; d < 4; d++ {
+		sess, err := bc.OpenSession(ctx, serve.SessionOptions{Seed: serve.DeviceSeed(2, d)})
+		if err != nil {
+			t.Fatalf("open %d: %v", d, err)
+		}
+		if _, err := sess.Decide(ctx, testObs(model)); err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+	}
+
+	resp, err := http.Get(front.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("json metrics: %v", err)
+		t.Fatalf("metrics: %v", err)
 	}
-	if fm.Decisions != fleetTotal {
-		t.Fatalf("json rollup decisions %d, want %d", fm.Decisions, fleetTotal)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading metrics: %v", err)
 	}
-	if len(fm.PerShard) != 2 {
-		t.Fatalf("json rollup has %d shards, want 2", len(fm.PerShard))
+	text := string(raw)
+	for _, sp := range router.Shards() {
+		for _, family := range []string{"router_shard_up", "router_shard_sessions", "router_shard_decisions_total"} {
+			if prefix := fmt.Sprintf("\n%s{shard=%q} ", family, sp.Name); !strings.Contains(text, prefix) {
+				t.Errorf("exposition has no %s series for shard %s", family, sp.Name)
+			}
+		}
+		if line := fmt.Sprintf("\nrouter_shard_up{shard=%q} 1\n", sp.Name); !strings.Contains(text, line) {
+			t.Errorf("shard %s is not up in the exposition", sp.Name)
+		}
 	}
-	for _, st := range fm.PerShard {
-		if !st.Up || st.Decisions != perShard[st.Name] {
-			t.Fatalf("per-shard status %+v, want up with %d decisions", st, perShard[st.Name])
+
+	// One HELP and one TYPE per family, in sorted family order, and every
+	// series after its own family's TYPE line.
+	typed := map[string]bool{}
+	var families []string
+	family := ""
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 3 && f[0] == "#" && f[1] == "TYPE":
+			if typed[f[2]] {
+				t.Fatalf("family %s typed twice", f[2])
+			}
+			typed[f[2]] = true
+			families = append(families, f[2])
+			family = f[2]
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+			if typed[f[2]] {
+				t.Fatalf("family %s has a HELP line after its TYPE", f[2])
+			}
+		case !strings.HasPrefix(line, family):
+			t.Fatalf("series %q outside its family's block (last TYPE %s)", line, family)
+		}
+	}
+	if !slices.IsSorted(families) {
+		t.Fatalf("families not in one sorted block: %v", families)
+	}
+	for _, want := range []string{"router_shard_up", "router_sessions", "serve_decisions_total"} {
+		if !typed[want] {
+			t.Errorf("exposition has no %s family", want)
 		}
 	}
 }
@@ -440,11 +513,103 @@ func TestRouterRejectsUnknownAndForeignEpochs(t *testing.T) {
 	model := testModel(t, 6, 4)
 	_, router, _ := testFleetRouter(t, model, 1, 1)
 	c := router.openConn()
-	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 999, Epoch: router.Epoch(), Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
+	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 999, Epoch: router.cfg.Epoch, Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("unknown handle: %v", err)
 	}
-	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 1, Epoch: router.Epoch() + 1, Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
+	if err := c.Start(0, &serve.FrontReq{Type: wire.TDecide, Handle: 1, Epoch: router.cfg.Epoch + 1, Seq: 1, Obs: testObs(model)}); !errors.Is(err, serve.ErrUnknownSession) {
 		t.Fatalf("foreign epoch: %v", err)
+	}
+}
+
+// TestRouterCloseNamesItsEpoch is the router's half of the close epoch:
+// router handles restart at 1 in every router incarnation too, so after a
+// router restart device X's close must not retire device Y's routed
+// session under the same handle. The router refuses the stale epoch, X
+// resumes through it and closes its own session, and Y's stays live. On
+// both wires.
+func TestRouterCloseNamesItsEpoch(t *testing.T) {
+	model := testModel(t, 6, 4)
+	fleet, err := NewFleet(model, 2, serve.Config{})
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	t.Cleanup(fleet.Close)
+	obs := testObs(model)
+	for _, proto := range []string{"json", "bin"} {
+		t.Run(proto, func(t *testing.T) {
+			ctx := context.Background()
+			// route serves a router incarnation of the given epoch on addr,
+			// retrying the listen while a predecessor's socket releases.
+			route := func(epoch uint32, addr string) (*Router, *serve.Front, string) {
+				t.Helper()
+				r, err := NewRouter(RouterConfig{Epoch: epoch, RingSeed: 7}, fleet.Specs())
+				if err != nil {
+					t.Fatalf("router: %v", err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				ln, err := net.Listen("tcp", addr)
+				for err != nil && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+					ln, err = net.Listen("tcp", addr)
+				}
+				if err != nil {
+					r.Close()
+					t.Fatalf("listen %s: %v", addr, err)
+				}
+				front, err := serve.ServeFront(r, proto, ln)
+				if err != nil {
+					r.Close()
+					t.Fatalf("front: %v", err)
+				}
+				return r, front, ln.Addr().String()
+			}
+			r1, f1, addr := route(1, "127.0.0.1:0")
+			client, err := serve.NewFleetClient(proto, addr)
+			if err != nil {
+				t.Fatalf("client: %v", err)
+			}
+			defer client.Close()
+			x, err := client.Open(ctx, serve.SessionOptions{Seed: 1})
+			if err != nil {
+				t.Fatalf("open X: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := x.Decide(ctx, obs); err != nil {
+					t.Fatalf("X decide: %v", err)
+				}
+			}
+			f1.Close()
+			r1.Close()
+			r2, f2, _ := route(2, addr)
+			defer r2.Close()
+			defer f2.Close()
+			y, err := client.Open(ctx, serve.SessionOptions{Seed: 2})
+			if err != nil {
+				t.Fatalf("open Y: %v", err)
+			}
+			if y.Handle != x.Handle || y.Epoch == x.Epoch {
+				t.Fatalf("Y holds handle %d in epoch %d, X handle %d in epoch %d: want one handle, two epochs", y.Handle, y.Epoch, x.Handle, x.Epoch)
+			}
+
+			st, err := x.Close(ctx)
+			if err != nil {
+				t.Fatalf("X close: %v", err)
+			}
+			if st.Decisions != 3 {
+				t.Errorf("X's close answered a ledger of %d decisions, want X's own 3", st.Decisions)
+			}
+			met := r2.reg.Snapshot()
+			if live := met.Value("router_sessions", ""); live != 1 {
+				t.Errorf("%v routed sessions after X's close, want Y's alone", live)
+			}
+			if _, err := y.Decide(ctx, obs); err != nil {
+				t.Fatalf("Y decide after X's close: %v", err)
+			}
+			met = r2.reg.Snapshot()
+			if n := met.Value("router_resumes_total", ""); n != 1 {
+				t.Fatalf("%v resumes through the router, want X's one: Y's session must not have been lost", n)
+			}
+		})
 	}
 }
 
@@ -652,28 +817,4 @@ func TestErrorTableAcrossFronts(t *testing.T) {
 			})
 		}
 	}
-}
-
-// scrapeRouterMetrics GETs the router's JSON /metrics rollup.
-func scrapeRouterMetrics(ctx context.Context, baseURL string) (*RouterMetrics, error) {
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard: router metrics status %d", resp.StatusCode)
-	}
-	var m RouterMetrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }

@@ -40,7 +40,7 @@
 //	decideOK  count u16 | level u16 × count
 //	reward    handle u64 | reward f64 [| epoch u32 | seq u64]
 //	rewardOK  decisions u64 | rewards u64 | mean_reward f64 | epsilon f64
-//	close     handle u64
+//	close     handle u64 | epoch u32
 //	closeOK   same as rewardOK
 //	resume    create without its cohort | eps_now f64 | seq u64 |
 //	          decisions u64 | rewards u64 | reward_sum f64 | rng u64 × 4 |
@@ -54,10 +54,10 @@
 // without the epoch/seq tail as Epoch 0, Seq 0, so old clients keep
 // working.
 //
-// The decide epoch identifies the server incarnation that issued the
-// session handle: after a restart every live handle is stale, and the
-// epoch mismatch surfaces as CodeUnknownSession instead of silently
-// hitting a recycled handle. The decide seq is the session's decision
+// The decide, reward and close epoch identifies the server incarnation
+// that issued the session handle: after a restart every live handle is
+// stale, and the epoch mismatch surfaces as CodeUnknownSession instead of
+// silently hitting a recycled handle. The decide seq is the session's decision
 // sequence number; a retry after a lost response carries the same seq and
 // the server answers from its replay cache instead of computing a second,
 // divergent decision. The resume frame re-creates a session from the
@@ -571,16 +571,21 @@ func ParseRewardReq(p []byte, r *RewardReq) error {
 	return nil
 }
 
-// CloseReq closes a session.
+// CloseReq closes a session. Epoch names the server incarnation the
+// handle came from, as a decide's does: handles restart at 1 in every
+// incarnation, so a close without it could close another device's
+// session. Epoch 0 is the unchecked path.
 type CloseReq struct {
 	Handle uint64
+	Epoch  uint32
 }
 
-const closeReqSize = 8
+const closeReqSize = 8 + 4
 
 // AppendCloseReq appends the payload encoding to dst.
 func AppendCloseReq(dst []byte, r CloseReq) []byte {
-	return binary.LittleEndian.AppendUint64(dst, r.Handle)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Handle)
+	return binary.LittleEndian.AppendUint32(dst, r.Epoch)
 }
 
 // ParseCloseReq decodes p into r.
@@ -589,6 +594,7 @@ func ParseCloseReq(p []byte, r *CloseReq) error {
 		return err
 	}
 	r.Handle = binary.LittleEndian.Uint64(p[0:])
+	r.Epoch = binary.LittleEndian.Uint32(p[8:])
 	return nil
 }
 

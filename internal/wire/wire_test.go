@@ -181,6 +181,16 @@ func TestPayloadRoundTrips(t *testing.T) {
 			t.Fatalf("reward round trip %+v != %+v", rreq2, rreq)
 		}
 
+		clreq := CloseReq{Handle: r.Uint64(), Epoch: uint32(r.Uint64())}
+		buf = AppendCloseReq(buf[:0], clreq)
+		var clreq2 CloseReq
+		if err := ParseCloseReq(buf, &clreq2); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if clreq2 != clreq {
+			t.Fatalf("close round trip %+v != %+v", clreq2, clreq)
+		}
+
 		st := Stats{Decisions: r.Uint64(), Rewards: r.Uint64(), MeanReward: r.Float64(), Epsilon: r.Float64()}
 		buf = AppendStats(buf[:0], st)
 		var st2 Stats
@@ -311,6 +321,11 @@ func TestParseTypedErrors(t *testing.T) {
 	binary.LittleEndian.PutUint16(p[resumeReqBase-2:], 3)
 	if err := ParseResumeReq(p, &rres); !errors.Is(err, ErrTruncated) {
 		t.Errorf("undersupplied resume: %v", err)
+	}
+	// A close names its epoch: the handle-only layout is refused.
+	var clr CloseReq
+	if err := ParseCloseReq(make([]byte, 8), &clr); !errors.Is(err, ErrTruncated) {
+		t.Errorf("epoch-less close: %v", err)
 	}
 	var dok DecideOK
 	if err := ParseDecideOK([]byte{5}, &dok); !errors.Is(err, ErrTruncated) {

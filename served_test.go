@@ -143,7 +143,7 @@ func TestServedMatchesSim(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"s0", "s1"} {
-		if m := fleet.Server(name).MetricsSnapshot(); m.Decisions == 0 {
+		if m := fleet.Server(name).Registry().Snapshot(); m.Value("serve_decisions_total", "") == 0 {
 			t.Errorf("router placed no device on shard %s", name)
 		}
 	}
