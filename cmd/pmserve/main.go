@@ -252,7 +252,7 @@ func buildServer(p serverParams, stderr io.Writer) (*serve.Server, error) {
 	}
 	switch {
 	case !loadedCheckpoint && p.checkpoint != "":
-		n, err := serve.SaveCheckpoint(p.checkpoint, srv.Model().Snapshot())
+		n, err := serve.SaveModel(p.checkpoint, srv.Model())
 		if err != nil {
 			srv.Close()
 			return nil, err

@@ -1,7 +1,7 @@
 // Command pmtrain trains the RL power-management policy on a scenario and
 // saves the learned Q-tables to disk; it can also evaluate a saved policy,
 // on the training scenario or any other. A saved policy is a checkpoint
-// (core.EncodeCheckpoint), the file pmserve -checkpoint serves.
+// (core.WriteCheckpoint), the file pmserve -checkpoint serves.
 //
 // Training progress is tracked through an obs registry — per-episode
 // reward (negated energy/QoS), mean exploration rate, and mean TD-error
@@ -11,7 +11,7 @@
 // -load is a usage error rather than an exposition of unset gauges.
 //
 // Both paths evaluate the policy as it is saved: a fresh frozen policy
-// built from the trained snapshot, so -load of a file pmtrain wrote prints
+// built from the trained tables, so -load of a file pmtrain wrote prints
 // the evaluation line its training run printed.
 //
 // Usage:
@@ -129,16 +129,9 @@ func (o options) train(w io.Writer) error {
 	cfg := sim.Config{PeriodS: o.period, DurationS: o.duration, Seed: o.seed}
 	gauges := newTrainGauges()
 
-	var snap core.Snapshot
+	var tables *core.FlatTables
 	if o.load != "" {
-		raw, err := os.ReadFile(o.load)
-		if err != nil {
-			return err
-		}
-		if snap, err = core.DecodeCheckpointBytes(raw); err == nil {
-			err = fitsChip(snap, chip)
-		}
-		if err != nil {
+		if tables, err = loadPolicy(o.load, chip); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "loaded policy from %s\n", o.load)
@@ -171,12 +164,12 @@ func (o options) train(w io.Writer) error {
 			gauges.observe(ep+1, r, policy)
 		}
 		fmt.Fprintf(w, "energy/QoS: episode 1 = %.4f, episode %d = %.4f\n", first, o.episodes, last)
-		if snap, err = policy.Snapshot(); err != nil {
+		if tables, err = policy.Tables(); err != nil {
 			return err
 		}
 	}
 
-	frozen, err := core.PolicyFromSnapshot(core.DefaultConfig(), snap)
+	frozen, err := core.PolicyFromTables(core.DefaultConfig(), tables)
 	if err != nil {
 		return err
 	}
@@ -195,7 +188,8 @@ func (o options) train(w io.Writer) error {
 		fmt.Fprintf(w, "wrote metrics to %s\n", o.metrics)
 	}
 	if o.out != "" {
-		if err := writeFile(o.out, snap.EncodeCheckpoint); err != nil {
+		save := func(w io.Writer) error { return core.WriteCheckpoint(w, core.DefaultConfig().State, tables) }
+		if err := writeFile(o.out, save); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "saved policy to %s\n", o.out)
@@ -203,18 +197,36 @@ func (o options) train(w io.Writer) error {
 	return nil
 }
 
-// fitsChip checks that snap holds one table per cluster of chip, each with
-// one action per OPP, so a policy built from it can drive chip.
-func fitsChip(snap core.Snapshot, chip *soc.Chip) error {
-	if len(snap.Tables) != chip.NumClusters() {
-		return fmt.Errorf("policy has %d tables for %d clusters", len(snap.Tables), chip.NumClusters())
+// loadPolicy reads the checkpoint at path and checks that it holds one
+// table per cluster of chip, each with one action per OPP, encoded under
+// the default state configuration, so a policy built from it can drive
+// chip.
+func loadPolicy(path string, chip *soc.Chip) (*core.FlatTables, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	for i, t := range snap.Tables {
-		if n := chip.Cluster(i).NumLevels(); len(t) == 0 || len(t[0]) != n {
-			return fmt.Errorf("policy table %d does not have %d actions", i, n)
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	st, tables, err := core.ReadCheckpoint(f, info.Size())
+	if err != nil {
+		return nil, err
+	}
+	if want := core.DefaultConfig().State; st != want {
+		return nil, fmt.Errorf("policy state config %+v != %+v", st, want)
+	}
+	if tables.Clusters() != chip.NumClusters() {
+		return nil, fmt.Errorf("policy has %d tables for %d clusters", tables.Clusters(), chip.NumClusters())
+	}
+	for i := 0; i < chip.NumClusters(); i++ {
+		if n := chip.Cluster(i).NumLevels(); tables.Actions(i) != n {
+			return nil, fmt.Errorf("policy table %d does not have %d actions", i, n)
 		}
 	}
-	return nil
+	return tables, nil
 }
 
 // writeFile creates path and writes it with write, reporting a failed

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -33,7 +35,10 @@ func TestExitCodes(t *testing.T) {
 	for s := range table {
 		table[s] = make([]float64, 8)
 	}
-	if err := writeFile(narrow, core.Snapshot{State: cfg.State, Tables: [][][]float64{table}}.EncodeCheckpoint); err != nil {
+	save := func(w io.Writer) error {
+		return core.WriteCheckpoint(w, cfg.State, core.NewFlatTables([][][]float64{table}))
+	}
+	if err := writeFile(narrow, save); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -101,10 +106,11 @@ func TestLoadEvaluatesWhatTrainingReported(t *testing.T) {
 
 // TestSavedPolicyServes pins the one policy file format: the policy
 // pmtrain -o saves is a checkpoint that serve.LoadModel, pmserve
-// -checkpoint's loader, accepts, and the model it builds holds the
-// tables pmtrain -load evaluates.
+// -checkpoint's loader, accepts, and serve.SaveModel writes the model it
+// builds back byte for byte. The bytes themselves are pinned too.
 func TestSavedPolicyServes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.policy")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.policy")
 	if code, _, stderr := runPmtrain("-episodes", "1", "-duration", "2", "-o", path); code != 0 {
 		t.Fatalf("train exited %d: %s", code, stderr)
 	}
@@ -112,15 +118,23 @@ func TestSavedPolicyServes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve.LoadModel on pmtrain -o output: %v", err)
 	}
+	resaved := filepath.Join(dir, "resaved.policy")
+	if _, err := serve.SaveModel(resaved, m); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := core.DecodeCheckpointBytes(raw)
+	again, err := os.ReadFile(resaved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.Snapshot(), saved) {
-		t.Fatal("the served model's tables differ from the saved policy's")
+	if !bytes.Equal(raw, again) {
+		t.Fatal("serve.SaveModel of the loaded policy differs from what pmtrain -o wrote")
+	}
+	const want = "deec68ca3c402f688f453f689bf91eb522e71eb64899eb26fa70906ac40d3b80"
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("pmtrain -o wrote SHA-256 %x, want %s", sum, want)
 	}
 }

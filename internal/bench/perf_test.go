@@ -7,10 +7,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"rlpm/internal/core"
 	"rlpm/internal/rng"
+	"rlpm/internal/serve"
 	"rlpm/internal/sim"
 	"rlpm/internal/soc"
 )
@@ -247,6 +249,52 @@ func TestFlatLookupBenchAllocFree(t *testing.T) {
 		ft.LookupManyInto(keys, out, memo)
 	}); n != 0 {
 		t.Fatalf("flat lookup batch allocates %v times per run, want 0", n)
+	}
+}
+
+// servedCheckpoint saves the model a default quick pmserve serves (gaming,
+// seed 1) in a temp directory and returns the model and the checkpoint's
+// path.
+func servedCheckpoint(b *testing.B) (*serve.Model, string) {
+	opt := DefaultOptions()
+	opt.Quick = true
+	model, _, err := TrainedServeModel(ServeOptions{Options: opt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "served.ckpt")
+	if _, err := serve.SaveModel(path, model); err != nil {
+		b.Fatal(err)
+	}
+	return model, path
+}
+
+// BenchmarkLoadModel measures pmserve -checkpoint's load: one served
+// checkpoint decoded from its file into a serving model. Its B/op is the
+// arena the model keeps plus the decoder's buffer and the file handle.
+func BenchmarkLoadModel(b *testing.B) {
+	_, path := servedCheckpoint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.LoadModel(path, core.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointSave measures one durable save of the served model:
+// its arena streamed to a temp file, fsynced and renamed into place. Its
+// time is mostly the fsyncs; its B/op is the encoder's buffer and the
+// temp file's bookkeeping.
+func BenchmarkCheckpointSave(b *testing.B) {
+	model, path := servedCheckpoint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.SaveModel(path, model); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -93,11 +93,11 @@ func TestDoubleQTablesExistAndAverage(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a.Step(obsFor(0.5, 0.9, 0.5, i%4, 4, true, 0.1))
 	}
-	// Table() must be the mean of both tables.
-	tab := a.Table()
+	// The greedy table must be the mean of both tables.
+	tab := agentTable(a)
 	for s := range tab {
 		for x := range tab[s] {
-			i := s*a.NumActions() + x
+			i := s*a.numLevels + x
 			want := (a.q[i] + a.q2[i]) / 2
 			if tab[s][x] != want {
 				t.Fatalf("Table[%d][%d] = %v, want mean %v", s, x, tab[s][x], want)
@@ -108,13 +108,14 @@ func TestDoubleQTablesExistAndAverage(t *testing.T) {
 
 func TestDoubleQLoadTableSetsBoth(t *testing.T) {
 	a, _ := NewAgent(algoConfig(DoubleQ), 4, 0)
-	tab := a.Table()
+	tab := agentTable(a)
 	tab[0][2] = 7.5
-	if err := a.LoadTable(tab); err != nil {
+	p, err := PolicyFromTables(algoConfig(DoubleQ), NewFlatTables([][][]float64{tab}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.q[2] != 7.5 || a.q2[2] != 7.5 { // state 0, action 2
-		t.Fatal("LoadTable did not set both tables")
+	if b := p.agents[0]; b.q[2] != 7.5 || b.q2[2] != 7.5 { // state 0, action 2
+		t.Fatal("hydration did not set both tables")
 	}
 }
 

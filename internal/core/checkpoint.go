@@ -54,147 +54,204 @@ var ErrCheckpointVersion = errors.New("core: unsupported checkpoint version")
 // checkpointHeaderLen is magic + version + 3 state-config fields + count.
 const checkpointHeaderLen = 8 + 4 + 4*3 + 4
 
-// EncodeCheckpoint writes the snapshot in the checkpoint format. The
-// encoding is canonical: equal snapshots produce identical bytes (float64
-// values are stored as their exact bit patterns, so even NaN payloads
-// round-trip).
-func (s Snapshot) EncodeCheckpoint(w io.Writer) error {
-	if err := s.validateForCheckpoint(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.Write(checkpointMagic[:])
-	putU32(&buf, CheckpointVersion)
-	putU32(&buf, uint32(s.State.LoadBins))
-	putU32(&buf, uint32(s.State.QoSBins))
-	putU32(&buf, uint32(s.State.TrendBins))
-	putU32(&buf, uint32(len(s.Tables)))
-	for _, t := range s.Tables {
-		putU32(&buf, uint32(len(t)))
-		putU32(&buf, uint32(len(t[0])))
-		for _, row := range t {
-			for _, v := range row {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				buf.Write(b[:])
-			}
-		}
-	}
-	putU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	_, err := w.Write(buf.Bytes())
-	return err
-}
+// checkpointChunk is the size of the one buffer a checkpoint streams
+// through, in either direction, whatever the size of its tables.
+const checkpointChunk = 2048
 
-// validateForCheckpoint rejects snapshots the canonical layout cannot
-// represent: only consistent rectangular tables whose state count matches
-// the recorded configuration have a unique encoding.
-func (s Snapshot) validateForCheckpoint() error {
-	if err := s.State.Validate(); err != nil {
+// WriteCheckpoint writes st and the tables in f in the checkpoint format,
+// through one fixed buffer with a running CRC, and flushes before it
+// returns. The encoding is canonical: equal tables produce identical bytes
+// (float64 values are stored as their exact bit patterns, so even NaN
+// payloads round-trip). Every table must hold st.States(width) rows.
+func WriteCheckpoint(w io.Writer, st StateConfig, f *FlatTables) error {
+	if err := st.Validate(); err != nil {
 		return err
 	}
-	if len(s.Tables) == 0 {
+	if f == nil || len(f.off) == 0 {
 		return fmt.Errorf("core: checkpoint needs at least one table")
 	}
-	for c, t := range s.Tables {
-		if len(t) == 0 || len(t[0]) == 0 {
-			return fmt.Errorf("core: checkpoint table %d is empty", c)
-		}
-		actions := len(t[0])
-		if len(t) != s.State.States(actions) {
+	for c, width := range f.width {
+		if states := f.States(c); states != st.States(width) {
 			return fmt.Errorf("core: checkpoint table %d has %d states, config %+v with %d actions needs %d",
-				c, len(t), s.State, actions, s.State.States(actions))
+				c, states, st, width, st.States(width))
 		}
-		for r, row := range t {
-			if len(row) != actions {
-				return fmt.Errorf("core: checkpoint table %d row %d has %d actions, row 0 has %d", c, r, len(row), actions)
-			}
+	}
+	e := ckptWriter{w: w, buf: make([]byte, 0, checkpointChunk)}
+	e.buf = append(e.buf, checkpointMagic[:]...)
+	for _, v := range []int{CheckpointVersion, st.LoadBins, st.QoSBins, st.TrendBins, len(f.off)} {
+		e.u32(uint32(v))
+	}
+	for c, width := range f.width {
+		e.u32(uint32(f.States(c)))
+		e.u32(uint32(width))
+		for _, v := range f.window(c) {
+			e.reserve(8)
+			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 		}
+	}
+	e.flush()
+	// The CRC covers every byte before it, so it goes out after the flush.
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.crc)
+	e.flush()
+	return e.err
+}
+
+// ckptWriter buffers a checkpoint's bytes and keeps the CRC32 (IEEE) of
+// every byte it has flushed.
+type ckptWriter struct {
+	w   io.Writer
+	buf []byte // pending bytes; cap checkpointChunk
+	crc uint32
+	err error // the first write error; later flushes write nothing
+}
+
+func (e *ckptWriter) u32(v uint32) {
+	e.reserve(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+// reserve flushes the buffer unless n more bytes fit in it.
+func (e *ckptWriter) reserve(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+}
+
+func (e *ckptWriter) flush() {
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// ReadCheckpoint decodes a checkpoint of size bytes from r (a file's Stat
+// size) into its state configuration and one arena holding its tables. It
+// reads through one fixed buffer with a running CRC and sizes the arena
+// once from size, so what it allocates is bounded by size. It reads no
+// further than the checkpoint, apart from the one read that confirms the
+// input ends there. Any corruption fails with an error wrapping
+// ErrCheckpointCorrupt: wrong magic, an input shorter or longer than size,
+// flipped bits (checksum), trailing bytes, a table shape that contradicts
+// the recorded state configuration, or a width the arena cannot pack
+// (above MaxFlatActions). A clean file of an unknown version fails with
+// ErrCheckpointVersion. It never panics on arbitrary input.
+func ReadCheckpoint(r io.Reader, size int64) (StateConfig, *FlatTables, error) {
+	if size < checkpointHeaderLen+4 {
+		return StateConfig{}, nil, fmt.Errorf("%w: %d bytes is shorter than the minimal checkpoint", ErrCheckpointCorrupt, size)
+	}
+	d := ckptReader{r: r, buf: make([]byte, checkpointChunk)}
+	h, err := d.next(checkpointHeaderLen)
+	if err != nil {
+		return StateConfig{}, nil, err
+	}
+	if !bytes.Equal(h[:8], checkpointMagic[:]) {
+		return StateConfig{}, nil, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, h[:8])
+	}
+	if v := binary.LittleEndian.Uint32(h[8:]); v != CheckpointVersion {
+		return StateConfig{}, nil, fmt.Errorf("%w: file is version %d, this build reads %d", ErrCheckpointVersion, v, CheckpointVersion)
+	}
+	st := StateConfig{
+		LoadBins:  int(int32(binary.LittleEndian.Uint32(h[12:]))),
+		QoSBins:   int(int32(binary.LittleEndian.Uint32(h[16:]))),
+		TrendBins: int(int32(binary.LittleEndian.Uint32(h[20:]))),
+	}
+	if err := st.Validate(); err != nil {
+		return StateConfig{}, nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	}
+	// Every table is an 8-byte shape and at least one 8-byte value, so the
+	// size bounds the table count; what the shapes leave of the body is
+	// the arena.
+	count := int64(binary.LittleEndian.Uint32(h[24:]))
+	body := size - checkpointHeaderLen - 4
+	if count == 0 || count > body/16 {
+		return StateConfig{}, nil, fmt.Errorf("%w: %d tables cannot fill a %d-byte body", ErrCheckpointCorrupt, count, body)
+	}
+	values := body - 8*count
+	if values%8 != 0 || values/8 >= maxFlatArena {
+		return StateConfig{}, nil, fmt.Errorf("%w: %d bytes of values is not an arena", ErrCheckpointCorrupt, values)
+	}
+	f := &FlatTables{arena: make([]float64, values/8), off: make([]int, count), width: make([]int, count)}
+	n := 0
+	for c := range f.off {
+		h, err := d.next(8)
+		if err != nil {
+			return StateConfig{}, nil, err
+		}
+		states, actions := binary.LittleEndian.Uint32(h), binary.LittleEndian.Uint32(h[4:])
+		if states == 0 || actions == 0 || actions > MaxFlatActions {
+			return StateConfig{}, nil, fmt.Errorf("%w: table %d has shape %d×%d (at most %d actions)",
+				ErrCheckpointCorrupt, c, states, actions, MaxFlatActions)
+		}
+		// The state count is redundant with the configuration; enforcing
+		// the relation rejects structurally inconsistent payloads early.
+		if int(states) != st.States(int(actions)) {
+			return StateConfig{}, nil, fmt.Errorf("%w: table %d claims %d states for %d actions, config %+v needs %d",
+				ErrCheckpointCorrupt, c, states, actions, st, st.States(int(actions)))
+		}
+		words := int(states) * int(actions)
+		if words > len(f.arena)-n {
+			return StateConfig{}, nil, fmt.Errorf("%w: table %d needs %d values, %d remain", ErrCheckpointCorrupt, c, words, len(f.arena)-n)
+		}
+		f.off[c], f.width[c] = n, int(actions)
+		if err := d.floats(f.arena[n : n+words]); err != nil {
+			return StateConfig{}, nil, err
+		}
+		n += words
+	}
+	if n != len(f.arena) {
+		return StateConfig{}, nil, fmt.Errorf("%w: %d trailing bytes after last table", ErrCheckpointCorrupt, 8*(len(f.arena)-n))
+	}
+	want := d.crc
+	tail, err := d.next(4)
+	if err != nil {
+		return StateConfig{}, nil, err
+	}
+	if got := binary.LittleEndian.Uint32(tail); got != want {
+		return StateConfig{}, nil, fmt.Errorf("%w: checksum %#x != computed %#x", ErrCheckpointCorrupt, got, want)
+	}
+	if k, err := io.ReadFull(d.r, d.buf[:1]); k != 0 {
+		return StateConfig{}, nil, fmt.Errorf("%w: the input runs past its %d bytes", ErrCheckpointCorrupt, size)
+	} else if err != io.EOF {
+		return StateConfig{}, nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	return st, f, nil
+}
+
+// ckptReader hands out a checkpoint's bytes in order through one fixed
+// buffer and keeps the CRC32 (IEEE) of every byte it has handed out. It
+// reads only what it hands out.
+type ckptReader struct {
+	r   io.Reader
+	buf []byte
+	crc uint32
+}
+
+// next returns the next n bytes, n <= len(buf). The slice is valid until
+// the next call.
+func (d *ckptReader) next(n int) ([]byte, error) {
+	b := d.buf[:n]
+	if _, err := io.ReadFull(d.r, b); errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, fmt.Errorf("%w: the input ends before its declared size", ErrCheckpointCorrupt)
+	} else if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, b)
+	return b, nil
+}
+
+// floats fills dst with the next len(dst) float64 bit patterns.
+func (d *ckptReader) floats(dst []float64) error {
+	for len(dst) > 0 {
+		k := min(len(dst), len(d.buf)/8)
+		b, err := d.next(8 * k)
+		if err != nil {
+			return err
+		}
+		for i := range dst[:k] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[k:]
 	}
 	return nil
-}
-
-// DecodeCheckpointBytes parses a checkpoint image written by
-// EncodeCheckpoint, for callers that hold the whole file (a sized
-// os.ReadFile). Any corruption — wrong magic, truncation, flipped bits
-// (checksum), trailing garbage, or a structurally inconsistent payload —
-// fails with an error wrapping ErrCheckpointCorrupt; a clean file of an
-// unknown version fails with ErrCheckpointVersion. It never panics on
-// arbitrary input, its allocations are bounded by the input length, and
-// the returned tables do not alias raw.
-func DecodeCheckpointBytes(raw []byte) (Snapshot, error) {
-	if len(raw) < checkpointHeaderLen+4 {
-		return Snapshot{}, fmt.Errorf("%w: %d bytes is shorter than the minimal checkpoint", ErrCheckpointCorrupt, len(raw))
-	}
-	if !bytes.Equal(raw[:8], checkpointMagic[:]) {
-		return Snapshot{}, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, raw[:8])
-	}
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != CheckpointVersion {
-		return Snapshot{}, fmt.Errorf("%w: file is version %d, this build reads %d", ErrCheckpointVersion, v, CheckpointVersion)
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return Snapshot{}, fmt.Errorf("%w: checksum %#x != computed %#x", ErrCheckpointCorrupt, got, want)
-	}
-
-	p := body[12:]
-	var s Snapshot
-	s.State.LoadBins = int(int32(takeU32(&p)))
-	s.State.QoSBins = int(int32(takeU32(&p)))
-	s.State.TrendBins = int(int32(takeU32(&p)))
-	if err := s.State.Validate(); err != nil {
-		return Snapshot{}, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	count := takeU32(&p)
-	for c := uint32(0); c < count; c++ {
-		if len(p) < 8 {
-			return Snapshot{}, fmt.Errorf("%w: truncated at table %d header", ErrCheckpointCorrupt, c)
-		}
-		states, actions := takeU32(&p), takeU32(&p)
-		if states == 0 || actions == 0 {
-			return Snapshot{}, fmt.Errorf("%w: table %d has shape %d×%d", ErrCheckpointCorrupt, c, states, actions)
-		}
-		// The state count is redundant with the configuration; enforcing the
-		// relation rejects structurally inconsistent payloads early and caps
-		// the allocation below at what the remaining bytes can actually hold.
-		if int(states) != s.State.States(int(actions)) {
-			return Snapshot{}, fmt.Errorf("%w: table %d claims %d states for %d actions, config %+v needs %d",
-				ErrCheckpointCorrupt, c, states, actions, s.State, s.State.States(int(actions)))
-		}
-		words := uint64(states) * uint64(actions)
-		if uint64(len(p)) < words*8 {
-			return Snapshot{}, fmt.Errorf("%w: table %d needs %d bytes, %d remain", ErrCheckpointCorrupt, c, words*8, len(p))
-		}
-		t := make([][]float64, states)
-		flat := make([]float64, words)
-		for i := range flat {
-			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
-		p = p[words*8:]
-		for i := range t {
-			t[i] = flat[uint64(i)*uint64(actions) : (uint64(i)+1)*uint64(actions) : (uint64(i)+1)*uint64(actions)]
-		}
-		s.Tables = append(s.Tables, t)
-	}
-	if len(p) != 0 {
-		return Snapshot{}, fmt.Errorf("%w: %d trailing bytes after last table", ErrCheckpointCorrupt, len(p))
-	}
-	if len(s.Tables) == 0 {
-		return Snapshot{}, fmt.Errorf("%w: checkpoint has no tables", ErrCheckpointCorrupt)
-	}
-	return s, nil
-}
-
-func putU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-// takeU32 consumes a little-endian uint32 from the front of *p. Callers
-// guarantee at least 4 bytes remain (the fixed header is length-checked up
-// front; variable sections check before each pair).
-func takeU32(p *[]byte) uint32 {
-	v := binary.LittleEndian.Uint32((*p)[:4])
-	*p = (*p)[4:]
-	return v
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"rlpm/internal/rng"
@@ -37,13 +41,25 @@ func checkpointSnapshot(t *testing.T) Snapshot {
 	return s
 }
 
-func encodeCheckpoint(t *testing.T, s Snapshot) []byte {
+// encodeCheckpoint writes s's tables, packed into an arena, in the
+// checkpoint format.
+func encodeCheckpoint(t testing.TB, s Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.EncodeCheckpoint(&buf); err != nil {
-		t.Fatalf("EncodeCheckpoint: %v", err)
+	if err := WriteCheckpoint(&buf, s.State, NewFlatTables(s.Tables)); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// readCheckpointBytes decodes raw with ReadCheckpoint, sized by its
+// length, and returns it in nested form.
+func readCheckpointBytes(raw []byte) (Snapshot, error) {
+	st, f, err := ReadCheckpoint(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return Snapshot{State: st, Tables: f.Tables()}, nil
 }
 
 // snapshotsBitEqual compares snapshots with bit-level float equality, so
@@ -73,9 +89,9 @@ func snapshotsBitEqual(a, b Snapshot) bool {
 func TestCheckpointRoundTrip(t *testing.T) {
 	want := checkpointSnapshot(t)
 	enc := encodeCheckpoint(t, want)
-	got, err := DecodeCheckpointBytes(enc)
+	got, err := readCheckpointBytes(enc)
 	if err != nil {
-		t.Fatalf("DecodeCheckpointBytes: %v", err)
+		t.Fatalf("ReadCheckpoint: %v", err)
 	}
 	if !snapshotsBitEqual(want, got) {
 		t.Fatal("decoded snapshot differs from encoded one")
@@ -87,25 +103,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTripFromPolicy streams a trained policy's arena
+// through the codec and hydrates a policy from what comes back.
 func TestCheckpointRoundTripFromPolicy(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	snap, err := p.Snapshot()
+	f, err := p.Tables()
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("Tables: %v", err)
 	}
-	enc := encodeCheckpoint(t, snap)
-	got, err := DecodeCheckpointBytes(enc)
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, DefaultConfig().State, f); err != nil {
+		t.Fatalf("WriteCheckpoint: %v", err)
+	}
+	st, got, err := ReadCheckpoint(&buf, int64(buf.Len()))
 	if err != nil {
-		t.Fatalf("DecodeCheckpointBytes: %v", err)
+		t.Fatalf("ReadCheckpoint: %v", err)
 	}
-	if !snapshotsBitEqual(snap, got) {
-		t.Fatal("trained-policy snapshot did not round-trip bit-exactly")
+	if st != DefaultConfig().State || len(got.arena) != len(f.arena) || !slices.Equal(got.off, f.off) || !slices.Equal(got.width, f.width) {
+		t.Fatalf("decoded shape %+v %v %v, want %+v %v %v", st, got.off, got.width, DefaultConfig().State, f.off, f.width)
 	}
-	if _, err := PolicyFromSnapshot(DefaultConfig(), got); err != nil {
-		t.Fatalf("PolicyFromSnapshot(decoded): %v", err)
+	for i, v := range f.arena {
+		if math.Float64bits(got.arena[i]) != math.Float64bits(v) {
+			t.Fatalf("arena slot %d did not round-trip bit-exactly", i)
+		}
+	}
+	if _, err := PolicyFromTables(DefaultConfig(), got); err != nil {
+		t.Fatalf("PolicyFromTables(decoded): %v", err)
 	}
 }
 
@@ -118,7 +144,7 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x40
-		_, err := DecodeCheckpointBytes(mut)
+		_, err := readCheckpointBytes(mut)
 		if err == nil {
 			t.Fatalf("decode succeeded with byte %d flipped", i)
 		}
@@ -128,21 +154,31 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointTruncationRejected cuts a checkpoint short two ways: a
+// prefix whose size says so, and one that ends before the size it was
+// given.
 func TestCheckpointTruncationRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
 	for _, n := range []int{0, 1, 7, 8, 11, 12, checkpointHeaderLen, checkpointHeaderLen + 4, len(enc) - 1} {
-		_, err := DecodeCheckpointBytes(enc[:n])
-		if !errors.Is(err, ErrCheckpointCorrupt) {
+		if _, err := readCheckpointBytes(enc[:n]); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("prefix of %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
+		}
+		if _, _, err := ReadCheckpoint(bytes.NewReader(enc[:n]), int64(len(enc))); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("prefix of %d bytes sized %d: got %v, want ErrCheckpointCorrupt", n, len(enc), err)
 		}
 	}
 }
 
+// TestCheckpointTrailingGarbageRejected appends a byte two ways: inside
+// the size given, and past it.
 func TestCheckpointTrailingGarbageRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
-	_, err := DecodeCheckpointBytes(append(append([]byte(nil), enc...), 0xAA))
-	if !errors.Is(err, ErrCheckpointCorrupt) {
+	long := append(append([]byte(nil), enc...), 0xAA)
+	if _, err := readCheckpointBytes(long); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCheckpointCorrupt", err)
+	}
+	if _, _, err := ReadCheckpoint(bytes.NewReader(long), int64(len(enc))); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("input longer than its size: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
@@ -150,9 +186,35 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	enc := encodeCheckpoint(t, checkpointSnapshot(t))
 	mut := append([]byte(nil), enc...)
 	mut[8] = 0x7F // version low byte
-	_, err := DecodeCheckpointBytes(mut)
+	_, err := readCheckpointBytes(mut)
 	if !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("future version: got %v, want ErrCheckpointVersion", err)
+	}
+}
+
+// wideCheckpoint is a well-formed checkpoint, CRC included, of one table
+// one action wider than the arena packs.
+func wideCheckpoint() []byte {
+	st := StateConfig{LoadBins: 1, QoSBins: 1, TrendBins: 1}
+	w := MaxFlatActions + 1
+	raw := append([]byte(nil), checkpointMagic[:]...)
+	for _, v := range []int{CheckpointVersion, st.LoadBins, st.QoSBins, st.TrendBins, 1, st.States(w), w} {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
+	}
+	raw = append(raw, make([]byte, 8*st.States(w)*w)...)
+	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+}
+
+// TestCheckpointTooWideRejected pins the one verdict ReadCheckpoint does
+// not share with the whole-image reference: a table wider than
+// MaxFlatActions, which the arena cannot pack, is corrupt.
+func TestCheckpointTooWideRejected(t *testing.T) {
+	raw := wideCheckpoint()
+	if _, err := decodeCheckpointBytes(raw); err != nil {
+		t.Fatalf("reference refused the wide checkpoint: %v", err)
+	}
+	if _, err := readCheckpointBytes(raw); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("wide table: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
@@ -175,41 +237,152 @@ func TestCheckpointEncodeRejectsMalformedSnapshots(t *testing.T) {
 		},
 	}
 	for name, mutate := range cases {
+		s := mutate(good)
 		var buf bytes.Buffer
-		if err := mutate(good).EncodeCheckpoint(&buf); err == nil {
+		if err := WriteCheckpoint(&buf, s.State, NewFlatTables(s.Tables)); err == nil {
 			t.Errorf("%s: encode succeeded", name)
 		}
 	}
 }
 
-// FuzzCheckpointDecode drives the decoder with arbitrary bytes: it must
-// never panic, anything it accepts must re-encode to exactly the input
-// (canonical form), and every rejection must be a typed error.
+// FuzzCheckpointDecode drives ReadCheckpoint with arbitrary bytes beside
+// the whole-image reference decoder. It must never panic, and every
+// rejection must be a typed error. It must give the reference's verdict
+// and tables, bit for bit, except that it refuses tables wider than
+// MaxFlatActions; an accepted input's arena is never larger than the
+// input and re-encodes to exactly the input (canonical form), and the
+// same bytes read with a size one short or one long are corrupt.
 func FuzzCheckpointDecode(f *testing.F) {
 	st := StateConfig{LoadBins: 2, QoSBins: 1, TrendBins: 1}
 	tiny := Snapshot{State: st, Tables: [][][]float64{{{0.5, -1}, {1, 2}, {3, 4}, {0, 0}}}}
-	var buf bytes.Buffer
-	if err := tiny.EncodeCheckpoint(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(encodeCheckpoint(f, tiny))
 	f.Add([]byte{})
 	f.Add([]byte("RLPMCKPT"))
 	f.Add(bytes.Repeat([]byte{0}, checkpointHeaderLen+4))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeCheckpointBytes(data)
-		if err != nil {
-			if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
-				t.Fatalf("untyped decode error: %v", err)
+		st, tables, err := ReadCheckpoint(bytes.NewReader(data), int64(len(data)))
+		ref, refErr := decodeCheckpointBytes(data)
+		if err != nil && !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
+			t.Fatalf("untyped decode error: %v", err)
+		}
+		if errors.Is(err, ErrCheckpointVersion) != errors.Is(refErr, ErrCheckpointVersion) {
+			t.Fatalf("version verdict differs: ReadCheckpoint %v, reference %v", err, refErr)
+		}
+		if (err == nil) != (refErr == nil) {
+			if err != nil && refErr == nil && tooWide(ref) {
+				return
 			}
+			t.Fatalf("verdict differs: ReadCheckpoint %v, reference %v", err, refErr)
+		}
+		if err != nil {
 			return
 		}
+		if 8*len(tables.arena) > len(data) {
+			t.Fatalf("arena of %d values from %d bytes", len(tables.arena), len(data))
+		}
+		if !snapshotsBitEqual(ref, Snapshot{State: st, Tables: tables.Tables()}) {
+			t.Fatal("ReadCheckpoint's tables differ from the reference's")
+		}
 		var re bytes.Buffer
-		if err := snap.EncodeCheckpoint(&re); err != nil {
+		if err := WriteCheckpoint(&re, st, tables); err != nil {
 			t.Fatalf("accepted checkpoint failed to re-encode: %v", err)
 		}
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatal("accepted checkpoint is not in canonical form")
 		}
+		if _, _, err := ReadCheckpoint(bytes.NewReader(data[:len(data)-1]), int64(len(data))); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("input shorter than its size: %v, want ErrCheckpointCorrupt", err)
+		}
+		long := append(data[:len(data):len(data)], 0)
+		if _, _, err := ReadCheckpoint(bytes.NewReader(long), int64(len(data))); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("input longer than its size: %v, want ErrCheckpointCorrupt", err)
+		}
 	})
+}
+
+// tooWide reports whether s holds a table wider than MaxFlatActions.
+func tooWide(s Snapshot) bool {
+	for _, t := range s.Tables {
+		if len(t[0]) > MaxFlatActions {
+			return true
+		}
+	}
+	return false
+}
+
+// decodeCheckpointBytes is the whole-image decoder ReadCheckpoint replaced,
+// kept as FuzzCheckpointDecode's reference: it parses a checkpoint held in
+// memory into nested tables, checking the CRC first and the structure
+// after. Its verdict and tables are ReadCheckpoint's, bit for bit, except
+// that it accepts tables wider than MaxFlatActions.
+func decodeCheckpointBytes(raw []byte) (Snapshot, error) {
+	if len(raw) < checkpointHeaderLen+4 {
+		return Snapshot{}, fmt.Errorf("%w: %d bytes is shorter than the minimal checkpoint", ErrCheckpointCorrupt, len(raw))
+	}
+	if !bytes.Equal(raw[:8], checkpointMagic[:]) {
+		return Snapshot{}, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, raw[:8])
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:12]); v != CheckpointVersion {
+		return Snapshot{}, fmt.Errorf("%w: file is version %d, this build reads %d", ErrCheckpointVersion, v, CheckpointVersion)
+	}
+	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
+	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
+		return Snapshot{}, fmt.Errorf("%w: checksum %#x != computed %#x", ErrCheckpointCorrupt, got, want)
+	}
+
+	p := body[12:]
+	var s Snapshot
+	s.State.LoadBins = int(int32(takeU32(&p)))
+	s.State.QoSBins = int(int32(takeU32(&p)))
+	s.State.TrendBins = int(int32(takeU32(&p)))
+	if err := s.State.Validate(); err != nil {
+		return Snapshot{}, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	}
+	count := takeU32(&p)
+	for c := uint32(0); c < count; c++ {
+		if len(p) < 8 {
+			return Snapshot{}, fmt.Errorf("%w: truncated at table %d header", ErrCheckpointCorrupt, c)
+		}
+		states, actions := takeU32(&p), takeU32(&p)
+		if states == 0 || actions == 0 {
+			return Snapshot{}, fmt.Errorf("%w: table %d has shape %d×%d", ErrCheckpointCorrupt, c, states, actions)
+		}
+		// The state count is redundant with the configuration; enforcing the
+		// relation rejects structurally inconsistent payloads early and caps
+		// the allocation below at what the remaining bytes can actually hold.
+		if int(states) != s.State.States(int(actions)) {
+			return Snapshot{}, fmt.Errorf("%w: table %d claims %d states for %d actions, config %+v needs %d",
+				ErrCheckpointCorrupt, c, states, actions, s.State, s.State.States(int(actions)))
+		}
+		words := uint64(states) * uint64(actions)
+		if uint64(len(p)) < words*8 {
+			return Snapshot{}, fmt.Errorf("%w: table %d needs %d bytes, %d remain", ErrCheckpointCorrupt, c, words*8, len(p))
+		}
+		t := make([][]float64, states)
+		flat := make([]float64, words)
+		for i := range flat {
+			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		p = p[words*8:]
+		for i := range t {
+			t[i] = flat[uint64(i)*uint64(actions) : (uint64(i)+1)*uint64(actions) : (uint64(i)+1)*uint64(actions)]
+		}
+		s.Tables = append(s.Tables, t)
+	}
+	if len(p) != 0 {
+		return Snapshot{}, fmt.Errorf("%w: %d trailing bytes after last table", ErrCheckpointCorrupt, len(p))
+	}
+	if len(s.Tables) == 0 {
+		return Snapshot{}, fmt.Errorf("%w: checkpoint has no tables", ErrCheckpointCorrupt)
+	}
+	return s, nil
+}
+
+// takeU32 consumes a little-endian uint32 from the front of *p. Callers
+// guarantee at least 4 bytes remain (the fixed header is length-checked up
+// front; variable sections check before each pair).
+func takeU32(p *[]byte) uint32 {
+	v := binary.LittleEndian.Uint32((*p)[:4])
+	*p = (*p)[4:]
+	return v
 }

@@ -315,9 +315,6 @@ func NewAgent(cfg Config, numLevels int, stream uint64) (*Agent, error) {
 // NumStates returns the Q-table's state count.
 func (a *Agent) NumStates() int { return len(a.q) / a.numLevels }
 
-// NumActions returns the Q-table's action count.
-func (a *Agent) NumActions() int { return a.numLevels }
-
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.eps }
 
@@ -341,9 +338,6 @@ func (a *Agent) BoostExploration(eps float64) {
 		a.eps = eps
 	}
 }
-
-// Learning reports whether updates are enabled.
-func (a *Agent) Learning() bool { return a.learning }
 
 // Step consumes the observation that resulted from the agent's previous
 // action, performs the TD update of the configured algorithm, and returns
@@ -476,21 +470,8 @@ func argmaxF(vals []float64) (int, float64) {
 	return idx, best
 }
 
-// Table returns a deep copy of the Q-table. For Double Q-learning it
-// returns the mean of the two tables — the greedy policy the agent
-// actually follows.
-func (a *Agent) Table() [][]float64 {
-	flat := make([]float64, len(a.q))
-	a.tableInto(flat)
-	n := a.numLevels
-	out := make([][]float64, a.NumStates())
-	for s := range out {
-		out[s] = flat[s*n : (s+1)*n : (s+1)*n]
-	}
-	return out
-}
-
-// tableInto writes the greedy table Table returns into dst, row-major.
+// tableInto writes the greedy table into dst, row-major: for Double
+// Q-learning the mean of the two tables, the policy the agent follows.
 func (a *Agent) tableInto(dst []float64) {
 	if a.q2 == nil {
 		copy(dst, a.q)
@@ -499,26 +480,6 @@ func (a *Agent) tableInto(dst []float64) {
 	for i, v := range a.q {
 		dst[i] = (v + a.q2[i]) / 2
 	}
-}
-
-// LoadTable replaces the Q-table with t (deep-copied). The shape must
-// match.
-func (a *Agent) LoadTable(t [][]float64) error {
-	if len(t) != a.NumStates() {
-		return fmt.Errorf("core: table has %d states, agent needs %d", len(t), a.NumStates())
-	}
-	for i, row := range t {
-		if len(row) != a.numLevels {
-			return fmt.Errorf("core: table row %d has %d actions, agent needs %d", i, len(row), a.numLevels)
-		}
-	}
-	for i, row := range t {
-		copy(a.row(a.q, i), row)
-		if a.q2 != nil {
-			copy(a.row(a.q2, i), row)
-		}
-	}
-	return nil
 }
 
 // Reset clears learned state and restarts the exploration schedule.

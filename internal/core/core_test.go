@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,12 +254,12 @@ func TestFrozenAgentDoesNotLearnOrExplore(t *testing.T) {
 		a.Step(obsFor(0.5, 1, 0.5, i%9, 9, false, 0.1))
 	}
 	a.SetLearning(false)
-	before := a.Table()
+	before := agentTable(a)
 	var acts []int
 	for i := 0; i < 500; i++ {
 		acts = append(acts, a.Step(obsFor(0.5, 1, 0.5, 4, 9, false, 0.1)))
 	}
-	after := a.Table()
+	after := agentTable(a)
 	for s := range before {
 		for x := range before[s] {
 			if before[s][x] != after[s][x] {
@@ -273,41 +274,62 @@ func TestFrozenAgentDoesNotLearnOrExplore(t *testing.T) {
 	}
 }
 
+// agentTable copies a's greedy table out in nested form.
+func agentTable(a *Agent) [][]float64 {
+	flat := make([]float64, len(a.q))
+	a.tableInto(flat)
+	out := make([][]float64, a.NumStates())
+	for s := range out {
+		out[s] = flat[s*a.numLevels : (s+1)*a.numLevels]
+	}
+	return out
+}
+
+// TestTableLoadRoundTrip hydrates a policy from a trained agent's table
+// and checks every value arrives, and that tables of another shape are
+// refused.
 func TestTableLoadRoundTrip(t *testing.T) {
 	a, _ := NewAgent(DefaultConfig(), 9, 0)
 	for i := 0; i < 2000; i++ {
 		a.Step(obsFor(float64(i%10)/10, 1, 0.5, i%9, 9, false, 0.1))
 	}
-	tab := a.Table()
-	b, _ := NewAgent(DefaultConfig(), 9, 0)
-	if err := b.LoadTable(tab); err != nil {
+	tab := agentTable(a)
+	p, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{tab}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	bt := b.Table()
-	for s := range tab {
-		for x := range tab[s] {
-			if tab[s][x] != bt[s][x] {
-				t.Fatal("table round trip lost values")
-			}
-		}
+	if !slices.Equal(p.agents[0].q, a.q) {
+		t.Fatal("table round trip lost values")
 	}
 	// Shape mismatches rejected.
-	if err := b.LoadTable(tab[:5]); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{tab[:5]})); err == nil {
 		t.Fatal("short table accepted")
 	}
-	badRow := a.Table()
+	badRow := agentTable(a)
 	badRow[0] = badRow[0][:3]
-	if err := b.LoadTable(badRow); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{badRow})); err == nil {
 		t.Fatal("ragged table accepted")
 	}
 }
 
+// TestTableIsDeepCopy checks that the arena a policy hands out and the
+// arena it was loaded from are copies: writing either leaves the agents'
+// tables alone.
 func TestTableIsDeepCopy(t *testing.T) {
 	a, _ := NewAgent(DefaultConfig(), 9, 0)
-	tab := a.Table()
-	tab[0][0] = 123
-	if a.Table()[0][0] == 123 {
-		t.Fatal("Table aliases internal storage")
+	src := NewFlatTables([][][]float64{agentTable(a)})
+	p, err := PolicyFromTables(DefaultConfig(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.arena[0] = 123
+	out, err := p.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.arena[1] = 456
+	if q := p.agents[0].q; q[0] == 123 || q[1] == 456 {
+		t.Fatal("a policy's tables alias an arena")
 	}
 }
 

@@ -8,10 +8,13 @@
 // per-row cache collapses those repeats into one scan plus O(1) replays —
 // with no sort and no per-call reset of the cache.
 //
-// The arena is also the unit an online learner publishes: it rewrites a
-// retired arena in place (Policy.TablesInto) instead of building a new
-// table set, the software counterpart of the paper's accelerator updating
-// its one BRAM-resident Q-table through the MAC datapath.
+// The arena is the one in-memory form of a served table set. The
+// checkpoint codec streams between a file and an arena (ReadCheckpoint,
+// WriteCheckpoint), a policy hydrates from one (PolicyFromTables), and an
+// online learner publishes one: it rewrites a retired arena in place
+// (Policy.TablesInto) instead of building a new table set, the software
+// counterpart of the paper's accelerator updating its one BRAM-resident
+// Q-table through the MAC datapath.
 
 package core
 
@@ -28,8 +31,12 @@ const (
 )
 
 // MaxFlatActions is the widest row (action count) the packed lookup key
-// can carry; NewFlatTables rejects wider tables.
+// can carry; NewFlatTables and ReadCheckpoint reject wider tables.
 const MaxFlatActions = flatKeyWidthMask
+
+// maxFlatArena bounds an arena's length: the packed lookup key keeps 40
+// bits for a row's arena offset.
+const maxFlatArena = 1 << (64 - flatKeyIdxBits - flatKeyWidthBits)
 
 // FlatTables is a Q-table set flattened into one contiguous row-major
 // float64 arena shared by all clusters. Readers never write it, and an
@@ -92,7 +99,7 @@ func NewFlatTables(tables [][][]float64) *FlatTables {
 		f.off[c], f.width[c] = n, w
 		n += len(t) * w
 	}
-	if n >= 1<<(64-flatKeyIdxBits-flatKeyWidthBits) {
+	if n >= maxFlatArena {
 		return nil
 	}
 	f.arena = make([]float64, n)
@@ -111,17 +118,12 @@ func (f *FlatTables) NewLike() *FlatTables {
 }
 
 // Tables copies the arena back into the [cluster][state][action] pointer
-// layout — a cold path for checkpoints and learner hydration. Each
-// cluster's rows share one fresh backing slice, capacity-capped per row.
+// layout, for code that edits tables by row. Each cluster's rows share one
+// fresh backing slice, capacity-capped per row.
 func (f *FlatTables) Tables() [][][]float64 {
 	tables := make([][][]float64, len(f.off))
-	for c, off := range f.off {
-		end := len(f.arena)
-		if c+1 < len(f.off) {
-			end = f.off[c+1]
-		}
-		w := f.width[c]
-		flat := append([]float64(nil), f.arena[off:end]...)
+	for c, w := range f.width {
+		flat := append([]float64(nil), f.window(c)...)
 		t := make([][]float64, len(flat)/w)
 		for s := range t {
 			t[s] = flat[s*w : (s+1)*w : (s+1)*w]
@@ -131,8 +133,23 @@ func (f *FlatTables) Tables() [][][]float64 {
 	return tables
 }
 
+// window returns cluster c's table, row-major.
+func (f *FlatTables) window(c int) []float64 {
+	end := len(f.arena)
+	if c+1 < len(f.off) {
+		end = f.off[c+1]
+	}
+	return f.arena[f.off[c]:end]
+}
+
 // Clusters returns the number of tables packed into the arena.
 func (f *FlatTables) Clusters() int { return len(f.off) }
+
+// Actions returns cluster c's row width: its action (OPP) count.
+func (f *FlatTables) Actions(c int) int { return f.width[c] }
+
+// States returns cluster c's row count.
+func (f *FlatTables) States(c int) int { return len(f.window(c)) / f.width[c] }
 
 // Argmax returns the greedy action for (cluster, state); ties break low,
 // matching argmaxF and the hardware comparator tree.

@@ -98,11 +98,11 @@ func (p *Policy) Learn(t Transition) (float64, error) {
 	return p.agents[t.Cluster].Learn(t)
 }
 
-// TablesInto writes every agent's greedy table (Agent.Table) into f, so f
-// holds exactly NewFlatTables(p.Snapshot().Tables) without allocating.
-// f must have the policy's shape (an arena built from its snapshot, or a
-// NewLike copy of one); a mismatch is a caller bug and panics before any
-// write. The caller must own f: no reader may hold it during the write.
+// TablesInto writes every agent's greedy table into f, so f holds exactly
+// what Tables returns, without allocating. f must have the policy's shape
+// (an arena the policy was loaded from, or a NewLike copy of one); a
+// mismatch is a caller bug and panics before any write. The caller must
+// own f: no reader may hold it during the write.
 func (p *Policy) TablesInto(f *FlatTables) {
 	n := 0
 	for c, a := range p.agents {

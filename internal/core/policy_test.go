@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"rlpm/internal/sim"
@@ -58,8 +58,8 @@ func TestPolicyLazyAgentCreation(t *testing.T) {
 	if len(agents) != 2 {
 		t.Fatalf("agents = %d", len(agents))
 	}
-	if agents[0].NumActions() != 8 || agents[1].NumActions() != 9 {
-		t.Fatalf("agent action counts %d/%d", agents[0].NumActions(), agents[1].NumActions())
+	if agents[0].numLevels != 8 || agents[1].numLevels != 9 {
+		t.Fatalf("agent action counts %d/%d", agents[0].numLevels, agents[1].numLevels)
 	}
 }
 
@@ -150,22 +150,22 @@ func TestSnapshotErrorsBeforeDecide(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRoundTrip loads a trained policy's snapshot through
-// PolicyFromSnapshot and checks every Q-value comes back unchanged.
+// TestSnapshotRestoreRoundTrip loads a trained policy's tables through
+// PolicyFromTables and checks every Q-value comes back unchanged.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	snap, err := p.Snapshot()
+	f, err := p.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Tables) != 2 {
-		t.Fatalf("tables = %d", len(snap.Tables))
+	if f.Clusters() != 2 {
+		t.Fatalf("tables = %d", f.Clusters())
 	}
 
-	q, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	q, err := PolicyFromTables(DefaultConfig(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,47 +175,41 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d agents, want %d", len(qa), len(pa))
 	}
 	for c := range qa {
-		qt, pt := qa[c].Table(), pa[c].Table()
-		for s := range qt {
-			for x := range qt[s] {
-				if qt[s][x] != pt[s][x] {
-					t.Fatalf("cluster %d Q[%d][%d] differs after restore", c, s, x)
-				}
-			}
+		if !slices.Equal(qa[c].q, pa[c].q) {
+			t.Fatalf("cluster %d Q-table differs after restore", c)
 		}
 	}
 }
 
-// TestRestoreValidatesShape checks PolicyFromSnapshot refuses a snapshot of
-// another state config, one without tables and one with a ragged table, and
-// that a policy loaded from a short table list refuses observations of a
-// chip with more clusters than it has tables.
+// TestRestoreValidatesShape checks PolicyFromTables refuses tables of
+// another state config, an empty table set and a short table, and that a
+// policy loaded from a short table list refuses observations of a chip
+// with more clusters than it has tables.
 func TestRestoreValidatesShape(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	p.Decide(twoClusterObs(0, 0))
 	snap, _ := p.Snapshot()
 
 	// Mismatched state config.
-	bad := snap
-	bad.State.LoadBins = 99
-	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
+	cfg := DefaultConfig()
+	cfg.State.LoadBins = 99
+	if _, err := PolicyFromTables(cfg, NewFlatTables(snap.Tables)); err == nil {
 		t.Fatal("mismatched state config accepted")
 	}
 	// No tables at all.
-	if _, err := PolicyFromSnapshot(DefaultConfig(), Snapshot{State: snap.State}); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables(nil)); err == nil {
 		t.Fatal("snapshot without tables accepted")
 	}
-	// Ragged table.
-	bad = snap
-	bad.Tables = [][][]float64{snap.Tables[0][:3], snap.Tables[1]}
-	if _, err := PolicyFromSnapshot(DefaultConfig(), bad); err == nil {
-		t.Fatal("ragged tables accepted")
+	if _, err := PolicyFromTables(DefaultConfig(), nil); err == nil {
+		t.Fatal("nil arena accepted")
 	}
-	// Wrong cluster count: the snapshot fixes the cluster count, so a
-	// short table list loads but cannot drive a two-cluster chip.
-	bad = snap
-	bad.Tables = snap.Tables[:1]
-	short, err := PolicyFromSnapshot(DefaultConfig(), bad)
+	// Short table.
+	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{snap.Tables[0][:3], snap.Tables[1]})); err == nil {
+		t.Fatal("short table accepted")
+	}
+	// Wrong cluster count: the tables fix the cluster count, so a short
+	// table list loads but cannot drive a two-cluster chip.
+	short, err := PolicyFromTables(DefaultConfig(), NewFlatTables(snap.Tables[:1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +222,7 @@ func TestRestoreValidatesShape(t *testing.T) {
 }
 
 // TestPolicyFromSnapshot pins the frozen-policy constructor: learning is off
-// on every agent, and two policies built from one snapshot run the same
+// on every agent, and two policies built from one arena run the same
 // episode identically — no state from earlier runs leaks into a fresh
 // deployment.
 func TestPolicyFromSnapshot(t *testing.T) {
@@ -236,16 +230,16 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	snap, err := p.Snapshot()
+	f, err := p.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	q, err := PolicyFromTables(DefaultConfig(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c, a := range q.agents {
-		if a.Learning() {
+		if a.learning {
 			t.Fatalf("cluster %d agent is learning", c)
 		}
 	}
@@ -268,12 +262,12 @@ func TestPolicyFromSnapshot(t *testing.T) {
 		return r
 	}
 	first := run(q)
-	fresh, err := PolicyFromSnapshot(DefaultConfig(), snap)
+	fresh, err := PolicyFromTables(DefaultConfig(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again := run(fresh); again != first {
-		t.Fatalf("fresh policy from one snapshot ran differently:\n%+v\n%+v", first, again)
+		t.Fatalf("fresh policy from one arena ran differently:\n%+v\n%+v", first, again)
 	}
 }
 
@@ -285,11 +279,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
 	snap, _ := p.Snapshot()
-	var buf bytes.Buffer
-	if err := snap.EncodeCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpointBytes(buf.Bytes())
+	got, err := readCheckpointBytes(encodeCheckpoint(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +298,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 }
 
 func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCheckpointBytes([]byte("not a checkpoint, but longer than its header")); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := readCheckpointBytes([]byte("not a checkpoint, but longer than its header")); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("garbage snapshot: %v, want ErrCheckpointCorrupt", err)
 	}
 }

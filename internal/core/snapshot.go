@@ -2,59 +2,81 @@ package core
 
 import "fmt"
 
-// Snapshot is a serializable image of a trained policy: one Q-table per
-// cluster plus the state configuration it was trained with, so a loader
-// can reject incompatible shapes. Its one file format is the checkpoint
-// codec (EncodeCheckpoint, DecodeCheckpointBytes).
+// Snapshot is a policy's Q-tables in nested form, one [state][action]
+// table per cluster, plus the state configuration they were trained with:
+// the form for code that builds or edits tables by row. The checkpoint
+// codec, serving and policy hydration work on the arena (FlatTables);
+// NewFlatTables and FlatTables.Tables convert between the two.
 type Snapshot struct {
 	State  StateConfig
 	Tables [][][]float64 // [cluster][state][action]
 }
 
-// Snapshot captures the current tables. It errors before the first Decide,
-// when no agents exist yet.
+// Snapshot captures the current greedy tables in nested form. It errors
+// before the first Decide, when no agents exist yet.
 func (p *Policy) Snapshot() (Snapshot, error) {
-	if len(p.agents) == 0 {
-		return Snapshot{}, fmt.Errorf("core: policy has no agents yet (run at least one Decide)")
+	f, err := p.Tables()
+	if err != nil {
+		return Snapshot{}, err
 	}
-	s := Snapshot{State: p.cfg.State}
-	for _, a := range p.agents {
-		s.Tables = append(s.Tables, a.Table())
-	}
-	return s, nil
+	return Snapshot{State: p.cfg.State, Tables: f.Tables()}, nil
 }
 
-// PolicyFromSnapshot builds a frozen policy from snap: one agent per table
-// (a table's row length is its cluster's OPP count), the table loaded and
-// learning off. Its agents hold no trend or exploration state from any
-// earlier run, so it decides exactly as a fresh deployment of the
-// snapshotted tables does — the one way to load, evaluate or replay a
-// saved policy.
-func PolicyFromSnapshot(cfg Config, snap Snapshot) (*Policy, error) {
+// Tables returns the current greedy tables (for Double Q-learning, the
+// mean of the two tables: the policy the agent follows) in a fresh arena,
+// laid out as a checkpoint stores them. It errors before the first
+// Decide, when no agents exist yet, and for a cluster wider than
+// MaxFlatActions.
+func (p *Policy) Tables() (*FlatTables, error) {
+	if len(p.agents) == 0 {
+		return nil, fmt.Errorf("core: policy has no agents yet (run at least one Decide)")
+	}
+	f := &FlatTables{off: make([]int, len(p.agents)), width: make([]int, len(p.agents))}
+	n := 0
+	for c, a := range p.agents {
+		if a.numLevels > MaxFlatActions {
+			return nil, fmt.Errorf("core: cluster %d has %d actions, the arena packs at most %d", c, a.numLevels, MaxFlatActions)
+		}
+		f.off[c], f.width[c] = n, a.numLevels
+		n += len(a.q)
+	}
+	f.arena = make([]float64, n)
+	p.TablesInto(f)
+	return f, nil
+}
+
+// PolicyFromTables builds a frozen policy from f: one agent per cluster
+// (a cluster's row width is its OPP count), its table copied from the
+// cluster's arena window and learning off. f's tables must be encoded
+// under cfg.State; a window of another state count is refused. Its agents
+// hold no trend or exploration state from any earlier run, so it decides
+// exactly as a fresh deployment of the tables does — the one way to load,
+// evaluate or replay a saved policy.
+func PolicyFromTables(cfg Config, f *FlatTables) (*Policy, error) {
 	p, err := NewPolicy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if snap.State != cfg.State {
-		return nil, fmt.Errorf("core: snapshot state config %+v != policy %+v", snap.State, cfg.State)
+	if f == nil || len(f.off) == 0 {
+		return nil, fmt.Errorf("core: no tables to load")
 	}
-	if len(snap.Tables) == 0 {
-		return nil, fmt.Errorf("core: snapshot has no tables")
-	}
-	p.agents = make([]*Agent, len(snap.Tables))
-	for i, t := range snap.Tables {
-		if len(t) == 0 {
-			return nil, fmt.Errorf("core: cluster %d: empty table", i)
-		}
-		a, err := NewAgent(cfg, len(t[0]), uint64(i))
-		if err == nil {
-			err = a.LoadTable(t)
-		}
+	p.agents = make([]*Agent, len(f.off))
+	for c, width := range f.width {
+		a, err := NewAgent(cfg, width, uint64(c))
 		if err != nil {
-			return nil, fmt.Errorf("core: cluster %d: %w", i, err)
+			return nil, fmt.Errorf("core: cluster %d: %w", c, err)
+		}
+		win := f.window(c)
+		if len(win) != len(a.q) {
+			return nil, fmt.Errorf("core: cluster %d table has %d states, config %+v needs %d for %d actions",
+				c, len(win)/width, cfg.State, a.NumStates(), width)
+		}
+		copy(a.q, win)
+		if a.q2 != nil {
+			copy(a.q2, win)
 		}
 		a.SetLearning(false)
-		p.agents[i] = a
+		p.agents[c] = a
 	}
 	return p, nil
 }

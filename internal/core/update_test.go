@@ -34,9 +34,9 @@ func learnSnapshot(cfg Config, levels ...int) Snapshot {
 // learnPolicy loads snap under cfg, failing the test on error.
 func learnPolicy(t *testing.T, cfg Config, snap Snapshot) *Policy {
 	t.Helper()
-	p, err := PolicyFromSnapshot(cfg, snap)
+	p, err := PolicyFromTables(cfg, NewFlatTables(snap.Tables))
 	if err != nil {
-		t.Fatalf("PolicyFromSnapshot: %v", err)
+		t.Fatalf("PolicyFromTables: %v", err)
 	}
 	return p
 }

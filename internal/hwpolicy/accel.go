@@ -332,25 +332,6 @@ func (a *Accel) reset() {
 	a.steps, a.totalCycles = 0, 0
 }
 
-// LoadTable writes a float64 Q-table (e.g. trained in software by
-// internal/core) into the accelerator, quantizing to Q16.16. Shape must
-// match the params.
-func (a *Accel) LoadTable(table [][]float64) error {
-	if len(table) != a.p.NumStates {
-		return fmt.Errorf("hwpolicy: table has %d states, accelerator sized for %d", len(table), a.p.NumStates)
-	}
-	for s, rowVals := range table {
-		if len(rowVals) != a.p.NumActions {
-			return fmt.Errorf("hwpolicy: table row %d has %d actions, accelerator sized for %d", s, len(rowVals), a.p.NumActions)
-		}
-		for x, v := range rowVals {
-			a.setQ(s*a.p.NumActions+x, fixed.FromFloat(v))
-		}
-	}
-	a.status |= 1 << 1
-	return nil
-}
-
 // setQ writes one Q word through the BRAM write port, keeping the parity
 // plane in sync when parity protection is enabled.
 func (a *Accel) setQ(idx int, v fixed.Q16) {
@@ -418,16 +399,4 @@ func (a *Accel) CorruptQBit(word int, bit uint) {
 // shift register. A zero mask clears the fault.
 func (a *Accel) SetLFSRStuck(mask, val uint16) {
 	a.stuckMask, a.stuckVal = mask, val
-}
-
-// Table returns the Q-table as floats (for inspection/differential tests).
-func (a *Accel) Table() [][]float64 {
-	out := make([][]float64, a.p.NumStates)
-	for s := range out {
-		out[s] = make([]float64, a.p.NumActions)
-		for x := range out[s] {
-			out[s][x] = a.q[s*a.p.NumActions+x].Float()
-		}
-	}
-	return out
 }

@@ -132,9 +132,7 @@ func TestGreedyStepMatchesArgmax(t *testing.T) {
 		table[s] = make([]float64, 5)
 	}
 	table[3] = []float64{-1, 0.5, 2.0, 1.9, -3}
-	if err := a.LoadTable(table); err != nil {
-		t.Fatal(err)
-	}
+	loadTable(a, table)
 	_, _ = a.WriteReg(RegLearn, 0) // inference only
 	_, _ = a.WriteReg(RegState, 3)
 	if _, err := a.WriteReg(RegCtrl, CtrlStep); err != nil {
@@ -192,7 +190,7 @@ func TestInferenceModeDoesNotUpdate(t *testing.T) {
 	_, _ = a.WriteReg(RegCtrl, CtrlStep)
 	_, _ = a.WriteReg(RegState, 1)
 	_, _ = a.WriteReg(RegCtrl, CtrlStep)
-	for i, row := range a.Table() {
+	for i, row := range accelTable(a) {
 		for j, v := range row {
 			if v != 0 {
 				t.Fatalf("Q[%d][%d] = %v after inference-only steps", i, j, v)
@@ -252,7 +250,7 @@ func TestCtrlResetClearsEverything(t *testing.T) {
 	if st != 0 {
 		t.Fatal("status not reset")
 	}
-	for _, row := range a.Table() {
+	for _, row := range accelTable(a) {
 		for _, v := range row {
 			if v != 0 {
 				t.Fatal("table not cleared")
@@ -261,9 +259,15 @@ func TestCtrlResetClearsEverything(t *testing.T) {
 	}
 }
 
+// TestLoadTableValidatesShape pins that a table upload refuses a table of
+// the wrong shape.
 func TestLoadTableValidatesShape(t *testing.T) {
 	a := newAccel(t, smallParams())
-	if err := a.LoadTable(make([][]float64, 3)); err == nil {
+	d, err := NewDriver(bus.DefaultConfig(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UploadTable(make([][]float64, 3)); err == nil {
 		t.Fatal("short table accepted")
 	}
 	bad := make([][]float64, 12)
@@ -271,9 +275,31 @@ func TestLoadTableValidatesShape(t *testing.T) {
 		bad[i] = make([]float64, 5)
 	}
 	bad[4] = bad[4][:2]
-	if err := a.LoadTable(bad); err == nil {
+	if err := d.UploadTable(bad); err == nil {
 		t.Fatal("ragged table accepted")
 	}
+}
+
+// loadTable writes table into a's Q BRAM directly, quantized to Q16.16,
+// for tests that start from a known table.
+func loadTable(a *Accel, table [][]float64) {
+	for s, row := range table {
+		for x, v := range row {
+			a.setQ(s*a.p.NumActions+x, fixed.FromFloat(v))
+		}
+	}
+}
+
+// accelTable reads a's Q-table out as floats.
+func accelTable(a *Accel) [][]float64 {
+	out := make([][]float64, a.p.NumStates)
+	for s := range out {
+		out[s] = make([]float64, a.p.NumActions)
+		for x := range out[s] {
+			out[s][x] = a.q[s*a.p.NumActions+x].Float()
+		}
+	}
+	return out
 }
 
 func TestDriverStepTransaction(t *testing.T) {
@@ -316,7 +342,7 @@ func TestDriverUploadTable(t *testing.T) {
 	if err := d.UploadTable(table); err != nil {
 		t.Fatal(err)
 	}
-	got := a.Table()
+	got := accelTable(a)
 	for s := range table {
 		for x := range table[s] {
 			if got[s][x] != table[s][x] {

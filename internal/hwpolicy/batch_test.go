@@ -205,8 +205,8 @@ func TestMultiChannelsMatchSingleChannelBitExactly(t *testing.T) {
 			t.Fatalf("actions diverged: %d vs %d", a1, a2)
 		}
 	}
-	t1 := solo.Table()
-	t2 := m.channels[1].Table()
+	t1 := accelTable(solo)
+	t2 := accelTable(m.channels[1])
 	for s := range t1 {
 		for x := range t1[s] {
 			if t1[s][x] != t2[s][x] {

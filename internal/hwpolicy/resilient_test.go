@@ -271,9 +271,7 @@ func TestParityScrubRecovers(t *testing.T) {
 	table := [][]float64{
 		{1, 2, 3}, {3, 2, 1}, {2, 3, 1}, {1, 3, 2},
 	}
-	if err := accel.LoadTable(table); err != nil {
-		t.Fatal(err)
-	}
+	loadTable(accel, table)
 	// SEU on word 0 (state 0, action 0): flip the sign bit so the
 	// corrupted value would win or lose the argmax wildly.
 	accel.CorruptQBit(0, 31)
@@ -297,7 +295,7 @@ func TestParityScrubRecovers(t *testing.T) {
 	if act != 2 {
 		t.Fatalf("action after scrub = %d, want 2", act)
 	}
-	if got := accel.Table()[0][0]; got != 0 {
+	if got := accelTable(accel)[0][0]; got != 0 {
 		t.Fatalf("corrupted word not scrubbed: %v", got)
 	}
 }

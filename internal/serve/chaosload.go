@@ -224,8 +224,8 @@ func RunChaos(ctx context.Context, model *Model, cfg ChaosConfig) (*ChaosReport,
 				if err := inc.drain(ctx); err != nil {
 					return fmt.Errorf("serve: chaos drain: %w", err)
 				}
-				// The farewell checkpoint must exist and decode.
-				if _, err := LoadCheckpoint(cfg.CheckpointPath); err != nil {
+				// The farewell checkpoint must exist and load.
+				if _, err := LoadModel(cfg.CheckpointPath, model.Config()); err != nil {
 					return fmt.Errorf("serve: drain checkpoint unreadable: %w", err)
 				}
 				rep.DrainCheckpoint = true

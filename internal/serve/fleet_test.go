@@ -200,16 +200,16 @@ func TestChaosVerdict(t *testing.T) {
 // TestLearnVerdict feeds learnVerdict one violation per row.
 func TestLearnVerdict(t *testing.T) {
 	cfg, snap := testSnapshot(t, 8, 9)
-	var ckpt bytes.Buffer
-	if err := snap.EncodeCheckpoint(&ckpt); err != nil {
-		t.Fatalf("EncodeCheckpoint: %v", err)
+	ckpt, err := encodeSnapshot(snap)
+	if err != nil {
+		t.Fatalf("encodeSnapshot: %v", err)
 	}
 	clean := func() *LearnReport {
 		return &LearnReport{
 			Updates:    10,
 			Swaps:      5,
 			Traces:     [][]int{{1, 2, 3}, {4, 5, 6}},
-			Checkpoint: bytes.Clone(ckpt.Bytes()),
+			Checkpoint: bytes.Clone(ckpt),
 		}
 	}
 	cases := []struct {

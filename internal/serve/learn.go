@@ -86,6 +86,10 @@ type learner struct {
 	// a model it retired, safe to rewrite once no reader holds it; nil
 	// when there is none.
 	published, spare *Model
+	// save is the arena a checkpoint save copies the shadow tables into
+	// and streams to the store, guarded by the server's ckptPubMu, so the
+	// write runs outside mu. Allocated at the first save, reused after.
+	save *core.FlatTables
 
 	updates  *obs.Counter   // transitions applied to the shadow policy
 	rejected *obs.Counter   // transitions rejected by Policy.Learn
@@ -98,7 +102,7 @@ type learner struct {
 
 func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
 	cfg = cfg.withDefaults()
-	pol, err := core.PolicyFromSnapshot(s.model.cfg, s.model.Snapshot())
+	pol, err := core.PolicyFromTables(s.model.cfg, s.model.flat)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building learner: %w", err)
 	}
@@ -180,15 +184,12 @@ func (l *learner) publishLocked() {
 	l.swaps.Add(1)
 }
 
-// snapshot exports the learned tables for checkpointing.
-func (l *learner) snapshot() core.Snapshot {
+// tablesInto copies the shadow policy's greedy tables into f, which the
+// caller owns, under mu: f holds every update applied so far.
+func (l *learner) tablesInto(f *core.FlatTables) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	snap, err := l.pol.Snapshot()
-	if err != nil {
-		panic(err) // the shadow policy has its agents from construction
-	}
-	return snap
+	l.pol.TablesInto(f)
 }
 
 // close stops the checkpoint ticker, if one runs. Server.Close calls it
@@ -198,13 +199,4 @@ func (l *learner) close() {
 		close(l.quit)
 		l.wg.Wait()
 	}
-}
-
-// LearnSnapshot exports the learner's current tables; ok is false when
-// learning is disabled.
-func (s *Server) LearnSnapshot() (snap core.Snapshot, ok bool) {
-	if s.learner == nil {
-		return core.Snapshot{}, false
-	}
-	return s.learner.snapshot(), true
 }

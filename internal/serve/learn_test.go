@@ -112,7 +112,7 @@ func TestLearnInlineMatchesPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.PolicyFromSnapshot(m.cfg, m.Snapshot())
+	ref, err := core.PolicyFromTables(m.cfg, m.flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLearnInlineMatchesPolicy(t *testing.T) {
 			}
 		}
 	}
-	got, _ := srv.LearnSnapshot()
+	got := learnedSnapshot(srv)
 	want, err := ref.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -257,11 +257,7 @@ func TestLearnFrozenCohortPinned(t *testing.T) {
 
 	// Meanwhile the live policy IS the learned one: a fresh greedy session
 	// must match an oracle over a model built from the learner's snapshot.
-	snap, ok := srv.LearnSnapshot()
-	if !ok {
-		t.Fatal("LearnSnapshot: learner missing")
-	}
-	learned, err := NewModel(m.cfg, snap)
+	learned, err := NewModel(m.cfg, learnedSnapshot(srv))
 	if err != nil {
 		t.Fatalf("NewModel(learned): %v", err)
 	}
@@ -366,10 +362,7 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 	if _, err := sess.RewardSeq(1, -1); err != nil {
 		t.Fatalf("RewardSeq: %v", err)
 	}
-	wantSnap, ok := srv.LearnSnapshot()
-	if !ok {
-		t.Fatal("LearnSnapshot: learner missing")
-	}
+	wantSnap := learnedSnapshot(srv)
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- srv.Drain(context.Background()) }()
 	select {
@@ -389,18 +382,11 @@ func TestCheckpointFinalWinsOverPeriodic(t *testing.T) {
 		t.Errorf("renames = %d, want 2 (periodic then final)", got)
 	}
 
-	got, err := LoadCheckpoint(path)
+	got, err := loadSnapshot(path)
 	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
+		t.Fatalf("loading the final checkpoint: %v", err)
 	}
-	var wantBuf, gotBuf bytes.Buffer
-	if err := wantSnap.EncodeCheckpoint(&wantBuf); err != nil {
-		t.Fatalf("encode want: %v", err)
-	}
-	if err := got.EncodeCheckpoint(&gotBuf); err != nil {
-		t.Fatalf("encode got: %v", err)
-	}
-	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+	if !snapshotsEqualBits(wantSnap, got) {
 		t.Error("final checkpoint does not carry the drain-time tables")
 	}
 
@@ -590,7 +576,7 @@ func TestLearnRecycleWaitsForGrace(t *testing.T) {
 	if next := publish(); next != a {
 		t.Fatal("publication after the worker released A did not recycle A")
 	}
-	learned, _ := srv.LearnSnapshot()
+	learned := learnedSnapshot(srv)
 	if !snapshotsEqualBits(a.Snapshot(), learned) {
 		t.Fatal("recycled arena does not hold the learner's tables")
 	}
@@ -816,9 +802,7 @@ func TestLearnMultiPeriodHistoryMatchesSingles(t *testing.T) {
 		if a != want || b != want {
 			t.Fatalf("%s: learners applied %d and %d transitions in all, want %d each", when, a, b, want)
 		}
-		snapA, _ := srvA.LearnSnapshot()
-		snapB, _ := srvB.LearnSnapshot()
-		if !snapshotsEqualBits(snapA, snapB) {
+		if !snapshotsEqualBits(learnedSnapshot(srvA), learnedSnapshot(srvB)) {
 			t.Fatalf("%s: the learned tables differ between frame shapes", when)
 		}
 	}
@@ -839,4 +823,120 @@ func TestLearnMultiPeriodHistoryMatchesSingles(t *testing.T) {
 		}
 	}
 	check("after a following 1-period frame", 2)
+}
+
+// learnedSnapshot copies srv's learned tables out in nested form.
+func learnedSnapshot(srv *Server) core.Snapshot {
+	learned := srv.model.flat.NewLike()
+	srv.learner.tablesInto(learned)
+	return core.Snapshot{State: srv.model.cfg.State, Tables: learned.Tables()}
+}
+
+// TestLearnServerBuildAllocs pins that a learning server hydrates its
+// shadow policy straight from the served arena. Building one allocates its
+// shadow tables (one arena's worth) and about 10 KB of metrics more than a
+// frozen server; any other copy of the tables on the way, nested rows or a
+// flat copy, would take the difference past two arenas.
+func TestLearnServerBuildAllocs(t *testing.T) {
+	m, _, arena := servedCheckpoint(t)
+	build := func(cfg Config) func() {
+		return func() {
+			srv, err := New(m, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+		}
+	}
+	frozen := allocBytes(build(Config{}))
+	learning := allocBytes(build(Config{Learn: LearnConfig{Enabled: true}}))
+	t.Logf("a learning server allocates %d B, a frozen one %d B, for a %d B arena", learning, frozen, arena)
+	if learning >= frozen+2*arena {
+		t.Errorf("a learning server allocates %d B more than a frozen one, want less than two %d B arenas", learning-frozen, arena)
+	}
+}
+
+// TestLearnPublishCheckpointAllocs pins a learning server's saves: each
+// copies the shadow tables into the learner's one save arena, allocated at
+// the first save, and streams that arena.
+func TestLearnPublishCheckpointAllocs(t *testing.T) {
+	m, path, _ := servedCheckpoint(t)
+	srv := newTestServer(t, m, nil, Config{CheckpointPath: path, Learn: LearnConfig{Enabled: true}})
+	checkSecondPublishAllocs(t, srv)
+}
+
+// TestLearnCheckpointTickerRace saves on the learner's 1 ms checkpoint
+// ticker while sessions decide and their rewards apply and publish, so the
+// save arena's copy, the learner's updates and the RCU swaps run at once.
+// Every ticker save must succeed, and the drain's final checkpoint must
+// hold the learner's tables once every reward has applied.
+func TestLearnCheckpointTickerRace(t *testing.T) {
+	const devices, periods = 4, 60
+	m := testModel(t, 3, 5)
+	path := filepath.Join(t.TempDir(), "learned.ckpt")
+	srv := newTestServer(t, m, nil, Config{
+		CheckpointPath: path,
+		Learn:          LearnConfig{Enabled: true, SwapEvery: 1, CheckpointEvery: time.Millisecond},
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, devices)
+	for d := 0; d < devices; d++ {
+		sess, err := srv.CreateSession(SessionOptions{Seed: uint64(d), Epsilon: 0.2})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		obs := testObs(m, uint64(300+d), periods)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, o := range obs {
+				if _, err := sess.Decide(o); err != nil {
+					errs <- err
+					return
+				}
+				if i > 0 {
+					if _, err := sess.RewardSeq(uint64(i), -float64(i%3)/2); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if i%10 == 0 {
+					time.Sleep(time.Millisecond) // let the ticker land between rewards
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// The fleet ran for several ticks; on a loaded host, wait for one.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		saves := 0
+		for _, e := range srv.Events().Events() {
+			if e.Kind == "checkpoint" {
+				if !strings.HasPrefix(e.Msg, "saved ") {
+					t.Fatalf("ticker save failed: %s", e.Msg)
+				}
+				saves++
+			}
+		}
+		if saves > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint ticker saved nothing")
+		}
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	got, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatalf("loading the final checkpoint: %v", err)
+	}
+	if !snapshotsEqualBits(got, learnedSnapshot(srv)) {
+		t.Fatal("the final checkpoint does not hold the learner's tables")
+	}
 }

@@ -153,12 +153,10 @@ func RunLearn(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 	rep.Frozen.Rewards = uint64(met.Value("serve_cohort_rewards_total", frozen))
 	rep.Frozen.MeanReward = met.Value("serve_cohort_mean_reward", frozen)
 
-	snap, ok := srv.LearnSnapshot()
-	if !ok {
-		return nil, fmt.Errorf("serve: learning server has no learner snapshot")
-	}
+	learned := model.flat.NewLike()
+	srv.learner.tablesInto(learned)
 	var buf bytes.Buffer
-	if err := snap.EncodeCheckpoint(&buf); err != nil {
+	if err := core.WriteCheckpoint(&buf, model.cfg.State, learned); err != nil {
 		return nil, err
 	}
 	rep.Checkpoint = buf.Bytes()
@@ -183,8 +181,8 @@ func RunLearnReplay(model *Model, cfg LearnLoadConfig) (*LearnReport, error) {
 // learnVerdict judges two same-config learn runs and reports every
 // violated invariant: the learner applied updates and published them, no
 // sample was rejected, the replay reproduced every device's decisions and
-// the learned checkpoint byte for byte, and that checkpoint decodes and
-// builds a serving model the way LoadModel does.
+// the learned checkpoint byte for byte, and that checkpoint loads into a
+// serving model the way LoadModel loads a file (ReadModel).
 func learnVerdict(cfg core.Config, a, b *LearnReport) error {
 	var errs []error
 	if a.Updates == 0 {
@@ -205,12 +203,7 @@ func learnVerdict(cfg core.Config, a, b *LearnReport) error {
 	if !bytes.Equal(a.Checkpoint, b.Checkpoint) {
 		errs = append(errs, errors.New("serve: learn replay produced different learned tables"))
 	}
-	snap, err := core.DecodeCheckpointBytes(a.Checkpoint)
-	if err == nil {
-		cfg.State = snap.State
-		_, err = NewModel(cfg, snap)
-	}
-	if err != nil {
+	if _, err := ReadModel(bytes.NewReader(a.Checkpoint), int64(len(a.Checkpoint)), cfg); err != nil {
 		errs = append(errs, fmt.Errorf("serve: learned checkpoint does not reload: %w", err))
 	}
 	return errors.Join(errs...)

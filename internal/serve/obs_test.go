@@ -11,11 +11,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rlpm/internal/core"
 )
 
 // TestSaveCheckpointDurabilitySequence asserts the write→sync→rename→
 // dir-sync ordering through recording hooks, so the fsync-the-parent-dir
-// fix can never silently regress.
+// fix can never silently regress. The write half: the file holds every
+// byte of the checkpoint when it is synced, so the encoder's buffer was
+// flushed before the fsync.
 func TestSaveCheckpointDurabilitySequence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "policy.ckpt")
@@ -23,10 +27,16 @@ func TestSaveCheckpointDurabilitySequence(t *testing.T) {
 
 	var seq []string
 	var renamedTo, syncedDir string
+	var syncedSize int64
 	real := osHooks()
 	rec := fsHooks{
 		syncFile: func(f *os.File) error {
 			seq = append(seq, "sync-file")
+			info, err := f.Stat()
+			if err != nil {
+				return err
+			}
+			syncedSize = info.Size()
 			return real.syncFile(f)
 		},
 		rename: func(oldpath, newpath string) error {
@@ -40,12 +50,15 @@ func TestSaveCheckpointDurabilitySequence(t *testing.T) {
 			return real.syncDir(d)
 		},
 	}
-	n, err := saveCheckpoint(path, snap, rec)
+	n, err := saveCheckpoint(path, snap.State, core.NewFlatTables(snap.Tables), rec)
 	if err != nil {
 		t.Fatalf("saveCheckpoint: %v", err)
 	}
 	if n <= 0 {
 		t.Fatalf("saved %d bytes", n)
+	}
+	if syncedSize != n {
+		t.Fatalf("the file held %d of the checkpoint's %d bytes when it was synced", syncedSize, n)
 	}
 	want := []string{"sync-file", "rename", "sync-dir"}
 	if len(seq) != len(want) {
@@ -62,14 +75,14 @@ func TestSaveCheckpointDurabilitySequence(t *testing.T) {
 	if syncedDir != dir {
 		t.Fatalf("synced dir %q, want the checkpoint's parent %q", syncedDir, dir)
 	}
-	if _, err := LoadCheckpoint(path); err != nil {
+	if _, err := LoadModel(path, core.DefaultConfig()); err != nil {
 		t.Fatalf("reloading: %v", err)
 	}
 
 	// A failing dir sync must fail the save: the caller cannot report
 	// durability it does not have.
 	rec.syncDir = func(string) error { return os.ErrPermission }
-	if _, err := saveCheckpoint(path, snap, rec); err == nil {
+	if _, err := saveCheckpoint(path, snap.State, core.NewFlatTables(snap.Tables), rec); err == nil {
 		t.Fatal("save reported success with a failed directory sync")
 	}
 }

@@ -382,12 +382,12 @@ func TestDrainWritesFinalCheckpoint(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("ServeBin after drain: %v", err)
 	}
-	snap, err := LoadCheckpoint(path)
+	final, err := LoadModel(path, core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
-	if len(snap.Tables) != 2 {
-		t.Fatalf("checkpoint has %d tables, want 2", len(snap.Tables))
+	if final.Clusters() != 2 {
+		t.Fatalf("checkpoint has %d tables, want 2", final.Clusters())
 	}
 	c.Close()
 }
@@ -404,6 +404,7 @@ func TestSaveCheckpointCrashRecovery(t *testing.T) {
 	}
 	_, next := testSnapshot(t, 3)
 	next.Tables[0][0][0] = 42
+	nextTables := core.NewFlatTables(next.Tables)
 
 	boom := errors.New("injected crash")
 	cases := []struct {
@@ -427,10 +428,10 @@ func TestSaveCheckpointCrashRecovery(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := saveCheckpoint(path, next, c.fs); !errors.Is(err, boom) {
+			if _, err := saveCheckpoint(path, next.State, nextTables, c.fs); !errors.Is(err, boom) {
 				t.Fatalf("crashing save: %v, want injected crash", err)
 			}
-			snap, err := LoadCheckpoint(path)
+			snap, err := loadSnapshot(path)
 			if err != nil {
 				t.Fatalf("previous checkpoint unreadable after crash: %v", err)
 			}
@@ -447,10 +448,10 @@ func TestSaveCheckpointCrashRecovery(t *testing.T) {
 		syncFile: func(f *os.File) error { return f.Truncate(10) },
 		rename:   os.Rename, syncDir: syncDir,
 	}
-	if _, err := saveCheckpoint(trunc, next, tornFS); err != nil {
+	if _, err := saveCheckpoint(trunc, next.State, nextTables, tornFS); err != nil {
 		t.Fatalf("torn save: %v", err)
 	}
-	if _, err := LoadCheckpoint(trunc); !errors.Is(err, core.ErrCheckpointCorrupt) {
+	if _, err := LoadModel(trunc, core.DefaultConfig()); !errors.Is(err, core.ErrCheckpointCorrupt) {
 		t.Fatalf("torn checkpoint load: %v, want ErrCheckpointCorrupt", err)
 	}
 }

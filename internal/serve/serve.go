@@ -26,8 +26,9 @@
 //     flight, and past that bound a decide fails fast with ErrOverloaded
 //     and changes no state;
 //   - trained tables persist through the versioned, checksummed checkpoint
-//     codec (core.EncodeCheckpoint) with atomic write-rename, so a server
-//     restart resumes the exact frozen policy.
+//     codec (core.WriteCheckpoint, core.ReadCheckpoint), which streams
+//     between the file and the model's arena, with atomic write-rename, so
+//     a server restart resumes the exact frozen policy.
 //
 // Observable state — sessions, decisions served, decides in flight,
 // checkpoint age — is exported via /metrics and /healthz, so load tests
@@ -38,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -141,49 +143,47 @@ type Model struct {
 // NewModel builds a Model from a snapshot, copying its tables into one
 // arena. cfg supplies the state encoding and must match the snapshot's
 // recorded StateConfig; table shapes are validated against it, and a
-// shape the arena cannot pack (an action count outside
+// shape the arena cannot pack (ragged rows, or an action count outside
 // 1..core.MaxFlatActions) is rejected.
 func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if snap.State != cfg.State {
 		return nil, fmt.Errorf("serve: snapshot state config %+v != serving config %+v", snap.State, cfg.State)
 	}
 	if len(snap.Tables) == 0 {
 		return nil, fmt.Errorf("serve: snapshot has no tables")
 	}
-	m := &Model{cfg: cfg}
-	for c, t := range snap.Tables {
-		if len(t) == 0 || len(t[0]) == 0 {
-			return nil, fmt.Errorf("serve: cluster %d table is empty", c)
-		}
-		actions := len(t[0])
-		if len(t) != cfg.State.States(actions) {
-			return nil, fmt.Errorf("serve: cluster %d table has %d states, config needs %d for %d actions",
-				c, len(t), cfg.State.States(actions), actions)
-		}
-		for i, row := range t {
-			if len(row) != actions {
-				return nil, fmt.Errorf("serve: cluster %d row %d has %d actions, row 0 has %d", c, i, len(row), actions)
-			}
-		}
-		m.levels = append(m.levels, actions)
+	tables := core.NewFlatTables(snap.Tables)
+	if tables == nil {
+		return nil, fmt.Errorf("serve: cannot pack the snapshot's tables into the flat arena (each needs rows of one width in 1..%d)",
+			core.MaxFlatActions)
 	}
-	if m.flat = core.NewFlatTables(snap.Tables); m.flat == nil {
-		return nil, fmt.Errorf("serve: cannot pack tables with action counts %v into the flat arena (each must be in 1..%d)",
-			m.levels, core.MaxFlatActions)
+	return newModel(cfg, tables)
+}
+
+// newModel adopts tables, an arena nothing else holds, as a model's
+// tables. Each cluster must hold cfg.State.States(width) rows.
+func newModel(cfg core.Config, tables *core.FlatTables) (*Model, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := &Model{cfg: cfg, levels: make([]int, tables.Clusters()), flat: tables}
+	for c := range m.levels {
+		m.levels[c] = tables.Actions(c)
+		if states, want := tables.States(c), cfg.State.States(m.levels[c]); states != want {
+			return nil, fmt.Errorf("serve: cluster %d table has %d states, config needs %d for %d actions", c, states, want, m.levels[c])
+		}
 	}
 	return m, nil
 }
 
-// ModelFromPolicy freezes a trained software policy into a serving model.
+// ModelFromPolicy freezes a trained software policy into a serving model,
+// which adopts the arena the policy's tables are copied into.
 func ModelFromPolicy(p *core.Policy, cfg core.Config) (*Model, error) {
-	snap, err := p.Snapshot()
+	tables, err := p.Tables()
 	if err != nil {
 		return nil, err
 	}
-	return NewModel(cfg, snap)
+	return newModel(cfg, tables)
 }
 
 // Clusters returns the number of DVFS domains the model decides for.
@@ -195,11 +195,17 @@ func (m *Model) NumLevels() []int { return append([]int(nil), m.levels...) }
 // Config returns the serving configuration (state encoding, reward terms).
 func (m *Model) Config() core.Config { return m.cfg }
 
-// Snapshot rebuilds the model's tables from the arena as a deep-copied
-// snapshot, ready for checkpointing. It copies every table, so it belongs
-// on cold paths (checkpoint save, learner hydration), not per decision.
+// Snapshot copies the model's tables out of the arena in nested form, for
+// code that edits tables by row. Saving, hydrating and serving read the
+// arena itself (SaveModel, WriteCheckpoint).
 func (m *Model) Snapshot() core.Snapshot {
 	return core.Snapshot{State: m.cfg.State, Tables: m.flat.Tables()}
+}
+
+// WriteCheckpoint streams the model's tables to w in the checkpoint
+// format.
+func (m *Model) WriteCheckpoint(w io.Writer) error {
+	return core.WriteCheckpoint(w, m.cfg.State, m.flat)
 }
 
 // Greedy returns the argmax action for (cluster, state); ties break low,
@@ -1158,13 +1164,18 @@ func (s *Server) publishCheckpoint(final bool) (int64, error) {
 		return 0, errFinalPublished
 	}
 	s.ckptFinal = final
-	var snap core.Snapshot
-	if s.learner != nil {
-		snap = s.learner.snapshot()
-	} else {
-		snap = s.model.Snapshot()
+	// The frozen model's arena is immutable, so it streams as it is. A
+	// learner's tables are copied into its save arena first, under its
+	// mutex; the write runs outside it.
+	tables := s.model.flat
+	if l := s.learner; l != nil {
+		if l.save == nil {
+			l.save = tables.NewLike()
+		}
+		l.tablesInto(l.save)
+		tables = l.save
 	}
-	n, err := saveCheckpoint(path, snap, s.fs)
+	n, err := saveCheckpoint(path, s.model.cfg.State, tables, s.fs)
 	if err != nil {
 		s.events.Addf("checkpoint", "save to %s failed: %v", path, err)
 		return 0, err

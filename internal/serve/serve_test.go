@@ -40,11 +40,30 @@ func testSnapshot(t testing.TB, levels ...int) (core.Config, core.Snapshot) {
 	return cfg, snap
 }
 
+// encodeSnapshot packs snap's tables into an arena and encodes them in the
+// checkpoint format.
+func encodeSnapshot(snap core.Snapshot) ([]byte, error) {
+	var buf bytes.Buffer
+	err := core.WriteCheckpoint(&buf, snap.State, core.NewFlatTables(snap.Tables))
+	return buf.Bytes(), err
+}
+
 // snapshotsEqualBits compares two snapshots through their canonical
 // checkpoint encoding, which stores every float64 as its bit pattern.
 func snapshotsEqualBits(a, b core.Snapshot) bool {
-	var ab, bb bytes.Buffer
-	return a.EncodeCheckpoint(&ab) == nil && b.EncodeCheckpoint(&bb) == nil && bytes.Equal(ab.Bytes(), bb.Bytes())
+	ab, aerr := encodeSnapshot(a)
+	bb, berr := encodeSnapshot(b)
+	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
+}
+
+// loadSnapshot loads the checkpoint at path through LoadModel and returns
+// its tables in nested form.
+func loadSnapshot(path string) (core.Snapshot, error) {
+	m, err := LoadModel(path, core.DefaultConfig())
+	if err != nil {
+		return core.Snapshot{}, err
+	}
+	return m.Snapshot(), nil
 }
 
 func testModel(t testing.TB, levels ...int) *Model {

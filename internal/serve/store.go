@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -44,22 +45,36 @@ func syncDir(dir string) error {
 
 // SaveCheckpoint persists snap at path atomically and durably: the
 // checkpoint encoding is written to a temporary file in the same
-// directory, fsynced, renamed over the destination, and then the parent
-// directory is fsynced, so a crash at any instant leaves either the old
-// checkpoint or the new one — complete, and with its directory entry on
-// disk. Returns the encoded size.
+// directory, flushed and fsynced, renamed over the destination, and then
+// the parent directory is fsynced, so a crash at any instant leaves either
+// the old checkpoint or the new one — complete, and with its directory
+// entry on disk. Returns the encoded size. It packs snap's nested tables
+// into an arena first; a server saves its model's arena with SaveModel.
 func SaveCheckpoint(path string, snap core.Snapshot) (int64, error) {
-	return saveCheckpoint(path, snap, osHooks())
+	tables := core.NewFlatTables(snap.Tables)
+	if tables == nil {
+		return 0, fmt.Errorf("serve: cannot pack the snapshot's tables into an arena (ragged, empty, or wider than %d actions)", core.MaxFlatActions)
+	}
+	return saveCheckpoint(path, snap.State, tables, osHooks())
 }
 
-func saveCheckpoint(path string, snap core.Snapshot, fs fsHooks) (int64, error) {
+// SaveModel persists m's tables at path as SaveCheckpoint does, streaming
+// them from the model's arena.
+func SaveModel(path string, m *Model) (int64, error) {
+	return saveCheckpoint(path, m.cfg.State, m.flat, osHooks())
+}
+
+// saveCheckpoint streams st and tables to a temporary file beside path
+// and publishes it there. WriteCheckpoint flushes its buffer before it
+// returns, so the fsync covers every byte.
+func saveCheckpoint(path string, st core.StateConfig, tables *core.FlatTables, fs fsHooks) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return 0, fmt.Errorf("serve: creating checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := snap.EncodeCheckpoint(tmp); err != nil {
+	if err := core.WriteCheckpoint(tmp, st, tables); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("serve: encoding checkpoint: %w", err)
 	}
@@ -84,32 +99,37 @@ func saveCheckpoint(path string, snap core.Snapshot, fs fsHooks) (int64, error) 
 	return info.Size(), nil
 }
 
-// LoadCheckpoint reads and verifies a checkpoint file. Corruption and
-// version mismatches surface as core's typed checkpoint errors. The file
-// is read in one read sized by its length, so loading leaves no growth
-// garbage behind in a process that may never collect it.
-func LoadCheckpoint(path string) (core.Snapshot, error) {
-	raw, err := os.ReadFile(path)
+// LoadModel builds a serving model from a checkpoint file, decoding the
+// file straight into the model's arena (ReadModel). Corruption and version
+// mismatches surface as core's typed checkpoint errors.
+func LoadModel(path string, cfg core.Config) (*Model, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return core.Snapshot{}, fmt.Errorf("serve: reading checkpoint: %w", err)
+		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
-	snap, err := core.DecodeCheckpointBytes(raw)
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
-		return core.Snapshot{}, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
-	return snap, nil
+	m, err := ReadModel(f, info.Size(), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
+	}
+	return m, nil
 }
 
-// LoadModel builds a serving model from a checkpoint file, using cfg for
-// everything the checkpoint does not record (reward terms, learning
-// hyperparameters); cfg.State is overridden by the checkpoint's recorded
-// state configuration — the file is authoritative about the encoding its
-// tables were trained with.
-func LoadModel(path string, cfg core.Config) (*Model, error) {
-	snap, err := LoadCheckpoint(path)
+// ReadModel builds a serving model from a checkpoint of size bytes read
+// from r. The tables decode into one arena, which the model keeps: no
+// other copy of them is made. cfg supplies everything the checkpoint does
+// not record (reward terms, learning hyperparameters); cfg.State is
+// overridden by the checkpoint's recorded state configuration — the file
+// is authoritative about the encoding its tables were trained with.
+func ReadModel(r io.Reader, size int64, cfg core.Config) (*Model, error) {
+	st, tables, err := core.ReadCheckpoint(r, size)
 	if err != nil {
 		return nil, err
 	}
-	cfg.State = snap.State
-	return NewModel(cfg, snap)
+	cfg.State = st
+	return newModel(cfg, tables)
 }

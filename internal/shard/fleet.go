@@ -47,7 +47,7 @@ func NewFleet(model *serve.Model, n int, cfg serve.Config) (*Fleet, error) {
 		return nil, fmt.Errorf("shard: fleet needs at least 1 shard, got %d", n)
 	}
 	var buf bytes.Buffer
-	if err := model.Snapshot().EncodeCheckpoint(&buf); err != nil {
+	if err := model.WriteCheckpoint(&buf); err != nil {
 		return nil, fmt.Errorf("shard: encoding fleet checkpoint: %w", err)
 	}
 	f := &Fleet{
@@ -77,13 +77,9 @@ func (f *Fleet) AddShard() (ShardSpec, error) {
 	idx := f.next
 	f.mu.Unlock()
 
-	snap, err := core.DecodeCheckpointBytes(f.ckpt)
+	model, err := serve.ReadModel(bytes.NewReader(f.ckpt), int64(len(f.ckpt)), f.mcfg)
 	if err != nil {
 		return ShardSpec{}, fmt.Errorf("shard: hydrating replica: %w", err)
-	}
-	model, err := serve.NewModel(f.mcfg, snap)
-	if err != nil {
-		return ShardSpec{}, fmt.Errorf("shard: replica model: %w", err)
 	}
 	cfg := f.cfg
 	if cfg.Epoch == 0 {
