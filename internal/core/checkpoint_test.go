@@ -192,16 +192,15 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-// wideCheckpoint is a well-formed checkpoint, CRC included, of one table
-// one action wider than the arena packs.
-func wideCheckpoint() []byte {
-	st := StateConfig{LoadBins: 1, QoSBins: 1, TrendBins: 1}
-	w := MaxFlatActions + 1
+// rawCheckpoint is a well-formed checkpoint, CRC included, of one
+// all-zero table of the given shape under st, written byte by byte so it
+// can hold what WriteCheckpoint refuses to write.
+func rawCheckpoint(st StateConfig, states, actions int) []byte {
 	raw := append([]byte(nil), checkpointMagic[:]...)
-	for _, v := range []int{CheckpointVersion, st.LoadBins, st.QoSBins, st.TrendBins, 1, st.States(w), w} {
+	for _, v := range []int{CheckpointVersion, st.LoadBins, st.QoSBins, st.TrendBins, 1, states, actions} {
 		raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
 	}
-	raw = append(raw, make([]byte, 8*st.States(w)*w)...)
+	raw = append(raw, make([]byte, 8*states*actions)...)
 	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
 }
 
@@ -209,12 +208,27 @@ func wideCheckpoint() []byte {
 // not share with the whole-image reference: a table wider than
 // MaxFlatActions, which the arena cannot pack, is corrupt.
 func TestCheckpointTooWideRejected(t *testing.T) {
-	raw := wideCheckpoint()
+	st := StateConfig{LoadBins: 1, QoSBins: 1, TrendBins: 1}
+	w := MaxFlatActions + 1
+	raw := rawCheckpoint(st, st.States(w), w)
 	if _, err := decodeCheckpointBytes(raw); err != nil {
 		t.Fatalf("reference refused the wide checkpoint: %v", err)
 	}
 	if _, err := readCheckpointBytes(raw); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("wide table: got %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestCheckpointWrappingStateConfigRejected feeds a checkpoint whose
+// recorded bins wrap StateConfig.States: 859019674 × 2147418113 × 1 × 250
+// is 100 modulo 2^64, so a 100-state table of 250 actions matches the
+// shape check. Loaded, it would index past its table on the first decide;
+// the bound on bins makes it corrupt.
+func TestCheckpointWrappingStateConfigRejected(t *testing.T) {
+	st := StateConfig{LoadBins: 859019674, QoSBins: 2147418113, TrendBins: 1}
+	raw := rawCheckpoint(st, 100, 250)
+	if _, err := readCheckpointBytes(raw); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("wrapping state config: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

@@ -84,10 +84,20 @@ func DefaultStateConfig() StateConfig {
 	return StateConfig{LoadBins: 8, QoSBins: 4, TrendBins: 3}
 }
 
+// maxStateBins bounds LoadBins and QoSBins, so a cluster's state count
+// (StateConfig.States, up to MaxFlatActions levels) fits a checkpoint's
+// u32 state field and cannot overflow int: a checkpoint whose recorded
+// bins wrap the product would otherwise pass the shape check and index
+// past its tables on the first decide.
+const maxStateBins = 1 << 10
+
 // Validate checks the state configuration.
 func (s StateConfig) Validate() error {
 	if s.LoadBins < 1 || s.QoSBins < 1 || s.TrendBins < 1 {
 		return fmt.Errorf("core: state bins must be >= 1, got %+v", s)
+	}
+	if s.LoadBins > maxStateBins || s.QoSBins > maxStateBins {
+		return fmt.Errorf("core: load and QoS bins must be <= %d, got %+v", maxStateBins, s)
 	}
 	if s.TrendBins != 1 && s.TrendBins != 3 {
 		return fmt.Errorf("core: trend bins must be 1 (disabled) or 3, got %d", s.TrendBins)

@@ -46,6 +46,8 @@ func TestConfigValidateRejectsBad(t *testing.T) {
 		{"qos threshold 0", func(c *Config) { c.QoSThreshold = 0 }},
 		{"energy scale 0", func(c *Config) { c.EnergyScaleJ = 0 }},
 		{"util bins 0", func(c *Config) { c.State.LoadBins = 0 }},
+		{"util bins past the cap", func(c *Config) { c.State.LoadBins = maxStateBins + 1 }},
+		{"qos bins past the cap", func(c *Config) { c.State.QoSBins = maxStateBins + 1 }},
 		{"trend bins 2", func(c *Config) { c.State.TrendBins = 2 }},
 	}
 	for _, cse := range cases {
