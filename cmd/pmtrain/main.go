@@ -129,9 +129,12 @@ func (o options) train(w io.Writer) error {
 	cfg := sim.Config{PeriodS: o.period, DurationS: o.duration, Seed: o.seed}
 	gauges := newTrainGauges()
 
-	var tables *core.FlatTables
+	var (
+		st     core.StateConfig
+		tables *core.FlatTables
+	)
 	if o.load != "" {
-		if tables, err = loadPolicy(o.load, chip); err != nil {
+		if st, tables, err = loadPolicy(o.load, chip); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "loaded policy from %s\n", o.load)
@@ -164,12 +167,12 @@ func (o options) train(w io.Writer) error {
 			gauges.observe(ep+1, r, policy)
 		}
 		fmt.Fprintf(w, "energy/QoS: episode 1 = %.4f, episode %d = %.4f\n", first, o.episodes, last)
-		if tables, err = policy.Tables(); err != nil {
+		if st, tables, err = policy.Tables(); err != nil {
 			return err
 		}
 	}
 
-	frozen, err := core.PolicyFromTables(core.DefaultConfig(), tables)
+	frozen, err := core.PolicyFromTables(core.DefaultConfig(), st, tables)
 	if err != nil {
 		return err
 	}
@@ -188,7 +191,7 @@ func (o options) train(w io.Writer) error {
 		fmt.Fprintf(w, "wrote metrics to %s\n", o.metrics)
 	}
 	if o.out != "" {
-		save := func(w io.Writer) error { return core.WriteCheckpoint(w, core.DefaultConfig().State, tables) }
+		save := func(w io.Writer) error { return core.WriteCheckpoint(w, st, tables) }
 		if err := writeFile(o.out, save); err != nil {
 			return err
 		}
@@ -198,35 +201,23 @@ func (o options) train(w io.Writer) error {
 }
 
 // loadPolicy reads the checkpoint at path and checks that it holds one
-// table per cluster of chip, each with one action per OPP, encoded under
-// the default state configuration, so a policy built from it can drive
-// chip.
-func loadPolicy(path string, chip *soc.Chip) (*core.FlatTables, error) {
-	f, err := os.Open(path)
+// table per cluster of chip, each with one action per OPP, so a policy
+// built from it can drive chip. PolicyFromTables checks its recorded
+// state configuration.
+func loadPolicy(path string, chip *soc.Chip) (core.StateConfig, *core.FlatTables, error) {
+	st, tables, err := core.ReadCheckpointFile(path)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	st, tables, err := core.ReadCheckpoint(f, info.Size())
-	if err != nil {
-		return nil, err
-	}
-	if want := core.DefaultConfig().State; st != want {
-		return nil, fmt.Errorf("policy state config %+v != %+v", st, want)
+		return st, nil, err
 	}
 	if tables.Clusters() != chip.NumClusters() {
-		return nil, fmt.Errorf("policy has %d tables for %d clusters", tables.Clusters(), chip.NumClusters())
+		return st, nil, fmt.Errorf("policy has %d tables for %d clusters", tables.Clusters(), chip.NumClusters())
 	}
 	for i := 0; i < chip.NumClusters(); i++ {
 		if n := chip.Cluster(i).NumLevels(); tables.Actions(i) != n {
-			return nil, fmt.Errorf("policy table %d does not have %d actions", i, n)
+			return st, nil, fmt.Errorf("policy table %d does not have %d actions", i, n)
 		}
 	}
-	return tables, nil
+	return st, tables, nil
 }
 
 // writeFile creates path and writes it with write, reporting a failed

@@ -14,6 +14,7 @@ import (
 
 	"rlpm/internal/core"
 	"rlpm/internal/serve"
+	"rlpm/internal/soc"
 )
 
 // runPmtrain runs one invocation and returns its exit status and output.
@@ -23,24 +24,52 @@ func runPmtrain(args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// writeZeroPolicy writes a checkpoint of all-zero tables, one per entry
+// of levels with that many actions, encoded under st.
+func writeZeroPolicy(t *testing.T, path string, st core.StateConfig, levels ...int) {
+	t.Helper()
+	var tables [][][]float64
+	for _, n := range levels {
+		table := make([][]float64, st.States(n))
+		for s := range table {
+			table[s] = make([]float64, n)
+		}
+		tables = append(tables, table)
+	}
+	save := func(w io.Writer) error { return core.WriteCheckpoint(w, st, core.NewFlatTables(tables)) }
+	if err := writeFile(path, save); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExitCodes pins pmtrain's exit status for each kind of invocation.
 // -metrics with -load is a usage error that writes no file: a loaded
 // policy has no training gauges to report.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	// A policy for a one-cluster chip does not fit the default chip.
-	narrow := filepath.Join(dir, "narrow.policy")
-	cfg := core.DefaultConfig()
-	table := make([][]float64, cfg.State.States(8))
-	for s := range table {
-		table[s] = make([]float64, 8)
-	}
-	save := func(w io.Writer) error {
-		return core.WriteCheckpoint(w, cfg.State, core.NewFlatTables([][][]float64{table}))
-	}
-	if err := writeFile(narrow, save); err != nil {
+	chip, err := soc.NewChip(soc.DefaultChipSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
+	var levels []int
+	for i := 0; i < chip.NumClusters(); i++ {
+		levels = append(levels, chip.Cluster(i).NumLevels())
+	}
+	def := core.DefaultConfig().State
+	// A policy for a one-cluster chip does not fit the default chip.
+	narrow := filepath.Join(dir, "narrow.policy")
+	writeZeroPolicy(t, narrow, def, 8)
+	// A policy of the default chip's shape recorded under another state
+	// configuration with the same state count: only the recorded
+	// configuration can refuse it.
+	other := core.StateConfig{LoadBins: def.QoSBins, QoSBins: def.LoadBins, TrendBins: def.TrendBins}
+	if other == def || other.States(1) != def.States(1) {
+		t.Fatalf("%+v is not another config of the default's shape %+v", other, def)
+	}
+	otherState := filepath.Join(dir, "other-state.policy")
+	writeZeroPolicy(t, otherState, other, levels...)
+	fits := filepath.Join(dir, "zero.policy")
+	writeZeroPolicy(t, fits, def, levels...)
 	for _, c := range []struct {
 		args []string
 		want int
@@ -52,6 +81,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-scenario", "nope", "-episodes", "1", "-duration", "1"}, 1},
 		{[]string{"-load", filepath.Join(dir, "missing.policy"), "-duration", "1"}, 1},
 		{[]string{"-load", narrow, "-duration", "1"}, 1},
+		{[]string{"-load", otherState, "-duration", "1"}, 1},
+		{[]string{"-load", fits, "-duration", "1"}, 0},
 		{[]string{"-episodes", "1", "-duration", "1", "-o", filepath.Join(dir, "no", "such", "dir")}, 1},
 		{[]string{"-episodes", "1", "-duration", "1", "-metrics", filepath.Join(dir, "train.prom")}, 0},
 		{[]string{"-episodes", "1", "-duration", "1", "-o", filepath.Join(dir, "fits.policy")}, 0},

@@ -302,7 +302,7 @@ func quantizePolicy(p *core.Policy, fracBits uint) sim.Governor {
 			}
 		}
 	}
-	q, err := core.PolicyFromTables(coreConfig(), core.NewFlatTables(snap.Tables))
+	q, err := core.PolicyFromTables(coreConfig(), snap.State, core.NewFlatTables(snap.Tables))
 	if err != nil {
 		panic(err) // the snapshot came from a policy of the same config
 	}

@@ -110,7 +110,7 @@ func TestDoubleQLoadTableSetsBoth(t *testing.T) {
 	a, _ := NewAgent(algoConfig(DoubleQ), 4, 0)
 	tab := agentTable(a)
 	tab[0][2] = 7.5
-	p, err := PolicyFromTables(algoConfig(DoubleQ), NewFlatTables([][][]float64{tab}))
+	p, err := PolicyFromTables(algoConfig(DoubleQ), algoConfig(DoubleQ).State, NewFlatTables([][][]float64{tab}))
 	if err != nil {
 		t.Fatal(err)
 	}

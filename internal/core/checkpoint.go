@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 )
 
 // Checkpoint format: the durable, versioned image of a trained policy —
@@ -89,9 +90,10 @@ func WriteCheckpoint(w io.Writer, st StateConfig, f *FlatTables) error {
 			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 		}
 	}
-	e.flush()
-	// The CRC covers every byte before it, so it goes out after the flush.
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.crc)
+	// The CRC covers every byte before it, flushed or still pending, and
+	// joins the pending bytes for one last write.
+	e.reserve(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.Update(e.crc, crc32.IEEETable, e.buf))
 	e.flush()
 	return e.err
 }
@@ -214,6 +216,25 @@ func ReadCheckpoint(r io.Reader, size int64) (StateConfig, *FlatTables, error) {
 		return StateConfig{}, nil, fmt.Errorf("%w: the input runs past its %d bytes", ErrCheckpointCorrupt, size)
 	} else if err != io.EOF {
 		return StateConfig{}, nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	return st, f, nil
+}
+
+// ReadCheckpointFile decodes the checkpoint file at path with
+// ReadCheckpoint, sized by the file's Stat.
+func ReadCheckpointFile(path string) (StateConfig, *FlatTables, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return StateConfig{}, nil, err
+	}
+	defer file.Close()
+	info, err := file.Stat()
+	if err != nil {
+		return StateConfig{}, nil, err
+	}
+	st, f, err := ReadCheckpoint(file, info.Size())
+	if err != nil {
+		return StateConfig{}, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return st, f, nil
 }

@@ -103,6 +103,48 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// writeCounter records the length of each Write a checkpoint takes.
+type writeCounter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriteCheckpointWrites pins the save path's write calls: the bytes
+// go out in buffer-sized writes and the CRC rides in the last one, so a
+// checkpoint smaller than the buffer costs one write.
+func TestWriteCheckpointWrites(t *testing.T) {
+	small := Snapshot{State: StateConfig{LoadBins: 1, QoSBins: 1, TrendBins: 1}, Tables: [][][]float64{{{1, 2}, {3, 4}}}}
+	for _, c := range []struct {
+		name   string
+		snap   Snapshot
+		writes int
+	}{
+		{"one buffer", small, 1},
+		{"two buffers", checkpointSnapshot(t), 2},
+	} {
+		var w writeCounter
+		if err := WriteCheckpoint(&w, c.snap.State, NewFlatTables(c.snap.Tables)); err != nil {
+			t.Fatalf("%s: WriteCheckpoint: %v", c.name, err)
+		}
+		if !bytes.Equal(w.Bytes(), encodeCheckpoint(t, c.snap)) {
+			t.Fatalf("%s: the writes do not add up to the checkpoint", c.name)
+		}
+		if len(w.writes) != c.writes {
+			t.Errorf("%s: %d bytes took writes of %v bytes, want %d writes", c.name, w.Len(), w.writes, c.writes)
+		}
+		for _, n := range w.writes {
+			if n > checkpointChunk {
+				t.Errorf("%s: a %d-byte write is larger than the %d-byte buffer", c.name, n, checkpointChunk)
+			}
+		}
+	}
+}
+
 // TestCheckpointRoundTripFromPolicy streams a trained policy's arena
 // through the codec and hydrates a policy from what comes back.
 func TestCheckpointRoundTripFromPolicy(t *testing.T) {
@@ -110,12 +152,12 @@ func TestCheckpointRoundTripFromPolicy(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	f, err := p.Tables()
+	pst, f, err := p.Tables()
 	if err != nil {
 		t.Fatalf("Tables: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, DefaultConfig().State, f); err != nil {
+	if err := WriteCheckpoint(&buf, pst, f); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	st, got, err := ReadCheckpoint(&buf, int64(buf.Len()))
@@ -130,7 +172,7 @@ func TestCheckpointRoundTripFromPolicy(t *testing.T) {
 			t.Fatalf("arena slot %d did not round-trip bit-exactly", i)
 		}
 	}
-	if _, err := PolicyFromTables(DefaultConfig(), got); err != nil {
+	if _, err := PolicyFromTables(DefaultConfig(), st, got); err != nil {
 		t.Fatalf("PolicyFromTables(decoded): %v", err)
 	}
 }

@@ -296,7 +296,7 @@ func TestTableLoadRoundTrip(t *testing.T) {
 		a.Step(obsFor(float64(i%10)/10, 1, 0.5, i%9, 9, false, 0.1))
 	}
 	tab := agentTable(a)
-	p, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{tab}))
+	p, err := PolicyFromTables(DefaultConfig(), DefaultConfig().State, NewFlatTables([][][]float64{tab}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestTableLoadRoundTrip(t *testing.T) {
 		t.Fatal("table round trip lost values")
 	}
 	// Shape mismatches rejected.
-	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{tab[:5]})); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), DefaultConfig().State, NewFlatTables([][][]float64{tab[:5]})); err == nil {
 		t.Fatal("short table accepted")
 	}
 	badRow := agentTable(a)
 	badRow[0] = badRow[0][:3]
-	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{badRow})); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), DefaultConfig().State, NewFlatTables([][][]float64{badRow})); err == nil {
 		t.Fatal("ragged table accepted")
 	}
 }
@@ -320,12 +320,12 @@ func TestTableLoadRoundTrip(t *testing.T) {
 func TestTableIsDeepCopy(t *testing.T) {
 	a, _ := NewAgent(DefaultConfig(), 9, 0)
 	src := NewFlatTables([][][]float64{agentTable(a)})
-	p, err := PolicyFromTables(DefaultConfig(), src)
+	p, err := PolicyFromTables(DefaultConfig(), DefaultConfig().State, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src.arena[0] = 123
-	out, err := p.Tables()
+	_, out, err := p.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,15 +157,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	f, err := p.Tables()
+	st, f, err := p.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Clusters() != 2 {
-		t.Fatalf("tables = %d", f.Clusters())
+	if st != DefaultConfig().State || f.Clusters() != 2 {
+		t.Fatalf("tables = %d under %+v", f.Clusters(), st)
 	}
 
-	q, err := PolicyFromTables(DefaultConfig(), f)
+	q, err := PolicyFromTables(DefaultConfig(), st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,35 +181,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreValidatesShape checks PolicyFromTables refuses tables of
-// another state config, an empty table set and a short table, and that a
-// policy loaded from a short table list refuses observations of a chip
-// with more clusters than it has tables.
+// TestRestoreValidatesShape checks PolicyFromTables refuses tables
+// recorded under another state config, an empty table set and a short
+// table, and that a policy loaded from a short table list refuses
+// observations of a chip with more clusters than it has tables.
 func TestRestoreValidatesShape(t *testing.T) {
 	p := MustPolicy(DefaultConfig())
 	p.Decide(twoClusterObs(0, 0))
 	snap, _ := p.Snapshot()
 
-	// Mismatched state config.
-	cfg := DefaultConfig()
-	cfg.State.LoadBins = 99
-	if _, err := PolicyFromTables(cfg, NewFlatTables(snap.Tables)); err == nil {
+	// Mismatched state config: {4,8,3} gives every table the default's
+	// state count, so only the recorded config can refuse these tables.
+	other := StateConfig{LoadBins: 4, QoSBins: 8, TrendBins: 3}
+	if other == snap.State || other.States(8) != snap.State.States(8) {
+		t.Fatalf("%+v is not another config of the default's shape %+v", other, snap.State)
+	}
+	if _, err := PolicyFromTables(DefaultConfig(), other, NewFlatTables(snap.Tables)); err == nil {
 		t.Fatal("mismatched state config accepted")
 	}
 	// No tables at all.
-	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables(nil)); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), snap.State, NewFlatTables(nil)); err == nil {
 		t.Fatal("snapshot without tables accepted")
 	}
-	if _, err := PolicyFromTables(DefaultConfig(), nil); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), snap.State, nil); err == nil {
 		t.Fatal("nil arena accepted")
 	}
 	// Short table.
-	if _, err := PolicyFromTables(DefaultConfig(), NewFlatTables([][][]float64{snap.Tables[0][:3], snap.Tables[1]})); err == nil {
+	if _, err := PolicyFromTables(DefaultConfig(), snap.State, NewFlatTables([][][]float64{snap.Tables[0][:3], snap.Tables[1]})); err == nil {
 		t.Fatal("short table accepted")
 	}
 	// Wrong cluster count: the tables fix the cluster count, so a short
 	// table list loads but cannot drive a two-cluster chip.
-	short, err := PolicyFromTables(DefaultConfig(), NewFlatTables(snap.Tables[:1]))
+	short, err := PolicyFromTables(DefaultConfig(), snap.State, NewFlatTables(snap.Tables[:1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +233,11 @@ func TestPolicyFromSnapshot(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Decide(twoClusterObs(i%8, i%9))
 	}
-	f, err := p.Tables()
+	st, f, err := p.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := PolicyFromTables(DefaultConfig(), f)
+	q, err := PolicyFromTables(DefaultConfig(), st, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +265,7 @@ func TestPolicyFromSnapshot(t *testing.T) {
 		return r
 	}
 	first := run(q)
-	fresh, err := PolicyFromTables(DefaultConfig(), f)
+	fresh, err := PolicyFromTables(DefaultConfig(), st, f)
 	if err != nil {
 		t.Fatal(err)
 	}

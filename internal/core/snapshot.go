@@ -15,47 +15,53 @@ type Snapshot struct {
 // Snapshot captures the current greedy tables in nested form. It errors
 // before the first Decide, when no agents exist yet.
 func (p *Policy) Snapshot() (Snapshot, error) {
-	f, err := p.Tables()
+	st, f, err := p.Tables()
 	if err != nil {
 		return Snapshot{}, err
 	}
-	return Snapshot{State: p.cfg.State, Tables: f.Tables()}, nil
+	return Snapshot{State: st, Tables: f.Tables()}, nil
 }
 
-// Tables returns the current greedy tables (for Double Q-learning, the
-// mean of the two tables: the policy the agent follows) in a fresh arena,
-// laid out as a checkpoint stores them. It errors before the first
-// Decide, when no agents exist yet, and for a cluster wider than
-// MaxFlatActions.
-func (p *Policy) Tables() (*FlatTables, error) {
+// Tables returns the state configuration the policy encodes states with
+// and its current greedy tables (for Double Q-learning, the mean of the
+// two tables: the policy the agent follows) in a fresh arena, laid out as
+// a checkpoint stores them: the pair WriteCheckpoint and PolicyFromTables
+// take. It errors before the first Decide, when no agents exist yet, and
+// for a cluster wider than MaxFlatActions.
+func (p *Policy) Tables() (StateConfig, *FlatTables, error) {
 	if len(p.agents) == 0 {
-		return nil, fmt.Errorf("core: policy has no agents yet (run at least one Decide)")
+		return StateConfig{}, nil, fmt.Errorf("core: policy has no agents yet (run at least one Decide)")
 	}
 	f := &FlatTables{off: make([]int, len(p.agents)), width: make([]int, len(p.agents))}
 	n := 0
 	for c, a := range p.agents {
 		if a.numLevels > MaxFlatActions {
-			return nil, fmt.Errorf("core: cluster %d has %d actions, the arena packs at most %d", c, a.numLevels, MaxFlatActions)
+			return StateConfig{}, nil, fmt.Errorf("core: cluster %d has %d actions, the arena packs at most %d", c, a.numLevels, MaxFlatActions)
 		}
 		f.off[c], f.width[c] = n, a.numLevels
 		n += len(a.q)
 	}
 	f.arena = make([]float64, n)
 	p.TablesInto(f)
-	return f, nil
+	return p.cfg.State, f, nil
 }
 
-// PolicyFromTables builds a frozen policy from f: one agent per cluster
-// (a cluster's row width is its OPP count), its table copied from the
-// cluster's arena window and learning off. f's tables must be encoded
-// under cfg.State; a window of another state count is refused. Its agents
-// hold no trend or exploration state from any earlier run, so it decides
-// exactly as a fresh deployment of the tables does — the one way to load,
-// evaluate or replay a saved policy.
-func PolicyFromTables(cfg Config, f *FlatTables) (*Policy, error) {
+// PolicyFromTables builds a frozen policy from f, tables encoded under the
+// state configuration st (a checkpoint's recorded one, or Tables'): one
+// agent per cluster (a cluster's row width is its OPP count), its table
+// copied from the cluster's arena window and learning off. st must be
+// cfg.State — two configurations can give a table the same state count
+// and still encode states differently — and each window must hold its
+// state count. Its agents hold no trend or exploration state from any
+// earlier run, so it decides exactly as a fresh deployment of the tables
+// does — the one way to load, evaluate or replay a saved policy.
+func PolicyFromTables(cfg Config, st StateConfig, f *FlatTables) (*Policy, error) {
 	p, err := NewPolicy(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if st != cfg.State {
+		return nil, fmt.Errorf("core: tables encoded under state config %+v != policy %+v", st, cfg.State)
 	}
 	if f == nil || len(f.off) == 0 {
 		return nil, fmt.Errorf("core: no tables to load")

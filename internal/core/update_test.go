@@ -34,7 +34,7 @@ func learnSnapshot(cfg Config, levels ...int) Snapshot {
 // learnPolicy loads snap under cfg, failing the test on error.
 func learnPolicy(t *testing.T, cfg Config, snap Snapshot) *Policy {
 	t.Helper()
-	p, err := PolicyFromTables(cfg, NewFlatTables(snap.Tables))
+	p, err := PolicyFromTables(cfg, snap.State, NewFlatTables(snap.Tables))
 	if err != nil {
 		t.Fatalf("PolicyFromTables: %v", err)
 	}

@@ -102,7 +102,7 @@ type learner struct {
 
 func newLearner(s *Server, cfg LearnConfig) (*learner, error) {
 	cfg = cfg.withDefaults()
-	pol, err := core.PolicyFromTables(s.model.cfg, s.model.flat)
+	pol, err := core.PolicyFromTables(s.model.cfg, s.model.cfg.State, s.model.flat)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building learner: %w", err)
 	}

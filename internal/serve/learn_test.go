@@ -112,7 +112,7 @@ func TestLearnInlineMatchesPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.PolicyFromTables(m.cfg, m.flat)
+	ref, err := core.PolicyFromTables(m.cfg, m.cfg.State, m.flat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,9 +146,6 @@ type Model struct {
 // shape the arena cannot pack (ragged rows, or an action count outside
 // 1..core.MaxFlatActions) is rejected.
 func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
-	if snap.State != cfg.State {
-		return nil, fmt.Errorf("serve: snapshot state config %+v != serving config %+v", snap.State, cfg.State)
-	}
 	if len(snap.Tables) == 0 {
 		return nil, fmt.Errorf("serve: snapshot has no tables")
 	}
@@ -157,14 +154,18 @@ func NewModel(cfg core.Config, snap core.Snapshot) (*Model, error) {
 		return nil, fmt.Errorf("serve: cannot pack the snapshot's tables into the flat arena (each needs rows of one width in 1..%d)",
 			core.MaxFlatActions)
 	}
-	return newModel(cfg, tables)
+	return newModel(cfg, snap.State, tables)
 }
 
 // newModel adopts tables, an arena nothing else holds, as a model's
-// tables. Each cluster must hold cfg.State.States(width) rows.
-func newModel(cfg core.Config, tables *core.FlatTables) (*Model, error) {
+// tables. st is the state configuration the tables were encoded under and
+// must be cfg.State; each cluster must hold cfg.State.States(width) rows.
+func newModel(cfg core.Config, st core.StateConfig, tables *core.FlatTables) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if st != cfg.State {
+		return nil, fmt.Errorf("serve: tables' state config %+v != serving config %+v", st, cfg.State)
 	}
 	m := &Model{cfg: cfg, levels: make([]int, tables.Clusters()), flat: tables}
 	for c := range m.levels {
@@ -177,13 +178,14 @@ func newModel(cfg core.Config, tables *core.FlatTables) (*Model, error) {
 }
 
 // ModelFromPolicy freezes a trained software policy into a serving model,
-// which adopts the arena the policy's tables are copied into.
+// which adopts the arena the policy's tables are copied into. The policy
+// must encode states as cfg does.
 func ModelFromPolicy(p *core.Policy, cfg core.Config) (*Model, error) {
-	tables, err := p.Tables()
+	st, tables, err := p.Tables()
 	if err != nil {
 		return nil, err
 	}
-	return newModel(cfg, tables)
+	return newModel(cfg, st, tables)
 }
 
 // Clusters returns the number of DVFS domains the model decides for.

@@ -222,6 +222,12 @@ func TestNewModelRejectsMalformedSnapshots(t *testing.T) {
 			s2.State.LoadBins++
 			return cfg, s2
 		},
+		"same-shape state mismatch": func() (core.Config, core.Snapshot) {
+			// Swapping the load and QoS bins keeps every state count.
+			s2 := snap
+			s2.State = core.StateConfig{LoadBins: cfg.State.QoSBins, QoSBins: cfg.State.LoadBins, TrendBins: cfg.State.TrendBins}
+			return cfg, s2
+		},
 		"wrong state count": func() (core.Config, core.Snapshot) {
 			s2 := core.Snapshot{State: cfg.State, Tables: [][][]float64{snap.Tables[0][:4]}}
 			return cfg, s2
@@ -249,6 +255,25 @@ func TestNewModelRejectsMalformedSnapshots(t *testing.T) {
 		if _, err := NewModel(c, s); err == nil {
 			t.Errorf("%s: NewModel accepted a malformed snapshot", name)
 		}
+	}
+}
+
+// TestModelFromPolicyRejectsOtherStateConfig pins that a policy freezes
+// only into a model of its own state encoding, also where another
+// encoding gives its tables the same state count.
+func TestModelFromPolicyRejectsOtherStateConfig(t *testing.T) {
+	cfg, snap := testSnapshot(t, 3, 5)
+	pcfg := cfg
+	pcfg.State = core.StateConfig{LoadBins: cfg.State.QoSBins, QoSBins: cfg.State.LoadBins, TrendBins: cfg.State.TrendBins}
+	p, err := core.PolicyFromTables(pcfg, pcfg.State, core.NewFlatTables(snap.Tables))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ModelFromPolicy(p, pcfg); err != nil {
+		t.Fatalf("ModelFromPolicy under the policy's own config: %v", err)
+	}
+	if _, err := ModelFromPolicy(p, cfg); err == nil {
+		t.Fatal("ModelFromPolicy accepted a policy of another state config")
 	}
 }
 

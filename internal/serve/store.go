@@ -100,23 +100,15 @@ func saveCheckpoint(path string, st core.StateConfig, tables *core.FlatTables, f
 }
 
 // LoadModel builds a serving model from a checkpoint file, decoding the
-// file straight into the model's arena (ReadModel). Corruption and version
-// mismatches surface as core's typed checkpoint errors.
+// file straight into the model's arena as ReadModel does. Corruption and
+// version mismatches surface as core's typed checkpoint errors.
 func LoadModel(path string, cfg core.Config) (*Model, error) {
-	f, err := os.Open(path)
+	st, tables, err := core.ReadCheckpointFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
-	}
-	m, err := ReadModel(f, info.Size(), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
-	}
-	return m, nil
+	cfg.State = st
+	return newModel(cfg, st, tables)
 }
 
 // ReadModel builds a serving model from a checkpoint of size bytes read
@@ -131,5 +123,5 @@ func ReadModel(r io.Reader, size int64, cfg core.Config) (*Model, error) {
 		return nil, err
 	}
 	cfg.State = st
-	return newModel(cfg, tables)
+	return newModel(cfg, st, tables)
 }

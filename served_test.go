@@ -38,7 +38,7 @@ func (r *levelRecorder) DecideInto(dst []int, obs []sim.Observation) []int {
 // snap on the default chip, the device's DeviceSeed stream, 50 ms periods.
 func simDevice(t *testing.T, cfg core.Config, snap core.Snapshot, fleet serve.FleetConfig, idx int) ([]int, sim.Result) {
 	t.Helper()
-	p, err := core.PolicyFromTables(cfg, core.NewFlatTables(snap.Tables))
+	p, err := core.PolicyFromTables(cfg, snap.State, core.NewFlatTables(snap.Tables))
 	if err != nil {
 		t.Fatal(err)
 	}
